@@ -360,9 +360,11 @@ let write_string t ~addr s =
 
 let align_up v a = (v + a - 1) land lnot (a - 1)
 
-(** Allocate [size] bytes of physical memory; returns the physical
-    address. There is no free: module lifetimes in the simulation are
-    short and leak-free accounting is not the point. *)
+(** Allocate [size] bytes of physical memory, 64-byte aligned; returns
+    the physical address. This bump allocator never moves back: {!kfree}
+    returns blocks to {!kmalloc}'s first-fit free list, not here, and
+    module images and user mappings ({!module_alloc}, {!map_user}) are
+    never reclaimed. *)
 let kmalloc_phys t ~size =
   let p = align_up t.kmalloc_next 64 in
   if p + size > t.phys_size then panic t "out of physical memory (kmalloc)";

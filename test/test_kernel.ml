@@ -39,6 +39,222 @@ let test_memory_blit () =
   Alcotest.(check string) "filled" "xxxxx"
     (Kernel.Memory.read_string m ~src:10 ~len:5)
 
+(* ---------- demand paging ---------- *)
+
+let page = Kernel.Memory.page_size
+
+(* The reference model: one flat, eagerly zeroed buffer, accessed byte by
+   byte — the representation [Memory] had before it was paged. *)
+module Flat = struct
+  exception Oob
+
+  let check b addr size =
+    if addr < 0 || size < 0 || addr + size > Bytes.length b then raise Oob
+
+  let read b addr size =
+    check b addr size;
+    let v = ref 0 in
+    for i = 0 to size - 1 do
+      v := !v lor (Char.code (Bytes.get b (addr + i)) lsl (8 * i))
+    done;
+    !v land max_int
+
+  let write b addr size v =
+    check b addr size;
+    for i = 0 to size - 1 do
+      Bytes.set b (addr + i) (Char.chr ((v lsr (8 * i)) land 0xff))
+    done
+
+  let blit b ~src ~dst ~len =
+    check b src len;
+    check b dst len;
+    Bytes.blit b src b dst len
+
+  let fill b ~dst ~len c =
+    check b dst len;
+    Bytes.fill b dst len c
+
+  let blit_string b ~dst s =
+    check b dst (String.length s);
+    Bytes.blit_string s 0 b dst (String.length s)
+
+  let read_string b ~src ~len =
+    check b src len;
+    Bytes.sub_string b src len
+
+  (* maximal runs of differing bytes, one byte at a time *)
+  let diff_ranges b snap =
+    let n = min (Bytes.length b) (Bytes.length snap) in
+    let rec go i start acc =
+      if i = n then List.rev (if start >= 0 then (start, n - start) :: acc else acc)
+      else if Bytes.get b i <> Bytes.get snap i then
+        go (i + 1) (if start >= 0 then start else i) acc
+      else go (i + 1) (-1) (if start >= 0 then (start, i - start) :: acc else acc)
+    in
+    go 0 (-1) []
+end
+
+type mem_op =
+  | Read of int * int
+  | Write of int * int * int
+  | Blit of int * int * int
+  | Fill of int * int * char
+  | Blit_string of int * string
+  | Read_string of int * int
+  | Snapshot
+  | Diff
+
+let show_op = function
+  | Read (a, s) -> Printf.sprintf "read %d/%d" a s
+  | Write (a, s, v) -> Printf.sprintf "write %d/%d %d" a s v
+  | Blit (s, d, l) -> Printf.sprintf "blit %d->%d/%d" s d l
+  | Fill (d, l, c) -> Printf.sprintf "fill %d/%d %C" d l c
+  | Blit_string (d, s) -> Printf.sprintf "blit_string %d/%d" d (String.length s)
+  | Read_string (s, l) -> Printf.sprintf "read_string %d/%d" s l
+  | Snapshot -> "snapshot"
+  | Diff -> "diff"
+
+type outcome =
+  | Int of int
+  | Str of string
+  | Ranges of (int * int) list
+  | Done
+  | Out_of_range
+
+let gen_mem_case =
+  let open QCheck.Gen in
+  (* page multiples, and sizes that end mid-page *)
+  let* size = oneofl [ page; 3 * page; (3 * page) + 100; (2 * page) - 1; 100; 5000 ] in
+  (* addresses cluster on page boundaries, and stray past both ends *)
+  let addr =
+    frequency
+      [
+        (3, int_range (-9) (size + 9));
+        (4, map2 (fun k d -> (k * page) + d) (int_bound ((size / page) + 1)) (int_range (-9) 9));
+      ]
+  in
+  let len =
+    frequency
+      [ (4, int_bound 16); (3, int_bound ((2 * page) + 100)); (1, return (-1)) ]
+  in
+  let op =
+    frequency
+      [
+        (4, map2 (fun a s -> Read (a, s)) addr (oneofl [ 1; 2; 4; 8; 3; 0 ]));
+        (4, map3 (fun a s v -> Write (a, s, v)) addr (oneofl [ 1; 2; 4; 8; 3; 0 ]) int);
+        (3, map3 (fun s d l -> Blit (s, d, l)) addr addr len);
+        (* a short range: a blit that overlaps itself, in either direction *)
+        (2, map3 (fun s d l -> Blit (s, s + d, l)) addr (int_range (-20) 20) len);
+        (2, map3 (fun d l c -> Fill (d, l, c)) addr len (oneofl [ '\000'; 'x'; '\255' ]));
+        ( 2,
+          map2
+            (fun d l -> Blit_string (d, String.init (max l 0) (fun i -> Char.chr (i land 0xff))))
+            addr len );
+        (2, map2 (fun s l -> Read_string (s, l)) addr len);
+        (1, return Snapshot);
+        (2, return Diff);
+      ]
+  in
+  pair (return size) (list_size (int_range 1 40) op)
+
+let prop_paged_matches_flat =
+  QCheck.Test.make ~count:300 ~name:"paged memory matches a flat reference"
+    (QCheck.make gen_mem_case ~print:(fun (size, ops) ->
+         Printf.sprintf "size %d: %s" size (String.concat "; " (List.map show_op ops))))
+    (fun (size, ops) ->
+      let m = Kernel.Memory.create ~size and b = Bytes.make size '\000' in
+      let snaps = ref (Kernel.Memory.snapshot m, Bytes.copy b) in
+      let run op =
+        let paged f = try f () with Kernel.Memory.Bad_phys_access _ -> Out_of_range in
+        let flat f = try f () with Flat.Oob -> Out_of_range in
+        let open Kernel.Memory in
+        match op with
+        | Read (a, s) -> (paged (fun () -> Int (read m a ~size:s)), flat (fun () -> Int (Flat.read b a s)))
+        | Write (a, s, v) ->
+          ( paged (fun () -> write m a ~size:s v; Done),
+            flat (fun () -> Flat.write b a s v; Done) )
+        | Blit (s, d, l) ->
+          ( paged (fun () -> blit m ~src:s ~dst:d ~len:l; Done),
+            flat (fun () -> Flat.blit b ~src:s ~dst:d ~len:l; Done) )
+        | Fill (d, l, c) ->
+          ( paged (fun () -> fill m ~dst:d ~len:l c; Done),
+            flat (fun () -> Flat.fill b ~dst:d ~len:l c; Done) )
+        | Blit_string (d, s) ->
+          ( paged (fun () -> blit_string m ~dst:d s; Done),
+            flat (fun () -> Flat.blit_string b ~dst:d s; Done) )
+        | Read_string (s, l) ->
+          ( paged (fun () -> Str (read_string m ~src:s ~len:l)),
+            flat (fun () -> Str (Flat.read_string b ~src:s ~len:l)) )
+        | Snapshot ->
+          let ps = snapshot m and fs = Bytes.copy b in
+          snaps := (ps, fs);
+          (Str (Bytes.to_string ps), Str (Bytes.to_string fs))
+        | Diff ->
+          let ps, fs = !snaps in
+          (Ranges (diff_ranges m ps), Ranges (Flat.diff_ranges b fs))
+      in
+      List.for_all (fun op -> let p, f = run op in p = f) ops
+      && Kernel.Memory.read_string m ~src:0 ~len:size = Bytes.to_string b
+      && Kernel.Memory.resident_bytes m <= ((size + page - 1) / page) * page)
+
+let test_fresh_kernel_resident () =
+  checki "fresh kernel materialises no page" 0
+    (Kernel.Memory.resident_bytes (Kernel.memory (fresh ())))
+
+let test_zero_memset_stays_shared () =
+  let k = fresh () in
+  let len = 3 * page in
+  let va = Kernel.kmalloc k ~size:len in
+  let before = Kernel.Memory.resident_bytes (Kernel.memory k) in
+  ignore (Kernel.call_symbol k "memset" [| va; 0; len |]);
+  checki "zero memset over untouched pages" before
+    (Kernel.Memory.resident_bytes (Kernel.memory k));
+  Alcotest.(check string) "still reads zero" (String.make len '\000')
+    (Kernel.read_string k ~addr:va ~len);
+  ignore (Kernel.call_symbol k "memset" [| va + page - 2; 7; 4 |]);
+  checki "non-zero memset materialises the two pages it spans" (before + (2 * page))
+    (Kernel.Memory.resident_bytes (Kernel.memory k))
+
+let test_testbed_resident_bounded () =
+  (* the fig7 set-up: R350, guarded driver, 0.0004 stall, 128 B packets *)
+  let config =
+    {
+      Testbed.default_config with
+      machine = Machine.Presets.r350;
+      technique = Testbed.Carat;
+      stall_prob = 0.0004;
+    }
+  in
+  let tb = Testbed.create ~config () in
+  ignore (Testbed.run_pktgen tb { Net.Pktgen.default_config with count = 100; size = 128 });
+  let k = Testbed.kernel tb in
+  let used = (Kernel.phys_used k + page - 1) / page * page in
+  let resident = Kernel.Memory.resident_bytes (Kernel.memory k) in
+  checkb "something was written" true (resident > 0);
+  checkb
+    (Printf.sprintf "resident %d <= phys_used %d rounded to a page" resident used)
+    true (resident <= used)
+
+let test_memory_hot_path_allocation_free () =
+  let m = Kernel.Memory.create ~size:(4 * page) in
+  (* a page's first store allocates it; materialise them all up front *)
+  Kernel.Memory.fill m ~dst:0 ~len:(4 * page) 'a';
+  let w0 = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    let a = page + ((i * 8) land (page - 8)) in
+    Kernel.Memory.write m a ~size:8 i;
+    Kernel.Memory.write m a ~size:4 (Kernel.Memory.read m a ~size:8);
+    Kernel.Memory.write m a ~size:2 (Kernel.Memory.read m a ~size:4);
+    Kernel.Memory.write m a ~size:1 (Kernel.Memory.read m a ~size:2);
+    ignore (Kernel.Memory.read m a ~size:1 : int);
+    (* across a page boundary, disjoint and overlapping both ways *)
+    Kernel.Memory.blit m ~src:(page - 100) ~dst:((3 * page) - 50) ~len:300;
+    Kernel.Memory.blit m ~src:(page - 100) ~dst:(page - 60) ~len:300;
+    Kernel.Memory.blit m ~src:(page - 60) ~dst:(page - 100) ~len:300
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 words
+
 (* ---------- layout ---------- *)
 
 let test_layout_predicates () =
@@ -540,6 +756,14 @@ let () =
           Alcotest.test_case "read/write" `Quick test_memory_rw;
           Alcotest.test_case "bounds" `Quick test_memory_bounds;
           Alcotest.test_case "blit" `Quick test_memory_blit;
+          QCheck_alcotest.to_alcotest prop_paged_matches_flat;
+          Alcotest.test_case "fresh kernel resident" `Quick test_fresh_kernel_resident;
+          Alcotest.test_case "zero memset stays shared" `Quick
+            test_zero_memset_stays_shared;
+          Alcotest.test_case "testbed resident bounded" `Quick
+            test_testbed_resident_bounded;
+          Alcotest.test_case "hot path allocation-free" `Quick
+            test_memory_hot_path_allocation_free;
         ] );
       ( "layout",
         [ Alcotest.test_case "predicates" `Quick test_layout_predicates ] );
