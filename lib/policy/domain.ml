@@ -20,13 +20,23 @@
       fast path. Promotion is a build-and-swap publish, never an in-place
       conversion.
 
-    Mutations are generational, like {!Engine.publish}: a successor
-    instance is built off-line and installed with a single pointer store
-    plus a domain-epoch bump. The batched {!install_regions} therefore
-    gives old-or-new atomicity for the whole batch — and a capacity
-    failure while building the successor leaves the live generation
-    untouched, which is the whole-batch ENOSPC rollback the ioctl
-    contract requires. *)
+    The write side mutates the live structure in place. A batch that
+    leaves the domain on its tier is validated whole (the target count
+    against the tier's capacity) and then appended with one insert per
+    region — an 8-region update to a 1,000-region domain costs 8
+    inserts, and every existing node keeps its kernel address. Only the
+    linear -> interval promotion and {!remove_region} build a successor
+    and swap it in; the retired structure's kernel memory goes back to
+    the heap, as does a destroyed domain's.
+
+    Atomicity: readers see the pre-batch policy or all of it. The whole
+    install runs inside one ioctl, which the simulated scheduler never
+    splits, so no guard can run between two of its inserts; the domain
+    epoch bump that closes the batch then plays the role Linux gives a
+    seqcount on its [rbtree_latch] trees, invalidating every shadow slot
+    filled against the old policy. A refused batch (ENOSPC) is refused
+    before its first insert, so it leaves the structure, the epoch and
+    kernel memory untouched. *)
 
 (* sharded global shadow front: [shard_count] independent direct-mapped
    shard arrays of [shard_slots] slots each. Sharding keeps slot
@@ -44,11 +54,14 @@ type slot = {
   mutable sl_depth : int;  (** exact-walk scan depth, tier-invariant *)
 }
 
+(* a domain's live structure, typed by tier so a retired one can hand
+   its kernel memory back *)
+type tier = Linear of Linear_table.t | Interval of Interval_tree.t
+
 type dom = {
   d_id : int;
   d_name : string;
-  mutable d_inst : Structure.instance;  (** live generation *)
-  mutable d_itree : bool;  (** promoted past the linear fast path *)
+  mutable d_tier : tier;  (** live generation *)
   mutable d_default_allow : bool;
   mutable d_epoch : int;  (** bumped on every mutation; shadow validates *)
   mutable d_regions : Region.t list;
@@ -123,20 +136,50 @@ let dom_default_allow d = d.d_default_allow
 let dom_stats d = d.d_stats
 let dom_shadow_hits d = d.d_sh_hits
 let dom_shadow_misses d = d.d_sh_misses
-let dom_structure d = if d.d_itree then "interval" else "linear"
+let dom_structure d =
+  match d.d_tier with Linear _ -> "linear" | Interval _ -> "interval"
 let publications t = t.publications
 let retired t = t.retired
 let promotions t = t.promotions
 let set_verify t b = t.verify <- b
 let stale_allows t = t.stale
 
-let make_instance t ~itree =
-  if itree then
-    Structure.I
-      ((module Interval_tree), Interval_tree.create t.kernel ~capacity:t.big_capacity)
-  else
-    Structure.I
-      ((module Linear_table), Linear_table.create t.kernel ~capacity:t.fast_capacity)
+let make_tier t ~itree =
+  if itree then Interval (Interval_tree.create t.kernel ~capacity:t.big_capacity)
+  else Linear (Linear_table.create t.kernel ~capacity:t.fast_capacity)
+
+let lookup tier ~addr ~size =
+  match tier with
+  | Linear l -> Linear_table.lookup l ~addr ~size
+  | Interval it -> Interval_tree.lookup it ~addr ~size
+
+(* Append one region to [tier]. Every caller has already checked the
+   whole batch against the tier's capacity, and neither tier refuses a
+   well-formed region for any other reason (both represent overlaps and
+   duplicate bases), so an error here is a broken invariant — raised,
+   never turned into a half-applied batch. *)
+let add_exn tier r =
+  let added =
+    match tier with
+    | Linear l -> Linear_table.add l r
+    | Interval it -> Interval_tree.add it r
+  in
+  match added with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Domain: insert after validation: " ^ e)
+
+(* Hand a retired structure's kernel memory back. Retirement is
+   immediate (see [publish]), so no reader can still be walking it. *)
+let release t = function
+  | Linear l ->
+    Option.iter
+      (fun (vaddr, _) ->
+        match Kernel.kfree t.kernel ~addr:vaddr with
+        | Ok () -> ()
+        | Error e ->
+          invalid_arg ("Domain.release: " ^ Kernel.free_error_to_string e))
+      (Linear_table.table_region l)
+  | Interval it -> Interval_tree.release it
 
 let create_domain ?name ?(default_allow = false) t =
   let id = t.next_id in
@@ -146,8 +189,7 @@ let create_domain ?name ?(default_allow = false) t =
     {
       d_id = id;
       d_name = (match name with Some n -> n | None -> Printf.sprintf "dom%d" id);
-      d_inst = make_instance t ~itree:false;
-      d_itree = false;
+      d_tier = make_tier t ~itree:false;
       d_default_allow = default_allow;
       d_epoch = 0;
       d_regions = [];
@@ -160,81 +202,78 @@ let create_domain ?name ?(default_allow = false) t =
   Hashtbl.replace t.by_id id d;
   d
 
-(** Tear a domain down. Its id is never reused, so shadow slots still
-    tagged with it can never validate against a future domain — stale
-    facts die by construction, not by a flush walk. *)
+(** Tear a domain down and free its structure. Its id is never reused,
+    so shadow slots still tagged with it can never validate against a
+    future domain — stale facts die by construction, not by a flush
+    walk. *)
 let destroy_domain t id =
   match find t id with
   | None -> false
-  | Some _ ->
+  | Some d ->
     t.doms <- List.filter (fun d -> d.d_id <> id) t.doms;
     Hashtbl.remove t.by_id id;
+    release t d.d_tier;
     t.destroys <- t.destroys + 1;
     t.retired <- t.retired + 1;
     true
 
 (* ------------------------------------------------------------------ *)
-(* generational mutation: build a successor, swap one pointer *)
+(* mutation: validate, then insert in place or build-and-swap *)
 
-(* Build a fresh instance holding [rs]; Error = typed errno, live
-   generation untouched. Promotion to the interval tier happens here,
-   when the target region count first exceeds the fast path. *)
-let build t (d : dom) rs : (Structure.instance * bool, int) result =
-  let n = List.length rs in
-  if n > t.big_capacity then Error Kernel.enospc
-  else begin
-    let itree = d.d_itree || n > t.fast_capacity in
-    let inst = make_instance t ~itree in
-    let rec go = function
-      | [] -> Ok (inst, itree)
-      | r :: rest -> (
-        match Structure.add inst r with
-        | Ok () -> go rest
-        | Error e ->
-          if Structure.is_capacity_error e then Error Kernel.enospc
-          else Error Kernel.einval)
-    in
-    go rs
-  end
-
-(* Install a fully-built successor: one pointer store + epoch bump, the
-   same publish idiom as Engine.publish. The old generation is retired
-   immediately (domain mutations are driven from ioctl context, where
-   the simulated interleaving never suspends a reader mid-walk). *)
-let publish t (d : dom) inst ~itree ~regions =
-  if itree && not d.d_itree then begin
+(* Close a mutation: point the domain at [tier] (the live one after an
+   in-place batch, a successor after a swap) and bump the epoch — the
+   same publish idiom as Engine.publish. The generation it replaces is
+   retired immediately: domain mutations are driven from ioctl context,
+   where the simulated interleaving never suspends a reader mid-walk. *)
+let publish t (d : dom) tier ~regions =
+  (match (d.d_tier, tier) with
+  | Linear _, Interval _ ->
     t.promotions <- t.promotions + 1;
     Kernel.Klog.printk (Kernel.log t.kernel)
       "CARAT KOP domain %d (%s): promoted to interval tier (%d regions)"
       d.d_id d.d_name (List.length regions)
-  end;
-  d.d_inst <- inst;
-  d.d_itree <- itree;
+  | _ -> ());
+  d.d_tier <- tier;
   d.d_regions <- regions;
   d.d_epoch <- d.d_epoch + 1;
   t.publications <- t.publications + 1;
   t.retired <- t.retired + 1;
   Machine.Model.store (Kernel.machine t.kernel) t.shard_vaddrs.(0) 8
 
+(* Build a fresh structure holding [rs] (already known to fit), publish
+   it, and free the structure it replaces. *)
+let swap t (d : dom) ~itree rs =
+  let old = d.d_tier in
+  let tier = make_tier t ~itree in
+  List.iter (add_exn tier) rs;
+  publish t d tier ~regions:rs;
+  release t old
+
 (** Install [rs] into domain [id] as ONE atomic batch: readers observe
-    the pre-batch policy or all of it, never a prefix, and any failure
-    (capacity, malformed region) returns a typed errno with the live
-    policy untouched. *)
+    the pre-batch policy or all of it, never a prefix. A batch that
+    would overflow the interval tier's ceiling is refused with -ENOSPC
+    before anything is written. *)
 let install_regions t ~domain rs : int =
   match find t domain with
   | None -> Kernel.einval
-  | Some d -> (
+  | Some d ->
     let target = d.d_regions @ rs in
-    match build t d target with
-    | Error e -> e
-    | Ok (inst, itree) ->
-      publish t d inst ~itree ~regions:target;
-      0)
+    let n = List.length target in
+    if n > t.big_capacity then Kernel.enospc
+    else begin
+      (match d.d_tier with
+      | Linear _ when n > t.fast_capacity -> swap t d ~itree:true target
+      | tier ->
+        List.iter (add_exn tier) rs;
+        publish t d tier ~regions:target);
+      0
+    end
 
 let add_region t ~domain r = install_regions t ~domain [ r ]
 
 (** Remove the first region based at [base] — the canonical
-    duplicate-base semantics — via a successor publish. *)
+    duplicate-base semantics — by swapping in a successor built without
+    it. *)
 let remove_region t ~domain ~base : int =
   match find t domain with
   | None -> Kernel.einval
@@ -247,12 +286,10 @@ let remove_region t ~domain ~base : int =
         | (r : Region.t) :: rest ->
           if r.Region.base = base then rest else r :: drop_first rest
       in
-      let target = drop_first d.d_regions in
-      match build t d target with
-      | Error e -> e
-      | Ok (inst, itree) ->
-        publish t d inst ~itree ~regions:target;
-        0
+      swap t d
+        ~itree:(match d.d_tier with Interval _ -> true | Linear _ -> false)
+        (drop_first d.d_regions);
+      0
     end
 
 let set_default_allow t ~domain b : int =
@@ -312,7 +349,7 @@ let slot_of ~domain ~page =
 (* exact walk + slot refill on behalf of [check] *)
 let check_slow t (d : dom) sl ~page ~single_page ~addr ~size ~flags =
   let machine = Kernel.machine t.kernel in
-  let out = Structure.lookup d.d_inst ~addr ~size in
+  let out = lookup d.d_tier ~addr ~size in
   d.d_stats.Engine.checks <- d.d_stats.Engine.checks + 1;
   d.d_stats.Engine.entries_scanned <-
     d.d_stats.Engine.entries_scanned + out.Structure.scanned;

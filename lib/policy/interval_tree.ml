@@ -167,6 +167,19 @@ let clear t =
   t.n <- 0;
   t.next_seq <- 0
 
+(* Return every node to the kernel heap and leave the tree empty. The
+   nodes are the tree's own allocations, so a kfree error means the tree
+   was released twice — a caller bug, raised. *)
+let release t =
+  fold
+    (fun () n ->
+      match Kernel.kfree t.kernel ~addr:n.vaddr with
+      | Ok () -> ()
+      | Error e ->
+        invalid_arg ("Interval_tree.release: " ^ Kernel.free_error_to_string e))
+    () t.root;
+  clear t
+
 let remove t ~base =
   (* rebuild without the FIRST matching node (canonical duplicate-base
      semantics); removals happen on the slow ioctl path *)

@@ -1091,26 +1091,193 @@ let test_domain_shadow_epoch_invalidation () =
   checki "stale slot did not serve" hits (Policy.Domain.dom_shadow_hits d);
   checki "no stale allows" 0 (Policy.Domain.stale_allows dm)
 
-(* Whole-batch rollback at the domain layer: a batch exceeding the
-   interval tier's ceiling installs nothing. *)
+(* Whole-batch rollback at the domain layer, on both tiers: a batch
+   exceeding the interval tier's ceiling installs nothing — no region, no
+   epoch bump, no kernel byte written, no heap taken. *)
 let test_domain_install_rollback () =
   let k = fresh () in
   let dm = Policy.Domain.create ~fast_capacity:4 ~big_capacity:8 k in
-  let d = Policy.Domain.create_domain dm in
-  let id = Policy.Domain.dom_id d in
-  let rs = List.init 5 (fun i -> region (0x10000 + (i * 0x2000)) 0x1000) in
-  checki "first batch" 0 (Policy.Domain.install_regions dm ~domain:id rs);
-  let epoch = Policy.Domain.dom_epoch d in
-  let more = List.init 5 (fun i -> region (0x40000 + (i * 0x2000)) 0x1000) in
-  checki "over-ceiling batch refused with -ENOSPC" Kernel.enospc
-    (Policy.Domain.install_regions dm ~domain:id more);
-  checki "regions unchanged" 5 (List.length (Policy.Domain.dom_regions d));
-  checki "epoch unchanged by the failed batch" epoch
-    (Policy.Domain.dom_epoch d);
-  checkb "old policy still serves" true
-    (Policy.Domain.check dm ~domain:id ~addr:0x10010 ~size:8 ~flags:1);
-  checkb "refused batch not visible" false
-    (Policy.Domain.check dm ~domain:id ~addr:0x40010 ~size:8 ~flags:1)
+  let refused ~tier d rs =
+    let id = Policy.Domain.dom_id d in
+    let mem = Kernel.memory k in
+    let used = Kernel.phys_used k in
+    let snap = Kernel.Memory.snapshot ~len:used mem in
+    let regions = Policy.Domain.dom_regions d
+    and epoch = Policy.Domain.dom_epoch d in
+    checki (tier ^ ": over-ceiling batch refused with -ENOSPC") Kernel.enospc
+      (Policy.Domain.install_regions dm ~domain:id rs);
+    checkb (tier ^ ": no kernel byte written") true
+      (Kernel.Memory.diff_ranges mem snap = []);
+    checki (tier ^ ": no heap taken") used (Kernel.phys_used k);
+    checkb (tier ^ ": regions unchanged") true
+      (Policy.Domain.dom_regions d = regions);
+    checki (tier ^ ": epoch unchanged by the failed batch") epoch
+      (Policy.Domain.dom_epoch d);
+    Alcotest.(check string) (tier ^ ": tier unchanged") tier
+      (Policy.Domain.dom_structure d);
+    checkb (tier ^ ": old policy still serves") true
+      (Policy.Domain.check dm ~domain:id ~addr:0x10010 ~size:8 ~flags:1);
+    checkb (tier ^ ": refused batch not visible") false
+      (Policy.Domain.check dm ~domain:id ~addr:0x40010 ~size:8 ~flags:1)
+  in
+  let more = List.init 6 (fun i -> region (0x40000 + (i * 0x2000)) 0x1000) in
+  let populated n =
+    let d = Policy.Domain.create_domain dm in
+    let rs = List.init n (fun i -> region (0x10000 + (i * 0x2000)) 0x1000) in
+    checki "first batch" 0
+      (Policy.Domain.install_regions dm ~domain:(Policy.Domain.dom_id d) rs);
+    d
+  in
+  refused ~tier:"interval" (populated 5) more;
+  refused ~tier:"linear" (populated 3) more
+
+(* Destroying a domain frees its structure: create/install/destroy churn
+   through the ioctls reuses one domain's worth of heap instead of
+   growing it until kmalloc panics the kernel. Every tenth domain is
+   promoted, so both tiers' releases (and the promotion's retired linear
+   table) are exercised. *)
+let test_domain_destroy_frees_structure () =
+  let k, pm = setup_pm () in
+  let io cmd arg = Kernel.ioctl k ~dev:"carat" ~cmd ~arg in
+  let open Policy.Policy_module in
+  ignore (enable_domains pm : Policy.Domain.t);
+  let batch n = List.init n (fun i -> region (0x10000 + (i * 0x2000)) 0x1000) in
+  let small = batch 4 and big = batch 100 in
+  let arg = Kernel.map_user k ~size:(16 + (100 * 24)) in
+  (* a promoted domain's table and nodes, plus the 64-byte alignment of
+     its first block *)
+  let footprint =
+    (Policy.Linear_table.default_capacity * Policy.Linear_table.entry_size)
+    + (100 * Policy.Interval_tree.node_size)
+    + 64
+  in
+  let used = Kernel.phys_used k in
+  for i = 0 to 1999 do
+    let id = io ioctl_domain_create 0 in
+    write_install_batch k ~arg ~domain:id (if i mod 10 = 0 then big else small);
+    if io ioctl_install arg <> 0 then Alcotest.failf "install %d refused" i;
+    if io ioctl_domain_destroy id <> 0 then Alcotest.failf "destroy %d refused" i
+  done;
+  checki "no domains left" 0 (io ioctl_domain_count 0);
+  let growth = Kernel.phys_used k - used in
+  if growth > footprint then
+    Alcotest.failf "2000 churn cycles grew phys_used by %d B (one domain: %d B)"
+      growth footprint
+
+(* An in-place batch costs its own inserts, not a rebuild of the
+   domain: 8 regions into a 1,000-region and a 4,000-region interval
+   domain cost about the same and take exactly 8 nodes of heap. *)
+let test_domain_install_cost_scales_with_batch () =
+  let install_8 n =
+    let k = fresh () in
+    let dm = Policy.Domain.create k in
+    let d = Policy.Domain.create_domain dm in
+    let id = Policy.Domain.dom_id d in
+    let rs = List.init n (fun i -> region (0x100000 + (i * 0x2000)) 0x1000) in
+    checki "build" 0 (Policy.Domain.install_regions dm ~domain:id rs);
+    Alcotest.(check string) "interval tier" "interval"
+      (Policy.Domain.dom_structure d);
+    (* the promotion freed the linear table; take that block back so the
+       batch's nodes come from fresh heap, where phys_used counts them *)
+    ignore
+      (Kernel.kmalloc k
+         ~size:(Policy.Linear_table.default_capacity * Policy.Linear_table.entry_size)
+        : int);
+    let batch = List.init 8 (fun i -> region (0x4000_0000 + (i * 0x10000)) 0x1000) in
+    let m = Kernel.machine k in
+    let c0 = Machine.Model.cycles m and used0 = Kernel.phys_used k in
+    checki "batch" 0 (Policy.Domain.install_regions dm ~domain:id batch);
+    checki "phys_used grows by 8 nodes" (8 * Policy.Interval_tree.node_size)
+      (Kernel.phys_used k - used0);
+    Machine.Model.cycles m - c0
+  in
+  let c1k = install_8 1_000 and c4k = install_8 4_000 in
+  let ratio = float_of_int (max c1k c4k) /. float_of_int (min c1k c4k) in
+  if ratio >= 1.5 then
+    Alcotest.failf "8-region install: %d cycles at 1k regions, %d at 4k (%.2fx)"
+      c1k c4k ratio
+
+(* Write-side differential: random batches (overlaps, duplicate bases,
+   batches crossing fast_capacity or over big_capacity) and removes,
+   checked after every operation against a first-match list the test
+   keeps itself — return codes, tier, region order, probe decisions
+   (cold and shadow-warm), and zero stale allows. *)
+let gen_dom_region =
+  QCheck.Gen.(
+    map3
+      (fun b l p -> region ~prot:p (b * 0x800) (l * 0x400))
+      (int_range 0 15) (int_range 1 12) (int_range 0 3))
+
+let gen_dom_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun rs -> `Batch rs) (list_size (int_range 0 10) gen_dom_region));
+        (1, map (fun b -> `Remove (b * 0x800)) (int_range 0 15));
+      ])
+
+let prop_domain_write_differential =
+  QCheck.Test.make ~name:"domain writes agree with a first-match list"
+    ~count:150
+    (QCheck.make
+       QCheck.Gen.(
+         tup3
+           (tup3 (int_range 1 8) (int_range 1 24) bool)
+           (list_size (int_range 1 25) gen_dom_op)
+           (list_size (int_range 1 20)
+              (tup3 (int_range 0 0x9000) (int_range 1 0x40) (int_range 1 3)))))
+    (fun ((fast, big, default_allow), ops, probes) ->
+      let k = fresh () in
+      let dm = Policy.Domain.create ~fast_capacity:fast ~big_capacity:big k in
+      Policy.Domain.set_verify dm true;
+      let d = Policy.Domain.create_domain ~default_allow dm in
+      let id = Policy.Domain.dom_id d in
+      let model = ref [] and tier = ref "linear" in
+      let expect ~addr ~size ~flags =
+        match
+          List.find_opt (fun r -> Policy.Region.contains r ~addr ~size) !model
+        with
+        | Some r -> Policy.Region.permits r ~flags
+        | None -> default_allow
+      in
+      let rc_ok = function
+        | `Batch rs ->
+          let target = !model @ rs in
+          let n = List.length target in
+          let rc = Policy.Domain.install_regions dm ~domain:id rs in
+          if n > big then rc = Kernel.enospc
+          else begin
+            model := target;
+            if n > fast then tier := "interval";
+            rc = 0
+          end
+        | `Remove base ->
+          let rc = Policy.Domain.remove_region dm ~domain:id ~base in
+          let rec drop_first = function
+            | [] -> []
+            | (r : Policy.Region.t) :: rest ->
+              if r.Policy.Region.base = base then rest else r :: drop_first rest
+          in
+          if List.exists (fun (r : Policy.Region.t) -> r.Policy.Region.base = base) !model
+          then begin
+            model := drop_first !model;
+            rc = 0
+          end
+          else rc = -1
+      in
+      List.for_all
+        (fun op ->
+          rc_ok op
+          && Policy.Domain.dom_structure d = !tier
+          && Policy.Domain.dom_regions d = !model
+          && List.for_all
+               (fun (addr, size, flags) ->
+                 let want = expect ~addr ~size ~flags in
+                 Policy.Domain.check dm ~domain:id ~addr ~size ~flags = want
+                 && Policy.Domain.check dm ~domain:id ~addr ~size ~flags = want)
+               probes
+          && Policy.Domain.stale_allows dm = 0)
+        ops)
 
 let test_domain_ioctl_roundtrip () =
   let k, pm = setup_pm () in
@@ -1310,6 +1477,11 @@ let () =
             test_domain_shadow_epoch_invalidation;
           Alcotest.test_case "install rollback" `Quick
             test_domain_install_rollback;
+          Alcotest.test_case "destroy frees structure" `Quick
+            test_domain_destroy_frees_structure;
+          Alcotest.test_case "install cost scales with batch" `Quick
+            test_domain_install_cost_scales_with_batch;
+          QCheck_alcotest.to_alcotest prop_domain_write_differential;
           Alcotest.test_case "ioctl round trip" `Quick
             test_domain_ioctl_roundtrip;
           Alcotest.test_case "procfs" `Quick test_domains_procfs;
