@@ -1225,7 +1225,9 @@ let run_selfheal () =
       selfheal_episode ~cls:"icache-corrupt"
         ~corrupt:(fun e ->
           Policy.Engine.corrupt_site_cache e (Policy.Engine.default_view e)
-            ~site:3 ~page:user_page ~prot:Policy.Region.prot_rw
+            ~site:3 ~lo:(user_page lsl Policy.Shadow_table.page_bits)
+            ~hi:((user_page + 1) lsl Policy.Shadow_table.page_bits)
+            ~prot:Policy.Region.prot_rw
             ~smash_canary:true)
         ();
       selfheal_episode ~cls:"shadow-corrupt"

@@ -672,7 +672,9 @@ let cmd_audit file =
           fun () ->
             Policy.Engine.corrupt_site_cache engine
               (Policy.Engine.default_view engine)
-              ~site:1 ~page ~prot:Policy.Region.prot_rw ~smash_canary:true );
+              ~site:1 ~lo:(page lsl Policy.Shadow_table.page_bits)
+              ~hi:((page + 1) lsl Policy.Shadow_table.page_bits)
+              ~prot:Policy.Region.prot_rw ~smash_canary:true );
         ( "shadow table",
           fun () ->
             Policy.Engine.corrupt_shadow engine ~page

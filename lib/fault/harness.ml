@@ -585,7 +585,9 @@ let run_corruption ?engine ?opt ?(sanitize = false) ~(cls : Inject.cls)
       ignore
         (Policy.Engine.corrupt_site_cache eng
            (Policy.Engine.default_view eng)
-           ~site ~page ~prot:Policy.Region.prot_rw
+           ~site ~lo:(page lsl Policy.Shadow_table.page_bits)
+           ~hi:((page + 1) lsl Policy.Shadow_table.page_bits)
+           ~prot:Policy.Region.prot_rw
            ~smash_canary:(Machine.Rng.flip rng 0.5))
     | None -> () (* unguarded baseline module: no sites to spray *))
   | _ -> ());

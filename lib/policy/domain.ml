@@ -179,7 +179,7 @@ let release t = function
         | Error e ->
           invalid_arg ("Domain.release: " ^ Kernel.free_error_to_string e))
       (Linear_table.table_region l)
-  | Interval it -> Interval_tree.release it
+  | Interval it -> Interval_tree.clear it
 
 let create_domain ?name ?(default_allow = false) t =
   let id = t.next_id in
@@ -314,30 +314,14 @@ let reference_allows (d : dom) ~addr ~size ~flags =
   go d.d_regions
 
 (* the page's uniform protection under [d]'s policy, iff provable for
-   every in-page byte range — same classification as
-   Engine.page_uniform_prot, against the domain's own region order *)
+   every in-page byte range — the shadow table's classification, against
+   the domain's own region order *)
 let page_uniform_prot (d : dom) page =
-  let lo = page lsl Shadow_table.page_bits in
-  let hi = lo + Shadow_table.page_size in
-  let rec go idx first_full = function
-    | [] -> (
-      match first_full with
-      | Some ((r : Region.t), at) -> Some (r.Region.prot, at + 1)
-      | None ->
-        let depth = List.length d.d_regions in
-        if d.d_default_allow then Some (Region.prot_rw, depth)
-        else Some (0, depth))
-    | (r : Region.t) :: rest ->
-      let rlim = Region.limit r in
-      if r.Region.base < hi && lo < rlim then
-        if r.Region.base <= lo && hi <= rlim then
-          go (idx + 1)
-            (match first_full with Some _ -> first_full | None -> Some (r, idx))
-            rest
-        else None
-      else go (idx + 1) first_full rest
-  in
-  go 0 None d.d_regions
+  match Shadow_table.classify_page d.d_regions page with
+  | Shadow_table.Uniform r, depth -> Some (r.Region.prot, depth)
+  | Shadow_table.No_region, depth ->
+    Some ((if d.d_default_allow then Region.prot_rw else 0), depth)
+  | (Shadow_table.Straddle | Shadow_table.Invalid), _ -> None
 
 (* slot placement: multiplicative hash of (domain, page), high bits pick
    the shard, low bits the slot within it *)

@@ -13,17 +13,21 @@
       ("guard TLB", see {!Shadow_table}) wrapped around the linear table;
     - per-guard-site inline caches ({!enable_site_cache}): a direct-mapped
       array keyed by the static site id the guard-injection pass assigns,
-      each slot remembering the (page, protection) fact its site last
-      resolved. A hit validates page and epoch, so the cached fact is
-      site-independent truth and slot aliasing between sites is harmless.
+      each slot remembering the first-match span [\[lo, hi)] its site last
+      resolved — the widest byte range around the filling access on which
+      the first-match answer cannot change (see {!first_match_span}) —
+      with that answer's protection. A hit validates the epoch and that
+      the access lies inside the span, so the cached fact is
+      site-independent truth and slot aliasing between sites is harmless;
+      a site streaming through one region hits on every page of it.
 
     Both tiers are invalidated by a single {!epoch} counter bumped on
     every policy mutation (and, via the policy module, on every policy or
     mode ioctl), keeping live policy pushes and enforcement-mode flips
     exact. Both answer only when the answer provably equals the exact
-    walk's; anything else (page straddle, cross-page access, unknown
-    site, flag mismatch) falls back to the exact structure, so decisions
-    are byte-for-byte identical to the plain walk.
+    walk's; anything else (page straddle, an access outside the cached
+    span, unknown site, flag mismatch) falls back to the exact structure,
+    so decisions are byte-for-byte identical to the plain walk.
 
     SMP: all hot-path counters, the inline cache, the trace sink and the
     denial diagnostic live in a {!view} — one per simulated CPU. A
@@ -66,8 +70,8 @@ type stats = {
 (** Tier statistics: how often the site inline cache answered. These are
     the counters that legitimately differ between tiers, kept apart from
     the decision stats above. A "miss" is any fast-path entry that had to
-    defer to the exact walk (cold/stale slot, wrong page, cross-page
-    access, or a cached fact that could not prove an allow). *)
+    defer to the exact walk (cold/stale slot, an access outside the
+    cached span, or a cached fact that could not prove an allow). *)
 type tier_stats = { mutable ic_hits : int; mutable ic_misses : int }
 
 type verdict =
@@ -78,16 +82,23 @@ type verdict =
           nothing matched under default-deny *)
 
 (* Per-guard-site inline caches: parallel int arrays (no per-entry boxing)
-   indexed by [site land (site_cache_size - 1)]. A slot is a (epoch, page,
-   prot) triple; [sc_prot] holds the page's uniform protection bits. The
-   backing tag array lives in simulated kernel memory so hits charge one
-   hot probe, like every other policy structure. *)
-let site_cache_size = 1024
+   indexed by [site land (site_cache_size - 1)]. A slot is an (epoch, lo,
+   hi, prot) tuple — four words, [slot_bytes] in the simulated array —
+   and [sc_prot] holds the protection every access inside [\[lo, hi)]
+   resolves to. The backing array lives in simulated kernel memory so
+   hits charge one hot probe, like every other policy structure. Its
+   allocation stays at 16 KB: a larger one shifts every later kmalloc,
+   and on the R415's 2-way L1 the conflict misses that causes take back
+   most of what the spans save. The benchmarked drivers' site ids stay
+   below 160, so their sites do not share slots. *)
+let site_cache_size = 512
+let slot_bytes = 32
 
 type site_cache = {
   sc_vaddr : int;
   sc_epoch : int array;
-  sc_page : int array;
+  sc_lo : int array;  (** span start, inclusive *)
+  sc_hi : int array;  (** span end, exclusive; [lo = hi] = empty slot *)
   sc_prot : int array;
   sc_canary : int array;
       (** per-slot canary words, written on every fill with a value
@@ -95,10 +106,11 @@ type site_cache = {
           arrays clobbers them, and the integrity watchdog checks them *)
   sc_pcs : int array;  (** stable branch-site ids per slot *)
   sc_depth : int array;
-      (** entries the exact walk would scan for this page — cached so an
-          inline-cache hit can credit the tier-invariant scan depth *)
+      (** entries the exact walk would scan for any access in the span —
+          cached so an inline-cache hit can credit the tier-invariant
+          scan depth *)
   sc_rbase : int array;
-      (** base of the first-match region for this page (-1 = none), for
+      (** base of the span's first-match region (-1 = none), for
           per-region trace attribution on a hit *)
 }
 
@@ -269,9 +281,10 @@ let canary_value i = Hashtbl.hash ("ic-canary", i)
 
 let alloc_site_cache kernel =
   {
-    sc_vaddr = Kernel.kmalloc kernel ~size:(site_cache_size * 16);
+    sc_vaddr = Kernel.kmalloc kernel ~size:(site_cache_size * slot_bytes);
     sc_epoch = Array.make site_cache_size (-1);
-    sc_page = Array.make site_cache_size (-1);
+    sc_lo = Array.make site_cache_size 0;
+    sc_hi = Array.make site_cache_size 0;
     sc_prot = Array.make site_cache_size 0;
     sc_canary = Array.init site_cache_size canary_value;
     sc_pcs = Array.init site_cache_size (fun i -> Hashtbl.hash ("site-ic", i));
@@ -302,7 +315,8 @@ let flush_view_site_cache v =
   | None -> ()
   | Some sc ->
     Array.fill sc.sc_epoch 0 site_cache_size (-1);
-    Array.fill sc.sc_page 0 site_cache_size (-1)
+    Array.fill sc.sc_lo 0 site_cache_size 0;
+    Array.fill sc.sc_hi 0 site_cache_size 0
 
 (** Attach/detach the observability sink (default view's — i.e. the only
     one in single-CPU runs). Detached (the default) costs nothing —
@@ -532,39 +546,65 @@ let site_cache_enabled t = t.default_view.v_site_cache <> None
     default-deny). *)
 let last_deny t = t.cur.v_last_deny
 
-(* The page's uniform-permission classification iff it holds for every
-   possible in-page byte range: every region either fully contains or is
-   disjoint from the page, making the first full container (table order)
-   the first-match answer for any in-page range. Partial overlap -> None
-   (uncacheable). Returns [(prot, depth, rbase)]: the protection bits,
-   the tier-invariant scan depth (how many entries the exact linear-order
-   walk examines before answering — the match's 1-based position, or the
-   region count when nothing matches), and the matched region's base (-1
-   when uncovered). Uncovered pages get the default encoded as protection
-   bits; flags = 0 never uses the cache (see [check_fast]), which keeps
-   the "no region matched" deny-on-default exact. *)
-let page_uniform_prot t page =
-  let lo = page lsl Shadow_table.page_bits in
-  let hi = lo + Shadow_table.page_size in
-  let rec go idx first_full = function
-    | [] -> (
-      match first_full with
-      | Some ((r : Region.t), at) -> Some (r.Region.prot, at + 1, r.Region.base)
-      | None ->
-        let depth = Structure.count t.instance in
-        if t.default_allow then Some (Region.prot_rw, depth, -1)
-        else Some (0, depth, -1))
-    | (r : Region.t) :: rest ->
-      let rlim = Region.limit r in
-      if r.Region.base < hi && lo < rlim then
-        if r.Region.base <= lo && hi <= rlim then
-          go (idx + 1)
-            (match first_full with Some _ -> first_full | None -> Some (r, idx))
-            rest
+(** A first-match span: every access inside [\[sp_lo, sp_hi)] resolves to
+    protection [sp_prot], and the exact linear-order walk scans
+    [sp_depth] entries to find it (the match's 1-based position, or the
+    region count when nothing matches). [sp_rbase] is the matched
+    region's base, or -1 when nothing matches and the default applies,
+    encoded as protection bits; flags = 0 never uses the cache (see
+    [check_fast]), which keeps the "no region matched" deny-on-default
+    exact. *)
+type span = {
+  sp_lo : int;
+  sp_hi : int;
+  sp_prot : int;
+  sp_depth : int;
+  sp_rbase : int;
+}
+
+(** The widest span around the access [\[addr, addr + size)] on which
+    first-match over [regions] cannot change: the matched region (or,
+    when nothing matches, the gap between regions), clipped away from
+    every region listed before it. Each earlier region lies wholly below
+    or wholly above the access, so it lies wholly outside the clipped
+    span and can contain no access inside it, while the matched region
+    contains all of them. Every access inside the span derives this same
+    span. [None] when the access is empty, ends past [max_int], or is
+    partially overlapped by a region listed before its match: first
+    match then depends on the exact byte range. *)
+let first_match_span regions ~default_allow ~addr ~size =
+  let e = addr + size in
+  (* [addr < e] rules out empty, negative and wrapping sizes *)
+  if addr < 0 || not (addr < e) then None
+  else
+    let rec go idx lo hi = function
+      | [] ->
+        Some
+          {
+            sp_lo = lo;
+            sp_hi = hi;
+            sp_prot = (if default_allow then Region.prot_rw else 0);
+            sp_depth = idx;
+            sp_rbase = -1;
+          }
+      | (r : Region.t) :: rest ->
+        let rlim = Region.limit r in
+        (* a limit that wrapped past [max_int] is negative: such a region
+           contains no access, so it may sit below the span unclipped *)
+        if rlim <= addr then go (idx + 1) (max lo rlim) hi rest
+        else if e <= r.Region.base then go (idx + 1) lo (min hi r.Region.base) rest
+        else if r.Region.base <= addr && e <= rlim then
+          Some
+            {
+              sp_lo = max lo r.Region.base;
+              sp_hi = min hi rlim;
+              sp_prot = r.Region.prot;
+              sp_depth = idx + 1;
+              sp_rbase = r.Region.base;
+            }
         else None
-      else go (idx + 1) first_full rest
-  in
-  go 0 None (Structure.regions t.instance)
+    in
+    go 0 0 max_int regions
 
 (* Exact walk on behalf of [check_fast]: full cost, full diagnostics. *)
 let check_slow t ~site ~addr ~size ~flags =
@@ -576,21 +616,25 @@ let check_slow t ~site ~addr ~size ~flags =
     t.cur.v_last_deny <- m;
     false
 
-let fill_site sc t ~i ~page =
-  match page_uniform_prot t page with
-  | None -> () (* straddling page: every access re-walks, by design *)
-  | Some (prot, depth, rbase) ->
+let fill_site sc t ~i ~addr ~size =
+  match
+    first_match_span (Structure.regions t.instance)
+      ~default_allow:t.default_allow ~addr ~size
+  with
+  | None -> () (* partially overlapped, empty or wrapping: re-walks *)
+  | Some s ->
     sc.sc_epoch.(i) <- t.epoch;
-    sc.sc_page.(i) <- page;
-    sc.sc_prot.(i) <- prot;
-    sc.sc_depth.(i) <- depth;
-    sc.sc_rbase.(i) <- rbase;
+    sc.sc_lo.(i) <- s.sp_lo;
+    sc.sc_hi.(i) <- s.sp_hi;
+    sc.sc_prot.(i) <- s.sp_prot;
+    sc.sc_depth.(i) <- s.sp_depth;
+    sc.sc_rbase.(i) <- s.sp_rbase;
     sc.sc_canary.(i) <- canary_value i;
     let machine = Kernel.machine t.kernel in
     (* classification arithmetic + the tag store; the walk itself was
        already charged by the exact lookup, like a TLB miss's page walk *)
     Machine.Model.retire machine (2 * max 1 (Structure.count t.instance));
-    Machine.Model.store machine (sc.sc_vaddr + (i * 16)) 8
+    Machine.Model.store machine (sc.sc_vaddr + (i * slot_bytes)) 8
 
 (** Boolean fast-path check: allocation-free on an inline-cache hit, and
     decision-identical to {!check} always (misses and mismatches defer to
@@ -606,13 +650,14 @@ let check_fast t ~site ~addr ~size ~flags : bool =
     Machine.Model.retire machine 4;
     let i = site land (site_cache_size - 1) in
     (* one probe of the site's slot (hot after first use) + validation *)
-    Machine.Model.load machine (sc.sc_vaddr + (i * 16)) 8;
+    Machine.Model.load machine (sc.sc_vaddr + (i * slot_bytes)) 8;
     Machine.Model.retire machine 2;
-    let page = addr lsr Shadow_table.page_bits in
+    (* the span bounds check; [addr < e] also refuses an empty access and
+       one whose end wraps past [max_int] *)
+    let e = addr + size in
     let hit =
-      sc.sc_epoch.(i) = t.epoch
-      && sc.sc_page.(i) = page
-      && (addr + size - 1) lsr Shadow_table.page_bits = page
+      sc.sc_epoch.(i) = t.epoch && sc.sc_lo.(i) <= addr && addr < e
+      && e <= sc.sc_hi.(i)
     in
     Machine.Model.branch machine ~pc:sc.sc_pcs.(i) ~taken:hit;
     if hit then
@@ -652,8 +697,7 @@ let check_fast t ~site ~addr ~size ~flags : bool =
       | None -> ()
       | Some tr -> Trace.on_fast_miss tr ~site);
       let ok = check_slow t ~site ~addr ~size ~flags in
-      if (addr + size - 1) lsr Shadow_table.page_bits = page then
-        fill_site sc t ~i ~page;
+      fill_site sc t ~i ~addr ~size;
       ok
     end
   | _ -> check_slow t ~site ~addr ~size ~flags
@@ -671,19 +715,20 @@ let check_fast t ~site ~addr ~size ~flags : bool =
 let site_slot site = site land (site_cache_size - 1)
 
 (** Plant a stale-allow fact in [view]'s inline cache for [site]: the
-    slot claims the current epoch, [page], and [prot] — so the very next
-    sited check on that page is answered from the corrupt slot without
-    any walk. [smash_canary] additionally clobbers the slot canary (the
-    blunt corruption the cheap canary check catches; a consistent forgery
-    leaves it intact and only the semantic audit catches it). Returns
-    [false] when the view has no inline cache. *)
-let corrupt_site_cache t view ~site ~page ~prot ~smash_canary =
+    slot claims the current epoch, the span [\[lo, hi)] and [prot] — so
+    the very next sited check inside the span is answered from the
+    corrupt slot without any walk. [smash_canary] additionally clobbers
+    the slot canary (the blunt corruption the cheap canary check catches;
+    a consistent forgery leaves it intact and only the semantic audit
+    catches it). Returns [false] when the view has no inline cache. *)
+let corrupt_site_cache t view ~site ~lo ~hi ~prot ~smash_canary =
   match view.v_site_cache with
   | None -> false
   | Some sc ->
     let i = site_slot site in
     sc.sc_epoch.(i) <- t.epoch;
-    sc.sc_page.(i) <- page;
+    sc.sc_lo.(i) <- lo;
+    sc.sc_hi.(i) <- hi;
     sc.sc_prot.(i) <- prot;
     sc.sc_depth.(i) <- 1;
     sc.sc_rbase.(i) <- -1;

@@ -150,39 +150,6 @@ let engine t = t.engine
 (* ------------------------------------------------------------------ *)
 (* per-tier audits *)
 
-(* Page classification against the *authoritative* region list —
-   the same semantics as {!Shadow_table.classify_page}, but over the
-   trusted snapshot instead of the (possibly corrupt) live table. *)
-let classify_auth t page =
-  let lo = page lsl Shadow_table.page_bits in
-  let hi = lo + Shadow_table.page_size in
-  let rec go idx first_full = function
-    | [] -> (
-      match first_full with
-      | Some (r, at) -> (Shadow_table.Uniform r, at + 1)
-      | None -> (Shadow_table.No_region, List.length t.auth_regions))
-    | (r : Region.t) :: rest ->
-      let rlim = Region.limit r in
-      if r.Region.base < hi && lo < rlim then
-        if r.Region.base <= lo && hi <= rlim then
-          go (idx + 1)
-            (match first_full with Some _ -> first_full | None -> Some (r, idx))
-            rest
-        else (Shadow_table.Straddle, 0)
-      else go (idx + 1) first_full rest
-  in
-  go 0 None t.auth_regions
-
-(* The uniform-protection fact an inline-cache slot may legitimately
-   hold for [page], derived from the authoritative copy (mirror of
-   {!Engine.page_uniform_prot}). *)
-let auth_page_prot t page =
-  match classify_auth t page with
-  | Shadow_table.Uniform r, depth -> Some (r.Region.prot, depth, r.Region.base)
-  | Shadow_table.No_region, depth ->
-    if t.auth_default then Some (Region.prot_rw, depth, -1) else Some (0, depth, -1)
-  | (Shadow_table.Straddle | Shadow_table.Invalid), _ -> None
-
 let charge t n =
   let machine = Kernel.machine t.engine.Engine.kernel in
   Machine.Model.retire machine n
@@ -207,7 +174,7 @@ let audit_shadow t =
         charge t 2;
         let sum_ok = s.Shadow_table.sums.(i) = Shadow_table.slot_sum s i in
         let page = s.Shadow_table.tags.(i) in
-        let cls, depth = classify_auth t page in
+        let cls, depth = Shadow_table.classify_page t.auth_regions page in
         let sem_ok =
           Shadow_table.entry_code s.Shadow_table.state.(i)
             = Shadow_table.entry_code cls
@@ -220,9 +187,12 @@ let audit_shadow t =
     !bad
 
 (* Inline-cache slots across every view: canary, then semantic
-   cross-check of the cached (prot, depth, rbase) fact. Only slots
-   stamped with the current epoch can answer, so only they are
-   audited. *)
+   cross-check of the whole cached (span, prot, depth, rbase) fact. A
+   fill caches the one span every access inside it derives, so the
+   slot's first byte must re-derive exactly the slot from the
+   authoritative copy; a forged bound, even one that keeps the right
+   protection, does not. Only slots stamped with the current epoch can
+   answer, so only they are audited. *)
 let audit_ic t =
   let e = t.engine in
   let bad = ref 0 in
@@ -236,12 +206,20 @@ let audit_ic t =
             charge t 2;
             let canary_ok = sc.Engine.sc_canary.(i) = Engine.canary_value i in
             let sem_ok =
-              match auth_page_prot t sc.Engine.sc_page.(i) with
-              | None -> false (* straddling pages are never cached *)
-              | Some (prot, depth, rbase) ->
-                sc.Engine.sc_prot.(i) = prot
-                && sc.Engine.sc_depth.(i) = depth
-                && sc.Engine.sc_rbase.(i) = rbase
+              match
+                Engine.first_match_span t.auth_regions
+                  ~default_allow:t.auth_default ~addr:sc.Engine.sc_lo.(i)
+                  ~size:1
+              with
+              | None ->
+                (* no fill caches a span its first byte cannot derive *)
+                false
+              | Some s ->
+                sc.Engine.sc_lo.(i) = s.Engine.sp_lo
+                && sc.Engine.sc_hi.(i) = s.Engine.sp_hi
+                && sc.Engine.sc_prot.(i) = s.Engine.sp_prot
+                && sc.Engine.sc_depth.(i) = s.Engine.sp_depth
+                && sc.Engine.sc_rbase.(i) = s.Engine.sp_rbase
             in
             if not (canary_ok && sem_ok) then incr bad
           end

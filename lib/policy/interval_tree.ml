@@ -153,7 +153,7 @@ let rec fold f acc = function
   | None -> acc
   | Some n -> fold f (f (fold f acc n.left) n) n.right
 
-(* insertion order, so Engine.reference_allows / page_uniform_prot see
+(* insertion order, so Engine.reference_allows / first_match_span see
    the same first-match order the lookup enforces *)
 let regions t =
   fold (fun acc n -> n :: acc) [] t.root
@@ -162,23 +162,21 @@ let regions t =
 
 let count t = t.n
 
+(* Return every node to the kernel heap and leave the tree empty, so a
+   cleared, rebuilt or retired tree holds no kernel memory it cannot
+   reach. The nodes are the tree's own allocations and an empty tree
+   frees nothing, so a kfree error is a broken invariant — raised. *)
 let clear t =
-  t.root <- None;
-  t.n <- 0;
-  t.next_seq <- 0
-
-(* Return every node to the kernel heap and leave the tree empty. The
-   nodes are the tree's own allocations, so a kfree error means the tree
-   was released twice — a caller bug, raised. *)
-let release t =
   fold
     (fun () n ->
       match Kernel.kfree t.kernel ~addr:n.vaddr with
       | Ok () -> ()
       | Error e ->
-        invalid_arg ("Interval_tree.release: " ^ Kernel.free_error_to_string e))
+        invalid_arg ("Interval_tree.clear: " ^ Kernel.free_error_to_string e))
     () t.root;
-  clear t
+  t.root <- None;
+  t.n <- 0;
+  t.next_seq <- 0
 
 let remove t ~base =
   (* rebuild without the FIRST matching node (canonical duplicate-base

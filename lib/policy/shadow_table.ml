@@ -100,33 +100,37 @@ let clear t =
 let count t = Linear_table.count t.inner
 let regions t = Linear_table.regions t.inner
 
-(* Page classification against the exact table, in table order. A region
-   [fully contains] the page when [r.base <= lo && hi <= limit r]; it
-   [partially overlaps] when it intersects the page without containing
-   it. Any partial overlap forces [Straddle]. Also returns the depth the
-   exact walk would record for an in-page range: the first full
-   container's 1-based position (a disjoint region can never match an
-   in-page range, so the first full container *is* the first match), or
-   the full region count when nothing intersects. *)
-let classify_page t page : entry * int =
+(** First-match classification of [page] against [regions], in list
+    order. A region [fully contains] the page when
+    [r.base <= lo && hi <= limit r]; it [partially overlaps] when it
+    intersects the page without containing it. Any partial overlap forces
+    [Straddle]. Also returns the depth the exact walk would record for an
+    in-page range: the first full container's 1-based position (a
+    disjoint region can never match an in-page range, so the first full
+    container *is* the first match), or the full region count when
+    nothing intersects. The shadow classifies against its own table; the
+    integrity audit and the domain shadow pass their own region lists. *)
+let classify_page regions page : entry * int =
   let lo = page lsl page_bits in
-  let hi = lo + page_size in
+  (* the page's last byte: [lo + page_size] wraps past [max_int] on the
+     top page, which no region can then contain *)
+  let last = lo + (page_size - 1) in
   let rec go idx first_full = function
     | [] -> (
       match first_full with
       | Some (r, at) -> (Uniform r, at + 1)
-      | None -> (No_region, Linear_table.count t.inner))
+      | None -> (No_region, idx))
     | (r : Region.t) :: rest ->
       let rlim = Region.limit r in
-      if r.Region.base < hi && lo < rlim then
-        if r.Region.base <= lo && hi <= rlim then
+      if r.Region.base <= last && lo < rlim then
+        if r.Region.base <= lo && last < rlim then
           go (idx + 1)
             (match first_full with Some _ -> first_full | None -> Some (r, idx))
             rest
         else (Straddle, 0)
       else go (idx + 1) first_full rest
   in
-  go 0 None (Linear_table.regions t.inner)
+  go 0 None regions
 
 (* Stable encoding of a slot entry for checksumming and audit
    comparison. *)
@@ -175,7 +179,7 @@ let lookup t ~addr ~size : Structure.outcome =
         (* shadow miss: exact walk, then refill this slot *)
         t.misses <- t.misses + 1;
         let out = Linear_table.lookup t.inner ~addr ~size in
-        let cls, depth = classify_page t page in
+        let cls, depth = classify_page (Linear_table.regions t.inner) page in
         t.tags.(i) <- page;
         t.gens.(i) <- t.gen;
         t.state.(i) <- cls;

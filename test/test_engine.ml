@@ -24,12 +24,10 @@ let diff_cell =
 
 let page_size = Policy.Shadow_table.page_size
 
-(* Random policy: up to 62 non-overlapping regions walking up the user
-   half, with deliberate edge shapes — zero gaps (adjacent regions),
-   one-byte regions, exact pages, and multi-page spans that straddle
-   page boundaries. *)
-let gen_policy rng =
-  let n = 1 + Machine.Rng.int rng 62 in
+(* Non-overlapping regions walking up the user half, with deliberate
+   edge shapes — zero gaps (adjacent regions), one-byte regions, exact
+   pages, and multi-page spans that straddle page boundaries. *)
+let gen_disjoint rng n =
   let cursor = ref 0x2000_0000 in
   List.init n (fun i ->
       let gap =
@@ -48,26 +46,137 @@ let gen_policy rng =
       cursor := base + len;
       Policy.Region.v ~tag:(Printf.sprintf "r%d" i) ~base ~len ~prot ())
 
-(* Accesses biased to region boundaries: the byte before/at base, the
-   last byte, the byte past the end, plus interior and far-field
-   probes. Sizes include page-straddling spans. *)
+let insert_at i x l =
+  List.filteri (fun j _ -> j < i) l @ (x :: List.filteri (fun j _ -> j >= i) l)
+
+(* Random policy: the disjoint walk above, then layered shapes whose
+   first-match answer depends on list order:
+   - a hole inside a region, with different protection, listed before it;
+   - a duplicate base with a different length and protection, anywhere;
+   - a region partially overlapping a later one, listed before it;
+   plus a region ending exactly at [max_int] and, sometimes, one whose
+   end wraps past it (it can contain no access that does not wrap). *)
+let gen_policy rng =
+  let n = 1 + Machine.Rng.int rng 40 in
+  let rs = ref (gen_disjoint rng n) in
+  for k = 1 to Machine.Rng.int rng 16 do
+    let j = Machine.Rng.int rng (List.length !rs) in
+    let (r : Policy.Region.t) = List.nth !rs j in
+    let base = r.Policy.Region.base and len = r.Policy.Region.len in
+    let other = (r.Policy.Region.prot + 1 + Machine.Rng.int rng 3) land 3 in
+    let tag = Printf.sprintf "x%d" k in
+    let before = Machine.Rng.int rng (j + 1) in
+    match Machine.Rng.int rng 3 with
+    | 0 ->
+      let lo = base + Machine.Rng.int rng len in
+      let hlen =
+        1 + Machine.Rng.int rng (min (base + len - lo) (2 * page_size))
+      in
+      rs :=
+        insert_at before (Policy.Region.v ~tag ~base:lo ~len:hlen ~prot:other ()) !rs
+    | 1 ->
+      let dlen = 1 + Machine.Rng.int rng (3 * page_size) in
+      rs :=
+        insert_at (Machine.Rng.int rng (List.length !rs + 1))
+          (Policy.Region.v ~tag ~base ~len:dlen ~prot:other ())
+          !rs
+    | _ ->
+      (* straddles the region's start or its end *)
+      let reach = 1 + Machine.Rng.int rng (2 * page_size) in
+      let pbase, plen =
+        if Machine.Rng.flip rng 0.5 then
+          (base - reach, reach + 1 + Machine.Rng.int rng len)
+        else
+          let lo = base + Machine.Rng.int rng len in
+          (lo, base + len - lo + reach)
+      in
+      rs :=
+        insert_at before
+          (Policy.Region.v ~tag ~base:pbase ~len:plen ~prot:other ())
+          !rs
+  done;
+  let top_len = 1 + Machine.Rng.int rng (2 * page_size) in
+  let top =
+    Policy.Region.v ~tag:"top" ~base:(max_int - top_len) ~len:top_len
+      ~prot:(Machine.Rng.int rng 4) ()
+  in
+  let rs = insert_at (Machine.Rng.int rng (List.length !rs + 1)) top !rs in
+  if Machine.Rng.flip rng 0.3 then
+    rs
+    @ [
+        Policy.Region.v ~tag:"wraps" ~base:(max_int - page_size)
+          ~len:(2 * page_size) ~prot:(Machine.Rng.int rng 4) ();
+      ]
+  else rs
+
+(* An access stream driven through at most 4 guard sites, so a span one
+   access fills answers the others:
+   - point probes biased to region edges (the byte before/at the base,
+     the last byte, the byte past the end, an interior byte), sizes 0 to
+     two pages;
+   - page-crossing accesses that stay inside one region;
+   - walks: one site striding through a region and past its end, the way
+     a driver walks a ring buffer, stepping into any hole or overlap
+     listed before the region;
+   - accesses ending at, or wrapping past, [max_int];
+   - far-field probes. *)
 let gen_accesses rng policy =
-  let sizes = [| 1; 2; 4; 8; 16; page_size |] in
-  let probes =
+  let sites = Array.init 4 (fun _ -> Machine.Rng.int rng 2048) in
+  let site () = sites.(Machine.Rng.int rng 4) in
+  let flags () = 1 + Machine.Rng.int rng 3 in
+  let sizes = [| 0; 1; 2; 4; 8; 16; 64; page_size; 2 * page_size |] in
+  let size () = sizes.(Machine.Rng.int rng (Array.length sizes)) in
+  let probe addr = (site (), addr, size (), flags ()) in
+  let edges =
     List.concat_map
       (fun (r : Policy.Region.t) ->
         let base = r.Policy.Region.base and len = r.Policy.Region.len in
-        [ base - 1; base; base + len - 1; base + len; base + Machine.Rng.int rng len ])
+        List.map probe
+          [
+            base - 1; base; base + len - 1; base + len;
+            base + Machine.Rng.int rng len;
+          ])
       policy
   in
-  let far = List.init 8 (fun _ -> 0x1F00_0000 + Machine.Rng.int rng 0x600_0000) in
-  List.map
-    (fun addr ->
-      ( Machine.Rng.int rng 2048,
-        addr,
-        sizes.(Machine.Rng.int rng (Array.length sizes)),
-        1 + Machine.Rng.int rng 3 ))
-    (probes @ far)
+  let crossing =
+    List.filter_map
+      (fun (r : Policy.Region.t) ->
+        let b = r.Policy.Region.base in
+        let boundary = (b / page_size + 1) * page_size in
+        if boundary + 4 <= Policy.Region.limit r && b <= boundary - 4 then
+          Some (site (), boundary - 4, 8, flags ())
+        else None)
+      policy
+  in
+  let walks =
+    List.concat_map
+      (fun (r : Policy.Region.t) ->
+        if Machine.Rng.flip rng 0.5 then []
+        else
+          let s = site () and f = flags () in
+          let sz = 1 + Machine.Rng.int rng 16 in
+          let stride =
+            [| 8; 64; 1000; page_size / 2; page_size |].(Machine.Rng.int rng 5)
+          in
+          let steps = min 24 (2 + (r.Policy.Region.len / stride)) in
+          List.init steps (fun k -> (s, r.Policy.Region.base + (k * stride), sz, f)))
+      policy
+  in
+  let near_max =
+    List.concat_map
+      (fun k ->
+        [
+          (site (), max_int - k, k, flags ());
+          (site (), max_int - k, k + 1, flags ());
+          (site (), max_int - k + 1, k, flags ());
+          (site (), max_int - k, 0, flags ());
+        ])
+      [ 1; 8; page_size ]
+  in
+  let far =
+    List.init 8 (fun _ -> probe (0x1F00_0000 + Machine.Rng.int rng 0x600_0000))
+  in
+  edges @ crossing @ walks @ near_max @ far
 
 let decision e ~addr ~size ~flags =
   match Policy.Engine.check e ~addr ~size ~flags with
@@ -87,17 +196,15 @@ let prop_differential =
       Policy.Engine.set_policy sh policy;
       Policy.Engine.set_policy shic policy;
       let accesses = gen_accesses rng policy in
+      (* two passes through the inline cache: the first fills spans that
+         later accesses reuse, the second runs hot — every answer must
+         agree with the linear reference *)
       List.for_all
         (fun (site, addr, size, flags) ->
           let want = decision lin ~addr ~size ~flags in
-          let d_sh = decision sh ~addr ~size ~flags in
-          (* twice through the inline cache: the first call may fill the
-             site's slot, the second must hit it — both must agree with
-             the linear reference *)
-          let d1 = Policy.Engine.check_fast shic ~site ~addr ~size ~flags in
-          let d2 = Policy.Engine.check_fast shic ~site ~addr ~size ~flags in
-          want = d_sh && want = d1 && want = d2)
-        accesses)
+          want = decision sh ~addr ~size ~flags
+          && want = Policy.Engine.check_fast shic ~site ~addr ~size ~flags)
+        (accesses @ accesses))
 
 (* Decision stats must be tier-invariant: the same access stream drives
    the same (checks, allowed, denied, entries_scanned) through the plain

@@ -594,7 +594,9 @@ let test_ic_degrade_and_repromote () =
   checkb "slot planted" true
     (Policy.Engine.corrupt_site_cache eng
        (Policy.Engine.default_view eng)
-       ~site:7 ~page ~prot:Policy.Region.prot_rw ~smash_canary:true);
+       ~site:7 ~lo:(page lsl Policy.Shadow_table.page_bits)
+       ~hi:((page + 1) lsl Policy.Shadow_table.page_bits)
+       ~prot:Policy.Region.prot_rw ~smash_canary:true);
   checki "audit detects" 1 (Policy.Integrity.audit ig);
   checki "caches off, shadow still serving" 1 (Policy.Integrity.tier_level ig);
   checkb "ic master switch off" false (Policy.Engine.ic_enabled eng);
@@ -602,6 +604,38 @@ let test_ic_degrade_and_repromote () =
   ignore (Policy.Integrity.audit ig);
   checki "caches back" 2 (Policy.Integrity.tier_level ig);
   checkb "ic switch on" true (Policy.Engine.ic_enabled eng)
+
+(* A forged span that keeps the canary, the protection, the scan depth
+   and the region attribution, and only widens [hi] over a deny region:
+   the audit catches it only because it re-derives the whole [lo, hi)
+   from the authoritative regions. *)
+let test_ic_widened_span_caught () =
+  let _, pm, eng = setup_shadow_pm ~site_cache:true () in
+  Policy.Policy_module.set_policy pm
+    ([ region ~tag:"buf" 0xA000 0x1000; region ~tag:"hole" ~prot:0 0xB000 0x1000 ]
+    @ Policy.Region.kernel_only);
+  let ig = Policy.Policy_module.enable_integrity pm in
+  Policy.Engine.set_verify eng true;
+  let w = Policy.Region.prot_write in
+  let site = 5 in
+  checkb "fill from the buffer" true
+    (Policy.Engine.check_fast eng ~site ~addr:0xA010 ~size:8 ~flags:w);
+  checkb "fill from the kernel half" true
+    (Policy.Engine.check_fast eng ~site:6 ~addr:Kernel.Layout.direct_map_base
+       ~size:8 ~flags:w);
+  checki "legitimate spans audit clean" 0 (Policy.Integrity.audit ig);
+  (match (Policy.Engine.default_view eng).Policy.Engine.v_site_cache with
+  | None -> Alcotest.fail "no inline cache"
+  | Some sc ->
+    let i = Policy.Engine.site_slot site in
+    checki "span ends where the hole starts" 0xB000 sc.Policy.Engine.sc_hi.(i);
+    sc.Policy.Engine.sc_hi.(i) <- 0xC000);
+  checki "semantic audit catches the widened span" 1 (Policy.Integrity.audit ig);
+  checki "inline caches degraded, shadow serving" 1
+    (Policy.Integrity.tier_level ig);
+  checkb "write into the hole denied" false
+    (Policy.Engine.check_fast eng ~site ~addr:0xB010 ~size:8 ~flags:w);
+  checki "no stale allow" 0 (Policy.Engine.stale_allows eng)
 
 (* A tier that keeps failing its rebuild re-audit is abandoned after
    max_retries (left degraded), not re-promoted forever: the route is
@@ -764,6 +798,37 @@ let prop_itree_invariants =
       Policy.Interval_tree.validate t = Ok ()
       && Policy.Interval_tree.count t = List.length regions
       && Policy.Interval_tree.regions t = regions)
+
+(* Remove rebuilds the tree through [clear]: a clear that dropped its
+   nodes without kfree would leak the whole 6.4 KB tree on every
+   remove/add pair of a 100-region engine, and on every [set_policy]. *)
+let test_itree_churn_keeps_heap_flat () =
+  let k = fresh () in
+  let e = Policy.Engine.create ~kind:Policy.Engine.Itree ~capacity:128 k in
+  let policy = Policy.Region.kernel_only_padded 100 in
+  Policy.Engine.set_policy e policy;
+  let used = Kernel.phys_used k in
+  let refused = ref 0 in
+  for i = 0 to 999 do
+    let r = List.nth policy (i mod 98) in
+    if not (Policy.Engine.remove_region e ~base:r.Policy.Region.base) then
+      incr refused;
+    if Policy.Engine.add_region e r <> Ok () then incr refused
+  done;
+  checki "every remove and add succeeded" 0 !refused;
+  checki "1,000 remove/add pairs take no heap" used (Kernel.phys_used k);
+  for _ = 1 to 100 do
+    Policy.Engine.set_policy e policy
+  done;
+  checki "100 set_policy calls take no heap" used (Kernel.phys_used k);
+  checki "all regions live" 100 (Policy.Engine.count e);
+  checkb "kernel store still allowed" true
+    (match
+       Policy.Engine.check e ~addr:Kernel.Layout.direct_map_base ~size:8
+         ~flags:Policy.Region.prot_write
+     with
+    | Policy.Engine.Allowed _ -> true
+    | Policy.Engine.Denied _ -> false)
 
 let test_itree_pruned_lookup () =
   let k = fresh () in
@@ -1444,6 +1509,8 @@ let () =
             test_itree_remove_first_occurrence;
           QCheck_alcotest.to_alcotest prop_itree_invariants;
           Alcotest.test_case "pruned lookup" `Quick test_itree_pruned_lookup;
+          Alcotest.test_case "churn keeps heap flat" `Quick
+            test_itree_churn_keeps_heap_flat;
         ] );
       ( "bugfix-sweep",
         [
@@ -1502,6 +1569,8 @@ let () =
             test_shadow_semantic_crosscheck;
           Alcotest.test_case "ic degrade+repromote" `Quick
             test_ic_degrade_and_repromote;
+          Alcotest.test_case "ic widened span caught" `Quick
+            test_ic_widened_span_caught;
           Alcotest.test_case "bounded retries then abandon" `Quick
             test_bounded_retries_then_abandon;
           Alcotest.test_case "selfheal procfs" `Quick test_selfheal_procfs;
