@@ -309,7 +309,6 @@ let bechamel_tests () =
       guard_test Policy.Engine.Splay 64;
       guard_test Policy.Engine.Cached 64;
       guard_test Policy.Engine.Bloom 64;
-      guard_test Policy.Engine.Shadow 64;
       inject_test;
       parse_test;
       sign_test;
@@ -353,8 +352,8 @@ let run_bechamel () =
      a freshly loaded driver — so the seed's linear walk pays its real
      scan length. A two-region pair (fig3's minimal policy) is reported
      for context;
-   - check-only: the bare guard check across policy structures, shadow
-     vs the PR-1 structures, plus the site inline cache, with a
+   - check-only: the bare guard check across policy structures, plus
+     the linear table behind the site inline cache, with a
      steady-state Gc.minor_words assertion proving the fast path does
      not allocate. *)
 
@@ -496,7 +495,7 @@ let run_tracegate () =
    boxes excluded by sampling outside the loop). *)
 let guardpath_alloc_words ~n =
   let kernel = Kernel.create ~require_signature:false Machine.Presets.r415 in
-  let engine = Policy.Engine.create ~kind:Policy.Engine.Shadow ~capacity:64 kernel in
+  let engine = Policy.Engine.create ~kind:Policy.Engine.Linear ~capacity:64 kernel in
   Policy.Engine.set_policy engine Policy.Region.kernel_only;
   Policy.Engine.enable_site_cache engine;
   let addr = Kernel.Layout.direct_map_base + 0x400 in
@@ -553,8 +552,7 @@ let guardpath_check_only ~checks =
     bench Policy.Engine.Sorted false;
     bench Policy.Engine.Splay false;
     bench Policy.Engine.Bloom false;
-    bench Policy.Engine.Shadow false;
-    bench Policy.Engine.Shadow true;
+    bench Policy.Engine.Linear true;
   ]
 
 let run_guardpath () =
@@ -566,14 +564,14 @@ let run_guardpath () =
         ~structure:Policy.Engine.Linear ~site_cache:false ~regions:64 ~packets ();
       guardpath_e2e ~label:"compiled+linear" ~engine:Vm.Engine.Compiled
         ~structure:Policy.Engine.Linear ~site_cache:false ~regions:64 ~packets ();
-      guardpath_e2e ~label:"interp+shadow+ic" ~engine:Vm.Engine.Interp
-        ~structure:Policy.Engine.Shadow ~site_cache:true ~regions:64 ~packets ();
-      guardpath_e2e ~label:"compiled+shadow+ic" ~engine:Vm.Engine.Compiled
-        ~structure:Policy.Engine.Shadow ~site_cache:true ~regions:64 ~packets ();
+      guardpath_e2e ~label:"interp+linear+ic" ~engine:Vm.Engine.Interp
+        ~structure:Policy.Engine.Linear ~site_cache:true ~regions:64 ~packets ();
+      guardpath_e2e ~label:"compiled+linear+ic" ~engine:Vm.Engine.Compiled
+        ~structure:Policy.Engine.Linear ~site_cache:true ~regions:64 ~packets ();
       (* the observability tax: same configuration with the carat_trace
          ring recording every guard event *)
-      guardpath_e2e ~trace:true ~label:"compiled+shadow+ic+trace"
-        ~engine:Vm.Engine.Compiled ~structure:Policy.Engine.Shadow
+      guardpath_e2e ~trace:true ~label:"compiled+linear+ic+trace"
+        ~engine:Vm.Engine.Compiled ~structure:Policy.Engine.Linear
         ~site_cache:true ~regions:64 ~packets ();
     ]
   in
@@ -594,8 +592,8 @@ let run_guardpath () =
     [
       guardpath_e2e ~label:"interp+linear (2 regions)" ~engine:Vm.Engine.Interp
         ~structure:Policy.Engine.Linear ~site_cache:false ~regions:2 ~packets ();
-      guardpath_e2e ~label:"compiled+shadow+ic (2 regions)"
-        ~engine:Vm.Engine.Compiled ~structure:Policy.Engine.Shadow
+      guardpath_e2e ~label:"compiled+linear+ic (2 regions)"
+        ~engine:Vm.Engine.Compiled ~structure:Policy.Engine.Linear
         ~site_cache:true ~regions:2 ~packets ();
     ]
   in
@@ -612,7 +610,7 @@ let run_guardpath () =
     && a.gp_guard_checks = b.gp_guard_checks
   in
   if not (eq (by "interp+linear (seed)") (by "compiled+linear"))
-     || not (eq (by "interp+shadow+ic") (by "compiled+shadow+ic"))
+     || not (eq (by "interp+linear+ic") (by "compiled+linear+ic"))
   then begin
     Printf.eprintf
       "guardpath: FAIL: engines disagree on simulated cycles or guard counts\n";
@@ -621,8 +619,8 @@ let run_guardpath () =
   print_endline "  engines agree on simulated cycles and guard counts: yes";
   (* recording must tax cycles only, never decisions: the traced run sees
      exactly the guard traffic of its untraced twin *)
-  let traced = by "compiled+shadow+ic+trace" in
-  let untraced = by "compiled+shadow+ic" in
+  let traced = by "compiled+linear+ic+trace" in
+  let untraced = by "compiled+linear+ic" in
   if traced.gp_guard_checks <> untraced.gp_guard_checks then begin
     Printf.eprintf
       "guardpath: FAIL: tracing changed the guard-check count (%d vs %d)\n"
@@ -646,9 +644,9 @@ let run_guardpath () =
   Printf.printf "\n  bare check, 64 regions, conforming probes (host ns/check):\n";
   List.iter (fun (l, ns) -> Printf.printf "  %-22s %10.1f\n" l ns) co;
   let speedup =
-    base.gp_ns_per_packet /. (by "compiled+shadow+ic").gp_ns_per_packet
+    base.gp_ns_per_packet /. (by "compiled+linear+ic").gp_ns_per_packet
   in
-  Printf.printf "\n  compiled+shadow+ic vs seed interp+linear: %.2fx\n" speedup;
+  Printf.printf "\n  compiled+linear+ic vs seed interp+linear: %.2fx\n" speedup;
   if !json then begin
     let oc = open_out "BENCH_guardpath.json" in
     let row_json r =
@@ -666,7 +664,7 @@ let run_guardpath () =
       \  \"context_two_regions\": [\n%s\n  ],\n\
       \  \"check_only_ns\": {%s},\n\
       \  \"minor_words_per_100k_checks\": %.0f,\n\
-      \  \"speedup_compiled_shadow_vs_seed\": %.3f,\n\
+      \  \"speedup_compiled_ic_vs_seed\": %.3f,\n\
       \  \"trace_overhead_sim_cycles_per_packet\": %.1f,\n\
       \  \"trace_decisions_unchanged\": true\n\
        }\n"
@@ -681,7 +679,7 @@ let run_guardpath () =
   end;
   if speedup < 3.0 then begin
     Printf.eprintf
-      "guardpath: FAIL: compiled+shadow+ic is below 3x over the seed path\n";
+      "guardpath: FAIL: compiled+linear+ic is below 3x over the seed path\n";
     exit 1
   end
 
@@ -689,7 +687,7 @@ let run_guardpath () =
 
 (* guardopt: what each guard-optimization tier buys at run time.
 
-   For the fig3- and fig7-shaped presets (compiled engine, shadow table
+   For the fig3- and fig7-shaped presets (compiled engine, linear table
    + site inline cache, the production 64-region policy) the same seeded
    packet workload runs under Baseline (unguarded) and Carat at --opt
    none/basic/aggressive. The baseline run on identical seeds isolates
@@ -800,8 +798,8 @@ let run_guardopt () =
   in
   let presets =
     [
-      ("fig3/compiled+shadow+ic", Machine.Presets.r415, 0.0002);
-      ("fig7/compiled+shadow+ic", Machine.Presets.r350, 0.0004);
+      ("fig3/compiled+linear+ic", Machine.Presets.r415, 0.0002);
+      ("fig7/compiled+linear+ic", Machine.Presets.r350, 0.0004);
     ]
   in
   let rows =
@@ -809,7 +807,7 @@ let run_guardopt () =
       (fun (preset, machine, stall) ->
         List.map
           (guardopt_cell ~preset ~machine ~stall
-             ~structure:Policy.Engine.Shadow ~site_cache:true ~packets
+             ~structure:Policy.Engine.Linear ~site_cache:true ~packets
              ~engine:Vm.Engine.Compiled)
           levels)
       presets
@@ -827,9 +825,9 @@ let run_guardopt () =
   (* engine parity: the optimized module's decision stream and simulated
      cycles must not depend on the execution engine *)
   let parity_interp =
-    guardopt_cell ~preset:"fig3/interp+shadow+ic"
+    guardopt_cell ~preset:"fig3/interp+linear+ic"
       ~machine:Machine.Presets.r415 ~stall:0.0002
-      ~structure:Policy.Engine.Shadow ~site_cache:true ~packets
+      ~structure:Policy.Engine.Linear ~site_cache:true ~packets
       ~engine:Vm.Engine.Interp (Some Passes.Pipeline.O_aggressive)
   in
   let all_rows = rows @ linear_rows in
@@ -857,7 +855,7 @@ let run_guardopt () =
       if g.go_checks <> g.go_allowed then
         fail "%s/%s: checks <> allows" g.go_preset g.go_level)
     (all_rows @ [ parity_interp ]);
-  (let c = cell "fig3/compiled+shadow+ic" "aggressive" in
+  (let c = cell "fig3/compiled+linear+ic" "aggressive" in
    if
      (parity_interp.go_checks, parity_interp.go_total_cycles)
      <> (c.go_checks, c.go_total_cycles)
@@ -1129,10 +1127,10 @@ let run_smpscale () =
 
 (* selfheal: the integrity watchdog's corruption-to-detection latency,
    the cost of running degraded (which must reproduce the guard-tier
-   ordering guardpath measures: ic hit <= shadow walk < linear walk),
-   recovery back to the full fast path, bounded repair retries, and the
-   tier-corruption campaign invariants. Writes BENCH_selfheal.json and
-   exits nonzero on any gate failure. *)
+   ordering guardpath measures: ic hit <= exact walk), recovery back to
+   the full fast path, bounded repair retries, and the tier-corruption
+   campaign invariants. Writes BENCH_selfheal.json and exits nonzero on
+   any gate failure. *)
 
 type selfheal_row = {
   se_class : string;
@@ -1162,7 +1160,7 @@ let selfheal_cpc engine machine =
 let selfheal_episode ~cls ~corrupt () =
   let kernel = Kernel.create ~require_signature:false Machine.Presets.r415 in
   let pm =
-    Policy.Policy_module.install ~kind:Policy.Engine.Shadow ~site_cache:true
+    Policy.Policy_module.install ~site_cache:true
       ~on_deny:Policy.Policy_module.Quarantine kernel
   in
   (* production table scale, conforming rules last, as in guardpath *)
@@ -1176,9 +1174,7 @@ let selfheal_episode ~cls ~corrupt () =
   let engine = Policy.Policy_module.engine pm in
   let machine = Kernel.machine kernel in
   Policy.Engine.set_verify engine true;
-  (* warm a user-page shadow slot (the corruption target) and the probe
-     path, then take the full-tier cost *)
-  ignore (Policy.Engine.check engine ~addr:0x4000 ~size:8 ~flags:2);
+  (* warm the probe path, then take the full-tier cost *)
   ignore (selfheal_cpc engine machine);
   let full = selfheal_cpc engine machine in
   if not (corrupt engine) then begin
@@ -1219,21 +1215,15 @@ let selfheal_episode ~cls ~corrupt () =
 
 let run_selfheal () =
   section "selfheal: watchdog detection latency, degraded overhead, recovery";
-  let user_page = 0x4000 lsr Policy.Shadow_table.page_bits in
+  let user_page = 0x4000 in
   let rows =
     [
       selfheal_episode ~cls:"icache-corrupt"
         ~corrupt:(fun e ->
           Policy.Engine.corrupt_site_cache e (Policy.Engine.default_view e)
-            ~site:3 ~lo:(user_page lsl Policy.Shadow_table.page_bits)
-            ~hi:((user_page + 1) lsl Policy.Shadow_table.page_bits)
+            ~site:3 ~lo:user_page ~hi:(user_page + Kernel.Memory.page_size)
             ~prot:Policy.Region.prot_rw
             ~smash_canary:true)
-        ();
-      selfheal_episode ~cls:"shadow-corrupt"
-        ~corrupt:(fun e ->
-          Policy.Engine.corrupt_shadow e ~page:user_page
-            ~prot:Policy.Region.prot_rw ~fix_checksum:false)
         ();
       selfheal_episode ~cls:"instance-corrupt"
         ~corrupt:(fun e ->
@@ -1256,9 +1246,7 @@ let run_selfheal () =
   let retry_cfg = { Policy.Integrity.cooldown_audits = 1; max_retries = 2 } in
   let abandoned =
     let kernel = Kernel.create ~require_signature:false Machine.Presets.r415 in
-    let pm =
-      Policy.Policy_module.install ~kind:Policy.Engine.Shadow kernel
-    in
+    let pm = Policy.Policy_module.install kernel in
     Policy.Policy_module.set_policy pm Policy.Region.kernel_only;
     let eng = Policy.Policy_module.engine pm in
     let ig = Policy.Integrity.create ~config:retry_cfg eng in
@@ -1274,7 +1262,7 @@ let run_selfheal () =
   Printf.printf
     "  pinned-failure repair: %d tier(s) abandoned after %d retries\n"
     abandoned retry_cfg.Policy.Integrity.max_retries;
-  (* campaign slice: the three tier-corruption classes across modes *)
+  (* campaign slice: the tier-corruption classes across modes *)
   let faults = if !quick then 24 else 60 in
   let report = Fault.Campaign.run { Fault.Campaign.faults; seed = 42 } in
   let campaign_fails = Fault.Campaign.check report in
@@ -1317,24 +1305,15 @@ let run_selfheal () =
         fail "%s: %d stale allows" r.se_class r.se_stale)
     rows;
   let by cls = List.find (fun r -> r.se_class = cls) rows in
-  let ic = by "icache-corrupt" and sh = by "shadow-corrupt" in
+  let ic = by "icache-corrupt" in
   (* degraded-mode cost must reproduce guardpath's tier ordering *)
-  if sh.se_degraded_cpc <= sh.se_full_cpc then
-    fail "linear fallback not costlier than the full tier (%.1f vs %.1f)"
-      sh.se_degraded_cpc sh.se_full_cpc;
   if ic.se_degraded_cpc < ic.se_full_cpc then
     fail "ic-off tier cheaper than ic hits (%.1f vs %.1f)" ic.se_degraded_cpc
       ic.se_full_cpc;
-  if sh.se_degraded_cpc <= ic.se_degraded_cpc then
-    fail "linear fallback not costlier than the shadow walk (%.1f vs %.1f)"
-      sh.se_degraded_cpc ic.se_degraded_cpc;
-  if sh.se_healed_cpc >= sh.se_degraded_cpc then
+  if ic.se_healed_cpc >= ic.se_degraded_cpc then
     fail "healed cost did not return below the degraded cost";
-  if sh.se_degraded_level <> 0 then
-    fail "shadow quarantine did not fall back to linear (level %d)"
-      sh.se_degraded_level;
   if ic.se_degraded_level <> 1 then
-    fail "ic quarantine did not keep the shadow serving (level %d)"
+    fail "ic quarantine did not fall back to the exact walk (level %d)"
       ic.se_degraded_level;
   if abandoned <> 1 then
     fail "pinned-failure repair abandoned %d tiers, wanted 1" abandoned;

@@ -6,7 +6,8 @@
                                     cfi_guard
      kop_lint policy FILE.kop     — policy-file lints: shadowed regions,
                                     capacity overflow, write-only
-                                    protections, shadow-table blind spots
+                                    protections, domain page-shadow
+                                    blind spots
      kop_lint cert FILE.kir       — validate the embedded
                                     guard-completeness certificate of a
                                     compiled module (digest + re-proof)
@@ -126,7 +127,7 @@ let policy_cmd =
     (Cmd.info "policy"
        ~doc:
          "lint a policy file: shadowed regions, capacity overflow, \
-          write-only protections, shadow-table blind spots")
+          write-only protections, domain page-shadow blind spots")
     Term.(const cmd_policy $ file_arg $ strict_arg)
 
 let domain_arg =

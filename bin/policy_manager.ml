@@ -602,11 +602,11 @@ let cmd_storm file cpus updates =
       end
 
 (* Self-healing demonstration on a live simulated kernel: load the
-   policy with the full guard tiers up (shadow table + site inline
+   policy with the full guard tiers up (linear table + site inline
    caches), turn on the integrity watchdog, run a clean audit through
-   the operator ioctl, then corrupt every derived tier out-of-band and
-   let the watchdog detect, degrade, rebuild, and re-promote. Exits
-   nonzero if the kernel does not heal back to the full fast path. *)
+   the operator ioctl, then corrupt every tier out-of-band and let the
+   watchdog detect, degrade, rebuild, and re-promote. Exits nonzero if
+   the kernel does not heal back to the full fast path. *)
 let cmd_audit file =
   let t = Policy.Policy_file.load file in
   match t.Policy.Policy_file.regions with
@@ -616,7 +616,7 @@ let cmd_audit file =
   | first :: _ ->
     let kernel = Kernel.create ~require_signature:false Machine.Presets.r350 in
     let pm =
-      Policy.Policy_module.install ~kind:Policy.Engine.Shadow ~site_cache:true
+      Policy.Policy_module.install ~site_cache:true
         ~on_deny:Policy.Policy_module.Audit kernel
     in
     Policy.Policy_module.set_policy pm t.Policy.Policy_file.regions;
@@ -640,12 +640,8 @@ let cmd_audit file =
        point — exactly what the watchdog exists to catch — and let the
        periodic audit detect, degrade, rebuild, and re-promote before
        moving to the next tier *)
-    let page = first.Policy.Region.base lsr Policy.Shadow_table.page_bits in
+    let lo = first.Policy.Region.base land lnot (Kernel.Memory.page_size - 1) in
     let episode (tier, corrupt) =
-      (* warm the slot the wild write targets *)
-      ignore
-        (Policy.Engine.check engine ~addr:first.Policy.Region.base ~size:8
-           ~flags:Policy.Region.prot_read);
       if not (corrupt ()) then
         Printf.printf "corrupt %-16s SKIPPED (tier not live)\n" tier
       else begin
@@ -672,13 +668,8 @@ let cmd_audit file =
           fun () ->
             Policy.Engine.corrupt_site_cache engine
               (Policy.Engine.default_view engine)
-              ~site:1 ~lo:(page lsl Policy.Shadow_table.page_bits)
-              ~hi:((page + 1) lsl Policy.Shadow_table.page_bits)
+              ~site:1 ~lo ~hi:(lo + Kernel.Memory.page_size)
               ~prot:Policy.Region.prot_rw ~smash_canary:true );
-        ( "shadow table",
-          fun () ->
-            Policy.Engine.corrupt_shadow engine ~page
-              ~prot:Policy.Region.prot_rw ~fix_checksum:true );
         ( "policy instance",
           fun () ->
             Policy.Engine.corrupt_instance engine
@@ -707,8 +698,8 @@ let cmd_audit file =
     let healed =
       Policy.Integrity.healthy ig
       && Policy.Integrity.tier_level ig = 2
-      && Policy.Integrity.detections ig >= 3
-      && Policy.Integrity.rebuilds ig >= 3
+      && Policy.Integrity.detections ig >= 2
+      && Policy.Integrity.rebuilds ig >= 2
       && Policy.Engine.stale_allows engine = 0
     in
     if healed then begin
@@ -919,7 +910,8 @@ let lint_cmd =
        ~doc:
          "statically check the policy for dead (shadowed) rules, \
           order-sensitive overlaps, capacity overflow, write-only \
-          protections and shadow-table blind spots; exit 3 on errors")
+          protections and domain page-shadow blind spots; exit 3 on \
+          errors")
     Term.(const cmd_lint $ file_arg)
 
 let () =

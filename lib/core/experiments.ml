@@ -232,8 +232,8 @@ type policy_bench_point = {
 (** Ablation [abl-policy]: simulated cost of one [carat_guard] check
     across policy structures and region counts, measured on a hot loop of
     conforming kernel-address probes (the paper's common case).
-    [site_cache_rows] appends "+ic" rows for the linear and shadow
-    structures with the per-guard-site inline cache enabled, probing
+    [site_cache_rows] appends "linear+ic" rows: the linear table with
+    the per-guard-site inline cache enabled, probing
     through {!Policy.Engine.check_fast} from a small rotating set of
     guard sites, as the injected driver does. *)
 let policy_structure_bench ?(checks = 4000)
@@ -316,7 +316,7 @@ let policy_structure_bench ?(checks = 4000)
       (fun (kind, placement) ->
         List.filter_map (fun n -> bench ~kind ~ic:true ~placement n)
           region_counts)
-      (combos [ Policy.Engine.Linear; Policy.Engine.Shadow ])
+      (combos [ Policy.Engine.Linear ])
   else []
 
 (* ------------------------------------------------------------------ *)

@@ -82,18 +82,19 @@ let clean_napi_churn () =
         r.Smp_testbed.d_sent;
   }
 
-(** The retirement-ordering regression: a shadow-tier corruption is
-    detected by the watchdog, whose integrity rebuild republishes
-    through RCU, while the other CPU lands policy batch installs in the
-    same quantum and module guard traffic keeps the table scans coming.
-    Retirement acquires every CPU's grace token before the old table is
-    reclaimed, so the retire-time interval write is ordered after every
-    recorded scan — the detector must stay silent. *)
+(** The retirement-ordering regression: a corruption of the published
+    instance is detected by the watchdog, whose integrity rebuild
+    republishes through RCU, while the other CPU lands policy batch
+    installs in the same quantum and module guard traffic keeps the
+    table scans coming. Retirement acquires every CPU's grace token
+    before the old table is reclaimed, so the retire-time interval write
+    is ordered after every recorded scan — the detector must stay
+    silent, and every publication must be retired. *)
 let retire_vs_rebuild () =
   let kernel = Kernel.create ~require_signature:false Machine.Presets.r350 in
   ignore (Vm.Engine.install ~kind:Vm.Engine.Interp kernel);
   let pm =
-    Policy.Policy_module.install ~kind:Policy.Engine.Shadow ~site_cache:true
+    Policy.Policy_module.install ~site_cache:true
       ~on_deny:Policy.Policy_module.Audit kernel
   in
   Policy.Policy_module.set_policy pm Policy.Region.kernel_only;
@@ -118,12 +119,9 @@ let retire_vs_rebuild () =
   | Ok _ -> ()
   | Error e ->
     failwith ("retire_vs_rebuild insmod: " ^ Kernel.load_error_to_string e));
-  (* warm the user-page shadow slot, then corrupt it behind the audit *)
-  ignore (Policy.Engine.check engine ~addr:0x4000 ~size:8 ~flags:2);
+  (* open the user-half deny rule behind the audit's back *)
   let corrupted =
-    Policy.Engine.corrupt_shadow engine
-      ~page:(0x4000 lsr Policy.Shadow_table.page_bits)
-      ~prot:Policy.Region.prot_rw ~fix_checksum:false
+    Policy.Engine.corrupt_instance engine ~base:0 ~prot:Policy.Region.prot_rw
   in
   let install_rc = ref 0 in
   let batch i =
@@ -166,7 +164,8 @@ let retire_vs_rebuild () =
     v_pass =
       corrupted
       && Policy.Integrity.detections ig >= 1
-      && rs.Smp.Rcu.retired >= 1
+      && rs.Smp.Rcu.publications >= 1
+      && rs.Smp.Rcu.retired = rs.Smp.Rcu.publications
       && !install_rc = 0
       && reports = 0;
     v_detail =

@@ -279,7 +279,6 @@ let check (r : report) : string list =
         Inject.Wild_store;
         Inject.Oob_ring_index;
         Inject.Policy_corruption;
-        Inject.Shadow_corrupt;
         Inject.Icache_corrupt;
         Inject.Rcu_instance_corrupt;
         Inject.Rx_ring_corrupt;

@@ -131,8 +131,8 @@ type cell = {
   writable : (int * int) list;  (** direct-map/stack windows, virtual *)
 }
 
-let make_cell ?(engine = Vm.Engine.Interp) ?(kind = Policy.Engine.Linear)
-    ?(site_cache = false) ?(sanitize = false) ~mode () : cell =
+let make_cell ?(engine = Vm.Engine.Interp) ?(site_cache = false)
+    ?(sanitize = false) ~mode () : cell =
   let require_signature = mode <> Baseline in
   let kernel =
     Kernel.create ~phys_size ~require_signature Machine.Presets.r350
@@ -147,7 +147,7 @@ let make_cell ?(engine = Vm.Engine.Interp) ?(kind = Policy.Engine.Linear)
   (* the policy module is installed in baseline cells too: its region
      table is a real in-kernel object the policy-corruption class
      targets; unguarded baselines simply never call the guard *)
-  let pm = Policy.Policy_module.install ~kind ~on_deny ~site_cache kernel in
+  let pm = Policy.Policy_module.install ~on_deny ~site_cache kernel in
   (* carat cells record a small guard-event ring so denials come with a
      forensic tail; the ring never writes simulated bytes, so the
      containment diff below is unaffected *)
@@ -212,8 +212,7 @@ let payload_addr cell ~cls ~rng =
   | Inject.Cross_cpu_race ->
     (* handled by its own two-CPU runner; never instantiated here *)
     cell.secret
-  | Inject.Shadow_corrupt | Inject.Icache_corrupt | Inject.Rcu_instance_corrupt
-    ->
+  | Inject.Icache_corrupt | Inject.Rcu_instance_corrupt ->
     (* tier-corruption classes aim the victim at the secret too; the
        corruption rigs a derived tier to stale-allow that store *)
     cell.secret + (8 * Machine.Rng.int rng (secret_size / 8))
@@ -514,36 +513,18 @@ let heal_and_check ~wd ~ig ~panicked =
     Some (Policy.Integrity.healthy ig && Policy.Integrity.tier_level ig = 2)
   | _ -> None
 
-(** The single-node tier-corruption classes ([Shadow_corrupt],
-    [Icache_corrupt]): a wild write plants a stale-allow fact for the
-    victim's payload page in a derived guard tier, bypassing the
-    epoch/commit choke point, and one watchdog period of idle time
-    elapses before the victim fires the store. Containment means the
-    corrupt tier never serves that allow: the audit quarantines it, the
-    check drops to the next-lower tier, the store is denied, and the
-    tier is rebuilt from the authoritative copy afterwards. *)
-(* The live shadow table's simulated tag array: enforcement metadata the
-   guard path legitimately refills mid-run via kernel writes. Corruption
-   cells run over the shadow tier (published before the containment
-   snapshot), so those refills must not count as module escapes — the
-   invariant judges the *module's* reach, not the kernel's own
-   bookkeeping. *)
-let shadow_metadata_window pm =
-  match Policy.Engine.live_shadow (Policy.Policy_module.engine pm) with
-  | Some s ->
-    [ (s.Policy.Shadow_table.base_vaddr, Policy.Shadow_table.shadow_entries * 8) ]
-  | None -> []
-
-let run_corruption ?engine ?opt ?(sanitize = false) ~(cls : Inject.cls)
-    ~(mode : mode) ~seed () : outcome =
-  let site_cache = cls = Inject.Icache_corrupt in
-  let cell =
-    make_cell ?engine ~kind:Policy.Engine.Shadow ~site_cache ~sanitize ~mode ()
-  in
-  (* captured now: the instance live at snapshot time owns the tag array
-     whose refills land inside the diff window (heal republishes get
-     fresh, post-snapshot arrays) *)
-  let metadata_windows = shadow_metadata_window cell.pm in
+(** The single-node tier-corruption class ([Icache_corrupt]): a wild
+    write plants a stale-allow span covering the victim's payload page
+    in its guard site's inline-cache slot, bypassing the epoch/commit
+    choke point, and one watchdog period of idle time elapses before the
+    victim fires the store. Containment means the corrupt slot never
+    serves that allow: the audit quarantines the inline caches, the
+    check takes the exact walk, the store is denied, and the caches are
+    flushed and re-promoted afterwards. *)
+let run_corruption ?engine ?opt ?(sanitize = false) ~(mode : mode) ~seed () :
+    outcome =
+  let cls = Inject.Icache_corrupt in
+  let cell = make_cell ?engine ~site_cache:true ~sanitize ~mode () in
   let rng = Machine.Rng.create seed in
   let target = payload_addr cell ~cls ~rng in
   let m = Inject.build_victim ~payload:target ~rng ~work:cell.work () in
@@ -570,27 +551,19 @@ let run_corruption ?engine ?opt ?(sanitize = false) ~(cls : Inject.cls)
   in
   (* the wild write proper, rigged so the victim's very next store at
      [target] would be answered allow straight from the corrupt slot *)
-  let page = target lsr Policy.Shadow_table.page_bits in
-  (match cls with
-  | Inject.Shadow_corrupt ->
+  let lo = target land lnot (Kernel.Memory.page_size - 1) in
+  (match
+     Inject.payload_guard_site m ~payload_addr:target
+       ~guard_symbol:Passes.Guard_injection.guard_symbol_default
+   with
+  | Some site ->
     ignore
-      (Policy.Engine.corrupt_shadow eng ~page ~prot:Policy.Region.prot_rw
-         ~fix_checksum:(Machine.Rng.flip rng 0.5))
-  | Inject.Icache_corrupt -> (
-    match
-      Inject.payload_guard_site m ~payload_addr:target
-        ~guard_symbol:Passes.Guard_injection.guard_symbol_default
-    with
-    | Some site ->
-      ignore
-        (Policy.Engine.corrupt_site_cache eng
-           (Policy.Engine.default_view eng)
-           ~site ~lo:(page lsl Policy.Shadow_table.page_bits)
-           ~hi:((page + 1) lsl Policy.Shadow_table.page_bits)
-           ~prot:Policy.Region.prot_rw
-           ~smash_canary:(Machine.Rng.flip rng 0.5))
-    | None -> () (* unguarded baseline module: no sites to spray *))
-  | _ -> ());
+      (Policy.Engine.corrupt_site_cache eng
+         (Policy.Engine.default_view eng)
+         ~site ~lo ~hi:(lo + Kernel.Memory.page_size)
+         ~prot:Policy.Region.prot_rw
+         ~smash_canary:(Machine.Rng.flip rng 0.5))
+  | None -> () (* unguarded baseline module: no sites to spray *));
   (* one watchdog period of idle time: the periodic audit is the
      detector, firing between the corruption and the victim's store *)
   (match wd with
@@ -623,8 +596,7 @@ let run_corruption ?engine ?opt ?(sanitize = false) ~(cls : Inject.cls)
     if mode <> Baseline then Some (Policy.Engine.stale_allows eng) else None
   in
   let escaped_bytes =
-    escaped cell.kernel ~snap
-      ~allowed:(allowed_phys cell.kernel (cell.writable @ metadata_windows))
+    escaped cell.kernel ~snap ~allowed:(allowed_phys cell.kernel cell.writable)
   in
   let san_reports, san_at_access, san_attribution =
     san_fields cell.kernel ~lo:target ~hi:(target + 8)
@@ -816,8 +788,8 @@ let run_one ?engine ?opt ?(sanitize = false) ~(cls : Inject.cls) ~(mode : mode)
     run_race ?engine ?opt ~sanitize ~mode ~seed ()
   else if cls = Inject.Rcu_instance_corrupt then
     run_rcu_corrupt ?engine ?opt ~sanitize ~mode ~seed ()
-  else if cls = Inject.Shadow_corrupt || cls = Inject.Icache_corrupt then
-    run_corruption ?engine ?opt ~sanitize ~cls ~mode ~seed ()
+  else if cls = Inject.Icache_corrupt then
+    run_corruption ?engine ?opt ~sanitize ~mode ~seed ()
   else
   let cell = make_cell ?engine ~sanitize ~mode () in
   let rng = Machine.Rng.create seed in
@@ -833,8 +805,8 @@ let run_one ?engine ?opt ?(sanitize = false) ~(cls : Inject.cls) ~(mode : mode)
       ~guard_symbol:Passes.Guard_injection.guard_symbol_default
   | Inject.Sig_truncation -> Inject.mutate_sig_truncation m
   | Inject.Wild_store | Inject.Oob_ring_index | Inject.Policy_corruption
-  | Inject.Cross_cpu_race | Inject.Shadow_corrupt | Inject.Icache_corrupt
-  | Inject.Rcu_instance_corrupt | Inject.Rx_ring_corrupt -> ());
+  | Inject.Cross_cpu_race | Inject.Icache_corrupt | Inject.Rcu_instance_corrupt
+  | Inject.Rx_ring_corrupt -> ());
   let snap =
     Kernel.Memory.snapshot ~len:(Kernel.phys_used cell.kernel)
       (Kernel.memory cell.kernel)

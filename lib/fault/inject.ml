@@ -31,19 +31,12 @@ type cls =
           store keeps firing from a warm guard site afterwards. Guards
           must enforce the *published* policy — a stale inline-cache
           allow after the grace period is an escape. *)
-  | Shadow_corrupt
-      (** a wild write smashing a shadow-table slot into a bogus
-          writable-page fact for the victim's target — the very next
-          guarded store would be stale-allowed straight from the corrupt
-          slot. The integrity watchdog must detect (checksum or semantic
-          cross-check), degrade to the linear fallback, deny, and
-          rebuild. *)
   | Icache_corrupt
       (** a wild write spraying a per-site inline-cache slot with a
-          forged (epoch, page, prot) triple for the victim's payload
-          guard site. The watchdog must detect (canary or semantic
-          cross-check), switch the caches off, deny from the tier below,
-          and re-promote after the flush. *)
+          forged (epoch, span, prot) fact covering the victim's target
+          page for its payload guard site. The watchdog must detect
+          (canary or semantic cross-check), switch the caches off, deny
+          from the exact walk, and re-promote after the flush. *)
   | Rcu_instance_corrupt
       (** the SMP variant: the freshly RCU-published policy instance is
           corrupted (a protected region's permission bits flipped in the
@@ -70,7 +63,6 @@ let all_classes =
     Oob_ring_index;
     Policy_corruption;
     Cross_cpu_race;
-    Shadow_corrupt;
     Icache_corrupt;
     Rcu_instance_corrupt;
     Rx_ring_corrupt;
@@ -84,7 +76,6 @@ let cls_to_string = function
   | Oob_ring_index -> "oob-ring-index"
   | Policy_corruption -> "policy-corruption"
   | Cross_cpu_race -> "cross-cpu-race"
-  | Shadow_corrupt -> "shadow-corrupt"
   | Icache_corrupt -> "icache-corrupt"
   | Rcu_instance_corrupt -> "rcu-instance-corrupt"
   | Rx_ring_corrupt -> "rx-ring-corrupt"
@@ -95,14 +86,13 @@ let cls_to_string = function
 let is_pipeline_fault = function
   | Ir_tamper | Sig_truncation | Guard_deletion -> true
   | Wild_store | Oob_ring_index | Policy_corruption | Cross_cpu_race
-  | Shadow_corrupt | Icache_corrupt | Rcu_instance_corrupt | Rx_ring_corrupt
-    ->
+  | Icache_corrupt | Rcu_instance_corrupt | Rx_ring_corrupt ->
     false
 
 (** Does this class corrupt the enforcement machinery itself (so the
     self-healing watchdog, not the guard check, is the detector)? *)
 let is_tier_corruption = function
-  | Shadow_corrupt | Icache_corrupt | Rcu_instance_corrupt -> true
+  | Icache_corrupt | Rcu_instance_corrupt -> true
   | Ir_tamper | Sig_truncation | Guard_deletion | Wild_store | Oob_ring_index
   | Policy_corruption | Cross_cpu_race | Rx_ring_corrupt ->
     false

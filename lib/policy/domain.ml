@@ -4,8 +4,7 @@
     modules with thousands of regions total no longer share one table or
     one invalidation epoch.
 
-    Two-tier check path, mirroring the engine's shadow/inline-cache
-    design at domain granularity:
+    Two-tier check path:
 
     + a *sharded global shadow page table* in front: direct-mapped slots
       keyed by (domain, page), each remembering the page's uniform
@@ -313,15 +312,36 @@ let reference_allows (d : dom) ~addr ~size ~flags =
   in
   go d.d_regions
 
-(* the page's uniform protection under [d]'s policy, iff provable for
-   every in-page byte range — the shadow table's classification, against
-   the domain's own region order *)
-let page_uniform_prot (d : dom) page =
-  match Shadow_table.classify_page d.d_regions page with
-  | Shadow_table.Uniform r, depth -> Some (r.Region.prot, depth)
-  | Shadow_table.No_region, depth ->
-    Some ((if d.d_default_allow then Region.prot_rw else 0), depth)
-  | (Shadow_table.Straddle | Shadow_table.Invalid), _ -> None
+(** First-match classification of [page] against [regions], in list
+    order: the protection every in-page byte range resolves to, and the
+    depth the exact walk records for it — the first region fully
+    containing the page (its 1-based position; a region disjoint from
+    the page can never match an in-page range, so the first full
+    container is the first match), or, when no region intersects the
+    page, the default action and the full region count. [None] when a
+    region partially overlaps the page: first match then depends on the
+    exact byte range. *)
+let classify_page regions ~default_allow page =
+  let lo = page lsl Kernel.Memory.page_bits in
+  (* the page's last byte: [lo + page_size] wraps past [max_int] on the
+     top page, which no region can then contain *)
+  let last = lo + (Kernel.Memory.page_size - 1) in
+  let rec go idx first_full = function
+    | [] -> (
+      match first_full with
+      | Some (r, at) -> Some (r.Region.prot, at + 1)
+      | None -> Some ((if default_allow then Region.prot_rw else 0), idx))
+    | (r : Region.t) :: rest ->
+      let rlim = Region.limit r in
+      if r.Region.base <= last && lo < rlim then
+        if r.Region.base <= lo && last < rlim then
+          go (idx + 1)
+            (match first_full with Some _ -> first_full | None -> Some (r, idx))
+            rest
+        else None
+      else go (idx + 1) first_full rest
+  in
+  go 0 None regions
 
 (* slot placement: multiplicative hash of (domain, page), high bits pick
    the shard, low bits the slot within it *)
@@ -351,7 +371,7 @@ let check_slow t (d : dom) sl ~page ~single_page ~addr ~size ~flags =
   (* refill: cacheable only when the access stays on one page and the
      page's protection is uniform under this domain *)
   if single_page then begin
-    match page_uniform_prot d page with
+    match classify_page d.d_regions ~default_allow:d.d_default_allow page with
     | None -> ()
     | Some (prot, depth) ->
       sl.sl_dom <- d.d_id;
@@ -374,9 +394,9 @@ let check t ~domain ~addr ~size ~flags : bool =
     let machine = Kernel.machine t.kernel in
     (* prologue: domain resolution + argument marshalling *)
     Machine.Model.retire machine 4;
-    let page = addr lsr Shadow_table.page_bits in
+    let page = addr lsr Kernel.Memory.page_bits in
     let single_page =
-      size > 0 && (addr + size - 1) lsr Shadow_table.page_bits = page
+      size > 0 && (addr + size - 1) lsr Kernel.Memory.page_bits = page
     in
     let shard, idx = slot_of ~domain ~page in
     let sl = t.shards.(shard).(idx) in

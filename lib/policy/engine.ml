@@ -7,27 +7,25 @@
     region matches, the default action applies. The paper's evaluated
     configuration is the 64-entry linear table with default deny.
 
-    Two optional fast tiers sit in front of the exact walk:
+    One optional fast tier sits in front of the exact walk: per-guard-site
+    inline caches ({!enable_site_cache}), §3.1's last-hit cache made
+    per-site. Each is a direct-mapped array keyed by the static site id
+    the guard-injection pass assigns; each slot remembers the
+    first-match span [\[lo, hi)] its site last resolved — the widest
+    byte range around the filling access on which the first-match answer
+    cannot change (see {!first_match_span}) — with that answer's
+    protection. A hit validates the epoch and that the access lies
+    inside the span, so the cached fact is site-independent truth and
+    slot aliasing between sites is harmless; a site streaming through
+    one region hits on every page of it.
 
-    - the {!Shadow} structure kind — a page-granular permission shadow
-      ("guard TLB", see {!Shadow_table}) wrapped around the linear table;
-    - per-guard-site inline caches ({!enable_site_cache}): a direct-mapped
-      array keyed by the static site id the guard-injection pass assigns,
-      each slot remembering the first-match span [\[lo, hi)] its site last
-      resolved — the widest byte range around the filling access on which
-      the first-match answer cannot change (see {!first_match_span}) —
-      with that answer's protection. A hit validates the epoch and that
-      the access lies inside the span, so the cached fact is
-      site-independent truth and slot aliasing between sites is harmless;
-      a site streaming through one region hits on every page of it.
-
-    Both tiers are invalidated by a single {!epoch} counter bumped on
-    every policy mutation (and, via the policy module, on every policy or
-    mode ioctl), keeping live policy pushes and enforcement-mode flips
-    exact. Both answer only when the answer provably equals the exact
-    walk's; anything else (page straddle, an access outside the cached
-    span, unknown site, flag mismatch) falls back to the exact structure,
-    so decisions are byte-for-byte identical to the plain walk.
+    The tier is invalidated by a single {!epoch} counter bumped on every
+    policy mutation (and, via the policy module, on every policy or mode
+    ioctl), keeping live policy pushes and enforcement-mode flips exact.
+    It answers only when the answer provably equals the exact walk's;
+    anything else (an access outside the cached span, unknown site, flag
+    mismatch) falls back to the exact structure, so decisions are
+    byte-for-byte identical to the plain walk.
 
     SMP: all hot-path counters, the inline cache, the trace sink and the
     denial diagnostic live in a {!view} — one per simulated CPU. A
@@ -40,21 +38,24 @@
     structure generation off-line and installs it with a single pointer
     store (plus the usual epoch bump), so a reader mid-guard on another
     CPU only ever observes a fully-built table — never a half-written
-    entry. Grace-period tracking and IPI shootdown live in [Smp.Rcu]. *)
+    entry. Grace-period tracking, IPI shootdown and freeing the retired
+    table live in [Smp.Rcu]. *)
 
+(** [Shadow] is an alias for [Linear]: it builds the linear table and
+    prints as ["linear"]. It stays only because kopbench's prod64-r415
+    workload names it. *)
 type kind = Linear | Sorted | Splay | Rbtree | Itree | Bloom | Cached | Shadow
 
 let kind_to_string = function
-  | Linear -> "linear"
+  | Linear | Shadow -> "linear"
   | Sorted -> "sorted"
   | Splay -> "splay"
   | Rbtree -> "rbtree"
   | Itree -> "interval"
   | Bloom -> "bloom+linear"
   | Cached -> "cached+linear"
-  | Shadow -> "shadow+linear"
 
-let all_kinds = [ Linear; Sorted; Splay; Rbtree; Itree; Bloom; Cached; Shadow ]
+let all_kinds = [ Linear; Sorted; Splay; Rbtree; Itree; Bloom; Cached ]
 
 (** Decision statistics. Tier-invariant: a fast-tier (inline-cache) hit
     credits the same [entries_scanned] the exact walk would have
@@ -135,17 +136,11 @@ type view = {
 
 type t = {
   kernel : Kernel.t;
-  kind : kind;
-      (** the configured structure kind — the top of the tier lattice *)
-  mutable active_kind : kind;
-      (** the kind the *live* instance has. Normally [kind]; the
-          integrity layer lowers it while a corrupt tier is quarantined
-          (shadow → linear fallback) and restores it on re-promotion.
-          {!build_instance} builds successors of this kind. *)
+  kind : kind;  (** the structure kind {!build_instance} builds *)
   mutable ic_on : bool;
       (** inline-cache master switch. [true] normally; the integrity
-          layer clears it to quarantine the compiled+ic tier, forcing
-          every sited check down to the next tier. *)
+          layer clears it to quarantine the inline caches, forcing every
+          sited check down to the exact walk. *)
   mutable on_mutate : (unit -> unit) option;
       (** commit hook run after every epoch bump — i.e. after every
           legitimate policy/mode mutation. The integrity layer registers
@@ -178,7 +173,7 @@ type t = {
 
 let make_instance kernel kind ~capacity : Structure.instance =
   match kind with
-  | Linear ->
+  | Linear | Shadow ->
     Structure.I ((module Linear_table), Linear_table.create kernel ~capacity)
   | Sorted ->
     Structure.I ((module Sorted_table), Sorted_table.create kernel ~capacity)
@@ -192,8 +187,6 @@ let make_instance kernel kind ~capacity : Structure.instance =
     Structure.I ((module Bloom_front), Bloom_front.create kernel ~capacity)
   | Cached ->
     Structure.I ((module Lookup_cache), Lookup_cache.create kernel ~capacity)
-  | Shadow ->
-    Structure.I ((module Shadow_table), Shadow_table.create kernel ~capacity)
 
 let make_view id =
   {
@@ -212,7 +205,6 @@ let create ?(kind = Linear) ?(capacity = Linear_table.default_capacity)
   {
     kernel;
     kind;
-    active_kind = kind;
     ic_on = true;
     on_mutate = None;
     capacity;
@@ -242,25 +234,14 @@ let set_on_mutate t f = t.on_mutate <- f
 
 (* --- integrity/degradation control surface ------------------------- *)
 
-let active_kind t = t.active_kind
-let set_active_kind t k = t.active_kind <- k
 let ic_enabled t = t.ic_on
 let set_ic_enabled t b = t.ic_on <- b
 
-(** The live instance's shadow table, when the active structure is the
-    shadow kind — the integrity audit and the corruption fault classes
-    need the concrete slot arrays behind the packed instance. *)
-let live_shadow t =
-  match Structure.repr t.instance with
-  | Shadow_table.Shadow s -> Some s
-  | _ -> None
-
-(** The live instance's exact linear table (directly, or behind the
-    shadow front), for instance-digest corruption injection. *)
+(** The live instance's linear table, for instance-digest corruption
+    injection. *)
 let live_linear t =
   match Structure.repr t.instance with
   | Linear_table.Linear l -> Some l
-  | Shadow_table.Shadow s -> Some (Shadow_table.inner s)
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -421,7 +402,7 @@ let generation t = t.generation
     is charged to the calling CPU's machine, like the writer building the
     new table before publishing. *)
 let build_instance t rs : Structure.instance =
-  let inst = make_instance t.kernel t.active_kind ~capacity:t.capacity in
+  let inst = make_instance t.kernel t.kind ~capacity:t.capacity in
   List.iter
     (fun r ->
       match Structure.add inst r with
@@ -503,9 +484,9 @@ let check_sited t ~site ~addr ~size ~flags : verdict =
       ~scanned:out.Structure.scanned ~region_base:r.Region.base;
     if ok then begin
       st.allowed <- st.allowed + 1;
-      (* paranoid cross-check (host-side, free when off): a shadow-tier
-         allow must agree with the first-match walk over the region
-         mirror — a corrupt slot's synthetic region would not *)
+      (* paranoid cross-check (host-side, free when off): an allow must
+         agree with the first-match walk over the structure's region
+         list *)
       if t.verify && not (reference_allows t ~addr ~size ~flags) then
         t.cur.v_stale <- t.cur.v_stale + 1;
       Allowed (Some r)
@@ -735,22 +716,8 @@ let corrupt_site_cache t view ~site ~lo ~hi ~prot ~smash_canary =
     if smash_canary then sc.sc_canary.(i) <- sc.sc_canary.(i) lxor 0xBAD;
     true
 
-(** Corrupt the live shadow tier: the slot covering [page] is forced to
-    a bogus uniform-[prot] fact. Returns [false] when the active
-    structure has no shadow front. *)
-let corrupt_shadow t ~page ~prot ~fix_checksum =
-  match live_shadow t with
-  | None -> false
-  | Some s ->
-    let region =
-      Region.v ~tag:"corrupt" ~base:(page lsl Shadow_table.page_bits)
-        ~len:Shadow_table.page_size ~prot ()
-    in
-    Shadow_table.corrupt_slot s ~page ~region ~fix_checksum;
-    true
-
 (** Corrupt the published policy instance itself: flip the protection
-    bits of the region based at [base] in the exact table's decode
+    bits of the region based at [base] in the linear table's decode
     mirror, making the authoritative-looking walk lie. Returns [false]
     when no such region exists or the structure keeps no linear table. *)
 let corrupt_instance t ~base ~prot =

@@ -3,11 +3,11 @@
     and the degrade / rebuild / re-promote state machine.
 
     Threat model (MOAT/BULKHEAD's observation applied to ourselves): the
-    enforcement machinery — shadow permission table, per-site inline
-    caches, the RCU-published policy instance — is itself kernel memory a
-    wild write can corrupt into *stale allows*. Every legitimate mutation
-    funnels through {!Engine.bump_epoch}, where a commit hook re-snapshots
-    the authoritative copy held here (region list + default action +
+    enforcement machinery — per-site inline caches and the RCU-published
+    policy instance — is itself kernel memory a wild write can corrupt
+    into *stale allows*. Every legitimate mutation funnels through
+    {!Engine.bump_epoch}, where a commit hook re-snapshots the
+    authoritative copy held here (region list + default action +
     digest). Out-of-band corruption bypasses that choke point, so the
     live tiers diverge from the authoritative copy and the next audit
     catches the divergence. (A corruption immediately followed by a
@@ -17,30 +17,26 @@
 
     Tier trust lattice, top down:
 
-    + compiled + inline caches (epoch-validated per-site slots, canaries)
-    + shadow page table (per-slot checksums + semantic cross-check)
-    + linear exact walk (digest tied back to the authoritative copy)
+    + inline caches (epoch-validated per-site span slots, canaries,
+      semantic cross-check)
+    + exact walk (instance digest tied back to the authoritative copy)
 
     On a mismatch the corrupt tier is *quarantined*: the inline caches
-    are switched off and flushed, a corrupt shadow drops the engine to
-    the linear interpreter fallback (a fresh instance built from the
-    authoritative copy is published, so not a single check is served
-    from the corrupt structure), and a corrupt instance is rebuilt from
-    the authoritative copy immediately — there is no lower tier to fall
-    to. Quarantined tiers are rebuilt and re-promoted after a cooldown,
-    with bounded retries and exponential backoff; a tier that keeps
-    failing re-audit is abandoned (left degraded) rather than flapping.
-    Every transition emits [Tier_degraded]/[Tier_rebuilt] trace events
-    and bumps the counters surfaced in /proc/carat. *)
+    are switched off and flushed, so every check takes the exact walk,
+    and a corrupt instance is rebuilt from the authoritative copy
+    immediately — there is no lower tier to fall to (a fresh instance
+    is published, so not a single check is served from the corrupt
+    structure). Quarantined tiers are rebuilt and re-promoted after a
+    cooldown, with bounded retries and exponential backoff; a tier that
+    keeps failing re-audit is abandoned (left degraded) rather than
+    flapping. Every transition emits [Tier_degraded]/[Tier_rebuilt]
+    trace events and bumps the counters surfaced in /proc/carat. *)
 
-type tier = Ic | Shadow_tier | Instance
+type tier = Ic | Instance
 
-let tier_code = function Ic -> 0 | Shadow_tier -> 1 | Instance -> 2
+let tier_code = function Ic -> 0 | Instance -> 2
 
-let tier_to_string = function
-  | Ic -> "inline-cache"
-  | Shadow_tier -> "shadow"
-  | Instance -> "instance"
+let tier_to_string = function Ic -> "inline-cache" | Instance -> "instance"
 
 type state = Active | Quarantined | Abandoned
 
@@ -92,7 +88,6 @@ type t = {
           mutation router so SMP runs rebuild through the RCU publish
           path; the default publishes directly (single-CPU). *)
   ic : cell;
-  shadow : cell;
   inst : cell;
   (* counters (also surfaced via ioctl + /proc/carat) *)
   mutable audits : int;
@@ -133,7 +128,6 @@ let create ?(config = default_config) engine =
           let inst = Engine.build_instance engine rs in
           ignore (Engine.publish engine inst ~default_allow:d));
       ic = make_cell Ic;
-      shadow = make_cell Shadow_tier;
       inst = make_cell Instance;
       audits = 0;
       detections = 0;
@@ -161,30 +155,6 @@ let audit_instance t =
   in
   charge t (2 * max 1 (List.length t.auth_regions));
   live <> t.auth_digest
-
-(* Shadow slots: checksum, then semantic cross-check against the
-   authoritative classification. Returns the number of corrupt slots. *)
-let audit_shadow t =
-  match Engine.live_shadow t.engine with
-  | None -> 0
-  | Some s ->
-    let bad = ref 0 in
-    for i = 0 to Shadow_table.shadow_entries - 1 do
-      if Shadow_table.slot_live s i then begin
-        charge t 2;
-        let sum_ok = s.Shadow_table.sums.(i) = Shadow_table.slot_sum s i in
-        let page = s.Shadow_table.tags.(i) in
-        let cls, depth = Shadow_table.classify_page t.auth_regions page in
-        let sem_ok =
-          Shadow_table.entry_code s.Shadow_table.state.(i)
-            = Shadow_table.entry_code cls
-          && (s.Shadow_table.depths.(i) = depth
-             || s.Shadow_table.state.(i) = Shadow_table.Straddle)
-        in
-        if not (sum_ok && sem_ok) then incr bad
-      end
-    done;
-    !bad
 
 (* Inline-cache slots across every view: canary, then semantic
    cross-check of the whole cached (span, prot, depth, rbase) fact. A
@@ -232,20 +202,14 @@ let audit_ic t =
 
 let emit t kind tier = Engine.lifecycle t.engine kind ~info:(tier_code tier)
 
-(* The inline caches may serve only when both the ic tier and the shadow
-   tier are trusted (a shadow quarantine widens the blast radius
-   conservatively: everything derived is suspect). *)
-let apply_ic_switch t =
-  Engine.set_ic_enabled t.engine
-    (t.ic.c_state = Active && t.shadow.c_state = Active)
+let apply_ic_switch t = Engine.set_ic_enabled t.engine (t.ic.c_state = Active)
 
 let flush_all_ics t =
   List.iter Engine.flush_view_site_cache (Engine.views t.engine)
 
-(* Publish a fresh instance of the engine's *active* kind built from the
-   authoritative copy. Every degraded/rebuilt service change goes through
-   here, so no check is ever served from a structure that was found
-   corrupt. *)
+(* Publish a fresh instance built from the authoritative copy. Every
+   rebuilt service change goes through here, so no check is ever served
+   from a structure that was found corrupt. *)
 let publish_auth t = t.route t.auth_regions t.auth_default
 
 let degrade t (c : cell) =
@@ -261,13 +225,6 @@ let degrade t (c : cell) =
     | Ic ->
       apply_ic_switch t;
       flush_all_ics t
-    | Shadow_tier ->
-      (* drop to the linear interpreter fallback: publish a clean linear
-         instance from the authoritative copy; the corrupt shadow is out
-         of service before the next check *)
-      Engine.set_active_kind t.engine Engine.Linear;
-      apply_ic_switch t;
-      publish_auth t
     | Instance ->
       (* no lower tier: rebuild from the authoritative copy on the spot *)
       publish_auth t
@@ -327,21 +284,6 @@ let audit t =
       ~reaudit:(fun () -> not (audit_instance t))
       ~rebuild:(fun () -> publish_auth t)
   | Abandoned -> ());
-  (* shadow tier *)
-  (match t.shadow.c_state with
-  | Active ->
-    let bad = audit_shadow t in
-    if bad > 0 then begin
-      incr found;
-      degrade t t.shadow
-    end
-  | Quarantined ->
-    attempt_repromote t t.shadow
-      ~reaudit:(fun () -> audit_shadow t = 0)
-      ~rebuild:(fun () ->
-        Engine.set_active_kind t.engine t.engine.Engine.kind;
-        publish_auth t)
-  | Abandoned -> ());
   (* inline caches *)
   (match t.ic.c_state with
   | Active ->
@@ -361,19 +303,15 @@ let audit t =
 (* ------------------------------------------------------------------ *)
 (* observability *)
 
-(** Effective tier level the engine is serving from: 2 = full fast path
-    (shadow + inline caches), 1 = shadow only (caches quarantined),
-    0 = linear fallback. *)
-let tier_level t =
-  if Engine.active_kind t.engine <> t.engine.Engine.kind then 0
-  else if not (Engine.ic_enabled t.engine) then 1
-  else 2
+(** Effective tier level the engine is serving from: 2 = inline caches
+    serving, 1 = caches quarantined (every check takes the exact walk).
+    The numbering is part of the ioctl 19 and /proc/carat/selfheal
+    layout. *)
+let tier_level t = if Engine.ic_enabled t.engine then 2 else 1
 
-let healthy t =
-  t.ic.c_state = Active && t.shadow.c_state = Active
-  && t.inst.c_state = Active
+let healthy t = t.ic.c_state = Active && t.inst.c_state = Active
 
-let cells t = [ t.ic; t.shadow; t.inst ]
+let cells t = [ t.ic; t.inst ]
 let audits t = t.audits
 let detections t = t.detections
 let audit_cost_cycles t = t.audit_cost_cycles

@@ -3,9 +3,9 @@
 
     First-match-wins region tables fail in quiet ways: a later rule can
     be fully shadowed by earlier ones, a table can outgrow the linear
-    table the kernel module actually allocates, and page-straddling
-    regions silently disable the shadow-table fast tier. These lints
-    surface each case before the policy is pushed.
+    table the kernel module actually allocates, and in a named domain
+    page-straddling regions silently bypass the domain's sharded page
+    shadow. These lints surface each case before the policy is pushed.
 
     Codes ([E-] prefixed findings are errors, [W-] warnings):
     - [E-capacity]: more regions than the target table can hold (the
@@ -22,12 +22,16 @@
       classic operator mistake;
     - [W-write-only]: write-without-read protection; almost always a
       typo for [rw] (hardware-style write-only windows are rare);
-    - [W-straddle]: a region boundary not aligned to the shadow-table
-      page size — every page it partially covers classifies as
-      [Straddle] and falls back to the slow exact walk;
-    - [W-shadow-invisible]: a region so small (and so placed) that it
-      fully contains no page, so the shadow table can never serve it
-      from the fast tier. *)
+    - [W-straddle] (named domains only): a region boundary not aligned
+      to the page size — the domain shadow cannot cache any page it
+      partially covers, so checks there take the exact walk;
+    - [W-shadow-invisible] (named domains only): a region so small (and
+      so placed) that it fully contains no page, so the domain shadow
+      can never serve it.
+
+    The root policy has no page-granular cache (its fast tier is the
+    per-site span inline cache), so the last two lints do not apply to
+    it. *)
 
 type severity = Err | Warn
 
@@ -56,7 +60,7 @@ let subtract_interval ivals (clo, chi) =
         @ if chi < hi then [ (chi, hi) ] else [])
     ivals
 
-let page_size = Shadow_table.page_size
+let page_size = Kernel.Memory.page_size
 
 let lint (t : Policy_file.t) : finding list =
   let out = ref [] in
@@ -122,20 +126,24 @@ let lint (t : Policy_file.t) : finding list =
           "region %s is write-only; guards for reads in this range will be \
            denied (did you mean rw?)"
           (Region.to_string r);
-      (* shadow-table visibility: a page must be fully inside the region
-         to classify Uniform *)
-      let first_page = (r.Region.base + page_size - 1) / page_size in
-      let last_page = rlim / page_size in
-      if first_page >= last_page then
-        push Warn "W-shadow-invisible" i
-          "region %s fully contains no %d-byte page; the shadow-table fast \
-           tier can never serve it"
-          (Region.to_string r) page_size
-      else if r.Region.base mod page_size <> 0 || rlim mod page_size <> 0 then
-        push Warn "W-straddle" i
-          "region %s is not page-aligned; pages straddling its boundary fall \
-           back to the exact walk"
-          (Region.to_string r))
+      (* domain-shadow visibility: a page must lie fully inside the
+         region for the domain shadow to cache it *)
+      if domained then begin
+        let first_page = (r.Region.base + page_size - 1) / page_size in
+        let last_page = rlim / page_size in
+        if first_page >= last_page then
+          push Warn "W-shadow-invisible" i
+            "region %s fully contains no %d-byte page; the page shadow of \
+             domain '%s' can never serve it"
+            (Region.to_string r) page_size t.Policy_file.domain
+        else if r.Region.base mod page_size <> 0 || rlim mod page_size <> 0
+        then
+          push Warn "W-straddle" i
+            "region %s is not page-aligned; the page shadow of domain '%s' \
+             cannot cache the pages straddling its boundary, so checks there \
+             take the exact walk"
+            (Region.to_string r) t.Policy_file.domain
+      end)
     regions;
   List.rev !out
 

@@ -314,7 +314,7 @@ let apply_in_place t (m : mutation) : int =
     0
   | M_set_default b ->
     (* epoch-bumping setter: flips the default action and invalidates
-       every fast tier (shadow, inline caches) in O(1) *)
+       every inline cache in O(1) *)
     Engine.set_default_allow t.engine b;
     0
   | M_set_mode mode ->

@@ -14,10 +14,10 @@ type outcome = {
 }
 
 (** Typed escape hatch from the packed {!instance}: implementations that
-    expose integrity-auditable internals (the shadow table's slot arrays,
-    the linear table's entry mirror) extend this variant with their own
-    constructor; everything else answers {!Opaque}. The integrity layer
-    uses it to reach tier metadata without widening the lookup API. *)
+    expose integrity-auditable internals (the linear table's entry
+    mirror) extend this variant with their own constructor; everything
+    else answers {!Opaque}. The integrity layer uses it to reach tier
+    metadata without widening the lookup API. *)
 type repr = ..
 
 type repr += Opaque

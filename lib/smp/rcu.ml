@@ -15,8 +15,9 @@
       policy update), and
     + retires the old generation only after a grace period: every CPU
       has passed a quiescent point (completed a scheduler operation)
-      since the publish. The simulation has no allocator-level free, so
-      retirement drops the last reference and records the grace latency.
+      since the publish. Retirement kfrees the generation's table
+      (node-based structures keep no contiguous table and free nothing)
+      and records the grace latency.
 
     Wired into {!Policy.Policy_module} via {!attach}: every region/mode
     ioctl then routes through this path, so `policy_manager` mutations
@@ -49,7 +50,8 @@ type stats = {
 type pending = {
   p_gen : int;
   p_birth : int;  (** global quiescent count at publish *)
-  p_inst : Policy.Structure.instance;  (** the retired table, kept live *)
+  p_inst : Policy.Structure.instance;
+      (** the retired table, kept live until its grace period ends *)
 }
 
 type t = {
@@ -210,13 +212,18 @@ let quiesce t cpu =
     | _ -> ());
     List.iter
       (fun p ->
-        (match t.race with
-        | Some det -> (
-          match Policy.Structure.table_region p.p_inst with
-          | Some (base, len) ->
+        (match Policy.Structure.table_region p.p_inst with
+        | Some (base, len) -> (
+          (match t.race with
+          | Some det ->
             Sanitizer.Race.sync_write det ~lo:base ~hi:(base + len)
               ~site:"rcu-retire"
-          | None -> ())
+          | None -> ());
+          (* no reader can still be walking the table: hand it back *)
+          match Kernel.kfree t.engine.Policy.Engine.kernel ~addr:base with
+          | Ok () -> ()
+          | Error e ->
+            invalid_arg ("Rcu.quiesce: " ^ Kernel.free_error_to_string e))
         | None -> ());
         t.stats.retired <- t.stats.retired + 1;
         t.stats.grace_quiescents <-

@@ -34,7 +34,7 @@ type kind =
   | Ipi_flush  (** IPI shootdown handled on this CPU ([info] = sender) *)
   | Tier_degraded
       (** integrity watchdog quarantined a corrupt fast tier ([info] =
-          tier code: 0 = inline cache, 1 = shadow, 2 = instance) *)
+          tier code: 0 = inline cache, 2 = instance) *)
   | Tier_rebuilt
       (** a quarantined tier was rebuilt from the authoritative table and
           re-promoted ([info] = tier code, as above) *)

@@ -304,7 +304,7 @@ let exec_opt_case m ~engine ~cover_buf ~buf_prot ~cover_infra =
   let k = Kernel.create ~require_signature:false Machine.Presets.r350 in
   ignore (Vm.Engine.install ~kind:engine k);
   let pm =
-    Policy.Policy_module.install ~kind:Policy.Engine.Shadow ~site_cache:true
+    Policy.Policy_module.install ~site_cache:true
       ~on_deny:Policy.Policy_module.Audit k
   in
   let buf = Kernel.kmalloc k ~size:256 in

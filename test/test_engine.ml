@@ -1,28 +1,27 @@
-(* Engine equivalence: the fast policy tiers (shadow table, per-site
-   inline cache) must be decision-identical to the plain linear table,
-   epoch bumps must kill stale cache entries, and the compiled KIR
-   engine must be cycle- and outcome-identical to the interpreter. *)
+(* Engine equivalence: the per-site span inline cache must be
+   decision-identical to the plain linear table it fronts, epoch bumps
+   must kill stale cache entries, and the compiled KIR engine must be
+   cycle- and outcome-identical to the interpreter. *)
 
 open Carat_kop
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
-(* ---------- differential property: shadow / shadow+IC vs linear ---------- *)
+(* ---------- differential property: linear+IC vs linear ---------- *)
 
-(* One kernel hosting the three engines under test; policies are swapped
+(* One kernel hosting the two engines under test; policies are swapped
    per trial with set_policy (kernel creation dwarfs everything else the
    property does). *)
 let diff_cell =
   lazy
     (let k = Kernel.create ~require_signature:false Machine.Presets.r350 in
      let lin = Policy.Engine.create ~kind:Policy.Engine.Linear ~capacity:64 k in
-     let sh = Policy.Engine.create ~kind:Policy.Engine.Shadow ~capacity:64 k in
-     let shic = Policy.Engine.create ~kind:Policy.Engine.Shadow ~capacity:64 k in
-     Policy.Engine.enable_site_cache shic;
-     (lin, sh, shic))
+     let linic = Policy.Engine.create ~kind:Policy.Engine.Linear ~capacity:64 k in
+     Policy.Engine.enable_site_cache linic;
+     (lin, linic))
 
-let page_size = Policy.Shadow_table.page_size
+let page_size = Kernel.Memory.page_size
 
 (* Non-overlapping regions walking up the user half, with deliberate
    edge shapes — zero gaps (adjacent regions), one-byte regions, exact
@@ -185,54 +184,49 @@ let decision e ~addr ~size ~flags =
 
 let prop_differential =
   QCheck.Test.make
-    ~name:"shadow and shadow+site-cache decide byte-for-byte like linear"
+    ~name:"linear+site-cache decides byte-for-byte like linear"
     ~count:60
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let lin, sh, shic = Lazy.force diff_cell in
+      let lin, linic = Lazy.force diff_cell in
       let rng = Machine.Rng.create seed in
       let policy = gen_policy rng in
       Policy.Engine.set_policy lin policy;
-      Policy.Engine.set_policy sh policy;
-      Policy.Engine.set_policy shic policy;
+      Policy.Engine.set_policy linic policy;
       let accesses = gen_accesses rng policy in
       (* two passes through the inline cache: the first fills spans that
          later accesses reuse, the second runs hot — every answer must
          agree with the linear reference *)
       List.for_all
         (fun (site, addr, size, flags) ->
-          let want = decision lin ~addr ~size ~flags in
-          want = decision sh ~addr ~size ~flags
-          && want = Policy.Engine.check_fast shic ~site ~addr ~size ~flags)
+          decision lin ~addr ~size ~flags
+          = Policy.Engine.check_fast linic ~site ~addr ~size ~flags)
         (accesses @ accesses))
 
 (* Decision stats must be tier-invariant: the same access stream drives
    the same (checks, allowed, denied, entries_scanned) through the plain
-   linear walk, the shadow table, and the shadow+inline-cache fast path —
-   fast tiers may only differ in the separate hit/miss tier counters. *)
+   linear walk and the linear+inline-cache fast path — the fast tier may
+   only differ in the separate hit/miss tier counters. *)
 let prop_decision_stats_tier_invariant =
   QCheck.Test.make
     ~name:"decision stats (checks/allowed/denied/entries_scanned) are tier-invariant"
     ~count:40
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let lin, sh, shic = Lazy.force diff_cell in
+      let lin, linic = Lazy.force diff_cell in
       let rng = Machine.Rng.create seed in
       let policy = gen_policy rng in
       Policy.Engine.set_policy lin policy;
-      Policy.Engine.set_policy sh policy;
-      Policy.Engine.set_policy shic policy;
+      Policy.Engine.set_policy linic policy;
       Policy.Engine.reset_stats lin;
-      Policy.Engine.reset_stats sh;
-      Policy.Engine.reset_stats shic;
+      Policy.Engine.reset_stats linic;
       let accesses = gen_accesses rng policy in
       (* two rounds so the second pass runs hot through the inline cache *)
       for _round = 1 to 2 do
         List.iter
           (fun (site, addr, size, flags) ->
             ignore (Policy.Engine.check lin ~addr ~size ~flags);
-            ignore (Policy.Engine.check sh ~addr ~size ~flags);
-            ignore (Policy.Engine.check_fast shic ~site ~addr ~size ~flags))
+            ignore (Policy.Engine.check_fast linic ~site ~addr ~size ~flags))
           accesses
       done;
       let st e =
@@ -242,14 +236,14 @@ let prop_decision_stats_tier_invariant =
           s.Policy.Engine.denied,
           s.Policy.Engine.entries_scanned )
       in
-      st lin = st sh && st lin = st shic)
+      st lin = st linic)
 
 (* Regression: an inline-cache allow hit used to leave [last_deny] from a
    previous denial in place, so the next denial's diagnostic (or a panic
    report) could blame a stale region. *)
 let test_last_deny_cleared_on_ic_hit () =
   let k = Kernel.create ~require_signature:false Machine.Presets.r350 in
-  let e = Policy.Engine.create ~kind:Policy.Engine.Shadow ~capacity:64 k in
+  let e = Policy.Engine.create ~kind:Policy.Engine.Linear ~capacity:64 k in
   Policy.Engine.enable_site_cache e;
   Policy.Engine.set_policy e
     [
@@ -292,7 +286,7 @@ let test_zero_length_region_rejected () =
 let setup_pm () =
   let k = Kernel.create ~require_signature:false Machine.Presets.r350 in
   let pm =
-    Policy.Policy_module.install ~kind:Policy.Engine.Shadow ~site_cache:true
+    Policy.Policy_module.install ~site_cache:true
       ~on_deny:Policy.Policy_module.Audit k
   in
   (k, pm)
@@ -357,7 +351,7 @@ let golden_run kind =
     {
       Testbed.default_config with
       Testbed.technique = Testbed.Carat;
-      structure = Policy.Engine.Shadow;
+      structure = Policy.Engine.Linear;
       site_cache = true;
       engine = kind;
       stall_prob = 0.02;
@@ -398,7 +392,7 @@ let traced_golden_run kind =
     {
       Testbed.default_config with
       Testbed.technique = Testbed.Carat;
-      structure = Policy.Engine.Shadow;
+      structure = Policy.Engine.Linear;
       site_cache = true;
       engine = kind;
       stall_prob = 0.02;

@@ -68,11 +68,7 @@ let test_tamper_rejected_at_load () =
 (* ---------- tier-corruption outcomes (self-healing) ---------- *)
 
 let corruption_classes =
-  [
-    Fault.Inject.Shadow_corrupt;
-    Fault.Inject.Icache_corrupt;
-    Fault.Inject.Rcu_instance_corrupt;
-  ]
+  [ Fault.Inject.Icache_corrupt; Fault.Inject.Rcu_instance_corrupt ]
 
 let test_corruption_quarantine_heals () =
   List.iter

@@ -95,7 +95,7 @@ let test_vfs_read_clamping () =
 let procfs_cell () =
   let k = fresh () in
   let pm =
-    Policy.Policy_module.install ~kind:Policy.Engine.Shadow ~site_cache:true
+    Policy.Policy_module.install ~site_cache:true
       ~on_deny:Policy.Policy_module.Audit k
   in
   Trace.start (Policy.Policy_module.enable_trace ~capacity:64 pm);

@@ -497,10 +497,10 @@ let test_ioctl_clear () =
 
 (* ---------- self-healing integrity ---------- *)
 
-let setup_shadow_pm ?(site_cache = false) () =
+let setup_integrity_pm ?(site_cache = false) () =
   let k = fresh () in
   let pm =
-    Policy.Policy_module.install ~kind:Policy.Engine.Shadow ~site_cache
+    Policy.Policy_module.install ~site_cache
       ~on_deny:Policy.Policy_module.Audit k
   in
   Policy.Policy_module.set_policy pm Policy.Region.kernel_only;
@@ -509,7 +509,7 @@ let setup_shadow_pm ?(site_cache = false) () =
 (* A legitimate mutation goes through the epoch choke point, so the
    authoritative snapshot follows it and audits stay clean. *)
 let test_integrity_commit_hook_tracks_mutations () =
-  let _, pm, eng = setup_shadow_pm () in
+  let _, pm, eng = setup_integrity_pm () in
   let ig = Policy.Policy_module.enable_integrity pm in
   checki "clean at rest" 0 (Policy.Integrity.audit ig);
   Policy.Policy_module.set_policy pm (Policy.Region.kernel_only_padded 8);
@@ -523,82 +523,40 @@ let test_integrity_commit_hook_tracks_mutations () =
     (Policy.Integrity.detections ig);
   ignore eng
 
-(* Without the watchdog, a corrupt shadow slot serves a stale allow: the
-   attack the self-healing layer exists to stop, demonstrated first. *)
+(* Without the watchdog, a forged inline-cache span serves a stale
+   allow: the attack the self-healing layer exists to stop, demonstrated
+   first. *)
 let test_stale_allow_without_integrity () =
-  let _, _, eng = setup_shadow_pm () in
+  let _, _, eng = setup_integrity_pm ~site_cache:true () in
   Policy.Engine.set_verify eng true;
-  (* warm the slot for a user page, then smash it into a writable fact
-     with a forged checksum (the wild write) *)
-  let addr = 0x4000 in
-  let page = addr lsr Policy.Shadow_table.page_bits in
-  (match Policy.Engine.check eng ~addr ~size:8 ~flags:2 with
-  | Policy.Engine.Denied _ -> ()
-  | Policy.Engine.Allowed _ -> Alcotest.fail "user store allowed pre-corruption");
-  checkb "slot corrupted" true
-    (Policy.Engine.corrupt_shadow eng ~page ~prot:Policy.Region.prot_rw
-       ~fix_checksum:true);
-  (match Policy.Engine.check eng ~addr ~size:8 ~flags:2 with
-  | Policy.Engine.Allowed _ -> ()
-  | Policy.Engine.Denied _ -> Alcotest.fail "corrupt slot did not answer");
+  let addr = 0x4000 and site = 7 and w = Policy.Region.prot_write in
+  (* the user half is deny-all: the site's first check fills a deny span *)
+  checkb "user store denied pre-corruption" false
+    (Policy.Engine.check_fast eng ~site ~addr ~size:8 ~flags:w);
+  (* the wild write: a consistent forgery (canary intact) of a writable
+     span over the page *)
+  checkb "slot forged" true
+    (Policy.Engine.corrupt_site_cache eng
+       (Policy.Engine.default_view eng)
+       ~site ~lo:addr ~hi:(addr + Kernel.Memory.page_size)
+       ~prot:Policy.Region.prot_rw ~smash_canary:false);
+  checkb "forged span answered allow" true
+    (Policy.Engine.check_fast eng ~site ~addr ~size:8 ~flags:w);
   checkb "stale allow counted by paranoia" true
     (Policy.Engine.stale_allows eng > 0)
 
-(* Checksum-detectable shadow corruption: quarantine drops the engine to
-   the linear fallback (not one check served from the corrupt table),
-   then the cooldown rebuild restores the shadow tier. *)
-let test_shadow_degrade_and_repromote () =
-  let _, pm, eng = setup_shadow_pm () in
-  let ig = Policy.Policy_module.enable_integrity pm in
-  let addr = 0x4000 in
-  let page = addr lsr Policy.Shadow_table.page_bits in
-  ignore (Policy.Engine.check eng ~addr ~size:8 ~flags:2);
-  checkb "corrupted" true
-    (Policy.Engine.corrupt_shadow eng ~page ~prot:Policy.Region.prot_rw
-       ~fix_checksum:false);
-  checki "full tier before" 2 (Policy.Integrity.tier_level ig);
-  checki "audit detects" 1 (Policy.Integrity.audit ig);
-  checki "dropped to linear fallback" 0 (Policy.Integrity.tier_level ig);
-  checkb "degraded, not healthy" false (Policy.Integrity.healthy ig);
-  (* enforcement continues from the fallback with no stale allow *)
-  Policy.Engine.set_verify eng true;
-  (match Policy.Engine.check eng ~addr ~size:8 ~flags:2 with
-  | Policy.Engine.Denied _ -> ()
-  | Policy.Engine.Allowed _ -> Alcotest.fail "degraded engine allowed the store");
-  checki "no stale allows" 0 (Policy.Engine.stale_allows eng);
-  (* cooldown (2 audits) then rebuild re-promotes the shadow tier *)
-  ignore (Policy.Integrity.audit ig);
-  ignore (Policy.Integrity.audit ig);
-  checki "restored" 2 (Policy.Integrity.tier_level ig);
-  checkb "healthy again" true (Policy.Integrity.healthy ig);
-  checkb "rebuild counted" true (Policy.Integrity.rebuilds ig > 0)
-
-(* Semantic cross-check: a corrupt slot whose checksum was forged to
-   match is still caught against the authoritative classification. *)
-let test_shadow_semantic_crosscheck () =
-  let _, pm, eng = setup_shadow_pm () in
-  let ig = Policy.Policy_module.enable_integrity pm in
-  let page = 0x4000 lsr Policy.Shadow_table.page_bits in
-  ignore (Policy.Engine.check eng ~addr:0x4000 ~size:8 ~flags:2);
-  checkb "corrupted with forged checksum" true
-    (Policy.Engine.corrupt_shadow eng ~page ~prot:Policy.Region.prot_rw
-       ~fix_checksum:true);
-  checki "semantic audit still detects" 1 (Policy.Integrity.audit ig)
-
-(* Inline-cache corruption: only the top tier is quarantined (shadow
-   keeps serving), and the flush-based rebuild re-promotes it. *)
+(* Inline-cache corruption: the caches are quarantined (the exact walk
+   serves every check), and the flush-based rebuild re-promotes them. *)
 let test_ic_degrade_and_repromote () =
-  let _, pm, eng = setup_shadow_pm ~site_cache:true () in
+  let _, pm, eng = setup_integrity_pm ~site_cache:true () in
   let ig = Policy.Policy_module.enable_integrity pm in
-  let page = 0x4000 lsr Policy.Shadow_table.page_bits in
   checkb "slot planted" true
     (Policy.Engine.corrupt_site_cache eng
        (Policy.Engine.default_view eng)
-       ~site:7 ~lo:(page lsl Policy.Shadow_table.page_bits)
-       ~hi:((page + 1) lsl Policy.Shadow_table.page_bits)
+       ~site:7 ~lo:0x4000 ~hi:(0x4000 + Kernel.Memory.page_size)
        ~prot:Policy.Region.prot_rw ~smash_canary:true);
   checki "audit detects" 1 (Policy.Integrity.audit ig);
-  checki "caches off, shadow still serving" 1 (Policy.Integrity.tier_level ig);
+  checki "caches off, exact walk serving" 1 (Policy.Integrity.tier_level ig);
   checkb "ic master switch off" false (Policy.Engine.ic_enabled eng);
   ignore (Policy.Integrity.audit ig);
   ignore (Policy.Integrity.audit ig);
@@ -610,7 +568,7 @@ let test_ic_degrade_and_repromote () =
    the audit catches it only because it re-derives the whole [lo, hi)
    from the authoritative regions. *)
 let test_ic_widened_span_caught () =
-  let _, pm, eng = setup_shadow_pm ~site_cache:true () in
+  let _, pm, eng = setup_integrity_pm ~site_cache:true () in
   Policy.Policy_module.set_policy pm
     ([ region ~tag:"buf" 0xA000 0x1000; region ~tag:"hole" ~prot:0 0xB000 0x1000 ]
     @ Policy.Region.kernel_only);
@@ -631,7 +589,7 @@ let test_ic_widened_span_caught () =
     checki "span ends where the hole starts" 0xB000 sc.Policy.Engine.sc_hi.(i);
     sc.Policy.Engine.sc_hi.(i) <- 0xC000);
   checki "semantic audit catches the widened span" 1 (Policy.Integrity.audit ig);
-  checki "inline caches degraded, shadow serving" 1
+  checki "inline caches degraded, exact walk serving" 1
     (Policy.Integrity.tier_level ig);
   checkb "write into the hole denied" false
     (Policy.Engine.check_fast eng ~site ~addr:0xB010 ~size:8 ~flags:w);
@@ -641,7 +599,7 @@ let test_ic_widened_span_caught () =
    max_retries (left degraded), not re-promoted forever: the route is
    pinned to a no-op so every repair "fails". *)
 let test_bounded_retries_then_abandon () =
-  let _, _, eng = setup_shadow_pm () in
+  let _, _, eng = setup_integrity_pm () in
   let ig =
     Policy.Integrity.create
       ~config:{ Policy.Integrity.cooldown_audits = 1; max_retries = 2 }
@@ -662,7 +620,7 @@ let test_bounded_retries_then_abandon () =
 
 (* The selfheal procfs file renders live integrity state. *)
 let test_selfheal_procfs () =
-  let k, pm, eng = setup_shadow_pm () in
+  let k, pm, eng = setup_integrity_pm () in
   let fs = Kernsvc.Kernfs.create k in
   let proc = Kernsvc.Procfs.install fs pm in
   checkb "placeholder before enabling" true
@@ -967,7 +925,7 @@ let test_duplicate_base_remove () =
           (Policy.Engine.kind_to_string kind))
     [
       Policy.Engine.Linear; Policy.Engine.Itree; Policy.Engine.Bloom;
-      Policy.Engine.Cached; Policy.Engine.Shadow;
+      Policy.Engine.Cached;
     ]
 
 (* Every structure kind at its exact capacity boundary: n = capacity
@@ -1563,10 +1521,6 @@ let () =
             test_integrity_commit_hook_tracks_mutations;
           Alcotest.test_case "stale allow without integrity" `Quick
             test_stale_allow_without_integrity;
-          Alcotest.test_case "shadow degrade+repromote" `Quick
-            test_shadow_degrade_and_repromote;
-          Alcotest.test_case "shadow semantic cross-check" `Quick
-            test_shadow_semantic_crosscheck;
           Alcotest.test_case "ic degrade+repromote" `Quick
             test_ic_degrade_and_repromote;
           Alcotest.test_case "ic widened span caught" `Quick

@@ -279,6 +279,55 @@ let test_single_cpu_stays_in_place () =
   (* in-place path: the epoch moves, the RCU generation does not *)
   checki "no RCU generation on 1 CPU" 0 (Policy.Engine.generation engine)
 
+(* Retirement frees: each table an SMP publication replaces is kfree'd
+   once its grace period ends, so after a warm-up that reaches the
+   steady-state number of live and pending generations, 200 more
+   publications through the policy-module ioctls reuse freed tables
+   instead of growing the kernel heap. *)
+let test_rcu_retirement_frees_tables () =
+  let kernel, pm, smp = mk_system () in
+  let engine = Smp.System.engine smp in
+  let table_bytes =
+    match Policy.Engine.table_region engine with
+    | Some (_, len) -> len
+    | None -> Alcotest.fail "the linear table keeps no table region"
+  in
+  let arg = Kernel.kmalloc kernel ~size:24 in
+  let ioctl cmd =
+    Kernel.write kernel ~addr:arg ~size:8 0x30000;
+    Kernel.write kernel ~addr:(arg + 8) ~size:8 0x1000;
+    Kernel.write kernel ~addr:(arg + 16) ~size:8 Policy.Region.prot_rw;
+    Policy.Policy_module.handle_ioctl pm kernel ~cmd ~arg
+  in
+  let warmup = 20 and steps = 120 in
+  let w = ref 0 and warm_used = ref 0 and warm_pubs = ref 0 in
+  let rcu_stats () = Smp.Rcu.stats (Smp.System.rcu smp) in
+  ignore
+    (Smp.System.run smp
+       [|
+         (fun () ->
+           incr w;
+           (* an add and a remove: two publications per step *)
+           checki "ioctl add ok" 0 (ioctl Policy.Policy_module.ioctl_add);
+           checki "ioctl remove ok" 0 (ioctl Policy.Policy_module.ioctl_remove);
+           if !w = warmup then begin
+             warm_used := Kernel.phys_used kernel;
+             warm_pubs := (rcu_stats ()).Smp.Rcu.publications
+           end;
+           !w < steps);
+         (fun () ->
+           ignore
+             (Policy.Engine.check engine ~addr:probe_addr ~size:8
+                ~flags:Policy.Region.prot_write);
+           !w < steps);
+       |]);
+  let rs = rcu_stats () in
+  checkb "at least 200 publications after warm-up" true
+    (rs.Smp.Rcu.publications - !warm_pubs >= 200);
+  checki "every publication retired" rs.Smp.Rcu.publications rs.Smp.Rcu.retired;
+  checkb "kernel heap flat to within one table" true
+    (Kernel.phys_used kernel - !warm_used <= table_bytes)
+
 (* ---------- merged per-CPU trace accounting (satellite) ---------- *)
 
 let test_merged_drop_accounting () =
@@ -649,6 +698,8 @@ let () =
             test_ipi_flushes_remote_cache;
           Alcotest.test_case "ioctls route through the publish path" `Quick
             test_ioctls_route_through_rcu;
+          Alcotest.test_case "retirement frees the replaced table" `Quick
+            test_rcu_retirement_frees_tables;
           Alcotest.test_case "single CPU keeps the in-place path" `Quick
             test_single_cpu_stays_in_place;
         ] );

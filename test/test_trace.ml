@@ -158,7 +158,7 @@ let test_tier_event_kinds_roundtrip () =
 let ioctl_cell () =
   let k = fresh () in
   let pm =
-    Policy.Policy_module.install ~kind:Policy.Engine.Shadow ~site_cache:true
+    Policy.Policy_module.install ~site_cache:true
       ~on_deny:Policy.Policy_module.Audit k
   in
   Policy.Policy_module.set_policy pm
