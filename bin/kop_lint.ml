@@ -77,17 +77,16 @@ let cmd_policy path strict =
 
 let cmd_cert path expect_domain strict =
   with_kir path (fun m ->
-      match Analysis.Certify.validate ?expect_domain m with
+      match Analysis.Cert_check.validate ?expect_domain m with
       | Ok () ->
-        Printf.printf "%s: certificate ok (guard completeness re-proved)\n"
-          path;
+        Printf.printf "%s: certificate ok (every witness checked)\n" path;
         (* certificate validation emits no warnings; --strict is accepted
            for exit-code uniformity across subcommands *)
         ignore (strict : bool);
         0
       | Error e ->
         Printf.printf "%s: certificate REJECTED: %s\n" path
-          (Analysis.Certify.validate_error_to_string e);
+          (Analysis.Cert_check.validate_error_to_string e);
         3)
 
 let cmd_san path strict =

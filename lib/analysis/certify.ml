@@ -9,13 +9,15 @@
     [guard_elim]/[guard_hoist]/[dce] rewrote guard placement, no access
     escaped".
 
-    The proof is summarized in a machine-checkable {b certificate}: a
-    one-line per-function guard census plus a digest of the canonical
-    module body, stored under the {!Passes.Attest.meta_cert} key and
-    covered by the code signature. {!validate} re-derives the
-    certificate at load time, so the kernel can refuse modules whose
-    certificate is missing, stale (body changed since certification) or
-    fails re-analysis.
+    The proof is written out as a {b v2 certificate}: one witness per
+    reachable access (the covering guards, the symbolic base, the byte
+    interval and flags, a widened guard's loop header, the callee
+    guarantees an interprocedural fact used) plus each function's
+    exported guarantees, under a digest of the canonical module body.
+    It is stored under the {!Passes.Attest.meta_cert} key and covered
+    by the code signature. {!Cert_check} checks it without re-deriving
+    anything; that small checker, not this module, is what the kernel
+    runs at insmod.
 
     The certifier honours the recorded injection configuration:
     accesses exempted by [exempt_stack] are accepted when they are
@@ -48,6 +50,15 @@ type guard_site = {
   gs_shadowed_by : int list;  (** iids of the guards that subsume it *)
 }
 
+(** How the analysis discharged one reachable access. *)
+type proof =
+  | P_covered of GC.fact * (int * reg) option
+      (** covering fact; the counted loop (header, induction register)
+          when its range licensed a widened guard *)
+  | P_exempt of int  (** alloca the address is derived from *)
+  | P_skipped  (** a kind the injection config never guards *)
+  | P_uncovered
+
 type func_summary = {
   fs_name : string;
   fs_accesses : int;  (** reachable loads + stores *)
@@ -58,6 +69,8 @@ type func_summary = {
   fs_uncovered : uncovered list;
   fs_unreachable : label list;
   fs_sweeps : int;  (** dataflow sweeps to fixpoint *)
+  fs_proofs : proof list;  (** one per reachable access, in block order *)
+  fs_rets : GC.t list;  (** states at the end of each reachable return *)
 }
 
 type summary = {
@@ -66,6 +79,7 @@ type summary = {
   s_guard_reads : bool;
   s_guard_writes : bool;
   s_funcs : func_summary list;
+  s_summaries : Summaries.t option;  (** when interprocedural *)
 }
 
 let bool_meta m key ~default =
@@ -127,6 +141,7 @@ let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ~guard_symbol
   let guards = ref [] in
   let uncov = ref [] in
   let unreachable = ref [] in
+  let proofs = ref [] in
   let accesses = ref 0
   and covered = ref 0
   and exempt = ref 0
@@ -153,18 +168,31 @@ let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ~guard_symbol
               in
               incr accesses;
               let sv = GC.sv_of !t.GC.env addr in
-              (match GC.covering_fact ~bounds !t sv ~size ~flags with
-              | Some cf ->
+              let proof =
+                match GC.covering_fact !t sv ~size ~flags with
+                | Some cf -> P_covered (cf, None)
+                | None -> (
+                  let ranged = GC.covering_fact ~bounds !t sv ~size ~flags in
+                  match (ranged, fst (GC.base_off sv)) with
+                  | Some cf, GC.S_gep (_, GC.S_merge (h, r), _) ->
+                    P_covered (cf, Some (h, r))
+                  | _, core when exempt_stack && is_alloca_core core -> (
+                    match core with GC.S_def k -> P_exempt k | _ -> P_uncovered)
+                  | _ ->
+                    if
+                      (kind = A_load && not guard_reads)
+                      || (kind = A_store && not guard_writes)
+                    then P_skipped
+                    else P_uncovered)
+              in
+              proofs := proof :: !proofs;
+              (match proof with
+              | P_covered (cf, _) ->
                 incr covered;
                 List.iter (fun o -> Hashtbl.replace used o ()) cf.GC.origins
-              | None ->
-                let core, _ = GC.base_off sv in
-                if exempt_stack && is_alloca_core core then incr exempt
-                else if
-                  (kind = A_load && not guard_reads)
-                  || (kind = A_store && not guard_writes)
-                then incr skipped
-                else
+              | P_exempt _ -> incr exempt
+              | P_skipped -> incr skipped
+              | P_uncovered ->
                   uncov :=
                     {
                       u_func = f.f_name;
@@ -212,6 +240,14 @@ let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ~guard_symbol
     fs_uncovered = List.rev !uncov;
     fs_unreachable = List.rev !unreachable;
     fs_sweeps = sol.Dataflow.sweeps;
+    fs_proofs = List.rev !proofs;
+    fs_rets =
+      List.filter_map
+        (fun i ->
+          match ((Kir.Cfg.block cfg i).term, sol.Dataflow.block_out.(i)) with
+          | Ret _, Some t -> Some t
+          | _ -> None)
+        (List.init n Fun.id);
   }
 
 (** Does the module's signed metadata declare aggressive optimization?
@@ -243,11 +279,13 @@ let analyze ?guard_symbol (m : modul) : summary =
   let guard_writes =
     bool_meta m Passes.Guard_injection.meta_guard_writes ~default:true
   in
+  let summaries =
+    if interprocedural m then Some (Summaries.compute ~guard_symbol m) else None
+  in
   let call_effect =
-    if interprocedural m then
-      let s = Summaries.compute ~guard_symbol m in
-      Summaries.effect_of s
-    else fun _ -> Guard_cover.opaque_effect
+    match summaries with
+    | Some s -> Summaries.effect_of s
+    | None -> fun _ -> Guard_cover.opaque_effect
   in
   {
     s_guard_symbol = guard_symbol;
@@ -259,15 +297,15 @@ let analyze ?guard_symbol (m : modul) : summary =
         (analyze_func ~call_effect ~guard_symbol ~exempt_stack ~guard_reads
            ~guard_writes)
         m.funcs;
+    s_summaries = summaries;
   }
 
 (* -- certificate --------------------------------------------------- *)
 
-(** Digest of the canonical (meta-free) module body; ties the
-    certificate to the exact code it was derived from. *)
-let body_digest m =
-  Printf.sprintf "%016x"
-    (Passes.Signing.fnv1a64 (Kir.Printer.to_string ~with_meta:false m))
+module CC = Cert_check
+module CF = Cert_format
+
+let body_digest = CC.body_digest
 
 (** Module-metadata key naming the policy domain this module is meant to
     run under. When present, {!certify} stamps the domain into the
@@ -279,36 +317,188 @@ let meta_domain = "certify.domain"
 
 let set_domain m name = meta_set m meta_domain name
 
-let render ?domain ~digest (s : summary) =
-  let per_func =
-    List.map
-      (fun fs ->
-        Printf.sprintf "%s=%d,%d,%d,%d" fs.fs_name fs.fs_accesses fs.fs_covered
-          fs.fs_exempt
-          (List.length fs.fs_guards))
-      s.s_funcs
+(* an exported summary core (formals, symbols, immediates), with
+   constant geps folded the way {!Cert_check.value} reads them *)
+let rec vexp_of_sv sv =
+  let fold e = match CF.base_off e with c, 0 -> c | c, o -> CF.V_gep (c, CF.V_imm o, 1) in
+  match sv with
+  | GC.S_imm n -> Some (CF.V_imm n)
+  | GC.S_sym s -> Some (CF.V_sym s)
+  | GC.S_param r -> Some (CF.V_reg r)
+  | GC.S_gep (b, i, s) -> (
+    match (vexp_of_sv b, vexp_of_sv i) with
+    | Some b, Some i -> Some (fold (CF.V_gep (b, i, s)))
+    | _ -> None)
+  | GC.S_undef _ | GC.S_def _ | GC.S_merge _ -> None
+
+exception Unwitnessed of string
+
+(* One function's section: its exported guarantees, then one witness
+   per reachable access. Each is the first reading of the analysis's
+   proof that the checker accepts and the wire format can carry, so a
+   certificate this writes always checks. *)
+let section cx ~guarantees (f : func) (fs : func_summary) =
+  let fn = CC.context f in
+  let impure = CC.impure cx fn in
+  let fail fmt =
+    Printf.ksprintf (fun s -> raise (Unwitnessed (Printf.sprintf "@%s: %s" f.f_name s))) fmt
   in
-  String.concat ";"
-    ([
-       "v1";
-       "digest=" ^ digest;
-       "guard=" ^ s.s_guard_symbol;
-       Printf.sprintf "exempt=%b" s.s_exempt_stack;
-     ]
-    @ (match domain with Some d -> [ "domain=" ^ d ] | None -> [])
-    @ per_func
-    @ [ "verdict=certified" ])
+  (* each origin id read as a guard, or as a call through one of its
+     callee's guarantees: the first reading covering [need] on [c],
+     with what it covers *)
+  let pick c (lo, hi, fl) ids =
+    let readings iid =
+      match CC.instr fn iid with
+      | Call { callee; _ } when callee = cx.CC.gsym -> [ CF.O_guard iid ]
+      | Call { callee; _ } ->
+        let gs = Option.value (Hashtbl.find_opt cx.CC.gtab callee) ~default:[||] in
+        let n = Array.length gs in
+        List.init n (fun k -> CF.O_call (iid, k))
+      | _ -> []
+    in
+    let covering o =
+      match CC.cover cx fn c o with
+      | Some (l, h, x) when l <= lo && hi <= h && fl land x = fl -> Some (o, (l, h, x))
+      | _ -> None
+    in
+    let os = List.map (fun iid -> List.find_map covering (readings iid)) ids in
+    if ids <> [] && List.for_all Option.is_some os then Some (List.map Option.get os)
+    else None
+  in
+  (* the guarantee [k] with the origins of the facts that establish it
+     at each reachable return *)
+  let guarantee k (core, lo, hi, fl) =
+    let g_base = Option.get (vexp_of_sv core) in
+    let ids =
+      List.sort_uniq compare
+        (List.concat_map
+           (fun (t : GC.t) ->
+             Option.value ~default:[] (GC.SvMap.find_opt core t.GC.facts)
+             |> List.find_opt (fun (x : GC.fact) ->
+                    GC.coverage_subsumes x { x with lo; hi; flags = fl })
+             |> Option.fold ~none:[] ~some:(fun (x : GC.fact) -> x.GC.origins))
+           fs.fs_rets)
+    in
+    match pick g_base (lo, hi, fl) ids with
+    | Some os ->
+      let g_origins = List.map fst os in
+      let g = { CF.g_base; g_lo = lo; g_hi = hi; g_flags = fl; g_origins } in
+      if CF.encodable g_base && CC.check_guarantee cx fn ~impure f g then g
+      else fail "guarantee %d has no checkable witness" k
+    | None -> fail "guarantee %d has no checkable witness" k
+  in
+  (* the witness for access [i] at (b, j), which the analysis proved by [p] *)
+  let witness b j i p =
+    let flags, size, addr =
+      match i with
+      | Load { ty; addr; _ } -> (1, size_of_ty ty, addr)
+      | Store { ty; addr; _ } -> (2, size_of_ty ty, addr)
+      | _ -> (0, 0, Imm 0)
+    in
+    let checks w =
+      (match w with
+      | CF.W_guard { base; _ } | CF.W_exempt (_, base) -> CF.encodable base
+      | CF.W_skip -> true)
+      && CC.check_witness cx fn ~impure b j w
+    in
+    (* candidate bases, deepest reading first, with the bytes each must cover *)
+    let candidates range =
+      let readings = List.rev (CC.forms fn b j addr) in
+      match range with
+      | None -> List.map (fun (c, off) -> (c, (off, off + size), None)) readings
+      | Some (h, r) ->
+        List.filter_map
+          (function
+            | CF.V_gep (eb, CF.V_reg r', sc), off when r' = r && sc > 0 -> (
+              let c, boff = CF.base_off eb in
+              match CC.counted_loop fn h r with
+              | Some (ilo, ihi, _) ->
+                let need = (boff + (ilo * sc) + off, boff + (ihi * sc) + off + size) in
+                Some (c, need, Some h)
+              | None -> None)
+            | _ -> None)
+          readings
+    in
+    match p with
+    | P_covered (cf, range) ->
+      List.find_map
+        (fun (c, (nlo, nhi), header) ->
+          Option.bind (pick c (nlo, nhi, flags) cf.GC.origins) (fun os ->
+              let lo, hi, fl =
+                List.fold_left
+                  (fun (l, h, x) (_, (l', h', x')) -> (max l l', min h h', x land x'))
+                  (min_int, max_int, -1) os
+              in
+              let origins = List.map fst os in
+              let w = CF.W_guard { origins; base = c; lo; hi; flags = fl; header } in
+              if checks w then Some w else None))
+        (candidates range)
+    | P_exempt k -> (
+      match CC.instr fn k with
+      | Alloca { dst; _ } ->
+        List.find_opt checks [ CF.W_exempt ([ CF.O_guard k ], CF.V_reg dst) ]
+      | _ -> None)
+    | P_skipped -> List.find_opt checks [ CF.W_skip ]
+    | P_uncovered -> None
+  in
+  let gs = List.mapi guarantee (guarantees f) in
+  let proofs = ref fs.fs_proofs and ws = ref [] in
+  Array.iteri
+    (fun b ins ->
+      if fn.CC.live.(b) then
+        Array.iteri
+          (fun j i ->
+            match (i, !proofs) with
+            | (Load _ | Store _), p :: rest -> (
+              proofs := rest;
+              match witness b j i p with
+              | Some w -> ws := w :: !ws
+              | None ->
+                fail "no checkable witness for the access in block %s"
+                  (Kir.Cfg.block fn.CC.cfg b).b_label)
+            | _ -> ())
+          ins)
+    fn.CC.body;
+  (f.f_name, gs, List.rev !ws)
+
+(* the v2 certificate text ({!Cert_format}) *)
+let render ?domain (m : modul) (s : summary) =
+  let reserved name = String.contains name ';' || String.contains name '|' in
+  Option.iter (fun d -> if reserved d then raise (Unwitnessed ("domain name " ^ d))) domain;
+  List.iter
+    (fun f -> if reserved f.f_name then raise (Unwitnessed ("function name " ^ f.f_name)))
+    m.funcs;
+  let cx = CC.context_of m in
+  let guarantees f =
+    match s.s_summaries with Some t -> Summaries.guarantees t f.f_name | None -> []
+  in
+  (* declared first: call witnesses name a callee's guarantees by index *)
+  List.iter
+    (fun f ->
+      Hashtbl.replace cx.CC.gtab f.f_name
+        (Array.of_list
+           (List.map
+              (fun (core, g_lo, g_hi, g_flags) ->
+                match vexp_of_sv core with
+                | Some g_base -> { CF.g_base; g_lo; g_hi; g_flags; g_origins = [] }
+                | None -> raise (Unwitnessed ("guarantee over " ^ GC.sv_to_string core)))
+              (guarantees f))))
+    m.funcs;
+  CF.render ~digest:(body_digest m) ~guard:s.s_guard_symbol ~exempt:s.s_exempt_stack ~domain
+    (List.map2 (section cx ~guarantees) m.funcs s.s_funcs)
 
 (** Prove guard completeness with [domain] taken verbatim ([None] = an
-    undomained, pre-multi-tenant certificate — the wire format is
-    unchanged when no domain is named). *)
+    undomained certificate). *)
 let certify_as ~domain (m : modul) : (string * summary, string) result =
   match analyze m with
   | exception Dataflow.Diverged why -> Error ("analysis diverged: " ^ why)
   | s -> (
     let uncov = List.concat_map (fun fs -> fs.fs_uncovered) s.s_funcs in
     match uncov with
-    | [] -> Ok (render ?domain ~digest:(body_digest m) s, s)
+    | [] -> (
+      match render ?domain m s with
+      | cert -> Ok (cert, s)
+      | exception Unwitnessed why -> Error ("cannot write a checkable witness: " ^ why))
     | u :: _ ->
       Error
         (Printf.sprintf
@@ -329,86 +519,57 @@ let certify ?domain (m : modul) : (string * summary, string) result =
 
 let certificate ?domain m = Result.map fst (certify ?domain m)
 
-let stored_field prefix cert =
-  let lp = String.length prefix in
-  String.split_on_char ';' cert
-  |> List.find_map (fun field ->
-         if String.length field > lp && String.sub field 0 lp = prefix then
-           Some (String.sub field lp (String.length field - lp))
-         else None)
-
-let stored_digest cert = stored_field "digest=" cert
+let stored_digest cert = Option.map (fun (d, _, _, _, _) -> d) (CF.parse_header cert)
 
 (** The policy domain a certificate was proven against; [None] for
     undomained certificates. *)
-let stored_domain cert = stored_field "domain=" cert
+let stored_domain cert = Option.bind (CF.parse_header cert) (fun (_, _, _, d, _) -> d)
 
-type validate_error =
+type validate_error = CC.validate_error =
   | Cert_missing
   | Cert_stale of { expected : string; found : string }
-      (** module body changed after certification *)
-  | Cert_invalid of string  (** re-analysis refuses the module *)
-  | Cert_mismatch  (** census differs from re-analysis *)
+  | Cert_invalid of string
+  | Cert_mismatch
   | Cert_wrong_domain of { expected : string; found : string option }
-      (** the certificate was proven against a different policy domain
-          than the one the module is being loaded into *)
 
-let validate_error_to_string = function
-  | Cert_missing -> "module carries no guard-completeness certificate"
-  | Cert_stale { expected; found } ->
-    Printf.sprintf
-      "certificate is stale: module body digest %s, certificate claims %s"
-      expected found
-  | Cert_invalid reason -> "certificate re-validation failed: " ^ reason
-  | Cert_mismatch -> "certificate census does not match re-analysis"
-  | Cert_wrong_domain { expected; found } ->
-    Printf.sprintf
-      "certificate proven against domain %s, but load targets domain %s"
-      (match found with Some d -> d | None -> "<none>")
-      expected
+let validate_error_to_string = CC.validate_error_to_string
 
-(** Load-time re-validation: the stored certificate must exist, match
-    the current body digest, and equal the freshly re-derived
-    certificate bit for bit. Re-derivation uses the domain the stored
-    certificate names (so pre-domain certificates keep validating);
-    [expect_domain] additionally pins WHICH domain the certificate must
-    have been proven against. *)
-let validate ?expect_domain (m : modul) : (unit, validate_error) result =
-  match meta_find m Passes.Attest.meta_cert with
-  | None -> Error Cert_missing
-  | Some stored -> (
-    let expected = body_digest m in
-    match stored_digest stored with
-    | None -> Error (Cert_invalid "certificate carries no digest field")
-    | Some found when found <> expected -> Error (Cert_stale { expected; found })
-    | Some _ -> (
-      let domain = stored_domain stored in
-      match expect_domain with
-      | Some e when domain <> Some e ->
-        Error (Cert_wrong_domain { expected = e; found = domain })
-      | _ -> (
-        match Result.map fst (certify_as ~domain m) with
-        | Error reason -> Error (Cert_invalid reason)
-        | Ok fresh ->
-          if String.equal fresh stored then Ok () else Error Cert_mismatch)))
+(** Load-time validation is the checker's: no re-derivation. *)
+let validate = CC.validate
 
 (* -- pass ---------------------------------------------------------- *)
 
+(* A certificate already stamped for this body and domain — the
+   certified optimizer leaves one — is checked, not derived again. *)
 let run (m : modul) : Passes.Pass.result =
-  match certify m with
-  | Error reason -> Passes.Pass.fail "certify" "%s" reason
-  | Ok (cert, s) ->
-    meta_set m Passes.Attest.meta_cert cert;
-    let sum f = List.fold_left (fun n fs -> n + f fs) 0 s.s_funcs in
+  let remarks accesses guards =
     {
       Passes.Pass.changed = true;
       remarks =
         [
-          ("accesses", string_of_int (sum (fun fs -> fs.fs_accesses)));
-          ("guards", string_of_int (sum (fun fs -> List.length fs.fs_guards)));
+          ("accesses", string_of_int accesses);
+          ("guards", string_of_int guards);
           ("verdict", "certified");
         ];
     }
+  in
+  let stamped =
+    match meta_find m Passes.Attest.meta_cert with
+    | Some cert
+      when Option.map (fun (_, _, _, d, _) -> d) (CF.parse_header cert)
+           = Some (meta_find m meta_domain) ->
+      Result.to_option (CC.check m cert)
+    | _ -> None
+  in
+  match stamped with
+  | Some (accesses, guards) -> remarks accesses guards
+  | None -> (
+    match certify m with
+    | Error reason -> Passes.Pass.fail "certify" "%s" reason
+    | Ok (cert, s) ->
+      meta_set m Passes.Attest.meta_cert cert;
+      let sum f = List.fold_left (fun n fs -> n + f fs) 0 s.s_funcs in
+      remarks (sum (fun fs -> fs.fs_accesses)) (sum (fun fs -> List.length fs.fs_guards)))
 
 let pass () = Passes.Pass.make "certify" run
 

@@ -174,11 +174,7 @@ let rec subst_params ~params ~args sv =
 
 (** [addr, size, flags] with an optional trailing site id — both the
     paper's 3-argument form and this repo's 4-argument form. *)
-let parse_guard_args = function
-  | [ addr; Imm size; Imm flags ] when size > 0 -> Some (addr, size, flags, -1)
-  | [ addr; Imm size; Imm flags; Imm site ] when size > 0 ->
-    Some (addr, size, flags, site)
-  | _ -> None
+let parse_guard_args = Cert_check.parse_guard_args
 
 let add_fact core (f : fact) t =
   let existing = try SvMap.find core t.facts with Not_found -> [] in

@@ -33,10 +33,11 @@
     The whole pass is {b certificate-gated}: it stamps the module
     "aggressive" (signed metadata — this is what licenses the
     certifier's interprocedural reasoning), transforms, and then runs
-    {!Certify.certify}. If certification fails, the module is restored
-    to its pre-pass state instruction for instruction and the pass
-    reports the refusal — an optimizer bug can produce a slow module,
-    never an unguarded one. *)
+    {!Certify.certify}, stamping the certificate it derives so the
+    pipeline's certify pass only has to check it. If certification
+    fails, the module is restored to its pre-pass state instruction for
+    instruction and the pass reports the refusal — an optimizer bug can
+    produce a slow module, never an unguarded one. *)
 
 open Kir.Types
 module GC = Guard_cover
@@ -120,8 +121,12 @@ let eliminate (m : modul) : int =
     once the certifier's range analysis proves them redundant, so a
     widening the certifier cannot re-prove costs one extra static
     guard but never loses coverage. *)
-let widen ~guard_symbol ~(summaries : Summaries.t) (m : modul) : int =
+let widen ~guard_symbol (m : modul) : int =
   let neutral = Summaries.default_neutral in
+  (* only purity matters here, not the callee guarantees *)
+  let pure =
+    Cert_check.purity ~neutral:(fun s -> s = guard_symbol || neutral s) m
+  in
   let widened = ref 0 in
   let process_func (f : func) =
     let cfg = Kir.Cfg.of_func f in
@@ -179,7 +184,7 @@ let widen ~guard_symbol ~(summaries : Summaries.t) (m : modul) : int =
                     (function
                       | Call { callee; _ } ->
                         callee = guard_symbol || neutral callee
-                        || Summaries.is_pure summaries callee
+                        || Hashtbl.find_opt pure callee = Some true
                       | Callind _ | Inline_asm _ -> false
                       | _ -> true)
                     b.body)
@@ -312,8 +317,7 @@ let run (m : modul) : Passes.Pass.result =
   match
     let interproc = eliminate m in
     let merged = coalesce ~guard_symbol m in
-    let summaries = Summaries.compute ~guard_symbol m in
-    let widened = widen ~guard_symbol ~summaries m in
+    let widened = widen ~guard_symbol m in
     let narrowed = if widened > 0 then eliminate m else 0 in
     let merged' = if widened + narrowed > 0 then coalesce ~guard_symbol m else 0 in
     (interproc + narrowed, merged + merged', widened)
@@ -330,7 +334,10 @@ let run (m : modul) : Passes.Pass.result =
       (* refuse the transform, not the module *)
       restore snap m;
       { Passes.Pass.changed = false; remarks = [ ("restored", reason) ] }
-    | Ok _ ->
+    | Ok (cert, _) ->
+      (* the proof just derived is the module's certificate: the
+         pipeline's certify pass only checks it *)
+      meta_set m Passes.Attest.meta_cert cert;
       {
         Passes.Pass.changed = eliminated + merged + widened > 0;
         remarks =

@@ -45,39 +45,6 @@ type t = {
 let default_neutral s =
   s = Passes.Cfi_guard.guard_symbol || s = Passes.Intrinsic_guard.guard_symbol
 
-(* -- policy purity: greatest fixpoint ------------------------------ *)
-
-let compute_purity ~guard_symbol ~neutral (m : modul) :
-    (string, bool) Hashtbl.t =
-  let pure = Hashtbl.create 16 in
-  List.iter (fun f -> Hashtbl.replace pure f.f_name true) m.funcs;
-  let is_pure name = try Hashtbl.find pure name with Not_found -> false in
-  let func_ok f =
-    List.for_all
-      (fun b ->
-        List.for_all
-          (fun i ->
-            match i with
-            | Callind _ | Inline_asm _ -> false
-            | Call { callee; _ } ->
-              callee = guard_symbol || neutral callee || is_pure callee
-            | _ -> true)
-          b.body)
-      f.blocks
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun f ->
-        if is_pure f.f_name && not (func_ok f) then begin
-          Hashtbl.replace pure f.f_name false;
-          changed := true
-        end)
-      m.funcs
-  done;
-  pure
-
 (* -- guarantees: least fixpoint ------------------------------------ *)
 
 (* a core exportable across the call boundary: built only from module
@@ -143,10 +110,64 @@ let ret_facts ~ctx (f : func) : (GC.sv * int * int * int) list =
         facts []
       |> List.sort compare)
 
-(** Compute the module's summaries to fixpoint. *)
+(** Strongly connected components of the module's call graph, callees
+    first: Tarjan's algorithm emits a component only after every
+    component it calls. Members keep module order. *)
+let sccs (m : modul) : func list list =
+  let funcs = Hashtbl.create 16 and order = Hashtbl.create 16 in
+  List.iteri
+    (fun k f ->
+      Hashtbl.replace funcs f.f_name f;
+      Hashtbl.replace order f.f_name k)
+    m.funcs;
+  let callees f =
+    List.concat_map
+      (fun b ->
+        List.filter_map
+          (function
+            | Call { callee; _ } when Hashtbl.mem funcs callee -> Some callee
+            | _ -> None)
+          b.body)
+      f.blocks
+  in
+  let index = Hashtbl.create 16 and low = Hashtbl.create 16 in
+  let on_stack = Hashtbl.create 16 and stack = ref [] and next = ref 0 in
+  let out = ref [] in
+  let rec visit v =
+    Hashtbl.replace index v !next;
+    Hashtbl.replace low v !next;
+    incr next;
+    stack := v :: !stack;
+    Hashtbl.replace on_stack v ();
+    let lower w = Hashtbl.replace low v (min (Hashtbl.find low v) w) in
+    List.iter
+      (fun c ->
+        if not (Hashtbl.mem index c) then (visit c; lower (Hashtbl.find low c))
+        else if Hashtbl.mem on_stack c then lower (Hashtbl.find index c))
+      (callees (Hashtbl.find funcs v));
+    if Hashtbl.find low v = Hashtbl.find index v then begin
+      let rec pop acc =
+        match !stack with
+        | x :: rest ->
+          stack := rest;
+          Hashtbl.remove on_stack x;
+          if x = v then x :: acc else pop (x :: acc)
+        | [] -> acc
+      in
+      let by_order a b = compare (Hashtbl.find order a) (Hashtbl.find order b) in
+      out := List.map (Hashtbl.find funcs) (List.sort by_order (pop [])) :: !out
+    end
+  in
+  List.iter (fun f -> if not (Hashtbl.mem index f.f_name) then visit f.f_name) m.funcs;
+  List.rev !out
+
+(** Compute the module's summaries component by component, callees
+    first: a function outside any call cycle is analyzed exactly once,
+    against final summaries of everything it calls, and only recursive
+    components iterate to fixpoint (each under the round cap). *)
 let compute ?(guard_symbol = Passes.Guard_injection.guard_symbol_default)
     ?(neutral = default_neutral) (m : modul) : t =
-  let pure = compute_purity ~guard_symbol ~neutral m in
+  let pure = Cert_check.purity ~neutral:(fun s -> s = guard_symbol || neutral s) m in
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun f ->
@@ -169,21 +190,31 @@ let compute ?(guard_symbol = Passes.Guard_injection.guard_symbol_default)
       }
   in
   let ctx = { GC.guard_symbol; neutral; call_effect = effect_of } in
-  let rounds = ref (List.length m.funcs + 2) in
-  let changed = ref true in
-  while !changed && !rounds > 0 do
-    changed := false;
-    decr rounds;
-    List.iter
-      (fun f ->
-        let s = Hashtbl.find tbl f.f_name in
-        let g = ret_facts ~ctx f in
-        if g <> s.sm_guarantees then begin
-          Hashtbl.replace tbl f.f_name { s with sm_guarantees = g };
-          changed := true
-        end)
-      m.funcs
-  done;
+  let update f =
+    let s = Hashtbl.find tbl f.f_name in
+    let g = ret_facts ~ctx f in
+    if g = s.sm_guarantees then false
+    else (Hashtbl.replace tbl f.f_name { s with sm_guarantees = g }; true)
+  in
+  let calls_itself f =
+    List.exists
+      (fun b ->
+        List.exists
+          (function Call { callee; _ } -> callee = f.f_name | _ -> false)
+          b.body)
+      f.blocks
+  in
+  List.iter
+    (function
+      | [ f ] when not (calls_itself f) -> ignore (update f)
+      | scc ->
+        let rounds = ref (List.length m.funcs + 2) in
+        let changed = ref true in
+        while !changed && !rounds > 0 do
+          decr rounds;
+          changed := List.fold_left (fun c f -> update f || c) false scc
+        done)
+    (sccs m);
   t
 
 (** The {!Guard_cover.ctx} call-effect function for this module:

@@ -95,7 +95,7 @@ and t = {
   mutable require_signature : bool;
   mutable require_certificate : bool;
       (** also demand a valid guard-completeness certificate
-          ({!Analysis.Certify}) at insmod; off by default so baseline
+          ({!Analysis.Cert_check}) at insmod; off by default so baseline
           (uncertified) modules still load in permissive setups *)
   signing_key : string;
   runner : (t -> loaded_module -> Kir.Types.func -> int array -> int) option ref;
@@ -145,7 +145,7 @@ and san_report = {
 type load_error =
   | Verification_failed of string
   | Signature_rejected of Passes.Signing.verify_error
-  | Certificate_rejected of Analysis.Certify.validate_error
+  | Certificate_rejected of Analysis.Cert_check.validate_error
   | Symbol_collision of string
   | Unresolved_import of string
   | Kernel_is_panicked
@@ -155,7 +155,7 @@ let load_error_to_string = function
   | Signature_rejected e ->
     "signature rejected: " ^ Passes.Signing.verify_error_to_string e
   | Certificate_rejected e ->
-    "certificate rejected: " ^ Analysis.Certify.validate_error_to_string e
+    "certificate rejected: " ^ Analysis.Cert_check.validate_error_to_string e
   | Symbol_collision s -> "symbol collision on " ^ s
   | Unresolved_import s -> "unresolved import " ^ s
   | Kernel_is_panicked -> "kernel has panicked"
@@ -708,7 +708,7 @@ let insmod t (km : Kir.Types.modul) : (loaded_module, load_error) result =
       | [] ->
         let cert_verdict =
           if t.require_certificate then
-            match Analysis.Certify.validate km with
+            match Analysis.Cert_check.validate km with
             | Ok () -> Ok ()
             | Error e -> Error (Certificate_rejected e)
           else Ok ()

@@ -80,6 +80,29 @@ let optimize m =
   ignore (Passes.Dce.run m);
   m
 
+(* certify [m], stamp the certificate, and run the kernel's checker on
+   it: every module the certifier accepts must also pass the checker *)
+let certify_checked m =
+  match Analysis.Certify.certify m with
+  | Error _ as e -> e
+  | Ok (cert, s) -> (
+    meta_set m Passes.Attest.meta_cert cert;
+    match Analysis.Cert_check.validate m with
+    | Ok () -> Ok (cert, s)
+    | Error e ->
+      Alcotest.failf "certifier accepted, checker refused: %s"
+        (Analysis.Cert_check.validate_error_to_string e))
+
+(* the certificate with its body digest re-stamped for [m]'s current
+   body, so only the witnesses stand between a forgery and insmod *)
+let restamp m cert =
+  match String.split_on_char ';' cert with
+  | v :: _ :: rest ->
+    String.concat ";" (v :: ("digest=" ^ Analysis.Cert_check.body_digest m) :: rest)
+  | _ -> cert
+
+let stamp m cert = meta_set m Passes.Attest.meta_cert (restamp m cert)
+
 (* ---------- dataflow solver ---------- *)
 
 let test_dataflow_block_counting () =
@@ -134,7 +157,7 @@ let test_certify_after_injection () =
   List.iter
     (fun mk ->
       let m = inject (mk ()) in
-      match Analysis.Certify.certify m with
+      match certify_checked m with
       | Ok (_, s) ->
         let covered =
           List.fold_left
@@ -149,7 +172,7 @@ let test_certify_after_optimization () =
   List.iter
     (fun mk ->
       let m = optimize (inject (mk ())) in
-      match Analysis.Certify.certify m with
+      match certify_checked m with
       | Ok _ -> ()
       | Error msg -> Alcotest.fail ("optimized module failed: " ^ msg))
     [ straightline_module; diamond_module; loop_module ]
@@ -164,17 +187,14 @@ let test_certify_hoisted_loop () =
   checkb "hoist fired" true r.Passes.Pass.changed;
   checkb "guard moved, not dropped" true
     (Passes.Guard_injection.count_guards m <= before);
-  checkb "still certifies" true (Result.is_ok (Analysis.Certify.certify m))
+  checkb "still certifies" true (Result.is_ok (certify_checked m))
 
 let test_certify_coverage_subsumption () =
   (* an 8-byte rw guard covers a narrower access at the same base *)
   checkb "load under rw guard" true
-    (Result.is_ok
-       (Analysis.Certify.certify (manual_module ~guard_flags:3 ~access:`Load ())));
+    (Result.is_ok (certify_checked (manual_module ~guard_flags:3 ~access:`Load ())));
   checkb "store under rw guard" true
-    (Result.is_ok
-       (Analysis.Certify.certify
-          (manual_module ~guard_flags:3 ~access:`Store ())));
+    (Result.is_ok (certify_checked (manual_module ~guard_flags:3 ~access:`Store ())));
   (* a read-only guard does not license a store *)
   checkb "store under ro guard rejected" true
     (Result.is_error
@@ -234,10 +254,10 @@ let prop_certify_differential =
     ~name:"random module certifies after injection and after optimization"
     ~count:80 (QCheck.make gen_module) (fun m ->
       let m = inject m in
-      let ok_injected = Result.is_ok (Analysis.Certify.certify m) in
+      let ok_injected = Result.is_ok (certify_checked m) in
       let m = optimize m in
       ok_injected
-      && Result.is_ok (Analysis.Certify.certify m)
+      && Result.is_ok (certify_checked m)
       && Kir.Verify.is_valid m)
 
 (* ---------- optimizer differential property ---------- *)
@@ -341,6 +361,8 @@ let prop_optimizer_differential =
       let run opt engine =
         let m = build_opt_module (ops, loop_n, widenable) in
         ignore (Passes.Pipeline.compile ~opt m);
+        if Analysis.Cert_check.validate m <> Ok () then
+          Alcotest.fail "compiled module fails the certificate checker";
         exec_opt_case m ~engine ~cover_buf ~buf_prot ~cover_infra
       in
       let ((r_n, m_n, c_n, a_n, d_n) as none_i) =
@@ -396,6 +418,27 @@ let test_driver_aggressive_certifies () =
   checkb "stamped aggressive" true
     (meta_find m Passes.Guard_injection.meta_opt_level = Some "aggressive")
 
+(* the multi-queue drivers reach their per-queue state through a gep
+   of the queue parameter defined in the entry block: the certificate
+   must still carry the callee guarantees the optimizer relied on, or
+   the optimizer rolls back *)
+let test_driver_multiqueue_aggressive () =
+  List.iter
+    (fun (tx_queues, rx_queues) ->
+      let m = Nic.Driver_gen.generate ~module_scale:6 ~tx_queues ~rx_queues () in
+      let remarks = Passes.Pipeline.compile ~opt:Passes.Pipeline.O_aggressive m in
+      let restored =
+        List.exists
+          (fun (pass, (r : Passes.Pass.result)) ->
+            pass = "guard-optimize" && List.mem_assoc "restored" r.Passes.Pass.remarks)
+          remarks
+      in
+      checkb
+        (Printf.sprintf "%d/%d queues: optimizer kept its transforms" tx_queues rx_queues)
+        false restored;
+      checkb "checker accepts" true (Analysis.Cert_check.validate m = Ok ()))
+    [ (1, 1); (4, 1); (4, 4); (Nic.Regs.max_tx_queues, 4) ]
+
 let delete_nth_guard m n =
   (* remove the n-th carat_guard call (module order); true if deleted *)
   let k = ref 0 in
@@ -418,40 +461,59 @@ let delete_nth_guard m n =
     m.funcs;
   !deleted
 
-let test_driver_mutation_sweep () =
-  (* acceptance: deleting ANY single guard from the compiled e1000e
-     driver must flip the certifier to reject *)
-  let total =
-    Passes.Guard_injection.count_guards (compiled_driver ~optimize:true ())
-  in
-  checkb "driver has guards" true (total > 0);
-  let survivors = ref [] in
-  for n = 0 to total - 1 do
-    let m = compiled_driver ~optimize:true () in
-    checkb "mutant deleted a guard" true (delete_nth_guard m n);
-    if Result.is_ok (Analysis.Certify.certify m) then
-      survivors := n :: !survivors
-  done;
-  Alcotest.(check (list int)) "every mutant caught" [] !survivors
+(* replace the n-th guard call (module order) with a register move, so
+   every instruction id stays put; true if a guard was replaced *)
+let neuter_nth_guard m n =
+  let k = ref 0 in
+  let hit = ref false in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun blk ->
+          blk.body <-
+            List.map
+              (function
+                | Call { callee; _ } as i when callee = guard_sym ->
+                  let mine = !k = n in
+                  incr k;
+                  if mine then (hit := true; Mov { dst = "%mutant"; ty = I64; src = Imm 0 })
+                  else i
+                | i -> i)
+              blk.body)
+        f.blocks)
+    m.funcs;
+  !hit
 
-let test_driver_mutation_sweep_aggressive () =
-  (* the same sweep over the certified optimizer's output: after
-     elimination, widening, and coalescing every surviving guard is
-     load-bearing, so deleting any single one must still flip the
-     certifier to reject *)
-  let total =
-    Passes.Guard_injection.count_guards
-      (compiled_driver_at ~opt:Passes.Pipeline.O_aggressive ())
-  in
-  checkb "optimized driver has guards" true (total > 0);
-  let survivors = ref [] in
+(* acceptance: deleting ANY single guard must flip the certifier to
+   reject, and the kernel's checker must refuse the mutant under the
+   original certificate with its digest re-stamped — only the witnesses
+   stand between the mutant and insmod *)
+let mutation_sweep ~opt =
+  let total = Passes.Guard_injection.count_guards (compiled_driver_at ~opt ()) in
+  checkb "driver has guards" true (total > 0);
+  let survivors = ref [] and forged = ref [] in
   for n = 0 to total - 1 do
-    let m = compiled_driver_at ~opt:Passes.Pipeline.O_aggressive () in
+    let m = compiled_driver_at ~opt () in
     checkb "mutant deleted a guard" true (delete_nth_guard m n);
-    if Result.is_ok (Analysis.Certify.certify m) then
-      survivors := n :: !survivors
+    if Result.is_ok (Analysis.Certify.certify m) then survivors := n :: !survivors;
+    let m = compiled_driver_at ~opt () in
+    let cert = Option.get (meta_find m Passes.Attest.meta_cert) in
+    checkb "mutant neutered a guard" true (neuter_nth_guard m n);
+    stamp m cert;
+    if Analysis.Cert_check.validate m = Ok () then forged := n :: !forged
   done;
-  Alcotest.(check (list int)) "every optimized mutant caught" [] !survivors
+  Alcotest.(check (list int)) "every mutant caught by the certifier" [] !survivors;
+  Alcotest.(check (list int)) "every mutant caught by the checker" [] !forged
+
+let test_driver_mutation_sweep () =
+  mutation_sweep ~opt:Passes.Pipeline.O_none;
+  mutation_sweep ~opt:Passes.Pipeline.O_basic
+
+(* the same sweep over the certified optimizer's output: after
+   elimination, widening, and coalescing every surviving guard is
+   load-bearing *)
+let test_driver_mutation_sweep_aggressive () =
+  mutation_sweep ~opt:Passes.Pipeline.O_aggressive
 
 (* ---------- certificate validation ---------- *)
 
@@ -488,6 +550,436 @@ let test_validate_errors () =
   | Error Analysis.Certify.Cert_mismatch -> ()
   | _ -> Alcotest.fail "forged census not flagged"
 
+
+(* ---------- proof-carrying certificates ---------- *)
+
+module CF = Analysis.Cert_format
+
+(* rewrite the certificate's witnesses for function [fname]: [f] maps
+   the k-th witness to its replacement list ([] drops it) *)
+let forge_witnesses m fname f =
+  let cert = Option.get (meta_find m Passes.Attest.meta_cert) in
+  match CF.parse_header cert with
+  | None -> Alcotest.fail "unparsable certificate"
+  | Some (digest, guard, exempt, domain, sections) ->
+    let sections =
+      List.map
+        (fun sec ->
+          match CF.parse_section sec with
+          | Some (name, gs, ws) ->
+            let ws = List.map (fun w -> Option.get (CF.parse_witness w)) ws in
+            (name, gs, if name = fname then List.concat (List.mapi f ws) else ws)
+          | None -> Alcotest.fail "unparsable section")
+        sections
+    in
+    meta_set m Passes.Attest.meta_cert
+      (CF.render ~digest ~guard ~exempt:(exempt = "true") ~domain sections)
+
+let widen_first k = function
+  | CF.W_guard g when k = 0 -> [ CF.W_guard { g with hi = g.hi + 1 } ]
+  | w -> [ w ]
+
+(* guards on both arms of a diamond, the access after the join: its
+   witness names both guards *)
+let two_path_module () =
+  let b = Kir.Builder.create "twopath" in
+  ignore (Kir.Builder.start_func b "f" ~params:[ ("%p", I64); ("%c", I64) ] ~ret:None);
+  let guard () =
+    Kir.Builder.emit b
+      (Call { dst = None; callee = guard_sym; args = [ Reg "%p"; Imm 8; Imm 1 ] })
+  in
+  Kir.Builder.if_then_else b (Reg "%c") ~then_:guard ~else_:guard;
+  ignore (Kir.Builder.load b I64 (Reg "%p"));
+  Kir.Builder.ret b None;
+  let m = Kir.Builder.modul b in
+  m.externs <- m.externs @ [ (guard_sym, 3); ("ext", 0) ];
+  m
+
+(* a counted loop over [p[0..8)] whose per-iteration guard the certified
+   optimizer widens into one pre-header guard *)
+let widened_loop_module () =
+  let b = Kir.Builder.create "widen" in
+  ignore (Kir.Builder.start_func b "f" ~params:[ ("%p", I64) ] ~ret:None);
+  Kir.Builder.for_loop b ~init:(Imm 0) ~limit:(Imm 8) ~step:(Imm 1) (fun i ->
+      let a = Kir.Builder.gep b (Reg "%p") i ~scale:8 in
+      Kir.Builder.store b I64 (Imm 1) a);
+  Kir.Builder.ret b None;
+  let m = Kir.Builder.modul b in
+  ignore (Passes.Pipeline.compile ~opt:Passes.Pipeline.O_aggressive m);
+  m
+
+(* @h guards 16 bytes of its argument; @f's store rides on that
+   guarantee instead of a guard of its own *)
+let guarantee_module () =
+  let b = Kir.Builder.create "interproc" in
+  ignore (Kir.Builder.start_func b "h" ~params:[ ("%q", I64) ] ~ret:None);
+  Kir.Builder.emit b
+    (Call { dst = None; callee = guard_sym; args = [ Reg "%q"; Imm 16; Imm 2 ] });
+  Kir.Builder.store b I64 (Imm 0) (Reg "%q");
+  Kir.Builder.ret b None;
+  ignore (Kir.Builder.start_func b "f" ~params:[ ("%p", I64) ] ~ret:None);
+  Kir.Builder.call_unit b "h" [ Reg "%p" ];
+  Kir.Builder.store b I64 (Imm 1) (Reg "%p");
+  Kir.Builder.ret b None;
+  let m = Kir.Builder.modul b in
+  m.externs <- m.externs @ [ (guard_sym, 3) ];
+  meta_set m Passes.Guard_injection.meta_opt_level "aggressive";
+  m
+
+let insert_after_first_guard (f : func) ins =
+  List.iter
+    (fun blk ->
+      let rec go = function
+        | (Call { callee; _ } as g) :: rest when callee = guard_sym -> g :: ins :: rest
+        | i :: rest -> i :: go rest
+        | [] -> []
+      in
+      blk.body <- go blk.body)
+    f.blocks
+
+(* The checker alone refuses each forgery; where the forgery edits the
+   body, the digest is re-stamped, so the witnesses are all that stand
+   in its way. *)
+let test_cert_forgeries () =
+  let certified mk =
+    let m = mk () in
+    (match certify_checked m with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "fixture does not certify: %s" e);
+    m
+  in
+  let edit_body m edit =
+    let cert = Option.get (meta_find m Passes.Attest.meta_cert) in
+    edit m;
+    stamp m cert
+  in
+  let forgeries =
+    [
+      ( "a guard set that misses a path",
+        fun () ->
+          let m = certified two_path_module in
+          forge_witnesses m "f" (fun _ -> function
+            | CF.W_guard g -> [ CF.W_guard { g with origins = [ List.hd g.origins ] } ]
+            | w -> [ w ]);
+          m );
+      ( "an interval widened by one byte",
+        fun () ->
+          let m = certified (fun () -> compiled_driver ~optimize:false ()) in
+          forge_witnesses m "e1000e_io_write" widen_first;
+          m );
+      ( "a flags superset",
+        fun () ->
+          let m = certified (fun () -> compiled_driver ~optimize:false ()) in
+          forge_witnesses m "e1000e_io_read" (fun k -> function
+            | CF.W_guard g when k = 0 -> [ CF.W_guard { g with flags = 3 } ]
+            | w -> [ w ]);
+          m );
+      ( "a base redefined between guard and access",
+        fun () ->
+          let m = certified (fun () -> manual_module ~guard_flags:1 ~access:`Load ()) in
+          edit_body m (fun m ->
+              insert_after_first_guard (List.hd m.funcs)
+                (Mov { dst = "%p"; ty = I64; src = Imm 0x1000 }));
+          m );
+      ( "an impure call between guard and access",
+        fun () ->
+          let m = certified (fun () -> manual_module ~guard_flags:1 ~access:`Load ()) in
+          edit_body m (fun m ->
+              m.externs <- m.externs @ [ ("ext", 0) ];
+              insert_after_first_guard (List.hd m.funcs)
+                (Call { dst = None; callee = "ext"; args = [] }));
+          m );
+      ( "a loop bound off by one",
+        fun () ->
+          let m = widened_loop_module () in
+          checkb "widened loop validates" true (Analysis.Cert_check.validate m = Ok ());
+          edit_body m (fun m ->
+              List.iter
+                (fun blk ->
+                  blk.body <-
+                    List.map
+                      (function
+                        | Icmp ({ b = Imm 8; _ } as c) -> Icmp { c with b = Imm 9 }
+                        | i -> i)
+                      blk.body)
+                (List.hd m.funcs).blocks);
+          m );
+      ( "an index advanced between the loop test and the access",
+        fun () ->
+          (* move the access after the increment, into a block of its
+             own: the loop shape still checks, but the index it reads
+             can be one past the bound *)
+          let m = widened_loop_module () in
+          edit_body m (fun m ->
+              let f = List.hd m.funcs in
+              let body = List.find (fun b -> b.b_label = "loop_body1") f.blocks in
+              let access, step =
+                List.partition (function Gep _ | Store _ -> true | _ -> false) body.body
+              in
+              body.body <- step;
+              body.term <- Br "loop_tail";
+              f.blocks <- f.blocks @ [ { b_label = "loop_tail"; body = access; term = Br "loop_head0" } ]);
+          m );
+      ( "a stale callee guarantee",
+        fun () ->
+          let m = certified guarantee_module in
+          edit_body m (fun m ->
+              List.iter
+                (fun blk ->
+                  blk.body <-
+                    List.map
+                      (function
+                        | Call ({ callee; args = [ a; Imm 16; fl ]; _ } as c)
+                          when callee = guard_sym ->
+                          Call { c with args = [ a; Imm 8; fl ] }
+                        | i -> i)
+                      blk.body)
+                (List.hd m.funcs).blocks);
+          m );
+      ( "a dropped witness",
+        fun () ->
+          let m = certified (fun () -> compiled_driver ~optimize:false ()) in
+          forge_witnesses m "e1000e_xmit_frame" (fun k w -> if k = 3 then [] else [ w ]);
+          m );
+    ]
+  in
+  List.iter
+    (fun (what, forge) ->
+      match Analysis.Cert_check.validate (forge ()) with
+      | Ok () -> Alcotest.failf "forgery accepted: %s" what
+      | Error (Analysis.Certify.Cert_stale _) ->
+        Alcotest.failf "digest, not witnesses, refused: %s" what
+      | Error _ -> ())
+    forgeries;
+  (* the fixtures exercise what they claim to *)
+  let cert m = Option.get (meta_find m Passes.Attest.meta_cert) in
+  checkb "two-path witness names both guards" true
+    (contains (cert (certified two_path_module)) "|g0,1/%p/0/8/1");
+  checkb "widened witness names its loop header" true
+    (contains (cert (widened_loop_module ())) "|g2/%p/0/64/2/1");
+  checkb "caller rides on the callee guarantee" true
+    (contains (cert (certified guarantee_module)) "g0:0/%p/0/16/2")
+
+(* a function named like a header field must not shadow the header:
+   fields are read by position *)
+let test_cert_header_names () =
+  let b = Kir.Builder.create "names" in
+  ignore (Kir.Builder.declare_global b "g" ~size:64);
+  List.iter
+    (fun name ->
+      ignore (Kir.Builder.start_func b name ~params:[] ~ret:(Some I64));
+      let v = Kir.Builder.load b I64 (Sym "g") in
+      Kir.Builder.ret b (Some v))
+    [ "domain"; "digest"; "verdict"; "guard" ];
+  let m = Kir.Builder.modul b in
+  List.iter
+    (fun opt ->
+      let m = Kir.Parser.parse_string (Kir.Printer.to_string m) in
+      ignore (Passes.Pipeline.compile ~opt m);
+      checkb "validates" true (Analysis.Certify.validate m = Ok ());
+      let cert = Option.get (meta_find m Passes.Attest.meta_cert) in
+      checkb "no domain" true (Analysis.Certify.stored_domain cert = None);
+      checkb "digest read by position" true
+        (Analysis.Certify.stored_digest cert = Some (Analysis.Certify.body_digest m)))
+    Passes.Pipeline.all_opt_levels
+
+(* The certificate is outside input to the kernel. Truncated, flipped
+   or spliced, it must come back as a typed result, never an exception.
+   A mutation may still be a valid proof (dropping a redundant origin,
+   weakening a guarantee no caller uses), so on the intact body only the
+   typing is asserted; with one guard neutered and the digest re-stamped,
+   no mutation may get the module accepted. *)
+let robust_driver =
+  lazy
+    (let m = compiled_driver_at ~opt:Passes.Pipeline.O_aggressive () in
+     (Kir.Printer.to_string m, Option.get (meta_find m Passes.Attest.meta_cert)))
+
+let prop_cert_robust =
+  QCheck.Test.make
+    ~name:"truncated, flipped and spliced certificates: typed result, never a forgery"
+    ~count:300
+    QCheck.(quad (int_bound 2) (int_bound 1_000_000) (int_bound 1_000_000) (int_bound 1_000))
+    (fun (kind, a, b, g) ->
+      let text, cert = Lazy.force robust_driver in
+      let n = String.length cert in
+      let mutated =
+        match kind with
+        | 0 -> String.sub cert 0 (a mod n)
+        | 1 ->
+          let i = a mod n in
+          let flip j c = if j = i then Char.chr (Char.code c lxor (1 + (b mod 255))) else c in
+          String.mapi flip cert
+        | _ ->
+          let i = a mod n and j = b mod n in
+          String.sub cert 0 i ^ String.sub cert j (n - j)
+      in
+      let validate ~neuter =
+        let m = Kir.Parser.parse_string text in
+        if neuter then
+          ignore (neuter_nth_guard m (g mod Passes.Guard_injection.count_guards m));
+        stamp m mutated;
+        try Some (Analysis.Certify.validate m) with _ -> None
+      in
+      validate ~neuter:false <> None
+      && match validate ~neuter:true with Some (Error _) -> true | _ -> false)
+
+(* ---------- callee-first summaries vs the round-robin reference ---------- *)
+
+module GC = Analysis.Guard_cover
+
+(* The whole-module round-robin fixpoint Summaries used to run, kept as
+   a reference: purity as a greatest fixpoint, then every function's
+   return facts recomputed each round until no guarantee changes. *)
+let reference_summaries (m : modul) =
+  let neutral s = s = guard_sym || Analysis.Summaries.default_neutral s in
+  let pure = Hashtbl.create 16 in
+  List.iter (fun f -> Hashtbl.replace pure f.f_name true) m.funcs;
+  let is_pure name = Option.value (Hashtbl.find_opt pure name) ~default:false in
+  let ok f =
+    List.for_all
+      (fun b ->
+        List.for_all
+          (function
+            | Callind _ | Inline_asm _ -> false
+            | Call { callee; _ } -> neutral callee || is_pure callee
+            | _ -> true)
+          b.body)
+      f.blocks
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun f ->
+        if is_pure f.f_name && not (ok f) then (
+          Hashtbl.replace pure f.f_name false;
+          changed := true))
+      m.funcs
+  done;
+  let g = Hashtbl.create 16 in
+  List.iter (fun f -> Hashtbl.replace g f.f_name []) m.funcs;
+  let call_effect callee =
+    match List.find_opt (fun f -> f.f_name = callee) m.funcs with
+    | None -> GC.opaque_effect
+    | Some f ->
+      {
+        GC.ce_kills = not (is_pure callee);
+        ce_adds = Hashtbl.find g callee;
+        ce_params = List.map fst f.params;
+      }
+  in
+  let neutral = Analysis.Summaries.default_neutral in
+  let ctx = { GC.guard_symbol = guard_sym; neutral; call_effect } in
+  let rounds = ref (List.length m.funcs + 2) in
+  changed := true;
+  while !changed && !rounds > 0 do
+    changed := false;
+    decr rounds;
+    List.iter
+      (fun f ->
+        let r = Analysis.Summaries.ret_facts ~ctx f in
+        if r <> Hashtbl.find g f.f_name then (Hashtbl.replace g f.f_name r; changed := true))
+      m.funcs
+  done;
+  (is_pure, Hashtbl.find g, not !changed)
+
+(* Equal to the reference whenever the reference reaches its fixpoint.
+   A recursive call on a shifted argument makes the guarantee chain
+   infinite; both then stop at the round cap with a sound partial
+   answer, and callee-first, which starts each cycle from its callees'
+   final summaries, must know at least as much. *)
+let summaries_match m =
+  let s = Analysis.Summaries.compute ~guard_symbol:guard_sym m in
+  let is_pure, guarantees, converged = reference_summaries m in
+  let implied (c, lo, hi, fl) l =
+    List.exists
+      (fun (c', lo', hi', fl') -> c = c' && lo' <= lo && hi <= hi' && fl land fl' = fl)
+      l
+  in
+  List.for_all
+    (fun f ->
+      let mine = Analysis.Summaries.guarantees s f.f_name and theirs = guarantees f.f_name in
+      Analysis.Summaries.is_pure s f.f_name = is_pure f.f_name
+      && if converged then mine = theirs else List.for_all (fun g -> implied g mine) theirs)
+    m.funcs
+
+let test_summaries_reference_suite () =
+  let stages =
+    List.concat_map
+      (fun scale ->
+        let gen () =
+          Nic.Driver_gen.generate ~module_scale:scale ~with_rogue:true ~tx_queues:4
+            ~rx_queues:2 ()
+        in
+        inject (gen ())
+        :: List.map
+             (fun opt ->
+               let m = gen () in
+               ignore (Passes.Pipeline.compile ~opt m);
+               m)
+             Passes.Pipeline.all_opt_levels)
+      [ 1; 6; 12 ]
+  in
+  let fixtures =
+    [
+      two_path_module ();
+      guarantee_module ();
+      widened_loop_module ();
+      inject (loop_module ());
+    ]
+  in
+  List.iteri
+    (fun k m ->
+      let _, _, converged = reference_summaries m in
+      checkb (Printf.sprintf "module %d: the reference converges" k) true converged;
+      checkb (Printf.sprintf "module %d matches the reference" k) true (summaries_match m))
+    (stages @ fixtures)
+
+(* random call graphs with self- and mutual recursion: each function
+   guards, loads through and calls others on its parameter or a shifted
+   copy, or calls an impure extern *)
+let gen_call_graph =
+  QCheck.Gen.(
+    let* n = int_range 1 5 in
+    list_repeat n (list_size (int_range 0 5) (pair (int_bound 5) (int_bound 7))))
+
+let build_call_graph bodies =
+  let n = List.length bodies in
+  let b = Kir.Builder.create "calls" in
+  ignore (Kir.Builder.declare_global b "g" ~size:128);
+  List.iteri
+    (fun k ops ->
+      let params = [ ("%p", I64); ("%c", I64) ] in
+      ignore (Kir.Builder.start_func b (Printf.sprintf "f%d" k) ~params ~ret:None);
+      let guard a size fl =
+        Kir.Builder.emit b
+          (Call { dst = None; callee = guard_sym; args = [ a; Imm size; Imm fl ] })
+      in
+      List.iter
+        (fun (kind, x) ->
+          let callee = Printf.sprintf "f%d" (x mod n) in
+          match kind with
+          | 0 ->
+            guard (Kir.Builder.gep b (Reg "%p") (Imm (8 * (x mod 3))) ~scale:1) 8 (1 + (x mod 3))
+          | 1 -> Kir.Builder.call_unit b callee [ Reg "%p"; Reg "%c" ]
+          | 2 ->
+            let shifted = Kir.Builder.gep b (Reg "%p") (Imm 8) ~scale:1 in
+            Kir.Builder.call_unit b callee [ shifted; Reg "%c" ]
+          | 3 -> Kir.Builder.if_then b (Reg "%c") ~then_:(fun () -> guard (Sym "g") 16 3)
+          | 4 -> Kir.Builder.call_unit b "ext" []
+          | _ -> guard (Sym "g") (8 * (1 + (x mod 4))) 1)
+        ops;
+      Kir.Builder.ret b None)
+    bodies;
+  let m = Kir.Builder.modul b in
+  m.externs <- m.externs @ [ (guard_sym, 3); ("ext", 0) ];
+  m
+
+let prop_summaries_reference =
+  QCheck.Test.make
+    ~name:"callee-first summaries equal the round-robin reference on recursive call graphs"
+    ~count:200 (QCheck.make gen_call_graph)
+    (fun bodies -> summaries_match (build_call_graph bodies))
 
 (* ---------- per-domain certificates ---------- *)
 
@@ -633,7 +1125,7 @@ let test_lint_coalescable_guard () =
   let fs' = Analysis.Kir_lint.lint m in
   checkb "warning discharged" false
     (List.mem "W-coalescable-guard" (codes fs'));
-  checkb "still certifies" true (Result.is_ok (Analysis.Certify.certify m))
+  checkb "still certifies" true (Result.is_ok (certify_checked m))
 
 let test_lint_coalescable_needs_adjacency () =
   (* a gap between the guarded ranges: merging would license bytes no
@@ -687,6 +1179,8 @@ let () =
         [
           Alcotest.test_case "aggressive certifies" `Quick
             test_driver_aggressive_certifies;
+          Alcotest.test_case "aggressive multi-queue keeps its transforms" `Quick
+            test_driver_multiqueue_aggressive;
           QCheck_alcotest.to_alcotest prop_optimizer_differential;
         ] );
       ( "driver",
@@ -696,6 +1190,19 @@ let () =
           Alcotest.test_case "mutation sweep (aggressive)" `Slow
             test_driver_mutation_sweep_aggressive;
           Alcotest.test_case "validate errors" `Quick test_validate_errors;
+        ] );
+      ( "summaries",
+        [
+          Alcotest.test_case "matches the reference on suite modules" `Quick
+            test_summaries_reference_suite;
+          QCheck_alcotest.to_alcotest prop_summaries_reference;
+        ] );
+      ( "cert-check",
+        [
+          Alcotest.test_case "forgeries rejected" `Quick test_cert_forgeries;
+          Alcotest.test_case "header fields read by position" `Quick
+            test_cert_header_names;
+          QCheck_alcotest.to_alcotest prop_cert_robust;
         ] );
       ( "lint",
         [
