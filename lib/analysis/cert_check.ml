@@ -46,14 +46,9 @@ let validate_error_to_string = function
       (Option.value found ~default:"<none>")
       expected
 
-(** Digest of the canonical (meta-free) module body: FNV-1a over the
-    printed text, hashed token by token as the printer emits it. *)
+(** Digest of the canonical (meta-free) module body. *)
 let body_digest m =
-  let h = ref Passes.Signing.fnv_offset in
-  let str s = h := Passes.Signing.fnv_add !h s in
-  let chr c = h := (!h lxor Char.code c) * Passes.Signing.fnv_prime in
-  Kir.Printer.emit ~with_meta:false { Kir.Printer.str; chr } m;
-  Printf.sprintf "%016x" (!h land max_int)
+  Printf.sprintf "%016x" (Passes.Signing.fnv1a64 (Kir.Printer.to_string ~with_meta:false m))
 
 (** [addr, size, flags] plus the optional site id of a guard call. *)
 let parse_guard_args = function
@@ -96,6 +91,21 @@ let purity ~neutral (m : modul) : (string, bool) Hashtbl.t =
 
 (* -- one function ---------------------------------------------------- *)
 
+(** A counted loop, {!Kir.Builder.for_loop}'s shape at 64 bits: its
+    register set to an immediate on the unique entry path, tested
+    [slt]/[sle] against an immediate in the header, and advanced only by
+    [t = add i, step; mov i, t] within one block of the body that no
+    cycle reaches again without passing the header. Each increment then
+    follows a passed exit test, so the register never wraps. *)
+type loop = {
+  l_reg : reg;
+  l_lo : int;
+  l_hi : int;  (** inclusive bounds of [l_reg] in the body, header excluded *)
+  l_step : int;
+  l_pre : int;  (** the header's one predecessor outside the loop *)
+  l_blocks : bool array;  (** the loop's blocks, header included *)
+}
+
 type fn = {
   cfg : Kir.Cfg.t;
   body : instr array array;
@@ -108,8 +118,7 @@ type fn = {
   dom : Passes.Dominators.t Lazy.t;
 }
 
-let context (f : func) : fn =
-  let cfg = Kir.Cfg.of_func f in
+let of_cfg cfg : fn =
   let body =
     Array.map (fun (b : block) -> Array.of_list b.body) cfg.Kir.Cfg.blocks
   in
@@ -140,6 +149,8 @@ let context (f : func) : fn =
   let live = Kir.Cfg.reachable cfg and dom = lazy (Passes.Dominators.compute cfg) in
   { cfg; body; base; at; live; dst; defs; dom }
 
+let context (f : func) = of_cfg (Kir.Cfg.of_func f)
+
 let instr fn iid =
   let b, j = fn.at.(iid) in
   fn.body.(b).(j)
@@ -164,9 +175,11 @@ let current fn b d k (c, _) =
 (* the readings of [r] read before position [k] of block [b], through
    its last definition in the block when that is a mov or gep and the
    reading is still current at [k] — or, with no definition earlier in
-   the block, through its only definition anywhere, when everything
-   that reading reads is never redefined: [r] then holds that value
-   wherever it can be read. [fuel] bounds the hops between blocks. *)
+   the block, through its only definition anywhere, when that runs on
+   every path to [b] (its block strictly dominates [b]; a parameter is
+   set at entry, so it can be read before its one definition runs) and
+   everything the reading reads is never redefined: [r] then holds that
+   value at the read. [fuel] bounds the hops between blocks. *)
 let rec chain fuel fn b k r =
   match last_def fn b (k - 1) r with
   | -1 -> (
@@ -174,14 +187,17 @@ let rec chain fuel fn b k r =
     | [ only ] ->
       let db, dj = fn.at.(only) in
       let constant (c, _) = List.for_all (fun l -> defs fn l = []) (leaves [] c) in
-      List.filter constant (through fuel fn db dj)
+      if db <> b && Passes.Dominators.dominates (Lazy.force fn.dom) db b then
+        List.filter constant (through fuel fn db dj)
+      else []
     | _ -> [])
   | d -> List.filter (current fn b d k) (through fuel fn b d)
 
-(* the readings of what instruction [d] of block [b] defines *)
+(* the readings of what instruction [d] of block [b] defines; a
+   narrower mov truncates, so it reads as nothing *)
 and through fuel fn b d =
   match fn.body.(b).(d) with
-  | Mov { src; _ } -> forms ~fuel fn b d src
+  | Mov { ty = I64 | Ptr; src; _ } -> forms ~fuel fn b d src
   | Gep { base; idx; scale; _ } -> (
     match (match idx with Imm n -> V_imm n | _ -> value ~fuel fn b d idx) with
     | V_imm n ->
@@ -216,71 +232,75 @@ let escapes fn ~starts ~cut ?(stop = -1) target =
   in
   List.exists (fun (b, j) -> if j = 0 then enter b else scan b j) starts
 
-(** Inclusive bounds of register [i] in the body of the loop headed by
-    block [h], when the loop has the counted shape {!Range} relies on:
-    [i] set to an immediate on the unique entry path, tested [slt]/[sle]
-    against an immediate in the header, and advanced only by
-    [t = add i, step; mov i, t] within one block. With the loop's blocks. *)
-let counted_loop fn h i =
-  let cfg = fn.cfg and n = Array.length fn.body in
-  let inl = Array.make n false in
-  let last_def b r =
-    Array.fold_left
-      (fun acc ins -> if def_of_instr ins = Some r then Some ins else acc)
-      None fn.body.(b)
-  in
-  let in_loop r =
-    List.filter (fun (b, _) -> inl.(b)) (List.map (fun d -> fn.at.(d)) (defs fn r))
+let wide = function I64 | Ptr -> true | _ -> false
+
+(** The counted loop headed by block [h], if it is one. {!Range} derives
+    its loop bounds from this, so the certifier and the checker agree on
+    which loops are counted. *)
+let counted_loop fn h =
+  let cfg = fn.cfg in
+  let def_in b r =
+    match last_def fn b (Array.length fn.body.(b) - 1) r with
+    | -1 -> None
+    | j -> Some fn.body.(b).(j)
   in
   let idx l = Hashtbl.find_opt cfg.Kir.Cfg.index l in
-  let rec pull t =
-    if not inl.(t) then (
-      inl.(t) <- true;
-      List.iter pull cfg.Kir.Cfg.pred.(t))
+  let exit_test =
+    if h < 0 || h >= Array.length fn.body then None
+    else
+      match (Kir.Cfg.block cfg h).term with
+      | Cond_br { cond = Reg c; if_true; if_false } -> (
+        match (def_in h c, idx if_true, idx if_false) with
+        | Some (Icmp { cond = (Slt | Sle) as cond; ty; a = Reg i; b = Imm lim; _ }), Some tt, Some ft
+          when wide ty ->
+          Some (i, (if cond = Slt then lim - 1 else lim), tt, ft)
+        | _ -> None)
+      | _ -> None
   in
-  let rec init b fuel =
-    match (last_def b i, cfg.Kir.Cfg.pred.(b)) with
-    | Some d, _ -> Some d
-    | None, [ q ] when fuel > 0 -> init q (fuel - 1)
-    | _ -> None
-  in
-  (* [mov i, t] whose [t] is set once in the loop, by [t = add i, step]
-     earlier in the same block *)
-  let step_of (bm, jm) =
-    match fn.body.(bm).(jm) with
-    | Mov { src = Reg t; _ } -> (
-      match List.map (fun (b, j) -> (b, j, fn.body.(b).(j))) (in_loop t) with
-      | [ (ba, ja, Binop { op = Add; a = Reg i'; b = Imm step; _ }) ]
-        when ba = bm && ja < jm && i' = i ->
-        Some step
-      | _ -> None)
-    | _ -> None
-  in
-  if h < 0 || h >= n then None
-  else begin
+  match exit_test with
+  | None -> None
+  | Some (i, hi, tt, ft) -> (
+    let inl = Array.make (Array.length fn.body) false in
+    let rec pull t =
+      if not inl.(t) then (
+        inl.(t) <- true;
+        List.iter pull cfg.Kir.Cfg.pred.(t))
+    in
     inl.(h) <- true;
     List.iter
       (fun t -> if Passes.Dominators.dominates (Lazy.force fn.dom) h t then pull t)
       cfg.Kir.Cfg.pred.(h);
-    let outside = List.filter (fun p -> not inl.(p)) cfg.Kir.Cfg.pred.(h) in
-    match (outside, (Kir.Cfg.block cfg h).term) with
-    | [ p ], Cond_br { cond = Reg c; if_true; if_false } -> (
-      match (idx if_true, idx if_false, last_def h c, init p 4, in_loop i) with
-      | ( Some tt,
-          Some ft,
-          Some (Icmp { cond; a = Reg i'; b = Imm lim; _ }),
-          Some (Mov { src = Imm lo; _ }),
-          [ (bm, jm) ] )
-        when i' = i && (cond = Slt || cond = Sle) && inl.(tt) && (not inl.(ft))
-             && bm <> h -> (
-        let hi = if cond = Slt then lim - 1 else lim in
-        match step_of (bm, jm) with
-        | Some step when step >= 1 && step <= 1 lsl 32 && lo <= hi && hi + step > hi ->
-          Some (lo, hi, inl)
+    let in_loop r = List.filter (fun (b, _) -> inl.(b)) (List.map (fun d -> fn.at.(d)) (defs fn r)) in
+    let rec init b fuel =
+      match (def_in b i, cfg.Kir.Cfg.pred.(b)) with
+      | Some d, _ -> Some d
+      | None, [ q ] when fuel > 0 -> init q (fuel - 1)
+      | _ -> None
+    in
+    (* [mov i, t] whose [t] is set once in the loop, by [t = add i, step]
+       earlier in the same block, which the mov cannot reach again
+       without the header's test *)
+    let step_of (bm, jm) =
+      match fn.body.(bm).(jm) with
+      | Mov { ty; src = Reg t; _ } when wide ty -> (
+        match List.map (fun (b, j) -> (b, j, fn.body.(b).(j))) (in_loop t) with
+        | [ (ba, ja, Binop { op = Add; ty; a = Reg i'; b = Imm step; _ }) ]
+          when wide ty && ba = bm && ja < jm && i' = i
+               && not
+                    (escapes fn ~starts:[ (bm, jm + 1) ] ~cut:(fun _ -> false) ~stop:h
+                       (fun b j -> b = bm && j = ja)) ->
+          Some step
         | _ -> None)
+      | _ -> None
+    in
+    match (List.filter (fun p -> not inl.(p)) cfg.Kir.Cfg.pred.(h), in_loop i) with
+    | [ p ], [ (bm, jm) ] when inl.(tt) && (not inl.(ft)) && bm <> h -> (
+      match (init p 4, step_of (bm, jm)) with
+      | Some (Mov { ty; src = Imm lo; _ }), Some step
+        when wide ty && step >= 1 && step <= 1 lsl 32 && lo <= hi && add hi step <> None ->
+        Some { l_reg = i; l_lo = lo; l_hi = hi; l_step = step; l_pre = p; l_blocks = inl }
       | _ -> None)
-    | _ -> None
-  end
+    | _ -> None)
 
 (* -- witnesses -------------------------------------------------------- *)
 
@@ -306,7 +326,8 @@ let cover cx fn c o =
     | Call { callee; args; _ }, O_guard _ when callee = cx.gsym -> (
       match parse_guard_args args with
       | Some (a, size, fl, _) ->
-        Option.map (fun off -> (off, off + size, fl)) (on_core a)
+        Option.bind (on_core a) (fun off ->
+            Option.map (fun (l, h) -> (l, h, fl)) (span ~off size))
       | None -> None)
     | Call { callee; args; _ }, O_call (_, k) -> (
       match (Hashtbl.find_opt cx.gtab callee, Hashtbl.find_opt cx.funcs callee) with
@@ -315,7 +336,11 @@ let cover cx fn c o =
              && List.length g.params = List.length args -> (
         let { g_base; g_lo; g_hi; g_flags; _ } = gs.(k) in
         let arg p = List.assoc_opt p (List.combine (List.map fst g.params) args) in
-        let shift off = (off + g_lo, off + g_hi, g_flags) in
+        let shift off =
+          match (add off g_lo, add off g_hi) with
+          | Some l, Some h -> Some (l, h, g_flags)
+          | _ -> None
+        in
         (* the callee's parameters become the call's arguments *)
         let rec inst = function
           | V_reg p -> Option.map (value fn b j) (arg p)
@@ -326,10 +351,10 @@ let cover cx fn c o =
           | e -> Some e
         in
         match g_base with
-        | V_reg p -> Option.map shift (Option.bind (arg p) on_core)
+        | V_reg p -> Option.bind (Option.bind (arg p) on_core) shift
         | _ -> (
           match Option.map base_off (inst g_base) with
-          | Some (c', off) when c' = c -> Some (shift off)
+          | Some (c', off) when c' = c -> shift off
           | _ -> None))
       | _ -> None)
     | _ -> None
@@ -418,10 +443,9 @@ let check_witness cx fn ~impure b j w =
           (escapes fn ~starts:(List.map after (defs fn iv)) ~cut:(fun _ -> false)
              ~stop:h target)
       in
-      match counted_loop fn h iv with
-      | Some (ilo, ihi, inl) when inl.(b) && b <> h && header_value () ->
-        let boff = snd (base_off eb) in
-        Some (boff + (ilo * s) + off, boff + (ihi * s) + off + size)
+      match (counted_loop fn h, add (snd (base_off eb)) off) with
+      | Some l, Some off when l.l_reg = iv && l.l_blocks.(b) && b <> h && header_value () ->
+        span ~lo:l.l_lo ~hi:l.l_hi ~scale:s ~off size
       | _ -> None)
     | _ -> None
   in
@@ -442,7 +466,7 @@ let check_witness cx fn ~impure b j w =
   | W_guard { origins; base; lo; hi; flags = fl; header } -> (
     let need =
       match header with
-      | None -> Option.map (fun off -> (off, off + size)) (List.assoc_opt base fs)
+      | None -> Option.bind (List.assoc_opt base fs) (fun off -> span ~off size)
       | Some h -> List.find_map (footprint h base) fs
     in
     let joint =

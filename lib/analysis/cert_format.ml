@@ -36,6 +36,21 @@ let rec base_off = function
     (c, o + (n * s))
   | e -> (e, 0)
 
+(* [a + b], or [None] when it overflows *)
+let add a b =
+  let s = a + b in
+  if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then None else Some s
+
+(** The bytes [\[lo*scale + off, hi*scale + off + size)] that accesses of
+    [size] bytes at [i*scale + off] span for [i] in [\[lo, hi\]] ([scale >
+    0]; by default the one access at [off]), or [None] when computing
+    them overflows: a wrapped end would make any interval look covered. *)
+let span ?(lo = 0) ?(hi = 0) ?(scale = 1) ~off size =
+  let mul i = if i > max_int / scale || i < min_int / scale then None else Some (i * scale) in
+  match (Option.bind (mul lo) (add off), Option.bind (mul hi) (add off)) with
+  | Some l, Some h -> Option.map (fun h -> (l, h)) (add h size)
+  | _ -> None
+
 type origin = O_guard of int | O_call of int * int  (** call id, callee guarantee index *)
 
 let origin_id = function O_guard i | O_call (i, _) -> i

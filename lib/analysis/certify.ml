@@ -92,7 +92,7 @@ let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ~guard_symbol
   let bodies = Array.map (fun b -> Array.of_list b.body) cfg.Kir.Cfg.blocks in
   (* induction-variable ranges: lets one widened pre-header guard prove
      every iteration of a counted loop (see {!Range}) *)
-  let ranges = Range.analyze_func cfg (Passes.Loops.compute cfg) in
+  let ranges = Range.analyze_func cfg in
   (* function-wide instruction ids, in block-array order *)
   let iid_base = Array.make (max n 1) 0 in
   let total = ref 0 in
@@ -405,17 +405,21 @@ let section cx ~guarantees (f : func) (fs : func_summary) =
     let candidates range =
       let readings = List.rev (CC.forms fn b j addr) in
       match range with
-      | None -> List.map (fun (c, off) -> (c, (off, off + size), None)) readings
+      | None ->
+        List.filter_map
+          (fun (c, off) -> Option.map (fun need -> (c, need, None)) (CF.span ~off size))
+          readings
       | Some (h, r) ->
         List.filter_map
           (function
             | CF.V_gep (eb, CF.V_reg r', sc), off when r' = r && sc > 0 -> (
               let c, boff = CF.base_off eb in
-              match CC.counted_loop fn h r with
-              | Some (ilo, ihi, _) ->
-                let need = (boff + (ilo * sc) + off, boff + (ihi * sc) + off + size) in
-                Some (c, need, Some h)
-              | None -> None)
+              match (CC.counted_loop fn h, CF.add boff off) with
+              | Some l, Some off when l.CC.l_reg = r ->
+                Option.map
+                  (fun need -> (c, need, Some h))
+                  (CF.span ~lo:l.CC.l_lo ~hi:l.CC.l_hi ~scale:sc ~off size)
+              | _ -> None)
             | _ -> None)
           readings
     in

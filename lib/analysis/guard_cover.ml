@@ -225,7 +225,7 @@ let transfer_instr ctx ~iid (t : t) (i : instr) : t =
         t ce_adds)
   | Callind { dst; _ } -> def_opaque ~iid dst { t with facts = SvMap.empty }
   | Inline_asm _ -> { t with facts = SvMap.empty }
-  | Mov { dst; src; _ } ->
+  | Mov { dst; ty = I64 | Ptr; src } ->
     (* a copy: the destination takes the source's symbolic value, so
        coverage established for that value keeps applying *)
     { t with env = Env.add dst (sv_of t.env src) t.env }
@@ -235,7 +235,8 @@ let transfer_instr ctx ~iid (t : t) (i : instr) : t =
       env = Env.add dst (S_gep (sv_of t.env base, sv_of t.env idx, scale)) t.env;
     }
   | Binop { dst; _ } | Icmp { dst; _ } | Load { dst; _ } | Alloca { dst; _ }
-  | Select { dst; _ } ->
+  | Select { dst; _ }
+  | Mov { dst; _ } (* narrower than 64 bits: it truncates *) ->
     def_opaque ~iid (Some dst) t
   | Intrinsic { dst; _ } -> def_opaque ~iid dst t
   | Store _ -> t
@@ -345,15 +346,17 @@ let covering_fact ?(bounds = fun (_ : sv) -> None) t sv ~size ~flags :
       match bounds idx with
       | Some (ilo, ihi) when ilo <= ihi -> (
         let bcore, boff = base_off b in
-        let need_lo = boff + (ilo * scale) + off in
-        let need_hi = boff + (ihi * scale) + off + size in
-        match SvMap.find_opt bcore t.facts with
-        | None -> None
-        | Some l ->
+        let need =
+          Option.bind (Cert_format.add boff off) (fun off ->
+              Cert_format.span ~lo:ilo ~hi:ihi ~scale ~off size)
+        in
+        match (need, SvMap.find_opt bcore t.facts) with
+        | Some (need_lo, need_hi), Some l ->
           List.find_opt
             (fun f ->
               f.lo <= need_lo && need_hi <= f.hi
               && flags land f.flags = flags)
-            l)
+            l
+        | _ -> None)
       | _ -> None)
     | _ -> None)

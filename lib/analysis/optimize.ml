@@ -130,8 +130,7 @@ let widen ~guard_symbol (m : modul) : int =
   let widened = ref 0 in
   let process_func (f : func) =
     let cfg = Kir.Cfg.of_func f in
-    let linfo = Passes.Loops.compute cfg in
-    let ranges = Range.analyze_func cfg linfo in
+    let ranges = Range.analyze_func cfg in
     match Range.loop_bounds ranges with
     | [] -> ()
     | lbs ->
@@ -164,129 +163,121 @@ let widen ~guard_symbol (m : modul) : int =
       in
       List.iter
         (fun (lb : Range.loop_bound) ->
-          match
-            List.find_opt
-              (fun (l : Passes.Loops.loop) ->
-                l.Passes.Loops.header = lb.Range.lb_header)
-              linfo.Passes.Loops.loops
-          with
-          | None -> ()
-          | Some l ->
-            let loop_blocks =
-              List.map (Kir.Cfg.block cfg) l.Passes.Loops.body
+          let loop_blocks =
+            List.map (Kir.Cfg.block cfg) (lb.Range.lb_header :: lb.Range.lb_body)
+          in
+          (* no call in the loop may reach the policy module: only the
+             guard family and provably policy-pure functions *)
+          let calls_ok =
+            List.for_all
+              (fun b ->
+                List.for_all
+                  (function
+                    | Call { callee; _ } ->
+                      callee = guard_symbol || neutral callee
+                      || Hashtbl.find_opt pure callee = Some true
+                    | Callind _ | Inline_asm _ -> false
+                    | _ -> true)
+                  b.body)
+              loop_blocks
+          in
+          if calls_ok then begin
+            let defined =
+              Passes.Guard_hoist.regs_defined_in_blocks loop_blocks
             in
-            (* no call in the loop may reach the policy module: only the
-               guard family and provably policy-pure functions *)
-            let calls_ok =
-              List.for_all
-                (fun b ->
-                  List.for_all
-                    (function
-                      | Call { callee; _ } ->
-                        callee = guard_symbol || neutral callee
-                        || Hashtbl.find_opt pure callee = Some true
-                      | Callind _ | Inline_asm _ -> false
-                      | _ -> true)
-                    b.body)
-                loop_blocks
+            let invariant = function
+              | Imm _ | Sym _ -> true
+              | Reg r -> not (Hashtbl.mem defined r)
             in
-            if calls_ok then begin
-              let defined =
-                Passes.Guard_hoist.regs_defined_in_blocks loop_blocks
+            (* candidate footprints: guard on a register whose latest
+               in-block def is [gep base, i, scale] with the induction
+               register untouched in between, base loop-invariant and
+               the stride within the access width (contiguous union) *)
+            let cands = ref [] in
+            List.iter
+              (fun bi ->
+                let arr = Array.of_list (Kir.Cfg.block cfg bi).body in
+                Array.iteri
+                  (fun j ins ->
+                    match
+                      Passes.Guard_coalesce.parse_guard ~guard_symbol ins
+                    with
+                    | Some (Reg a, size, flags, site) -> (
+                      let dj = ref (-1) in
+                      for k = 0 to j - 1 do
+                        if def_of_instr arr.(k) = Some a then dj := k
+                      done;
+                      if !dj >= 0 then
+                        match arr.(!dj) with
+                        | Gep { base; idx = Reg ir; scale; _ }
+                          when ir = lb.Range.lb_reg
+                               && scale > 0 && scale <= size
+                               && invariant base ->
+                          let clean = ref true in
+                          for k = !dj + 1 to j - 1 do
+                            if def_of_instr arr.(k) = Some ir then
+                              clean := false
+                          done;
+                          if !clean then
+                            cands := (base, scale, size, flags, site) :: !cands
+                        | _ -> ())
+                    | _ -> ())
+                  arr)
+              lb.Range.lb_body;
+            let seen = Hashtbl.create 8 in
+            let cands =
+              List.filter
+                (fun (base, scale, size, flags, _) ->
+                  let k = (base, scale, size, flags) in
+                  if Hashtbl.mem seen k then false
+                  else begin
+                    Hashtbl.replace seen k ();
+                    true
+                  end)
+                (List.rev !cands)
+            in
+            if cands <> [] then begin
+              let pre =
+                if lb.Range.lb_split then
+                  (* the unique outside predecessor also branches
+                     elsewhere: split the entry edge so the widened
+                     guard runs only when the loop actually runs *)
+                  let target =
+                    (Kir.Cfg.block cfg lb.Range.lb_header).b_label
+                  in
+                  let pred_l =
+                    (Kir.Cfg.block cfg lb.Range.lb_preheader).b_label
+                  in
+                  Kir.Cfg.insert_preheader f ~target ~preds:[ pred_l ]
+                    ~fresh:(fresh_label target)
+                else Kir.Cfg.block cfg lb.Range.lb_preheader
               in
-              let invariant = function
-                | Imm _ | Sym _ -> true
-                | Reg r -> not (Hashtbl.mem defined r)
-              in
-              (* candidate footprints: guard on a register whose latest
-                 in-block def is [gep base, i, scale] with the induction
-                 register untouched in between, base loop-invariant and
-                 the stride within the access width (contiguous union) *)
-              let cands = ref [] in
               List.iter
-                (fun bi ->
-                  let arr = Array.of_list (Kir.Cfg.block cfg bi).body in
-                  Array.iteri
-                    (fun j ins ->
-                      match
-                        Passes.Guard_coalesce.parse_guard ~guard_symbol ins
-                      with
-                      | Some (Reg a, size, flags, site) -> (
-                        let dj = ref (-1) in
-                        for k = 0 to j - 1 do
-                          if def_of_instr arr.(k) = Some a then dj := k
-                        done;
-                        if !dj >= 0 then
-                          match arr.(!dj) with
-                          | Gep { base; idx = Reg ir; scale; _ }
-                            when ir = lb.Range.lb_reg
-                                 && scale > 0 && scale <= size
-                                 && invariant base ->
-                            let clean = ref true in
-                            for k = !dj + 1 to j - 1 do
-                              if def_of_instr arr.(k) = Some ir then
-                                clean := false
-                            done;
-                            if !clean then
-                              cands := (base, scale, size, flags, site) :: !cands
-                          | _ -> ())
-                      | _ -> ())
-                    arr)
-                lb.Range.lb_body;
-              let seen = Hashtbl.create 8 in
-              let cands =
-                List.filter
-                  (fun (base, scale, size, flags, _) ->
-                    let k = (base, scale, size, flags) in
-                    if Hashtbl.mem seen k then false
-                    else begin
-                      Hashtbl.replace seen k ();
-                      true
-                    end)
-                  (List.rev !cands)
-              in
-              if cands <> [] then begin
-                let pre =
-                  if lb.Range.lb_split then
-                    (* the unique outside predecessor also branches
-                       elsewhere: split the entry edge so the widened
-                       guard runs only when the loop actually runs *)
-                    let target =
-                      (Kir.Cfg.block cfg lb.Range.lb_header).b_label
-                    in
-                    let pred_l =
-                      (Kir.Cfg.block cfg lb.Range.lb_preheader).b_label
-                    in
-                    Kir.Cfg.insert_preheader f ~target ~preds:[ pred_l ]
-                      ~fresh:(fresh_label target)
-                  else Kir.Cfg.block cfg lb.Range.lb_preheader
-                in
-                List.iter
-                  (fun (base, scale, size, flags, site) ->
-                    let r = fresh_reg () in
-                    let span =
-                      ((lb.Range.lb_hi - lb.Range.lb_lo) * scale) + size
-                    in
-                    let args =
-                      if site < 0 then [ Reg r; Imm span; Imm flags ]
-                      else [ Reg r; Imm span; Imm flags; Imm site ]
-                    in
-                    pre.body <-
-                      pre.body
-                      @ [
-                          Gep
-                            {
-                              dst = r;
-                              base;
-                              idx = Imm lb.Range.lb_lo;
-                              scale;
-                            };
-                          Call { dst = None; callee = guard_symbol; args };
-                        ];
-                    incr widened)
-                  cands
-              end
-            end)
+                (fun (base, scale, size, flags, site) ->
+                  let r = fresh_reg () in
+                  let span =
+                    ((lb.Range.lb_hi - lb.Range.lb_lo) * scale) + size
+                  in
+                  let args =
+                    if site < 0 then [ Reg r; Imm span; Imm flags ]
+                    else [ Reg r; Imm span; Imm flags; Imm site ]
+                  in
+                  pre.body <-
+                    pre.body
+                    @ [
+                        Gep
+                          {
+                            dst = r;
+                            base;
+                            idx = Imm lb.Range.lb_lo;
+                            scale;
+                          };
+                        Call { dst = None; callee = guard_symbol; args };
+                      ];
+                  incr widened)
+                cands
+            end
+          end)
         lbs
   in
   List.iter process_func m.funcs;

@@ -1,6 +1,6 @@
 (** Loop induction-variable range analysis.
 
-    Detects the counted-loop shape {!Kir.Builder.for_loop} emits —
+    Finds the counted loops {!Kir.Builder.for_loop} emits —
 
     {v
       pre:   mov  i, init            ; last def of i in the preheader
@@ -13,9 +13,10 @@
              br   head
     v}
 
-    — and proves that, inside the loop body (excluding the header,
-    where [i] can already equal the exit bound), the symbolic value
-    [S_merge (header, i)] lies in [\[init, last\]] with
+    — as {!Cert_check.counted_loop} recognizes them (the exact rules
+    live there), and claims that inside the loop body (excluding the
+    header, where [i] can already equal the exit bound), the symbolic
+    value [S_merge (header, i)] lies in [\[init, last\]] with
     [last = N - 1] for [Slt] and [N] for [Sle].
 
     The claim is keyed on the merge symbol deliberately: after the
@@ -52,103 +53,36 @@ type t = {
   in_body : (int * reg, loop_bound) Hashtbl.t;  (** (block, reg) index *)
 }
 
-(* last definition of [r] in [body]; None when undefined *)
-let last_def_of body r =
-  List.fold_left
-    (fun acc i -> if def_of_instr i = Some r then Some i else acc)
-    None body
-
-let analyze_func (cfg : Kir.Cfg.t) (linfo : Passes.Loops.t) : t =
-  let bounds = ref [] in
-  List.iter
-    (fun (l : Passes.Loops.loop) ->
-      match Passes.Loops.outside_preds linfo l with
-      | [ p ] -> (
-        let header_b = Kir.Cfg.block cfg l.Passes.Loops.header in
-        (* exit test: cond_br on an icmp slt/sle against an immediate,
-           computed in the header as the last def of the condition *)
-        match header_b.term with
-        | Cond_br { cond = Reg c; if_true; if_false } -> (
-          let tt = Kir.Cfg.index_of cfg if_true in
-          let ft = Kir.Cfg.index_of cfg if_false in
-          let in_l b = Passes.Loops.in_loop l b in
-          match last_def_of header_b.body c with
-          | Some (Icmp { cond; a = Reg i; b = Imm n; _ })
-            when (cond = Slt || cond = Sle) && in_l tt && not (in_l ft) -> (
-            (* init: last def of i on the loop-entry path must be a
-               mov-imm; walk up through blocks that leave [i] untouched
-               along a unique-predecessor chain, so a previously split
-               entry edge (an inserted pre-header carrying only guards)
-               stays transparent to re-analysis *)
-            let rec find_init bi fuel =
-              match last_def_of (Kir.Cfg.block cfg bi).body i with
-              | Some d -> Some d
-              | None ->
-                if fuel = 0 then None
-                else (
-                  match cfg.Kir.Cfg.pred.(bi) with
-                  | [ q ] -> find_init q (fuel - 1)
-                  | _ -> None)
-            in
-            match find_init p 4 with
-            | Some (Mov { src = Imm init; _ }) -> (
-              (* exactly one redefinition of i inside the loop: the
-                 canonical [t = add i, step; mov i, t] bottom *)
-              let body_blocks =
-                List.filter (fun bi -> bi <> l.Passes.Loops.header)
-                  l.Passes.Loops.body
-              in
-              let defs_in_loop =
-                List.concat_map
-                  (fun bi ->
-                    let b = Kir.Cfg.block cfg bi in
-                    List.filter (fun ins -> def_of_instr ins = Some i) b.body)
-                  l.Passes.Loops.body
-              in
-              let header_defines_i =
-                List.exists (fun ins -> def_of_instr ins = Some i) header_b.body
-              in
-              match defs_in_loop with
-              | [ Mov { src = Reg t; _ } ] when not header_defines_i -> (
-                (* find t's definition in the loop; it must be the add *)
-                let t_defs =
-                  List.concat_map
-                    (fun bi ->
-                      let b = Kir.Cfg.block cfg bi in
-                      List.filter (fun ins -> def_of_instr ins = Some t) b.body)
-                    l.Passes.Loops.body
-                in
-                match t_defs with
-                | [ Binop { op = Add; a = Reg i'; b = Imm step; _ } ]
-                  when i' = i && step >= 1 ->
-                  let last = if cond = Slt then n - 1 else n in
-                  if init <= last then
-                    bounds :=
-                      {
-                        lb_header = l.Passes.Loops.header;
-                        lb_preheader = p;
-                        lb_split =
-                          cfg.Kir.Cfg.succ.(p) <> [ l.Passes.Loops.header ];
-                        lb_reg = i;
-                        lb_lo = init;
-                        lb_hi = last;
-                        lb_step = step;
-                        lb_body = body_blocks;
-                      }
-                      :: !bounds
-                | _ -> ())
-              | _ -> ())
-            | _ -> ())
-          | _ -> ())
-        | _ -> ())
-      | _ -> ())
-    linfo.Passes.Loops.loops;
+(** Every counted loop of the function, as {!Cert_check.counted_loop}
+    recognizes it: the certifier can only prove a widened guard the
+    checker accepts. *)
+let analyze_func (cfg : Kir.Cfg.t) : t =
+  let fn = Cert_check.of_cfg cfg in
+  let n = Kir.Cfg.n_blocks cfg in
+  let bounds =
+    List.filter_map
+      (fun h ->
+        Option.map
+          (fun (l : Cert_check.loop) ->
+            {
+              lb_header = h;
+              lb_preheader = l.l_pre;
+              lb_split = cfg.Kir.Cfg.succ.(l.l_pre) <> [ h ];
+              lb_reg = l.l_reg;
+              lb_lo = l.l_lo;
+              lb_hi = l.l_hi;
+              lb_step = l.l_step;
+              lb_body = List.filter (fun b -> b <> h && l.l_blocks.(b)) (List.init n Fun.id);
+            })
+          (Cert_check.counted_loop fn h))
+      (List.init n Fun.id)
+  in
   let in_body = Hashtbl.create 16 in
   List.iter
     (fun lb ->
       List.iter (fun bi -> Hashtbl.replace in_body (bi, lb.lb_reg) lb) lb.lb_body)
-    !bounds;
-  { bounds = List.rev !bounds; in_body }
+    bounds;
+  { bounds; in_body }
 
 let loop_bounds t = t.bounds
 
@@ -164,6 +98,4 @@ let bounds_at t ~block (sv : GC.sv) : (int * int) option =
   | _ -> None
 
 (** Convenience: full per-function analysis. *)
-let compute (f : func) : t =
-  let cfg = Kir.Cfg.of_func f in
-  analyze_func cfg (Passes.Loops.compute cfg)
+let compute (f : func) : t = analyze_func (Kir.Cfg.of_func f)

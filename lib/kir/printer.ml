@@ -60,108 +60,43 @@ let unescape s =
 
 let args_to_string args = String.concat ", " (List.map string_of_value args)
 
-(** Where printed text goes. Modules are written token by token, without
-    Printf: signing, the loader's signature check and the certificate
-    digest all print whole modules, and the digest hashes the tokens as
-    they come instead of building the text ({!emit}). *)
-type sink = { str : string -> unit; chr : char -> unit }
-
-let buffer_sink b = { str = Buffer.add_string b; chr = Buffer.add_char b }
-
-let add_value buf = function
-  | Reg r -> buf.str r
-  | Imm n -> buf.str (string_of_int n)
-  | Sym s ->
-    buf.chr '@';
-    buf.str s
-
-let add_def buf dst op =
-  buf.str dst;
-  buf.str " = ";
-  buf.str op
-
-let add_call buf dst kw =
-  match dst with Some d -> add_def buf d kw | None -> buf.str kw
-
-let add_args buf l =
-  buf.chr '(';
-  List.iteri
-    (fun k a ->
-      if k > 0 then buf.str ", ";
-      add_value buf a)
-    l;
-  buf.chr ')'
-
-(* ", " then the value *)
-let add_next buf x =
-  buf.str ", ";
-  add_value buf x
-
-(* " " ty " " *)
-let add_ty buf ty =
-  buf.chr ' ';
-  buf.str (string_of_ty ty);
-  buf.chr ' '
-
-let add_instr buf = function
+let string_of_instr = function
   | Binop { dst; op; ty; a; b } ->
-    add_def buf dst (string_of_binop op);
-    add_ty buf ty;
-    add_value buf a;
-    add_next buf b
+    Printf.sprintf "%s = %s %s %s, %s" dst (string_of_binop op)
+      (string_of_ty ty) (string_of_value a) (string_of_value b)
   | Icmp { dst; cond; ty; a; b } ->
-    add_def buf dst "icmp ";
-    buf.str (string_of_cond cond);
-    add_ty buf ty;
-    add_value buf a;
-    add_next buf b
+    Printf.sprintf "%s = icmp %s %s %s, %s" dst (string_of_cond cond)
+      (string_of_ty ty) (string_of_value a) (string_of_value b)
   | Load { dst; ty; addr } ->
-    add_def buf dst "load ";
-    buf.str (string_of_ty ty);
-    add_next buf addr
+    Printf.sprintf "%s = load %s, %s" dst (string_of_ty ty)
+      (string_of_value addr)
   | Store { ty; v; addr } ->
-    buf.str "store";
-    add_ty buf ty;
-    add_value buf v;
-    add_next buf addr
-  | Alloca { dst; size } ->
-    add_def buf dst "alloca ";
-    buf.str (string_of_int size)
+    Printf.sprintf "store %s %s, %s" (string_of_ty ty) (string_of_value v)
+      (string_of_value addr)
+  | Alloca { dst; size } -> Printf.sprintf "%s = alloca %d" dst size
   | Gep { dst; base; idx; scale } ->
-    add_def buf dst "gep ";
-    add_value buf base;
-    add_next buf idx;
-    add_next buf (Imm scale)
+    Printf.sprintf "%s = gep %s, %s, %d" dst (string_of_value base)
+      (string_of_value idx) scale
   | Mov { dst; ty; src } ->
-    add_def buf dst "mov";
-    add_ty buf ty;
-    add_value buf src
-  | Call { dst; callee; args } ->
-    add_call buf dst "call @";
-    buf.str callee;
-    add_args buf args
-  | Callind { dst; fn; args } ->
-    add_call buf dst "callind ";
-    add_value buf fn;
-    add_args buf args
+    Printf.sprintf "%s = mov %s %s" dst (string_of_ty ty)
+      (string_of_value src)
+  | Call { dst = Some d; callee; args } ->
+    Printf.sprintf "%s = call @%s(%s)" d callee (args_to_string args)
+  | Call { dst = None; callee; args } ->
+    Printf.sprintf "call @%s(%s)" callee (args_to_string args)
+  | Callind { dst = Some d; fn; args } ->
+    Printf.sprintf "%s = callind %s(%s)" d (string_of_value fn)
+      (args_to_string args)
+  | Callind { dst = None; fn; args } ->
+    Printf.sprintf "callind %s(%s)" (string_of_value fn) (args_to_string args)
   | Select { dst; cond; if_true; if_false } ->
-    add_def buf dst "select ";
-    add_value buf cond;
-    add_next buf if_true;
-    add_next buf if_false
-  | Inline_asm s ->
-    buf.str "asm \"";
-    buf.str (escape s);
-    buf.chr '"'
-  | Intrinsic { dst; iname; args } ->
-    add_call buf dst "intrinsic ";
-    buf.str iname;
-    add_args buf args
-
-let string_of_instr i =
-  let b = Buffer.create 48 in
-  add_instr (buffer_sink b) i;
-  Buffer.contents b
+    Printf.sprintf "%s = select %s, %s, %s" dst (string_of_value cond)
+      (string_of_value if_true) (string_of_value if_false)
+  | Inline_asm s -> Printf.sprintf "asm \"%s\"" (escape s)
+  | Intrinsic { dst = Some d; iname; args } ->
+    Printf.sprintf "%s = intrinsic %s(%s)" d iname (args_to_string args)
+  | Intrinsic { dst = None; iname; args } ->
+    Printf.sprintf "intrinsic %s(%s)" iname (args_to_string args)
 
 let string_of_term = function
   | Ret None -> "ret"
@@ -178,31 +113,11 @@ let string_of_term = function
   | Unreachable -> "unreachable"
 
 let pp_block buf blk =
-  buf.str blk.b_label;
-  buf.str ":\n";
+  Buffer.add_string buf (blk.b_label ^ ":\n");
   List.iter
-    (fun i ->
-      buf.str "  ";
-      add_instr buf i;
-      buf.chr '\n')
+    (fun i -> Buffer.add_string buf ("  " ^ string_of_instr i ^ "\n"))
     blk.body;
-  buf.str "  ";
-  (match blk.term with
-  | Ret (Some v) ->
-    buf.str "ret ";
-    add_value buf v
-  | Br l ->
-    buf.str "br ";
-    buf.str l
-  | Cond_br { cond; if_true; if_false } ->
-    buf.str "brc ";
-    add_value buf cond;
-    buf.str ", ";
-    buf.str if_true;
-    buf.str ", ";
-    buf.str if_false
-  | t -> buf.str (string_of_term t));
-  buf.chr '\n'
+  Buffer.add_string buf ("  " ^ string_of_term blk.term ^ "\n")
 
 let pp_func buf f =
   let params =
@@ -212,44 +127,43 @@ let pp_func buf f =
   let ret =
     match f.ret_ty with None -> "void" | Some ty -> string_of_ty ty
   in
-  buf.str (Printf.sprintf "func @%s(%s) : %s {\n" f.f_name params ret);
+  Buffer.add_string buf
+    (Printf.sprintf "func @%s(%s) : %s {\n" f.f_name params ret);
   List.iter (pp_block buf) f.blocks;
-  buf.str "}\n"
+  Buffer.add_string buf "}\n"
 
 let pp_global buf g =
   let mode = if g.g_writable then "rw" else "ro" in
   (match g.g_init with
   | None ->
-    buf.str
+    Buffer.add_string buf
       (Printf.sprintf "global @%s %s %d\n" g.g_name mode g.g_size)
   | Some init ->
-    buf.str
+    Buffer.add_string buf
       (Printf.sprintf "global @%s %s %d \"%s\"\n" g.g_name mode g.g_size
          (escape init)))
 
-(** Write the whole module to [buf]. [with_meta:false] yields the
-    signable body: everything except the metadata section (the
-    signature cannot cover itself). *)
-let emit ?(with_meta = true) buf m =
-  buf.str (Printf.sprintf "module \"%s\"\n" (escape m.m_name));
+(** Print the whole module. [with_meta:false] yields the signable body:
+    everything except the metadata section (the signature cannot cover
+    itself). *)
+let to_string ?(with_meta = true) m =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf (Printf.sprintf "module \"%s\"\n" (escape m.m_name));
   if with_meta then
     List.iter
       (fun (k, v) ->
-        buf.str (Printf.sprintf "meta \"%s\" = \"%s\"\n" (escape k) (escape v)))
+        Buffer.add_string buf
+          (Printf.sprintf "meta \"%s\" = \"%s\"\n" (escape k) (escape v)))
       (List.sort compare m.meta);
   List.iter
-    (fun (name, arity) -> buf.str (Printf.sprintf "extern @%s/%d\n" name arity))
+    (fun (name, arity) ->
+      Buffer.add_string buf (Printf.sprintf "extern @%s/%d\n" name arity))
     m.externs;
   List.iter (pp_global buf) m.globals;
-  List.iter (pp_func buf) m.funcs
-
-(** Print the whole module ({!emit} into a string). *)
-let to_string ?with_meta m =
-  let b = Buffer.create (4096 + (48 * module_instr_count m)) in
-  emit ?with_meta (buffer_sink b) m;
-  Buffer.contents b
+  List.iter (pp_func buf) m.funcs;
+  Buffer.contents buf
 
 let func_to_string f =
-  let b = Buffer.create 512 in
-  pp_func (buffer_sink b) f;
-  Buffer.contents b
+  let buf = Buffer.create 512 in
+  pp_func buf f;
+  Buffer.contents buf

@@ -18,24 +18,21 @@ open Kir.Types
 let fnv_offset = 0x3bf29ce484222325
 let fnv_prime = 0x100000001b3
 
-(* one FNV-1a step per byte of [s], from state [h] *)
-let fnv_add h s =
-  let h = ref h in
-  for i = 0 to String.length s - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s i)) * fnv_prime
-  done;
-  !h
-
-let fnv1a64 (s : string) : int = fnv_add fnv_offset s land max_int
+let fnv1a64 (s : string) : int =
+  let h = ref fnv_offset in
+  String.iter
+    (fun c ->
+      h := !h lxor Char.code c;
+      h := !h * fnv_prime)
+    s;
+  !h land max_int
 
 (** HMAC-style keyed tag: H(key ^ opad || H(key ^ ipad || msg)), widened
     to 128 bits by hashing with two different seeds. *)
 let keyed_tag ~key msg =
-  (* hashed piece by piece: the message is a whole printed module *)
-  let hash pieces = List.fold_left fnv_add fnv_offset pieces land max_int in
-  let inner = hash [ key; "\x36\x36\x36\x36"; msg ] in
-  let outer = hash [ key; "\x5c\x5c\x5c\x5c"; Printf.sprintf "%016x" inner ] in
-  let second = hash [ Printf.sprintf "%016x" outer; msg; key ] in
+  let inner = fnv1a64 (key ^ "\x36\x36\x36\x36" ^ msg) in
+  let outer = fnv1a64 (key ^ "\x5c\x5c\x5c\x5c" ^ Printf.sprintf "%016x" inner) in
+  let second = fnv1a64 (Printf.sprintf "%016x" outer ^ msg ^ key) in
   Printf.sprintf "%016x%016x" outer second
 
 (* -- signing protocol ---------------------------------------------- *)

@@ -626,6 +626,28 @@ let guarantee_module () =
   meta_set m Passes.Guard_injection.meta_opt_level "aggressive";
   m
 
+(* [text] parsed, with a hand-written certificate for its one function
+   @f whose only witness, for its one access, reads that access as
+   covered by @f's first guard on 8 bytes of @g *)
+let with_witness text =
+  let m = Kir.Parser.parse_string text in
+  let body = List.concat_map (fun b -> b.body) (List.hd m.funcs).blocks in
+  let rec first_guard k = function
+    | Call { callee; _ } :: _ when callee = guard_sym -> k
+    | _ :: rest -> first_guard (k + 1) rest
+    | [] -> Alcotest.fail "no guard"
+  in
+  let w =
+    CF.W_guard
+      { origins = [ CF.O_guard (first_guard 0 body) ]; base = CF.V_sym "g"; lo = 0; hi = 8;
+        flags = 1; header = None }
+  in
+  meta_set m Passes.Attest.meta_cert
+    (CF.render ~digest:(Analysis.Cert_check.body_digest m) ~guard:guard_sym ~exempt:false
+       ~domain:None
+       [ ("f", [], [ w ]) ]);
+  m
+
 let insert_after_first_guard (f : func) ins =
   List.iter
     (fun blk ->
@@ -720,6 +742,72 @@ let test_cert_forgeries () =
               body.term <- Br "loop_tail";
               f.blocks <- f.blocks @ [ { b_label = "loop_tail"; body = access; term = Br "loop_head0" } ]);
           m );
+      ( "a loop bound whose footprint overflows",
+        fun () ->
+          (* 2^60 iterations of 8 bytes end at 2^63, which wraps to 0:
+             a 64-byte guard would look like it covers them all *)
+          let m = widened_loop_module () in
+          edit_body m (fun m ->
+              List.iter
+                (fun blk ->
+                  blk.body <-
+                    List.map
+                      (function
+                        | Icmp ({ b = Imm 8; _ } as c) -> Icmp { c with b = Imm (1 lsl 60) }
+                        | i -> i)
+                      blk.body)
+                (List.hd m.funcs).blocks);
+          m );
+      ( "a parameter read through a definition that has not run",
+        fun () ->
+          (* %r's one definition is dead: the load goes through the
+             caller's pointer, not @g *)
+          with_witness
+            {|module "fwd"
+extern @carat_guard/3
+global @g rw 64
+func @f(%r: i64) : void {
+entry:
+  call @carat_guard(@g, 8, 1)
+  %x = load i64, %r
+  ret
+dead:
+  %r = mov i64 @g
+  ret
+}
+|} );
+      ( "a parameter defined on one arm of a diamond",
+        fun () ->
+          with_witness
+            {|module "arm"
+extern @carat_guard/3
+global @g rw 64
+func @f(%r: i64, %c: i64) : void {
+entry:
+  brc %c, set, join
+set:
+  %r = mov i64 @g
+  br join
+join:
+  call @carat_guard(@g, 8, 1)
+  %x = load i64, %r
+  ret
+}
+|} );
+      ( "a narrowing mov between guard and access",
+        fun () ->
+          with_witness
+            {|module "narrow"
+extern @carat_guard/3
+global @g rw 64
+func @f() : void {
+entry:
+  call @carat_guard(@g, 8, 1)
+  %a = mov i8 @g
+  %x = load i64, %a
+  ret
+}
+|} );
       ( "a stale callee guarantee",
         fun () ->
           let m = certified guarantee_module in
@@ -758,7 +846,26 @@ let test_cert_forgeries () =
   checkb "widened witness names its loop header" true
     (contains (cert (widened_loop_module ())) "|g2/%p/0/64/2/1");
   checkb "caller rides on the callee guarantee" true
-    (contains (cert (certified guarantee_module)) "g0:0/%p/0/16/2")
+    (contains (cert (certified guarantee_module)) "g0:0/%p/0/16/2");
+  (* a register's one definition still reads through when it runs on
+     every path to the access *)
+  checkb "dominating definition reads through" true
+    (Analysis.Cert_check.validate
+       (with_witness
+          {|module "dom"
+extern @carat_guard/3
+global @g rw 64
+func @f() : void {
+entry:
+  %q = mov i64 @g
+  br next
+next:
+  call @carat_guard(@g, 8, 1)
+  %x = load i64, %q
+  ret
+}
+|})
+    = Ok ())
 
 (* a function named like a header field must not shadow the header:
    fields are read by position *)
