@@ -9,11 +9,13 @@
      dune exec bench/main.exe -- --quick  # reduced trial counts
 
    Figures: fig3 fig4 fig5 fig6 fig7; tables/ablations: guards,
-   ablation-policy, ablation-opt; microbenchmarks: bechamel, guardpath;
-   gated suites: guardopt (the certified optimizer, writes
-   BENCH_guardopt.json), smpscale, selfheal, tracegate, certify.
-   Flags: --quick, --json (guardpath writes BENCH_guardpath.json),
-   --engine interp|compiled (execution engine for the fig targets). *)
+   ablation-policy, ablation-opt, ablation-mechanism; microbenchmark:
+   bechamel; fault campaign: faults. Gated targets, each writing
+   BENCH_<target>.json through Report and exiting 1 on a failed gate:
+   tracegate, guardpath, guardopt, smpscale, polscale, traffic,
+   selfheal, san, certify.
+   Flags: --quick, --engine interp|compiled (execution engine for the
+   fig targets), --trials N and --sanitize (faults). *)
 
 open Carat_kop
 
@@ -24,7 +26,6 @@ let section title =
 
 let quick = ref false
 let fault_trials = ref None
-let json = ref false
 let engine = ref Vm.Engine.Interp
 let fault_sanitize = ref false
 
@@ -138,14 +139,9 @@ let run_fig7 () =
   let r =
     Experiments.fig7 ~packets:(if !quick then 2500 else 8000) ~engine:!engine ()
   in
-  let all =
-    Array.append r.Experiments.base_latencies r.Experiments.carat_latencies
-  in
-  let lo = 400.0 in
-  let hi = 1300.0 in
-  ignore all;
   let h_of xs =
-    Stats.Hist.of_samples ~lo ~hi ~bins:18 (Array.map float_of_int xs)
+    Stats.Hist.of_samples ~lo:400.0 ~hi:1300.0 ~bins:18
+      (Array.map float_of_int xs)
   in
   print_string
     (Stats.Hist.render ~title:"latency (cycles); outliers hidden, as in the paper"
@@ -238,8 +234,7 @@ let run_mechanism () =
     \  branches are monotone, so even a tiny predictor learns them -- the\n\
     \  predictor only matters for log-time policy structures (see the\n\
     \  policy-structure ablation), which is why the paper's linear table\n\
-    \  is the right default";
-  ignore pts
+    \  is the right default"
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks: wall-clock cost of the hot simulator
@@ -340,6 +335,121 @@ let run_bechamel () =
     rows
 
 (* ------------------------------------------------------------------ *)
+(* One pktgen cell, the measurement under guardpath, guardopt, the
+   golden cells and san: a fresh Testbed on [config] (linear table, the
+   default), [prepare] on it, a 200-packet warm-up at seed 999 (compile
+   cache, simulated caches, predictor, inline caches), the decision
+   stats reset, then [packets] 128-byte packets at [seed]. *)
+
+type cell = {
+  tb : Testbed.t;
+  sent : int;
+  latencies : int array;
+  cycles : int;  (** simulated, across the measured packets *)
+  ns_per_packet : float;  (** host wall-clock *)
+  checks : int;
+  allowed : int;
+  denied : int;
+}
+
+let pktgen_cell ?(prepare = ignore) ~packets ~seed config =
+  let tb = Testbed.create ~config () in
+  prepare tb;
+  let send count seed =
+    Testbed.run_pktgen tb
+      { Net.Pktgen.default_config with count; size = 128; seed }
+  in
+  ignore (send 200 999);
+  let engine = Policy.Policy_module.engine tb.Testbed.policy_module in
+  Policy.Engine.reset_stats engine;
+  let machine = Testbed.machine tb in
+  let c0 = Machine.Model.cycles machine in
+  let t0 = Unix.gettimeofday () in
+  let r = send packets seed in
+  let t1 = Unix.gettimeofday () in
+  let st = Policy.Engine.stats engine in
+  {
+    tb;
+    sent = r.Net.Pktgen.sent;
+    latencies = r.Net.Pktgen.latencies;
+    cycles = Machine.Model.cycles machine - c0;
+    ns_per_packet = (t1 -. t0) *. 1e9 /. float_of_int packets;
+    checks = st.Policy.Engine.checks;
+    allowed = st.Policy.Engine.allowed;
+    denied = st.Policy.Engine.denied;
+  }
+
+(* the two measured set-ups, guarded (the default technique): fig3's
+   slow R415 and fig7's R350, with their flow-control stall rates *)
+let fig3_setup, fig7_setup =
+  let setup machine stall_prob =
+    { Testbed.default_config with machine; stall_prob }
+  in
+  (setup Machine.Presets.r415 0.0002, setup Machine.Presets.r350 0.0004)
+
+(* ------------------------------------------------------------------ *)
+(* The fig3/fig7 goldens, recorded before the trace layer existed: the
+   fig3-shaped cell (two regions, 600 packets at seed 7) gives simulated
+   cycles and guard checks, the fig7-shaped cell (exactly
+   Experiments.fig7's loop at 600 packets, seed 5) adds the median
+   sendmsg latency. Every subsystem that must cost nothing when off
+   (tracing, domains, RX, the sanitizer) is checked against them. *)
+
+let fig3_golden = (10629208, 17400)
+let fig7_golden = (12538822, 17400, 731.0)
+
+let golden_cells engine =
+  let f3 = pktgen_cell ~packets:600 ~seed:7 { fig3_setup with engine } in
+  let f7 = pktgen_cell ~packets:600 ~seed:5 { fig7_setup with engine } in
+  let median = Stats.Summary.median (Array.map float_of_int f7.latencies) in
+  ((f3.cycles, f3.checks), (f7.cycles, f7.checks, median))
+
+(* Check [cells] against the goldens, one failure per cell that drifted
+   ([off] names what is switched off); returns the two report fields. *)
+let check_goldens rep ~off (f3, f7) =
+  let f3_ok = f3 = fig3_golden and f7_ok = f7 = fig7_golden in
+  if not f3_ok then Report.fail rep "%s fig3 cell differs from the golden" off;
+  if not f7_ok then Report.fail rep "%s fig7 cell differs from the golden" off;
+  Report.[ bool "fig3_bit_identical" f3_ok; bool "fig7_bit_identical" f7_ok ]
+
+(* polscale, traffic and san: the interpreter's golden cells with their
+   subsystem off, printed and checked *)
+let off_goldens rep ~off =
+  let ((c3, k3), (c7, k7, m7)) as cells = golden_cells Vm.Engine.Interp in
+  Printf.printf
+    "  %s fig3 cell: %d cycles, %d checks (golden: %b)\n\
+    \  %s fig7 cell: %d cycles, %d checks, median %.1f (golden: %b)\n"
+    off c3 k3 ((c3, k3) = fig3_golden) off c7 k7 m7 ((c7, k7, m7) = fig7_golden);
+  (cells, check_goldens rep ~off cells)
+
+(* tracegate: the zero-cost-off contract of the trace layer. With
+   tracing disabled (the default) both engines must reproduce the
+   goldens bit for bit. *)
+let run_tracegate () =
+  section "tracegate: tracing off must be simulation-invisible (bit-identical)";
+  let rep = Report.create "tracegate" in
+  let ((c3, k3), (c7, k7, m7)) as interp = golden_cells Vm.Engine.Interp in
+  let compiled = golden_cells Vm.Engine.Compiled in
+  Printf.printf
+    "  fig3-shaped (R415, 2 regions, 600 pkts): %d cycles, %d checks\n\
+    \  fig7-shaped (R350, 2 regions, 600 pkts): %d cycles, %d checks, median \
+     %.1f\n"
+    c3 k3 c7 k7 m7;
+  if fst interp <> fst compiled then Report.fail rep "fig3 engines disagree";
+  if snd interp <> snd compiled then Report.fail rep "fig7 engines disagree";
+  let golden = check_goldens rep ~off:"tracing-off" interp in
+  if interp = (fig3_golden, fig7_golden) then
+    print_endline "  tracing off is bit-identical to the pre-trace goldens: yes";
+  Report.(
+    finish rep
+      ([
+         obj "fig3" [ int "cycles" c3; int "checks" k3 ];
+         obj "fig7" [ int "cycles" c7; int "checks" k7; num "median" m7 ];
+         bool "engines_agree" (interp = compiled);
+       ]
+      @ golden))
+
+(* ------------------------------------------------------------------ *)
 (* guardpath: wall-clock microbenchmark of the two-tier guard fast path.
 
    Two measurements:
@@ -357,138 +467,15 @@ let run_bechamel () =
      steady-state Gc.minor_words assertion proving the fast path does
      not allocate. *)
 
-type guardpath_row = {
-  gp_label : string;
-  gp_ns_per_packet : float;
-  gp_cycles_per_packet : float;
-  gp_total_cycles : int;
-  gp_guard_checks : int;
-}
-
-let guardpath_e2e ?(trace = false) ~label ~(engine : Vm.Engine.kind)
-    ~(structure : Policy.Engine.kind) ~site_cache ~regions ~packets () :
-    guardpath_row =
-  let config =
-    {
-      Testbed.default_config with
-      machine = Machine.Presets.r415;
-      technique = Testbed.Carat;
-      stall_prob = 0.0002;
-      engine;
-      structure;
-      site_cache;
-      trace;
-      policy =
-        (if regions <= 2 then Policy.Region.kernel_only
-         else Policy.Region.kernel_only_padded regions);
-    }
-  in
-  let tb = Testbed.create ~config () in
-  let machine = Testbed.machine tb in
-  (* warmup: compile cache, simulated caches, predictor, inline caches *)
-  ignore
-    (Testbed.run_pktgen tb
-       { Net.Pktgen.default_config with count = 200; size = 128; seed = 999 });
-  Policy.Engine.reset_stats (Policy.Policy_module.engine tb.Testbed.policy_module);
-  let c0 = Machine.Model.cycles machine in
-  let t0 = Unix.gettimeofday () in
-  let r =
-    Testbed.run_pktgen tb
-      { Net.Pktgen.default_config with count = packets; size = 128; seed = 7 }
-  in
-  let t1 = Unix.gettimeofday () in
-  let c1 = Machine.Model.cycles machine in
-  let st =
-    Policy.Engine.stats (Policy.Policy_module.engine tb.Testbed.policy_module)
-  in
-  assert (r.Net.Pktgen.sent = packets);
-  {
-    gp_label = label;
-    gp_ns_per_packet = (t1 -. t0) *. 1e9 /. float_of_int packets;
-    gp_cycles_per_packet = float_of_int (c1 - c0) /. float_of_int packets;
-    gp_total_cycles = c1 - c0;
-    gp_guard_checks = st.Policy.Engine.checks;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* tracegate: the zero-cost-off contract of the trace layer.
-
-   With tracing disabled (the default), the observability layer must be
-   invisible to the simulation: fig3/fig7-shaped runs must produce
-   simulated cycle counts and guard-check counts bit-identical to the
-   values recorded before the trace layer existed. The goldens below are
-   those pre-PR values (fixed seeds, fixed packet counts, engine
-   Interp/Compiled both asserted). *)
-
-(* fig7-shaped cell: R350, 0.0004 stall, 128B, 600 packets, seed 5 —
-   exactly Experiments.fig7's loop at a fixed small packet count. *)
-let fig7_cell ~technique ~(engine : Vm.Engine.kind) () =
-  let config =
-    {
-      Testbed.default_config with
-      machine = Machine.Presets.r350;
-      technique;
-      stall_prob = 0.0004;
-      engine;
-    }
-  in
-  let tb = Testbed.create ~config () in
-  let machine = Testbed.machine tb in
-  ignore
-    (Testbed.run_pktgen tb
-       { Net.Pktgen.default_config with count = 200; size = 128; seed = 999 });
-  Policy.Engine.reset_stats (Policy.Policy_module.engine tb.Testbed.policy_module);
-  let c0 = Machine.Model.cycles machine in
-  let r =
-    Testbed.run_pktgen tb
-      { Net.Pktgen.default_config with count = 600; size = 128; seed = 5 }
-  in
-  let c1 = Machine.Model.cycles machine in
-  let st =
-    Policy.Engine.stats (Policy.Policy_module.engine tb.Testbed.policy_module)
-  in
-  let median =
-    Stats.Summary.median (Array.map float_of_int r.Net.Pktgen.latencies)
-  in
-  (c1 - c0, st.Policy.Engine.checks, median)
-
-let run_tracegate () =
-  section "tracegate: tracing off must be simulation-invisible (bit-identical)";
-  (* (label, golden total sim cycles, golden guard checks) *)
-  let fig3_golden_cycles = 10629208 and fig3_golden_checks = 17400 in
-  let fig7_golden_cycles = 12538822 and fig7_golden_checks = 17400 in
-  let fig7_golden_median = 731.0 in
-  let f3i =
-    guardpath_e2e ~label:"fig3/interp" ~engine:Vm.Engine.Interp
-      ~structure:Policy.Engine.Linear ~site_cache:false ~regions:2 ~packets:600 ()
-  in
-  let f3c =
-    guardpath_e2e ~label:"fig3/compiled" ~engine:Vm.Engine.Compiled
-      ~structure:Policy.Engine.Linear ~site_cache:false ~regions:2 ~packets:600 ()
-  in
-  let c7i, k7i, m7i = fig7_cell ~technique:Testbed.Carat ~engine:Vm.Engine.Interp () in
-  let c7c, k7c, m7c = fig7_cell ~technique:Testbed.Carat ~engine:Vm.Engine.Compiled () in
-  Printf.printf "  fig3-shaped (R415, 2 regions, 600 pkts): %d cycles, %d checks\n"
-    f3i.gp_total_cycles f3i.gp_guard_checks;
-  Printf.printf "  fig7-shaped (R350, 2 regions, 600 pkts): %d cycles, %d checks, median %.1f\n"
-    c7i k7i m7i;
-  let fail msg =
-    Printf.eprintf "tracegate: FAIL: %s\n" msg;
-    exit 1
-  in
-  if (f3i.gp_total_cycles, f3i.gp_guard_checks) <> (f3c.gp_total_cycles, f3c.gp_guard_checks)
-  then fail "fig3 engines disagree";
-  if (c7i, k7i, m7i) <> (c7c, k7c, m7c) then fail "fig7 engines disagree";
-  if fig3_golden_cycles = 0 then
-    Printf.printf "  (goldens unset: probe mode, printing measured values only)\n"
-  else begin
-    if (f3i.gp_total_cycles, f3i.gp_guard_checks)
-       <> (fig3_golden_cycles, fig3_golden_checks)
-    then fail "fig3 simulated cycles/checks differ from pre-trace goldens";
-    if (c7i, k7i, m7i) <> (fig7_golden_cycles, fig7_golden_checks, fig7_golden_median)
-    then fail "fig7 simulated cycles/checks/median differ from pre-trace goldens";
-    print_endline "  tracing off is bit-identical to the pre-trace goldens: yes"
-  end
+(* [n] fast-path checks of one conforming address over eight guard
+   sites, for guardpath's allocation audit and selfheal's tier costs *)
+let hot_checks engine n =
+  let addr = Kernel.Layout.direct_map_base + 0x400 in
+  for i = 0 to n - 1 do
+    ignore
+      (Policy.Engine.check_fast engine ~site:(i land 7) ~addr ~size:8
+         ~flags:Policy.Region.prot_read)
+  done
 
 (* Steady-state allocation on the inline-cache hit path must be zero:
    returns minor words allocated across [n] hot checks (measurement
@@ -498,18 +485,9 @@ let guardpath_alloc_words ~n =
   let engine = Policy.Engine.create ~kind:Policy.Engine.Linear ~capacity:64 kernel in
   Policy.Engine.set_policy engine Policy.Region.kernel_only;
   Policy.Engine.enable_site_cache engine;
-  let addr = Kernel.Layout.direct_map_base + 0x400 in
-  for i = 0 to 999 do
-    ignore
-      (Policy.Engine.check_fast engine ~site:(i land 7) ~addr ~size:8
-         ~flags:Policy.Region.prot_read)
-  done;
+  hot_checks engine 1000;
   let w0 = Gc.minor_words () in
-  for i = 0 to n - 1 do
-    ignore
-      (Policy.Engine.check_fast engine ~site:(i land 7) ~addr ~size:8
-         ~flags:Policy.Region.prot_read)
-  done;
+  hot_checks engine n;
   Gc.minor_words () -. w0
 
 let guardpath_check_only ~checks =
@@ -557,131 +535,106 @@ let guardpath_check_only ~checks =
 
 let run_guardpath () =
   section "guardpath: wall-clock of the guard fast path (host ns, 64 regions)";
+  let rep = Report.create "guardpath" in
   let packets = if !quick then 1500 else 4000 in
-  let rows =
-    [
-      guardpath_e2e ~label:"interp+linear (seed)" ~engine:Vm.Engine.Interp
-        ~structure:Policy.Engine.Linear ~site_cache:false ~regions:64 ~packets ();
-      guardpath_e2e ~label:"compiled+linear" ~engine:Vm.Engine.Compiled
-        ~structure:Policy.Engine.Linear ~site_cache:false ~regions:64 ~packets ();
-      guardpath_e2e ~label:"interp+linear+ic" ~engine:Vm.Engine.Interp
-        ~structure:Policy.Engine.Linear ~site_cache:true ~regions:64 ~packets ();
-      guardpath_e2e ~label:"compiled+linear+ic" ~engine:Vm.Engine.Compiled
-        ~structure:Policy.Engine.Linear ~site_cache:true ~regions:64 ~packets ();
-      (* the observability tax: same configuration with the carat_trace
-         ring recording every guard event *)
-      guardpath_e2e ~trace:true ~label:"compiled+linear+ic+trace"
-        ~engine:Vm.Engine.Compiled ~structure:Policy.Engine.Linear
-        ~site_cache:true ~regions:64 ~packets ();
-    ]
+  let e2e ?(trace = false) ?(policy = Policy.Region.kernel_only_padded 64)
+      label engine site_cache =
+    ( label,
+      pktgen_cell ~packets ~seed:7
+        { fig3_setup with engine; site_cache; trace; policy } )
   in
-  let base = List.hd rows in
+  let rows =
+    Vm.Engine.
+      [
+        e2e "interp+linear (seed)" Interp false;
+        e2e "compiled+linear" Compiled false;
+        e2e "interp+linear+ic" Interp true;
+        e2e "compiled+linear+ic" Compiled true;
+        (* the observability tax: same configuration with the carat_trace
+           ring recording every guard event *)
+        e2e ~trace:true "compiled+linear+ic+trace" Compiled true;
+      ]
+  in
+  let base_ns = (snd (List.hd rows)).ns_per_packet in
+  let cycles_pp c = float_of_int c.cycles /. float_of_int packets in
   Printf.printf "  %-24s %14s %10s %16s %14s\n" "configuration" "ns/packet"
     "speedup" "sim cycles/pkt" "guard checks";
   List.iter
-    (fun r ->
-      Printf.printf "  %-24s %14.0f %9.2fx %16.0f %14d\n" r.gp_label
-        r.gp_ns_per_packet
-        (base.gp_ns_per_packet /. r.gp_ns_per_packet)
-        r.gp_cycles_per_packet r.gp_guard_checks)
+    (fun (label, c) ->
+      Printf.printf "  %-24s %14.0f %9.2fx %16.0f %14d\n" label c.ns_per_packet
+        (base_ns /. c.ns_per_packet) (cycles_pp c) c.checks)
     rows;
   (* fig3's minimal two-region policy, for context: the table is so
      small that the linear walk is nearly free, which is why the paper's
      production table scale above is the design point worth measuring *)
   let ctx =
-    [
-      guardpath_e2e ~label:"interp+linear (2 regions)" ~engine:Vm.Engine.Interp
-        ~structure:Policy.Engine.Linear ~site_cache:false ~regions:2 ~packets ();
-      guardpath_e2e ~label:"compiled+linear+ic (2 regions)"
-        ~engine:Vm.Engine.Compiled ~structure:Policy.Engine.Linear
-        ~site_cache:true ~regions:2 ~packets ();
-    ]
+    let policy = Policy.Region.kernel_only in
+    Vm.Engine.
+      [
+        e2e ~policy "interp+linear (2 regions)" Interp false;
+        e2e ~policy "compiled+linear+ic (2 regions)" Compiled true;
+      ]
   in
   List.iter
-    (fun r ->
-      Printf.printf "  %-30s %6.0f ns/packet  %12.0f sim cycles/pkt\n"
-        r.gp_label r.gp_ns_per_packet r.gp_cycles_per_packet)
+    (fun (label, c) ->
+      Printf.printf "  %-30s %6.0f ns/packet  %12.0f sim cycles/pkt\n" label
+        c.ns_per_packet (cycles_pp c))
     ctx;
+  List.iter (fun (_, c) -> assert (c.sent = packets)) (rows @ ctx);
   (* engine equivalence sanity on the spot: same policy tier => same
      simulated cycles and guard counts regardless of engine *)
-  let by label = List.find (fun r -> r.gp_label = label) rows in
-  let eq a b =
-    a.gp_cycles_per_packet = b.gp_cycles_per_packet
-    && a.gp_guard_checks = b.gp_guard_checks
+  let by label = List.assoc label rows in
+  let agree a b =
+    (by a).cycles = (by b).cycles && (by a).checks = (by b).checks
   in
-  if not (eq (by "interp+linear (seed)") (by "compiled+linear"))
-     || not (eq (by "interp+linear+ic") (by "compiled+linear+ic"))
-  then begin
-    Printf.eprintf
-      "guardpath: FAIL: engines disagree on simulated cycles or guard counts\n";
-    exit 1
-  end;
-  print_endline "  engines agree on simulated cycles and guard counts: yes";
+  if
+    agree "interp+linear (seed)" "compiled+linear"
+    && agree "interp+linear+ic" "compiled+linear+ic"
+  then print_endline "  engines agree on simulated cycles and guard counts: yes"
+  else Report.fail rep "engines disagree on simulated cycles or guard counts";
   (* recording must tax cycles only, never decisions: the traced run sees
      exactly the guard traffic of its untraced twin *)
   let traced = by "compiled+linear+ic+trace" in
   let untraced = by "compiled+linear+ic" in
-  if traced.gp_guard_checks <> untraced.gp_guard_checks then begin
-    Printf.eprintf
-      "guardpath: FAIL: tracing changed the guard-check count (%d vs %d)\n"
-      traced.gp_guard_checks untraced.gp_guard_checks;
-    exit 1
-  end;
-  let trace_overhead =
-    traced.gp_cycles_per_packet -. untraced.gp_cycles_per_packet
-  in
-  Printf.printf
-    "  trace recording overhead: %.1f sim cycles/packet (decisions unchanged)\n"
-    trace_overhead;
+  let decisions_unchanged = traced.checks = untraced.checks in
+  let trace_overhead = cycles_pp traced -. cycles_pp untraced in
+  if decisions_unchanged then
+    Printf.printf
+      "  trace recording overhead: %.1f sim cycles/packet (decisions unchanged)\n"
+      trace_overhead
+  else
+    Report.fail rep "tracing changed the guard-check count (%d vs %d)"
+      traced.checks untraced.checks;
   let words = guardpath_alloc_words ~n:100_000 in
   Printf.printf "  minor words allocated across 100k hot checks: %.0f\n" words;
-  if words > 64.0 then begin
-    Printf.eprintf "guardpath: FAIL: guard fast path allocates\n";
-    exit 1
-  end;
+  if words > 64.0 then Report.fail rep "guard fast path allocates";
   let checks = if !quick then 20_000 else 100_000 in
   let co = guardpath_check_only ~checks in
   Printf.printf "\n  bare check, 64 regions, conforming probes (host ns/check):\n";
   List.iter (fun (l, ns) -> Printf.printf "  %-22s %10.1f\n" l ns) co;
-  let speedup =
-    base.gp_ns_per_packet /. (by "compiled+linear+ic").gp_ns_per_packet
-  in
+  let speedup = base_ns /. (by "compiled+linear+ic").ns_per_packet in
   Printf.printf "\n  compiled+linear+ic vs seed interp+linear: %.2fx\n" speedup;
-  if !json then begin
-    let oc = open_out "BENCH_guardpath.json" in
-    let row_json r =
-      Printf.sprintf
-        "    {\"label\": %S, \"ns_per_packet\": %.1f, \"speedup\": %.3f, \
-         \"sim_cycles_per_packet\": %.1f, \"guard_checks\": %d}"
-        r.gp_label r.gp_ns_per_packet
-        (base.gp_ns_per_packet /. r.gp_ns_per_packet)
-        r.gp_cycles_per_packet r.gp_guard_checks
-    in
-    Printf.fprintf oc
-      "{\n\
-      \  \"packets\": %d,\n\
-      \  \"e2e\": [\n%s\n  ],\n\
-      \  \"context_two_regions\": [\n%s\n  ],\n\
-      \  \"check_only_ns\": {%s},\n\
-      \  \"minor_words_per_100k_checks\": %.0f,\n\
-      \  \"speedup_compiled_ic_vs_seed\": %.3f,\n\
-      \  \"trace_overhead_sim_cycles_per_packet\": %.1f,\n\
-      \  \"trace_decisions_unchanged\": true\n\
-       }\n"
-      packets
-      (String.concat ",\n" (List.map row_json rows))
-      (String.concat ",\n" (List.map row_json ctx))
-      (String.concat ", "
-         (List.map (fun (l, ns) -> Printf.sprintf "%S: %.1f" l ns) co))
-      words speedup trace_overhead;
-    close_out oc;
-    print_endline "  wrote BENCH_guardpath.json"
-  end;
-  if speedup < 3.0 then begin
-    Printf.eprintf
-      "guardpath: FAIL: compiled+linear+ic is below 3x over the seed path\n";
-    exit 1
-  end
+  if speedup < 3.0 then
+    Report.fail rep "compiled+linear+ic is below 3x over the seed path";
+  let row (label, c) =
+    Report.
+      [
+        str "label" label; num "ns_per_packet" c.ns_per_packet;
+        num "speedup" (base_ns /. c.ns_per_packet);
+        num "sim_cycles_per_packet" (cycles_pp c); int "guard_checks" c.checks;
+      ]
+  in
+  Report.(
+    finish rep
+      [
+        int "packets" packets; table "e2e" row rows;
+        table "context_two_regions" row ctx;
+        obj "check_only_ns" (List.map (fun (l, ns) -> num l ns) co);
+        num "minor_words_per_100k_checks" words;
+        num "speedup_compiled_ic_vs_seed" speedup;
+        num "trace_overhead_sim_cycles_per_packet" trace_overhead;
+        bool "trace_decisions_unchanged" decisions_unchanged;
+      ])
 
 (* ------------------------------------------------------------------ *)
 
@@ -696,83 +649,39 @@ let run_guardpath () =
    multi-queue build. Gates: on at least one fig3/fig7 preset the
    aggressive tier must cut dynamic guard executions >= 25% and improve
    guard-attributable cycles/pkt >= 1.15x, with zero certifier
-   rollbacks, zero denies, and an engine-independent decision stream.
-   Writes BENCH_guardopt.json. *)
+   rollbacks, zero denies, and an engine-independent decision stream. *)
 
 type go_row = {
   go_preset : string;
   go_level : string;  (* "baseline" or an opt level *)
-  go_static_guards : int;
-  go_sent : int;
-  go_checks : int;
-  go_allowed : int;
-  go_denied : int;
-  go_total_cycles : int;
-  go_cycles_per_pkt : float;
-  go_checks_per_pkt : float;
+  go_cell : cell;
 }
 
-let guardopt_cell ~preset ~machine ~stall ~structure ~site_cache ~packets
+(* [level] None is the unguarded baseline *)
+let guardopt_cell ~preset ~setup ~site_cache ~packets
     ~(engine : Vm.Engine.kind) level =
-  let technique, guard_opt =
+  let technique, guard_opt, go_level =
     match level with
-    | None -> (Testbed.Baseline, Passes.Pipeline.O_none)
-    | Some o -> (Testbed.Carat, o)
+    | None -> (Testbed.Baseline, Passes.Pipeline.O_none, "baseline")
+    | Some o -> (Testbed.Carat, o, Passes.Pipeline.opt_level_to_string o)
   in
-  let config =
-    {
-      Testbed.default_config with
-      machine;
-      technique;
-      stall_prob = stall;
-      engine;
-      structure;
-      site_cache;
-      guard_opt;
-      policy = Policy.Region.kernel_only_padded 64;
-    }
-  in
-  let tb = Testbed.create ~config () in
-  let mach = Testbed.machine tb in
-  ignore
-    (Testbed.run_pktgen tb
-       { Net.Pktgen.default_config with count = 200; size = 128; seed = 999 });
-  Policy.Engine.reset_stats
-    (Policy.Policy_module.engine tb.Testbed.policy_module);
-  let c0 = Machine.Model.cycles mach in
-  let r =
-    Testbed.run_pktgen tb
-      { Net.Pktgen.default_config with count = packets; size = 128; seed = 7 }
-  in
-  let c1 = Machine.Model.cycles mach in
-  let st =
-    Policy.Engine.stats (Policy.Policy_module.engine tb.Testbed.policy_module)
-  in
+  let policy = Policy.Region.kernel_only_padded 64 in
   {
     go_preset = preset;
-    go_level =
-      (match level with
-      | None -> "baseline"
-      | Some o -> Passes.Pipeline.opt_level_to_string o);
-    go_static_guards =
-      (match level with
-      | None -> 0
-      | Some _ -> Passes.Guard_injection.count_guards tb.Testbed.driver_kir);
-    go_sent = r.Net.Pktgen.sent;
-    go_checks = st.Policy.Engine.checks;
-    go_allowed = st.Policy.Engine.allowed;
-    go_denied = st.Policy.Engine.denied;
-    go_total_cycles = c1 - c0;
-    go_cycles_per_pkt = float_of_int (c1 - c0) /. float_of_int packets;
-    go_checks_per_pkt =
-      float_of_int st.Policy.Engine.checks /. float_of_int packets;
+    go_level;
+    go_cell =
+      pktgen_cell ~packets ~seed:7
+        { setup with technique; engine; site_cache; guard_opt; policy };
   }
+
+(* 0 for the baseline, whose driver is never guarded *)
+let static_guards g =
+  Passes.Guard_injection.count_guards g.go_cell.tb.Testbed.driver_kir
 
 let run_guardopt () =
   section "guardopt: certified guard optimizer vs the unoptimized pipeline";
+  let rep = Report.create "guardopt" in
   let packets = if !quick then 200 else 600 in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   (* 0: the certifier gate itself — the aggressive compile must not have
      rolled the transforms back, and must re-validate like any module
      the loader is about to accept *)
@@ -783,14 +692,14 @@ let run_guardopt () =
       if pass = "guard-optimize" then
         List.iter
           (fun (k, v) ->
-            if k = "restored" then fail "optimizer rolled back: %s" v
+            if k = "restored" then Report.fail rep "optimizer rolled back: %s" v
             else Printf.printf "  optimizer: %s = %s\n" k v)
           r.Passes.Pass.remarks)
     remarks;
   (match Analysis.Certify.validate m with
   | Ok () -> print_endline "  aggressive driver re-validates: yes"
   | Error e ->
-    fail "aggressive driver certificate: %s"
+    Report.fail rep "aggressive driver certificate: %s"
       (Analysis.Certify.validate_error_to_string e));
   (* 1: the gate presets, all tiers under identical seeds *)
   let levels =
@@ -798,16 +707,15 @@ let run_guardopt () =
   in
   let presets =
     [
-      ("fig3/compiled+linear+ic", Machine.Presets.r415, 0.0002);
-      ("fig7/compiled+linear+ic", Machine.Presets.r350, 0.0004);
+      ("fig3/compiled+linear+ic", fig3_setup);
+      ("fig7/compiled+linear+ic", fig7_setup);
     ]
   in
   let rows =
     List.concat_map
-      (fun (preset, machine, stall) ->
+      (fun (preset, setup) ->
         List.map
-          (guardopt_cell ~preset ~machine ~stall
-             ~structure:Policy.Engine.Linear ~site_cache:true ~packets
+          (guardopt_cell ~preset ~setup ~site_cache:true ~packets
              ~engine:Vm.Engine.Compiled)
           levels)
       presets
@@ -816,28 +724,28 @@ let run_guardopt () =
      full region scan *)
   let linear_rows =
     List.map
-      (guardopt_cell ~preset:"fig3/compiled+linear"
-         ~machine:Machine.Presets.r415 ~stall:0.0002
-         ~structure:Policy.Engine.Linear ~site_cache:false ~packets
-         ~engine:Vm.Engine.Compiled)
+      (guardopt_cell ~preset:"fig3/compiled+linear" ~setup:fig3_setup
+         ~site_cache:false ~packets ~engine:Vm.Engine.Compiled)
       [ Some Passes.Pipeline.O_none; Some Passes.Pipeline.O_aggressive ]
   in
   (* engine parity: the optimized module's decision stream and simulated
      cycles must not depend on the execution engine *)
   let parity_interp =
-    guardopt_cell ~preset:"fig3/interp+linear+ic"
-      ~machine:Machine.Presets.r415 ~stall:0.0002
-      ~structure:Policy.Engine.Linear ~site_cache:true ~packets
-      ~engine:Vm.Engine.Interp (Some Passes.Pipeline.O_aggressive)
+    guardopt_cell ~preset:"fig3/interp+linear+ic" ~setup:fig3_setup
+      ~site_cache:true ~packets ~engine:Vm.Engine.Interp
+      (Some Passes.Pipeline.O_aggressive)
   in
   let all_rows = rows @ linear_rows in
+  let per_packet n = float_of_int n /. float_of_int packets in
+  let cycles_pp g = per_packet g.go_cell.cycles in
+  let checks_pp g = per_packet g.go_cell.checks in
   Printf.printf "\n  %-26s %-10s %7s %9s %9s %7s %11s\n" "preset" "level"
     "static" "checks" "chk/pkt" "denied" "cycles/pkt";
   List.iter
     (fun g ->
       Printf.printf "  %-26s %-10s %7d %9d %9.1f %7d %11.1f\n" g.go_preset
-        g.go_level g.go_static_guards g.go_checks g.go_checks_per_pkt
-        g.go_denied g.go_cycles_per_pkt)
+        g.go_level (static_guards g) g.go_cell.checks (checks_pp g)
+        g.go_cell.denied (cycles_pp g))
     (all_rows @ [ parity_interp ]);
   let cell preset level =
     List.find (fun g -> g.go_preset = preset && g.go_level = level) all_rows
@@ -846,37 +754,39 @@ let run_guardopt () =
      check on a benign workload an allow *)
   List.iter
     (fun g ->
-      if g.go_denied <> 0 then
-        fail "%s/%s: %d denies on a benign workload" g.go_preset g.go_level
-          g.go_denied;
-      if g.go_sent <> packets then
-        fail "%s/%s: sent %d of %d packets" g.go_preset g.go_level g.go_sent
-          packets;
-      if g.go_checks <> g.go_allowed then
-        fail "%s/%s: checks <> allows" g.go_preset g.go_level)
+      let c = g.go_cell in
+      if c.denied <> 0 then
+        Report.fail rep "%s/%s: %d denies on a benign workload" g.go_preset
+          g.go_level c.denied;
+      if c.sent <> packets then
+        Report.fail rep "%s/%s: sent %d of %d packets" g.go_preset g.go_level
+          c.sent packets;
+      if c.checks <> c.allowed then
+        Report.fail rep "%s/%s: checks <> allows" g.go_preset g.go_level)
     (all_rows @ [ parity_interp ]);
-  (let c = cell "fig3/compiled+linear+ic" "aggressive" in
-   if
-     (parity_interp.go_checks, parity_interp.go_total_cycles)
-     <> (c.go_checks, c.go_total_cycles)
-   then fail "engines disagree on the optimized module (checks or cycles)");
+  (let c = (cell "fig3/compiled+linear+ic" "aggressive").go_cell in
+   let p = parity_interp.go_cell in
+   if (p.checks, p.cycles) <> (c.checks, c.cycles) then
+     Report.fail rep
+       "engines disagree on the optimized module (checks or cycles)");
   (* the optimization gates on the fig3/fig7 presets *)
   let gate_results =
     List.map
-      (fun (preset, _, _) ->
+      (fun (preset, _) ->
         let base = cell preset "baseline" in
         let n = cell preset "none" in
         let a = cell preset "aggressive" in
         let reduction =
-          1.0 -. (float_of_int a.go_checks /. float_of_int n.go_checks)
+          1.0
+          -. (float_of_int a.go_cell.checks /. float_of_int n.go_cell.checks)
         in
-        let attr l = l.go_cycles_per_pkt -. base.go_cycles_per_pkt in
+        let attr l = cycles_pp l -. cycles_pp base in
         let attr_improvement = attr n /. attr a in
         Printf.printf
           "\n  %s: checks %d -> %d (%.1f%% fewer), guard-attributable \
            cycles/pkt %.1f -> %.1f (%.2fx)\n"
-          preset n.go_checks a.go_checks (100.0 *. reduction) (attr n)
-          (attr a) attr_improvement;
+          preset n.go_cell.checks a.go_cell.checks (100.0 *. reduction)
+          (attr n) (attr a) attr_improvement;
         (preset, reduction, attr_improvement))
       presets
   in
@@ -886,7 +796,7 @@ let run_guardopt () =
          (fun (_, red, imp) -> red >= 0.25 && imp >= 1.15)
          gate_results)
   then
-    fail
+    Report.fail rep
       "no fig3/fig7 preset reached >=25%% check reduction and >=1.15x \
        guard-attributable cycles/pkt";
   (* 2: the 4-CPU multi-queue build, optimizer on vs off *)
@@ -916,58 +826,50 @@ let run_guardopt () =
     smp_none.Smp_testbed.pps smp_aggr.Smp_testbed.pps
     smp_none_st.Policy.Engine.denied smp_aggr_st.Policy.Engine.denied;
   if smp_none_st.Policy.Engine.denied + smp_aggr_st.Policy.Engine.denied <> 0
-  then fail "smp rows denied on a benign workload";
+  then Report.fail rep "smp rows denied on a benign workload";
   if smp_aggr_st.Policy.Engine.checks >= smp_none_st.Policy.Engine.checks then
-    fail "smp 4-cpu: aggressive did not reduce dynamic checks";
+    Report.fail rep "smp 4-cpu: aggressive did not reduce dynamic checks";
   if smp_none.Smp_testbed.total_sent <> smp_aggr.Smp_testbed.total_sent then
-    fail "smp 4-cpu: sent counts differ between tiers";
-  (* json artifact *)
-  let oc = open_out "BENCH_guardopt.json" in
-  let row_json g =
-    Printf.sprintf
-      "    {\"preset\": %S, \"level\": %S, \"static_guards\": %d, \"sent\": \
-       %d, \"checks\": %d, \"allowed\": %d, \"denied\": %d, \
-       \"total_cycles\": %d, \"cycles_per_packet\": %.1f, \
-       \"checks_per_packet\": %.1f}"
-      g.go_preset g.go_level g.go_static_guards g.go_sent g.go_checks
-      g.go_allowed g.go_denied g.go_total_cycles g.go_cycles_per_pkt
-      g.go_checks_per_pkt
+    Report.fail rep "smp 4-cpu: sent counts differ between tiers";
+  print_newline ();
+  let row g =
+    let c = g.go_cell in
+    Report.
+      [
+        str "preset" g.go_preset; str "level" g.go_level;
+        int "static_guards" (static_guards g); int "sent" c.sent;
+        int "checks" c.checks; int "allowed" c.allowed; int "denied" c.denied;
+        int "total_cycles" c.cycles; num "cycles_per_packet" (cycles_pp g);
+        num "checks_per_packet" (checks_pp g);
+      ]
   in
-  let gate_json (preset, red, imp) =
-    Printf.sprintf
-      "    {\"preset\": %S, \"check_reduction\": %.3f, \
-       \"attr_cycles_improvement\": %.3f}"
-      preset red imp
+  let gate (preset, red, imp) =
+    Report.
+      [
+        str "preset" preset; num "check_reduction" red;
+        num "attr_cycles_improvement" imp;
+      ]
   in
-  Printf.fprintf oc
-    "{\n\
-    \  \"packets\": %d,\n\
-    \  \"rows\": [\n%s\n  ],\n\
-    \  \"engine_parity_row\": [\n%s\n  ],\n\
-    \  \"gates\": [\n%s\n  ],\n\
-    \  \"smp_4cpu\": {\"checks_none\": %d, \"checks_aggressive\": %d, \
-     \"pps_none\": %.0f, \"pps_aggressive\": %.0f},\n\
-    \  \"gates_passed\": %b\n\
-     }\n"
-    packets
-    (String.concat ",\n" (List.map row_json all_rows))
-    (row_json parity_interp)
-    (String.concat ",\n" (List.map gate_json gate_results))
-    smp_none_st.Policy.Engine.checks smp_aggr_st.Policy.Engine.checks
-    smp_none.Smp_testbed.pps smp_aggr.Smp_testbed.pps (!failures = []);
-  close_out oc;
-  print_endline "\n  wrote BENCH_guardopt.json";
-  if !failures <> [] then begin
-    List.iter (Printf.eprintf "guardopt: FAIL: %s\n") !failures;
-    exit 1
-  end
+  Report.(
+    finish rep
+      [
+        int "packets" packets; table "rows" row all_rows;
+        table "engine_parity_row" row [ parity_interp ];
+        table "gates" gate gate_results;
+        obj "smp_4cpu"
+          [
+            int "checks_none" smp_none_st.Policy.Engine.checks;
+            int "checks_aggressive" smp_aggr_st.Policy.Engine.checks;
+            num "pps_none" smp_none.Smp_testbed.pps;
+            num "pps_aggressive" smp_aggr.Smp_testbed.pps;
+          ];
+      ])
 
 (* ------------------------------------------------------------------ *)
 
 (* smpscale: guarded-vs-unguarded send throughput at 1/2/4/8 CPUs on both
    machine presets, plus an update-storm row (concurrent policy churn via
-   the RCU publish path under load). Writes BENCH_smpscale.json and
-   enforces the scaling/coherence gates. *)
+   the RCU publish path under load), with the scaling/coherence gates. *)
 
 type smp_row = {
   sr_machine : string;
@@ -979,6 +881,7 @@ type smp_row = {
 
 let run_smpscale () =
   section "smpscale: multi-queue send throughput scaling, 1-8 CPUs";
+  let rep = Report.create "smpscale" in
   let count = if !quick then 300 else 1200 in
   let presets =
     [ ("R415", Machine.Presets.r415); ("R350", Machine.Presets.r350) ]
@@ -994,13 +897,12 @@ let run_smpscale () =
       }
     in
     let tb = Smp_testbed.create ~config:cfg () in
-    let r = Smp_testbed.run_pktgen ~count ~storm tb in
     {
       sr_machine = mname;
       sr_technique = Testbed.technique_to_string tech;
       sr_cpus = cpus;
       sr_storm = storm;
-      sr_result = r;
+      sr_result = Smp_testbed.run_pktgen ~count ~storm tb;
     }
   in
   let rows =
@@ -1026,14 +928,10 @@ let run_smpscale () =
   Printf.printf "  %-6s %-9s %5s %6s %12s %9s %6s %6s %6s\n" "mach" "tech"
     "cpus" "storm" "pps" "speedup" "pubs" "ipis" "stale";
   let pps_of mname tech cpus =
-    let r =
-      List.find
-        (fun s ->
-          s.sr_machine = mname && s.sr_technique = tech && s.sr_cpus = cpus
-          && s.sr_storm = 0)
-        rows
-    in
-    r.sr_result.Smp_testbed.pps
+    (List.find
+       (fun s -> s.sr_machine = mname && s.sr_technique = tech && s.sr_cpus = cpus)
+       rows)
+      .sr_result.Smp_testbed.pps
   in
   List.iter
     (fun s ->
@@ -1045,17 +943,15 @@ let run_smpscale () =
         r.Smp_testbed.stale_allows)
     all;
   (* gates *)
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   List.iter
     (fun s ->
       if s.sr_result.Smp_testbed.stale_allows <> 0 then
-        fail "%s/%s/%d: %d stale allows (policy coherence broken)"
+        Report.fail rep "%s/%s/%d: %d stale allows (policy coherence broken)"
           s.sr_machine s.sr_technique s.sr_cpus
           s.sr_result.Smp_testbed.stale_allows;
       if s.sr_result.Smp_testbed.send_errors <> 0 then
-        fail "%s/%s/%d: %d send errors" s.sr_machine s.sr_technique s.sr_cpus
-          s.sr_result.Smp_testbed.send_errors)
+        Report.fail rep "%s/%s/%d: %d send errors" s.sr_machine s.sr_technique
+          s.sr_cpus s.sr_result.Smp_testbed.send_errors)
     all;
   List.iter
     (fun (mname, _) ->
@@ -1065,7 +961,8 @@ let run_smpscale () =
           and p2 = pps_of mname tech 2
           and p4 = pps_of mname tech 4 in
           if not (p1 < p2 && p2 < p4) then
-            fail "%s/%s: throughput not monotone 1->2->4 (%.0f %.0f %.0f)"
+            Report.fail rep
+              "%s/%s: throughput not monotone 1->2->4 (%.0f %.0f %.0f)"
               mname tech p1 p2 p4)
         [ "carat"; "baseline" ])
     presets;
@@ -1073,55 +970,41 @@ let run_smpscale () =
   Printf.printf "\n  R350 carat scaling efficiency at 4 CPUs: %.2f\n"
     efficiency;
   if efficiency < 0.70 then
-    fail "R350 carat 4-CPU scaling efficiency %.2f below 0.70" efficiency;
+    Report.fail rep "R350 carat 4-CPU scaling efficiency %.2f below 0.70"
+      efficiency;
   List.iter
     (fun s ->
       let r = s.sr_result in
       if r.Smp_testbed.publications = 0 then
-        fail "%s storm row made no publications" s.sr_machine;
+        Report.fail rep "%s storm row made no publications" s.sr_machine;
       if r.Smp_testbed.retired <> r.Smp_testbed.publications then
-        fail "%s storm row: %d of %d generations never retired" s.sr_machine
-          (r.Smp_testbed.publications - r.Smp_testbed.retired)
+        Report.fail rep "%s storm row: %d of %d generations never retired"
+          s.sr_machine (r.Smp_testbed.publications - r.Smp_testbed.retired)
           r.Smp_testbed.publications)
     storm_rows;
-  let oc = open_out "BENCH_smpscale.json" in
-  let row_json s =
+  let row s =
     let r = s.sr_result in
-    Printf.sprintf
-      "    {\"machine\": %S, \"technique\": %S, \"cpus\": %d, \"storm\": %d, \
-       \"sent\": %d, \"pps\": %.0f, \"per_cpu_pps\": [%s], \
-       \"publications\": %d, \"retired\": %d, \"ipis\": %d, \
-       \"ipi_cycles\": %d, \"grace_quiescents\": %d, \"stale_allows\": %d, \
-       \"send_errors\": %d}"
-      s.sr_machine s.sr_technique s.sr_cpus s.sr_storm r.Smp_testbed.total_sent
-      r.Smp_testbed.pps
-      (String.concat ", "
-         (Array.to_list
-            (Array.map
-               (fun c -> Printf.sprintf "%.0f" c.Smp_testbed.cr_pps)
-               r.Smp_testbed.per_cpu)))
-      r.Smp_testbed.publications r.Smp_testbed.retired r.Smp_testbed.ipis
-      r.Smp_testbed.ipi_cycles r.Smp_testbed.grace_quiescents
-      r.Smp_testbed.stale_allows r.Smp_testbed.send_errors
+    Smp_testbed.(
+      Report.
+        [
+          str "machine" s.sr_machine; str "technique" s.sr_technique;
+          int "cpus" s.sr_cpus; int "storm" s.sr_storm;
+          int "sent" r.total_sent; num "pps" r.pps;
+          nums "per_cpu_pps"
+            (Array.to_list (Array.map (fun c -> c.cr_pps) r.per_cpu));
+          int "publications" r.publications; int "retired" r.retired;
+          int "ipis" r.ipis; int "ipi_cycles" r.ipi_cycles;
+          int "grace_quiescents" r.grace_quiescents;
+          int "stale_allows" r.stale_allows; int "send_errors" r.send_errors;
+        ])
   in
-  Printf.fprintf oc
-    "{\n\
-    \  \"count_per_cpu\": %d,\n\
-    \  \"rows\": [\n%s\n  ],\n\
-    \  \"storm_rows\": [\n%s\n  ],\n\
-    \  \"scaling_efficiency_r350_carat_4cpu\": %.3f,\n\
-    \  \"gates_passed\": %b\n\
-     }\n"
-    count
-    (String.concat ",\n" (List.map row_json rows))
-    (String.concat ",\n" (List.map row_json storm_rows))
-    efficiency (!failures = []);
-  close_out oc;
-  print_endline "  wrote BENCH_smpscale.json";
-  if !failures <> [] then begin
-    List.iter (Printf.eprintf "smpscale: FAIL: %s\n") !failures;
-    exit 1
-  end
+  Report.(
+    finish rep
+      [
+        int "count_per_cpu" count; table "rows" row rows;
+        table "storm_rows" row storm_rows;
+        num "scaling_efficiency_r350_carat_4cpu" efficiency;
+      ])
 
 (* ------------------------------------------------------------------ *)
 
@@ -1129,8 +1012,8 @@ let run_smpscale () =
    the cost of running degraded (which must reproduce the guard-tier
    ordering guardpath measures: ic hit <= exact walk), recovery back to
    the full fast path, bounded repair retries, and the tier-corruption
-   campaign invariants. Writes BENCH_selfheal.json and exits nonzero on
-   any gate failure. *)
+   campaign invariants. The watchdog runs at the fault harness's short
+   audit period. *)
 
 type selfheal_row = {
   se_class : string;
@@ -1144,20 +1027,12 @@ type selfheal_row = {
   se_stale : int;
 }
 
-let selfheal_period = 5_000
-
 let selfheal_cpc engine machine =
-  let addr = Kernel.Layout.direct_map_base + 0x400 in
-  let n = 2_000 in
   let c0 = Machine.Model.cycles machine in
-  for i = 0 to n - 1 do
-    ignore
-      (Policy.Engine.check_fast engine ~site:(i land 7) ~addr ~size:8
-         ~flags:Policy.Region.prot_read)
-  done;
-  float_of_int (Machine.Model.cycles machine - c0) /. float_of_int n
+  hot_checks engine 2_000;
+  float_of_int (Machine.Model.cycles machine - c0) /. 2_000.0
 
-let selfheal_episode ~cls ~corrupt () =
+let selfheal_episode rep ~cls ~corrupt () =
   let kernel = Kernel.create ~require_signature:false Machine.Presets.r415 in
   let pm =
     Policy.Policy_module.install ~site_cache:true
@@ -1165,22 +1040,17 @@ let selfheal_episode ~cls ~corrupt () =
   in
   (* production table scale, conforming rules last, as in guardpath *)
   Policy.Policy_module.set_policy pm (Policy.Region.kernel_only_padded 64);
-  let wd = Policy.Policy_module.enable_watchdog ~period:selfheal_period pm in
-  let ig =
-    match Policy.Policy_module.integrity pm with
-    | Some ig -> ig
-    | None -> assert false
-  in
+  let period = Fault.Harness.selfheal_period in
+  let wd = Policy.Policy_module.enable_watchdog ~period pm in
+  let ig = Option.get (Policy.Policy_module.integrity pm) in
   let engine = Policy.Policy_module.engine pm in
   let machine = Kernel.machine kernel in
   Policy.Engine.set_verify engine true;
   (* warm the probe path, then take the full-tier cost *)
   ignore (selfheal_cpc engine machine);
   let full = selfheal_cpc engine machine in
-  if not (corrupt engine) then begin
-    Printf.eprintf "selfheal: FAIL: %s corruption injection refused\n" cls;
-    exit 1
-  end;
+  if not (corrupt engine) then
+    Report.fail rep "%s corruption injection refused" cls;
   let c0 = Machine.Model.cycles machine in
   let steps = ref 0 in
   while Policy.Integrity.detections ig = 0 && !steps < 100 do
@@ -1197,7 +1067,7 @@ let selfheal_episode ~cls ~corrupt () =
     && !steps < 100
   do
     incr steps;
-    ignore (Kernel.Watchdog.advance wd ~cycles:selfheal_period)
+    ignore (Kernel.Watchdog.advance wd ~cycles:period)
   done;
   let healed = selfheal_cpc engine machine in
   {
@@ -1215,17 +1085,18 @@ let selfheal_episode ~cls ~corrupt () =
 
 let run_selfheal () =
   section "selfheal: watchdog detection latency, degraded overhead, recovery";
+  let rep = Report.create "selfheal" in
   let user_page = 0x4000 in
   let rows =
     [
-      selfheal_episode ~cls:"icache-corrupt"
+      selfheal_episode rep ~cls:"icache-corrupt"
         ~corrupt:(fun e ->
           Policy.Engine.corrupt_site_cache e (Policy.Engine.default_view e)
             ~site:3 ~lo:user_page ~hi:(user_page + Kernel.Memory.page_size)
             ~prot:Policy.Region.prot_rw
             ~smash_canary:true)
         ();
-      selfheal_episode ~cls:"instance-corrupt"
+      selfheal_episode rep ~cls:"instance-corrupt"
         ~corrupt:(fun e ->
           Policy.Engine.corrupt_instance e ~base:Kernel.Layout.kernel_base
             ~prot:0)
@@ -1270,11 +1141,7 @@ let run_selfheal () =
     List.filter Fault.Inject.is_tier_corruption Fault.Inject.all_classes
   in
   let carat_modes =
-    [
-      Fault.Harness.Carat Policy.Policy_module.Panic;
-      Fault.Harness.Carat Policy.Policy_module.Quarantine;
-      Fault.Harness.Carat Policy.Policy_module.Audit;
-    ]
+    List.filter (( <> ) Fault.Harness.Baseline) Fault.Harness.all_modes
   in
   let sum f =
     List.fold_left
@@ -1293,68 +1160,68 @@ let run_selfheal () =
     "  campaign (%d faults): detected %d/%d, rebuilt %d/%d, stale %d\n"
     faults detected detect_total rebuilt rebuild_total stale;
   (* gates *)
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   List.iter
     (fun r ->
-      if r.se_detect_cycles > 3 * selfheal_period then
-        fail "%s: detection took %d cycles (period %d)" r.se_class
-          r.se_detect_cycles selfheal_period;
-      if not r.se_recovered then fail "%s: never recovered" r.se_class;
+      if r.se_detect_cycles > 3 * Fault.Harness.selfheal_period then
+        Report.fail rep "%s: detection took %d cycles (period %d)" r.se_class
+          r.se_detect_cycles Fault.Harness.selfheal_period;
+      if not r.se_recovered then
+        Report.fail rep "%s: never recovered" r.se_class;
       if r.se_stale <> 0 then
-        fail "%s: %d stale allows" r.se_class r.se_stale)
+        Report.fail rep "%s: %d stale allows" r.se_class r.se_stale)
     rows;
-  let by cls = List.find (fun r -> r.se_class = cls) rows in
-  let ic = by "icache-corrupt" in
+  let ic = List.find (fun r -> r.se_class = "icache-corrupt") rows in
   (* degraded-mode cost must reproduce guardpath's tier ordering *)
   if ic.se_degraded_cpc < ic.se_full_cpc then
-    fail "ic-off tier cheaper than ic hits (%.1f vs %.1f)" ic.se_degraded_cpc
-      ic.se_full_cpc;
+    Report.fail rep "ic-off tier cheaper than ic hits (%.1f vs %.1f)"
+      ic.se_degraded_cpc ic.se_full_cpc;
   if ic.se_healed_cpc >= ic.se_degraded_cpc then
-    fail "healed cost did not return below the degraded cost";
+    Report.fail rep "healed cost did not return below the degraded cost";
   if ic.se_degraded_level <> 1 then
-    fail "ic quarantine did not fall back to the exact walk (level %d)"
+    Report.fail rep
+      "ic quarantine did not fall back to the exact walk (level %d)"
       ic.se_degraded_level;
   if abandoned <> 1 then
-    fail "pinned-failure repair abandoned %d tiers, wanted 1" abandoned;
+    Report.fail rep "pinned-failure repair abandoned %d tiers, wanted 1"
+      abandoned;
   if detected <> detect_total then
-    fail "campaign: %d of %d corruptions undetected" (detect_total - detected)
-      detect_total;
+    Report.fail rep "campaign: %d of %d corruptions undetected"
+      (detect_total - detected) detect_total;
   if rebuilt <> rebuild_total then
-    fail "campaign: %d of %d rebuilds failed" (rebuild_total - rebuilt)
-      rebuild_total;
-  if stale <> 0 then fail "campaign: %d stale allows" stale;
-  List.iter (fun m -> fail "campaign invariant: %s" m) campaign_fails;
-  let oc = open_out "BENCH_selfheal.json" in
-  let row_json r =
-    Printf.sprintf
-      "    {\"class\": %S, \"detect_cycles\": %d, \"watchdog_period\": %d, \
-       \"degraded_tier_level\": %d, \"full_cycles_per_check\": %.1f, \
-       \"degraded_cycles_per_check\": %.1f, \"healed_cycles_per_check\": \
-       %.1f, \"recover_audits\": %d, \"recovered\": %b, \"stale_allows\": %d}"
-      r.se_class r.se_detect_cycles selfheal_period r.se_degraded_level
-      r.se_full_cpc r.se_degraded_cpc r.se_healed_cpc r.se_recover_audits
-      r.se_recovered r.se_stale
+    Report.fail rep "campaign: %d of %d rebuilds failed"
+      (rebuild_total - rebuilt) rebuild_total;
+  if stale <> 0 then Report.fail rep "campaign: %d stale allows" stale;
+  List.iter (fun m -> Report.fail rep "campaign invariant: %s" m) campaign_fails;
+  let row r =
+    Report.
+      [
+        str "class" r.se_class; int "detect_cycles" r.se_detect_cycles;
+        int "watchdog_period" Fault.Harness.selfheal_period;
+        int "degraded_tier_level" r.se_degraded_level;
+        num "full_cycles_per_check" r.se_full_cpc;
+        num "degraded_cycles_per_check" r.se_degraded_cpc;
+        num "healed_cycles_per_check" r.se_healed_cpc;
+        int "recover_audits" r.se_recover_audits;
+        bool "recovered" r.se_recovered; int "stale_allows" r.se_stale;
+      ]
   in
-  Printf.fprintf oc
-    "{\n\
-    \  \"episodes\": [\n%s\n  ],\n\
-    \  \"bounded_retries\": {\"max_retries\": %d, \"abandoned\": %d},\n\
-    \  \"campaign\": {\"faults\": %d, \"detected\": %d, \"detect_total\": %d, \
-     \"rebuilt\": %d, \"rebuild_total\": %d, \"stale_allows\": %d, \
-     \"invariants_passed\": %b},\n\
-    \  \"gates_passed\": %b\n\
-     }\n"
-    (String.concat ",\n" (List.map row_json rows))
-    retry_cfg.Policy.Integrity.max_retries abandoned faults detected
-    detect_total rebuilt rebuild_total stale (campaign_fails = [])
-    (!failures = []);
-  close_out oc;
-  print_endline "  wrote BENCH_selfheal.json";
-  if !failures <> [] then begin
-    List.iter (Printf.eprintf "selfheal: FAIL: %s\n") !failures;
-    exit 1
-  end
+  Report.(
+    finish rep
+      [
+        table "episodes" row rows;
+        obj "bounded_retries"
+          [
+            int "max_retries" retry_cfg.Policy.Integrity.max_retries;
+            int "abandoned" abandoned;
+          ];
+        obj "campaign"
+          [
+            int "faults" faults; int "detected" detected;
+            int "detect_total" detect_total; int "rebuilt" rebuilt;
+            int "rebuild_total" rebuild_total; int "stale_allows" stale;
+            bool "invariants_passed" (campaign_fails = []);
+          ];
+      ])
 
 (* ------------------------------------------------------------------ *)
 
@@ -1376,58 +1243,54 @@ let run_faults () =
 
 let run_certify () =
   section "Certifier runtime: guard-completeness proof on e1000e-scale modules";
+  let rep = Report.create "certify" in
   let trials = if !quick then 3 else 7 in
+  (* the best of [trials] runs in ms, with the last run's result *)
+  let timed f =
+    let rec go n best =
+      let t0 = Unix.gettimeofday () in
+      let v = f () in
+      let best = Float.min best ((Unix.gettimeofday () -. t0) *. 1000.0) in
+      if n = 1 then (v, best) else go (n - 1) best
+    in
+    go trials infinity
+  in
   Printf.printf "  %-10s %8s %8s %8s %14s %14s\n" "pipeline" "scale" "instrs"
     "guards" "derive ms" "check ms";
-  List.iter
-    (fun (label, scale, opt) ->
-      let m = Nic.Driver_gen.generate ~module_scale:scale ~with_rogue:false () in
-      ignore (Passes.Pipeline.compile ~opt m);
-      let time_ms f =
-        let best = ref infinity in
-        for _ = 1 to trials do
-          let t0 = Unix.gettimeofday () in
-          f ();
-          let dt = (Unix.gettimeofday () -. t0) *. 1000.0 in
-          if dt < !best then best := dt
-        done;
-        !best
-      in
-      let derive_ms =
-        time_ms (fun () ->
-            match Analysis.Certify.certify m with
-            | Ok _ -> ()
-            | Error msg ->
-              Printf.eprintf "certify: %s (scale %d) FAILED: %s\n" label scale
-                msg;
-              exit 1)
-      in
-      let check_ms =
-        time_ms (fun () ->
-            match Analysis.Cert_check.validate m with
-            | Ok () -> ()
-            | Error e ->
-              Printf.eprintf "certify: %s (scale %d) check FAILED: %s\n"
-                label scale
-                (Analysis.Cert_check.validate_error_to_string e);
-              exit 1)
-      in
-      Printf.printf "  %-10s %8d %8d %8d %14.2f %14.2f\n" label scale
-        (Kir.Types.module_instr_count m)
-        (Passes.Guard_injection.count_guards m)
-        derive_ms check_ms)
-    (let scales = if !quick then [ 12 ] else [ 12; 24; 48 ] in
-     List.concat_map
-       (fun s ->
-         [
-           ("default", s, Passes.Pipeline.O_none);
-           ("optimized", s, Passes.Pipeline.O_aggressive);
-         ])
-       scales);
+  let row label scale opt =
+    let m = Nic.Driver_gen.generate ~module_scale:scale ~with_rogue:false () in
+    ignore (Passes.Pipeline.compile ~opt m);
+    let derived, derive_ms = timed (fun () -> Analysis.Certify.certify m) in
+    let checked, check_ms = timed (fun () -> Analysis.Cert_check.validate m) in
+    Result.iter_error (Report.fail rep "%s (scale %d) derive: %s" label scale)
+      derived;
+    Result.iter_error
+      (fun e ->
+        Report.fail rep "%s (scale %d) check: %s" label scale
+          (Analysis.Cert_check.validate_error_to_string e))
+      checked;
+    let instrs = Kir.Types.module_instr_count m in
+    let guards = Passes.Guard_injection.count_guards m in
+    Printf.printf "  %-10s %8d %8d %8d %14.2f %14.2f\n" label scale instrs
+      guards derive_ms check_ms;
+    Report.
+      [
+        str "pipeline" label; int "scale" scale; int "instrs" instrs;
+        int "guards" guards; num "derive_ms" derive_ms; num "check_ms" check_ms;
+      ]
+  in
+  let rows =
+    List.concat_map
+      (fun s ->
+        let default = row "default" s Passes.Pipeline.O_none in
+        [ default; row "optimized" s Passes.Pipeline.O_aggressive ])
+      (if !quick then [ 12 ] else [ 12; 24; 48 ])
+  in
   print_endline
     "\n  derive = the certifier's dataflow proof plus writing one witness per\n\
     \  access; check = digest + witness check, the work insmod does when\n\
-    \  require_certificate is set (it re-derives nothing)"
+    \  require_certificate is set (it re-derives nothing)";
+  Report.(finish rep [ int "trials" trials; table "rows" Fun.id rows ])
 
 (* ------------------------------------------------------------------ *)
 
@@ -1444,9 +1307,7 @@ let run_certify () =
       a partial batch, with zero stale allows and full retirement;
    3. with domains unused, the guard dispatch is bit-identical to the
       fig3/fig7 tracegate goldens — multi-tenancy costs nothing when
-      off.
-
-   Writes BENCH_polscale.json. *)
+      off. *)
 
 type pol_row = {
   pr_domains : int;
@@ -1458,6 +1319,7 @@ type pol_row = {
 
 let run_polscale () =
   section "polscale: policy domains at scale (64 -> 10k regions, 1 -> 256 domains)";
+  let rep = Report.create "polscale" in
   let probes = if !quick then 400 else 2000 in
   (* Per-domain disjoint two-page regions; the probe address straddles
      the page boundary inside the region, so every check takes the
@@ -1475,31 +1337,30 @@ let run_polscale () =
     Policy.Domain.set_verify dm true;
     let rs = List.init regions region_of in
     let ids =
-      List.init domains (fun _ ->
+      Array.init domains (fun _ ->
           let d = Policy.Domain.create_domain dm in
           let id = Policy.Domain.dom_id d in
           let rc = Policy.Domain.install_regions dm ~domain:id rs in
-          if rc <> 0 then failwith (Printf.sprintf "polscale: install rc=%d" rc);
+          if rc <> 0 then Report.fail rep "domain install refused (rc=%d)" rc;
           id)
     in
-    let ids = Array.of_list ids in
     let machine = Kernel.machine kernel in
     let dom i = ids.(i mod Array.length ids) in
+    let denied = ref 0 in
     let check i =
       let addr = probe_of (i * 7 mod regions) in
       if not (Policy.Domain.check dm ~domain:(dom i) ~addr ~size:16 ~flags:3)
-      then failwith "polscale: in-policy probe denied"
+      then incr denied
     in
     for i = 0 to 99 do check i done (* warm *) ;
     let c0 = Machine.Model.cycles machine in
     for i = 0 to probes - 1 do check i done;
     let c1 = Machine.Model.cycles machine in
-    if Policy.Domain.stale_allows dm <> 0 then
-      failwith "polscale: stale allow in sweep";
-    let d0 = match Policy.Domain.find dm ids.(0) with
-      | Some d -> d
-      | None -> assert false
-    in
+    if !denied + Policy.Domain.stale_allows dm <> 0 then
+      Report.fail rep
+        "%d domains x %d regions: %d in-policy probes denied, %d stale allows"
+        domains regions !denied (Policy.Domain.stale_allows dm);
+    let d0 = Option.get (Policy.Domain.find dm ids.(0)) in
     {
       pr_domains = domains;
       pr_regions = regions;
@@ -1523,8 +1384,6 @@ let run_polscale () =
       Printf.printf "  %-8d %-8d %-10s %14.1f\n" r.pr_domains r.pr_regions
         r.pr_structure r.pr_cycles_per_check)
     rows;
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let cost ~domains ~regions =
     (List.find (fun r -> r.pr_domains = domains && r.pr_regions = regions) rows)
       .pr_cycles_per_check
@@ -1536,11 +1395,12 @@ let run_polscale () =
   Printf.printf "\n  10k/64-region cost ratio (1 domain): %.2fx (gate: <= 10x)\n"
     region_ratio;
   if region_ratio > 10.0 then
-    fail "10k-region lookup is %.1fx the 64-region cost (> 10x: not sub-linear)"
+    Report.fail rep
+      "10k-region lookup is %.1fx the 64-region cost (> 10x: not sub-linear)"
       region_ratio;
   (match List.find_opt (fun r -> r.pr_regions = 10_000) rows with
   | Some r when r.pr_structure <> "interval" ->
-    fail "10k-region domain was not promoted to the interval tier"
+    Report.fail rep "10k-region domain was not promoted to the interval tier"
   | _ -> ());
   (* gate 1b: sub-linear domain scaling — 256x the tenants must cost
      well under 256x. The residual growth is honest cache physics, not
@@ -1554,7 +1414,8 @@ let run_polscale () =
   Printf.printf "  256/1-domain cost ratio (64 regions): %.2fx (gate: <= 8x)\n"
     domain_ratio;
   if domain_ratio > 8.0 then
-    fail "256-domain lookup is %.1fx the 1-domain cost (super-cache cross-tenant interference)"
+    Report.fail rep
+      "256-domain lookup is %.1fx the 1-domain cost (super-cache cross-tenant interference)"
       domain_ratio;
   (* ---- gate 2: 1k-region batched install is atomic under SMP ---- *)
   let batch_n = 1_000 in
@@ -1569,7 +1430,7 @@ let run_polscale () =
   let partial = ref 0 and observed = ref 0 and installed = ref false in
   let writer () =
     let rc = Policy.Policy_module.apply pm (Policy.Policy_module.M_install batch) in
-    if rc <> 0 then fail "SMP batched install refused (rc=%d)" rc;
+    if rc <> 0 then Report.fail rep "SMP batched install refused (rc=%d)" rc;
     installed := true;
     false
   in
@@ -1588,75 +1449,51 @@ let run_polscale () =
   ignore (Smp.System.run smp steps);
   let rstats = Smp.Rcu.stats (Smp.System.rcu smp) in
   Printf.printf
-    "\n  SMP batched install: %d regions, %d reader observations, %d partial,      %d stale, %d/%d retired\n"
+    "\n  SMP batched install: %d regions, %d reader observations, %d partial, \
+     %d stale, %d/%d retired\n"
     batch_n !observed !partial
     (Policy.Engine.stale_allows engine)
     rstats.Smp.Rcu.retired rstats.Smp.Rcu.publications;
-  if not !installed then fail "SMP batched install never ran";
+  if not !installed then Report.fail rep "SMP batched install never ran";
   if !partial <> 0 then
-    fail "%d reader(s) observed a partially-installed batch" !partial;
+    Report.fail rep "%d reader(s) observed a partially-installed batch"
+      !partial;
   if Policy.Engine.count engine <> batch_n + 2 then
-    fail "batch not fully live after the run";
+    Report.fail rep "batch not fully live after the run";
   if Policy.Engine.stale_allows engine <> 0 then
-    fail "%d stale allows during the batched install"
+    Report.fail rep "%d stale allows during the batched install"
       (Policy.Engine.stale_allows engine);
   if rstats.Smp.Rcu.publications <> 1 then
-    fail "batch took %d publications (must be exactly 1 generation swap)"
+    Report.fail rep
+      "batch took %d publications (must be exactly 1 generation swap)"
       rstats.Smp.Rcu.publications;
   if rstats.Smp.Rcu.retired <> rstats.Smp.Rcu.publications then
-    fail "batch generation never retired";
+    Report.fail rep "batch generation never retired";
   (* ---- gate 3: domains off => bit-identical to the tracegate goldens ---- *)
-  let fig3_golden = (10629208, 17400) in
-  let fig7_golden = (12538822, 17400, 731.0) in
-  let f3 =
-    guardpath_e2e ~label:"polscale/fig3" ~engine:Vm.Engine.Interp
-      ~structure:Policy.Engine.Linear ~site_cache:false ~regions:2
-      ~packets:600 ()
+  let _, golden = off_goldens rep ~off:"domains-off" in
+  let row r =
+    Report.
+      [
+        int "domains" r.pr_domains; int "regions" r.pr_regions;
+        str "structure" r.pr_structure; int "checks" r.pr_checks;
+        num "cycles_per_check" r.pr_cycles_per_check;
+      ]
   in
-  let f7 = fig7_cell ~technique:Testbed.Carat ~engine:Vm.Engine.Interp () in
-  let f3_ok = (f3.gp_total_cycles, f3.gp_guard_checks) = fig3_golden in
-  let f7_ok = f7 = fig7_golden in
-  Printf.printf "  domains-off fig3 cell: %d cycles, %d checks (golden: %b)\n"
-    f3.gp_total_cycles f3.gp_guard_checks f3_ok;
-  let c7, k7, m7 = f7 in
-  Printf.printf
-    "  domains-off fig7 cell: %d cycles, %d checks, median %.1f (golden: %b)\n"
-    c7 k7 m7 f7_ok;
-  if not f3_ok then
-    fail "1-domain (root) fig3 cell differs from the pre-domain golden";
-  if not f7_ok then
-    fail "1-domain (root) fig7 cell differs from the pre-domain golden";
-  (* ---- artifact ---- *)
-  let oc = open_out "BENCH_polscale.json" in
-  let row_json r =
-    Printf.sprintf
-      "    {\"domains\": %d, \"regions\": %d, \"structure\": %S,        \"checks\": %d, \"cycles_per_check\": %.1f}"
-      r.pr_domains r.pr_regions r.pr_structure r.pr_checks
-      r.pr_cycles_per_check
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"probes_per_cell\": %d,\n\
-    \  \"rows\": [\n%s\n  ],\n\
-    \  \"region_cost_ratio_10k_vs_64\": %.3f,\n\
-    \  \"domain_cost_ratio_256_vs_1\": %.3f,\n\
-    \  \"smp_batch\": {\"regions\": %d, \"partial_observations\": %d,      \"stale_allows\": %d, \"publications\": %d, \"retired\": %d},\n\
-    \  \"fig3_bit_identical\": %b,\n\
-    \  \"fig7_bit_identical\": %b,\n\
-    \  \"gates_passed\": %b\n\
-     }\n"
-    probes
-    (String.concat ",\n" (List.map row_json rows))
-    region_ratio domain_ratio batch_n !partial
-    (Policy.Engine.stale_allows engine)
-    rstats.Smp.Rcu.publications rstats.Smp.Rcu.retired f3_ok f7_ok
-    (!failures = []);
-  close_out oc;
-  print_endline "  wrote BENCH_polscale.json";
-  if !failures <> [] then begin
-    List.iter (Printf.eprintf "polscale: FAIL: %s\n") !failures;
-    exit 1
-  end
+  Report.(
+    finish rep
+      ([
+         int "probes_per_cell" probes; table "rows" row rows;
+         num "region_cost_ratio_10k_vs_64" region_ratio;
+         num "domain_cost_ratio_256_vs_1" domain_ratio;
+         obj "smp_batch"
+           [
+             int "regions" batch_n; int "partial_observations" !partial;
+             int "stale_allows" (Policy.Engine.stale_allows engine);
+             int "publications" rstats.Smp.Rcu.publications;
+             int "retired" rstats.Smp.Rcu.retired;
+           ];
+       ]
+      @ golden))
 
 (* ------------------------------------------------------------------ *)
 
@@ -1666,8 +1503,7 @@ let run_polscale () =
    CPU 0 republishing the whole policy through the RCU route mid-run.
    Gates: frame conservation, zero stale allows, RX throughput scaling,
    guarded-vs-baseline ceilings on throughput and tail latency, and the
-   rx_queues=0 goldens staying bit-identical. Writes BENCH_traffic.json
-   and exits nonzero on any gate failure. *)
+   rx_queues=0 goldens staying bit-identical. *)
 
 type traffic_row = {
   tf_technique : string;
@@ -1681,6 +1517,7 @@ type traffic_row = {
 
 let run_traffic () =
   section "traffic: full-duplex RX under heavy-tailed load, 1-8 CPUs";
+  let rep = Report.create "traffic" in
   let count = if !quick then 250 else 800 in
   let flows = 4096 in
   let churn_every = 37 in
@@ -1732,27 +1569,22 @@ let run_traffic () =
         r.Smp_testbed.d_rx_irqs r.Smp_testbed.d_rx_dropped)
     all;
   print_newline ();
+  let find tech cpus =
+    List.find
+      (fun s -> s.tf_technique = tech && s.tf_cpus = cpus && s.tf_churn = 0)
+      rows
+  in
   (* guarded-vs-baseline latency CDFs at 8 CPUs, cycles per frame *)
-  let lat_of tech cpus =
-    let s =
-      List.find
-        (fun s -> s.tf_technique = tech && s.tf_cpus = cpus && s.tf_churn = 0)
-        rows
-    in
-    s.tf_result.Smp_testbed.d_latencies
+  let cdf tech =
+    Stats.Cdf.of_samples (find tech 8).tf_result.Smp_testbed.d_latencies
   in
   print_string
     (Stats.Cdf.render
        ~title:"CDF of RX arrival-to-delivery latency (8 CPUs)"
        ~unit_label:"cycles"
-       [
-         ("carat", Stats.Cdf.of_samples (lat_of "carat" 8));
-         ("baseline", Stats.Cdf.of_samples (lat_of "baseline" 8));
-       ]);
+       [ ("carat", cdf "carat"); ("baseline", cdf "baseline") ]);
   print_newline ();
   (* gates *)
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   List.iter
     (fun s ->
       let r = s.tf_result in
@@ -1760,28 +1592,24 @@ let run_traffic () =
         Printf.sprintf "%s/%dcpu/churn=%d" s.tf_technique s.tf_cpus s.tf_churn
       in
       if r.Smp_testbed.d_stale_allows <> 0 then
-        fail "%s: %d stale allows (policy coherence broken under RX)" tag
-          r.Smp_testbed.d_stale_allows;
+        Report.fail rep "%s: %d stale allows (policy coherence broken under RX)"
+          tag r.Smp_testbed.d_stale_allows;
       if r.Smp_testbed.d_send_errors <> 0 then
-        fail "%s: %d send errors" tag r.Smp_testbed.d_send_errors;
+        Report.fail rep "%s: %d send errors" tag r.Smp_testbed.d_send_errors;
       if
         r.Smp_testbed.d_rx_frames + r.Smp_testbed.d_rx_dropped
         <> r.Smp_testbed.d_injected
       then
-        fail "%s: frame conservation broken (%d delivered + %d dropped <> %d offered)"
+        Report.fail rep
+          "%s: frame conservation broken (%d delivered + %d dropped <> %d offered)"
           tag r.Smp_testbed.d_rx_frames r.Smp_testbed.d_rx_dropped
           r.Smp_testbed.d_injected;
       if Array.length r.Smp_testbed.d_latencies <> r.Smp_testbed.d_rx_frames
       then
-        fail "%s: %d latency samples for %d delivered frames" tag
+        Report.fail rep "%s: %d latency samples for %d delivered frames" tag
           (Array.length r.Smp_testbed.d_latencies)
           r.Smp_testbed.d_rx_frames)
     all;
-  let find tech cpus =
-    List.find
-      (fun s -> s.tf_technique = tech && s.tf_cpus = cpus && s.tf_churn = 0)
-      rows
-  in
   (* gate: aggregate RX throughput must scale with the queue count *)
   List.iter
     (fun tech ->
@@ -1789,8 +1617,9 @@ let run_traffic () =
       and p2 = (find tech 2).tf_result.Smp_testbed.d_rx_pps
       and p4 = (find tech 4).tf_result.Smp_testbed.d_rx_pps in
       if not (p1 < p2 && p2 < p4) then
-        fail "%s: RX throughput not monotone 1->2->4 (%.0f %.0f %.0f)" tech p1
-          p2 p4)
+        Report.fail rep
+          "%s: RX throughput not monotone 1->2->4 (%.0f %.0f %.0f)"
+          tech p1 p2 p4)
     [ "carat"; "baseline" ];
   (* gate: guard overhead ceilings — guarded RX keeps most of baseline's
      throughput and stays within a bounded tail blowup *)
@@ -1802,10 +1631,12 @@ let run_traffic () =
       in
       Printf.printf "  %d-CPU carat/baseline rx_pps ratio: %.2f\n" cpus ratio;
       if ratio < 0.55 then
-        fail "%d CPUs: guarded RX keeps only %.0f%% of baseline pps (floor 55%%)"
+        Report.fail rep
+          "%d CPUs: guarded RX keeps only %.0f%% of baseline pps (floor 55%%)"
           cpus (100.0 *. ratio);
       if c.tf_p99 > 4.0 *. b.tf_p99 then
-        fail "%d CPUs: guarded p99 %.0f vs baseline %.0f (ceiling 4x)" cpus
+        Report.fail rep
+          "%d CPUs: guarded p99 %.0f vs baseline %.0f (ceiling 4x)" cpus
           c.tf_p99 b.tf_p99)
     [ 1; 2; 4; 8 ];
   (* gate: the extreme tail stays a tail, not a cliff — p99 already
@@ -1815,7 +1646,8 @@ let run_traffic () =
   List.iter
     (fun s ->
       if s.tf_p999 > 5.0 *. s.tf_p99 then
-        fail "%s/%dcpu/churn=%d: p999 %.0f is %.1fx p99 %.0f (ceiling 5x)"
+        Report.fail rep
+          "%s/%dcpu/churn=%d: p999 %.0f is %.1fx p99 %.0f (ceiling 5x)"
           s.tf_technique s.tf_cpus s.tf_churn s.tf_p999
           (s.tf_p999 /. s.tf_p99) s.tf_p99)
     all;
@@ -1825,79 +1657,44 @@ let run_traffic () =
     (fun s ->
       let r = s.tf_result in
       if r.Smp_testbed.d_publications = 0 then
-        fail "%d-CPU churn row made no publications" s.tf_cpus;
+        Report.fail rep "%d-CPU churn row made no publications" s.tf_cpus;
       if r.Smp_testbed.d_retired <> r.Smp_testbed.d_publications then
-        fail "%d-CPU churn row: %d of %d generations never retired" s.tf_cpus
-          (r.Smp_testbed.d_publications - r.Smp_testbed.d_retired)
+        Report.fail rep "%d-CPU churn row: %d of %d generations never retired"
+          s.tf_cpus (r.Smp_testbed.d_publications - r.Smp_testbed.d_retired)
           r.Smp_testbed.d_publications;
       if r.Smp_testbed.d_rx_frames = 0 then
-        fail "%d-CPU churn row delivered no frames" s.tf_cpus)
+        Report.fail rep "%d-CPU churn row delivered no frames" s.tf_cpus)
     churn_rows;
   (* gate: rx_queues=0 (the default everywhere else) stays bit-identical
      to the tracegate goldens — the RX subsystem must be invisible when
      off *)
-  let fig3_golden = (10629208, 17400) in
-  let fig7_golden = (12538822, 17400, 731.0) in
-  let f3 =
-    guardpath_e2e ~label:"traffic/fig3" ~engine:Vm.Engine.Interp
-      ~structure:Policy.Engine.Linear ~site_cache:false ~regions:2
-      ~packets:600 ()
-  in
-  let f7 = fig7_cell ~technique:Testbed.Carat ~engine:Vm.Engine.Interp () in
-  let f3_ok = (f3.gp_total_cycles, f3.gp_guard_checks) = fig3_golden in
-  let f7_ok = f7 = fig7_golden in
-  Printf.printf "  rx-off fig3 cell: %d cycles, %d checks (golden: %b)\n"
-    f3.gp_total_cycles f3.gp_guard_checks f3_ok;
-  let c7, k7, m7 = f7 in
-  Printf.printf
-    "  rx-off fig7 cell: %d cycles, %d checks, median %.1f (golden: %b)\n" c7
-    k7 m7 f7_ok;
-  if not f3_ok then
-    fail "rx_queues=0 fig3 cell differs from the pre-RX golden";
-  if not f7_ok then
-    fail "rx_queues=0 fig7 cell differs from the pre-RX golden";
-  (* ---- artifact ---- *)
-  let oc = open_out "BENCH_traffic.json" in
-  let row_json s =
+  let _, golden = off_goldens rep ~off:"rx-off" in
+  let row s =
     let r = s.tf_result in
-    Printf.sprintf
-      "    {\"technique\": %S, \"cpus\": %d, \"churn\": %d, \"sent\": %d, \
-       \"injected\": %d, \"rx_frames\": %d, \"rx_dropped\": %d, \
-       \"tx_pps\": %.0f, \"rx_pps\": %.0f, \"lat_p50\": %.1f, \
-       \"lat_p99\": %.1f, \"lat_p999\": %.1f, \"rx_irqs\": %d, \
-       \"rx_polls\": %d, \"budget_exhausted\": %d, \"timer_kicks\": %d, \
-       \"publications\": %d, \"retired\": %d, \"ipis\": %d, \
-       \"stale_allows\": %d, \"send_errors\": %d}"
-      s.tf_technique s.tf_cpus s.tf_churn r.Smp_testbed.d_sent
-      r.Smp_testbed.d_injected r.Smp_testbed.d_rx_frames
-      r.Smp_testbed.d_rx_dropped r.Smp_testbed.d_tx_pps
-      r.Smp_testbed.d_rx_pps s.tf_p50 s.tf_p99 s.tf_p999
-      r.Smp_testbed.d_rx_irqs r.Smp_testbed.d_rx_polls
-      r.Smp_testbed.d_budget_exhausted r.Smp_testbed.d_timer_kicks
-      r.Smp_testbed.d_publications r.Smp_testbed.d_retired
-      r.Smp_testbed.d_ipis r.Smp_testbed.d_stale_allows
-      r.Smp_testbed.d_send_errors
+    Smp_testbed.(
+      Report.
+        [
+          str "technique" s.tf_technique; int "cpus" s.tf_cpus;
+          int "churn" s.tf_churn; int "sent" r.d_sent;
+          int "injected" r.d_injected; int "rx_frames" r.d_rx_frames;
+          int "rx_dropped" r.d_rx_dropped; num "tx_pps" r.d_tx_pps;
+          num "rx_pps" r.d_rx_pps; num "lat_p50" s.tf_p50;
+          num "lat_p99" s.tf_p99; num "lat_p999" s.tf_p999;
+          int "rx_irqs" r.d_rx_irqs; int "rx_polls" r.d_rx_polls;
+          int "budget_exhausted" r.d_budget_exhausted;
+          int "timer_kicks" r.d_timer_kicks;
+          int "publications" r.d_publications; int "retired" r.d_retired;
+          int "ipis" r.d_ipis; int "stale_allows" r.d_stale_allows;
+          int "send_errors" r.d_send_errors;
+        ])
   in
-  Printf.fprintf oc
-    "{\n\
-    \  \"flows\": %d,\n\
-    \  \"count_per_cpu\": %d,\n\
-    \  \"rows\": [\n%s\n  ],\n\
-    \  \"churn_rows\": [\n%s\n  ],\n\
-    \  \"fig3_bit_identical\": %b,\n\
-    \  \"fig7_bit_identical\": %b,\n\
-    \  \"gates_passed\": %b\n\
-     }\n"
-    flows count
-    (String.concat ",\n" (List.map row_json rows))
-    (String.concat ",\n" (List.map row_json churn_rows))
-    f3_ok f7_ok (!failures = []);
-  close_out oc;
-  print_endline "  wrote BENCH_traffic.json";
-  if !failures <> [] then begin
-    List.iter (Printf.eprintf "traffic: FAIL: %s\n") !failures;
-    exit 1
-  end
+  Report.(
+    finish rep
+      ([
+         int "flows" flows; int "count_per_cpu" count; table "rows" row rows;
+         table "churn_rows" row churn_rows;
+       ]
+      @ golden))
 
 (* ------------------------------------------------------------------ *)
 
@@ -1915,39 +1712,7 @@ let run_traffic () =
    Gate 3 — the happens-before fixture suite: the clean RCU / NAPI /
    rebuild workloads stay silent, the seeded fixtures are flagged.
    Gate 4 — Alloc_lint: the seeded double-free and use-after-free are
-   caught and the driver-scale KIR lints with zero errors.
-   Writes BENCH_san.json and exits nonzero on any gate failure. *)
-
-(* fig7_cell with the sanitizer enabled on the cell's kernel: same
-   seeds, same packet counts; returns the sanitize-on cycle count plus
-   the decision counters that must not move *)
-let san_fig7_cell () =
-  let config =
-    {
-      Testbed.default_config with
-      machine = Machine.Presets.r350;
-      technique = Testbed.Carat;
-      stall_prob = 0.0004;
-      engine = Vm.Engine.Interp;
-    }
-  in
-  let tb = Testbed.create ~config () in
-  Kernel.enable_sanitizer tb.Testbed.kernel;
-  let machine = Testbed.machine tb in
-  ignore
-    (Testbed.run_pktgen tb
-       { Net.Pktgen.default_config with count = 200; size = 128; seed = 999 });
-  Policy.Engine.reset_stats (Policy.Policy_module.engine tb.Testbed.policy_module);
-  let c0 = Machine.Model.cycles machine in
-  ignore
-    (Testbed.run_pktgen tb
-       { Net.Pktgen.default_config with count = 600; size = 128; seed = 5 });
-  let c1 = Machine.Model.cycles machine in
-  let st =
-    Policy.Engine.stats (Policy.Policy_module.engine tb.Testbed.policy_module)
-  in
-  (c1 - c0, st.Policy.Engine.checks, st.Policy.Engine.denied,
-   Kernel.san_report_count tb.Testbed.kernel)
+   caught and the driver-scale KIR lints with zero errors. *)
 
 (* the seeded Alloc_lint fixtures: a must-double-free and a
    must-use-after-free (the UAF pointer is null-checked so the only
@@ -1974,40 +1739,32 @@ let build_alloc_bugs () =
 
 let run_san () =
   section "san: sanitizer pay-for-what-you-use, at-access attribution, races";
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  let rep = Report.create "san" in
   (* ---- gate 1: sanitizer off => bit-identical to the goldens ---- *)
-  let fig3_golden = (10629208, 17400) in
-  let fig7_golden = (12538822, 17400, 731.0) in
-  let f3 =
-    guardpath_e2e ~label:"fig3/san-off" ~engine:Vm.Engine.Interp
-      ~structure:Policy.Engine.Linear ~site_cache:false ~regions:2
-      ~packets:600 ()
+  let (_, (c7, k7, _)), golden = off_goldens rep ~off:"san-off" in
+  (* the fig7 cell again with the sanitizer on, enabled on the cell's
+     kernel: the decision counters must not move *)
+  let on =
+    pktgen_cell ~packets:600 ~seed:5 fig7_setup ~prepare:(fun tb ->
+        Kernel.enable_sanitizer tb.Testbed.kernel)
   in
-  let c7, k7, m7 = fig7_cell ~technique:Testbed.Carat ~engine:Vm.Engine.Interp () in
-  let f3_ok = (f3.gp_total_cycles, f3.gp_guard_checks) = fig3_golden in
-  let f7_ok = (c7, k7, m7) = fig7_golden in
-  Printf.printf "  san-off fig3 cell: %d cycles, %d checks (golden: %b)\n"
-    f3.gp_total_cycles f3.gp_guard_checks f3_ok;
-  Printf.printf
-    "  san-off fig7 cell: %d cycles, %d checks, median %.1f (golden: %b)\n" c7
-    k7 m7 f7_ok;
-  if not f3_ok then
-    fail "sanitizer-off fig3 cell differs from the pre-sanitizer golden";
-  if not f7_ok then
-    fail "sanitizer-off fig7 cell differs from the pre-sanitizer golden";
-  let sc7, sk7, sd7, s_reports = san_fig7_cell () in
-  let overhead = float_of_int (sc7 - c7) /. float_of_int c7 in
+  let s_reports = Kernel.san_report_count on.tb.Testbed.kernel in
+  let overhead = float_of_int (on.cycles - c7) /. float_of_int c7 in
   Printf.printf
     "  san-on  fig7 cell: %d cycles (+%.1f%%), %d checks, %d denied, %d \
      reports\n"
-    sc7 (100.0 *. overhead) sk7 sd7 s_reports;
-  if sk7 <> k7 then fail "sanitizer on changed the guard-check count";
-  if sd7 <> 0 then fail "sanitizer on changed guard decisions (denies)";
-  if s_reports <> 0 then fail "clean fig7 run produced sanitizer reports";
-  if sc7 <= c7 then fail "sanitizer on charged no shadow-check cycles";
+    on.cycles (100.0 *. overhead) on.checks on.denied s_reports;
+  if on.checks <> k7 then
+    Report.fail rep "sanitizer on changed the guard-check count";
+  if on.denied <> 0 then
+    Report.fail rep "sanitizer on changed guard decisions (denies)";
+  if s_reports <> 0 then
+    Report.fail rep "clean fig7 run produced sanitizer reports";
+  if on.cycles <= c7 then
+    Report.fail rep "sanitizer on charged no shadow-check cycles";
   if overhead > 0.5 then
-    fail "sanitizer overhead %.1f%% above the 50%% bound" (100.0 *. overhead);
+    Report.fail rep "sanitizer overhead %.1f%% above the 50%% bound"
+      (100.0 *. overhead);
   (* ---- gate 2: the sanitize campaign's at-access attribution ---- *)
   (* faults are round-robined across the classes, so at least one full
      round keeps every at-access gate non-vacuous *)
@@ -2023,20 +1780,22 @@ let run_san () =
   in
   print_string (Fault.Campaign.render report);
   let camp_fails = Fault.Campaign.check report in
-  List.iter (fun m -> fail "campaign: %s" m) camp_fails;
+  List.iter (fun m -> Report.fail rep "campaign: %s" m) camp_fails;
   let panic = Fault.Harness.Carat Policy.Policy_module.Panic in
   List.iter
     (fun cls ->
       if (Fault.Campaign.cell report ~cls ~mode:panic).Fault.Campaign.injected = 0
       then
-        fail "campaign: %s got no injections (at-access gate vacuous)"
+        Report.fail rep
+          "campaign: %s got no injections (at-access gate vacuous)"
           (Fault.Inject.cls_to_string cls))
     Fault.Inject.all_classes;
   let panic_t = Fault.Campaign.totals report ~mode:panic in
   (* ---- gate 3: the race-detector fixture suite ---- *)
   let suites = Race_suites.all () in
   print_string (Race_suites.render suites);
-  if not (Race_suites.pass suites) then fail "race fixture suite failed";
+  if not (Race_suites.pass suites) then
+    Report.fail rep "race fixture suite failed";
   (* ---- gate 4: Alloc_lint seeded bugs + clean driver-scale KIR ---- *)
   let bugs = Analysis.Alloc_lint.lint (build_alloc_bugs ()) in
   let has code =
@@ -2048,9 +1807,9 @@ let run_san () =
     (fun f -> Printf.printf "    %s\n" (Analysis.Kir_lint.finding_to_string f))
     bugs;
   if not (has "L-double-free") then
-    fail "alloc lint missed the seeded double-free";
+    Report.fail rep "alloc lint missed the seeded double-free";
   if not (has "L-use-after-free") then
-    fail "alloc lint missed the seeded use-after-free";
+    Report.fail rep "alloc lint missed the seeded use-after-free";
   let driver =
     Nic.Driver_gen.generate ~module_scale:12 ~rx_queues:2
       ~tx_queues:Nic.Regs.max_tx_queues ()
@@ -2061,42 +1820,28 @@ let run_san () =
     (List.length driver_errs)
     (List.length (Analysis.Kir_lint.warnings driver_findings));
   if driver_errs <> [] then
-    fail "alloc lint false positives on the clean driver KIR";
-  (* ---- artifact ---- *)
-  let suite_json v =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"expect_races\": %b, \"reports\": %d, \
-       \"pass\": %b}"
-      v.Race_suites.v_name v.Race_suites.v_expect_races
-      v.Race_suites.v_reports v.Race_suites.v_pass
+    Report.fail rep "alloc lint false positives on the clean driver KIR";
+  let suite v =
+    Race_suites.(
+      Report.
+        [
+          str "name" v.v_name; bool "expect_races" v.v_expect_races;
+          int "reports" v.v_reports; bool "pass" v.v_pass;
+        ])
   in
-  let oc = open_out "BENCH_san.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"fig3_bit_identical\": %b,\n\
-    \  \"fig7_bit_identical\": %b,\n\
-    \  \"san_on_overhead\": %.4f,\n\
-    \  \"campaign_faults_per_cell\": %d,\n\
-    \  \"campaign_san_hits\": %d,\n\
-    \  \"campaign_san_total\": %d,\n\
-    \  \"campaign_race_hits\": %d,\n\
-    \  \"campaign_race_total\": %d,\n\
-    \  \"race_suites\": [\n%s\n  ],\n\
-    \  \"alloc_lint_seeded_findings\": %d,\n\
-    \  \"alloc_lint_driver_errors\": %d,\n\
-    \  \"gates_passed\": %b\n\
-     }\n"
-    f3_ok f7_ok overhead faults panic_t.Fault.Campaign.san_hits
-    panic_t.Fault.Campaign.san_total panic_t.Fault.Campaign.race_hits
-    panic_t.Fault.Campaign.race_total
-    (String.concat ",\n" (List.map suite_json suites))
-    (List.length bugs) (List.length driver_errs) (!failures = []);
-  close_out oc;
-  print_endline "  wrote BENCH_san.json";
-  if !failures <> [] then begin
-    List.iter (Printf.eprintf "san: FAIL: %s\n") (List.rev !failures);
-    exit 1
-  end
+  Report.(
+    finish rep
+      (golden
+      @ [
+          num "san_on_overhead" overhead; int "campaign_faults_per_cell" faults;
+          int "campaign_san_hits" panic_t.Fault.Campaign.san_hits;
+          int "campaign_san_total" panic_t.Fault.Campaign.san_total;
+          int "campaign_race_hits" panic_t.Fault.Campaign.race_hits;
+          int "campaign_race_total" panic_t.Fault.Campaign.race_total;
+          table "race_suites" suite suites;
+          int "alloc_lint_seeded_findings" (List.length bugs);
+          int "alloc_lint_driver_errors" (List.length driver_errs);
+        ]))
 
 (* ------------------------------------------------------------------ *)
 
@@ -2129,9 +1874,6 @@ let () =
   let rec parse = function
     | "--quick" :: rest ->
       quick := true;
-      parse rest
-    | "--json" :: rest ->
-      json := true;
       parse rest
     | "--engine" :: e :: rest ->
       (match Vm.Engine.kind_of_string e with

@@ -247,6 +247,151 @@ let san_fields kernel ~lo ~hi =
       match hit with Some r -> r.Kernel.sr_attribution | None -> None )
 
 (* ------------------------------------------------------------------ *)
+(* What every runner shares *)
+
+let snapshot cell =
+  Kernel.Memory.snapshot ~len:(Kernel.phys_used cell.kernel)
+    (Kernel.memory cell.kernel)
+
+(* the loader's verdict, a refusal as text *)
+let insmod cell m =
+  Result.map_error Kernel.load_error_to_string (Kernel.insmod cell.kernel m)
+
+(* call [sym] unless an earlier call panicked, recording its return
+   value in [rc] or the panic in [panicked] *)
+let call cell ~rc ~panicked sym =
+  if not !panicked then
+    match Kernel.call_symbol cell.kernel sym [||] with
+    | r -> rc := Some r
+    | exception Kernel.Panic _ -> panicked := true
+
+(* short audit period so a corruption-to-detection window fits in a cell
+   run; production would use the watchdog default *)
+let selfheal_period = 5_000
+
+(* Self-healing for the tier-corruption runners: paranoid verification
+   and the watchdog, armed before the corruption lands so the
+   authoritative snapshot predates the attack. Baseline cells stay
+   unprotected — no guards, no watchdog. *)
+let arm_watchdog cell ~mode =
+  if mode = Baseline then None
+  else begin
+    Policy.Engine.set_verify (Policy.Policy_module.engine cell.pm) true;
+    Some (Policy.Policy_module.enable_watchdog ~period:selfheal_period cell.pm)
+  end
+
+(* let one whole watchdog period elapse *)
+let tick wd =
+  ignore (Kernel.Watchdog.advance wd ~cycles:(Kernel.Watchdog.period wd + 1))
+
+(* One watchdog period of idle time: the periodic audit is the detector,
+   firing between the corruption and the victim's store. Returns whether
+   it caught the corruption. *)
+let idle_period cell wd =
+  Option.iter tick wd;
+  Option.map
+    (fun ig -> Policy.Integrity.detections ig > 0)
+    (Policy.Policy_module.integrity cell.pm)
+
+(* Tick the watchdog through enough periods for a quarantined tier to
+   finish its cooldown, rebuild, and re-promote; report whether the full
+   fast path came back. *)
+let heal_and_check ~wd ~ig ~panicked =
+  match (wd, ig) with
+  | Some wd, Some ig when not panicked ->
+    for _ = 1 to 8 do
+      tick wd
+    done;
+    Some (Policy.Integrity.healthy ig && Policy.Integrity.tier_level ig = 2)
+  | _ -> None
+
+(* The end of every run, once the fault has run: the forensic trace
+   tail, the quarantine invariants (no re-entry through [entry_sym],
+   then recovery with a repaired module), healing and the stale-allow
+   count when the run armed a watchdog [wd], the containment diff of
+   [snap] against the [writable] windows, and the sanitizer's evidence
+   in the faulting window [at]. A runner overrides the [sh_detected]
+   and [race_reports] it measures. *)
+let epilogue cell ~opt ~cls ~mode ~seed ~rng ~load ~rc ~panicked ~entry_sym ~wd
+    ~snap ~writable ~at:(lo, hi) =
+  let first_fault_recorded =
+    match Kernel.panic_state cell.kernel with
+    | Some info ->
+      (* the recorded reason must be the guard's diagnosis of this fault,
+         not some secondary crash *)
+      String.starts_with ~prefix:"CARAT KOP" info.Kernel.reason
+    | None -> true
+  in
+  let quarantined = Kernel.quarantine_records cell.kernel <> [] in
+  let denied = List.length (Policy.Policy_module.violations cell.pm) in
+  (* snapshot the forensic tail now, before the re-entry and recovery
+     probes below flood the ring with their own (benign) guard events *)
+  let trace_tail =
+    match Policy.Policy_module.trace cell.pm with
+    | Some tr
+      when (panicked || quarantined || denied > 0) && Trace.recorded tr > 0 ->
+      List.map Trace.format_event (Trace.recent tr 4)
+    | _ -> []
+  in
+  (* quarantine-specific invariants: no re-entry, then recovery *)
+  let reenter_blocked, recovered =
+    match (load, quarantined) with
+    | Ok lm, true ->
+      let counter_addr = List.assoc Inject.counter_global lm.Kernel.lm_globals in
+      let before = Kernel.read cell.kernel ~addr:counter_addr ~size:8 in
+      let rc2 = Kernel.call_symbol cell.kernel entry_sym [||] in
+      let after = Kernel.read cell.kernel ~addr:counter_addr ~size:8 in
+      let recovered =
+        match Kernel.rmmod cell.kernel lm with
+        | Error _ -> false
+        | Ok () -> (
+          let m' = Inject.build_repaired ~rng ~work:cell.work () in
+          compile_victim ?opt ~mode m';
+          match Kernel.insmod cell.kernel m' with
+          | Error _ -> false
+          | Ok _ ->
+            let rc3 = Kernel.call_symbol cell.kernel Inject.entry [||] in
+            rc3 >= 0 && Kernel.panic_state cell.kernel = None)
+      in
+      (Some (rc2 = Kernel.eio && before = after), Some recovered)
+    | _ -> (None, None)
+  in
+  let sh_rebuilt =
+    heal_and_check ~wd ~ig:(Policy.Policy_module.integrity cell.pm) ~panicked
+  in
+  let engine = Policy.Policy_module.engine cell.pm in
+  let sh_stale = Option.map (fun _ -> Policy.Engine.stale_allows engine) wd in
+  let escaped_bytes =
+    escaped cell.kernel ~snap ~allowed:(allowed_phys cell.kernel writable)
+  in
+  let san_reports, san_at_access, san_attribution =
+    san_fields cell.kernel ~lo ~hi
+  in
+  {
+    cls;
+    mode;
+    seed;
+    loaded = Result.is_ok load;
+    load_error = (match load with Ok _ -> None | Error e -> Some e);
+    rc;
+    panicked;
+    first_fault_recorded;
+    quarantined;
+    denied;
+    escaped_bytes;
+    reenter_blocked;
+    recovered;
+    trace_tail;
+    sh_detected = None;
+    sh_rebuilt;
+    sh_stale;
+    san_reports;
+    san_at_access;
+    san_attribution;
+    race_reports = None;
+  }
+
+(* ------------------------------------------------------------------ *)
 
 (** The cross-CPU race: CPU 0 runs the victim whose [victim_late] entry
     stores into the upper half of the work window; CPU 1 publishes a
@@ -285,11 +430,7 @@ let run_race ?engine ?opt ?(sanitize = false) ~(mode : mode) ~seed () : outcome 
     @ tail_policy);
   let m = Inject.build_race_victim ~rng ~lo ~hi () in
   compile_victim ?opt ~mode m;
-  let loaded, load_error, lm =
-    match Kernel.insmod cell.kernel m with
-    | Ok lm -> (true, None, Some lm)
-    | Error e -> (false, Some (Kernel.load_error_to_string e), None)
-  in
+  let load = insmod cell m in
   (* a 2-CPU system over the cell's kernel; mutations now go through the
      RCU publish path *)
   let smp =
@@ -299,15 +440,9 @@ let run_race ?engine ?opt ?(sanitize = false) ~(mode : mode) ~seed () : outcome 
   let det =
     if sanitize then Some (Smp.System.enable_race_detector smp) else None
   in
-  let panicked = ref false in
-  let last_rc = ref None in
-  let call sym =
-    if not !panicked then
-      match Kernel.call_symbol cell.kernel sym [||] with
-      | rc -> last_rc := Some rc
-      | exception Kernel.Panic _ -> panicked := true
-  in
-  if loaded then begin
+  let rc = ref None and panicked = ref false in
+  let call = call cell ~rc ~panicked in
+  if Result.is_ok load then begin
     (* phase 1 — warm: both entries legitimate, the late site's inline
        cache fills for the doomed page *)
     let a = ref 0 and b = ref 0 in
@@ -342,11 +477,8 @@ let run_race ?engine ?opt ?(sanitize = false) ~(mode : mode) ~seed () : outcome 
              !b < 2);
          |])
   end;
-  let snap =
-    Kernel.Memory.snapshot ~len:(Kernel.phys_used cell.kernel)
-      (Kernel.memory cell.kernel)
-  in
-  if loaded then begin
+  let snap = snapshot cell in
+  if Result.is_ok load then begin
     (* phase 3 — the race's tail: the same late store keeps firing *)
     let a = ref 0 and b = ref 0 in
     ignore
@@ -361,157 +493,24 @@ let run_race ?engine ?opt ?(sanitize = false) ~(mode : mode) ~seed () : outcome 
              !b < 2);
          |])
   end;
-  let first_fault_recorded =
-    match Kernel.panic_state cell.kernel with
-    | Some info ->
-      let is_prefix ~prefix s =
-        String.length s >= String.length prefix
-        && String.sub s 0 (String.length prefix) = prefix
-      in
-      is_prefix ~prefix:"CARAT KOP" info.Kernel.reason
-    | None -> true
+  (* the post-shrink writable set leaves the revoked upper half out, and
+     that half is the faulting window: a sanitizer deny report or a
+     detector stale-window hit there is at-access evidence *)
+  let o =
+    epilogue cell ~opt ~cls:Inject.Cross_cpu_race ~mode ~seed ~rng ~load
+      ~rc:!rc ~panicked:!panicked ~entry_sym:Inject.race_late ~wd:None ~snap
+      ~writable:
+        [
+          (lo, half);
+          (cell.ring, ring_entries * desc_size);
+          Vm.Interp.stack_region cell.vm;
+        ]
+      ~at:(hi, hi + half)
   in
-  let quarantined = Kernel.quarantine_records cell.kernel <> [] in
-  let denied = List.length (Policy.Policy_module.violations cell.pm) in
-  let trace_tail =
-    match Policy.Policy_module.trace cell.pm with
-    | Some tr
-      when (!panicked || quarantined || denied > 0) && Trace.recorded tr > 0 ->
-      List.map Trace.format_event (Trace.recent tr 4)
-    | _ -> []
-  in
-  let reenter_blocked =
-    match (lm, quarantined) with
-    | Some lm, true ->
-      let counter_addr = List.assoc Inject.counter_global lm.Kernel.lm_globals in
-      let before = Kernel.read cell.kernel ~addr:counter_addr ~size:8 in
-      let rc2 = Kernel.call_symbol cell.kernel Inject.race_late [||] in
-      let after = Kernel.read cell.kernel ~addr:counter_addr ~size:8 in
-      Some (rc2 = Kernel.eio && before = after)
-    | _ -> None
-  in
-  let recovered =
-    match (lm, quarantined) with
-    | Some lm, true -> (
-      match Kernel.rmmod cell.kernel lm with
-      | Error _ -> Some false
-      | Ok () -> (
-        let m' = Inject.build_repaired ~rng ~work:cell.work () in
-        compile_victim ?opt ~mode m';
-        match Kernel.insmod cell.kernel m' with
-        | Error _ -> Some false
-        | Ok _ ->
-          let rc3 = Kernel.call_symbol cell.kernel Inject.entry [||] in
-          Some (rc3 >= 0 && Kernel.panic_state cell.kernel = None)))
-    | _ -> None
-  in
-  (* post-shrink writable set: the revoked upper half is out *)
-  let escaped_bytes =
-    escaped cell.kernel ~snap
-      ~allowed:
-        (allowed_phys cell.kernel
-           [
-             (lo, half);
-             (cell.ring, ring_entries * desc_size);
-             Vm.Interp.stack_region cell.vm;
-           ])
-  in
-  (* the faulting window is the revoked upper half: a sanitizer deny
-     report or a detector stale-window hit there is at-access evidence *)
-  let san_reports, san_at_access, san_attribution =
-    san_fields cell.kernel ~lo:hi ~hi:(hi + half)
-  in
-  {
-    cls = Inject.Cross_cpu_race;
-    mode;
-    seed;
-    loaded;
-    load_error;
-    rc = !last_rc;
-    panicked = !panicked;
-    first_fault_recorded;
-    quarantined;
-    denied;
-    escaped_bytes;
-    reenter_blocked;
-    recovered;
-    trace_tail;
-    sh_detected = None;
-    sh_rebuilt = None;
-    sh_stale = None;
-    san_reports;
-    san_at_access;
-    san_attribution;
-    race_reports = Option.map Sanitizer.Race.report_count det;
-  }
+  { o with race_reports = Option.map Sanitizer.Race.report_count det }
 
 (* ------------------------------------------------------------------ *)
 (* tier-corruption runners: the self-healing enforcement campaign *)
-
-(* short audit period so a corruption-to-detection window fits in a cell
-   run; production would use the watchdog default *)
-let selfheal_period = 5_000
-
-(* Shared post-enforcement bookkeeping for the corruption runners. *)
-let corruption_epilogue ?opt cell ~lm ~rng ~mode ~panicked ~entry_sym =
-  let first_fault_recorded =
-    match Kernel.panic_state cell.kernel with
-    | Some info ->
-      let is_prefix ~prefix s =
-        String.length s >= String.length prefix
-        && String.sub s 0 (String.length prefix) = prefix
-      in
-      is_prefix ~prefix:"CARAT KOP" info.Kernel.reason
-    | None -> true
-  in
-  let quarantined = Kernel.quarantine_records cell.kernel <> [] in
-  let denied = List.length (Policy.Policy_module.violations cell.pm) in
-  let trace_tail =
-    match Policy.Policy_module.trace cell.pm with
-    | Some tr
-      when (panicked || quarantined || denied > 0) && Trace.recorded tr > 0 ->
-      List.map Trace.format_event (Trace.recent tr 4)
-    | _ -> []
-  in
-  let reenter_blocked =
-    match (lm, quarantined) with
-    | Some lm, true ->
-      let counter_addr = List.assoc Inject.counter_global lm.Kernel.lm_globals in
-      let before = Kernel.read cell.kernel ~addr:counter_addr ~size:8 in
-      let rc2 = Kernel.call_symbol cell.kernel entry_sym [||] in
-      let after = Kernel.read cell.kernel ~addr:counter_addr ~size:8 in
-      Some (rc2 = Kernel.eio && before = after)
-    | _ -> None
-  in
-  let recovered =
-    match (lm, quarantined) with
-    | Some lm, true -> (
-      match Kernel.rmmod cell.kernel lm with
-      | Error _ -> Some false
-      | Ok () -> (
-        let m' = Inject.build_repaired ~rng ~work:cell.work () in
-        compile_victim ?opt ~mode m';
-        match Kernel.insmod cell.kernel m' with
-        | Error _ -> Some false
-        | Ok _ ->
-          let rc3 = Kernel.call_symbol cell.kernel Inject.entry [||] in
-          Some (rc3 >= 0 && Kernel.panic_state cell.kernel = None)))
-    | _ -> None
-  in
-  (first_fault_recorded, quarantined, denied, trace_tail, reenter_blocked,
-   recovered)
-
-(* Tick the watchdog through enough periods for a quarantined tier to
-   finish its cooldown, rebuild, and re-promote; report whether the full
-   fast path came back. *)
-let heal_and_check ~wd ~ig ~panicked =
-  match (wd, ig) with
-  | Some wd, Some ig when not panicked ->
-    for _ = 1 to 8 do
-      ignore (Kernel.Watchdog.advance wd ~cycles:(Kernel.Watchdog.period wd + 1))
-    done;
-    Some (Policy.Integrity.healthy ig && Policy.Integrity.tier_level ig = 2)
-  | _ -> None
 
 (** The single-node tier-corruption class ([Icache_corrupt]): a wild
     write plants a stale-allow span covering the victim's payload page
@@ -529,26 +528,10 @@ let run_corruption ?engine ?opt ?(sanitize = false) ~(mode : mode) ~seed () :
   let target = payload_addr cell ~cls ~rng in
   let m = Inject.build_victim ~payload:target ~rng ~work:cell.work () in
   compile_victim ?opt ~mode m;
-  let snap =
-    Kernel.Memory.snapshot ~len:(Kernel.phys_used cell.kernel)
-      (Kernel.memory cell.kernel)
-  in
-  let loaded, load_error, lm =
-    match Kernel.insmod cell.kernel m with
-    | Ok lm -> (true, None, Some lm)
-    | Error e -> (false, Some (Kernel.load_error_to_string e), None)
-  in
+  let snap = snapshot cell in
+  let load = insmod cell m in
   let eng = Policy.Policy_module.engine cell.pm in
-  (* arm self-healing before the corruption lands: the authoritative
-     snapshot must predate the attack. Baseline cells stay unprotected —
-     no guards, no watchdog. *)
-  let wd =
-    if mode <> Baseline then begin
-      Policy.Engine.set_verify eng true;
-      Some (Policy.Policy_module.enable_watchdog ~period:selfheal_period cell.pm)
-    end
-    else None
-  in
+  let wd = arm_watchdog cell ~mode in
   (* the wild write proper, rigged so the victim's very next store at
      [target] would be answered allow straight from the corrupt slot *)
   let lo = target land lnot (Kernel.Memory.page_size - 1) in
@@ -564,66 +547,15 @@ let run_corruption ?engine ?opt ?(sanitize = false) ~(mode : mode) ~seed () :
          ~prot:Policy.Region.prot_rw
          ~smash_canary:(Machine.Rng.flip rng 0.5))
   | None -> () (* unguarded baseline module: no sites to spray *));
-  (* one watchdog period of idle time: the periodic audit is the
-     detector, firing between the corruption and the victim's store *)
-  (match wd with
-  | Some wd ->
-    ignore (Kernel.Watchdog.advance wd ~cycles:(Kernel.Watchdog.period wd + 1))
-  | None -> ());
-  let ig = Policy.Policy_module.integrity cell.pm in
-  let sh_detected =
-    match ig with
-    | Some ig -> Some (Policy.Integrity.detections ig > 0)
-    | None -> None
+  let sh_detected = idle_period cell wd in
+  let rc = ref None and panicked = ref false in
+  if Result.is_ok load then call cell ~rc ~panicked Inject.entry;
+  let o =
+    epilogue cell ~opt ~cls ~mode ~seed ~rng ~load ~rc:!rc ~panicked:!panicked
+      ~entry_sym:Inject.entry ~wd ~snap ~writable:cell.writable
+      ~at:(target, target + 8)
   in
-  let rc, panicked =
-    if loaded then
-      match Kernel.call_symbol cell.kernel Inject.entry [||] with
-      | rc -> (Some rc, false)
-      | exception Kernel.Panic _ -> (None, true)
-    else (None, false)
-  in
-  let ( first_fault_recorded,
-        quarantined,
-        denied,
-        trace_tail,
-        reenter_blocked,
-        recovered ) =
-    corruption_epilogue ?opt cell ~lm ~rng ~mode ~panicked ~entry_sym:Inject.entry
-  in
-  let sh_rebuilt = heal_and_check ~wd ~ig ~panicked in
-  let sh_stale =
-    if mode <> Baseline then Some (Policy.Engine.stale_allows eng) else None
-  in
-  let escaped_bytes =
-    escaped cell.kernel ~snap ~allowed:(allowed_phys cell.kernel cell.writable)
-  in
-  let san_reports, san_at_access, san_attribution =
-    san_fields cell.kernel ~lo:target ~hi:(target + 8)
-  in
-  {
-    cls;
-    mode;
-    seed;
-    loaded;
-    load_error;
-    rc;
-    panicked;
-    first_fault_recorded;
-    quarantined;
-    denied;
-    escaped_bytes;
-    reenter_blocked;
-    recovered;
-    trace_tail;
-    sh_detected;
-    sh_rebuilt;
-    sh_stale;
-    san_reports;
-    san_at_access;
-    san_attribution;
-    race_reports = None;
-  }
+  { o with sh_detected }
 
 (** The SMP tier-corruption class ([Rcu_instance_corrupt]): CPU 1
     republishes the policy through the RCU route, and the corruption
@@ -640,15 +572,8 @@ let run_rcu_corrupt ?engine ?opt ?(sanitize = false) ~(mode : mode) ~seed () :
   let target = cell.secret + (8 * Machine.Rng.int rng (secret_size / 8)) in
   let m = Inject.build_victim ~payload:target ~rng ~work:cell.work () in
   compile_victim ?opt ~mode m;
-  let snap =
-    Kernel.Memory.snapshot ~len:(Kernel.phys_used cell.kernel)
-      (Kernel.memory cell.kernel)
-  in
-  let loaded, load_error, lm =
-    match Kernel.insmod cell.kernel m with
-    | Ok lm -> (true, None, Some lm)
-    | Error e -> (false, Some (Kernel.load_error_to_string e), None)
-  in
+  let snap = snapshot cell in
+  let load = insmod cell m in
   let smp =
     Smp.System.create ~seed ~params:Machine.Presets.r350 ~cpus:2 cell.kernel
       cell.pm
@@ -657,22 +582,10 @@ let run_rcu_corrupt ?engine ?opt ?(sanitize = false) ~(mode : mode) ~seed () :
     if sanitize then Some (Smp.System.enable_race_detector smp) else None
   in
   let eng = Policy.Policy_module.engine cell.pm in
-  let wd =
-    if mode <> Baseline then begin
-      Policy.Engine.set_verify eng true;
-      Some (Policy.Policy_module.enable_watchdog ~period:selfheal_period cell.pm)
-    end
-    else None
-  in
-  let panicked = ref false in
-  let last_rc = ref None in
-  let call sym =
-    if not !panicked then
-      match Kernel.call_symbol cell.kernel sym [||] with
-      | rc -> last_rc := Some rc
-      | exception Kernel.Panic _ -> panicked := true
-  in
-  if loaded then begin
+  let wd = arm_watchdog cell ~mode in
+  let rc = ref None and panicked = ref false in
+  let call = call cell ~rc ~panicked in
+  if Result.is_ok load then begin
     (* phase 1 — CPU 1's routine policy push through the RCU route, with
        the corruption landing on the freshly published instance while
        CPU 0 is still between bursts *)
@@ -706,17 +619,8 @@ let run_rcu_corrupt ?engine ?opt ?(sanitize = false) ~(mode : mode) ~seed () :
          |])
   end;
   (* phase 2 — the watchdog period expires before the victim's burst *)
-  (match wd with
-  | Some wd ->
-    ignore (Kernel.Watchdog.advance wd ~cycles:(Kernel.Watchdog.period wd + 1))
-  | None -> ());
-  let ig = Policy.Policy_module.integrity cell.pm in
-  let sh_detected =
-    match ig with
-    | Some ig -> Some (Policy.Integrity.detections ig > 0)
-    | None -> None
-  in
-  if loaded then begin
+  let sh_detected = idle_period cell wd in
+  if Result.is_ok load then begin
     (* phase 3 — CPU 0 runs the victim; its payload store targets the
        secret the corrupt generation would have allowed *)
     let a = ref 0 and b = ref 0 in
@@ -732,48 +636,13 @@ let run_rcu_corrupt ?engine ?opt ?(sanitize = false) ~(mode : mode) ~seed () :
              !b < 2);
          |])
   end;
-  let ( first_fault_recorded,
-        quarantined,
-        denied,
-        trace_tail,
-        reenter_blocked,
-        recovered ) =
-    corruption_epilogue ?opt cell ~lm ~rng ~mode ~panicked:!panicked
-      ~entry_sym:Inject.entry
+  let o =
+    epilogue cell ~opt ~cls:Inject.Rcu_instance_corrupt ~mode ~seed ~rng ~load
+      ~rc:!rc ~panicked:!panicked ~entry_sym:Inject.entry ~wd ~snap
+      ~writable:cell.writable ~at:(target, target + 8)
   in
-  let sh_rebuilt = heal_and_check ~wd ~ig ~panicked:!panicked in
-  let sh_stale =
-    if mode <> Baseline then Some (Policy.Engine.stale_allows eng) else None
-  in
-  let escaped_bytes =
-    escaped cell.kernel ~snap ~allowed:(allowed_phys cell.kernel cell.writable)
-  in
-  let san_reports, san_at_access, san_attribution =
-    san_fields cell.kernel ~lo:target ~hi:(target + 8)
-  in
-  {
-    cls = Inject.Rcu_instance_corrupt;
-    mode;
-    seed;
-    loaded;
-    load_error;
-    rc = !last_rc;
-    panicked = !panicked;
-    first_fault_recorded;
-    quarantined;
-    denied;
-    escaped_bytes;
-    reenter_blocked;
-    recovered;
-    trace_tail;
-    sh_detected;
-    sh_rebuilt;
-    sh_stale;
-    san_reports;
-    san_at_access;
-    san_attribution;
-    race_reports = Option.map Sanitizer.Race.report_count det;
-  }
+  let race_reports = Option.map Sanitizer.Race.report_count det in
+  { o with sh_detected; race_reports }
 
 (** Run one fault under one configuration and check every invariant.
     [engine] selects the KIR runner (default interpreter); the outcome
@@ -807,101 +676,13 @@ let run_one ?engine ?opt ?(sanitize = false) ~(cls : Inject.cls) ~(mode : mode)
   | Inject.Wild_store | Inject.Oob_ring_index | Inject.Policy_corruption
   | Inject.Cross_cpu_race | Inject.Icache_corrupt | Inject.Rcu_instance_corrupt
   | Inject.Rx_ring_corrupt -> ());
-  let snap =
-    Kernel.Memory.snapshot ~len:(Kernel.phys_used cell.kernel)
-      (Kernel.memory cell.kernel)
-  in
-  let loaded, load_error, lm =
-    match Kernel.insmod cell.kernel m with
-    | Ok lm -> (true, None, Some lm)
-    | Error e -> (false, Some (Kernel.load_error_to_string e), None)
-  in
-  let rc, panicked =
-    if loaded then
-      match Kernel.call_symbol cell.kernel Inject.entry [||] with
-      | rc -> (Some rc, false)
-      | exception Kernel.Panic _ -> (None, true)
-    else (None, false)
-  in
-  let first_fault_recorded =
-    match Kernel.panic_state cell.kernel with
-    | Some info ->
-      (* the recorded reason must be the guard's diagnosis of this fault,
-         not some secondary crash *)
-      let is_prefix ~prefix s =
-        String.length s >= String.length prefix
-        && String.sub s 0 (String.length prefix) = prefix
-      in
-      is_prefix ~prefix:"CARAT KOP" info.Kernel.reason
-    | None -> true
-  in
-  let quarantined = Kernel.quarantine_records cell.kernel <> [] in
-  let denied = List.length (Policy.Policy_module.violations cell.pm) in
-  (* snapshot the forensic tail now, before the re-entry and recovery
-     probes below flood the ring with their own (benign) guard events *)
-  let trace_tail =
-    match Policy.Policy_module.trace cell.pm with
-    | Some tr when (panicked || quarantined || denied > 0) && Trace.recorded tr > 0
-      ->
-      List.map Trace.format_event (Trace.recent tr 4)
-    | _ -> []
-  in
-  (* quarantine-specific invariants: no re-entry, then recovery *)
-  let reenter_blocked =
-    match (lm, quarantined) with
-    | Some lm, true ->
-      let counter_addr = List.assoc Inject.counter_global lm.Kernel.lm_globals in
-      let before = Kernel.read cell.kernel ~addr:counter_addr ~size:8 in
-      let rc2 = Kernel.call_symbol cell.kernel Inject.entry [||] in
-      let after = Kernel.read cell.kernel ~addr:counter_addr ~size:8 in
-      Some (rc2 = Kernel.eio && before = after)
-    | _ -> None
-  in
-  let recovered =
-    match (lm, quarantined) with
-    | Some lm, true -> (
-      match Kernel.rmmod cell.kernel lm with
-      | Error _ -> Some false
-      | Ok () -> (
-        let m' = Inject.build_repaired ~rng ~work:cell.work () in
-        compile_victim ?opt ~mode m';
-        match Kernel.insmod cell.kernel m' with
-        | Error _ -> Some false
-        | Ok _ ->
-          let rc3 = Kernel.call_symbol cell.kernel Inject.entry [||] in
-          Some (rc3 >= 0 && Kernel.panic_state cell.kernel = None)))
-    | _ -> None
-  in
-  let escaped_bytes =
-    escaped cell.kernel ~snap
-      ~allowed:(allowed_phys cell.kernel cell.writable)
-  in
-  let san_reports, san_at_access, san_attribution =
-    san_fields cell.kernel ~lo:target ~hi:(target + 8)
-  in
-  {
-    cls;
-    mode;
-    seed;
-    loaded;
-    load_error;
-    rc;
-    panicked;
-    first_fault_recorded;
-    quarantined;
-    denied;
-    escaped_bytes;
-    reenter_blocked;
-    recovered;
-    trace_tail;
-    sh_detected = None;
-    sh_rebuilt = None;
-    sh_stale = None;
-    san_reports;
-    san_at_access;
-    san_attribution;
-    race_reports = None;
-  }
+  let snap = snapshot cell in
+  let load = insmod cell m in
+  let rc = ref None and panicked = ref false in
+  if Result.is_ok load then call cell ~rc ~panicked Inject.entry;
+  epilogue cell ~opt ~cls ~mode ~seed ~rng ~load ~rc:!rc ~panicked:!panicked
+    ~entry_sym:Inject.entry ~wd:None ~snap ~writable:cell.writable
+    ~at:(target, target + 8)
 
 (* ------------------------------------------------------------------ *)
 

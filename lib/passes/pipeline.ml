@@ -3,15 +3,16 @@
     [kop_default] is the paper's compiler: attest, inject a guard before
     every load/store with no optimization, certify, sign.
 
-    [kop_optimized] adds the CARAT-CAKE-style guard optimizations the
-    paper deliberately omits (redundant-guard elimination and loop-
-    invariant hoisting); used by the [abl-opt] ablation.
+    [kop ~opt] adds the guard optimizations the paper deliberately omits:
+    at {!O_basic} the CARAT-CAKE-style redundant-guard elimination and
+    loop-invariant hoisting, at {!O_aggressive} also the certified
+    optimizer.
 
-    [baseline] only signs — the untransformed module for A/B runs.
+    [baseline_sign] only signs — the untransformed module for A/B runs.
 
     The guard-completeness certifier lives one library above this one
     ([Analysis.Certify]); it registers itself through {!set_certifier}
-    at module-initialization time, and both kop pipelines run it right
+    at module-initialization time, and every kop pipeline runs it right
     before signing so the certificate ends up under the signature. The
     certified guard optimizer ([Analysis.Optimize]) registers itself
     the same way through {!set_optimizer} and runs only at
@@ -83,10 +84,6 @@ let kop ?(key = default_key) ?(signer = default_signer)
 let kop_default ?key ?signer ?config ?guard_intrinsics ?guard_cfi ?strict () =
   kop ?key ?signer ?config ?guard_intrinsics ?guard_cfi ?strict ~opt:O_none ()
 
-let kop_optimized ?key ?signer ?config ?guard_intrinsics ?guard_cfi ?strict ()
-    =
-  kop ?key ?signer ?config ?guard_intrinsics ?guard_cfi ?strict ~opt:O_basic ()
-
 (** Sign without transforming: used for baseline modules so that the
     loader accepts them in permissive mode while A/B tests can still
     detect that no guarding was asserted. *)
@@ -95,18 +92,10 @@ let baseline_sign ?(key = default_key) ?(signer = default_signer) () =
 
 (** Compile (transform + sign) a module in place, returning the pass
     remarks. This is the "wrapper script around clang" entry point.
-    [opt] selects the optimization level; the legacy [optimize] flag
-    means [O_basic] and is ignored when [opt] is given. *)
-let compile ?optimize ?opt ?key ?signer ?config ?guard_intrinsics ?guard_cfi
-    ?strict m =
-  let opt =
-    match (opt, optimize) with
-    | Some o, _ -> o
-    | None, Some true -> O_basic
-    | None, _ -> O_none
-  in
+    [opt] selects the optimization level (default [O_none]). *)
+let compile ?opt ?key ?signer ?config ?guard_intrinsics ?guard_cfi ?strict m =
   let pipeline =
-    kop ?key ?signer ?config ?guard_intrinsics ?guard_cfi ?strict ~opt ()
+    kop ?key ?signer ?config ?guard_intrinsics ?guard_cfi ?strict ?opt ()
   in
   Pass.run_pipeline_checked pipeline m
 

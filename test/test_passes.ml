@@ -492,7 +492,7 @@ let test_pipeline_optimized_fewer_guards () =
   let m1 = straightline_module () in
   let m2 = straightline_module () in
   ignore (Passes.Pipeline.compile m1);
-  ignore (Passes.Pipeline.compile ~optimize:true m2);
+  ignore (Passes.Pipeline.compile ~opt:Passes.Pipeline.O_basic m2);
   checkb "optimization reduces static guards" true
     (Passes.Guard_injection.count_guards m2
     < Passes.Guard_injection.count_guards m1);
