@@ -1,12 +1,19 @@
 (** The paper's two testbed machines (§4.2).
 
-    - Dell R415: dual 2.2 GHz AMD Opteron 4122 (4 cores each, 256 KB
-      L1i/L1d, 2 MB L2, 6 MB L3). An older, narrow core: 2-wide retire,
+    The cache parameters are the levels one core's data accesses pass
+    through, not the chip totals of a spec sheet: every simulated CPU
+    gets its own L1, L2 and L3, including the L3 the real chip shares.
+
+    - Dell R415: dual 2.2 GHz AMD Opteron 4122 (4 cores each). Modelled
+      per core: a 64 KiB 2-way L1, a 512 KiB 8-way L2 and a 16-way L3
+      given as 6 MiB, which {!Cache.create} rounds down to 4,096 sets,
+      so 4 MiB is in effect. An older, narrow core: 2-wide retire,
       modest branch predictor, higher memory latencies. The paper measures
       a <0.8% median throughput effect here.
 
-    - Dell R350: 2.8 GHz Intel Xeon E-2378G (8 cores / 16 threads, 256 KB
-      L1i/L1d, 2 MB L2, 16 MB L3). A modern wide core: 4-wide retire,
+    - Dell R350: 2.8 GHz Intel Xeon E-2378G (8 cores / 16 threads).
+      Modelled per core: a 48 KiB 12-way L1, a 2 MiB 16-way L2 and a
+      16 MiB 16-way L3. A modern wide core: 4-wide retire,
       large gshare-style predictor, aggressive speculation. The paper
       measures an almost unmeasurable (<0.1%) effect here and attributes
       it to "improved caching, branch prediction, and speculation" — which

@@ -110,11 +110,204 @@ let test_cache_perturb () =
   checkb "perturbation caused misses" true (!misses > 0)
 
 let test_cache_rejects_bad_geometry () =
-  match
-    Machine.Cache.create ~name:"bad" ~size_bytes:4096 ~assoc:2 ~line_size:48
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "accepted non-power-of-two line size"
+  List.iter
+    (fun (line_size, why) ->
+      match
+        Machine.Cache.create ~name:"bad" ~size_bytes:4096 ~assoc:2 ~line_size
+      with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail ("accepted " ^ why))
+    [ (48, "non-power-of-two line size"); (1, "1-byte lines") ]
+
+(* The reference model: the dense layout [Cache] had before its sets were
+   allocated on demand — tags and LRU stamps for all sets * assoc ways in
+   two flat arrays, set s at [s * assoc, (s + 1) * assoc). *)
+module Dense = struct
+  type t = {
+    line_bits : int;
+    sets : int;
+    assoc : int;
+    tags : int array;
+    lru : int array;
+    mutable clock : int;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create ~size_bytes ~assoc ~line_size =
+    let rec floor_pow2 p n = if p * 2 > n then p else floor_pow2 (p * 2) n in
+    let rec log2 k v = if v = 1 then k else log2 (k + 1) (v lsr 1) in
+    let sets = floor_pow2 1 (max 1 (size_bytes / line_size / assoc)) in
+    {
+      line_bits = log2 0 line_size;
+      sets;
+      assoc;
+      tags = Array.make (sets * assoc) (-1);
+      lru = Array.make (sets * assoc) 0;
+      clock = 0;
+      hits = 0;
+      misses = 0;
+    }
+
+  let access t addr =
+    t.clock <- t.clock + 1;
+    let base = ((addr lsr t.line_bits) land (t.sets - 1)) * t.assoc in
+    let tag = addr lsr t.line_bits in
+    let rec find w =
+      if w = t.assoc then -1 else if t.tags.(base + w) = tag then w else find (w + 1)
+    in
+    let w = find 0 in
+    if w >= 0 then begin
+      t.hits <- t.hits + 1;
+      t.lru.(base + w) <- t.clock;
+      true
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      let victim = ref 0 in
+      for w = 1 to t.assoc - 1 do
+        if t.lru.(base + w) < t.lru.(base + !victim) then victim := w
+      done;
+      t.tags.(base + !victim) <- tag;
+      t.lru.(base + !victim) <- t.clock;
+      false
+    end
+
+  let flush t =
+    Array.fill t.tags 0 (Array.length t.tags) (-1);
+    Array.fill t.lru 0 (Array.length t.lru) 0
+
+  let perturb t rng ~fraction =
+    let n = Array.length t.tags in
+    let k = int_of_float (float_of_int n *. fraction) in
+    for _ = 1 to k do
+      t.tags.(Machine.Rng.int rng n) <- -1
+    done
+
+  let reset_stats t =
+    t.hits <- 0;
+    t.misses <- 0
+end
+
+type cache_op = Access of int | Perturb of float | Flush | Reset_stats
+
+let show_cache_op = function
+  | Access a -> Printf.sprintf "access %#x" a
+  | Perturb f -> Printf.sprintf "perturb %g" f
+  | Flush -> "flush"
+  | Reset_stats -> "reset_stats"
+
+(* (name, size_bytes, assoc, sets): the 2-way test cache and every level
+   of both presets, with the set count [create] must derive *)
+let cache_shapes =
+  let open Machine.Model in
+  let r415 = Machine.Presets.r415 and r350 = Machine.Presets.r350 in
+  [
+    ("2-way test", 4096, 2, 32);
+    ("r350 L1", r350.l1_size, r350.l1_assoc, 64);
+    ("r350 L2", r350.l2_size, r350.l2_assoc, 2048);
+    ("r350 L3", r350.l3_size, r350.l3_assoc, 16384);
+    ("r415 L1", r415.l1_size, r415.l1_assoc, 512);
+    ("r415 L2", r415.l2_size, r415.l2_assoc, 1024);
+    (* 6 MiB / 64 B / 16 ways = 6,144 sets, rounded down *)
+    ("r415 L3", r415.l3_size, r415.l3_assoc, 4096);
+  ]
+
+(* Addresses from a small alphabet: assoc + 2 tags in each of three sets,
+   so sets conflict and evict. Perturb fractions span a few draws to a
+   full pass over every way. *)
+let gen_cache_ops ~sets ~assoc =
+  let open QCheck.Gen in
+  let addr =
+    map3
+      (fun set k off -> (((k * sets) + set) * 64) + off)
+      (oneofl [ 0; 1; sets - 1 ])
+      (int_bound (assoc + 1))
+      (int_bound 63)
+  in
+  let op =
+    frequency
+      [
+        (40, map (fun a -> Access a) addr);
+        (1, map (fun f -> Perturb f) (oneofl [ 0.001; 0.01; 0.1; 1.0 ]));
+        (1, return Flush);
+        (1, return Reset_stats);
+      ]
+  in
+  pair small_nat (list_size (int_range 1 300) op)
+
+let prop_cache_matches_dense (name, size_bytes, assoc, sets) =
+  QCheck.Test.make ~count:100
+    ~name:(Printf.sprintf "%s (%d x %d) matches the dense reference" name assoc sets)
+    (QCheck.make (gen_cache_ops ~sets ~assoc) ~print:(fun (seed, ops) ->
+         Printf.sprintf "seed %d: %s" seed (String.concat "; " (List.map show_cache_op ops))))
+    (fun (seed, ops) ->
+      let c = Machine.Cache.create ~name ~size_bytes ~assoc ~line_size:64 in
+      let d = Dense.create ~size_bytes ~assoc ~line_size:64 in
+      (* each side draws from its own generator on the same seed *)
+      let rc = Machine.Rng.create seed and rd = Machine.Rng.create seed in
+      let step op =
+        (match op with
+         | Access a -> Machine.Cache.access c a = Dense.access d a
+         | Perturb fraction ->
+           Machine.Cache.perturb c rc ~fraction;
+           Dense.perturb d rd ~fraction;
+           (* a draw into a cold set must still be consumed *)
+           Machine.Rng.next rc = Machine.Rng.next rd
+         | Flush -> Machine.Cache.flush c; Dense.flush d; true
+         | Reset_stats -> Machine.Cache.reset_stats c; Dense.reset_stats d; true)
+        && c.Machine.Cache.hits = d.Dense.hits
+        && c.Machine.Cache.misses = d.Dense.misses
+      in
+      c.Machine.Cache.sets = sets && d.Dense.sets = sets && List.for_all step ops)
+
+let words x = Obj.reachable_words (Obj.repr x)
+
+let test_cache_fresh_footprint () =
+  List.iter
+    (fun ((p : Machine.Model.params), bound) ->
+      let w = words (Machine.Model.create p) in
+      checkb (Printf.sprintf "fresh %s model: %d words <= %d" p.name w bound) true
+        (w <= bound))
+    [ (Machine.Presets.r350, 32_000); (Machine.Presets.r415, 8_000) ]
+
+let test_cache_flush_footprint () =
+  let m = Machine.Model.create Machine.Presets.r350 in
+  let fresh = words m in
+  for i = 0 to 9_999 do
+    Machine.Model.load m (i * 4160) 8
+  done;
+  checkb "filling sets costs host memory" true (words m > fresh);
+  List.iter Machine.Cache.flush Machine.Model.[ m.l1; m.l2; m.l3 ];
+  checki "flush restores the fresh footprint" fresh (words m)
+
+let test_cache_allocation () =
+  let c = mk_cache () in
+  let stride = 4096 / 2 in
+  let w0 = Gc.minor_words () in
+  ignore (Machine.Cache.access c 0);
+  Alcotest.(check (float 0.0)) "first fill copies the cold set" 5.0 (Gc.minor_words () -. w0);
+  (* three tags in each of four 2-way sets: a full round fills them all *)
+  let round () =
+    for k = 0 to 2 do
+      for s = 0 to 3 do
+        ignore (Machine.Cache.access c ((k * stride) + (s * 64)))
+      done
+    done
+  in
+  round ();
+  Machine.Cache.reset_stats c;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    ignore (Machine.Cache.access c (2 * stride))
+  done;
+  for _ = 1 to 1_000 do
+    round ()
+  done;
+  let allocated = Gc.minor_words () -. w0 in
+  checki "hits" 1_000 c.Machine.Cache.hits;
+  checki "every round access a conflict miss" 12_000 c.Machine.Cache.misses;
+  Alcotest.(check (float 0.0)) "minor words" 0.0 allocated
 
 (* ---------- predictor ---------- *)
 
@@ -285,7 +478,13 @@ let () =
           Alcotest.test_case "lines touched" `Quick test_cache_lines_touched;
           Alcotest.test_case "perturb" `Quick test_cache_perturb;
           Alcotest.test_case "bad geometry" `Quick test_cache_rejects_bad_geometry;
-        ] );
+          Alcotest.test_case "fresh footprint" `Quick test_cache_fresh_footprint;
+          Alcotest.test_case "flush footprint" `Quick test_cache_flush_footprint;
+          Alcotest.test_case "allocation" `Quick test_cache_allocation;
+        ]
+        @ List.map
+            (fun shape -> QCheck_alcotest.to_alcotest (prop_cache_matches_dense shape))
+            cache_shapes );
       ( "predictor",
         [
           Alcotest.test_case "learns monotone" `Quick test_predictor_learns_monotone;
