@@ -868,8 +868,9 @@ let run_guardopt () =
 (* ------------------------------------------------------------------ *)
 
 (* smpscale: guarded-vs-unguarded send throughput at 1/2/4/8 CPUs on both
-   machine presets, plus an update-storm row (concurrent policy churn via
-   the RCU publish path under load), with the scaling/coherence gates. *)
+   machine presets, plus an update-storm row (concurrent policy churn
+   through the SMP write route under load), with the scaling/coherence
+   gates. *)
 
 type smp_row = {
   sr_machine : string;
@@ -925,8 +926,8 @@ let run_smpscale () =
       presets
   in
   let all = rows @ storm_rows in
-  Printf.printf "  %-6s %-9s %5s %6s %12s %9s %6s %6s %6s\n" "mach" "tech"
-    "cpus" "storm" "pps" "speedup" "pubs" "ipis" "stale";
+  Printf.printf "  %-6s %-9s %5s %6s %12s %9s %6s %6s\n" "mach" "tech"
+    "cpus" "storm" "pps" "speedup" "pubs" "stale";
   let pps_of mname tech cpus =
     (List.find
        (fun s -> s.sr_machine = mname && s.sr_technique = tech && s.sr_cpus = cpus)
@@ -936,11 +937,10 @@ let run_smpscale () =
   List.iter
     (fun s ->
       let r = s.sr_result in
-      Printf.printf "  %-6s %-9s %5d %6d %12.0f %8.2fx %6d %6d %6d\n"
+      Printf.printf "  %-6s %-9s %5d %6d %12.0f %8.2fx %6d %6d\n"
         s.sr_machine s.sr_technique s.sr_cpus s.sr_storm r.Smp_testbed.pps
         (r.Smp_testbed.pps /. pps_of s.sr_machine s.sr_technique 1)
-        r.Smp_testbed.publications r.Smp_testbed.ipis
-        r.Smp_testbed.stale_allows)
+        r.Smp_testbed.publications r.Smp_testbed.stale_allows)
     all;
   (* gates *)
   List.iter
@@ -978,7 +978,7 @@ let run_smpscale () =
       if r.Smp_testbed.publications = 0 then
         Report.fail rep "%s storm row made no publications" s.sr_machine;
       if r.Smp_testbed.retired <> r.Smp_testbed.publications then
-        Report.fail rep "%s storm row: %d of %d generations never retired"
+        Report.fail rep "%s storm row: %d of %d publications never retired"
           s.sr_machine (r.Smp_testbed.publications - r.Smp_testbed.retired)
           r.Smp_testbed.publications)
     storm_rows;
@@ -993,8 +993,6 @@ let run_smpscale () =
           nums "per_cpu_pps"
             (Array.to_list (Array.map (fun c -> c.cr_pps) r.per_cpu));
           int "publications" r.publications; int "retired" r.retired;
-          int "ipis" r.ipis; int "ipi_cycles" r.ipi_cycles;
-          int "grace_quiescents" r.grace_quiescents;
           int "stale_allows" r.stale_allows; int "send_errors" r.send_errors;
         ])
   in
@@ -1120,8 +1118,9 @@ let run_selfheal () =
     let pm = Policy.Policy_module.install kernel in
     Policy.Policy_module.set_policy pm Policy.Region.kernel_only;
     let eng = Policy.Policy_module.engine pm in
-    let ig = Policy.Integrity.create ~config:retry_cfg eng in
-    Policy.Integrity.set_route ig (fun _ _ -> ());
+    let ig =
+      Policy.Integrity.create ~config:retry_cfg ~route:(fun _ _ -> ()) eng
+    in
     ignore
       (Policy.Engine.corrupt_instance eng ~base:Kernel.Layout.kernel_base
          ~prot:0);
@@ -1302,7 +1301,7 @@ let run_certify () =
       64-region linear fast path, and cost stays near-flat as the
       number of live domains grows 1 -> 256 (sharded shadow + per-domain
       tables, no cross-tenant interference);
-   2. a 1k-region batched install through ioctl_install's RCU route is
+   2. a 1k-region batched install through ioctl_install's SMP route is
       atomic under SMP: readers observe the old or the new table, never
       a partial batch, with zero stale allows and full retirement;
    3. with domains unused, the guard dispatch is bit-identical to the
@@ -1465,10 +1464,10 @@ let run_polscale () =
       (Policy.Engine.stale_allows engine);
   if rstats.Smp.Rcu.publications <> 1 then
     Report.fail rep
-      "batch took %d publications (must be exactly 1 generation swap)"
+      "batch took %d publications (must be exactly 1)"
       rstats.Smp.Rcu.publications;
   if rstats.Smp.Rcu.retired <> rstats.Smp.Rcu.publications then
-    Report.fail rep "batch generation never retired";
+    Report.fail rep "batch publication never retired";
   (* ---- gate 3: domains off => bit-identical to the tracegate goldens ---- *)
   let _, golden = off_goldens rep ~off:"domains-off" in
   let row r =
@@ -1500,7 +1499,7 @@ let run_polscale () =
 (* traffic: the full-duplex tail-latency benchmark. Every CPU runs
    offered load (heavy-tailed flow generator, RSS-steered onto its own
    RX ring), NAPI service, and pktgen TX concurrently; churn rows add
-   CPU 0 republishing the whole policy through the RCU route mid-run.
+   CPU 0 replacing the whole policy through the SMP write route mid-run.
    Gates: frame conservation, zero stale allows, RX throughput scaling,
    guarded-vs-baseline ceilings on throughput and tail latency, and the
    rx_queues=0 goldens staying bit-identical. *)
@@ -1651,7 +1650,7 @@ let run_traffic () =
           s.tf_technique s.tf_cpus s.tf_churn s.tf_p999
           (s.tf_p999 /. s.tf_p99) s.tf_p99)
     all;
-  (* gate: churn rows actually churned, every generation retired, and
+  (* gate: churn rows actually churned, every publication retired, and
      frames still flowed *)
   List.iter
     (fun s ->
@@ -1659,7 +1658,7 @@ let run_traffic () =
       if r.Smp_testbed.d_publications = 0 then
         Report.fail rep "%d-CPU churn row made no publications" s.tf_cpus;
       if r.Smp_testbed.d_retired <> r.Smp_testbed.d_publications then
-        Report.fail rep "%d-CPU churn row: %d of %d generations never retired"
+        Report.fail rep "%d-CPU churn row: %d of %d publications never retired"
           s.tf_cpus (r.Smp_testbed.d_publications - r.Smp_testbed.d_retired)
           r.Smp_testbed.d_publications;
       if r.Smp_testbed.d_rx_frames = 0 then
@@ -1684,7 +1683,7 @@ let run_traffic () =
           int "budget_exhausted" r.d_budget_exhausted;
           int "timer_kicks" r.d_timer_kicks;
           int "publications" r.d_publications; int "retired" r.d_retired;
-          int "ipis" r.d_ipis; int "stale_allows" r.d_stale_allows;
+          int "stale_allows" r.d_stale_allows;
           int "send_errors" r.d_send_errors;
         ])
   in
@@ -1709,8 +1708,9 @@ let run_traffic () =
    report every memory-corruption class at the faulting access with
    allocation attribution under carat/panic, and the race detector must
    flag every seeded cross-CPU race.
-   Gate 3 — the happens-before fixture suite: the clean RCU / NAPI /
-   rebuild workloads stay silent, the seeded fixtures are flagged.
+   Gate 3 — the happens-before fixture suite: the clean policy-storm /
+   NAPI / rebuild workloads stay silent, the seeded fixtures are
+   flagged.
    Gate 4 — Alloc_lint: the seeded double-free and use-after-free are
    caught and the driver-scale KIR lints with zero errors. *)
 

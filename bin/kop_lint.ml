@@ -161,8 +161,8 @@ let race_cmd =
     (Cmd.info "race"
        ~doc:
          "run the happens-before race-detector fixture suite: the clean \
-          RCU/NAPI/rebuild workloads must stay silent and the seeded \
-          stale-window and corruption fixtures must be flagged")
+          policy-storm/NAPI/rebuild workloads must stay silent and the \
+          seeded stale-window and corruption fixtures must be flagged")
     Term.(const cmd_race $ strict_arg)
 
 let () =

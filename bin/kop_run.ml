@@ -221,7 +221,7 @@ let run module_path policy_path call args machine_name engine_name opt_str
           if cpus > 1 then begin
             (* N simulated CPUs, deterministic round-robin: every CPU
                calls the entry once; policy mutations made while the
-               system is up go through the RCU publish path *)
+               system is up go through the SMP write route *)
             let smp =
               Smp.System.create ~seed:1 ~params:machine ~cpus kernel pm
             in
@@ -341,10 +341,10 @@ let cpus_arg =
   Arg.(value & opt int 1 & info [ "cpus" ] ~docv:"N"
     ~doc:"Run the entry point on N simulated CPUs (1..8) under the \
           deterministic round-robin scheduler. Each CPU calls the entry \
-          once; policy mutations made while the system is up route \
-          through RCU publication with IPI shootdown of remote guard \
-          caches. N=1 is the classic single-CPU path, bit-identical to \
-          previous releases.")
+          once; policy mutations made while the system is up edit the \
+          table in place and bump the epoch, which invalidates every \
+          CPU's guard caches. N=1 is the classic single-CPU path, \
+          bit-identical to previous releases.")
 
 let duplex_arg =
   Arg.(value & flag & info [ "duplex" ]

@@ -439,7 +439,7 @@ let cmd_netstats cpus =
   in
   let tb = Smp_testbed.create ~config () in
   (* a short duplex workload with mid-run policy churn, so the counters
-     the operator reads reflect guarded RX under RCU updates *)
+     the operator reads reflect guarded RX under policy updates *)
   let r = Smp_testbed.run_traffic ~count:150 ~churn:31 tb in
   let rx =
     match Smp_testbed.rx tb with Some rx -> rx | None -> assert false
@@ -496,8 +496,8 @@ let cmd_trace file =
    [updates] times) while every other CPU hammers guard checks over the
    same regions from warm inline-cache sites. With the engine's paranoid
    verifier on, any guard that an inline cache allows against the
-   *published* table counts as a stale allow — the bug class RCU
-   publication + IPI shootdown exists to make impossible. *)
+   *live* table counts as a stale allow — the bug class the epoch check
+   on every inline-cache slot exists to make impossible. *)
 let cmd_storm file cpus updates =
   if cpus < 2 || cpus > 8 then begin
     Printf.eprintf "policy_manager: storm needs --cpus 2..8\n";
@@ -575,16 +575,9 @@ let cmd_storm file cpus updates =
         (String.concat " "
            (Array.to_list (Array.mapi (Printf.sprintf "cpu%d=%d") ops)));
       Printf.printf
-        "  rcu:         %d publications, %d retired, generation %d\n"
+        "  writes:      %d publications, %d retired, epoch %d\n"
         rs.Smp.Rcu.publications rs.Smp.Rcu.retired
-        (Policy.Engine.generation engine);
-      Printf.printf
-        "  shootdowns:  %d IPIs sent, %d taken (%d remote cycles)\n"
-        rs.Smp.Rcu.ipis_sent rs.Smp.Rcu.ipis_taken rs.Smp.Rcu.ipi_cycles;
-      if rs.Smp.Rcu.retired > 0 then
-        Printf.printf "  grace:       %.1f quiescent points on average\n"
-          (float_of_int rs.Smp.Rcu.grace_quiescents
-          /. float_of_int rs.Smp.Rcu.retired);
+        (Policy.Engine.epoch engine);
       Printf.printf "  guards:      %d checks (%d allowed, %d denied)\n"
         st.Policy.Engine.checks st.Policy.Engine.allowed
         st.Policy.Engine.denied;
@@ -885,7 +878,7 @@ let storm_cmd =
     (Cmd.info "storm"
        ~doc:
          "stress policy updates on a simulated SMP kernel: one CPU churns \
-          the table via ioctls (RCU publication + IPI shootdown) while the \
+          the table via ioctls (in-place writes under the epoch) while the \
           others run guard checks; fails if any stale allow is observed")
     Term.(const cmd_storm $ file_arg $ cpus_storm_arg $ updates_arg)
 

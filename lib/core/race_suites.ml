@@ -1,5 +1,5 @@
 (** The happens-before detector's fixture suite: clean workloads that
-    must stay silent (proving the RCU/domain/NAPI publication paths
+    must stay silent (proving the policy-write/domain/NAPI paths
     race-free under the detector's model) and seeded fixtures the
     detector must flag. [kop_lint race] and [bench san] both gate on
     {!all}/{!pass}; the clean fixtures double as regressions for the
@@ -9,10 +9,10 @@
     The fixtures:
 
     - [clean-rcu-storm]: 2 CPUs of pktgen under a whole-policy rotate
-      storm — publications, grace periods and retirements under load,
-      zero reports expected;
+      storm — in-place policy writes under load, zero reports expected
+      (the name is kept so reports stay comparable);
     - [clean-napi-churn]: full-duplex RX/TX with policy churn — the NAPI
-      path's guarded reads against the RCU update storm, zero reports;
+      path's guarded reads against the update storm, zero reports;
     - [retire-vs-rebuild]: a watchdog-driven integrity rebuild and a
       policy batch install landing in the same scheduling quantum while
       module guard traffic flows — the retirement-ordering regression,
@@ -20,9 +20,9 @@
     - [seeded-stale-window]: the {!Fault.Harness.run_race} cross-CPU
       race (a store into a window a concurrent shrink revoked) — the
       detector must report it;
-    - [corruption-vs-publication]: a detached writer corrupts the
-      published table behind the protocol's back; the guard path's next
-      table scans must surface [Unsynced] reports. *)
+    - [corruption-vs-publication]: a detached writer corrupts the live
+      table behind the protocol's back; the guard path's next table
+      scans must surface [Unsynced] reports. *)
 
 type verdict = {
   v_name : string;
@@ -34,7 +34,7 @@ type verdict = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* clean suites: the publication machinery under load must stay silent *)
+(* clean suites: policy writes under load must stay silent *)
 
 let clean_rcu_storm () =
   let config = { Smp_testbed.default_config with cpus = 2; seed = 11 } in
@@ -82,13 +82,12 @@ let clean_napi_churn () =
         r.Smp_testbed.d_sent;
   }
 
-(** The retirement-ordering regression: a corruption of the published
-    instance is detected by the watchdog, whose integrity rebuild
-    republishes through RCU, while the other CPU lands policy batch
+(** The write-ordering regression: a corruption of the live table is
+    detected by the watchdog, whose integrity repair rewrites the table
+    through the SMP route, while the other CPU lands policy batch
     installs in the same quantum and module guard traffic keeps the
-    table scans coming. Retirement acquires every CPU's grace token
-    before the old table is reclaimed, so the retire-time interval write
-    is ordered after every recorded scan — the detector must stay
+    table scans coming. The scheduler token orders every recorded scan
+    before each policy write's interval write — the detector must stay
     silent, and every publication must be retired. *)
 let retire_vs_rebuild () =
   let kernel = Kernel.create ~require_signature:false Machine.Presets.r350 in
@@ -138,7 +137,7 @@ let retire_vs_rebuild () =
          (fun () ->
            incr a;
            (* tick the watchdog past its deadline: detection fires the
-              integrity rebuild through the RCU mutation route *)
+              integrity repair through the SMP mutation route *)
            ignore (Kernel.Watchdog.advance wd ~cycles:6_000 : int);
            ignore (Kernel.call_symbol kernel Fault.Inject.entry [||] : int);
            !a < 8);
@@ -203,7 +202,7 @@ let corruption_vs_publication () =
   let det = Smp.System.enable_race_detector (Smp_testbed.smp t) in
   ignore (Smp_testbed.run_pktgen ~count:30 t);
   let eng = Smp_testbed.engine t in
-  (* flip the user-half deny rule's prot in the *published* table — an
+  (* flip the user-half deny rule's prot in the *live* table — an
      escalation that changes no kernel-address decision, so the workload
      runs on undisturbed while the table bytes race the guard's scans *)
   let corrupted =

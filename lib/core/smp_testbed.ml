@@ -1,8 +1,8 @@
 (** N-CPU assembly of the evaluation stack: one kernel image, one
     e1000e-class device, a multi-queue driver build, and per-CPU
     netstacks (CPU [i] owns TX queue [i]) interleaved by the
-    deterministic {!Smp.Sched} round-robin. Policy mutations route
-    through the {!Smp.Rcu} publish path when more than one CPU exists.
+    deterministic {!Smp.Sched} round-robin. Policy mutations go through
+    the {!Smp.Rcu} route when more than one CPU exists.
 
     Every CPU count uses the *same* multi-queue driver build and
     per-queue MSI-X completion path, so the smpscale efficiency numbers
@@ -139,8 +139,6 @@ type cpu_result = {
   cr_cycles : int;  (** cycles this CPU's clock advanced over the run *)
   cr_seconds : float;
   cr_pps : float;  (** this CPU's private launch rate *)
-  cr_ipis : int;
-  cr_ipi_cycles : int;
 }
 
 type result = {
@@ -152,12 +150,9 @@ type result = {
   slices : int;
   publications : int;
   retired : int;
-  ipis : int;
-  ipi_cycles : int;
-  grace_quiescents : int;
   stale_allows : int;
       (** paranoid cross-check failures: inline-cache allows that the
-          published policy would deny (must be 0) *)
+          live policy would deny (must be 0) *)
   send_errors : int;
 }
 
@@ -191,7 +186,7 @@ let rotate = function [] -> [] | r :: rest -> rest @ [ r ]
     (rotated) every [storm]-th operation — the concurrent-ioctl update
     storm — while the other CPUs keep sending. Paranoid verification is
     on for the whole run: every inline-cache allow is cross-checked
-    against the published policy and mismatches are counted in
+    against the live policy and mismatches are counted in
     [stale_allows]. *)
 let run_pktgen ?(count = 1000) ?(size = 128) ?(storm = 0)
     ?(tool_ns = 6800.0) ?(tool_instructions = 2600) t : result =
@@ -220,8 +215,8 @@ let run_pktgen ?(count = 1000) ?(size = 128) ?(storm = 0)
           && seqs.(cpu) mod storm = storm - 1
         in
         if storming then begin
-          (* whole-policy replace through the mutation router: one RCU
-             generation swap under load *)
+          (* whole-policy replace through the mutation router: one
+             publication under load *)
           storm_policy := rotate !storm_policy;
           let rc =
             Policy.Policy_module.replace_policy t.policy_module
@@ -257,8 +252,6 @@ let run_pktgen ?(count = 1000) ?(size = 128) ?(storm = 0)
           cr_cycles = cyc;
           cr_seconds = secs;
           cr_pps = float_of_int sent.(i) /. secs;
-          cr_ipis = c.Smp.Cpu.ipis_taken;
-          cr_ipi_cycles = c.Smp.Cpu.ipi_cycles;
         })
       cpus
   in
@@ -277,9 +270,6 @@ let run_pktgen ?(count = 1000) ?(size = 128) ?(storm = 0)
     slices = sstats.Smp.Sched.slices;
     publications = rs.Smp.Rcu.publications;
     retired = rs.Smp.Rcu.retired;
-    ipis = rs.Smp.Rcu.ipis_taken;
-    ipi_cycles = rs.Smp.Rcu.ipi_cycles;
-    grace_quiescents = rs.Smp.Rcu.grace_quiescents;
     stale_allows = Policy.Engine.stale_allows engine;
     send_errors = !errors;
   }
@@ -314,7 +304,6 @@ type duplex_result = {
   d_timer_kicks : int;
   d_publications : int;
   d_retired : int;
-  d_ipis : int;
   d_stale_allows : int;
   d_send_errors : int;
 }
@@ -323,7 +312,7 @@ type duplex_result = {
     injected into the device, RSS-steered onto RX rings by flow hash),
     NAPI service of its *own* RX queue, and pktgen-style TX sends —
     interleaved by the seeded scheduler. [churn] > 0 makes CPU 0 replace
-    the whole policy (rotated) every [churn]-th operation, the RCU update
+    the whole policy (rotated) every [churn]-th operation, the update
     storm running concurrently with guarded RX. [rx_per_step] arrivals
     are offered per scheduler step; injection's simulated-memory cost is
     charged to the injecting CPU (the model's stand-in for the wire).
@@ -463,7 +452,6 @@ let run_traffic ?(count = 500) ?(size = 128) ?(churn = 0) ?(flows = 4096)
     d_timer_kicks = sum (fun q -> Net.Rx.timer_kicks rx ~q);
     d_publications = rs.Smp.Rcu.publications;
     d_retired = rs.Smp.Rcu.retired;
-    d_ipis = rs.Smp.Rcu.ipis_taken;
     d_stale_allows = Policy.Engine.stale_allows engine;
     d_send_errors = !errors;
   }

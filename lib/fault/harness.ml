@@ -394,10 +394,10 @@ let epilogue cell ~opt ~cls ~mode ~seed ~rng ~load ~rc ~panicked ~entry_sym ~wd
 (* ------------------------------------------------------------------ *)
 
 (** The cross-CPU race: CPU 0 runs the victim whose [victim_late] entry
-    stores into the upper half of the work window; CPU 1 publishes a
-    policy shrink (revoking that half) through the RCU route mid-run.
-    The memory snapshot is taken *after* the shrink's grace period, so
-    the pre-shrink (legitimate) late stores don't count — only bytes the
+    stores into the upper half of the work window; CPU 1 writes a policy
+    shrink (revoking that half) through the SMP route mid-run. The
+    memory snapshot is taken *after* the shrink, so the pre-shrink
+    (legitimate) late stores don't count — only bytes the
     victim lands in the revoked window afterwards are escapes. Baseline
     always escapes; a guarded victim must be stopped by the exact walk
     even though its site inline cache was warm for that page. *)
@@ -432,7 +432,7 @@ let run_race ?engine ?opt ?(sanitize = false) ~(mode : mode) ~seed () : outcome 
   compile_victim ?opt ~mode m;
   let load = insmod cell m in
   (* a 2-CPU system over the cell's kernel; mutations now go through the
-     RCU publish path *)
+     SMP write route *)
   let smp =
     Smp.System.create ~seed ~params:Machine.Presets.r350 ~cpus:2 cell.kernel
       cell.pm
@@ -458,8 +458,7 @@ let run_race ?engine ?opt ?(sanitize = false) ~(mode : mode) ~seed () : outcome 
              incr b;
              !b < 2);
          |]);
-    (* phase 2 — CPU 1 publishes the shrink under load; the run's drain
-       completes the grace period *)
+    (* phase 2 — CPU 1 writes the shrink under load *)
     let a = ref 0 and b = ref 0 in
     ignore
       (Smp.System.run smp
@@ -558,13 +557,12 @@ let run_corruption ?engine ?opt ?(sanitize = false) ~(mode : mode) ~seed () :
   { o with sh_detected }
 
 (** The SMP tier-corruption class ([Rcu_instance_corrupt]): CPU 1
-    republishes the policy through the RCU route, and the corruption
-    races the publication — the freshly published instance's
-    kernel-read-only region has its permission bits flipped writable in
-    the live table before the grace period completes. The watchdog's
-    digest audit must catch the divergence and republish a clean
-    generation (again through RCU, with shootdown), so CPU 0's guarded
-    victim never lands its store at the secret. *)
+    replaces the policy in place through the SMP route, and right after
+    it the live table's kernel-read-only region has its permission bits
+    flipped writable. The watchdog's digest audit must catch the
+    divergence and rewrite the table from the authoritative copy (again
+    through the SMP route), so CPU 0's guarded victim never lands its
+    store at the secret. *)
 let run_rcu_corrupt ?engine ?opt ?(sanitize = false) ~(mode : mode) ~seed () :
     outcome =
   let cell = make_cell ?engine ~sanitize ~mode () in
@@ -586,9 +584,9 @@ let run_rcu_corrupt ?engine ?opt ?(sanitize = false) ~(mode : mode) ~seed () :
   let rc = ref None and panicked = ref false in
   let call = call cell ~rc ~panicked in
   if Result.is_ok load then begin
-    (* phase 1 — CPU 1's routine policy push through the RCU route, with
-       the corruption landing on the freshly published instance while
-       CPU 0 is still between bursts *)
+    (* phase 1 — CPU 1's routine policy push through the SMP route, with
+       the corruption landing on the freshly written table while CPU 0
+       is still between bursts *)
     let a = ref 0 and b = ref 0 in
     ignore
       (Smp.System.run smp
@@ -607,8 +605,8 @@ let run_rcu_corrupt ?engine ?opt ?(sanitize = false) ~(mode : mode) ~seed () :
                  (Policy.Engine.corrupt_instance eng
                     ~base:Kernel.Layout.kernel_base ~prot:Policy.Region.prot_rw);
                (* the corruption is an unsynchronized (detached) interval
-                  write over the freshly published table: any guard scan
-                  of it before the heal republishes is a flagged race *)
+                  write over the live table: any guard scan of it before
+                  the heal rewrites the table is a flagged race *)
                match (det, Policy.Engine.table_region eng) with
                | Some d, Some (base, len) ->
                  Sanitizer.Race.async_write d ~lo:base ~hi:(base + len)
@@ -622,7 +620,7 @@ let run_rcu_corrupt ?engine ?opt ?(sanitize = false) ~(mode : mode) ~seed () :
   let sh_detected = idle_period cell wd in
   if Result.is_ok load then begin
     (* phase 3 — CPU 0 runs the victim; its payload store targets the
-       secret the corrupt generation would have allowed *)
+       secret the corrupt table would have allowed *)
     let a = ref 0 and b = ref 0 in
     ignore
       (Smp.System.run smp

@@ -5,8 +5,8 @@
     attack the *pipeline* (tampering with IR or signature after signing)
     and are what load-time signature verification is supposed to catch;
     the rest are *runtime* memory attacks — the wild stores the paper's
-    guards exist to stop, including a cross-CPU race against an RCU
-    policy shrink.
+    guards exist to stop, including a cross-CPU race against a
+    concurrent policy shrink.
 
     Builders are deterministic in the supplied PRNG, so a campaign with a
     fixed seed reproduces byte-for-byte. *)
@@ -26,11 +26,11 @@ type cls =
   | Policy_corruption
       (** a store aimed at the policy module's own region table *)
   | Cross_cpu_race
-      (** a guarded store on CPU A racing a policy shrink published from
+      (** a guarded store on CPU A racing a policy shrink written from
           CPU B: the region the store targets is revoked mid-run, and the
           store keeps firing from a warm guard site afterwards. Guards
-          must enforce the *published* policy — a stale inline-cache
-          allow after the grace period is an escape. *)
+          must enforce the *live* policy — a stale inline-cache allow
+          after the shrink is an escape. *)
   | Icache_corrupt
       (** a wild write spraying a per-site inline-cache slot with a
           forged (epoch, span, prot) fact covering the victim's target
@@ -38,11 +38,12 @@ type cls =
           (canary or semantic cross-check), switch the caches off, deny
           from the exact walk, and re-promote after the flush. *)
   | Rcu_instance_corrupt
-      (** the SMP variant: the freshly RCU-published policy instance is
-          corrupted (a protected region's permission bits flipped in the
-          live table) right after CPU B publishes it, racing readers on
-          CPU A. The watchdog must catch the digest divergence and
-          republish a clean generation through the RCU route. *)
+      (** the SMP variant: the live policy table is corrupted (a
+          protected region's permission bits flipped) right after CPU B
+          replaces the policy in place, racing readers on CPU A. The
+          watchdog must catch the digest divergence and rewrite the
+          table from the authoritative copy through the SMP route. The
+          printed name is kept so campaign reports stay comparable. *)
   | Rx_ring_corrupt
       (** the interrupt-path attack: a module store aimed at an RX
           descriptor ring — the memory the NAPI poll loop walks in
@@ -140,7 +141,7 @@ let race_late = "victim_late"
     policy shrink revokes. Both bump the call counter. The late stores
     are legitimate when first exercised (warming the guard's site inline
     cache for that page) and become violations once CPU B's shrink is
-    published — the interesting store is the same instruction at the
+    written — the interesting store is the same instruction at the
     same site before and after. *)
 let build_race_victim ~rng ~lo ~hi () =
   let b = Kir.Builder.create victim_name in

@@ -220,10 +220,10 @@ let destroy_domain t id =
 (* mutation: validate, then insert in place or build-and-swap *)
 
 (* Close a mutation: point the domain at [tier] (the live one after an
-   in-place batch, a successor after a swap) and bump the epoch — the
-   same publish idiom as Engine.publish. The generation it replaces is
-   retired immediately: domain mutations are driven from ioctl context,
-   where the simulated interleaving never suspends a reader mid-walk. *)
+   in-place batch, a successor after a swap) and bump the epoch, as the
+   engine's own writes do. The generation it replaces is retired
+   immediately: domain mutations are driven from ioctl context, where
+   the simulated interleaving never suspends a reader mid-walk. *)
 let publish t (d : dom) tier ~regions =
   (match (d.d_tier, tier) with
   | Linear _, Interval _ ->

@@ -33,13 +33,8 @@
     accessor below reads it, so single-CPU behaviour and simulated cost
     are unchanged. The scheduler switches {!set_current_view} when it
     switches CPUs; {!merged_stats}/{!merged_tier} aggregate ftrace-style.
-    Policy replacement for concurrent readers goes through
-    {!build_instance}/{!publish}: the writer constructs a complete new
-    structure generation off-line and installs it with a single pointer
-    store (plus the usual epoch bump), so a reader mid-guard on another
-    CPU only ever observes a fully-built table — never a half-written
-    entry. Grace-period tracking, IPI shootdown and freeing the retired
-    table live in [Smp.Rcu]. *)
+    Every policy write, on any number of CPUs, edits the one live
+    structure in place and bumps the epoch. *)
 
 (** [Shadow] is an alias for [Linear]: it builds the linear table and
     prints as ["linear"]. It stays only because kopbench's prod64-r415
@@ -136,7 +131,6 @@ type view = {
 
 type t = {
   kernel : Kernel.t;
-  kind : kind;  (** the structure kind {!build_instance} builds *)
   mutable ic_on : bool;
       (** inline-cache master switch. [true] normally; the integrity
           layer clears it to quarantine the inline caches, forcing every
@@ -148,17 +142,10 @@ type t = {
           bypasses this choke point) diverges from the authoritative
           copy and is caught at the next audit. *)
   capacity : int;
-  mutable instance : Structure.instance;
-      (** the live policy generation; replaced wholesale by {!publish} *)
+  instance : Structure.instance;  (** the live policy, edited in place *)
   mutable default_allow : bool;
   mutable epoch : int;
       (** bumped on every policy mutation; fast tiers validate against it *)
-  mutable generation : int;
-      (** RCU publication count; 0 until the first {!publish} *)
-  mutable gen_ptr : int;
-      (** simulated vaddr of the published-instance pointer cell;
-          allocated lazily on first publish so classic single-CPU runs
-          keep a bit-identical memory layout *)
   default_view : view;
   mutable views : view list;  (** all views, default first *)
   mutable cur : view;
@@ -204,15 +191,12 @@ let create ?(kind = Linear) ?(capacity = Linear_table.default_capacity)
   let dv = make_view 0 in
   {
     kernel;
-    kind;
     ic_on = true;
     on_mutate = None;
     capacity;
     instance = make_instance kernel kind ~capacity;
     default_allow;
     epoch = 0;
-    generation = 0;
-    gen_ptr = -1;
     default_view = dv;
     views = [ dv ];
     cur = dv;
@@ -287,10 +271,9 @@ let new_view ?(site_cache = false) t =
     leave the default view. *)
 let set_current_view t v = t.cur <- v
 
-(** Drop a remote view's inline-cache contents, as an IPI shootdown
-    handler would: every slot is retagged invalid. The epoch check
-    already keeps stale slots from answering; this models the handler
-    doing the flush work for real (cost is charged by the caller). *)
+(** Drop a view's inline-cache contents: every slot is retagged
+    invalid. The integrity layer flushes every view when it quarantines
+    or rebuilds the inline caches. *)
 let flush_view_site_cache v =
   match v.v_site_cache with
   | None -> ()
@@ -392,50 +375,12 @@ let set_policy t rs =
     rs
 
 (* ------------------------------------------------------------------ *)
-(* RCU-style publication *)
-
-let generation t = t.generation
-
-(** Build a complete successor policy generation off to the side — a
-    fresh structure of the engine's kind/capacity holding [rs] — without
-    touching the live one. Construction cost (allocation + entry stores)
-    is charged to the calling CPU's machine, like the writer building the
-    new table before publishing. *)
-let build_instance t rs : Structure.instance =
-  let inst = make_instance t.kernel t.kind ~capacity:t.capacity in
-  List.iter
-    (fun r ->
-      match Structure.add inst r with
-      | Ok () -> ()
-      | Error e -> invalid_arg ("Engine.build_instance: " ^ e))
-    rs;
-  inst
-
-(** Install a fully-built generation with a single pointer store and bump
-    the epoch (invalidating every view's fast tiers). Readers switch
-    atomically from the old table to the new one — there is no interval
-    in which a partially-written entry is reachable. Returns the retired
-    generation for the caller's grace-period bookkeeping ([Smp.Rcu]
-    frees it only after every CPU passes a quiescent point). *)
-let publish t inst ~default_allow : Structure.instance =
-  if t.gen_ptr < 0 then t.gen_ptr <- Kernel.kmalloc t.kernel ~size:8;
-  let old = t.instance in
-  t.instance <- inst;
-  t.default_allow <- default_allow;
-  t.generation <- t.generation + 1;
-  bump_epoch t;
-  (* the publish itself: one release store of the table pointer *)
-  Machine.Model.store (Kernel.machine t.kernel) t.gen_ptr 8;
-  lifecycle t Trace.Policy_publish ~info:t.generation;
-  old
-
-(* ------------------------------------------------------------------ *)
 (* checks *)
 
 (** Host-side reference verdict: the exact first-match walk over the
-    live generation, with no simulated cost. Used by paranoid mode and
-    the SMP stale-allow assertions to cross-check fast-tier answers
-    against the policy as currently published. *)
+    live policy, with no simulated cost. Used by paranoid mode and the
+    SMP stale-allow assertions to cross-check fast-tier answers against
+    the policy as currently written. *)
 let reference_allows t ~addr ~size ~flags =
   let rec go = function
     | [] -> t.default_allow
@@ -716,7 +661,7 @@ let corrupt_site_cache t view ~site ~lo ~hi ~prot ~smash_canary =
     if smash_canary then sc.sc_canary.(i) <- sc.sc_canary.(i) lxor 0xBAD;
     true
 
-(** Corrupt the published policy instance itself: flip the protection
+(** Corrupt the live policy instance itself: flip the protection
     bits of the region based at [base] in the linear table's decode
     mirror, making the authoritative-looking walk lie. Returns [false]
     when no such region exists or the structure keeps no linear table. *)

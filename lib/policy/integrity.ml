@@ -3,8 +3,8 @@
     and the degrade / rebuild / re-promote state machine.
 
     Threat model (MOAT/BULKHEAD's observation applied to ourselves): the
-    enforcement machinery — per-site inline caches and the RCU-published
-    policy instance — is itself kernel memory a wild write can corrupt
+    enforcement machinery — per-site inline caches and the live policy
+    instance — is itself kernel memory a wild write can corrupt
     into *stale allows*. Every legitimate mutation funnels through
     {!Engine.bump_epoch}, where a commit hook re-snapshots the
     authoritative copy held here (region list + default action +
@@ -23,10 +23,10 @@
 
     On a mismatch the corrupt tier is *quarantined*: the inline caches
     are switched off and flushed, so every check takes the exact walk,
-    and a corrupt instance is rebuilt from the authoritative copy
-    immediately — there is no lower tier to fall to (a fresh instance
-    is published, so not a single check is served from the corrupt
-    structure). Quarantined tiers are rebuilt and re-promoted after a
+    and a corrupt instance is rewritten from the authoritative copy
+    immediately — there is no lower tier to fall to (the repair runs
+    before the next check, so not a single check is served from the
+    corrupt entries). Quarantined tiers are rebuilt and re-promoted after a
     cooldown, with bounded retries and exponential backoff; a tier that
     keeps failing re-audit is abandoned (left degraded) rather than
     flapping. Every transition emits [Tier_degraded]/[Tier_rebuilt]
@@ -82,11 +82,10 @@ type t = {
   mutable auth_regions : Region.t list;
   mutable auth_default : bool;
   mutable auth_digest : int;
-  mutable route : Region.t list -> bool -> unit;
-      (** rebuild publisher: installs a fresh instance built from the
-          authoritative copy. The policy module points this at its
-          mutation router so SMP runs rebuild through the RCU publish
-          path; the default publishes directly (single-CPU). *)
+  route : Region.t list -> bool -> unit;
+      (** repair: rewrites the live policy from the authoritative copy.
+          The policy module points this at its mutation router, so a
+          repair is an ordinary whole-policy replace on every CPU count. *)
   ic : cell;
   inst : cell;
   (* counters (also surfaced via ioctl + /proc/carat) *)
@@ -109,13 +108,13 @@ let digest_of rs default_allow =
 
 (* The commit hook: re-snapshot the authoritative copy from the live
    engine. Runs after every epoch bump, i.e. after every legitimate
-   mutation (including our own rebuild publishes). *)
+   mutation (including our own repairs). *)
 let refresh t =
   t.auth_regions <- Engine.regions t.engine;
   t.auth_default <- Engine.default_allow t.engine;
   t.auth_digest <- digest_of t.auth_regions t.auth_default
 
-let create ?(config = default_config) engine =
+let create ?(config = default_config) ~route engine =
   let t =
     {
       engine;
@@ -123,10 +122,7 @@ let create ?(config = default_config) engine =
       auth_regions = [];
       auth_default = false;
       auth_digest = 0;
-      route =
-        (fun rs d ->
-          let inst = Engine.build_instance engine rs in
-          ignore (Engine.publish engine inst ~default_allow:d));
+      route;
       ic = make_cell Ic;
       inst = make_cell Instance;
       audits = 0;
@@ -138,7 +134,6 @@ let create ?(config = default_config) engine =
   Engine.set_on_mutate engine (Some (fun () -> refresh t));
   t
 
-let set_route t f = t.route <- f
 let engine t = t.engine
 
 (* ------------------------------------------------------------------ *)
@@ -207,10 +202,10 @@ let apply_ic_switch t = Engine.set_ic_enabled t.engine (t.ic.c_state = Active)
 let flush_all_ics t =
   List.iter Engine.flush_view_site_cache (Engine.views t.engine)
 
-(* Publish a fresh instance built from the authoritative copy. Every
-   rebuilt service change goes through here, so no check is ever served
-   from a structure that was found corrupt. *)
-let publish_auth t = t.route t.auth_regions t.auth_default
+(* Rewrite the live policy from the authoritative copy. Every repair
+   goes through here, so no check is ever served from entries that were
+   found corrupt. *)
+let rewrite_auth t = t.route t.auth_regions t.auth_default
 
 let degrade t (c : cell) =
   c.c_detected <- c.c_detected + 1;
@@ -227,7 +222,7 @@ let degrade t (c : cell) =
       flush_all_ics t
     | Instance ->
       (* no lower tier: rebuild from the authoritative copy on the spot *)
-      publish_auth t
+      rewrite_auth t
   end
 
 (* A quarantined tier's audit tick: count the cooldown down, then attempt
@@ -270,7 +265,7 @@ let audit t =
   charge t 20 (* audit entry: walk set-up, counter loads *);
   let found = ref 0 in
   (* instance first: it is the baseline the derived tiers are compared
-     against, so heal it before judging them. Degrading republishes from
+     against, so heal it before judging them. Degrading rewrites it from
      the authoritative copy on the spot; the quarantine still rides the
      cooldown before the tier is trusted as fully healthy again *)
   (match t.inst.c_state with
@@ -282,7 +277,7 @@ let audit t =
   | Quarantined ->
     attempt_repromote t t.inst
       ~reaudit:(fun () -> not (audit_instance t))
-      ~rebuild:(fun () -> publish_auth t)
+      ~rebuild:(fun () -> rewrite_auth t)
   | Abandoned -> ());
   (* inline caches *)
   (match t.ic.c_state with

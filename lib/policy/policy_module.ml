@@ -35,11 +35,10 @@ let on_deny_of_int = function
   | 2 -> Some Audit
   | _ -> None
 
-(** A policy mutation, reified so its application can be routed. The
-    default route applies it in place (exactly the pre-SMP behaviour);
-    an SMP run installs a {!set_mutator} callback that routes every
-    control-plane mutation through the RCU publish path instead, so a
-    CPU mid-guard never observes a half-written region entry. *)
+(** A policy mutation, reified so its application can be observed. Every
+    mutation, on any number of CPUs, is applied by {!apply_in_place}; an
+    SMP run installs a {!set_mutator} callback that wraps it with
+    publication accounting and race-detector events. *)
 type mutation =
   | M_add of Region.t
   | M_remove of int  (** region base *)
@@ -47,25 +46,19 @@ type mutation =
   | M_set_default of bool
   | M_set_mode of on_deny
   | M_install of Region.t list
-      (** batched install: all N regions land as ONE mutation. Under the
-          RCU route this is a single generation swap (readers see
-          old-or-new, never a prefix); the in-place route rolls the whole
-          batch back on any mid-batch failure. *)
-  | M_replace of Region.t list * bool  (** whole policy + default action *)
-  | M_rebuild of Region.t list * bool
-      (** self-healing rebuild: publish a fresh instance of the engine's
-          active kind built from the authoritative copy. Semantically a
-          [M_replace], but reified separately so the RCU route (and the
-          trace) can tell an operator policy push from an integrity
-          repair. *)
+      (** batched install: all N regions land as ONE mutation, rolled
+          back whole on any mid-batch refusal *)
+  | M_replace of Region.t list * bool
+      (** whole policy + default action, validated whole like
+          [M_install]; also the integrity layer's repair *)
 
 type t = {
   kernel : Kernel.t;
   engine : Engine.t;
   mutable on_deny : on_deny;
   mutable mutator : (mutation -> int) option;
-      (** control-plane mutation router; [None] (the default) applies
-          mutations in place, keeping single-CPU runs bit-identical *)
+      (** control-plane mutation wrapper; [None] (the default) calls
+          {!apply_in_place} directly *)
   mutable violations : (int * int * int) list;
       (** (addr, size, flags) of denied accesses, newest first *)
   mutable integrity : Integrity.t option;
@@ -136,8 +129,8 @@ let ioctl_domain_destroy = 21 (* arg = domain id *)
 let ioctl_install = 22
 (* batched atomic install. arg = user block: domain(8), count(8), then
    count x 24-byte region records (base, len, prot). domain 0 targets
-   the engine's root policy through the mutation router (one RCU
-   generation swap under SMP); ids > 0 target that policy domain.
+   the engine's root policy through the mutation router (one
+   publication under SMP); ids > 0 target that policy domain.
    Returns 0, or a typed errno with NOTHING installed: the whole batch
    rolls back on any mid-batch failure (-ENOSPC on capacity). *)
 let ioctl_domain_stats = 23
@@ -296,9 +289,26 @@ let read_region_arg t ~arg =
   let prot = Kernel.read t.kernel ~addr:(arg + 16) ~size:8 in
   (base, len, prot)
 
-(** Apply a mutation directly to the live structure — the classic
-    single-CPU path (in-place table writes, epoch bump). Also the
-    fallback every mutator ends in for non-table mutations. *)
+(* Append [rs] to the live table. A refusal restores [snapshot], so the
+   caller observes all-or-nothing. *)
+let add_all t ~what ~snapshot rs =
+  let rec go = function
+    | [] -> 0
+    | r :: rest -> (
+      match Engine.add_region t.engine r with
+      | Ok () -> go rest
+      | Error e ->
+        Engine.set_policy t.engine snapshot;
+        Kernel.Klog.log (Kernel.log t.kernel) Kernel.Klog.Warn
+          "carat ioctl %s: %s (batch of %d rolled back)" what e
+          (List.length rs);
+        if Structure.is_capacity_error e then Kernel.enospc else Kernel.einval)
+  in
+  go rs
+
+(** Apply a mutation to the live structure: validate it whole, edit the
+    table in place, bump the epoch. The one write path for every CPU
+    count; a refused mutation leaves the policy as it was. *)
 let apply_in_place t (m : mutation) : int =
   match m with
   | M_add r -> (
@@ -331,39 +341,23 @@ let apply_in_place t (m : mutation) : int =
     if List.length snapshot + List.length rs > Engine.capacity t.engine then
       (* the whole batch provably cannot fit: reject before mutating *)
       Kernel.enospc
-    else begin
-      let rec go = function
-        | [] -> 0
-        | r :: rest -> (
-          match Engine.add_region t.engine r with
-          | Ok () -> go rest
-          | Error e ->
-            (* mid-batch failure: restore the pre-batch policy so the
-               caller observes all-or-nothing, matching the RCU route *)
-            Engine.set_policy t.engine snapshot;
-            Kernel.Klog.log (Kernel.log t.kernel) Kernel.Klog.Warn
-              "carat ioctl install: %s (batch of %d rolled back)" e
-              (List.length rs);
-            if Structure.is_capacity_error e then Kernel.enospc
-            else Kernel.einval)
-      in
-      go rs
-    end
+    else add_all t ~what:"install" ~snapshot rs
   | M_replace (rs, default_allow) ->
-    Engine.set_policy t.engine rs;
-    Engine.set_default_allow t.engine default_allow;
-    0
-  | M_rebuild (rs, default_allow) ->
-    let inst = Engine.build_instance t.engine rs in
-    ignore (Engine.publish t.engine inst ~default_allow);
-    0
+    if List.length rs > Engine.capacity t.engine then Kernel.enospc
+    else begin
+      let snapshot = Engine.regions t.engine in
+      Engine.clear t.engine;
+      let rc = add_all t ~what:"replace" ~snapshot rs in
+      if rc = 0 then Engine.set_default_allow t.engine default_allow;
+      rc
+    end
 
-(** Route a control-plane mutation: through the registered mutator (the
-    SMP RCU publish path) when one is installed, in place otherwise. *)
+(** Apply a control-plane mutation through the registered mutator when
+    one is installed, directly otherwise. *)
 let apply t m = match t.mutator with Some f -> f m | None -> apply_in_place t m
 
-(** Install/remove the mutation router. The SMP layer registers the RCU
-    publish path here; [None] restores the in-place default. *)
+(** Install/remove the mutation wrapper. The SMP layer registers
+    [Smp.Rcu]'s route here; [None] restores the bare {!apply_in_place}. *)
 let set_mutator t f = t.mutator <- f
 
 (** Install/remove the guard observation probe (pure observation: the
@@ -371,21 +365,24 @@ let set_mutator t f = t.mutator <- f
 let set_guard_probe t f = t.guard_probe <- f
 
 (** Replace the whole policy (regions + default action) as one mutation.
-    Under the RCU route this is a single generation swap — readers see
-    the old table or the new one, never a mixture. *)
+    It runs as one scheduler operation, so no other CPU reads the table
+    mid-replace. *)
 let replace_policy t ?(default_allow = false) rs =
   apply t (M_replace (rs, default_allow))
 
 (** Attach the self-healing layer (idempotent, lazy like the trace ring:
     a run that never enables it allocates nothing and stays
-    bit-identical). Rebuild publishes are routed through the mutation
-    router, so SMP runs repair via the RCU publish path. *)
+    bit-identical). Repairs are [M_replace] mutations through the
+    mutation router, like any operator policy push. *)
 let enable_integrity ?config t =
   match t.integrity with
   | Some ig -> ig
   | None ->
-    let ig = Integrity.create ?config t.engine in
-    Integrity.set_route ig (fun rs d -> ignore (apply t (M_rebuild (rs, d))));
+    let ig =
+      Integrity.create ?config
+        ~route:(fun rs d -> ignore (apply t (M_replace (rs, d))))
+        t.engine
+    in
     t.integrity <- Some ig;
     ig
 

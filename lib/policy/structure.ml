@@ -23,21 +23,16 @@ type repr = ..
 type repr += Opaque
 
 (** Canonical capacity-exhaustion error. Every structure returns exactly
-    this string from [add] when it is full, so callers (the ioctl layer,
-    the RCU publish path) can map it to a typed [-ENOSPC] instead of a
-    blanket [-1] — see {!is_capacity_error}. *)
+    this string from [add] when it is full, so the ioctl layer can map it
+    to a typed [-ENOSPC] instead of a blanket [-1] — see
+    {!is_capacity_error}. *)
 let capacity_error capacity =
   Printf.sprintf "policy table full (%d regions)" capacity
 
 let capacity_error_marker = "policy table full"
 
-(* substring search, because intermediaries (Engine.build_instance) wrap
-   the structure's message in their own context prefix *)
 let is_capacity_error msg =
-  let m = capacity_error_marker in
-  let lm = String.length m and ln = String.length msg in
-  let rec at i = i + lm <= ln && (String.sub msg i lm = m || at (i + 1)) in
-  at 0
+  String.starts_with ~prefix:capacity_error_marker msg
 
 module type S = sig
   type t

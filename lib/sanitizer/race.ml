@@ -9,14 +9,11 @@
       incoming CPU acquires a global scheduler token — slices on the
       deterministic round-robin are totally ordered, which is exactly
       why the *kernel-side* paths are race-free by construction;
-    - RCU publish: the writer releases the publication token and records
-      the revoked write coverage (old grant minus new grant) as a
-      revocation window;
-    - IPI shootdown service: the remote CPU acquires the publication
-      token at its next scheduling point (the inline-cache flush);
-    - quiescent points: each CPU releases its grace token; retirement
-      acquires them all before the old generation's table is reclaimed,
-      so the retire-time interval write is ordered after every reader.
+    - policy write: the writer records the revoked write coverage (old
+      grant minus new grant) as a revocation window, and its in-place
+      rewrite of the table as an ordered interval write ({!sync_write}),
+      which by the last-write rule supersedes every earlier interval
+      write it covers.
 
     Two conflict classes surface as reports:
 
@@ -27,10 +24,9 @@
       ranges (their guards would deny), so they stay silent.
     - [Unsynced]: an access overlaps an interval write whose clock is
       not ordered before the accessing CPU's — e.g. a fixture corrupting
-      a published policy table (detached component) racing the guard
-      path's table reads. Properly retired generations carry the
-      retiring CPU's clock, which grace-period acquisition orders after
-      every reader: no report. *)
+      the live policy table (detached component) racing the guard path's
+      table reads. A policy write carries the writing CPU's clock, which
+      the scheduler token orders before every later slice: no report. *)
 
 type kind = Stale_window | Unsynced
 
@@ -147,13 +143,16 @@ let switch_to t cpu =
   end
 
 (* --------------------------------------------------------------- *)
-(* interval writes (publication, retirement, injected corruption) *)
+(* interval writes (policy writes, injected corruption) *)
 
 let overlaps lo hi lo' hi' = lo < hi' && lo' < hi
 
-(** An interval write carrying the *current CPU's* clock (e.g. the
-    retire-time reclaim of an old policy table). Races against any
-    recorded range read not ordered before it. *)
+(** An interval write carrying the *current CPU's* clock (e.g. a policy
+    write rewriting the table in place). Races against any recorded range
+    read not ordered before it. It is the last write to every byte of
+    [\[lo, hi)], so it replaces each earlier interval write lying wholly
+    inside that range (FastTrack's last-write rule): a later read sees
+    only what this write left. *)
 let sync_write t ~lo ~hi ~site =
   let clock = Vclock.copy t.clocks.(t.cur) in
   Hashtbl.iter
@@ -175,7 +174,9 @@ let sync_write t ~lo ~hi ~site =
             r_write = false;
           })
     t.reads;
-  t.iwrites <- { w_lo = lo; w_hi = hi; w_cpu = t.cur; w_site = site; w_clock = clock } :: t.iwrites
+  t.iwrites <-
+    { w_lo = lo; w_hi = hi; w_cpu = t.cur; w_site = site; w_clock = clock }
+    :: List.filter (fun w -> w.w_lo < lo || w.w_hi > hi) t.iwrites
 
 (** An *unsynchronized* interval write: attributed to the detached
     component, concurrent with everything past and future. This is how
@@ -227,14 +228,14 @@ let range_read t ~lo ~hi ~site =
 (* --------------------------------------------------------------- *)
 (* revocation windows *)
 
-(** Publication revoked write grant over [lo, hi): module accesses from
-    other CPUs landing here race with the revocation (the module has no
-    ordering against the policy writer). *)
+(** A policy write revoked write grant over [lo, hi): module accesses
+    from other CPUs landing here race with the revocation (the module has
+    no ordering against the policy writer). *)
 let revoke t ~lo ~hi ~site =
   if hi > lo then
     t.revoked <- { rv_lo = lo; rv_hi = hi; rv_cpu = t.cur; rv_site = site } :: t.revoked
 
-(** A later publication re-granting coverage clears overlapping
+(** A later policy write re-granting coverage clears overlapping
     revocation windows (the range is legitimately writable again). *)
 let grant t ~lo ~hi =
   t.revoked <-

@@ -1,7 +1,6 @@
 (** A simulated CPU: private machine model (clock, caches, branch
-    predictor), a per-CPU policy-engine view (stats, tier counters,
-    inline cache, trace ring, denial diagnostic), and the RCU/IPI
-    bookkeeping the SMP layer maintains for it.
+    predictor) and a per-CPU policy-engine view (stats, tier counters,
+    inline cache, trace ring, denial diagnostic).
 
     The kernel image itself — memory, symbols, modules, devices — is
     shared; {!Sched} swaps the kernel's machine and the engine's current
@@ -17,17 +16,6 @@ type t = {
   machine : Machine.Model.t;
   view : Policy.Engine.view;
   rng : Machine.Rng.t;  (** per-CPU workload noise stream *)
-  (* RCU *)
-  mutable q_gen : int;
-      (** newest RCU generation this CPU has observed at a quiescent
-          point (end of a scheduler operation); grace periods complete
-          when the minimum over all CPUs passes the published gen *)
-  (* IPI shootdown *)
-  mutable ipi_pending : bool;
-  mutable ipi_from : int;  (** sender CPU of the pending IPI *)
-  mutable ipis_taken : int;
-  mutable ipi_cycles : int;  (** cycles this CPU spent in IPI handlers *)
-  (* bookkeeping *)
   mutable ops : int;  (** scheduler operations completed *)
 }
 
@@ -39,11 +27,6 @@ let boot ?(seed = 0) kernel engine =
     machine = Kernel.machine kernel;
     view = Policy.Engine.default_view engine;
     rng = Machine.Rng.create (seed lxor 0xC0DE);
-    q_gen = 0;
-    ipi_pending = false;
-    ipi_from = -1;
-    ipis_taken = 0;
-    ipi_cycles = 0;
     ops = 0;
   }
 
@@ -56,11 +39,6 @@ let secondary ?(seed = 0) ~params ~site_cache engine ~id =
     machine = Machine.Model.create params;
     view = Policy.Engine.new_view ~site_cache engine;
     rng = Machine.Rng.create (seed lxor (0xC0DE + (id * 0x9e37)));
-    q_gen = 0;
-    ipi_pending = false;
-    ipi_from = -1;
-    ipis_taken = 0;
-    ipi_cycles = 0;
     ops = 0;
   }
 

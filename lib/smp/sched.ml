@@ -9,21 +9,9 @@
     reproducible: same seed + same workload = same interleaving, same
     per-CPU cycle counts, same trace streams.
 
-    The boundary between two operations on a CPU is that CPU's
-    *quiescent point* — it has returned from its simulated kernel entry
-    and holds no references into policy structures. {!Rcu} hangs
-    grace-period detection off the [on_quiescent] hook. *)
-
-type hooks = {
-  on_switch : int -> unit;
-      (** [on_switch cpu] fires when [cpu] is placed on the (simulated)
-          hardware, before its first operation of the slice: swap the
-          kernel's machine and engine view, service pending IPIs *)
-  on_quiescent : int -> unit;
-      (** [on_quiescent cpu] fires after each completed operation *)
-}
-
-let null_hooks = { on_switch = ignore; on_quiescent = ignore }
+    An operation never yields mid-way, so a policy write made in one
+    operation is whole before any other CPU runs again; {!Rcu} relies on
+    this. *)
 
 type stats = {
   mutable slices : int;  (** context switches (timeslices started) *)
@@ -32,10 +20,12 @@ type stats = {
 
 (** Run the per-CPU step functions to completion. [steps.(c) ()] runs
     one operation on CPU [c] and returns [false] when that CPU's
-    workload is exhausted. Returns the interleave log: the CPU id of
-    every operation, in execution order (a workload fingerprint for the
-    determinism tests). *)
-let run ?(quantum_max = 3) ?(hooks = null_hooks) ~seed
+    workload is exhausted. [on_switch c] fires when CPU [c] is placed on
+    the (simulated) hardware, before its first operation of the slice.
+    Returns the interleave log: the CPU id of every operation, in
+    execution order (a workload fingerprint for the determinism
+    tests). *)
+let run ?(quantum_max = 3) ?(on_switch = ignore) ~seed
     (steps : (unit -> bool) array) : int list * stats =
   let n = Array.length steps in
   if n = 0 then invalid_arg "Sched.run: no cpus";
@@ -51,7 +41,7 @@ let run ?(quantum_max = 3) ?(hooks = null_hooks) ~seed
     done;
     let c = !cur in
     stats.slices <- stats.slices + 1;
-    hooks.on_switch c;
+    on_switch c;
     let quantum = 1 + Machine.Rng.int rng quantum_max in
     let k = ref 0 in
     while !k < quantum && live.(c) do
@@ -59,7 +49,6 @@ let run ?(quantum_max = 3) ?(hooks = null_hooks) ~seed
       log := c :: !log;
       stats.ops <- stats.ops + 1;
       let more = steps.(c) () in
-      hooks.on_quiescent c;
       if not more then begin
         live.(c) <- false;
         decr remaining

@@ -1,13 +1,11 @@
 (** Assembly of the SMP pieces over one shared kernel: N {!Cpu}s (boot
-    CPU adopts the kernel's machine and the engine's default view), an
-    {!Rcu} domain routing the policy module's mutations, and the
-    {!Sched} hooks that context-switch machine + engine view and drive
-    IPI service / quiescent-point reporting.
+    CPU adopts the kernel's machine and the engine's default view), the
+    {!Rcu} route wrapping the policy module's mutations, and the
+    {!Sched} context-switch hook that swaps machine + engine view.
 
-    With [cpus:1] nothing changes hands — no secondary views, no RCU
-    routing (the policy module keeps its in-place mutation path) — so a
-    1-CPU system is cycle- and layout-identical to the classic
-    single-CPU simulation. *)
+    With [cpus:1] nothing changes hands — no secondary views, no route
+    installed — so a 1-CPU system is cycle- and layout-identical to the
+    classic single-CPU simulation. *)
 
 type t = {
   kernel : Kernel.t;
@@ -28,10 +26,9 @@ let create ~seed ~params ~cpus:n kernel pm =
         if i = 0 then Cpu.boot ~seed kernel engine
         else Cpu.secondary ~seed ~params ~site_cache engine ~id:i)
   in
-  let rcu = Rcu.create ~pm cpus in
-  (* Only a real multiprocessor needs RCU publication; leaving a 1-CPU
-     system on the in-place mutation path keeps it bit-identical to the
-     classic simulation. *)
+  let rcu = Rcu.create pm in
+  (* the route only adds SMP bookkeeping; a 1-CPU system keeps the bare
+     write path *)
   if n > 1 then Rcu.attach rcu;
   { kernel; engine; pm; cpus; rcu; seed; race = None }
 
@@ -42,12 +39,12 @@ let engine t = t.engine
 let race t = t.race
 
 (** Attach the happens-before race detector: per-CPU vector clocks with
-    sync edges from the scheduler's context switches and the RCU
-    publish/IPI/grace machinery, a module-access probe on the kernel's
-    read/write path, and a guard-path probe recording each policy-table
-    scan. Observation only — no simulated cycles are charged, so an
-    instrumented run's decisions and figures are unchanged. Idempotent;
-    returns the detector. *)
+    sync edges from the scheduler's context switches, each SMP policy
+    write's revocation windows and table write, a module-access probe on
+    the kernel's read/write path, and a guard-path probe recording each
+    policy-table scan. Observation only — no simulated cycles are
+    charged, so an instrumented run's decisions and figures are
+    unchanged. Idempotent; returns the detector. *)
 let enable_race_detector t =
   match t.race with
   | Some det -> det
@@ -104,32 +101,21 @@ let traces t =
   Array.to_list t.cpus
   |> List.filter_map (fun (c : Cpu.t) -> Policy.Engine.view_trace c.view)
 
-let hooks t =
-  {
-    Sched.on_switch =
-      (fun i ->
-        Cpu.make_current t.cpus.(i) t.kernel t.engine;
-        Rcu.set_current t.rcu i;
-        (* the detector's context-switch edge must precede the IPI
-           service so the publication acquire lands on the new CPU *)
-        (match t.race with
-        | Some det -> Sanitizer.Race.switch_to det i
-        | None -> ());
-        Rcu.service_ipi t.rcu i);
-    on_quiescent = (fun i -> Rcu.quiesce t.rcu i);
-  }
+let on_switch t i =
+  Cpu.make_current t.cpus.(i) t.kernel t.engine;
+  match t.race with
+  | Some det -> Sanitizer.Race.switch_to det i
+  | None -> ()
 
 (** Interleave the per-CPU step functions (see {!Sched.run}) under this
-    system's context-switch/RCU hooks. Restores CPU 0 as current when
-    the run drains, so follow-on single-threaded code (stats reads,
-    ioctls) charges the boot CPU. *)
+    system's context-switch hook. Restores CPU 0 as current when the run
+    drains, so follow-on single-threaded code (stats reads, ioctls)
+    charges the boot CPU. *)
 let run ?quantum_max t steps =
-  let out = Sched.run ?quantum_max ~hooks:(hooks t) ~seed:t.seed steps in
-  (* drained CPUs are idle, and idle is quiescent: report a final
-     quiescent point for everyone so trailing grace periods complete *)
-  Array.iteri (fun i _ -> Rcu.quiesce t.rcu i) t.cpus;
+  let out =
+    Sched.run ?quantum_max ~on_switch:(on_switch t) ~seed:t.seed steps
+  in
   Cpu.make_current t.cpus.(0) t.kernel t.engine;
-  Rcu.set_current t.rcu 0;
   out
 
 (** Per-CPU op counts folded over the interleave log. *)

@@ -30,8 +30,6 @@ type kind =
   | Module_load
   | Module_quarantine
   | Panic
-  | Policy_publish  (** RCU generation swap ([info] = new generation) *)
-  | Ipi_flush  (** IPI shootdown handled on this CPU ([info] = sender) *)
   | Tier_degraded
       (** integrity watchdog quarantined a corrupt fast tier ([info] =
           tier code: 0 = inline cache, 2 = instance) *)
@@ -57,8 +55,7 @@ let kind_to_int = function
   | Module_load -> 8
   | Module_quarantine -> 9
   | Panic -> 10
-  | Policy_publish -> 11
-  | Ipi_flush -> 12
+  (* 11 and 12 are unassigned: wire codes of removed kinds are not reused *)
   | Tier_degraded -> 13
   | Tier_rebuilt -> 14
   | Rx_irq -> 15
@@ -75,8 +72,6 @@ let kind_of_int = function
   | 7 -> Mode_change
   | 8 -> Module_load
   | 9 -> Module_quarantine
-  | 11 -> Policy_publish
-  | 12 -> Ipi_flush
   | 13 -> Tier_degraded
   | 14 -> Tier_rebuilt
   | 15 -> Rx_irq
@@ -95,8 +90,6 @@ let kind_to_string = function
   | Module_load -> "module-load"
   | Module_quarantine -> "module-quarantine"
   | Panic -> "panic"
-  | Policy_publish -> "policy-publish"
-  | Ipi_flush -> "ipi-flush"
   | Tier_degraded -> "tier-degraded"
   | Tier_rebuilt -> "tier-rebuilt"
   | Rx_irq -> "rx-irq"

@@ -506,6 +506,22 @@ let setup_integrity_pm ?(site_cache = false) () =
   Policy.Policy_module.set_policy pm Policy.Region.kernel_only;
   (k, pm, Policy.Policy_module.engine pm)
 
+(* A heal rewrites the live table in place: 50 rounds of instance
+   corruption and audit on one CPU leave the kernel heap where it
+   began. *)
+let test_heal_keeps_heap_flat () =
+  let k, pm, eng = setup_integrity_pm () in
+  let ig = Policy.Policy_module.enable_integrity pm in
+  let used = Kernel.phys_used k in
+  for _ = 1 to 50 do
+    ignore
+      (Policy.Engine.corrupt_instance eng ~base:Kernel.Layout.kernel_base
+         ~prot:0);
+    ignore (Policy.Integrity.audit ig)
+  done;
+  checkb "corruption detected" true (Policy.Integrity.detections ig > 0);
+  checki "kernel heap flat across the heals" used (Kernel.phys_used k)
+
 (* A legitimate mutation goes through the epoch choke point, so the
    authoritative snapshot follows it and audits stay clean. *)
 let test_integrity_commit_hook_tracks_mutations () =
@@ -603,9 +619,9 @@ let test_bounded_retries_then_abandon () =
   let ig =
     Policy.Integrity.create
       ~config:{ Policy.Integrity.cooldown_audits = 1; max_retries = 2 }
+      ~route:(fun _ _ -> ())
       eng
   in
-  Policy.Integrity.set_route ig (fun _ _ -> ());
   checkb "instance corrupted" true
     (Policy.Engine.corrupt_instance eng ~base:Kernel.Layout.kernel_base
        ~prot:0);
@@ -1016,6 +1032,24 @@ let test_ioctl_install_rollback () =
     (Kernel.ioctl k ~dev:"carat" ~cmd:Policy.Policy_module.ioctl_install ~arg);
   checkb "still unchanged" true
     (Policy.Engine.regions (Policy.Policy_module.engine pm) = before)
+
+(* A whole-policy replace refused mid-way — a sorted or splay table
+   cannot hold overlapping regions — restores the policy it started
+   from. *)
+let test_replace_rollback () =
+  List.iter
+    (fun kind ->
+      let k = fresh () in
+      let pm = Policy.Policy_module.install ~kind k in
+      Policy.Policy_module.set_policy pm Policy.Region.kernel_only;
+      let eng = Policy.Policy_module.engine pm in
+      let before = Policy.Engine.regions eng in
+      checki "overlap refused" Kernel.einval
+        (Policy.Policy_module.replace_policy pm
+           [ region 0xA000 0x1000; region 0xA800 0x1000 ]);
+      checkb "policy restored" true (Policy.Engine.regions eng = before);
+      checkb "default unchanged" false (Policy.Engine.default_allow eng))
+    [ Policy.Engine.Sorted; Policy.Engine.Splay ]
 
 let test_ioctl_install_validation () =
   let k, _pm = setup_pm () in
@@ -1490,6 +1524,7 @@ let () =
             test_ioctl_install_rollback;
           Alcotest.test_case "install validation" `Quick
             test_ioctl_install_validation;
+          Alcotest.test_case "replace rollback" `Quick test_replace_rollback;
         ] );
       ( "domains",
         [
@@ -1519,6 +1554,8 @@ let () =
         [
           Alcotest.test_case "commit hook tracks mutations" `Quick
             test_integrity_commit_hook_tracks_mutations;
+          Alcotest.test_case "heal keeps the heap flat" `Quick
+            test_heal_keeps_heap_flat;
           Alcotest.test_case "stale allow without integrity" `Quick
             test_stale_allow_without_integrity;
           Alcotest.test_case "ic degrade+repromote" `Quick

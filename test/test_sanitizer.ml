@@ -178,6 +178,28 @@ let test_seeded_race_flagged () =
   let v = Race_suites.seeded_stale_window () in
   checkb ("seeded race: " ^ v.Race_suites.v_detail) true v.Race_suites.v_pass
 
+(* FastTrack's last-write rule: an ordered interval write covering a
+   detached corruption supersedes it, so a later read from another CPU
+   races nothing; a read between the two writes still races the
+   corruption. *)
+let test_last_write_wins () =
+  let reports ~read_between =
+    let det = Sanitizer.Race.create ~cpus:2 in
+    let scan () =
+      Sanitizer.Race.switch_to det 1;
+      Sanitizer.Race.range_read det ~lo:0x1000 ~hi:0x1600 ~site:"scan";
+      Sanitizer.Race.switch_to det 0
+    in
+    Sanitizer.Race.async_write det ~lo:0x1000 ~hi:0x1600 ~site:"corruption";
+    if read_between then scan ();
+    Sanitizer.Race.sync_write det ~lo:0x1000 ~hi:0x1600 ~site:"rewrite";
+    scan ();
+    Sanitizer.Race.report_count det
+  in
+  checki "rewrite supersedes the corruption" 0 (reports ~read_between:false);
+  checki "a read between the writes still races" 1
+    (reports ~read_between:true)
+
 (* ---------- Alloc_lint: the forward dataflow lints ---------- *)
 
 let codes m =
@@ -308,6 +330,7 @@ let () =
             test_retire_vs_rebuild_no_race;
           Alcotest.test_case "seeded stale window flagged" `Quick
             test_seeded_race_flagged;
+          Alcotest.test_case "last write wins" `Quick test_last_write_wins;
         ] );
       ( "alloc-lint",
         [

@@ -1,8 +1,8 @@
-(* The SMP layer: deterministic scheduler interleaving, RCU policy
-   publication (no partially-written table is ever observable), IPI
-   shootdown of remote site inline caches, merged per-CPU trace
-   accounting, the ioctl routing through the publish path, and the
-   stale-allow QCheck property over the update-storm workload. *)
+(* The SMP layer: deterministic scheduler interleaving, in-place policy
+   writes (no partially-written table is ever observable), remote site
+   inline caches following the epoch, merged per-CPU trace accounting,
+   the ioctl routing through the SMP route, and the stale-allow QCheck
+   property over the update-storm workload. *)
 
 open Carat_kop
 
@@ -99,12 +99,15 @@ let test_system_deterministic () =
   checkb "trace streams non-empty" true (s1 <> []);
   checkb "identical merged trace event streams" true (s1 = s2)
 
-(* ---------- RCU publication ---------- *)
+let rcu_stats smp = Smp.Rcu.stats (Smp.System.rcu smp)
+
+(* ---------- SMP policy writes ---------- *)
 
 (* A CPU mid-guard never observes a half-written table: CPU 0 storms
    whole-policy replaces (both tables allow the probe) while CPU 1
-   checks the probe address every operation. Under the RCU route every
-   check must allow; stale-allow paranoia is on throughout. *)
+   checks the probe address every operation. Each replace is one
+   scheduler operation, so every check must allow; stale-allow paranoia
+   is on throughout. *)
 let test_rcu_no_partial_table () =
   let _, pm, smp = mk_system () in
   let engine = Smp.System.engine smp in
@@ -132,19 +135,19 @@ let test_rcu_no_partial_table () =
   ignore (Smp.System.run smp steps);
   checki "no deny ever observed mid-replace" 0 !denies;
   checki "no stale allows" 0 (Policy.Engine.stale_allows engine);
-  checki "every replace published a generation" 24
-    (Policy.Engine.generation engine);
-  let rs = Smp.Rcu.stats (Smp.System.rcu smp) in
-  checki "every generation retired after grace" rs.Smp.Rcu.publications
+  let rs = rcu_stats smp in
+  checki "every replace counted as a publication" 24 rs.Smp.Rcu.publications;
+  checki "every publication retired" rs.Smp.Rcu.publications
     rs.Smp.Rcu.retired
 
 (* negative control: the same probe DOES see a partial state when the
-   replace is done in place as separate structure edits — proving the
-   regression test above is sensitive to what it claims to catch *)
+   replace is split into separate structure edits, one per scheduler
+   operation — proving the regression test above is sensitive to what
+   it claims to catch *)
 let test_in_place_replace_is_observable () =
   let _, _, smp = mk_system () in
   let engine = Smp.System.engine smp in
-  (* detach the RCU route: back to classic in-place mutations *)
+  (* edit the engine directly, bypassing the one-operation mutation *)
   let pm_steps = ref 0 and denies = ref 0 and checks = ref 0 in
   let steps =
     [|
@@ -176,67 +179,60 @@ let test_in_place_replace_is_observable () =
   ignore (Smp.System.run smp steps);
   checkb "probe observes the partially-built table" true (!denies > 0)
 
-let test_publish_returns_old_generation () =
-  let kernel = Kernel.create ~require_signature:false r350 in
-  let pm = Policy.Policy_module.install kernel in
-  let engine = Policy.Policy_module.engine pm in
-  Policy.Policy_module.set_policy pm table_a;
-  let inst = Policy.Engine.build_instance engine table_b in
-  let old = Policy.Engine.publish engine inst ~default_allow:false in
-  checki "generation bumped" 1 (Policy.Engine.generation engine);
-  (* the retired instance still holds the old table *)
-  checki "old generation intact" 2 (Policy.Structure.count old);
-  checkb "old generation is table A" true
-    ((List.hd (Policy.Structure.regions old)).Policy.Region.base
-    = r1.Policy.Region.base);
-  (* the live table switched atomically *)
-  checkb "live generation is table B" true
-    ((List.hd (Policy.Engine.regions engine)).Policy.Region.base
-    = r2.Policy.Region.base)
+(* ---------- remote inline caches ---------- *)
 
-(* ---------- IPI shootdown ---------- *)
-
-let test_ipi_flushes_remote_cache () =
+(* No shootdown is needed: CPU 1 warms its site slot with an allow, CPU 0
+   replaces the policy with one that denies the probe, and CPU 1's next
+   check through that slot misses on the epoch and denies. *)
+let test_remote_cache_follows_epoch () =
   let _, pm, smp = mk_system () in
-  let traces = Smp.System.enable_tracing ~capacity:64 smp in
-  let cpus = Smp.System.cpus smp in
-  let w = ref 0 and r = ref 0 in
+  let engine = Smp.System.engine smp in
+  Policy.Engine.set_verify engine true;
+  let tier1 () =
+    Policy.Engine.view_tier (Smp.System.cpus smp).(1).Smp.Cpu.view
+  in
+  let probe () =
+    Policy.Engine.check_fast engine ~site:3 ~addr:probe_addr ~size:8
+      ~flags:Policy.Region.prot_write
+  in
+  let warm = ref false and replaced = ref false and after = ref None in
+  let hits = ref 0 and misses = ref 0 in
   let steps =
     [|
       (fun () ->
-        incr w;
-        if !w = 1 then
-          checki "replace ok" 0 (Policy.Policy_module.replace_policy pm table_b);
-        !w < 2);
+        if !warm && not !replaced then begin
+          checki "replace ok" 0 (Policy.Policy_module.replace_policy pm [ r1 ]);
+          replaced := true
+        end;
+        not !replaced);
       (fun () ->
-        incr r;
-        ignore
-          (Policy.Engine.check (Smp.System.engine smp) ~addr:probe_addr
-             ~size:8 ~flags:Policy.Region.prot_write);
-        !r < 4);
+        if not !warm then begin
+          (* fill, then hit: the slot now answers allow for the probe *)
+          warm := probe () && probe ();
+          hits := (tier1 ()).Policy.Engine.ic_hits
+        end
+        else if !replaced && !after = None then begin
+          misses := (tier1 ()).Policy.Engine.ic_misses;
+          after := Some (probe ())
+        end;
+        !after = None);
     |]
   in
   ignore (Smp.System.run smp steps);
-  let rs = Smp.Rcu.stats (Smp.System.rcu smp) in
-  checki "one IPI sent" 1 rs.Smp.Rcu.ipis_sent;
-  checki "one IPI taken" 1 rs.Smp.Rcu.ipis_taken;
-  checkb "IPI cost charged to the remote CPU" true
-    (cpus.(1).Smp.Cpu.ipi_cycles > 0);
-  (* the flush landed in CPU 1's ring, not CPU 0's *)
-  let has_flush tr =
-    List.exists
-      (fun (e : Trace.event) -> e.Trace.kind = Trace.Ipi_flush)
-      (Trace.events tr)
-  in
-  checkb "cpu1 traced the ipi-flush" true (has_flush traces.(1));
-  checkb "cpu0 did not" false (has_flush traces.(0))
+  checkb "cpu1 warmed its slot with an allow" true !warm;
+  checki "the warm slot answered" 1 !hits;
+  checkb "cpu1 denies after the replace" true (!after = Some false);
+  checki "the warm slot missed on the epoch" (!misses + 1)
+    (tier1 ()).Policy.Engine.ic_misses;
+  checki "no stale allows" 0 (Policy.Engine.stale_allows engine)
 
 (* ---------- ioctl routing (satellite: set-mode/region ioctls) ---------- *)
 
 let test_ioctls_route_through_rcu () =
   let kernel, pm, smp = mk_system () in
   let engine = Smp.System.engine smp in
-  checki "no publications yet" 0 (Policy.Engine.generation engine);
+  let pubs () = (rcu_stats smp).Smp.Rcu.publications in
+  checki "no publications yet" 0 (pubs ());
   (* region add via the ioctl ABI: base/len/prot block *)
   let arg = Kernel.kmalloc kernel ~size:24 in
   Kernel.write kernel ~addr:arg ~size:8 0x30000;
@@ -245,45 +241,46 @@ let test_ioctls_route_through_rcu () =
   checki "ioctl add ok" 0
     (Policy.Policy_module.handle_ioctl pm kernel
        ~cmd:Policy.Policy_module.ioctl_add ~arg);
-  checki "add published a generation" 1 (Policy.Engine.generation engine);
+  checki "add counted as a publication" 1 (pubs ());
   checki "region landed" 3 (Policy.Engine.count engine);
   (* remove routes too *)
   Kernel.write kernel ~addr:arg ~size:8 0x30000;
   checki "ioctl remove ok" 0
     (Policy.Policy_module.handle_ioctl pm kernel
        ~cmd:Policy.Policy_module.ioctl_remove ~arg);
-  checki "remove published a generation" 2 (Policy.Engine.generation engine);
-  (* set-mode: scalar applied in place (no table generation) but the
-     shootdown still fires at the other CPU *)
-  let cpus = Smp.System.cpus smp in
-  cpus.(1).Smp.Cpu.ipi_pending <- false;
+  checki "remove counted as a publication" 2 (pubs ());
+  (* set-mode: a scalar, not a table write, but its epoch bump still
+     invalidates every CPU's inline cache *)
+  let epoch = Policy.Engine.epoch engine in
   checki "ioctl set-mode ok" 0
     (Policy.Policy_module.handle_ioctl pm kernel
        ~cmd:Policy.Policy_module.ioctl_set_mode
        ~arg:
          (Policy.Policy_module.on_deny_to_int Policy.Policy_module.Quarantine));
-  checkb "set-mode shot down the remote cache" true
-    cpus.(1).Smp.Cpu.ipi_pending;
-  checki "mode did not fabricate a table generation" 2
-    (Policy.Engine.generation engine)
+  checkb "set-mode bumped the epoch" true (Policy.Engine.epoch engine > epoch);
+  checkb "mode applied" true
+    (Policy.Policy_module.mode pm = Policy.Policy_module.Quarantine);
+  checki "mode did not count as a publication" 2 (pubs ())
 
 let test_single_cpu_stays_in_place () =
   let _, pm, smp = mk_system ~cpus:1 () in
   let engine = Smp.System.engine smp in
   checki "one view only" 1 (List.length (Policy.Engine.views engine));
+  checkb "no route installed" true
+    (Option.is_none pm.Policy.Policy_module.mutator);
   checki "mutation applied" 0
     (Policy.Policy_module.apply pm
        (Policy.Policy_module.M_add
           (Policy.Region.v ~tag:"x" ~base:0x40000 ~len:0x100
              ~prot:Policy.Region.prot_rw ())));
-  (* in-place path: the epoch moves, the RCU generation does not *)
-  checki "no RCU generation on 1 CPU" 0 (Policy.Engine.generation engine)
+  checki "region landed" 3 (Policy.Engine.count engine);
+  checki "no publication counted on 1 CPU" 0
+    (rcu_stats smp).Smp.Rcu.publications
 
-(* Retirement frees: each table an SMP publication replaces is kfree'd
-   once its grace period ends, so after a warm-up that reaches the
-   steady-state number of live and pending generations, 200 more
-   publications through the policy-module ioctls reuse freed tables
-   instead of growing the kernel heap. *)
+(* SMP writes edit the live table in place, so after a warm-up, 200
+   more publications through the policy-module ioctls leave the kernel
+   heap flat: no write allocates a successor table or leaves one
+   behind. *)
 let test_rcu_retirement_frees_tables () =
   let kernel, pm, smp = mk_system () in
   let engine = Smp.System.engine smp in
@@ -301,7 +298,6 @@ let test_rcu_retirement_frees_tables () =
   in
   let warmup = 20 and steps = 120 in
   let w = ref 0 and warm_used = ref 0 and warm_pubs = ref 0 in
-  let rcu_stats () = Smp.Rcu.stats (Smp.System.rcu smp) in
   ignore
     (Smp.System.run smp
        [|
@@ -312,7 +308,7 @@ let test_rcu_retirement_frees_tables () =
            checki "ioctl remove ok" 0 (ioctl Policy.Policy_module.ioctl_remove);
            if !w = warmup then begin
              warm_used := Kernel.phys_used kernel;
-             warm_pubs := (rcu_stats ()).Smp.Rcu.publications
+             warm_pubs := (rcu_stats smp).Smp.Rcu.publications
            end;
            !w < steps);
          (fun () ->
@@ -321,7 +317,7 @@ let test_rcu_retirement_frees_tables () =
                 ~flags:Policy.Region.prot_write);
            !w < steps);
        |]);
-  let rs = rcu_stats () in
+  let rs = rcu_stats smp in
   checkb "at least 200 publications after warm-up" true
     (rs.Smp.Rcu.publications - !warm_pubs >= 200);
   checki "every publication retired" rs.Smp.Rcu.publications rs.Smp.Rcu.retired;
@@ -431,11 +427,11 @@ let test_tier_events_survive_wraparound () =
   ignore (Trace.read_next t0);
   checki "drain does not disturb the sum" 8 (Trace.merged_dropped ts)
 
-(* Corruption racing RCU publication: CPU 0 storms whole-table replaces
+(* Corruption racing policy writes: CPU 0 storms whole-table replaces
    while CPU 1 corrupts the live instance out-of-band and then runs the
    watchdog audit in the same quantum. The audit must detect, the repair
-   must ride the RCU publish path (generation moves past the storm's),
-   and the engine must end healthy with zero stale allows. *)
+   must ride the SMP route (publications move past the storm's), and
+   the engine must end healthy with zero stale allows. *)
 let test_corruption_races_publication () =
   let _, pm, smp = mk_system () in
   let engine = Smp.System.engine smp in
@@ -453,7 +449,7 @@ let test_corruption_races_publication () =
           checki "replace accepted" 0 (Policy.Policy_module.replace_policy pm t)
         end
         else begin
-          (* keep servicing grace periods while the heal completes *)
+          (* keep probing while the heal completes *)
           incr checks;
           match
             Policy.Engine.check engine ~addr:probe_addr ~size:8
@@ -484,18 +480,18 @@ let test_corruption_races_publication () =
   checkb "instance tier rebuilt" true (Policy.Integrity.rebuilds ig > 0);
   checkb "healthy after the episode" true (Policy.Integrity.healthy ig);
   checki "full tier restored" 2 (Policy.Integrity.tier_level ig);
-  (* the rebuild's publish rides the same RCU route as the storm *)
-  checkb "repair published a generation beyond the storm" true
-    (Policy.Engine.generation engine > storms);
+  (* the repair rides the same SMP route as the storm *)
+  checkb "repair counted as a publication beyond the storm" true
+    ((rcu_stats smp).Smp.Rcu.publications > storms);
   checki "no stale allow during or after the episode" 0
     (Policy.Engine.stale_allows engine);
   checki "probes after the storm never denied" 0 !denies
 
 (* ---------- update-storm property ---------- *)
 
-(* concurrent policy updates never yield a stale allow once the grace
-   period completes: paranoid verification is on inside run_pktgen, and
-   every published generation must retire *)
+(* concurrent policy updates never yield a stale allow: paranoid
+   verification is on inside run_pktgen, and every publication must
+   retire *)
 let prop_no_stale_allow_under_storm =
   QCheck.Test.make ~count:6
     ~name:"update storm yields zero stale allows and full retirement"
@@ -532,9 +528,9 @@ let test_smp_throughput_scales () =
 
 (* ---------- batched install under SMP ---------- *)
 
-(* ioctl_install's whole batch rides ONE RCU generation swap: a reader
-   mid-storm observes the old table or old+batch, never a partial
-   prefix. The visible region count is the observable. *)
+(* ioctl_install's whole batch is ONE scheduler operation and ONE
+   publication: a reader mid-storm observes the old table or old+batch,
+   never a partial prefix. The visible region count is the observable. *)
 let test_rcu_install_batch_atomic () =
   let _, pm, smp = mk_system () in
   let engine = Smp.System.engine smp in
@@ -572,10 +568,10 @@ let test_rcu_install_batch_atomic () =
   checki "no partially-visible batch" 0 !partial;
   checki "batch fully live" 10 (Policy.Engine.count engine);
   checki "no stale allows" 0 (Policy.Engine.stale_allows engine);
-  let rs = Smp.Rcu.stats (Smp.System.rcu smp) in
-  checki "whole batch was one publication" 1 rs.Smp.Rcu.publications
+  checki "whole batch was one publication" 1
+    (rcu_stats smp).Smp.Rcu.publications
 
-(* A batch that cannot fit publishes NOTHING through the RCU route. *)
+(* A batch that cannot fit publishes NOTHING through the SMP route. *)
 let test_rcu_install_batch_rollback () =
   let _, pm, smp = mk_system () in
   let engine = Smp.System.engine smp in
@@ -589,7 +585,24 @@ let test_rcu_install_batch_rollback () =
     (Policy.Policy_module.apply pm (Policy.Policy_module.M_install big));
   checki "nothing installed" 2 (Policy.Engine.count engine);
   checki "no publication for the refused batch" 0
-    (Smp.Rcu.stats (Smp.System.rcu smp)).Smp.Rcu.publications
+    (rcu_stats smp).Smp.Rcu.publications
+
+(* A whole-policy replace that cannot fit is refused before any edit, on
+   one CPU as on two: typed -ENOSPC, the live policy and the epoch
+   untouched, nothing published. *)
+let test_replace_past_capacity () =
+  List.iter
+    (fun cpus ->
+      let _, pm, smp = mk_system ~cpus () in
+      let engine = Smp.System.engine smp in
+      let before = Policy.Engine.regions engine in
+      let epoch = Policy.Engine.epoch engine in
+      checki "over-capacity replace refused with -ENOSPC" Kernel.enospc
+        (Policy.Policy_module.replace_policy pm (Policy.Region.padding 65));
+      checkb "regions unchanged" true (Policy.Engine.regions engine = before);
+      checki "epoch unchanged" epoch (Policy.Engine.epoch engine);
+      checki "nothing published" 0 (rcu_stats smp).Smp.Rcu.publications)
+    [ 1; 2 ]
 
 (* ---------- multi-domain churn under SMP ---------- *)
 
@@ -692,10 +705,8 @@ let () =
             test_rcu_no_partial_table;
           Alcotest.test_case "in-place replace IS observable (control)"
             `Quick test_in_place_replace_is_observable;
-          Alcotest.test_case "publish swaps generations atomically" `Quick
-            test_publish_returns_old_generation;
-          Alcotest.test_case "IPI flushes the remote cache" `Quick
-            test_ipi_flushes_remote_cache;
+          Alcotest.test_case "remote cache follows the epoch" `Quick
+            test_remote_cache_follows_epoch;
           Alcotest.test_case "ioctls route through the publish path" `Quick
             test_ioctls_route_through_rcu;
           Alcotest.test_case "retirement frees the replaced table" `Quick
@@ -721,6 +732,8 @@ let () =
             test_rcu_install_batch_atomic;
           Alcotest.test_case "refused batch publishes nothing" `Quick
             test_rcu_install_batch_rollback;
+          Alcotest.test_case "replace past capacity, 1 and 2 CPUs" `Quick
+            test_replace_past_capacity;
         ] );
       ( "domains",
         [
