@@ -246,19 +246,20 @@ let bechamel_tests () =
   (* policy check: the guard's inner loop, per structure *)
   let guard_test kind n =
     let kernel = Kernel.create ~require_signature:false Machine.Presets.r350 in
-    let engine = Policy.Engine.create ~kind ~capacity:64 kernel in
-    Policy.Engine.set_policy engine
-      (Policy.Region.padding (n - 1)
-      @ [
-          Policy.Region.v ~tag:"kernel" ~base:Kernel.Layout.kernel_base
-            ~len:0x2FFF_FFFF_FFFF_FFFF ~prot:Policy.Region.prot_rw ();
-        ]);
+    let a =
+      Result.get_ok
+        (Policy.Ablation.build kernel kind
+           (Policy.Region.padding (n - 1)
+           @ [
+               Policy.Region.v ~tag:"kernel" ~base:Kernel.Layout.kernel_base
+                 ~len:0x2FFF_FFFF_FFFF_FFFF ~prot:Policy.Region.prot_rw ();
+             ]))
+    in
     let addr = Kernel.Layout.direct_map_base + 0x400 in
     Test.make
-      ~name:
-        (Printf.sprintf "guard/%s/n=%d" (Policy.Engine.kind_to_string kind) n)
+      ~name:(Printf.sprintf "guard/%s/n=%d" (Policy.Ablation.to_string kind) n)
       (Staged.stage (fun () ->
-           ignore (Policy.Engine.check engine ~addr ~size:8 ~flags:1)))
+           ignore (Policy.Ablation.check a ~addr ~size:8 ~flags:1)))
   in
   (* fig3/4: one full guarded sendmsg through the whole stack *)
   let sendmsg_test name machine technique =
@@ -298,12 +299,12 @@ let bechamel_tests () =
       sendmsg_test "fig3/sendmsg-carat-r415" Machine.Presets.r415 Testbed.Carat;
       sendmsg_test "fig4/sendmsg-carat-r350" Machine.Presets.r350 Testbed.Carat;
       sendmsg_test "fig4/sendmsg-base-r350" Machine.Presets.r350 Testbed.Baseline;
-      guard_test Policy.Engine.Linear 2;
-      guard_test Policy.Engine.Linear 64;
-      guard_test Policy.Engine.Sorted 64;
-      guard_test Policy.Engine.Splay 64;
-      guard_test Policy.Engine.Cached 64;
-      guard_test Policy.Engine.Bloom 64;
+      guard_test Policy.Ablation.Linear 2;
+      guard_test Policy.Ablation.Linear 64;
+      guard_test Policy.Ablation.Sorted 64;
+      guard_test Policy.Ablation.Splay 64;
+      guard_test Policy.Ablation.Cached 64;
+      guard_test Policy.Ablation.Bloom 64;
       inject_test;
       parse_test;
       sign_test;
@@ -482,7 +483,7 @@ let hot_checks engine n =
    boxes excluded by sampling outside the loop). *)
 let guardpath_alloc_words ~n =
   let kernel = Kernel.create ~require_signature:false Machine.Presets.r415 in
-  let engine = Policy.Engine.create ~kind:Policy.Engine.Linear ~capacity:64 kernel in
+  let engine = Policy.Engine.create ~capacity:64 kernel in
   Policy.Engine.set_policy engine Policy.Region.kernel_only;
   Policy.Engine.enable_site_cache engine;
   hot_checks engine 1000;
@@ -493,26 +494,28 @@ let guardpath_alloc_words ~n =
 let guardpath_check_only ~checks =
   let bench kind ic =
     let kernel = Kernel.create ~require_signature:false Machine.Presets.r415 in
-    let engine = Policy.Engine.create ~kind ~capacity:64 kernel in
-    Policy.Engine.set_policy engine
-      (Policy.Region.padding 62
+    let policy =
+      Policy.Region.padding 62
       @ [
           Policy.Region.v ~tag:"kernel" ~base:Kernel.Layout.kernel_base
             ~len:0x2FFF_FFFF_FFFF_FFFF ~prot:Policy.Region.prot_rw ();
-        ]);
-    if ic then Policy.Engine.enable_site_cache engine;
-    let addr = Kernel.Layout.direct_map_base + 0x400 in
-    let probe i =
-      if ic then
-        ignore
-          (Policy.Engine.check_fast engine ~site:(i land 7)
-             ~addr:(addr + (i * 8 mod 256)) ~size:8
-             ~flags:Policy.Region.prot_read)
+        ]
+    in
+    let addr i = Kernel.Layout.direct_map_base + 0x400 + (i * 8 mod 256) in
+    let flags = Policy.Region.prot_read in
+    let probe =
+      if ic then begin
+        let engine = Policy.Engine.create ~capacity:64 kernel in
+        Policy.Engine.set_policy engine policy;
+        Policy.Engine.enable_site_cache engine;
+        fun i ->
+          ignore
+            (Policy.Engine.check_fast engine ~site:(i land 7) ~addr:(addr i)
+               ~size:8 ~flags)
+      end
       else
-        ignore
-          (Policy.Engine.check engine
-             ~addr:(addr + (i * 8 mod 256)) ~size:8
-             ~flags:Policy.Region.prot_read)
+        let a = Result.get_ok (Policy.Ablation.build kernel kind policy) in
+        fun i -> ignore (Policy.Ablation.check a ~addr:(addr i) ~size:8 ~flags)
     in
     for i = 0 to 999 do
       probe i
@@ -522,15 +525,15 @@ let guardpath_check_only ~checks =
       probe i
     done;
     let t1 = Unix.gettimeofday () in
-    ( Policy.Engine.kind_to_string kind ^ (if ic then "+ic" else ""),
+    ( Policy.Ablation.to_string kind ^ (if ic then "+ic" else ""),
       (t1 -. t0) *. 1e9 /. float_of_int checks )
   in
   [
-    bench Policy.Engine.Linear false;
-    bench Policy.Engine.Sorted false;
-    bench Policy.Engine.Splay false;
-    bench Policy.Engine.Bloom false;
-    bench Policy.Engine.Linear true;
+    bench Policy.Ablation.Linear false;
+    bench Policy.Ablation.Sorted false;
+    bench Policy.Ablation.Splay false;
+    bench Policy.Ablation.Bloom false;
+    bench Policy.Ablation.Linear true;
   ]
 
 let run_guardpath () =

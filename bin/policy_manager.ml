@@ -17,13 +17,44 @@
      policy_manager set-mode policy.kop quarantine # enforcement on deny:
                                                    # panic|quarantine|audit,
                                                    # persisted and set live
-                                                   # via the ioctl *)
+                                                   # via the ioctl
+
+   Exit codes: 0 ok, 3 denied or errors found, 1 bad input (an unreadable
+   or malformed policy file, a bad --len or --prot, more regions than the
+   table holds), 2 usage. *)
 
 open Cmdliner
 open Carat_kop
 
+(* Malformed input ends the run here, with its reason and exit 1 — never
+   in cmdliner's "uncaught exception" (exit 125). *)
+let bad_input file reason =
+  Printf.eprintf "policy_manager: %s: %s\n" file reason;
+  exit 1
+
+let load file =
+  match Policy.Policy_file.load file with
+  | t -> t
+  | exception Sys_error msg ->
+    (* [msg] already starts with the file name *)
+    Printf.eprintf "policy_manager: %s\n" msg;
+    exit 1
+  | exception Policy.Policy_file.Parse_error (line, msg) ->
+    bad_input file (Printf.sprintf "line %d: %s" line msg)
+
+let within_capacity file (t : Policy.Policy_file.t) =
+  let cap = Policy.Linear_table.default_capacity in
+  if List.length t.Policy.Policy_file.regions > cap then
+    bad_input file (Printf.sprintf "table is limited to %d regions" cap)
+
+(* [load] for the commands that install the file into the root table *)
+let load_root file =
+  let t = load file in
+  within_capacity file t;
+  t
+
 let load_or_empty path =
-  if Sys.file_exists path then Policy.Policy_file.load path
+  if Sys.file_exists path then load path
   else
     {
       Policy.Policy_file.default_allow = false;
@@ -41,21 +72,18 @@ let cmd_init output =
 
 let cmd_add file base len prot tag prepend =
   let t = load_or_empty file in
-  let prot = Policy.Policy_file.prot_of_string 0 prot in
-  let r = Policy.Region.v ~tag ~base ~len ~prot () in
+  let r =
+    try Policy.Policy_file.region 0 ~base ~len ~prot ~tag
+    with Policy.Policy_file.Parse_error (_, msg) -> bad_input file msg
+  in
   let regions =
     if prepend then r :: t.Policy.Policy_file.regions
     else t.Policy.Policy_file.regions @ [ r ]
   in
-  if List.length regions > Policy.Linear_table.default_capacity then begin
-    Printf.eprintf "policy_manager: table is limited to %d regions\n"
-      Policy.Linear_table.default_capacity;
-    1
-  end
-  else begin
-    Policy.Policy_file.save file { t with Policy.Policy_file.regions };
-    0
-  end
+  let t = { t with Policy.Policy_file.regions } in
+  within_capacity file t;
+  Policy.Policy_file.save file t;
+  0
 
 let cmd_remove file base =
   let t = load_or_empty file in
@@ -78,7 +106,7 @@ let cmd_remove file base =
   end
 
 let cmd_list file =
-  let t = Policy.Policy_file.load file in
+  let t = load file in
   Printf.printf "default: %s\n"
     (if t.Policy.Policy_file.default_allow then "allow" else "deny");
   Printf.printf "mode:    %s\n"
@@ -89,7 +117,7 @@ let cmd_list file =
   0
 
 let cmd_check file addr size write =
-  let t = Policy.Policy_file.load file in
+  let t = load_root file in
   let kernel = Kernel.create ~require_signature:false Machine.Presets.r350 in
   let engine = Policy.Engine.create kernel in
   Policy.Policy_file.apply t engine;
@@ -114,7 +142,7 @@ let cmd_check file addr size write =
 let cmd_push file =
   (* exercise the real ioctl path against a simulated kernel, exactly as
      the tool in Figure 1 does *)
-  let t = Policy.Policy_file.load file in
+  let t = load_root file in
   let kernel = Kernel.create ~require_signature:false Machine.Presets.r350 in
   let pm =
     Policy.Policy_module.install ~on_deny:Policy.Policy_module.Audit kernel
@@ -152,7 +180,7 @@ let cmd_push file =
    file (or --domain NAME) the batch lands in a freshly created policy
    domain instead of the root table. *)
 let cmd_push_batch file domain_override =
-  let t = Policy.Policy_file.load file in
+  let t = load file in
   let domain_name =
     match domain_override with
     | Some d -> d
@@ -193,8 +221,7 @@ let cmd_push_batch file domain_override =
     let rc = ioctl Policy.Policy_module.ioctl_install arg in
     if rc <> 0 then begin
       Printf.eprintf "policy_manager: batched install failed (rc=%d%s)\n" rc
-        (if rc = Kernel.enospc then " -ENOSPC, whole batch rolled back"
-         else "");
+        (if rc = Kernel.enospc then " -ENOSPC, nothing installed" else "");
       1
     end
     else begin
@@ -234,7 +261,7 @@ let cmd_domains file count =
     2
   end
   else
-    let t = Policy.Policy_file.load file in
+    let t = load file in
     let kernel = Kernel.create ~require_signature:false Machine.Presets.r350 in
     let pm =
       Policy.Policy_module.install ~on_deny:Policy.Policy_module.Audit kernel
@@ -390,7 +417,7 @@ let cmd_stats file opt_str =
           "policy_manager: unknown --opt level %s (none|basic|aggressive)\n" s;
         exit 2)
   in
-  let t = Policy.Policy_file.load file in
+  let t = load_root file in
   let kernel, pm = observability_kernel t in
   (* attach the trace ring through the operator ioctl, as a root tool
      would, then drive the probe so the counters are live *)
@@ -457,7 +484,7 @@ let cmd_netstats cpus =
   if r.Smp_testbed.d_stale_allows <> 0 then 1 else 0
 
 let cmd_trace file =
-  let t = Policy.Policy_file.load file in
+  let t = load_root file in
   let kernel, pm = observability_kernel t in
   ignore
     (Kernel.ioctl kernel ~dev:"carat"
@@ -504,7 +531,7 @@ let cmd_storm file cpus updates =
     2
   end
   else
-    let t = Policy.Policy_file.load file in
+    let t = load_root file in
     match t.Policy.Policy_file.regions with
     | [] ->
       Printf.eprintf "policy_manager: %s has no regions to churn\n" file;
@@ -601,7 +628,7 @@ let cmd_storm file cpus updates =
    watchdog detect, degrade, rebuild, and re-promote. Exits nonzero if
    the kernel does not heal back to the full fast path. *)
 let cmd_audit file =
-  let t = Policy.Policy_file.load file in
+  let t = load_root file in
   match t.Policy.Policy_file.regions with
   | [] ->
     Printf.eprintf "policy_manager: %s has no regions to audit\n" file;
@@ -712,7 +739,7 @@ let cmd_audit file =
     end
 
 let cmd_lint file =
-  let t = Policy.Policy_file.load file in
+  let t = load file in
   let findings = Policy.Policy_lint.lint t in
   List.iter
     (fun f -> print_endline (Policy.Policy_lint.finding_to_string f))

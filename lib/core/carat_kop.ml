@@ -13,8 +13,9 @@
     - {!Kernel}: the simulated core kernel (address space, module loader,
       ioctl devices, panic)
     - {!Vm}: the KIR interpreter that runs module code
-    - {!Policy}: the policy module — [carat_guard], the 64-entry region
-      table, and the alternative structures
+    - {!Policy}: the policy module — [carat_guard] and the 64-entry
+      region table; [Policy.Ablation] builds the alternative structures
+      for the ablations
     - {!Nic}: the e1000e-class device model and the KIR driver
     - {!Net}: raw-frame workload generation and the sendmsg path
     - {!Fault}: seeded fault-injection campaigns and containment checking

@@ -230,20 +230,19 @@ type policy_bench_point = {
 }
 
 (** Ablation [abl-policy]: simulated cost of one [carat_guard] check
-    across policy structures and region counts, measured on a hot loop of
-    conforming kernel-address probes (the paper's common case).
-    [site_cache_rows] appends "linear+ic" rows: the linear table with
-    the per-guard-site inline cache enabled, probing
-    through {!Policy.Engine.check_fast} from a small rotating set of
-    guard sites, as the injected driver does. *)
+    across policy structures ({!Policy.Ablation}) and region counts,
+    measured on a hot loop of conforming kernel-address probes (the
+    paper's common case). [site_cache_rows] appends "linear+ic" rows: the
+    engine's linear table with the per-guard-site inline cache enabled,
+    probing through {!Policy.Engine.check_fast} from a small rotating set
+    of guard sites, as the injected driver does. *)
 let policy_structure_bench ?(checks = 4000)
     ?(region_counts = [ 2; 8; 16; 32; 64 ])
-    ?(kinds = Policy.Engine.all_kinds)
+    ?(kinds = Policy.Ablation.all)
     ?(placements = [ Rule_last; Rule_first ])
     ?(site_cache_rows = false) () : policy_bench_point list =
   let bench ~kind ~ic ~placement n =
     let kernel = Kernel.create ~require_signature:false Machine.Presets.r350 in
-    let engine = Policy.Engine.create ~kind ~capacity:64 kernel in
     let rule =
       Policy.Region.v ~tag:"kernel" ~base:Kernel.Layout.kernel_base
         ~len:0x2FFF_FFFF_FFFF_FFFF ~prot:Policy.Region.prot_rw ()
@@ -254,52 +253,52 @@ let policy_structure_bench ?(checks = 4000)
       | Rule_last -> Policy.Region.padding (n - 1) @ [ rule ]
       | Rule_first -> rule :: Policy.Region.padding (n - 1)
     in
-    match
-      List.fold_left
-        (fun acc r ->
-          match acc with
-          | Error _ as e -> e
-          | Ok () -> Policy.Engine.add_region engine r)
-        (Ok ()) policy
-    with
+    let addr i = Kernel.Layout.direct_map_base + 0x4000 + (i * 8 mod 256) in
+    let flags = Policy.Region.prot_read in
+    (* the probe, and the stats it counts in *)
+    let checker =
+      if ic then begin
+        let e = Policy.Engine.create ~capacity:64 kernel in
+        Policy.Engine.set_policy e policy;
+        Policy.Engine.enable_site_cache e;
+        Ok
+          ( (fun i ->
+              ignore
+                (Policy.Engine.check_fast e ~site:(i land 7) ~addr:(addr i)
+                   ~size:8 ~flags)),
+            Policy.Engine.stats e )
+      end
+      else
+        Policy.Ablation.build ~capacity:64 kernel kind policy
+        |> Result.map (fun a ->
+               ( (fun i ->
+                   ignore (Policy.Ablation.check a ~addr:(addr i) ~size:8 ~flags)),
+                 Policy.Ablation.stats a ))
+    in
+    match checker with
     | Error _ -> None
-    | Ok () ->
-      if ic then Policy.Engine.enable_site_cache engine;
+    | Ok (probe, st) ->
       let machine = Kernel.machine kernel in
-      let addr = Kernel.Layout.direct_map_base + 0x4000 in
-      let probe i =
-        if ic then
-          ignore
-            (Policy.Engine.check_fast engine ~site:(i land 7)
-               ~addr:(addr + (i * 8 mod 256))
-               ~size:8 ~flags:Policy.Region.prot_read)
-        else
-          ignore
-            (Policy.Engine.check engine
-               ~addr:(addr + (i * 8 mod 256))
-               ~size:8 ~flags:Policy.Region.prot_read)
-      in
       (* warmup *)
       for i = 0 to 400 do
         probe i
       done;
-      Policy.Engine.reset_stats engine;
+      let n0 = st.Policy.Engine.checks and s0 = st.Policy.Engine.entries_scanned in
       let c0 = Machine.Model.cycles machine in
       for i = 0 to checks - 1 do
         probe i
       done;
       let c1 = Machine.Model.cycles machine in
-      let st = Policy.Engine.stats engine in
       Some
         {
           structure =
-            Policy.Engine.kind_to_string kind ^ (if ic then "+ic" else "");
+            Policy.Ablation.to_string kind ^ (if ic then "+ic" else "");
           regions = n;
           placement;
           cycles_per_check = float_of_int (c1 - c0) /. float_of_int checks;
           entries_scanned_per_check =
-            float_of_int st.Policy.Engine.entries_scanned
-            /. float_of_int st.Policy.Engine.checks;
+            float_of_int (st.Policy.Engine.entries_scanned - s0)
+            /. float_of_int (st.Policy.Engine.checks - n0);
         }
   in
   let combos ks =
@@ -316,7 +315,7 @@ let policy_structure_bench ?(checks = 4000)
       (fun (kind, placement) ->
         List.filter_map (fun n -> bench ~kind ~ic:true ~placement n)
           region_counts)
-      (combos [ Policy.Engine.Linear ])
+      (combos [ Policy.Ablation.Linear ])
   else []
 
 (* ------------------------------------------------------------------ *)

@@ -208,11 +208,9 @@ let corruption_vs_publication () =
   let corrupted =
     Policy.Engine.corrupt_instance eng ~base:0 ~prot:Policy.Region.prot_rw
   in
-  (match Policy.Engine.table_region eng with
-  | Some (base, len) ->
-    Sanitizer.Race.async_write det ~lo:base ~hi:(base + len)
-      ~site:"instance-corruption"
-  | None -> ());
+  (let base, len = Policy.Engine.table_region eng in
+   Sanitizer.Race.async_write det ~lo:base ~hi:(base + len)
+     ~site:"instance-corruption");
   ignore (Smp_testbed.run_pktgen ~count:30 t);
   let reports = Sanitizer.Race.report_count det in
   let unsynced =

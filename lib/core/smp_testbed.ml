@@ -12,8 +12,6 @@ type config = {
   machine : Machine.Model.params;
   technique : Testbed.technique;
   policy : Policy.Region.t list;
-  structure : Policy.Engine.kind;
-  capacity : int;
   ring_entries : int;
   seed : int;
   on_deny : Policy.Policy_module.on_deny;
@@ -33,8 +31,6 @@ let default_config =
     machine = Machine.Presets.r350;
     technique = Testbed.Carat;
     policy = Policy.Region.kernel_only;
-    structure = Policy.Engine.Linear;
-    capacity = Policy.Linear_table.default_capacity;
     ring_entries = 64;
     seed = 1;
     on_deny = Policy.Policy_module.Panic;
@@ -68,8 +64,7 @@ let create ?(config = default_config) () : t =
   in
   ignore (Vm.Engine.install ~kind:Vm.Engine.Interp kernel);
   let policy_module =
-    Policy.Policy_module.install ~kind:config.structure
-      ~capacity:config.capacity ~on_deny:config.on_deny
+    Policy.Policy_module.install ~on_deny:config.on_deny
       ~site_cache:config.site_cache kernel
   in
   (match config.technique with

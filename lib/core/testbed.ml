@@ -12,7 +12,8 @@ type config = {
   technique : technique;
   policy : Policy.Region.t list;  (** installed for [Carat] runs *)
   structure : Policy.Engine.kind;
-  capacity : int;
+      (** unread: the policy module always enforces with the linear
+          table; kept because kopbench's configs name it *)
   ring_entries : int;
   seed : int;
   stall_prob : float;  (** NIC flow-control pause probability per frame *)
@@ -35,7 +36,6 @@ let default_config =
     technique = Carat;
     policy = Policy.Region.kernel_only;
     structure = Policy.Engine.Linear;
-    capacity = Policy.Linear_table.default_capacity;
     ring_entries = 64;
     seed = 1;
     stall_prob = 0.0;
@@ -87,8 +87,7 @@ let create ?(config = default_config) () : t =
   in
   let vm = Vm.Engine.install ~kind:config.engine kernel in
   let policy_module =
-    Policy.Policy_module.install ~kind:config.structure
-      ~capacity:config.capacity ~on_deny:config.on_deny
+    Policy.Policy_module.install ~on_deny:config.on_deny
       ~site_cache:config.site_cache kernel
   in
   if config.trace then

@@ -127,7 +127,7 @@ type cell = {
       (** an RX descriptor ring the NAPI softirq path walks; deny for
           modules (no policy region covers it) — the [Rx_ring_corrupt]
           target *)
-  table : (int * int) option;
+  table : int * int;  (** the live policy table, [(vaddr, bytes)] *)
   writable : (int * int) list;  (** direct-map/stack windows, virtual *)
 }
 
@@ -205,10 +205,9 @@ let payload_addr cell ~cls ~rng =
     (* descriptor index past the ring's end: lands after the ring *)
     let idx = ring_entries + Machine.Rng.int rng 8 in
     cell.ring + (idx * desc_size)
-  | Inject.Policy_corruption -> (
-    match cell.table with
-    | Some (base, len) -> base + (8 * Machine.Rng.int rng (len / 8))
-    | None -> cell.secret)
+  | Inject.Policy_corruption ->
+    let base, len = cell.table in
+    base + (8 * Machine.Rng.int rng (len / 8))
   | Inject.Cross_cpu_race ->
     (* handled by its own two-CPU runner; never instantiated here *)
     cell.secret
@@ -607,11 +606,12 @@ let run_rcu_corrupt ?engine ?opt ?(sanitize = false) ~(mode : mode) ~seed () :
                (* the corruption is an unsynchronized (detached) interval
                   write over the live table: any guard scan of it before
                   the heal rewrites the table is a flagged race *)
-               match (det, Policy.Engine.table_region eng) with
-               | Some d, Some (base, len) ->
+               match det with
+               | Some d ->
+                 let base, len = Policy.Engine.table_region eng in
                  Sanitizer.Race.async_write d ~lo:base ~hi:(base + len)
                    ~site:"instance-corruption"
-               | _ -> ()
+               | None -> ()
              end;
              !b < 2);
          |])
@@ -692,8 +692,7 @@ let run_random ?(engine = Vm.Engine.Interp) ~seed () =
   let kernel = Kernel.create ~phys_size ~require_signature:true Machine.Presets.r350 in
   let vm = Vm.Engine.install ~kind:engine kernel in
   let pm =
-    Policy.Policy_module.install ~kind:Policy.Engine.Linear
-      ~on_deny:Policy.Policy_module.Quarantine kernel
+    Policy.Policy_module.install ~on_deny:Policy.Policy_module.Quarantine kernel
   in
   let rng = Machine.Rng.create seed in
   let windows = Array.init 4 (fun _ -> Kernel.kmalloc kernel ~size:1024) in

@@ -6,12 +6,14 @@
 
     The filter caches page-granular allow decisions: a key is
     (page, flags). A filter hit short-circuits the table walk; a miss
-    falls through to the exact linear scan, and an allowed result inserts
-    the key. The well-known caveat — false positives can admit an access
-    the table would deny — is inherent to the approach the paper floats;
-    [fp_possible] exposes the risk and the ablation benchmark measures
-    the speed side of the trade. Clearing the policy resets the filter
-    (removals would otherwise leave stale positives). *)
+    falls through to the exact linear scan, and a read-write result
+    inserts the page only when first match gives every access inside the
+    page that same answer: the first region that touches the page must
+    contain all of it. What remains is the well-known caveat — a hash
+    collision can admit an access the table would deny — inherent to the
+    approach the paper floats; [fp_possible] exposes the risk and the
+    ablation benchmark measures the speed side of the trade. The policy
+    is fixed once built, so the filter is never reset. *)
 
 type t = {
   kernel : Kernel.t;
@@ -23,7 +25,6 @@ type t = {
   mutable inserted : int;
 }
 
-let name = "bloom+linear"
 let filter_bytes = 4096
 let probes = 3
 
@@ -75,23 +76,22 @@ let filter_insert t ~page ~flags =
   done;
   t.inserted <- t.inserted + 1
 
-let reset_filter t =
-  Bytes.fill t.bits 0 t.bits_size '\000';
-  t.inserted <- 0
-
 let add t r = Linear_table.add t.inner r
 
-let remove t ~base =
-  let removed = Linear_table.remove t.inner ~base in
-  if removed then reset_filter t;
-  removed
-
-let clear t =
-  Linear_table.clear t.inner;
-  reset_filter t
-
-let count t = Linear_table.count t.inner
-let regions t = Linear_table.regions t.inner
+(* Does first match answer read-write for every access inside [page]?
+   Exactly when the first region touching the page contains all of it:
+   every earlier region then misses the page entirely. (The top page of
+   the address space, whose end is not representable, never qualifies.) *)
+let page_all_rw t page =
+  let base = page lsl 12 in
+  base <= max_int - 4096
+  &&
+  let whole = Region.v ~base ~len:4096 ~prot:0 () in
+  match List.find_opt (Region.overlaps whole) (Linear_table.regions t.inner) with
+  | Some r ->
+    Region.contains r ~addr:base ~size:4096
+    && Region.permits r ~flags:Region.prot_rw
+  | None -> false
 
 (** Estimated false-positive probability at the current load. *)
 let fp_possible t =
@@ -101,8 +101,6 @@ let fp_possible t =
   frac ** float_of_int t.k
 
 let lookup t ~addr ~size : Structure.outcome =
-  let flags_key = 0 (* flags folded by caller into page key via engine *) in
-  ignore flags_key;
   let page = page_of addr in
   (* single-page fast path only: accesses spanning pages take the slow
      path, as a real implementation would *)
@@ -115,19 +113,10 @@ let lookup t ~addr ~size : Structure.outcome =
     }
   else begin
     let out = Linear_table.lookup t.inner ~addr ~size in
-    (match out.Structure.matched with
-    | Some r
-      when Region.permits r ~flags:Region.prot_rw
-           && page = page_of (addr + size - 1) ->
-      (* cache fully-permissive verdicts only: a page readable-and-
-         writable per the table can be admitted on any future flags *)
-      filter_insert t ~page ~flags:0
-    | _ -> ());
+    (* cache fully-permissive pages only: a page every access of which
+       is readable-and-writable per the table can be admitted on any
+       future flags *)
+    if page = page_of (addr + size - 1) && page_all_rw t page then
+      filter_insert t ~page ~flags:0;
     out
   end
-
-(* the exact table behind the filter is what enforcement relies on *)
-let table_region t = Linear_table.table_region t.inner
-
-(* no integrity-auditable internals beyond the policy itself *)
-let repr _t = Structure.Opaque

@@ -170,14 +170,11 @@ let add_exn tier r =
 (* Hand a retired structure's kernel memory back. Retirement is
    immediate (see [publish]), so no reader can still be walking it. *)
 let release t = function
-  | Linear l ->
-    Option.iter
-      (fun (vaddr, _) ->
-        match Kernel.kfree t.kernel ~addr:vaddr with
-        | Ok () -> ()
-        | Error e ->
-          invalid_arg ("Domain.release: " ^ Kernel.free_error_to_string e))
-      (Linear_table.table_region l)
+  | Linear l -> (
+    match Kernel.kfree t.kernel ~addr:(fst (Linear_table.table_region l)) with
+    | Ok () -> ()
+    | Error e ->
+      invalid_arg ("Domain.release: " ^ Kernel.free_error_to_string e))
   | Interval it -> Interval_tree.clear it
 
 let create_domain ?name ?(default_allow = false) t =

@@ -1,11 +1,14 @@
-(** The policy engine: a region structure plus the permission-check logic
-    and counters. One engine backs one policy module instance.
+(** The policy engine: the paper's linear region table plus the
+    permission-check logic and counters. One engine backs one policy
+    module instance.
 
-    Check semantics (§3.1): walk the structure for the first region
+    Check semantics (§3.1): walk the table for the first region
     containing the accessed byte range; if found, the access is allowed
     iff the region's protection flags include every requested flag; if no
     region matches, the default action applies. The paper's evaluated
-    configuration is the 64-entry linear table with default deny.
+    configuration is the 64-entry linear table with default deny. The
+    alternatives §3.1/§4.2 speculate about are built by {!Ablation},
+    which charges its checks through this engine's {!walk}.
 
     One optional fast tier sits in front of the exact walk: per-guard-site
     inline caches ({!enable_site_cache}), §3.1's last-hit cache made
@@ -24,7 +27,7 @@
     ioctl), keeping live policy pushes and enforcement-mode flips exact.
     It answers only when the answer provably equals the exact walk's;
     anything else (an access outside the cached span, unknown site, flag
-    mismatch) falls back to the exact structure, so decisions are
+    mismatch) falls back to the exact table walk, so decisions are
     byte-for-byte identical to the plain walk.
 
     SMP: all hot-path counters, the inline cache, the trace sink and the
@@ -34,23 +37,12 @@
     are unchanged. The scheduler switches {!set_current_view} when it
     switches CPUs; {!merged_stats}/{!merged_tier} aggregate ftrace-style.
     Every policy write, on any number of CPUs, edits the one live
-    structure in place and bumps the epoch. *)
+    table in place and bumps the epoch. *)
 
-(** [Shadow] is an alias for [Linear]: it builds the linear table and
-    prints as ["linear"]. It stays only because kopbench's prod64-r415
-    workload names it. *)
-type kind = Linear | Sorted | Splay | Rbtree | Itree | Bloom | Cached | Shadow
-
-let kind_to_string = function
-  | Linear | Shadow -> "linear"
-  | Sorted -> "sorted"
-  | Splay -> "splay"
-  | Rbtree -> "rbtree"
-  | Itree -> "interval"
-  | Bloom -> "bloom+linear"
-  | Cached -> "cached+linear"
-
-let all_kinds = [ Linear; Sorted; Splay; Rbtree; Itree; Bloom; Cached ]
+(** Both constructors mean the linear table; nothing reads the value.
+    The type stays only because kopbench's configs name it
+    ([Shadow] for prod64-r415). *)
+type kind = Linear | Shadow
 
 (** Decision statistics. Tier-invariant: a fast-tier (inline-cache) hit
     credits the same [entries_scanned] the exact walk would have
@@ -111,7 +103,7 @@ type site_cache = {
 }
 
 (** Per-CPU execution view: everything the guard hot path reads or writes
-    besides the shared policy structure itself. The default view is CPU
+    besides the shared policy table itself. The default view is CPU
     0's (and the only one in single-CPU runs). *)
 type view = {
   v_id : int;  (** CPU id, 0-based; the default view is 0 *)
@@ -141,8 +133,7 @@ type t = {
           a snapshot refresh here, so out-of-band corruption (which
           bypasses this choke point) diverges from the authoritative
           copy and is caught at the next audit. *)
-  capacity : int;
-  instance : Structure.instance;  (** the live policy, edited in place *)
+  table : Linear_table.t;  (** the live policy, edited in place *)
   mutable default_allow : bool;
   mutable epoch : int;
       (** bumped on every policy mutation; fast tiers validate against it *)
@@ -152,28 +143,7 @@ type t = {
   mutable verify : bool;
       (** host-side paranoia: cross-check every inline-cache allow
           against a fresh exact reference walk (no simulated cost) *)
-  perm_pc : int array;
-      (** branch-site ids for the permission branch, precomputed per
-          protection value so the hot path allocates no strings; values
-          are identical to [Hashtbl.hash ("perm", prot_to_string prot)] *)
 }
-
-let make_instance kernel kind ~capacity : Structure.instance =
-  match kind with
-  | Linear | Shadow ->
-    Structure.I ((module Linear_table), Linear_table.create kernel ~capacity)
-  | Sorted ->
-    Structure.I ((module Sorted_table), Sorted_table.create kernel ~capacity)
-  | Splay ->
-    Structure.I ((module Splay_tree), Splay_tree.create kernel ~capacity)
-  | Rbtree ->
-    Structure.I ((module Rb_tree), Rb_tree.create kernel ~capacity)
-  | Itree ->
-    Structure.I ((module Interval_tree), Interval_tree.create kernel ~capacity)
-  | Bloom ->
-    Structure.I ((module Bloom_front), Bloom_front.create kernel ~capacity)
-  | Cached ->
-    Structure.I ((module Lookup_cache), Lookup_cache.create kernel ~capacity)
 
 let make_view id =
   {
@@ -186,23 +156,20 @@ let make_view id =
     v_stale = 0;
   }
 
-let create ?(kind = Linear) ?(capacity = Linear_table.default_capacity)
-    ?(default_allow = false) kernel =
+let create ?(capacity = Linear_table.default_capacity) ?(default_allow = false)
+    kernel =
   let dv = make_view 0 in
   {
     kernel;
     ic_on = true;
     on_mutate = None;
-    capacity;
-    instance = make_instance kernel kind ~capacity;
+    table = Linear_table.create kernel ~capacity;
     default_allow;
     epoch = 0;
     default_view = dv;
     views = [ dv ];
     cur = dv;
     verify = false;
-    perm_pc =
-      Array.init 4 (fun p -> Hashtbl.hash ("perm", Region.prot_to_string p));
   }
 
 (** Invalidate every fast tier in O(1). Policy mutations call this
@@ -220,13 +187,6 @@ let set_on_mutate t f = t.on_mutate <- f
 
 let ic_enabled t = t.ic_on
 let set_ic_enabled t b = t.ic_on <- b
-
-(** The live instance's linear table, for instance-digest corruption
-    injection. *)
-let live_linear t =
-  match Structure.repr t.instance with
-  | Linear_table.Linear l -> Some l
-  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* views *)
@@ -296,7 +256,7 @@ let lifecycle t kind ~info =
   | Some tr -> Trace.on_lifecycle tr kind ~info
 
 let add_region t r =
-  match Structure.add t.instance r with
+  match Linear_table.add t.table r with
   | Ok () ->
     bump_epoch t;
     lifecycle t Trace.Policy_add ~info:r.Region.base;
@@ -304,7 +264,7 @@ let add_region t r =
   | Error _ as e -> e
 
 let remove_region t ~base =
-  let removed = Structure.remove t.instance ~base in
+  let removed = Linear_table.remove t.table ~base in
   if removed then begin
     bump_epoch t;
     lifecycle t Trace.Policy_remove ~info:base
@@ -312,7 +272,7 @@ let remove_region t ~base =
   removed
 
 let clear t =
-  Structure.clear t.instance;
+  Linear_table.clear t.table;
   bump_epoch t;
   lifecycle t Trace.Policy_clear ~info:0
 
@@ -321,14 +281,13 @@ let set_default_allow t b =
   bump_epoch t;
   lifecycle t Trace.Policy_default ~info:(if b then 1 else 0)
 
-let count t = Structure.count t.instance
-let capacity t = t.capacity
-let regions t = Structure.regions t.instance
+let count t = Linear_table.count t.table
+let capacity t = t.table.Linear_table.capacity
+let regions t = Linear_table.regions t.table
 let default_allow t = t.default_allow
 let stats t = t.default_view.v_stats
 let tier_stats t = t.default_view.v_tier
-let structure_name t = Structure.name t.instance
-let table_region t = Structure.table_region t.instance
+let table_region t = Linear_table.table_region t.table
 
 (** Sum of the decision stats across every view (ftrace-style merge on
     read; the per-view records stay live). *)
@@ -364,15 +323,22 @@ let reset_stats t =
       v.v_stale <- 0)
     t.views
 
-(** Load a whole policy (clearing the current one); errors abort. *)
-let set_policy t rs =
-  clear t;
+(** Append [rs] in order. Callers check capacity first, and the linear
+    table refuses a region for no other reason, so a refusal is a broken
+    invariant: raised, never left as a half-applied batch. *)
+let add_regions t rs =
   List.iter
     (fun r ->
       match add_region t r with
       | Ok () -> ()
-      | Error e -> invalid_arg ("Engine.set_policy: " ^ e))
+      | Error e -> invalid_arg ("Engine.add_regions: " ^ e))
     rs
+
+(** Load a whole policy (clearing the current one); raises when [rs] is
+    over capacity. *)
+let set_policy t rs =
+  clear t;
+  add_regions t rs
 
 (* ------------------------------------------------------------------ *)
 (* checks *)
@@ -388,7 +354,7 @@ let reference_allows t ~addr ~size ~flags =
       if Region.contains r ~addr ~size then Region.permits r ~flags
       else go rest
   in
-  go (Structure.regions t.instance)
+  go (Linear_table.regions t.table)
 
 (** Enable/disable paranoid cross-checking of inline-cache allows (a
     host-side comparison — zero simulated cycles, so cycle goldens are
@@ -406,51 +372,58 @@ let emit_guard t ~site ~addr ~size ~flags ~allowed ~fast ~scanned ~region_base
     Trace.on_guard tr ~site ~addr ~size ~flags ~allowed ~fast ~scanned
       ~region_base
 
-(** The permissions check at the heart of [carat_guard]. Charges the
-    guard-body prologue plus whatever the structure walk costs. [site] is
-    the static guard-site id for observability attribution (-1 = not a
-    guard site). *)
-let check_sited t ~site ~addr ~size ~flags : verdict =
-  let machine = Kernel.machine t.kernel in
-  let st = t.cur.v_stats in
+(* branch-site ids for the permission branch, one per protection value,
+   precomputed so the hot path allocates no strings *)
+let perm_pc =
+  Array.init 4 (fun p -> Hashtbl.hash ("perm", Region.prot_to_string p))
+
+(** One exact check's simulated cost and decision stats: the guard-body
+    prologue, [lookup s] (the structure's own probes), and the permission
+    branch when a region matches; the check counts as allowed or denied
+    in [st] under [default_allow]. The engine walks its linear table
+    through this, and {!Ablation} walks the §3.1 alternatives through it,
+    so both share one cost model. *)
+let walk machine st ~default_allow lookup s ~addr ~size ~flags =
   (* prologue: argument marshalling, flag mask, bounds set-up *)
   Machine.Model.retire machine 4;
-  let out = Structure.lookup t.instance ~addr ~size in
+  let out = lookup s ~addr ~size in
   st.checks <- st.checks + 1;
   st.entries_scanned <- st.entries_scanned + out.Structure.scanned;
-  match out.Structure.matched with
-  | Some r ->
-    Machine.Model.retire machine 2;
-    let ok = Region.permits r ~flags in
-    Machine.Model.branch machine
-      ~pc:t.perm_pc.(r.Region.prot land 3)
-      ~taken:ok;
-    emit_guard t ~site ~addr ~size ~flags ~allowed:ok ~fast:false
-      ~scanned:out.Structure.scanned ~region_base:r.Region.base;
-    if ok then begin
-      st.allowed <- st.allowed + 1;
-      (* paranoid cross-check (host-side, free when off): an allow must
-         agree with the first-match walk over the structure's region
-         list *)
-      if t.verify && not (reference_allows t ~addr ~size ~flags) then
-        t.cur.v_stale <- t.cur.v_stale + 1;
-      Allowed (Some r)
-    end
-    else begin
-      st.denied <- st.denied + 1;
-      Denied (Some r)
-    end
-  | None ->
-    emit_guard t ~site ~addr ~size ~flags ~allowed:t.default_allow ~fast:false
-      ~scanned:out.Structure.scanned ~region_base:(-1);
-    if t.default_allow then begin
-      st.allowed <- st.allowed + 1;
-      Allowed None
-    end
-    else begin
-      st.denied <- st.denied + 1;
-      Denied None
-    end
+  let ok =
+    match out.Structure.matched with
+    | Some r ->
+      Machine.Model.retire machine 2;
+      let ok = Region.permits r ~flags in
+      Machine.Model.branch machine ~pc:perm_pc.(r.Region.prot land 3) ~taken:ok;
+      ok
+    | None -> default_allow
+  in
+  if ok then st.allowed <- st.allowed + 1 else st.denied <- st.denied + 1;
+  out
+
+(** The permissions check at the heart of [carat_guard]: {!walk} over the
+    live table, plus observability. [site] is the static guard-site id
+    for trace attribution (-1 = not a guard site). *)
+let check_sited t ~site ~addr ~size ~flags : verdict =
+  let out =
+    walk (Kernel.machine t.kernel) t.cur.v_stats ~default_allow:t.default_allow
+      Linear_table.lookup t.table ~addr ~size ~flags
+  in
+  let m = out.Structure.matched in
+  let ok =
+    match m with Some r -> Region.permits r ~flags | None -> t.default_allow
+  in
+  emit_guard t ~site ~addr ~size ~flags ~allowed:ok ~fast:false
+    ~scanned:out.Structure.scanned
+    ~region_base:(match m with Some r -> r.Region.base | None -> -1);
+  if ok then begin
+    (* paranoid cross-check (host-side, free when off): an allow must
+       agree with the first-match walk over the table's region list *)
+    if t.verify && not (reference_allows t ~addr ~size ~flags) then
+      t.cur.v_stale <- t.cur.v_stale + 1;
+    Allowed m
+  end
+  else Denied m
 
 let check t ~addr ~size ~flags : verdict = check_sited t ~site:(-1) ~addr ~size ~flags
 
@@ -544,7 +517,7 @@ let check_slow t ~site ~addr ~size ~flags =
 
 let fill_site sc t ~i ~addr ~size =
   match
-    first_match_span (Structure.regions t.instance)
+    first_match_span (Linear_table.regions t.table)
       ~default_allow:t.default_allow ~addr ~size
   with
   | None -> () (* partially overlapped, empty or wrapping: re-walks *)
@@ -559,7 +532,7 @@ let fill_site sc t ~i ~addr ~size =
     let machine = Kernel.machine t.kernel in
     (* classification arithmetic + the tag store; the walk itself was
        already charged by the exact lookup, like a TLB miss's page walk *)
-    Machine.Model.retire machine (2 * max 1 (Structure.count t.instance));
+    Machine.Model.retire machine (2 * max 1 (Linear_table.count t.table));
     Machine.Model.store machine (sc.sc_vaddr + (i * slot_bytes)) 8
 
 (** Boolean fast-path check: allocation-free on an inline-cache hit, and
@@ -661,11 +634,8 @@ let corrupt_site_cache t view ~site ~lo ~hi ~prot ~smash_canary =
     if smash_canary then sc.sc_canary.(i) <- sc.sc_canary.(i) lxor 0xBAD;
     true
 
-(** Corrupt the live policy instance itself: flip the protection
-    bits of the region based at [base] in the linear table's decode
-    mirror, making the authoritative-looking walk lie. Returns [false]
-    when no such region exists or the structure keeps no linear table. *)
-let corrupt_instance t ~base ~prot =
-  match live_linear t with
-  | None -> false
-  | Some l -> Linear_table.corrupt_entry l ~base ~prot
+(** Corrupt the live policy table itself: flip the protection bits of
+    the region based at [base] in the table's decode mirror, making the
+    authoritative-looking walk lie. Returns [false] when no such region
+    exists. *)
+let corrupt_instance t ~base ~prot = Linear_table.corrupt_entry t.table ~base ~prot

@@ -37,7 +37,6 @@ type t = {
   capacity : int;
 }
 
-let name = "interval"
 let node_size = 64
 
 let create kernel ~capacity =
@@ -153,8 +152,7 @@ let rec fold f acc = function
   | None -> acc
   | Some n -> fold f (f (fold f acc n.left) n) n.right
 
-(* insertion order, so Engine.reference_allows / first_match_span see
-   the same first-match order the lookup enforces *)
+(* insertion order: the first-match order the lookup enforces *)
 let regions t =
   fold (fun acc n -> n :: acc) [] t.root
   |> List.sort (fun (a : node) (b : node) -> compare a.seq b.seq)
@@ -163,9 +161,9 @@ let regions t =
 let count t = t.n
 
 (* Return every node to the kernel heap and leave the tree empty, so a
-   cleared, rebuilt or retired tree holds no kernel memory it cannot
-   reach. The nodes are the tree's own allocations and an empty tree
-   frees nothing, so a kfree error is a broken invariant — raised. *)
+   cleared or retired tree holds no kernel memory it cannot reach. The
+   nodes are the tree's own allocations and an empty tree frees nothing,
+   so a kfree error is a broken invariant — raised. *)
 let clear t =
   fold
     (fun () n ->
@@ -177,25 +175,6 @@ let clear t =
   t.root <- None;
   t.n <- 0;
   t.next_seq <- 0
-
-let remove t ~base =
-  (* rebuild without the FIRST matching node (canonical duplicate-base
-     semantics); removals happen on the slow ioctl path *)
-  let rs = regions t in
-  if List.exists (fun r -> r.Region.base = base) rs then begin
-    clear t;
-    let removed = ref false in
-    List.iter
-      (fun (r : Region.t) ->
-        if (not !removed) && r.Region.base = base then removed := true
-        else
-          match add t r with
-          | Ok () -> ()
-          | Error e -> invalid_arg ("Interval_tree.remove rebuild: " ^ e))
-      rs;
-    true
-  end
-  else false
 
 let lookup t ~addr ~size : Structure.outcome =
   let machine = Kernel.machine t.kernel in
@@ -255,9 +234,3 @@ let validate t : (unit, string) result =
   match t.root with
   | Some r when r.color = Red -> Error "red root"
   | _ -> ( match go t.root with Ok _ -> Ok () | Error e -> Error e)
-
-(* nodes are individual kmalloc'd allocations; no contiguous table *)
-let table_region _t = None
-
-(* no integrity-auditable internals beyond the policy itself *)
-let repr _t = Structure.Opaque

@@ -20,8 +20,6 @@ type t = {
   mutable n : int;
 }
 
-let name = "linear"
-
 let create kernel ~capacity =
   let base_vaddr = Kernel.kmalloc kernel ~size:(capacity * entry_size) in
   {
@@ -54,8 +52,7 @@ let add t r =
 let hole = Region.v ~base:0 ~len:1 ~prot:0 ()
 
 let remove t ~base =
-  (* remove the FIRST entry whose base matches — the canonical
-     duplicate-base semantics shared by every structure kind *)
+  (* remove the FIRST entry whose base matches *)
   let rec find i =
     if i >= t.n then None
     else if t.entries.(i).Region.base = base then Some i
@@ -111,11 +108,9 @@ let lookup t ~addr ~size : Structure.outcome =
   in
   scan 0
 
-let table_region t = Some (t.base_vaddr, t.capacity * entry_size)
-
-type Structure.repr += Linear of t
-
-let repr t = Linear t
+(** [(vaddr, bytes)] of the table in kernel memory — the policy data an
+    attacker would corrupt, and what the race detector watches. *)
+let table_region t = (t.base_vaddr, t.capacity * entry_size)
 
 (** Fault injection: flip the protection bits of the entry whose base is
     [base] in the decode mirror — the word the lookup's verdict actually

@@ -1,21 +1,23 @@
 (** A small most-recently-matched cache in front of the linear table — the
     structure CARAT CAKE uses ("a simple cache over the region data
-    structure", §4.2). The cached entries are exact regions, so unlike the
-    Bloom front-end this accelerator is sound: a cache hit re-validates
-    containment against the real region. *)
+    structure", §4.2). The cached entries are exact regions and a hit
+    re-validates containment against the real region. A hit answers that
+    region, so only a region no earlier region overlaps is ever cached:
+    for every access it contains, it is then the first match too. *)
 
 type slot = { mutable region : Region.t option; vaddr : int }
 
 type t = {
   kernel : Kernel.t;
   inner : Linear_table.t;
+  cacheable : bool array;
+      (** per table position: no earlier region overlaps this one *)
   slots : slot array;
   mutable next_fill : int;
   mutable hits : int;
   mutable misses : int;
 }
 
-let name = "cached+linear"
 let default_ways = 2
 
 let create kernel ~capacity =
@@ -26,28 +28,21 @@ let create kernel ~capacity =
   {
     kernel;
     inner = Linear_table.create kernel ~capacity;
+    cacheable = Array.make capacity false;
     slots;
     next_fill = 0;
     hits = 0;
     misses = 0;
   }
 
-let invalidate t = Array.iter (fun s -> s.region <- None) t.slots
-
 let add t r =
-  invalidate t;
-  Linear_table.add t.inner r
-
-let remove t ~base =
-  invalidate t;
-  Linear_table.remove t.inner ~base
-
-let clear t =
-  invalidate t;
-  Linear_table.clear t.inner
-
-let count t = Linear_table.count t.inner
-let regions t = Linear_table.regions t.inner
+  let i = Linear_table.count t.inner in
+  let shadowed = List.exists (Region.overlaps r) (Linear_table.regions t.inner) in
+  match Linear_table.add t.inner r with
+  | Ok () ->
+    t.cacheable.(i) <- not shadowed;
+    Ok ()
+  | Error _ as e -> e
 
 let lookup t ~addr ~size : Structure.outcome =
   let machine = Kernel.machine t.kernel in
@@ -75,20 +70,16 @@ let lookup t ~addr ~size : Structure.outcome =
   | None ->
     t.misses <- t.misses + 1;
     let out = Linear_table.lookup t.inner ~addr ~size in
+    (* a match at position i scanned i + 1 entries *)
     (match out.Structure.matched with
-    | Some r ->
+    | Some r when t.cacheable.(out.Structure.scanned - 1) ->
       let s = t.slots.(t.next_fill) in
       s.region <- Some r;
       Kernel.write t.kernel ~addr:s.vaddr ~size:8 r.Region.base;
       t.next_fill <- (t.next_fill + 1) mod Array.length t.slots
-    | None -> ());
+    | _ -> ());
     out
 
 let hit_rate t =
   let total = t.hits + t.misses in
   if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
-
-let table_region t = Linear_table.table_region t.inner
-
-(* no integrity-auditable internals beyond the policy itself *)
-let repr _t = Structure.Opaque

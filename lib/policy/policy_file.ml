@@ -12,7 +12,9 @@
     The third field is the permission set: [rw], [r-], [-w] or [--]. The
     trailing tag is optional. The optional [domain] directive names the
     policy domain this file belongs to (multi-tenant installs); an empty
-    domain is the root policy. *)
+    domain is the root policy.
+
+    Malformed input raises {!Parse_error} and nothing else. *)
 
 exception Parse_error of int * string
 
@@ -38,6 +40,17 @@ let parse_int lineno s =
   match int_of_string_opt s with
   | Some v -> v
   | None -> raise (Parse_error (lineno, "bad number " ^ s))
+
+(** A region rule, refused where the add ioctl refuses it: a negative
+    base or non-positive length ([-EINVAL]; a hex literal past [max_int]
+    reads as a negative base) and an end past the address space
+    ([-ERANGE]). [lineno] is 0 for a rule given on a command line. *)
+let region lineno ~base ~len ~prot ~tag =
+  let fail msg = raise (Parse_error (lineno, msg)) in
+  if base < 0 then fail "negative base";
+  if len <= 0 then fail "non-positive length";
+  if len > max_int - base then fail "region ends past the address space";
+  Region.v ~tag ~base ~len ~prot:(prot_of_string lineno prot) ()
 
 let parse (text : string) : t =
   let default_allow = ref false in
@@ -67,10 +80,8 @@ let parse (text : string) : t =
       | "region" :: base :: len :: prot :: rest ->
         let base = parse_int lineno base in
         let len = parse_int lineno len in
-        let prot = prot_of_string lineno prot in
         let tag = String.concat " " rest in
-        if len <= 0 then raise (Parse_error (lineno, "non-positive length"));
-        regions := Region.v ~tag ~base ~len ~prot () :: !regions
+        regions := region lineno ~base ~len ~prot ~tag :: !regions
       | w :: _ -> raise (Parse_error (lineno, "unknown directive " ^ w)))
     (String.split_on_char '\n' text);
   {

@@ -46,8 +46,8 @@ type mutation =
   | M_set_default of bool
   | M_set_mode of on_deny
   | M_install of Region.t list
-      (** batched install: all N regions land as ONE mutation, rolled
-          back whole on any mid-batch refusal *)
+      (** batched install: all N regions land as ONE mutation, refused
+          whole when they do not all fit *)
   | M_replace of Region.t list * bool
       (** whole policy + default action, validated whole like
           [M_install]; also the integrity layer's repair *)
@@ -131,8 +131,8 @@ let ioctl_install = 22
    count x 24-byte region records (base, len, prot). domain 0 targets
    the engine's root policy through the mutation router (one
    publication under SMP); ids > 0 target that policy domain.
-   Returns 0, or a typed errno with NOTHING installed: the whole batch
-   rolls back on any mid-batch failure (-ENOSPC on capacity). *)
+   Returns 0, or a typed errno with NOTHING installed: the batch is
+   validated whole first (-ENOSPC when it does not fit). *)
 let ioctl_domain_stats = 23
 (* arg = user block with the domain id at offset 0; filled with 8 x 8
    bytes: regions, epoch, checks, allowed, denied, structure (0 =
@@ -289,24 +289,7 @@ let read_region_arg t ~arg =
   let prot = Kernel.read t.kernel ~addr:(arg + 16) ~size:8 in
   (base, len, prot)
 
-(* Append [rs] to the live table. A refusal restores [snapshot], so the
-   caller observes all-or-nothing. *)
-let add_all t ~what ~snapshot rs =
-  let rec go = function
-    | [] -> 0
-    | r :: rest -> (
-      match Engine.add_region t.engine r with
-      | Ok () -> go rest
-      | Error e ->
-        Engine.set_policy t.engine snapshot;
-        Kernel.Klog.log (Kernel.log t.kernel) Kernel.Klog.Warn
-          "carat ioctl %s: %s (batch of %d rolled back)" what e
-          (List.length rs);
-        if Structure.is_capacity_error e then Kernel.enospc else Kernel.einval)
-  in
-  go rs
-
-(** Apply a mutation to the live structure: validate it whole, edit the
+(** Apply a mutation to the live table: validate it whole, edit the
     table in place, bump the epoch. The one write path for every CPU
     count; a refused mutation leaves the policy as it was. *)
 let apply_in_place t (m : mutation) : int =
@@ -315,9 +298,10 @@ let apply_in_place t (m : mutation) : int =
     match Engine.add_region t.engine r with
     | Ok () -> 0
     | Error e ->
+      (* the linear table refuses only when it is full *)
       Kernel.Klog.log (Kernel.log t.kernel) Kernel.Klog.Warn
         "carat ioctl add: %s" e;
-      if Structure.is_capacity_error e then Kernel.enospc else -1)
+      Kernel.enospc)
   | M_remove base -> if Engine.remove_region t.engine ~base then 0 else -1
   | M_clear ->
     Engine.clear t.engine;
@@ -337,19 +321,19 @@ let apply_in_place t (m : mutation) : int =
       "CARAT KOP enforcement mode -> %s" (on_deny_to_string mode);
     0
   | M_install rs ->
-    let snapshot = Engine.regions t.engine in
-    if List.length snapshot + List.length rs > Engine.capacity t.engine then
-      (* the whole batch provably cannot fit: reject before mutating *)
+    if Engine.count t.engine + List.length rs > Engine.capacity t.engine then
+      (* the whole batch cannot fit: refuse it before mutating *)
       Kernel.enospc
-    else add_all t ~what:"install" ~snapshot rs
+    else begin
+      Engine.add_regions t.engine rs;
+      0
+    end
   | M_replace (rs, default_allow) ->
     if List.length rs > Engine.capacity t.engine then Kernel.enospc
     else begin
-      let snapshot = Engine.regions t.engine in
-      Engine.clear t.engine;
-      let rc = add_all t ~what:"replace" ~snapshot rs in
-      if rc = 0 then Engine.set_default_allow t.engine default_allow;
-      rc
+      Engine.set_policy t.engine rs;
+      Engine.set_default_allow t.engine default_allow;
+      0
     end
 
 (** Apply a control-plane mutation through the registered mutator when
@@ -637,10 +621,9 @@ let handle_ioctl t _kernel ~cmd ~arg =
 (** Insert the policy module into [kernel]: registers [carat_guard] and
     [/dev/carat]. Must happen before any protected module is inserted
     (their import of [carat_guard] will not resolve otherwise). *)
-let install ?(kind = Engine.Linear) ?(capacity = Linear_table.default_capacity)
-    ?(default_allow = false) ?(on_deny = Panic) ?(site_cache = false) kernel :
-    t =
-  let engine = Engine.create ~kind ~capacity ~default_allow kernel in
+let install ?(capacity = Linear_table.default_capacity) ?(default_allow = false)
+    ?(on_deny = Panic) ?(site_cache = false) kernel : t =
+  let engine = Engine.create ~capacity ~default_allow kernel in
   if site_cache then Engine.enable_site_cache engine;
   let t =
     {
@@ -696,8 +679,8 @@ let install ?(kind = Engine.Linear) ?(capacity = Linear_table.default_capacity)
       Engine.lifecycle engine Trace.Module_quarantine
         ~info:(Hashtbl.hash lm.Kernel.lm_name land 0xffffff));
   Kernel.Klog.printk (Kernel.log kernel)
-    "CARAT KOP policy module loaded (structure=%s, capacity=%d, default=%s)"
-    (Engine.kind_to_string kind) capacity
+    "CARAT KOP policy module loaded (structure=linear, capacity=%d, default=%s)"
+    capacity
     (if default_allow then "allow" else "deny");
   t
 

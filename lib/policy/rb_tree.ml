@@ -27,7 +27,6 @@ type t = {
   capacity : int;
 }
 
-let name = "rbtree"
 let node_size = 48
 
 let create kernel ~capacity = { kernel; root = None; n = 0; capacity }
@@ -127,29 +126,6 @@ let rec regions_of = function
 let regions t = regions_of t.root
 let count t = t.n
 
-let clear t =
-  t.root <- None;
-  t.n <- 0
-
-let remove t ~base =
-  (* rebuild without the FIRST matching node (canonical duplicate-base
-     semantics); removals happen on the slow ioctl path *)
-  let rs = regions t in
-  if List.exists (fun r -> r.Region.base = base) rs then begin
-    clear t;
-    let removed = ref false in
-    List.iter
-      (fun r ->
-        if (not !removed) && r.Region.base = base then removed := true
-        else
-          match add t r with
-          | Ok () -> ()
-          | Error e -> invalid_arg ("Rb_tree.remove rebuild: " ^ e))
-      rs;
-    true
-  end
-  else false
-
 let lookup t ~addr ~size : Structure.outcome =
   let scanned = ref 0 in
   let machine = Kernel.machine t.kernel in
@@ -193,9 +169,3 @@ let validate t : (unit, string) result =
   | Some r when r.color = Red -> Error "red root"
   | _ -> (
     match go t.root with Ok _ -> Ok () | Error e -> Error e)
-
-(* nodes are individual kmalloc'd allocations; no contiguous table *)
-let table_region _t = None
-
-(* no integrity-auditable internals beyond the policy itself *)
-let repr _t = Structure.Opaque

@@ -18,8 +18,6 @@ type t = {
   mutable n : int;
 }
 
-let name = "sorted"
-
 let create kernel ~capacity =
   let base_vaddr = Kernel.kmalloc kernel ~size:(capacity * entry_size) in
   {
@@ -64,32 +62,6 @@ let add t (r : Region.t) =
       Ok ()
   end
 
-(* see Linear_table.hole: parked in vacated slots so kernel memory stays
-   byte-identical to the mirror after a removal *)
-let hole = Region.v ~base:0 ~len:1 ~prot:0 ()
-
-let remove t ~base =
-  let rec find i =
-    if i >= t.n then None
-    else if t.entries.(i).Region.base = base then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> false
-  | Some i ->
-    for j = i to t.n - 2 do
-      t.entries.(j) <- t.entries.(j + 1);
-      write_entry t j t.entries.(j)
-    done;
-    t.n <- t.n - 1;
-    t.entries.(t.n) <- hole;
-    write_entry t t.n hole;
-    true
-
-let clear t = t.n <- 0
-let count t = t.n
-let regions t = Array.to_list (Array.sub t.entries 0 t.n)
-
 let lookup t ~addr ~size : Structure.outcome =
   let machine = Kernel.machine t.kernel in
   (* binary search for the rightmost entry with base <= addr *)
@@ -119,8 +91,3 @@ let lookup t ~addr ~size : Structure.outcome =
       { Structure.matched = Some r; scanned = !probes }
     else { Structure.matched = None; scanned = !probes }
   end
-
-let table_region t = Some (t.base_vaddr, t.capacity * entry_size)
-
-(* no integrity-auditable internals beyond the policy itself *)
-let repr _t = Structure.Opaque

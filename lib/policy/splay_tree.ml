@@ -23,7 +23,6 @@ type t = {
   capacity : int;
 }
 
-let name = "splay"
 let node_size = 40
 
 let create kernel ~capacity = { kernel; root = None; n = 0; capacity }
@@ -118,37 +117,6 @@ let add t r =
     | Error _ as e -> e
   end
 
-let rec regions_of = function
-  | None -> []
-  | Some n -> regions_of n.left @ [ n.region ] @ regions_of n.right
-
-let regions t = regions_of t.root
-let count t = t.n
-
-let clear t =
-  t.root <- None;
-  t.n <- 0
-
-let remove t ~base =
-  (* rebuild without the FIRST matching node (canonical duplicate-base
-     semantics across all structures); removal is rare (ioctl path), so
-     the simple O(n) approach is fine and costs are not modelled *)
-  let rs = regions t in
-  if List.exists (fun r -> r.Region.base = base) rs then begin
-    clear t;
-    let removed = ref false in
-    List.iter
-      (fun r ->
-        if (not !removed) && r.Region.base = base then removed := true
-        else
-          match add t r with
-          | Ok () -> ()
-          | Error e -> invalid_arg ("Splay_tree.remove rebuild: " ^ e))
-      rs;
-    true
-  end
-  else false
-
 let lookup t ~addr ~size : Structure.outcome =
   (* find the containing region (regions are disjoint here), stopping as
      soon as it is found, then splay it to the root so hot regions answer
@@ -173,9 +141,3 @@ let lookup t ~addr ~size : Structure.outcome =
   | Some n when Region.contains n.region ~addr ~size ->
     { Structure.matched = Some n.region; scanned = !scanned }
   | _ -> { Structure.matched = None; scanned = !scanned }
-
-(* nodes are individual kmalloc'd allocations; no contiguous table *)
-let table_region _t = None
-
-(* no integrity-auditable internals beyond the policy itself *)
-let repr _t = Structure.Opaque

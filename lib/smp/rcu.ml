@@ -88,11 +88,8 @@ let note_write t det ~old_regions =
         (subtract r new_w))
     (write_ranges old_regions);
   List.iter (fun (lo, hi) -> Sanitizer.Race.grant det ~lo ~hi) new_w;
-  match Policy.Engine.table_region t.engine with
-  | Some (base, len) ->
-    Sanitizer.Race.sync_write det ~lo:base ~hi:(base + len)
-      ~site:"policy-write"
-  | None -> ()
+  let base, len = Policy.Engine.table_region t.engine in
+  Sanitizer.Race.sync_write det ~lo:base ~hi:(base + len) ~site:"policy-write"
 
 (** The {!Policy.Policy_module.mutation} route {!attach} installs. A mode
     change is a scalar, not a table write, so it publishes nothing. *)

@@ -66,11 +66,9 @@ let enable_race_detector t =
          (fun ~site:_ ~addr ~size ~flags ->
            (* the guard's table scan is a ranged read of the live policy
               structure *)
-           (match Policy.Engine.table_region t.engine with
-           | Some (base, len) ->
-             Sanitizer.Race.range_read det ~lo:base ~hi:(base + len)
-               ~site:"guard-table-scan"
-           | None -> ());
+           let base, len = Policy.Engine.table_region t.engine in
+           Sanitizer.Race.range_read det ~lo:base ~hi:(base + len)
+             ~site:"guard-table-scan";
            (* and the guarded access itself is a module access — checked
               here, at the guard, so even a store the policy *denies* is
               visible to the detector (detection at the faulting access,

@@ -325,6 +325,50 @@ let test_policy_manager_remove_first_occurrence () =
   checki "second remove" 0 (sh "%s remove %s --base 0x7000" policy_manager pol);
   checki "third remove fails" 1 (sh "%s remove %s --base 0x7000" policy_manager pol)
 
+(* Malformed policy input ends in exit 1 with the file and the reason,
+   never in cmdliner's "uncaught exception" (exit 125). *)
+let test_policy_manager_bad_input () =
+  let write name lines =
+    let path = tmp name in
+    let oc = open_out path in
+    List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+    close_out oc;
+    path
+  in
+  let missing = tmp "cli_bad_missing.kop" in
+  if Sys.file_exists missing then Sys.remove missing;
+  let fresh = tmp "cli_bad_add.kop" in
+  if Sys.file_exists fresh then Sys.remove fresh;
+  let big =
+    write "cli_bad_big.kop"
+      (List.init 70 (fun i ->
+           Printf.sprintf "region 0x%x 0x100 rw" (0x100000 + (i * 0x1000))))
+  in
+  let wrapped =
+    write "cli_bad_wrap.kop" [ "region 0x7fffffffffffff00 0x1000 rw" ]
+  in
+  let pm fmt = Printf.ksprintf (fun args -> policy_manager ^ " " ^ args) fmt in
+  List.iter
+    (fun (what, cmd) ->
+      let code, out = sh_out "%s" cmd in
+      checki (what ^ " exits 1") 1 code;
+      checkb (what ^ ": no uncaught exception") false
+        (contains out "uncaught exception");
+      checkb (what ^ ": reason reported") true
+        (contains out "policy_manager: "))
+    [
+      ("list of a missing file", pm "list %s" missing);
+      ("add --len 0", pm "add %s --base 0x1000 --len 0" fresh);
+      ("add --prot qq", pm "add %s --base 0x1000 --len 0x10 --prot qq" fresh);
+      ("check over capacity", pm "check %s --addr 0x100000" big);
+      ("push over capacity", pm "push %s" big);
+      ("check of a wrapped base", pm "check %s --addr 0x1000" wrapped);
+    ];
+  checkb "no file written by a refused add" false (Sys.file_exists fresh);
+  let code, out = sh_out "%s policy %s" kop_lint wrapped in
+  checki "kop_lint policy of a wrapped base exits 1" 1 code;
+  checkb "kop_lint: no uncaught exception" false (contains out "uncaught exception")
+
 let test_kop_lint_cert_domain () =
   let drv = tmp "cli_lint_cert_dom.kir" in
   checki "emit compiled" 0
@@ -453,6 +497,8 @@ let () =
           Alcotest.test_case "domains" `Quick test_policy_manager_domains;
           Alcotest.test_case "remove peels one" `Quick
             test_policy_manager_remove_first_occurrence;
+          Alcotest.test_case "bad input exits 1" `Quick
+            test_policy_manager_bad_input;
         ] );
       ( "kop_run",
         [

@@ -119,16 +119,25 @@ let test_transform_accounting () =
   checkb "signed" true (t.Experiments.signature <> "<unsigned>")
 
 let test_policy_bench_runs () =
+  (* every ablation structure, plus the inline-cache row, holds the
+     disjoint bench policy and answers every probe *)
   let pts =
-    Experiments.policy_structure_bench ~checks:300 ~region_counts:[ 2; 8 ]
-      ~kinds:[ Policy.Engine.Linear; Policy.Engine.Cached ]
-      ~placements:[ Experiments.Rule_last ] ()
+    Experiments.policy_structure_bench ~checks:300 ~region_counts:[ 8 ]
+      ~placements:[ Experiments.Rule_last ] ~site_cache_rows:true ()
   in
-  checki "four points" 4 (List.length pts);
+  Alcotest.(check (list string))
+    "one row per structure, then linear+ic"
+    (List.map Policy.Ablation.to_string Policy.Ablation.all @ [ "linear+ic" ])
+    (List.map (fun p -> p.Experiments.structure) pts);
+  List.iter
+    (fun p ->
+      checkb (p.Experiments.structure ^ " scans") true
+        (p.Experiments.entries_scanned_per_check >= 1.0))
+    pts;
   (* placement matters for the linear scan: first beats last at n=8 *)
   let both =
     Experiments.policy_structure_bench ~checks:300 ~region_counts:[ 8 ]
-      ~kinds:[ Policy.Engine.Linear ] ()
+      ~kinds:[ Policy.Ablation.Linear ] ()
   in
   (match both with
   | [ last; first ] ->

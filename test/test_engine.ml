@@ -16,8 +16,8 @@ let checki = Alcotest.check Alcotest.int
 let diff_cell =
   lazy
     (let k = Kernel.create ~require_signature:false Machine.Presets.r350 in
-     let lin = Policy.Engine.create ~kind:Policy.Engine.Linear ~capacity:64 k in
-     let linic = Policy.Engine.create ~kind:Policy.Engine.Linear ~capacity:64 k in
+     let lin = Policy.Engine.create ~capacity:64 k in
+     let linic = Policy.Engine.create ~capacity:64 k in
      Policy.Engine.enable_site_cache linic;
      (lin, linic))
 
@@ -243,7 +243,7 @@ let prop_decision_stats_tier_invariant =
    report) could blame a stale region. *)
 let test_last_deny_cleared_on_ic_hit () =
   let k = Kernel.create ~require_signature:false Machine.Presets.r350 in
-  let e = Policy.Engine.create ~kind:Policy.Engine.Linear ~capacity:64 k in
+  let e = Policy.Engine.create ~capacity:64 k in
   Policy.Engine.enable_site_cache e;
   Policy.Engine.set_policy e
     [
@@ -351,7 +351,6 @@ let golden_run kind =
     {
       Testbed.default_config with
       Testbed.technique = Testbed.Carat;
-      structure = Policy.Engine.Linear;
       site_cache = true;
       engine = kind;
       stall_prob = 0.02;
@@ -392,7 +391,6 @@ let traced_golden_run kind =
     {
       Testbed.default_config with
       Testbed.technique = Testbed.Carat;
-      structure = Policy.Engine.Linear;
       site_cache = true;
       engine = kind;
       stall_prob = 0.02;

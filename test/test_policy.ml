@@ -118,45 +118,35 @@ let gen_disjoint_regions =
 
 let gen_probe = QCheck.Gen.(tup2 (int_range 0 3000) (int_range 1 8))
 
-let mk_instance k kind regions =
-  let inst = Policy.Engine.make_instance k kind ~capacity:64 in
-  List.iter
-    (fun r ->
-      match Policy.Structure.add inst r with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "add: %s" e)
-    regions;
-  inst
+let build ?capacity k kind regions =
+  match Policy.Ablation.build ?capacity k kind regions with
+  | Ok a -> a
+  | Error e -> Alcotest.failf "%s build: %s" (Policy.Ablation.to_string kind) e
 
+(* verdicts carry the matched region, so agreeing verdicts means the same
+   first match *)
 let equivalence_prop kind =
   QCheck.Test.make
-    ~name:(Printf.sprintf "%s agrees with linear" (Policy.Engine.kind_to_string kind))
+    ~name:(Printf.sprintf "%s agrees with linear" (Policy.Ablation.to_string kind))
     ~count:100
     (QCheck.make QCheck.Gen.(tup2 gen_disjoint_regions (list_size (int_range 1 20) gen_probe)))
     (fun (regions, probes) ->
       let k = fresh () in
-      let reference = mk_instance k Policy.Engine.Linear regions in
-      let candidate = mk_instance k kind regions in
+      let reference = build k Policy.Ablation.Linear regions in
+      let candidate = build k kind regions in
       List.for_all
         (fun (addr, size) ->
-          let a = Policy.Structure.lookup reference ~addr ~size in
-          let b = Policy.Structure.lookup candidate ~addr ~size in
-          match (a.Policy.Structure.matched, b.Policy.Structure.matched) with
-          | None, None -> true
-          | Some ra, Some rb ->
-            (* bloom's fast path may report a synthetic covering region;
-               what must agree is the allow/deny verdict for full rw *)
-            Policy.Region.permits ra ~flags:Policy.Region.prot_rw
-            = Policy.Region.permits rb ~flags:Policy.Region.prot_rw
-            || rb.Policy.Region.tag = "bloom-fastpath"
-          | _ -> false)
+          let check a =
+            Policy.Ablation.check a ~addr ~size ~flags:Policy.Region.prot_read
+          in
+          check reference = check candidate)
         probes)
 
-let prop_sorted_equiv = equivalence_prop Policy.Engine.Sorted
-let prop_splay_equiv = equivalence_prop Policy.Engine.Splay
-let prop_rbtree_equiv = equivalence_prop Policy.Engine.Rbtree
-let prop_cached_equiv = equivalence_prop Policy.Engine.Cached
-let prop_itree_equiv = equivalence_prop Policy.Engine.Itree
+let prop_sorted_equiv = equivalence_prop Policy.Ablation.Sorted
+let prop_splay_equiv = equivalence_prop Policy.Ablation.Splay
+let prop_rbtree_equiv = equivalence_prop Policy.Ablation.Rbtree
+let prop_cached_equiv = equivalence_prop Policy.Ablation.Cached
+let prop_itree_equiv = equivalence_prop Policy.Ablation.Itree
 
 (* rbtree structural invariants hold under random insertion *)
 let prop_rbtree_invariants =
@@ -200,18 +190,6 @@ let test_rbtree_logarithmic_scan () =
   (* a valid red-black tree of 64 nodes is at most 2*log2(65) ~ 12 deep *)
   checkb "logarithmic depth" true (!worst <= 12)
 
-let test_rbtree_remove () =
-  let k = fresh () in
-  let t = Policy.Rb_tree.create k ~capacity:16 in
-  for i = 0 to 7 do
-    ignore (Policy.Rb_tree.add t (region (i * 1000) 100))
-  done;
-  checkb "removed" true (Policy.Rb_tree.remove t ~base:3000);
-  checkb "gone" true
-    ((Policy.Rb_tree.lookup t ~addr:3050 ~size:4).Policy.Structure.matched = None);
-  checki "count" 7 (Policy.Rb_tree.count t);
-  checkb "still valid" true (Policy.Rb_tree.validate t = Ok ())
-
 let test_sorted_rejects_overlap () =
   let k = fresh () in
   let t = Policy.Sorted_table.create k ~capacity:8 in
@@ -248,15 +226,6 @@ let test_cached_hit_rate () =
   done;
   checkb "mostly hits" true (Policy.Lookup_cache.hit_rate t > 0.9)
 
-let test_cached_invalidation () =
-  let k = fresh () in
-  let t = Policy.Lookup_cache.create k ~capacity:16 in
-  ignore (Policy.Lookup_cache.add t (region 1000 100));
-  ignore (Policy.Lookup_cache.lookup t ~addr:1050 ~size:4) (* fill cache *);
-  checkb "removed" true (Policy.Lookup_cache.remove t ~base:1000);
-  checkb "stale entry gone" true
-    ((Policy.Lookup_cache.lookup t ~addr:1050 ~size:4).Policy.Structure.matched = None)
-
 let test_bloom_no_false_negative_for_allowed () =
   let k = fresh () in
   let t = Policy.Bloom_front.create k ~capacity:16 in
@@ -269,14 +238,39 @@ let test_bloom_no_false_negative_for_allowed () =
   done;
   checkb "fp estimate sane" true (Policy.Bloom_front.fp_possible t < 0.01)
 
-let test_bloom_clear_resets_filter () =
+(* A filter entry admits every access in its page, so only a page every
+   access of which first match allows read-write may enter the filter:
+   not one the matched region covers only in part, and not one where an
+   earlier region carves out a narrower rule. *)
+let test_bloom_caches_whole_pages_only () =
   let k = fresh () in
   let t = Policy.Bloom_front.create k ~capacity:16 in
-  ignore (Policy.Bloom_front.add t (region 0x10000 0x1000));
-  ignore (Policy.Bloom_front.lookup t ~addr:0x10100 ~size:8);
-  Policy.Bloom_front.clear t;
-  checkb "cleared" true
-    ((Policy.Bloom_front.lookup t ~addr:0x10100 ~size:8).Policy.Structure.matched = None)
+  ignore (Policy.Bloom_front.add t (region ~tag:"part" 0x10000 0x100));
+  ignore (Policy.Bloom_front.add t (region ~tag:"ro" ~prot:Policy.Region.prot_read 0x20000 0x100));
+  ignore (Policy.Bloom_front.add t (region ~tag:"page" 0x20000 0x1000));
+  let tag addr =
+    match (Policy.Bloom_front.lookup t ~addr ~size:8).Policy.Structure.matched with
+    | Some r -> r.Policy.Region.tag
+    | None -> "no match"
+  in
+  Alcotest.(check string) "part of a page" "part" (tag 0x10010);
+  Alcotest.(check string) "rest of that page" "no match" (tag 0x10800);
+  Alcotest.(check string) "rw rule under a carve-out" "page" (tag 0x20800);
+  Alcotest.(check string) "the carve-out" "ro" (tag 0x20010)
+
+(* A cache hit answers the cached region, so a region that an earlier
+   region overlaps must never be cached: here a write at 0x500 matches
+   the rw region, and a write into the deny hole listed before it must
+   still hit the hole. *)
+let test_cached_keeps_first_match () =
+  let k = fresh () in
+  let t = Policy.Lookup_cache.create k ~capacity:16 in
+  ignore (Policy.Lookup_cache.add t (region ~tag:"hole" ~prot:0 0x1000 0x1000));
+  ignore (Policy.Lookup_cache.add t (region ~tag:"rw" 0 0x10000));
+  ignore (Policy.Lookup_cache.lookup t ~addr:0x500 ~size:8);
+  match (Policy.Lookup_cache.lookup t ~addr:0x1500 ~size:8).Policy.Structure.matched with
+  | Some r -> Alcotest.(check string) "the hole answers" "hole" r.Policy.Region.tag
+  | None -> Alcotest.fail "no match"
 
 (* ---------- engine ---------- *)
 
@@ -306,6 +300,65 @@ let test_engine_permission_mismatch () =
   match Policy.Engine.check e ~addr:150 ~size:4 ~flags:Policy.Region.prot_write with
   | Policy.Engine.Denied (Some _) -> ()
   | _ -> Alcotest.fail "write should fail"
+
+(* One cost model: an ablation check of the linear table charges what
+   the engine's exact check charges on the same policy, from a fresh
+   kernel each — cycle for cycle, with the same verdicts and stats. *)
+let test_ablation_engine_parity () =
+  let rule =
+    Policy.Region.v ~tag:"kernel" ~base:Kernel.Layout.kernel_base
+      ~len:0x2FFF_FFFF_FFFF_FFFF ~prot:Policy.Region.prot_rw ()
+  in
+  let probes =
+    List.concat
+      (List.init 3 (fun i ->
+           [
+             (Kernel.Layout.direct_map_base + (i * 8), Policy.Region.prot_read);
+             (Kernel.Layout.direct_map_base + 0x400, Policy.Region.prot_write);
+             (0x2000_0010, Policy.Region.prot_rw) (* a padding region *);
+             (0x1000, Policy.Region.prot_read) (* no region: default deny *);
+           ]))
+  in
+  (* a fresh kernel, the checker [make] builds on it and the stats it
+     counts in: the per-probe verdicts and cycle deltas, then the stats *)
+  let run make =
+    let k = fresh () in
+    let check, stats = make k in
+    let m = Kernel.machine k in
+    let deltas =
+      List.map
+        (fun (addr, flags) ->
+          let c0 = Machine.Model.cycles m in
+          let v = check ~addr ~flags in
+          (v, Machine.Model.cycles m - c0))
+        probes
+    in
+    (deltas, stats)
+  in
+  List.iter
+    (fun (n, first) ->
+      let policy =
+        if first then rule :: Policy.Region.padding (n - 1)
+        else Policy.Region.padding (n - 1) @ [ rule ]
+      in
+      let e_deltas, e_stats =
+        run (fun k ->
+            let e = Policy.Engine.create k in
+            Policy.Engine.set_policy e policy;
+            ( (fun ~addr ~flags -> Policy.Engine.check e ~addr ~size:8 ~flags),
+              Policy.Engine.stats e ))
+      and a_deltas, a_stats =
+        run (fun k ->
+            let a = build k Policy.Ablation.Linear policy in
+            ( (fun ~addr ~flags -> Policy.Ablation.check a ~addr ~size:8 ~flags),
+              Policy.Ablation.stats a ))
+      in
+      let what =
+        Printf.sprintf "n=%d, rule %s" n (if first then "first" else "last")
+      in
+      checkb (what ^ ": verdicts and cycle deltas") true (e_deltas = a_deltas);
+      checkb (what ^ ": stats") true (e_stats = a_stats))
+    [ (2, true); (2, false); (64, true); (64, false) ]
 
 let test_engine_set_policy () =
   let k = fresh () in
@@ -707,6 +760,9 @@ let test_policy_file_errors () =
       "region 0x1 xyz rw";      (* bad number *)
       "region 0x1 0x10 qq";     (* bad perms *)
       "frobnicate";             (* unknown directive *)
+      (* past max_int, the hex literal wraps to a negative base *)
+      "region 0x7fffffffffffff00 0x1000 rw";
+      "region 0x3fffffffffffff00 0x1000 rw"; (* ends past the address space *)
     ]
 
 let test_policy_file_apply () =
@@ -749,20 +805,6 @@ let test_itree_overlaps_and_duplicates () =
   Alcotest.(check (list string)) "insertion order" [ "first"; "wide"; "dup" ]
     (List.map (fun r -> r.Policy.Region.tag) (Policy.Interval_tree.regions t))
 
-let test_itree_remove_first_occurrence () =
-  let k = fresh () in
-  let t = Policy.Interval_tree.create k ~capacity:16 in
-  ignore (Policy.Interval_tree.add t (region ~tag:"first" ~prot:Policy.Region.prot_read 100 100));
-  ignore (Policy.Interval_tree.add t (region ~tag:"second" 100 100));
-  checkb "removed" true (Policy.Interval_tree.remove t ~base:100);
-  checki "one left" 1 (Policy.Interval_tree.count t);
-  (match (Policy.Interval_tree.lookup t ~addr:120 ~size:4).Policy.Structure.matched with
-  | Some r -> Alcotest.(check string) "second now wins" "second" r.Policy.Region.tag
-  | None -> Alcotest.fail "no match");
-  checkb "removed again" true (Policy.Interval_tree.remove t ~base:100);
-  checkb "empty" true (Policy.Interval_tree.remove t ~base:100 = false);
-  checkb "still valid" true (Policy.Interval_tree.validate t = Ok ())
-
 let prop_itree_invariants =
   QCheck.Test.make ~name:"interval tree invariants" ~count:100
     (QCheck.make gen_disjoint_regions) (fun regions ->
@@ -773,36 +815,35 @@ let prop_itree_invariants =
       && Policy.Interval_tree.count t = List.length regions
       && Policy.Interval_tree.regions t = regions)
 
-(* Remove rebuilds the tree through [clear]: a clear that dropped its
-   nodes without kfree would leak the whole 6.4 KB tree on every
-   remove/add pair of a 100-region engine, and on every [set_policy]. *)
+(* [clear] hands every node back to the heap: a clear that dropped its
+   nodes without kfree would leak the whole 6.4 KB tree each time a
+   100-region domain tier is retired. *)
 let test_itree_churn_keeps_heap_flat () =
   let k = fresh () in
-  let e = Policy.Engine.create ~kind:Policy.Engine.Itree ~capacity:128 k in
+  let t = Policy.Interval_tree.create k ~capacity:128 in
   let policy = Policy.Region.kernel_only_padded 100 in
-  Policy.Engine.set_policy e policy;
+  let fill () =
+    List.iter
+      (fun r ->
+        if Policy.Interval_tree.add t r <> Ok () then Alcotest.fail "add refused")
+      policy
+  in
+  fill ();
   let used = Kernel.phys_used k in
-  let refused = ref 0 in
-  for i = 0 to 999 do
-    let r = List.nth policy (i mod 98) in
-    if not (Policy.Engine.remove_region e ~base:r.Policy.Region.base) then
-      incr refused;
-    if Policy.Engine.add_region e r <> Ok () then incr refused
-  done;
-  checki "every remove and add succeeded" 0 !refused;
-  checki "1,000 remove/add pairs take no heap" used (Kernel.phys_used k);
   for _ = 1 to 100 do
-    Policy.Engine.set_policy e policy
+    Policy.Interval_tree.clear t;
+    fill ()
   done;
-  checki "100 set_policy calls take no heap" used (Kernel.phys_used k);
-  checki "all regions live" 100 (Policy.Engine.count e);
+  checki "100 clear/refill rounds take no heap" used (Kernel.phys_used k);
+  checki "all regions live" 100 (Policy.Interval_tree.count t);
   checkb "kernel store still allowed" true
     (match
-       Policy.Engine.check e ~addr:Kernel.Layout.direct_map_base ~size:8
-         ~flags:Policy.Region.prot_write
+       (Policy.Interval_tree.lookup t ~addr:Kernel.Layout.direct_map_base
+          ~size:8)
+         .Policy.Structure.matched
      with
-    | Policy.Engine.Allowed _ -> true
-    | Policy.Engine.Denied _ -> false)
+    | Some r -> Policy.Region.permits r ~flags:Policy.Region.prot_write
+    | None -> false)
 
 let test_itree_pruned_lookup () =
   let k = fresh () in
@@ -824,7 +865,7 @@ let test_itree_pruned_lookup () =
 
 (* ---------- bugfix sweep: mirrors, duplicates, capacity ---------- *)
 
-(* After a remove, the kernel-memory image of the flat tables must be
+(* After a remove, the kernel-memory image of the linear table must be
    byte-identical to the host-side mirror — including the vacated slot,
    which is scrubbed to the never-matching hole value. Before the fix
    the shift left a stale copy of the last entry readable via
@@ -848,127 +889,58 @@ let test_linear_mirror_consistency () =
     (fun r -> ignore (Policy.Linear_table.add t r))
     [ region ~tag:"a" 100 10; region ~tag:"b" 200 10; region ~tag:"c" 300 10 ];
   checkb "removed" true (Policy.Linear_table.remove t ~base:200);
-  match Policy.Linear_table.table_region t with
-  | None -> Alcotest.fail "linear table has no kernel extent"
-  | Some (vaddr, _) ->
-    check_flat_mirror k ~vaddr (Policy.Linear_table.regions t) ~scrubbed_slot:2
+  let vaddr, _ = Policy.Linear_table.table_region t in
+  check_flat_mirror k ~vaddr (Policy.Linear_table.regions t) ~scrubbed_slot:2
 
-let test_sorted_mirror_consistency () =
-  let k = fresh () in
-  let t = Policy.Sorted_table.create k ~capacity:8 in
-  List.iter
-    (fun r -> ignore (Policy.Sorted_table.add t r))
-    [ region ~tag:"c" 300 10; region ~tag:"a" 100 10; region ~tag:"b" 200 10 ];
-  checkb "removed" true (Policy.Sorted_table.remove t ~base:200);
-  match Policy.Sorted_table.table_region t with
-  | None -> Alcotest.fail "sorted table has no kernel extent"
-  | Some (vaddr, _) ->
-    check_flat_mirror k ~vaddr (Policy.Sorted_table.regions t) ~scrubbed_slot:2
-
-(* Differential property over random add/remove/lookup streams: every
-   structure kind must agree with the linear reference on remove
-   results, surviving count, and allow/deny verdicts — the canonical
-   remove-first-occurrence semantics across the whole structure zoo. *)
-let verdict_of inst ~addr ~size =
-  match (Policy.Structure.lookup inst ~addr ~size).Policy.Structure.matched with
-  | None -> `Deny
-  | Some r when r.Policy.Region.tag = "bloom-fastpath" -> `Fastpath
-  | Some r -> `Allow (Policy.Region.permits r ~flags:Policy.Region.prot_rw)
-
-let prop_all_kinds_remove_differential =
-  QCheck.Test.make ~name:"all kinds agree across add/remove streams"
-    ~count:60
-    (QCheck.make
-       QCheck.Gen.(
-         tup3 gen_disjoint_regions
-           (list_size (int_range 0 10) (int_range 0 1000))
-           (list_size (int_range 1 20) gen_probe)))
-    (fun (regions, removes, probes) ->
-      let bases =
-        Array.of_list (List.map (fun r -> r.Policy.Region.base) regions)
-      in
-      let run kind =
-        let k = fresh () in
-        let inst = mk_instance k kind regions in
-        let rms =
-          List.map
-            (fun i ->
-              Policy.Structure.remove inst
-                ~base:bases.(i mod Array.length bases))
-            removes
-        in
-        let vs =
-          List.map (fun (addr, size) -> verdict_of inst ~addr ~size) probes
-        in
-        (rms, Policy.Structure.count inst, vs)
-      in
-      let ref_rms, ref_n, ref_vs = run Policy.Engine.Linear in
-      List.for_all
-        (fun kind ->
-          let rms, n, vs = run kind in
-          rms = ref_rms && n = ref_n
-          && List.for_all2 (fun a b -> a = b || b = `Fastpath) ref_vs vs)
-        Policy.Engine.all_kinds)
-
-(* Duplicate-base semantics, pinned: every structure that accepts two
-   regions at the same base must remove the FIRST occurrence and let
-   the second take over the lookup. *)
+(* Duplicate-base semantics, pinned: two regions at the same base answer
+   the FIRST in every structure that holds both, and the engine's remove
+   peels that first one so the second takes over the lookup. *)
 let test_duplicate_base_remove () =
+  let first = region ~tag:"first" ~prot:Policy.Region.prot_read 0x10000 0x1000
+  and second = region ~tag:"second" 0x10000 0x1000 in
+  let answer = function
+    | Policy.Engine.Allowed (Some r) | Policy.Engine.Denied (Some r) ->
+      r.Policy.Region.tag
+    | _ -> "no match"
+  in
   List.iter
     (fun kind ->
-      let k = fresh () in
-      let inst = Policy.Engine.make_instance k kind ~capacity:8 in
-      let ok r =
-        match Policy.Structure.add inst r with
-        | Ok () -> ()
-        | Error e ->
-          Alcotest.failf "%s add: %s" (Policy.Engine.kind_to_string kind) e
-      in
-      ok (region ~tag:"first" ~prot:Policy.Region.prot_read 0x10000 0x1000);
-      ok (region ~tag:"second" 0x10000 0x1000);
-      checkb "removed" true (Policy.Structure.remove inst ~base:0x10000);
-      checki "one left" 1 (Policy.Structure.count inst);
-      match
-        (Policy.Structure.lookup inst ~addr:0x10080 ~size:8)
-          .Policy.Structure.matched
-      with
-      | Some r ->
-        Alcotest.(check string)
-          (Policy.Engine.kind_to_string kind ^ " second survives")
-          "second" r.Policy.Region.tag
-      | None ->
-        Alcotest.failf "%s: no match after remove"
-          (Policy.Engine.kind_to_string kind))
-    [
-      Policy.Engine.Linear; Policy.Engine.Itree; Policy.Engine.Bloom;
-      Policy.Engine.Cached;
-    ]
+      let a = build (fresh ()) kind [ first; second ] in
+      Alcotest.(check string)
+        (Policy.Ablation.to_string kind ^ " first answers")
+        "first"
+        (answer (Policy.Ablation.check a ~addr:0x10080 ~size:8 ~flags:1)))
+    Policy.Ablation.[ Linear; Itree; Bloom; Cached ];
+  let e = Policy.Engine.create (fresh ()) in
+  Policy.Engine.set_policy e [ first; second ];
+  checkb "removed" true (Policy.Engine.remove_region e ~base:0x10000);
+  checki "one left" 1 (Policy.Engine.count e);
+  Alcotest.(check string) "second survives" "second"
+    (answer (Policy.Engine.check e ~addr:0x10080 ~size:8 ~flags:1))
 
-(* Every structure kind at its exact capacity boundary: n = capacity
-   fits, capacity + 1 is refused with the typed capacity error, and the
-   table recovers after a remove. *)
+(* Capacity boundary: every ablation structure holds exactly [capacity]
+   regions and refuses one more with the typed capacity error; the
+   engine's table refuses capacity + 1 the same way and recovers after a
+   remove. *)
 let test_capacity_boundary_all_kinds () =
+  let rs n = List.init n (fun i -> region (1000 + (i * 1000)) 100) in
+  let full = Policy.Structure.capacity_error 8 in
   List.iter
     (fun kind ->
-      let name = Policy.Engine.kind_to_string kind in
-      let k = fresh () in
-      let inst = Policy.Engine.make_instance k kind ~capacity:8 in
-      for i = 0 to 7 do
-        match Policy.Structure.add inst (region (1000 + (i * 1000)) 100) with
-        | Ok () -> ()
-        | Error e -> Alcotest.failf "%s add %d: %s" name i e
-      done;
-      checki (name ^ " at capacity") 8 (Policy.Structure.count inst);
-      (match Policy.Structure.add inst (region 90_000 100) with
-      | Ok () -> Alcotest.failf "%s accepted capacity+1" name
-      | Error e ->
-        checkb (name ^ " typed capacity error") true
-          (Policy.Structure.is_capacity_error e));
-      checkb (name ^ " remove") true (Policy.Structure.remove inst ~base:1000);
-      match Policy.Structure.add inst (region 90_000 100) with
-      | Ok () -> checki (name ^ " recovered") 8 (Policy.Structure.count inst)
-      | Error e -> Alcotest.failf "%s did not recover: %s" name e)
-    Policy.Engine.all_kinds
+      let name = Policy.Ablation.to_string kind in
+      ignore (build ~capacity:8 (fresh ()) kind (rs 8));
+      match Policy.Ablation.build ~capacity:8 (fresh ()) kind (rs 9) with
+      | Ok _ -> Alcotest.failf "%s accepted capacity+1" name
+      | Error e -> Alcotest.(check string) (name ^ " typed capacity error") full e)
+    Policy.Ablation.all;
+  let e = Policy.Engine.create ~capacity:8 (fresh ()) in
+  Policy.Engine.set_policy e (rs 8);
+  checkb "engine refuses capacity+1" true
+    (Policy.Engine.add_region e (region 90_000 100) = Error full);
+  checkb "engine remove" true (Policy.Engine.remove_region e ~base:1000);
+  checkb "engine recovered" true
+    (Policy.Engine.add_region e (region 90_000 100) = Ok ());
+  checki "engine at capacity" 8 (Policy.Engine.count e)
 
 (* ---------- ENOSPC and the batched install ioctl ---------- *)
 
@@ -1032,24 +1004,6 @@ let test_ioctl_install_rollback () =
     (Kernel.ioctl k ~dev:"carat" ~cmd:Policy.Policy_module.ioctl_install ~arg);
   checkb "still unchanged" true
     (Policy.Engine.regions (Policy.Policy_module.engine pm) = before)
-
-(* A whole-policy replace refused mid-way — a sorted or splay table
-   cannot hold overlapping regions — restores the policy it started
-   from. *)
-let test_replace_rollback () =
-  List.iter
-    (fun kind ->
-      let k = fresh () in
-      let pm = Policy.Policy_module.install ~kind k in
-      Policy.Policy_module.set_policy pm Policy.Region.kernel_only;
-      let eng = Policy.Policy_module.engine pm in
-      let before = Policy.Engine.regions eng in
-      checki "overlap refused" Kernel.einval
-        (Policy.Policy_module.replace_policy pm
-           [ region 0xA000 0x1000; region 0xA800 0x1000 ]);
-      checkb "policy restored" true (Policy.Engine.regions eng = before);
-      checkb "default unchanged" false (Policy.Engine.default_allow eng))
-    [ Policy.Engine.Sorted; Policy.Engine.Splay ]
 
 let test_ioctl_install_validation () =
   let k, _pm = setup_pm () in
@@ -1455,14 +1409,15 @@ let () =
           QCheck_alcotest.to_alcotest prop_rbtree_invariants;
           Alcotest.test_case "rbtree rejects overlap" `Quick test_rbtree_rejects_overlap;
           Alcotest.test_case "rbtree log depth" `Quick test_rbtree_logarithmic_scan;
-          Alcotest.test_case "rbtree remove" `Quick test_rbtree_remove;
           Alcotest.test_case "sorted rejects overlap" `Quick test_sorted_rejects_overlap;
           Alcotest.test_case "splay rejects overlap" `Quick test_splay_rejects_overlap;
           Alcotest.test_case "splay popularity" `Quick test_splay_popularity;
           Alcotest.test_case "cached hit rate" `Quick test_cached_hit_rate;
-          Alcotest.test_case "cached invalidation" `Quick test_cached_invalidation;
           Alcotest.test_case "bloom allowed stays allowed" `Quick test_bloom_no_false_negative_for_allowed;
-          Alcotest.test_case "bloom clear" `Quick test_bloom_clear_resets_filter;
+          Alcotest.test_case "bloom caches whole pages only" `Quick
+            test_bloom_caches_whole_pages_only;
+          Alcotest.test_case "cached keeps first match" `Quick
+            test_cached_keeps_first_match;
         ] );
       ( "engine",
         [
@@ -1470,6 +1425,8 @@ let () =
           Alcotest.test_case "default allow" `Quick test_engine_default_allow;
           Alcotest.test_case "permission mismatch" `Quick test_engine_permission_mismatch;
           Alcotest.test_case "set policy" `Quick test_engine_set_policy;
+          Alcotest.test_case "ablation shares the cost model" `Quick
+            test_ablation_engine_parity;
           Alcotest.test_case "scan depth cost" `Quick test_engine_cost_grows_with_scan_depth;
         ] );
       ( "policy-file",
@@ -1497,8 +1454,6 @@ let () =
         [
           Alcotest.test_case "overlaps and duplicates" `Quick
             test_itree_overlaps_and_duplicates;
-          Alcotest.test_case "remove first occurrence" `Quick
-            test_itree_remove_first_occurrence;
           QCheck_alcotest.to_alcotest prop_itree_invariants;
           Alcotest.test_case "pruned lookup" `Quick test_itree_pruned_lookup;
           Alcotest.test_case "churn keeps heap flat" `Quick
@@ -1508,9 +1463,6 @@ let () =
         [
           Alcotest.test_case "linear mirror consistency" `Quick
             test_linear_mirror_consistency;
-          Alcotest.test_case "sorted mirror consistency" `Quick
-            test_sorted_mirror_consistency;
-          QCheck_alcotest.to_alcotest prop_all_kinds_remove_differential;
           Alcotest.test_case "duplicate-base remove" `Quick
             test_duplicate_base_remove;
           Alcotest.test_case "capacity boundary, all kinds" `Quick
@@ -1524,7 +1476,6 @@ let () =
             test_ioctl_install_rollback;
           Alcotest.test_case "install validation" `Quick
             test_ioctl_install_validation;
-          Alcotest.test_case "replace rollback" `Quick test_replace_rollback;
         ] );
       ( "domains",
         [

@@ -284,11 +284,7 @@ let test_single_cpu_stays_in_place () =
 let test_rcu_retirement_frees_tables () =
   let kernel, pm, smp = mk_system () in
   let engine = Smp.System.engine smp in
-  let table_bytes =
-    match Policy.Engine.table_region engine with
-    | Some (_, len) -> len
-    | None -> Alcotest.fail "the linear table keeps no table region"
-  in
+  let table_bytes = snd (Policy.Engine.table_region engine) in
   let arg = Kernel.kmalloc kernel ~size:24 in
   let ioctl cmd =
     Kernel.write kernel ~addr:arg ~size:8 0x30000;
