@@ -279,9 +279,7 @@ let bechamel_tests () =
     Test.make ~name:"pass/guard-injection(e1000e)"
       (Staged.stage (fun () ->
            let m = Nic.Driver_gen.generate () in
-           ignore
-             (Passes.Guard_injection.run Passes.Guard_injection.default_config
-                m)))
+           ignore (Passes.Guard_injection.run m)))
   in
   let parse_test =
     let text = Kir.Printer.to_string (Nic.Driver_gen.generate ()) in

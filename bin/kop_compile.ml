@@ -43,11 +43,8 @@ let compile input output optimize opt strict exempt_stack key signer stats
           (Passes.Pipeline.baseline_sign ~key ~signer ())
           m
       else begin
-        let config =
-          { Passes.Guard_injection.default_config with exempt_stack }
-        in
         let pipeline =
-          Passes.Pipeline.kop ~key ~signer ~config ~strict ~opt ()
+          Passes.Pipeline.kop ~key ~signer ~exempt_stack ~strict ~opt ()
         in
         let remarks = Passes.Pass.run_pipeline_checked pipeline m in
         (* referencing the certifier also guarantees the analysis layer

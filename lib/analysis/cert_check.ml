@@ -50,28 +50,27 @@ let validate_error_to_string = function
 let body_digest m =
   Printf.sprintf "%016x" (Passes.Signing.fnv1a64 (Kir.Printer.to_string ~with_meta:false m))
 
-(** [addr, size, flags] plus the optional site id of a guard call. *)
-let parse_guard_args = function
-  | [ addr; Imm size; Imm flags ] when size > 0 -> Some (addr, size, flags, -1)
-  | [ addr; Imm size; Imm flags; Imm site ] when size > 0 ->
-    Some (addr, size, flags, site)
-  | _ -> None
+(** The extension guards (intrinsic and CFI): they cannot change the
+    policy. *)
+let extension_guard s =
+  s = Passes.Cfi_guard.guard_symbol || s = Passes.Intrinsic_guard.guard_symbol
 
-let guard_family ~guard_symbol s =
-  s = guard_symbol
-  || s = Passes.Cfi_guard.guard_symbol
-  || s = Passes.Intrinsic_guard.guard_symbol
+(** Calls that cannot change the policy: a guard call or an extension
+    guard. *)
+let guard_family = function
+  | Call { callee; _ } as i ->
+    extension_guard callee || Passes.Guard_injection.parse_guard i <> None
+  | _ -> false
 
 (** Policy purity, a greatest fixpoint: a pure function makes no
-    indirect call and no inline asm, and calls only [neutral] symbols
+    indirect call and no inline asm, and calls only the guard family
     and pure module functions. *)
-let purity ~neutral (m : modul) : (string, bool) Hashtbl.t =
+let purity (m : modul) : (string, bool) Hashtbl.t =
   let pure = Hashtbl.create 16 in
   List.iter (fun f -> Hashtbl.replace pure f.f_name true) m.funcs;
   let ok = function
     | Callind _ | Inline_asm _ -> false
-    | Call { callee; _ } ->
-      neutral callee || Hashtbl.find_opt pure callee = Some true
+    | Call { callee; _ } as i -> guard_family i || Hashtbl.find_opt pure callee = Some true
     | _ -> true
   in
   let changed = ref true in
@@ -305,12 +304,9 @@ let counted_loop fn h =
 (* -- witnesses -------------------------------------------------------- *)
 
 type ctx = {
-  gsym : string;
   pure : (string, bool) Hashtbl.t;
   funcs : (string, func) Hashtbl.t;
   gtab : (string, guarantee array) Hashtbl.t;  (** declared guarantees *)
-  reads : bool;  (** the injection config guards loads *)
-  writes : bool;
   exempt : bool;  (** alloca-derived accesses are exempt *)
 }
 
@@ -323,8 +319,8 @@ let cover cx fn c o =
     let b, j = fn.at.(iid) in
     let on_core a = List.assoc_opt c (forms fn b j a) in
     match (fn.body.(b).(j), o) with
-    | Call { callee; args; _ }, O_guard _ when callee = cx.gsym -> (
-      match parse_guard_args args with
+    | i, O_guard _ -> (
+      match Passes.Guard_injection.parse_guard i with
       | Some (a, size, fl, _) ->
         Option.bind (on_core a) (fun off ->
             Option.map (fun (l, h) -> (l, h, fl)) (span ~off size))
@@ -372,10 +368,8 @@ let covers cx fn c os (lo, hi, fl) =
 let impure cx fn =
   Array.init (Array.length fn.at) (fun iid ->
       match instr fn iid with
-      | Call { callee; _ } ->
-        not
-          (guard_family ~guard_symbol:cx.gsym callee
-          || Hashtbl.find_opt cx.pure callee = Some true)
+      | Call { callee; _ } as i ->
+        not (guard_family i || Hashtbl.find_opt cx.pure callee = Some true)
       | Callind _ | Inline_asm _ -> true
       | _ -> false)
 
@@ -452,7 +446,6 @@ let check_witness cx fn ~impure b j w =
   flags <> 0
   &&
   match w with
-  | W_skip -> (flags = 1 && not cx.reads) || (flags = 2 && not cx.writes)
   | W_exempt (os, (V_reg r as c)) ->
     let alloca o =
       let d = origin_id o in
@@ -490,19 +483,13 @@ let check_witness cx fn ~impure b j w =
 (* -- the module ------------------------------------------------------- *)
 
 let context_of (m : modul) =
-  let meta key default = Option.value (meta_find m key) ~default in
-  let module GI = Passes.Guard_injection in
-  let gsym = meta GI.meta_guard_symbol GI.guard_symbol_default in
   let funcs = Hashtbl.create 16 in
   List.iter (fun f -> Hashtbl.replace funcs f.f_name f) m.funcs;
   {
-    gsym;
-    pure = purity ~neutral:(guard_family ~guard_symbol:gsym) m;
+    pure = purity m;
     funcs;
     gtab = Hashtbl.create 16;
-    reads = meta GI.meta_guard_reads "true" = "true";
-    writes = meta GI.meta_guard_writes "true" = "true";
-    exempt = meta GI.meta_exempt_stack "false" = "true";
+    exempt = meta_find m Passes.Guard_injection.meta_exempt_stack = Some "true";
   }
 
 exception Reject of string
@@ -527,9 +514,7 @@ let check (m : modul) cert : (int * int, validate_error) result =
           Array.iteri
             (fun j i ->
               match (i, !ws) with
-              | Call { callee; args; _ }, _
-                when callee = cx.gsym && parse_guard_args args <> None ->
-                incr guards
+              | Call _, _ when Passes.Guard_injection.parse_guard i <> None -> incr guards
               | (Load _ | Store _), [] -> reject ""
               | (Load _ | Store _), w :: rest ->
                 (match parse_witness w with
@@ -549,7 +534,8 @@ let check (m : modul) cert : (int * int, validate_error) result =
   | None -> Error (Cert_invalid "not a v2 certificate")
   | Some (found, _, _, _, _) when found <> body_digest m ->
     Error (Cert_stale { expected = body_digest m; found })
-  | Some (_, g, x, _, _) when g <> cx.gsym || x <> string_of_bool cx.exempt ->
+  | Some (_, g, x, _, _)
+    when g <> Passes.Guard_injection.guard_symbol || x <> string_of_bool cx.exempt ->
     Error (Cert_invalid "certificate names another injection configuration")
   | Some (_, _, _, _, sections) when List.length sections <> List.length m.funcs ->
     Error Cert_mismatch

@@ -5,8 +5,7 @@
     v2;digest=<hex>;guard=<symbol>;exempt=<bool>;domain=<name or empty>;<fn>;<fn>...
     fn        = <name>|<guarantee> <guarantee>...|<witness> <witness>...
     guarantee = <base>/<lo>/<hi>/<flags>/<origins>
-    witness   = s                                          unguarded kind
-              | e<origins>/<base>                          frame-local (alloca)
+    witness   = e<origins>/<base>                          frame-local (alloca)
               | g<origins>/<base>/<lo>/<hi>/<flags>[/<h>]  guarded; h = loop header
     origins   = <origin>,<origin>...
     origin    = <iid>           a guard call
@@ -64,7 +63,6 @@ type guarantee = {
 }
 
 type witness =
-  | W_skip
   | W_exempt of origin list * vexp
   | W_guard of {
       origins : origin list;
@@ -131,7 +129,6 @@ let add_guarantee b g =
   add_origins b g.g_origins
 
 let add_witness b = function
-  | W_skip -> Buffer.add_char b 's'
   | W_exempt (os, base) ->
     Buffer.add_char b 'e';
     add_origins b os;
@@ -227,8 +224,7 @@ let parse_guarantee s =
 
 let parse_witness w =
   let fields () = String.split_on_char '/' (String.sub w 1 (String.length w - 1)) in
-  if w = "s" then Some W_skip
-  else if w = "" then None
+  if w = "" then None
   else
     match (w.[0], fields ()) with
     | 'e', [ os; b ] -> (

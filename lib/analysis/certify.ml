@@ -19,10 +19,11 @@
     anything; that small checker, not this module, is what the kernel
     runs at insmod.
 
-    The certifier honours the recorded injection configuration:
-    accesses exempted by [exempt_stack] are accepted when they are
-    provably derived from the function's own allocas, and access kinds
-    the configuration never promised to guard are not required. *)
+    The guard contract is the kernel's, not the module's: only
+    {!Passes.Guard_injection.guard_symbol} calls count, and every load
+    and store needs one. The one recorded injection option,
+    [exempt_stack], lets an access go unguarded when it is provably
+    derived from the function's own allocas. *)
 
 open Kir.Types
 module GC = Guard_cover
@@ -56,7 +57,6 @@ type proof =
       (** covering fact; the counted loop (header, induction register)
           when its range licensed a widened guard *)
   | P_exempt of int  (** alloca the address is derived from *)
-  | P_skipped  (** a kind the injection config never guards *)
   | P_uncovered
 
 type func_summary = {
@@ -64,7 +64,6 @@ type func_summary = {
   fs_accesses : int;  (** reachable loads + stores *)
   fs_covered : int;  (** proven covered by a guard fact *)
   fs_exempt : int;  (** alloca-derived under [exempt_stack] *)
-  fs_skipped : int;  (** kinds the injection config never guards *)
   fs_guards : guard_site list;
   fs_uncovered : uncovered list;
   fs_unreachable : label list;
@@ -74,64 +73,22 @@ type func_summary = {
 }
 
 type summary = {
-  s_guard_symbol : string;
   s_exempt_stack : bool;
-  s_guard_reads : bool;
-  s_guard_writes : bool;
   s_funcs : func_summary list;
   s_summaries : Summaries.t option;  (** when interprocedural *)
 }
 
-let bool_meta m key ~default =
-  match meta_find m key with Some v -> v = "true" | None -> default
-
-let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ~guard_symbol
-    ~exempt_stack ~guard_reads ~guard_writes (f : func) : func_summary =
+let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ~exempt_stack (f : func) :
+    func_summary =
   let cfg = Kir.Cfg.of_func f in
   let n = Kir.Cfg.n_blocks cfg in
-  let bodies = Array.map (fun b -> Array.of_list b.body) cfg.Kir.Cfg.blocks in
   (* induction-variable ranges: lets one widened pre-header guard prove
      every iteration of a counted loop (see {!Range}) *)
   let ranges = Range.analyze_func cfg in
-  (* function-wide instruction ids, in block-array order *)
-  let iid_base = Array.make (max n 1) 0 in
-  let total = ref 0 in
-  Array.iteri
-    (fun i body ->
-      iid_base.(i) <- !total;
-      total := !total + Array.length body)
-    bodies;
-  let instr_at = Array.make (max !total 1) (Inline_asm "") in
-  Array.iteri
-    (fun i body ->
-      Array.iteri (fun k ins -> instr_at.(iid_base.(i) + k) <- ins) body)
-    bodies;
-  let ctx =
-    {
-      GC.guard_symbol;
-      neutral =
-        (fun s ->
-          s = Passes.Cfi_guard.guard_symbol
-          || s = Passes.Intrinsic_guard.guard_symbol);
-      call_effect;
-    }
-  in
-  let block_transfer ~block t =
-    snd
-      (Array.fold_left
-         (fun (iid, t) ins -> (iid + 1, GC.transfer_instr ctx ~iid t ins))
-         (iid_base.(block), t)
-         bodies.(block))
-  in
-  let domain =
-    {
-      Dataflow.entry = GC.entry_of_params f.params;
-      equal = GC.equal;
-      join = GC.join;
-      transfer = block_transfer;
-    }
-  in
-  let sol = Dataflow.solve domain cfg in
+  let ctx = { GC.neutral = Summaries.default_neutral; call_effect } in
+  let bodies, iid_base, sol = GC.solve ctx f cfg in
+  (* function-wide instruction ids count off in block-array order *)
+  let instr_at = Array.concat (Array.to_list bodies) in
   let is_alloca_core = function
     | GC.S_def k when k >= 0 && k < Array.length instr_at -> (
       match instr_at.(k) with Alloca _ -> true | _ -> false)
@@ -144,8 +101,7 @@ let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ~guard_symbol
   let proofs = ref [] in
   let accesses = ref 0
   and covered = ref 0
-  and exempt = ref 0
-  and skipped = ref 0 in
+  and exempt = ref 0 in
   Array.iteri
     (fun b body ->
       match sol.Dataflow.block_in.(b) with
@@ -178,12 +134,7 @@ let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ~guard_symbol
                     P_covered (cf, Some (h, r))
                   | _, core when exempt_stack && is_alloca_core core -> (
                     match core with GC.S_def k -> P_exempt k | _ -> P_uncovered)
-                  | _ ->
-                    if
-                      (kind = A_load && not guard_reads)
-                      || (kind = A_store && not guard_writes)
-                    then P_skipped
-                    else P_uncovered)
+                  | _ -> P_uncovered)
               in
               proofs := proof :: !proofs;
               (match proof with
@@ -191,7 +142,6 @@ let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ~guard_symbol
                 incr covered;
                 List.iter (fun o -> Hashtbl.replace used o ()) cf.GC.origins
               | P_exempt _ -> incr exempt
-              | P_skipped -> incr skipped
               | P_uncovered ->
                   uncov :=
                     {
@@ -203,8 +153,8 @@ let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ~guard_symbol
                       u_size = size;
                     }
                     :: !uncov)
-            | Call { callee; args; _ } when callee = guard_symbol -> (
-              match GC.parse_guard_args args with
+            | Call _ -> (
+              match Passes.Guard_injection.parse_guard ins with
               | Some (addr, size, flags, site) ->
                 let sv = GC.sv_of !t.GC.env addr in
                 let shadow = GC.covering_fact ~bounds !t sv ~size ~flags in
@@ -235,7 +185,6 @@ let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ~guard_symbol
     fs_accesses = !accesses;
     fs_covered = !covered;
     fs_exempt = !exempt;
-    fs_skipped = !skipped;
     fs_guards = guards;
     fs_uncovered = List.rev !uncov;
     fs_unreachable = List.rev !unreachable;
@@ -258,45 +207,22 @@ let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ~guard_symbol
 let interprocedural m =
   meta_find m Passes.Guard_injection.meta_opt_level = Some "aggressive"
 
-(** Analyze every function of [m] under its recorded injection
-    configuration. Raises {!Dataflow.Diverged} only for a broken domain
-    — callers treat that as a refusal, never as success. *)
-let analyze ?guard_symbol (m : modul) : summary =
-  let guard_symbol =
-    match guard_symbol with
-    | Some s -> s
-    | None -> (
-      match meta_find m Passes.Guard_injection.meta_guard_symbol with
-      | Some s -> s
-      | None -> Passes.Guard_injection.guard_symbol_default)
-  in
+(** Analyze every function of [m] under its recorded [exempt_stack]
+    option. Raises {!Dataflow.Diverged} only for a broken domain —
+    callers treat that as a refusal, never as success. *)
+let analyze (m : modul) : summary =
   let exempt_stack =
-    bool_meta m Passes.Guard_injection.meta_exempt_stack ~default:false
+    meta_find m Passes.Guard_injection.meta_exempt_stack = Some "true"
   in
-  let guard_reads =
-    bool_meta m Passes.Guard_injection.meta_guard_reads ~default:true
-  in
-  let guard_writes =
-    bool_meta m Passes.Guard_injection.meta_guard_writes ~default:true
-  in
-  let summaries =
-    if interprocedural m then Some (Summaries.compute ~guard_symbol m) else None
-  in
+  let summaries = if interprocedural m then Some (Summaries.compute m) else None in
   let call_effect =
     match summaries with
     | Some s -> Summaries.effect_of s
     | None -> fun _ -> Guard_cover.opaque_effect
   in
   {
-    s_guard_symbol = guard_symbol;
     s_exempt_stack = exempt_stack;
-    s_guard_reads = guard_reads;
-    s_guard_writes = guard_writes;
-    s_funcs =
-      List.map
-        (analyze_func ~call_effect ~guard_symbol ~exempt_stack ~guard_reads
-           ~guard_writes)
-        m.funcs;
+    s_funcs = List.map (analyze_func ~call_effect ~exempt_stack) m.funcs;
     s_summaries = summaries;
   }
 
@@ -349,7 +275,7 @@ let section cx ~guarantees (f : func) (fs : func_summary) =
   let pick c (lo, hi, fl) ids =
     let readings iid =
       match CC.instr fn iid with
-      | Call { callee; _ } when callee = cx.CC.gsym -> [ CF.O_guard iid ]
+      | i when Passes.Guard_injection.parse_guard i <> None -> [ CF.O_guard iid ]
       | Call { callee; _ } ->
         let gs = Option.value (Hashtbl.find_opt cx.CC.gtab callee) ~default:[||] in
         let n = Array.length gs in
@@ -396,9 +322,7 @@ let section cx ~guarantees (f : func) (fs : func_summary) =
       | _ -> (0, 0, Imm 0)
     in
     let checks w =
-      (match w with
-      | CF.W_guard { base; _ } | CF.W_exempt (_, base) -> CF.encodable base
-      | CF.W_skip -> true)
+      (match w with CF.W_guard { base; _ } | CF.W_exempt (_, base) -> CF.encodable base)
       && CC.check_witness cx fn ~impure b j w
     in
     (* candidate bases, deepest reading first, with the bytes each must cover *)
@@ -442,7 +366,6 @@ let section cx ~guarantees (f : func) (fs : func_summary) =
       | Alloca { dst; _ } ->
         List.find_opt checks [ CF.W_exempt ([ CF.O_guard k ], CF.V_reg dst) ]
       | _ -> None)
-    | P_skipped -> List.find_opt checks [ CF.W_skip ]
     | P_uncovered -> None
   in
   let gs = List.mapi guarantee (guarantees f) in
@@ -488,7 +411,8 @@ let render ?domain (m : modul) (s : summary) =
                 | None -> raise (Unwitnessed ("guarantee over " ^ GC.sv_to_string core)))
               (guarantees f))))
     m.funcs;
-  CF.render ~digest:(body_digest m) ~guard:s.s_guard_symbol ~exempt:s.s_exempt_stack ~domain
+  CF.render ~digest:(body_digest m) ~guard:Passes.Guard_injection.guard_symbol
+    ~exempt:s.s_exempt_stack ~domain
     (List.map2 (section cx ~guarantees) m.funcs s.s_funcs)
 
 (** Prove guard completeness with [domain] taken verbatim ([None] = an

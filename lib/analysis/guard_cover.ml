@@ -142,10 +142,10 @@ type call_effect = {
 let opaque_effect = { ce_kills = true; ce_adds = []; ce_params = [] }
 
 type ctx = {
-  guard_symbol : string;
   neutral : string -> bool;
-      (** direct callees that provably cannot change the policy or the
-          memory map (the guard family): coverage survives them *)
+      (** direct callees besides the guard that provably cannot change
+          the policy or the memory map (the extension guards): coverage
+          survives them *)
   call_effect : string -> call_effect;
       (** effect of every other direct callee; [opaque_effect] when
           nothing is known (externs, unanalyzed modules) *)
@@ -172,10 +172,6 @@ let rec subst_params ~params ~args sv =
     | _ -> None)
   | S_undef _ | S_def _ | S_merge _ -> None
 
-(** [addr, size, flags] with an optional trailing site id — both the
-    paper's 3-argument form and this repo's 4-argument form. *)
-let parse_guard_args = Cert_check.parse_guard_args
-
 let add_fact core (f : fact) t =
   let existing = try SvMap.find core t.facts with Not_found -> [] in
   if List.exists (fun e -> coverage_subsumes e f) existing then t
@@ -193,15 +189,9 @@ let def_opaque ~iid dst t =
       facts = kill_mentioning (fun s -> s = S_def iid) t.facts;
     }
 
-let transfer_instr ctx ~iid (t : t) (i : instr) : t =
+(* every instruction but a guard call *)
+let transfer_other ctx ~iid (t : t) (i : instr) : t =
   match i with
-  | Call { callee; args; dst } when callee = ctx.guard_symbol -> (
-    let t = def_opaque ~iid dst t in
-    match parse_guard_args args with
-    | Some (addr, size, flags, _site) ->
-      let core, off = base_off (sv_of t.env addr) in
-      add_fact core { lo = off; hi = off + size; flags; origins = [ iid ] } t
-    | None -> t)
   | Call { callee; dst; _ } when ctx.neutral callee -> def_opaque ~iid dst t
   | Call { callee; args; dst } -> (
     match ctx.call_effect callee with
@@ -240,6 +230,15 @@ let transfer_instr ctx ~iid (t : t) (i : instr) : t =
     def_opaque ~iid (Some dst) t
   | Intrinsic { dst; _ } -> def_opaque ~iid dst t
   | Store _ -> t
+
+(** A guard call adds the fact it checks; a call of the guard symbol
+    that does not decode is an ordinary call. *)
+let transfer_instr ctx ~iid (t : t) (i : instr) : t =
+  match Passes.Guard_injection.parse_guard i with
+  | Some (addr, size, flags, _site) ->
+    let core, off = base_off (sv_of t.env addr) in
+    add_fact core { lo = off; hi = off + size; flags; origins = [ iid ] } t
+  | None -> transfer_other ctx ~iid t i
 
 (* -- join ---------------------------------------------------------- *)
 
@@ -314,6 +313,29 @@ let join ~block = function
           facts
     in
     { env; facts }
+
+(** The coverage solve over [f], whose CFG is [cfg]: the block bodies,
+    the function-wide id of each block's first instruction (ids count
+    instructions in block-array order), and the per-block facts. Raises
+    {!Dataflow.Diverged} only for a broken domain. *)
+let solve ctx (f : func) cfg =
+  let bodies = Array.map (fun b -> Array.of_list b.body) cfg.Kir.Cfg.blocks in
+  let base = Array.make (max (Array.length bodies) 1) 0 in
+  let total = ref 0 in
+  Array.iteri
+    (fun i body ->
+      base.(i) <- !total;
+      total := !total + Array.length body)
+    bodies;
+  let transfer ~block t =
+    snd
+      (Array.fold_left
+         (fun (iid, t) ins -> (iid + 1, transfer_instr ctx ~iid t ins))
+         (base.(block), t)
+         bodies.(block))
+  in
+  let domain = { Dataflow.entry = entry_of_params f.params; equal; join; transfer } in
+  (bodies, base, Dataflow.solve domain cfg)
 
 (* -- queries ------------------------------------------------------- *)
 

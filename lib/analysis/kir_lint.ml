@@ -45,14 +45,14 @@ let finding_to_string f =
 
 let site_str s = if s < 0 then "site ?" else Printf.sprintf "site %d" s
 
-let lint ?guard_symbol (m : modul) : finding list =
+let lint (m : modul) : finding list =
   let out = ref [] in
   let push severity code in_func in_block fmt =
     Printf.ksprintf
       (fun message -> out := { severity; code; in_func; in_block; message } :: !out)
       fmt
   in
-  (match Certify.analyze ?guard_symbol m with
+  (match Certify.analyze m with
   | exception Dataflow.Diverged why ->
     push Err "L-diverged" "" "" "dataflow analysis diverged: %s" why
   | s ->
@@ -68,7 +68,7 @@ let lint ?guard_symbol (m : modul) : finding list =
             push Err "L-unguarded" u.u_func u.u_block
               "%s of %d bytes at %s is not covered by any dominating %s"
               (Certify.access_kind_to_string u.u_kind)
-              u.u_size u.u_addr s.s_guard_symbol)
+              u.u_size u.u_addr Passes.Guard_injection.guard_symbol)
           fs.fs_uncovered;
         (* dominator tree of this function, for describing *where* a
            shadowed guard's coverage comes from *)
@@ -125,7 +125,7 @@ let lint ?guard_symbol (m : modul) : finding list =
         c.c_count
         (String.concat ", " (List.map site_str c.c_sites))
         c.c_addr (flags_str c.c_flags) c.c_lo c.c_hi)
-    (Passes.Guard_coalesce.candidates ?guard_symbol m);
+    (Passes.Guard_coalesce.candidates m);
   let r = Passes.Attest.scan m in
   List.iter
     (fun (fi : Passes.Attest.finding) ->

@@ -121,12 +121,9 @@ let eliminate (m : modul) : int =
     once the certifier's range analysis proves them redundant, so a
     widening the certifier cannot re-prove costs one extra static
     guard but never loses coverage. *)
-let widen ~guard_symbol (m : modul) : int =
-  let neutral = Summaries.default_neutral in
+let widen (m : modul) : int =
   (* only purity matters here, not the callee guarantees *)
-  let pure =
-    Cert_check.purity ~neutral:(fun s -> s = guard_symbol || neutral s) m
-  in
+  let pure = Cert_check.purity m in
   let widened = ref 0 in
   let process_func (f : func) =
     let cfg = Kir.Cfg.of_func f in
@@ -173,9 +170,8 @@ let widen ~guard_symbol (m : modul) : int =
               (fun b ->
                 List.for_all
                   (function
-                    | Call { callee; _ } ->
-                      callee = guard_symbol || neutral callee
-                      || Hashtbl.find_opt pure callee = Some true
+                    | Call { callee; _ } as i ->
+                      Cert_check.guard_family i || Hashtbl.find_opt pure callee = Some true
                     | Callind _ | Inline_asm _ -> false
                     | _ -> true)
                   b.body)
@@ -199,9 +195,7 @@ let widen ~guard_symbol (m : modul) : int =
                 let arr = Array.of_list (Kir.Cfg.block cfg bi).body in
                 Array.iteri
                   (fun j ins ->
-                    match
-                      Passes.Guard_coalesce.parse_guard ~guard_symbol ins
-                    with
+                    match Passes.Guard_injection.parse_guard ins with
                     | Some (Reg a, size, flags, site) -> (
                       let dj = ref (-1) in
                       for k = 0 to j - 1 do
@@ -258,21 +252,11 @@ let widen ~guard_symbol (m : modul) : int =
                   let span =
                     ((lb.Range.lb_hi - lb.Range.lb_lo) * scale) + size
                   in
-                  let args =
-                    if site < 0 then [ Reg r; Imm span; Imm flags ]
-                    else [ Reg r; Imm span; Imm flags; Imm site ]
-                  in
                   pre.body <-
                     pre.body
                     @ [
-                        Gep
-                          {
-                            dst = r;
-                            base;
-                            idx = Imm lb.Range.lb_lo;
-                            scale;
-                          };
-                        Call { dst = None; callee = guard_symbol; args };
+                        Gep { dst = r; base; idx = Imm lb.Range.lb_lo; scale };
+                        Passes.Guard_injection.guard ~addr:(Reg r) ~size:span ~flags ~site;
                       ];
                   incr widened)
                 cands
@@ -285,8 +269,8 @@ let widen ~guard_symbol (m : modul) : int =
 
 (* -- the pass ------------------------------------------------------ *)
 
-let coalesce ~guard_symbol m =
-  let r = Passes.Guard_coalesce.run ~guard_symbol m in
+let coalesce m =
+  let r = Passes.Guard_coalesce.run m in
   match List.assoc_opt "guards_merged" r.Passes.Pass.remarks with
   | Some n -> int_of_string n
   | None -> 0
@@ -294,11 +278,6 @@ let coalesce ~guard_symbol m =
 let run (m : modul) : Passes.Pass.result =
   if meta_find m Passes.Guard_injection.meta_guarded <> Some "true" then
     Passes.Pass.fail "guard-optimize" "module %s is not guarded" m.m_name;
-  let guard_symbol =
-    match meta_find m Passes.Guard_injection.meta_guard_symbol with
-    | Some s -> s
-    | None -> Passes.Guard_injection.guard_symbol_default
-  in
   let snap = snapshot m in
   (* the signed level stamp is what licenses the certifier's
      interprocedural reasoning — both for the elimination below and for
@@ -307,10 +286,10 @@ let run (m : modul) : Passes.Pass.result =
     (Passes.Pipeline.opt_level_to_string Passes.Pipeline.O_aggressive);
   match
     let interproc = eliminate m in
-    let merged = coalesce ~guard_symbol m in
-    let widened = widen ~guard_symbol m in
+    let merged = coalesce m in
+    let widened = widen m in
     let narrowed = if widened > 0 then eliminate m else 0 in
-    let merged' = if widened + narrowed > 0 then coalesce ~guard_symbol m else 0 in
+    let merged' = if widened + narrowed > 0 then coalesce m else 0 in
     (interproc + narrowed, merged + merged', widened)
   with
   | exception Dataflow.Diverged why ->

@@ -37,13 +37,9 @@ type fsum = {
   sm_params : reg list;
 }
 
-type t = {
-  guard_symbol : string;
-  tbl : (string, fsum) Hashtbl.t;
-}
+type t = (string, fsum) Hashtbl.t
 
-let default_neutral s =
-  s = Passes.Cfi_guard.guard_symbol || s = Passes.Intrinsic_guard.guard_symbol
+let default_neutral = Cert_check.extension_guard
 
 (* -- guarantees: least fixpoint ------------------------------------ *)
 
@@ -57,33 +53,9 @@ let rec exportable = function
 (* facts holding at the end of every reachable Ret block, exported *)
 let ret_facts ~ctx (f : func) : (GC.sv * int * int * int) list =
   let cfg = Kir.Cfg.of_func f in
-  let bodies = Array.map (fun b -> Array.of_list b.body) cfg.Kir.Cfg.blocks in
-  let n = Kir.Cfg.n_blocks cfg in
-  let iid_base = Array.make (max n 1) 0 in
-  let total = ref 0 in
-  Array.iteri
-    (fun i body ->
-      iid_base.(i) <- !total;
-      total := !total + Array.length body)
-    bodies;
-  let block_transfer ~block t =
-    snd
-      (Array.fold_left
-         (fun (iid, t) ins -> (iid + 1, GC.transfer_instr ctx ~iid t ins))
-         (iid_base.(block), t)
-         bodies.(block))
-  in
-  let domain =
-    {
-      Dataflow.entry = GC.entry_of_params f.params;
-      equal = GC.equal;
-      join = GC.join;
-      transfer = block_transfer;
-    }
-  in
-  match Dataflow.solve domain cfg with
+  match GC.solve ctx f cfg with
   | exception Dataflow.Diverged _ -> []
-  | sol ->
+  | _, _, sol ->
     let rets = ref [] in
     Array.iteri
       (fun i out ->
@@ -161,13 +133,25 @@ let sccs (m : modul) : func list list =
   List.iter (fun f -> if not (Hashtbl.mem index f.f_name) then visit f.f_name) m.funcs;
   List.rev !out
 
+(** The {!Guard_cover.ctx} call-effect function for this module:
+    summarized effects for module functions, fully opaque for
+    everything else. *)
+let effect_of (t : t) (callee : string) : GC.call_effect =
+  match Hashtbl.find_opt t callee with
+  | None -> GC.opaque_effect
+  | Some s ->
+    {
+      GC.ce_kills = not s.sm_pure;
+      ce_adds = s.sm_guarantees;
+      ce_params = s.sm_params;
+    }
+
 (** Compute the module's summaries component by component, callees
     first: a function outside any call cycle is analyzed exactly once,
     against final summaries of everything it calls, and only recursive
     components iterate to fixpoint (each under the round cap). *)
-let compute ?(guard_symbol = Passes.Guard_injection.guard_symbol_default)
-    ?(neutral = default_neutral) (m : modul) : t =
-  let pure = Cert_check.purity ~neutral:(fun s -> s = guard_symbol || neutral s) m in
+let compute (m : modul) : t =
+  let pure = Cert_check.purity m in
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun f ->
@@ -178,18 +162,7 @@ let compute ?(guard_symbol = Passes.Guard_injection.guard_symbol_default)
           sm_params = List.map fst f.params;
         })
     m.funcs;
-  let t = { guard_symbol; tbl } in
-  let effect_of callee =
-    match Hashtbl.find_opt tbl callee with
-    | None -> GC.opaque_effect
-    | Some s ->
-      {
-        GC.ce_kills = not s.sm_pure;
-        ce_adds = s.sm_guarantees;
-        ce_params = s.sm_params;
-      }
-  in
-  let ctx = { GC.guard_symbol; neutral; call_effect = effect_of } in
+  let ctx = { GC.neutral = default_neutral; call_effect = effect_of tbl } in
   let update f =
     let s = Hashtbl.find tbl f.f_name in
     let g = ret_facts ~ctx f in
@@ -215,27 +188,14 @@ let compute ?(guard_symbol = Passes.Guard_injection.guard_symbol_default)
           changed := List.fold_left (fun c f -> update f || c) false scc
         done)
     (sccs m);
-  t
-
-(** The {!Guard_cover.ctx} call-effect function for this module:
-    summarized effects for module functions, fully opaque for
-    everything else. *)
-let effect_of (t : t) (callee : string) : GC.call_effect =
-  match Hashtbl.find_opt t.tbl callee with
-  | None -> GC.opaque_effect
-  | Some s ->
-    {
-      GC.ce_kills = not s.sm_pure;
-      ce_adds = s.sm_guarantees;
-      ce_params = s.sm_params;
-    }
+  tbl
 
 let is_pure (t : t) name =
-  match Hashtbl.find_opt t.tbl name with
+  match Hashtbl.find_opt t name with
   | Some s -> s.sm_pure
   | None -> false
 
 let guarantees (t : t) name =
-  match Hashtbl.find_opt t.tbl name with
+  match Hashtbl.find_opt t name with
   | Some s -> s.sm_guarantees
   | None -> []

@@ -533,10 +533,7 @@ let run_corruption ?engine ?opt ?(sanitize = false) ~(mode : mode) ~seed () :
   (* the wild write proper, rigged so the victim's very next store at
      [target] would be answered allow straight from the corrupt slot *)
   let lo = target land lnot (Kernel.Memory.page_size - 1) in
-  (match
-     Inject.payload_guard_site m ~payload_addr:target
-       ~guard_symbol:Passes.Guard_injection.guard_symbol_default
-   with
+  (match Inject.payload_guard_site m ~payload_addr:target with
   | Some site ->
     ignore
       (Policy.Engine.corrupt_site_cache eng
@@ -669,7 +666,6 @@ let run_one ?engine ?opt ?(sanitize = false) ~(cls : Inject.cls) ~(mode : mode)
   | Inject.Ir_tamper -> Inject.mutate_ir_tamper m ~payload_addr:target
   | Inject.Guard_deletion ->
     Inject.mutate_guard_deletion m ~payload_addr:target
-      ~guard_symbol:Passes.Guard_injection.guard_symbol_default
   | Inject.Sig_truncation -> Inject.mutate_sig_truncation m
   | Inject.Wild_store | Inject.Oob_ring_index | Inject.Policy_corruption
   | Inject.Cross_cpu_race | Inject.Icache_corrupt | Inject.Rcu_instance_corrupt

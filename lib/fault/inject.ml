@@ -193,12 +193,11 @@ let mutate_ir_tamper (m : Kir.Types.modul) ~payload_addr =
 
 (** Delete the guard call immediately preceding the store that targets
     [payload_addr]. A no-op on unguarded (baseline) modules. *)
-let mutate_guard_deletion (m : Kir.Types.modul) ~payload_addr ~guard_symbol =
+let mutate_guard_deletion (m : Kir.Types.modul) ~payload_addr =
   iter_bodies m (fun blk ->
       let rec strip = function
-        | Kir.Types.Call { callee; _ }
-          :: (Kir.Types.Store { addr = Imm a; _ } as store) :: rest
-          when callee = guard_symbol && a = payload_addr ->
+        | g :: (Kir.Types.Store { addr = Imm a; _ } as store) :: rest
+          when a = payload_addr && Passes.Guard_injection.parse_guard g <> None ->
           store :: strip rest
         | i :: rest -> i :: strip rest
         | [] -> []
@@ -208,15 +207,14 @@ let mutate_guard_deletion (m : Kir.Types.modul) ~payload_addr ~guard_symbol =
 (** The compiler-assigned site id of the guard protecting the store at
     [payload_addr] in a compiled (guard-injected) module — the slot the
     inline-cache corruption class sprays. [None] on unguarded modules. *)
-let payload_guard_site (m : Kir.Types.modul) ~payload_addr ~guard_symbol =
+let payload_guard_site (m : Kir.Types.modul) ~payload_addr =
   let found = ref None in
   iter_bodies m (fun blk ->
       List.iter
         (fun i ->
-          match i with
-          | Kir.Types.Call
-              { callee; args = [ Kir.Types.Imm a; _; _; Kir.Types.Imm site ]; _ }
-            when !found = None && callee = guard_symbol && a = payload_addr ->
+          match Passes.Guard_injection.parse_guard i with
+          | Some (Kir.Types.Imm a, _, _, site)
+            when !found = None && a = payload_addr && site >= 0 ->
             found := Some site
           | _ -> ())
         blk.Kir.Types.body);

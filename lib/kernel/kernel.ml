@@ -846,23 +846,9 @@ let rmmod t (lm : loaded_module) : (unit, unload_error) result =
 (* ------------------------------------------------------------------ *)
 (* privileged intrinsics *)
 
-(** The privileged builtins a module can reach without inline assembly
-    (paper §5: "any privileged intrinsic or builtin is useable from
-    inside of a CARAT KOP protected module"). Executing one is always
-    possible — the question the [Intrinsic_guard] extension answers is
-    whether the policy lets a given module do so. *)
-let known_intrinsics =
-  [ "rdtsc"; "rdmsr"; "wrmsr"; "cli"; "sti"; "invlpg"; "pause"; "hlt" ]
-
-let intrinsic_id name =
-  let rec go i = function
-    | [] -> None
-    | n :: _ when n = name -> Some i
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 known_intrinsics
-
-let intrinsic_name id = List.nth_opt known_intrinsics id
+(** The name of the privileged intrinsic with registry id [id]
+    ({!Passes.Intrinsic_guard.known}). *)
+let intrinsic_name id = List.nth_opt Passes.Intrinsic_guard.known id
 
 let read_msr t msr = try Hashtbl.find t.msrs msr with Not_found -> 0
 let irqs_enabled t = t.irqs_enabled

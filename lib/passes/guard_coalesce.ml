@@ -87,15 +87,6 @@ type candidate = {
   c_count : int;
 }
 
-let parse_guard ~guard_symbol = function
-  | Call { callee; args = [ addr; Imm size; Imm flags ]; dst = None }
-    when callee = guard_symbol && size > 0 ->
-    Some (addr, size, flags, -1)
-  | Call { callee; args = [ addr; Imm size; Imm flags; Imm site ]; dst = None }
-    when callee = guard_symbol && size > 0 ->
-    Some (addr, size, flags, site)
-  | _ -> None
-
 (* cluster the guard occurrences of one (core, window): first union the
    flags of identical intervals, then sweep same-flag occurrences in
    interval order merging overlap/adjacency *)
@@ -151,7 +142,7 @@ let cluster core (occs : occ list) : group list =
 
 (** Scan one block: windows end at any call that is not the guard itself
     (and at inline asm), exactly the envelope {!Guard_elim} assumes. *)
-let block_groups ~guard_symbol (b : block) : group list =
+let block_groups (b : block) : group list =
   let values : (reg, vnum) Hashtbl.t = Hashtbl.create 32 in
   let fresh = ref 0 in
   let next_opaque () =
@@ -177,7 +168,7 @@ let block_groups ~guard_symbol (b : block) : group list =
   in
   List.iteri
     (fun idx i ->
-      match parse_guard ~guard_symbol i with
+      match Guard_injection.parse_guard i with
       | Some (addr, size, flags, site) ->
         let core, off = norm (value_of addr) in
         let o =
@@ -213,13 +204,12 @@ let block_groups ~guard_symbol (b : block) : group list =
 
 (** Merge groups the optimizer would collapse, without transforming —
     feeds the [W-coalescable-guard] lint. *)
-let candidates ?(guard_symbol = Guard_injection.guard_symbol_default)
-    (m : modul) : candidate list =
+let candidates (m : modul) : candidate list =
   List.concat_map
     (fun f ->
       List.concat_map
         (fun b ->
-          block_groups ~guard_symbol b
+          block_groups b
           |> List.filter (fun g -> List.length g.g_occs > 1)
           |> List.map (fun g ->
                  {
@@ -249,7 +239,7 @@ let all_regs f =
     f.blocks;
   s
 
-let run ~guard_symbol (m : modul) : Pass.result =
+let run (m : modul) : Pass.result =
   let merged = ref 0 in
   let process_func f =
     let taken = all_regs f in
@@ -268,7 +258,7 @@ let run ~guard_symbol (m : modul) : Pass.result =
     in
     let process_block b =
       let groups =
-        block_groups ~guard_symbol b
+        block_groups b
         |> List.filter (fun g -> List.length g.g_occs > 1)
       in
       if groups <> [] then begin
@@ -297,12 +287,9 @@ let run ~guard_symbol (m : modul) : Pass.result =
                         };
                     ] )
               in
-              let args =
-                if leader.o_site < 0 then [ addr; Imm size; Imm g.g_flags ]
-                else [ addr; Imm size; Imm g.g_flags; Imm leader.o_site ]
-              in
               Hashtbl.replace rewrite leader.o_idx
-                (prefix @ [ Call { dst = None; callee = guard_symbol; args } ])
+                (prefix
+                @ [ Guard_injection.guard ~addr ~size ~flags:g.g_flags ~site:leader.o_site ])
             | [] -> ())
           groups;
         b.body <-
@@ -325,5 +312,4 @@ let run ~guard_symbol (m : modul) : Pass.result =
     remarks = [ ("guards_merged", string_of_int !merged) ];
   }
 
-let pass ?(guard_symbol = Guard_injection.guard_symbol_default) () =
-  Pass.make "guard-coalesce" (run ~guard_symbol)
+let pass () = Pass.make "guard-coalesce" run

@@ -38,7 +38,7 @@ let rec sym_to_key = function
     Printf.sprintf "g(%s,%s,%d)" (sym_to_key b) (sym_to_key i) s
   | V_opaque n -> "o" ^ string_of_int n
 
-let run ~guard_symbol (m : modul) : Pass.result =
+let run (m : modul) : Pass.result =
   let removed = ref 0 in
   let fresh = ref 0 in
   let next_opaque () =
@@ -60,14 +60,10 @@ let run ~guard_symbol (m : modul) : Pass.result =
     in
     let seen : (string, seen) Hashtbl.t = Hashtbl.create 16 in
     let keep i =
-      match i with
-      (* both guard forms: legacy (addr, size, flags) and the site-id
-         carrying (addr, size, flags, site) — the site does not affect
+      match (Guard_injection.parse_guard i, i) with
+      (* both guard forms decode alike; the site does not affect
          coverage, so it is ignored for redundancy purposes *)
-      | Call { callee; args = [ addr; Imm size; Imm flags ]; dst = None }
-      | Call
-          { callee; args = [ addr; Imm size; Imm flags; Imm _ ]; dst = None }
-        when callee = guard_symbol -> (
+      | Some (addr, size, flags, _), _ -> (
         let key = sym_to_key (value_of addr) in
         let wants_read = flags land Guard_injection.flag_read <> 0 in
         let wants_write = flags land Guard_injection.flag_write <> 0 in
@@ -91,7 +87,7 @@ let run ~guard_symbol (m : modul) : Pass.result =
             };
           true
         end)
-      | Call _ | Callind _ ->
+      | None, (Call _ | Callind _) ->
         (* unknown call: conservatively forget guard coverage (the policy
            could have changed); value numbering stays valid *)
         Hashtbl.reset seen;
@@ -99,13 +95,13 @@ let run ~guard_symbol (m : modul) : Pass.result =
         | Some r -> Hashtbl.replace values r (next_opaque ())
         | None -> ());
         true
-      | Mov { dst; src; _ } ->
+      | None, Mov { dst; src; _ } ->
         Hashtbl.replace values dst (value_of src);
         true
-      | Gep { dst; base; idx; scale } ->
+      | None, Gep { dst; base; idx; scale } ->
         Hashtbl.replace values dst (V_gep (value_of base, value_of idx, scale));
         true
-      | _ ->
+      | None, _ ->
         (match def_of_instr i with
         | Some r -> Hashtbl.replace values r (next_opaque ())
         | None -> ());
@@ -119,5 +115,4 @@ let run ~guard_symbol (m : modul) : Pass.result =
     remarks = [ ("guards_removed", string_of_int !removed) ];
   }
 
-let pass ?(guard_symbol = Guard_injection.guard_symbol_default) () =
-  Pass.make "guard-elim" (run ~guard_symbol)
+let pass () = Pass.make "guard-elim" run

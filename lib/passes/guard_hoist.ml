@@ -35,14 +35,10 @@ let regs_defined_in_blocks blocks =
 
 (* both guard forms; the trailing site id (if present) moves with the
    call and keeps indexing the same static site after hoisting *)
-let guard_key ~guard_symbol = function
-  | Call { callee; args = [ addr; Imm size; Imm flags ]; dst = None }
-  | Call { callee; args = [ addr; Imm size; Imm flags; Imm _ ]; dst = None }
-    when callee = guard_symbol ->
-    Some (addr, size, flags)
-  | _ -> None
+let guard_key i =
+  Option.map (fun (addr, size, flags, _) -> (addr, size, flags)) (Guard_injection.parse_guard i)
 
-let run ~guard_symbol (m : modul) : Pass.result =
+let run (m : modul) : Pass.result =
   let hoisted = ref 0 in
   let deduped = ref 0 in
   let process_func f =
@@ -64,7 +60,7 @@ let run ~guard_symbol (m : modul) : Pass.result =
               (fun b ->
                 List.exists
                   (function
-                    | Call { callee; _ } -> callee <> guard_symbol
+                    | Call _ as i -> Guard_injection.parse_guard i = None
                     | Callind _ -> true
                     | _ -> false)
                   b.body)
@@ -78,7 +74,7 @@ let run ~guard_symbol (m : modul) : Pass.result =
             let rec seed = function
               | [] -> ()
               | i :: rest ->
-                (match guard_key ~guard_symbol i with
+                (match guard_key i with
                 | Some ((addr, _, _) as key) ->
                   let stable =
                     match addr with
@@ -94,7 +90,7 @@ let run ~guard_symbol (m : modul) : Pass.result =
             List.iter
               (fun b ->
                 let keep i =
-                  match guard_key ~guard_symbol i with
+                  match guard_key i with
                   | Some ((addr, _, _) as key) when invariant addr ->
                     if Hashtbl.mem moved key then incr deduped
                     else begin
@@ -121,5 +117,4 @@ let run ~guard_symbol (m : modul) : Pass.result =
       ];
   }
 
-let pass ?(guard_symbol = Guard_injection.guard_symbol_default) () =
-  Pass.make "guard-hoist" (run ~guard_symbol)
+let pass () = Pass.make "guard-hoist" run

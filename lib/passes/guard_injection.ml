@@ -9,37 +9,55 @@
     [exempt_stack] skips accesses provably confined to the module's own
     stack frame.
 
+    The guard contract is fixed, not chosen by the module: one symbol
+    ({!guard_symbol}), every load and every store guarded. The kernel's
+    certificate checker proves coverage by that symbol only, so no
+    metadata a module carries can name another guard or waive an access
+    kind.
+
     The guard callback signature extends the paper's
     [carat_guard(void *addr, size_t size, int access_flags)] with a
     fourth, compiler-assigned argument: a small integer *site id*, unique
     per static guard call within the module and assigned in deterministic
     program order. The policy module uses it to key per-guard-site inline
     caches; it carries no policy meaning, so legacy 3-argument callers
-    remain valid (the policy module treats them as site -1, uncached). *)
+    remain valid (the policy module treats them as site -1, uncached).
+    {!guard} is the one encoder of guard calls and {!parse_guard} the one
+    decoder; to every pass, a call to the guard symbol that does not
+    decode is an ordinary call. *)
 
 open Kir.Types
 
-let guard_symbol_default = "carat_guard"
+let guard_symbol = "carat_guard"
 
 (* access_flags bitmap, shared with the policy module *)
 let flag_read = 1
 let flag_write = 2
 
-type config = {
-  guard_symbol : string;
-  guard_reads : bool;
-  guard_writes : bool;
-  exempt_stack : bool;
-      (** skip guards on addresses derived only from this frame's allocas *)
-}
+(** The guard call checking [size] bytes at [addr] for [flags]; a
+    negative [site] emits the paper's 3-argument form. *)
+let guard ~addr ~size ~flags ~site =
+  let args = [ addr; Imm size; Imm flags ] in
+  Call
+    {
+      dst = None;
+      callee = guard_symbol;
+      args = (if site < 0 then args else args @ [ Imm site ]);
+    }
 
-let default_config =
-  {
-    guard_symbol = guard_symbol_default;
-    guard_reads = true;
-    guard_writes = true;
-    exempt_stack = false;
-  }
+(** [(addr, size, flags, site)] of a guard call's arguments, in either
+    form (site -1 for the 3-argument one); [None] unless [size > 0]. *)
+let guard_args = function
+  | [ addr; Imm size; Imm flags ] when size > 0 -> Some (addr, size, flags, -1)
+  | [ addr; Imm size; Imm flags; Imm site ] when size > 0 ->
+    Some (addr, size, flags, site)
+  | _ -> None
+
+(** The decoded guard, when [i] is a result-less call of {!guard_symbol}
+    whose arguments decode. *)
+let parse_guard = function
+  | Call { callee; args; dst = None } when callee = guard_symbol -> guard_args args
+  | _ -> None
 
 (** Registers of [f] that only ever hold addresses derived from this
     function's own allocas (via gep/mov chains). Flow-insensitive and
@@ -87,64 +105,44 @@ let stack_pure_regs (f : func) : (reg, unit) Hashtbl.t =
      done *)
   pure
 
-let guard_call cfg addr size flags site =
-  Call
-    {
-      dst = None;
-      callee = cfg.guard_symbol;
-      args = [ addr; Imm size; Imm flags; Imm site ];
-    }
-
 (** Instrument one function; returns the number of guards inserted.
     [next_site] is the module-wide site-id counter: each inserted guard
     consumes one id, in deterministic (function, block, instruction)
     order, so rebuilding the same module yields the same ids. *)
-let instrument_func cfg ~next_site (f : func) : int =
-  let pure = if cfg.exempt_stack then stack_pure_regs f else Hashtbl.create 1 in
+let instrument_func ~exempt_stack ~next_site (f : func) : int =
+  let pure = if exempt_stack then stack_pure_regs f else Hashtbl.create 1 in
   let exempt = function
-    | Reg r -> cfg.exempt_stack && Hashtbl.mem pure r
+    | Reg r -> exempt_stack && Hashtbl.mem pure r
     | Imm _ | Sym _ -> false
   in
   let count = ref 0 in
-  let take_site () =
-    let s = !next_site in
+  let guarded ty addr flags i =
+    let site = !next_site in
     incr next_site;
-    s
+    incr count;
+    [ guard ~addr ~size:(size_of_ty ty) ~flags ~site; i ]
   in
   List.iter
     (fun b ->
-      let body' =
+      b.body <-
         List.concat_map
           (fun i ->
             match i with
-            | Load { ty; addr; _ } when cfg.guard_reads && not (exempt addr) ->
-              incr count;
-              [ guard_call cfg addr (size_of_ty ty) flag_read (take_site ()); i ]
-            | Store { ty; addr; _ } when cfg.guard_writes && not (exempt addr)
-              ->
-              incr count;
-              [
-                guard_call cfg addr (size_of_ty ty) flag_write (take_site ());
-                i;
-              ]
+            | Load { ty; addr; _ } when not (exempt addr) -> guarded ty addr flag_read i
+            | Store { ty; addr; _ } when not (exempt addr) -> guarded ty addr flag_write i
             | i -> [ i ])
-          b.body
-      in
-      b.body <- body')
+          b.body)
     f.blocks;
   !count
 
 let meta_guarded = "carat.kop.guarded"
 let meta_guard_count = "carat.kop.guards"
 let meta_guard_sites = "carat.kop.guard_sites"
-let meta_guard_symbol = "carat.kop.guard_symbol"
 let meta_compiler = "carat.kop.compiler"
 
-(* the injection configuration, recorded (and signed) so the
-   load-time certifier re-checks the module under the same promises
-   the compiler actually made *)
-let meta_guard_reads = "carat.kop.guard_reads"
-let meta_guard_writes = "carat.kop.guard_writes"
+(* the one injection option, recorded (and signed): the certificate
+   checker accepts a frame-local exemption only from a module compiled
+   with it *)
 let meta_exempt_stack = "carat.kop.guard_exempt_stack"
 
 (* the guard-optimization level the module was compiled at, recorded by
@@ -159,38 +157,32 @@ let compiler_version = "kop-ocaml-1.1 (kir, guard sites)"
 (** Arity of the guard import the pass emits (addr, size, flags, site). *)
 let guard_arity = 4
 
-let run cfg (m : modul) : Pass.result =
+(** [exempt_stack] skips guards on addresses derived only from the
+    frame's own allocas. *)
+let run ?(exempt_stack = false) (m : modul) : Pass.result =
   if meta_find m meta_guarded = Some "true" then
     Pass.fail "guard-injection" "module %s is already guarded" m.m_name;
   let next_site = ref 0 in
   let total =
-    List.fold_left (fun n f -> n + instrument_func cfg ~next_site f) 0 m.funcs
+    List.fold_left
+      (fun n f -> n + instrument_func ~exempt_stack ~next_site f)
+      0 m.funcs
   in
-  if not (List.mem_assoc cfg.guard_symbol m.externs) then
-    m.externs <- m.externs @ [ (cfg.guard_symbol, guard_arity) ];
-  let string_of_bool' b = if b then "true" else "false" in
+  if not (List.mem_assoc guard_symbol m.externs) then
+    m.externs <- m.externs @ [ (guard_symbol, guard_arity) ];
   meta_set m meta_guarded "true";
   meta_set m meta_guard_count (string_of_int total);
   meta_set m meta_guard_sites (string_of_int !next_site);
-  meta_set m meta_guard_symbol cfg.guard_symbol;
-  meta_set m meta_guard_reads (string_of_bool' cfg.guard_reads);
-  meta_set m meta_guard_writes (string_of_bool' cfg.guard_writes);
-  meta_set m meta_exempt_stack (string_of_bool' cfg.exempt_stack);
+  meta_set m meta_exempt_stack (string_of_bool exempt_stack);
   meta_set m meta_compiler compiler_version;
   { changed = total > 0; remarks = [ ("guards", string_of_int total) ] }
 
-let pass ?(config = default_config) () =
-  Pass.make "guard-injection" (run config)
+let pass ?exempt_stack () = Pass.make "guard-injection" (run ?exempt_stack)
 
 (** Static count of guard calls currently present in the module. *)
-let count_guards ?(guard_symbol = guard_symbol_default) (m : modul) =
+let count_guards (m : modul) =
   let in_block b =
-    List.fold_left
-      (fun n i ->
-        match i with
-        | Call { callee; _ } when callee = guard_symbol -> n + 1
-        | _ -> n)
-      0 b.body
+    List.fold_left (fun n i -> if parse_guard i <> None then n + 1 else n) 0 b.body
   in
   List.fold_left
     (fun n f -> n + List.fold_left (fun n b -> n + in_block b) 0 f.blocks)
@@ -201,17 +193,16 @@ let count_guards ?(guard_symbol = guard_symbol_default) (m : modul) =
     and by the loader's deep-validation mode). Optimized modules violate
     the "immediately preceded" form, so this is only asserted for the
     unoptimized pipeline. *)
-let fully_guarded ?(guard_symbol = guard_symbol_default) (m : modul) : bool =
+let fully_guarded (m : modul) : bool =
   let block_ok b =
     let rec go prev body =
       match body with
       | [] -> true
       | (Load { addr; _ } as i) :: rest | (Store { addr; _ } as i) :: rest ->
         let guarded =
-          match prev with
-          | Some (Call { callee; args = a :: _; _ }) ->
-            callee = guard_symbol && a = addr
-          | _ -> false
+          match Option.bind prev parse_guard with
+          | Some (a, _, _, _) -> a = addr
+          | None -> false
         in
         guarded && go (Some i) rest
       | i :: rest -> go (Some i) rest

@@ -17,8 +17,11 @@ let guard_symbol = "carat_intrinsic_guard"
 let meta_guarded = "carat.kop.intrinsics_guarded"
 let meta_count = "carat.kop.intrinsic_guards"
 
-(** The id table must match the kernel's registry; duplicated here so the
-    compiler has no dependency on the kernel. Checked by tests. *)
+(** The stable intrinsic registry: the privileged builtins a module can
+    reach without inline assembly (paper §5: "any privileged intrinsic
+    or builtin is useable from inside of a CARAT KOP protected module"),
+    each identified by its position. The kernel and the policy module
+    read this one table. *)
 let known = [ "rdtsc"; "rdmsr"; "wrmsr"; "cli"; "sti"; "invlpg"; "pause"; "hlt" ]
 
 let id_of_intrinsic name =

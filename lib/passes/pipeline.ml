@@ -66,23 +66,23 @@ let optimizer_passes () = match !optimizer with Some mk -> [ mk () ] | None -> [
 let strict_recheck ~strict =
   if strict then [ Attest.pass ~strict:true () ] else []
 
-(** The kop pipeline at a chosen optimization level. *)
-let kop ?(key = default_key) ?(signer = default_signer)
-    ?(config = Guard_injection.default_config) ?(guard_intrinsics = false)
-    ?(guard_cfi = false) ?(strict = false) ?(opt = O_none) () =
-  let gsym = config.Guard_injection.guard_symbol in
-  [ Dce.pass (); Attest.pass (); Guard_injection.pass ~config () ]
-  @ (match opt with
-    | O_none -> []
-    | O_basic | O_aggressive ->
-      [ Guard_elim.pass ~guard_symbol:gsym (); Guard_hoist.pass ~guard_symbol:gsym () ])
+(* the local CARAT-CAKE-style pair every optimizing level starts with *)
+let local_opt_passes () = [ Guard_elim.pass (); Guard_hoist.pass () ]
+
+(** The kop pipeline at a chosen optimization level. [exempt_stack] is
+    the injection's one option (see {!Guard_injection.run}). *)
+let kop ?(key = default_key) ?(signer = default_signer) ?exempt_stack
+    ?(guard_intrinsics = false) ?(guard_cfi = false) ?(strict = false)
+    ?(opt = O_none) () =
+  [ Dce.pass (); Attest.pass (); Guard_injection.pass ?exempt_stack () ]
+  @ (match opt with O_none -> [] | O_basic | O_aggressive -> local_opt_passes ())
   @ (match opt with O_aggressive -> optimizer_passes () | _ -> [])
   @ extension_passes ~guard_intrinsics ~guard_cfi
   @ strict_recheck ~strict @ certify_passes ()
   @ [ Signing.pass ~key ~signer () ]
 
-let kop_default ?key ?signer ?config ?guard_intrinsics ?guard_cfi ?strict () =
-  kop ?key ?signer ?config ?guard_intrinsics ?guard_cfi ?strict ~opt:O_none ()
+let kop_default ?key ?signer ?exempt_stack ?guard_intrinsics ?guard_cfi ?strict () =
+  kop ?key ?signer ?exempt_stack ?guard_intrinsics ?guard_cfi ?strict ~opt:O_none ()
 
 (** Sign without transforming: used for baseline modules so that the
     loader accepts them in permissive mode while A/B tests can still
@@ -93,9 +93,9 @@ let baseline_sign ?(key = default_key) ?(signer = default_signer) () =
 (** Compile (transform + sign) a module in place, returning the pass
     remarks. This is the "wrapper script around clang" entry point.
     [opt] selects the optimization level (default [O_none]). *)
-let compile ?opt ?key ?signer ?config ?guard_intrinsics ?guard_cfi ?strict m =
+let compile ?opt ?key ?signer ?exempt_stack ?guard_intrinsics ?guard_cfi ?strict m =
   let pipeline =
-    kop ?key ?signer ?config ?guard_intrinsics ?guard_cfi ?strict ?opt ()
+    kop ?key ?signer ?exempt_stack ?guard_intrinsics ?guard_cfi ?strict ?opt ()
   in
   Pass.run_pipeline_checked pipeline m
 
@@ -104,13 +104,12 @@ let compile ?opt ?key ?signer ?config ?guard_intrinsics ?guard_cfi ?strict m =
     loader's checks hold on the transformed body. Used by the loader
     CLI's [--opt] to upgrade a vendor-shipped module at insertion time;
     a no-op (and no re-signing) at [O_none]. *)
-let reoptimize ?(key = default_key) ?(signer = default_signer)
-    ?(guard_symbol = Guard_injection.guard_symbol_default) ~opt m =
+let reoptimize ?(key = default_key) ?(signer = default_signer) ~opt m =
   match opt with
   | O_none -> []
   | O_basic | O_aggressive ->
     let ps =
-      [ Guard_elim.pass ~guard_symbol (); Guard_hoist.pass ~guard_symbol () ]
+      local_opt_passes ()
       @ (match opt with O_aggressive -> optimizer_passes () | _ -> [])
       @ certify_passes ()
       @ [ Signing.pass ~key ~signer () ]

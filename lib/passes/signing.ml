@@ -48,9 +48,6 @@ let covered_meta_keys =
   [
     Guard_injection.meta_guarded;
     Guard_injection.meta_guard_count;
-    Guard_injection.meta_guard_symbol;
-    Guard_injection.meta_guard_reads;
-    Guard_injection.meta_guard_writes;
     Guard_injection.meta_exempt_stack;
     Guard_injection.meta_opt_level;
     Guard_injection.meta_compiler;

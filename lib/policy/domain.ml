@@ -309,37 +309,6 @@ let reference_allows (d : dom) ~addr ~size ~flags =
   in
   go d.d_regions
 
-(** First-match classification of [page] against [regions], in list
-    order: the protection every in-page byte range resolves to, and the
-    depth the exact walk records for it — the first region fully
-    containing the page (its 1-based position; a region disjoint from
-    the page can never match an in-page range, so the first full
-    container is the first match), or, when no region intersects the
-    page, the default action and the full region count. [None] when a
-    region partially overlaps the page: first match then depends on the
-    exact byte range. *)
-let classify_page regions ~default_allow page =
-  let lo = page lsl Kernel.Memory.page_bits in
-  (* the page's last byte: [lo + page_size] wraps past [max_int] on the
-     top page, which no region can then contain *)
-  let last = lo + (Kernel.Memory.page_size - 1) in
-  let rec go idx first_full = function
-    | [] -> (
-      match first_full with
-      | Some (r, at) -> Some (r.Region.prot, at + 1)
-      | None -> Some ((if default_allow then Region.prot_rw else 0), idx))
-    | (r : Region.t) :: rest ->
-      let rlim = Region.limit r in
-      if r.Region.base <= last && lo < rlim then
-        if r.Region.base <= lo && last < rlim then
-          go (idx + 1)
-            (match first_full with Some _ -> first_full | None -> Some (r, idx))
-            rest
-        else None
-      else go (idx + 1) first_full rest
-  in
-  go 0 None regions
-
 (* slot placement: multiplicative hash of (domain, page), high bits pick
    the shard, low bits the slot within it *)
 let slot_of ~domain ~page =
@@ -365,17 +334,22 @@ let check_slow t (d : dom) sl ~page ~single_page ~addr ~size ~flags =
   else d.d_stats.Engine.denied <- d.d_stats.Engine.denied + 1;
   if allowed && t.verify && not (reference_allows d ~addr ~size ~flags) then
     t.stale <- t.stale + 1;
-  (* refill: cacheable only when the access stays on one page and the
-     page's protection is uniform under this domain *)
+  (* refill: cacheable only when the access stays on one page and first
+     match resolves the whole page alike — the page lies in one
+     first-match span, whose protection and walk depth every in-page
+     access shares *)
   if single_page then begin
-    match classify_page d.d_regions ~default_allow:d.d_default_allow page with
+    match
+      Engine.first_match_span d.d_regions ~default_allow:d.d_default_allow
+        ~addr:(page lsl Kernel.Memory.page_bits) ~size:Kernel.Memory.page_size
+    with
     | None -> ()
-    | Some (prot, depth) ->
+    | Some sp ->
       sl.sl_dom <- d.d_id;
       sl.sl_page <- page;
       sl.sl_epoch <- d.d_epoch;
-      sl.sl_prot <- prot;
-      sl.sl_depth <- depth;
+      sl.sl_prot <- sp.Engine.sp_prot;
+      sl.sl_depth <- sp.Engine.sp_depth;
       Machine.Model.retire machine 2
   end;
   allowed

@@ -145,7 +145,7 @@ let install_batch_max = 4096
    capacities at 1 Mi events so a typo'd ioctl cannot kmalloc the moon *)
 let trace_capacity_max = 1 lsl 20
 
-let guard_symbol = Passes.Guard_injection.guard_symbol_default
+let guard_symbol = Passes.Guard_injection.guard_symbol
 let intrinsic_guard_symbol = Passes.Intrinsic_guard.guard_symbol
 let cfi_guard_symbol = Passes.Cfi_guard.guard_symbol
 
@@ -701,7 +701,7 @@ let cfi_violations t = t.cfi_violations
 let allow_intrinsics t names =
   List.iter
     (fun n ->
-      match Kernel.intrinsic_id n with
+      match Passes.Intrinsic_guard.id_of_intrinsic n with
       | Some id -> t.intrinsic_allowed <- t.intrinsic_allowed lor (1 lsl id)
       | None -> ())
     names

@@ -71,12 +71,12 @@ let manual_module ~guard_flags ~access () =
   m
 
 let inject m =
-  ignore (Passes.Guard_injection.run Passes.Guard_injection.default_config m);
+  ignore (Passes.Guard_injection.run m);
   m
 
 let optimize m =
-  ignore (Passes.Guard_elim.run ~guard_symbol:guard_sym m);
-  ignore (Passes.Guard_hoist.run ~guard_symbol:guard_sym m);
+  ignore (Passes.Guard_elim.run m);
+  ignore (Passes.Guard_hoist.run m);
   ignore (Passes.Dce.run m);
   m
 
@@ -182,8 +182,8 @@ let test_certify_hoisted_loop () =
      guard must still dominate the in-loop access for the certifier *)
   let m = inject (loop_module ()) in
   let before = Passes.Guard_injection.count_guards m in
-  ignore (Passes.Guard_elim.run ~guard_symbol:guard_sym m);
-  let r = Passes.Guard_hoist.run ~guard_symbol:guard_sym m in
+  ignore (Passes.Guard_elim.run m);
+  let r = Passes.Guard_hoist.run m in
   checkb "hoist fired" true r.Passes.Pass.changed;
   checkb "guard moved, not dropped" true
     (Passes.Guard_injection.count_guards m <= before);
@@ -867,6 +867,87 @@ next:
 |})
     = Ok ())
 
+(* The guard contract is the kernel's. A module cannot name another
+   guard symbol or waive an access kind through its signed metadata:
+   the certifier refuses to certify such a module, and the kernel's
+   checker refuses a certificate that claims either. Both modules are
+   signed with the vendor key, so only the certificate stands between
+   them and a kernel that denies the memory they touch. *)
+let strict_kernel () =
+  let k =
+    Kernel.create ~require_signature:true ~require_certificate:true Machine.Presets.r350
+  in
+  ignore (Vm.Interp.install k);
+  Policy.Policy_module.set_policy (Policy.Policy_module.install k) Policy.Region.kernel_only;
+  k
+
+(* [m] carrying [cert], its digest re-stamped for [m]'s body, signed
+   with the vendor key: the checker and insmod must both refuse it *)
+let expect_refused what m cert =
+  stamp m cert;
+  ignore (Passes.Signing.sign ~key:Passes.Pipeline.default_key ~signer:"forger" m);
+  (match Analysis.Cert_check.validate m with
+  | Ok () -> Alcotest.failf "%s: the checker accepted the forgery" what
+  | Error (Analysis.Certify.Cert_stale _) ->
+    Alcotest.failf "%s: digest, not the contract, refused" what
+  | Error _ -> ());
+  match Kernel.insmod (strict_kernel ()) m with
+  | Error (Kernel.Certificate_rejected _) -> ()
+  | Ok _ -> Alcotest.failf "%s: insmod accepted the forgery" what
+  | Error e -> Alcotest.failf "%s: wrong error: %s" what (Kernel.load_error_to_string e)
+
+(* the signed metadata keys through which modules used to choose the
+   guard symbol and the guarded access kinds; nothing reads them now *)
+let old_contract_key what = "carat.kop.guard_" ^ what
+
+(* [cert] with its header's guard field set to [g] *)
+let claiming_guard g cert =
+  match String.split_on_char ';' cert with
+  | v :: d :: _ :: rest -> String.concat ";" (v :: d :: ("guard=" ^ g) :: rest)
+  | _ -> cert
+
+let test_module_chosen_guard_symbol () =
+  let b = Kir.Builder.create "poke" in
+  ignore (Kir.Builder.start_func b "poke" ~params:[ ("%a", I64) ] ~ret:None);
+  Kir.Builder.store b I64 (Imm 0x41414141) (Reg "%a");
+  Kir.Builder.ret b None;
+  let m = Kir.Builder.modul b in
+  ignore (Passes.Pipeline.compile m);
+  let cert = Option.get (meta_find m Passes.Attest.meta_cert) in
+  (* every guard call, the import and the old metadata key now name a
+     harmless kernel export *)
+  List.iter
+    (fun f ->
+      List.iter
+        (fun blk ->
+          blk.body <-
+            List.map
+              (function
+                | Call ({ callee; _ } as c) when callee = guard_sym ->
+                  Call { c with callee = "get_cycles" }
+                | i -> i)
+              blk.body)
+        f.blocks)
+    m.funcs;
+  m.externs <-
+    List.map (fun (s, n) -> ((if s = guard_sym then "get_cycles" else s), n)) m.externs;
+  meta_set m (old_contract_key "symbol") "get_cycles";
+  checkb "certify refuses" true (Result.is_error (Analysis.Certify.certify m));
+  expect_refused "guard=get_cycles" m (claiming_guard "get_cycles" cert);
+  expect_refused "the original certificate" m cert
+
+let test_module_waived_loads () =
+  let b = Kir.Builder.create "peek" in
+  ignore (Kir.Builder.start_func b "peek" ~params:[ ("%a", I64) ] ~ret:(Some I64));
+  let v = Kir.Builder.load b I64 (Reg "%a") in
+  Kir.Builder.ret b (Some v);
+  let m = Kir.Builder.modul b in
+  ignore (Passes.Pipeline.compile m);
+  checkb "the load guard is gone" true (delete_nth_guard m 0);
+  meta_set m (old_contract_key "reads") "false";
+  checkb "certify refuses" true (Result.is_error (Analysis.Certify.certify m));
+  expect_refused "an s witness" m "v2;digest=;guard=carat_guard;exempt=false;domain=;peek||s"
+
 (* a function named like a header field must not shadow the header:
    fields are read by position *)
 let test_cert_header_names () =
@@ -976,7 +1057,7 @@ let reference_summaries (m : modul) =
       }
   in
   let neutral = Analysis.Summaries.default_neutral in
-  let ctx = { GC.guard_symbol = guard_sym; neutral; call_effect } in
+  let ctx = { GC.neutral; call_effect } in
   let rounds = ref (List.length m.funcs + 2) in
   changed := true;
   while !changed && !rounds > 0 do
@@ -996,7 +1077,7 @@ let reference_summaries (m : modul) =
    answer, and callee-first, which starts each cycle from its callees'
    final summaries, must know at least as much. *)
 let summaries_match m =
-  let s = Analysis.Summaries.compute ~guard_symbol:guard_sym m in
+  let s = Analysis.Summaries.compute m in
   let is_pure, guarantees, converged = reference_summaries m in
   let implied (c, lo, hi, fl) l =
     List.exists
@@ -1227,7 +1308,7 @@ let test_lint_coalescable_guard () =
   checki "no errors" 0 (List.length (Analysis.Kir_lint.errors fs));
   (* running the coalescer discharges the warning without losing
      coverage *)
-  let r = Passes.Guard_coalesce.run ~guard_symbol:guard_sym m in
+  let r = Passes.Guard_coalesce.run m in
   checkb "coalesce fired" true r.Passes.Pass.changed;
   let fs' = Analysis.Kir_lint.lint m in
   checkb "warning discharged" false
@@ -1307,6 +1388,10 @@ let () =
       ( "cert-check",
         [
           Alcotest.test_case "forgeries rejected" `Quick test_cert_forgeries;
+          Alcotest.test_case "module-chosen guard symbol refused" `Quick
+            test_module_chosen_guard_symbol;
+          Alcotest.test_case "module-waived loads refused" `Quick
+            test_module_waived_loads;
           Alcotest.test_case "header fields read by position" `Quick
             test_cert_header_names;
           QCheck_alcotest.to_alcotest prop_cert_robust;

@@ -106,7 +106,7 @@ let test_no_loops_straightline () =
 let test_injection_counts () =
   let m = straightline_module () in
   let before = count_loads_stores m in
-  let r = Passes.Guard_injection.run Passes.Guard_injection.default_config m in
+  let r = Passes.Guard_injection.run m in
   checkb "changed" true r.Passes.Pass.changed;
   checki "one guard per memory op" before
     (Passes.Guard_injection.count_guards m);
@@ -116,12 +116,12 @@ let test_injection_counts () =
 
 let test_injection_full_coverage () =
   let m = loop_func () in
-  ignore (Passes.Guard_injection.run Passes.Guard_injection.default_config m);
+  ignore (Passes.Guard_injection.run m);
   checkb "fully guarded" true (Passes.Guard_injection.fully_guarded m)
 
 let test_injection_declares_extern () =
   let m = straightline_module () in
-  ignore (Passes.Guard_injection.run Passes.Guard_injection.default_config m);
+  ignore (Passes.Guard_injection.run m);
   checkb "extern declared" true
     (List.mem_assoc "carat_guard" m.externs);
   checkb "still valid" true (Kir.Verify.is_valid m)
@@ -133,7 +133,7 @@ let test_injection_flags_and_sizes () =
   Kir.Builder.store b I32 (Imm 7) (Reg "%p");
   Kir.Builder.ret b None;
   let m = Kir.Builder.modul b in
-  ignore (Passes.Guard_injection.run Passes.Guard_injection.default_config m);
+  ignore (Passes.Guard_injection.run m);
   let f = Option.get (find_func m "f") in
   let guards =
     List.filter_map
@@ -153,18 +153,10 @@ let test_injection_flags_and_sizes () =
 
 let test_injection_idempotence_guard () =
   let m = straightline_module () in
-  ignore (Passes.Guard_injection.run Passes.Guard_injection.default_config m);
-  (match Passes.Guard_injection.run Passes.Guard_injection.default_config m with
+  ignore (Passes.Guard_injection.run m);
+  (match Passes.Guard_injection.run m with
   | exception Passes.Pass.Pass_failed _ -> ()
   | _ -> Alcotest.fail "double transform accepted")
-
-let test_injection_reads_only () =
-  let m = straightline_module () in
-  let config =
-    { Passes.Guard_injection.default_config with guard_writes = false }
-  in
-  ignore (Passes.Guard_injection.run config m);
-  checki "only read guards" 2 (Passes.Guard_injection.count_guards m)
 
 let test_stack_exemption () =
   let b = Kir.Builder.create "stack" in
@@ -178,10 +170,7 @@ let test_stack_exemption () =
   let v = Kir.Builder.load b I64 (Reg "%p") in
   Kir.Builder.ret b (Some v);
   let m = Kir.Builder.modul b in
-  let config =
-    { Passes.Guard_injection.default_config with exempt_stack = true }
-  in
-  ignore (Passes.Guard_injection.run config m);
+  ignore (Passes.Guard_injection.run ~exempt_stack:true m);
   checki "only the external load guarded" 1
     (Passes.Guard_injection.count_guards m)
 
@@ -196,10 +185,7 @@ let test_stack_exemption_taint () =
   Kir.Builder.store b I64 (Imm 3) (Reg "%q");
   Kir.Builder.ret b None;
   let m = Kir.Builder.modul b in
-  let config =
-    { Passes.Guard_injection.default_config with exempt_stack = true }
-  in
-  ignore (Passes.Guard_injection.run config m);
+  ignore (Passes.Guard_injection.run ~exempt_stack:true m);
   checki "tainted register stays guarded" 1
     (Passes.Guard_injection.count_guards m)
 
@@ -230,8 +216,7 @@ let prop_injection_covers =
   QCheck.Test.make ~name:"injection guards every access" ~count:100
     (QCheck.make gen_wellformed_module) (fun m ->
       let n = module_memory_op_count m in
-      ignore
-        (Passes.Guard_injection.run Passes.Guard_injection.default_config m);
+      ignore (Passes.Guard_injection.run m);
       Passes.Guard_injection.count_guards m = n
       && Passes.Guard_injection.fully_guarded m
       && Kir.Verify.is_valid m)
@@ -391,9 +376,9 @@ let test_keyed_tag_properties () =
 
 let test_guard_elim_dedups () =
   let m = straightline_module () in
-  ignore (Passes.Guard_injection.run Passes.Guard_injection.default_config m);
+  ignore (Passes.Guard_injection.run m);
   let before = Passes.Guard_injection.count_guards m in
-  let r = Passes.Guard_elim.run ~guard_symbol:"carat_guard" m in
+  let r = Passes.Guard_elim.run m in
   let after = Passes.Guard_injection.count_guards m in
   checkb "removed some" true r.Passes.Pass.changed;
   (* two loads at %p -> 1 guard; two stores at g -> 1 guard *)
@@ -410,8 +395,8 @@ let test_guard_elim_respects_redefinition () =
   ignore (Kir.Builder.load b I64 (Reg "%q"));
   Kir.Builder.ret b None;
   let m = Kir.Builder.modul b in
-  ignore (Passes.Guard_injection.run Passes.Guard_injection.default_config m);
-  ignore (Passes.Guard_elim.run ~guard_symbol:"carat_guard" m);
+  ignore (Passes.Guard_injection.run m);
+  ignore (Passes.Guard_elim.run m);
   checki "both guards survive" 2 (Passes.Guard_injection.count_guards m)
 
 let test_guard_elim_flag_widening () =
@@ -423,15 +408,15 @@ let test_guard_elim_flag_widening () =
   Kir.Builder.store b I64 (Imm 1) (Reg "%p");
   Kir.Builder.ret b None;
   let m = Kir.Builder.modul b in
-  ignore (Passes.Guard_injection.run Passes.Guard_injection.default_config m);
-  ignore (Passes.Guard_elim.run ~guard_symbol:"carat_guard" m);
+  ignore (Passes.Guard_injection.run m);
+  ignore (Passes.Guard_elim.run m);
   checki "read+write both guarded" 2 (Passes.Guard_injection.count_guards m)
 
 let test_guard_hoist_invariant () =
   let m = loop_func () in
-  ignore (Passes.Guard_injection.run Passes.Guard_injection.default_config m);
+  ignore (Passes.Guard_injection.run m);
   let before = Passes.Guard_injection.count_guards m in
-  let r = Passes.Guard_hoist.run ~guard_symbol:"carat_guard" m in
+  let r = Passes.Guard_hoist.run m in
   checkb "hoisted" true r.Passes.Pass.changed;
   let after = Passes.Guard_injection.count_guards m in
   checkb "fewer guard sites" true (after <= before);
@@ -442,12 +427,12 @@ let test_guard_hoist_run_twice () =
      (as the loader's --opt re-optimization does) must not stack a
      duplicate copy of each hoisted guard into the pre-header *)
   let m = loop_func () in
-  ignore (Passes.Guard_injection.run Passes.Guard_injection.default_config m);
-  ignore (Passes.Guard_elim.run ~guard_symbol:"carat_guard" m);
-  ignore (Passes.Guard_hoist.run ~guard_symbol:"carat_guard" m);
+  ignore (Passes.Guard_injection.run m);
+  ignore (Passes.Guard_elim.run m);
+  ignore (Passes.Guard_hoist.run m);
   let printed = Kir.Printer.to_string m in
-  ignore (Passes.Guard_elim.run ~guard_symbol:"carat_guard" m);
-  let r = Passes.Guard_hoist.run ~guard_symbol:"carat_guard" m in
+  ignore (Passes.Guard_elim.run m);
+  let r = Passes.Guard_hoist.run m in
   checkb "second hoist is a no-op" false r.Passes.Pass.changed;
   Alcotest.(check string)
     "module byte-identical after the second run" printed
@@ -462,9 +447,9 @@ let test_guard_hoist_not_variant () =
       ignore (Kir.Builder.load b I64 a));
   Kir.Builder.ret b None;
   let m = Kir.Builder.modul b in
-  ignore (Passes.Guard_injection.run Passes.Guard_injection.default_config m);
+  ignore (Passes.Guard_injection.run m);
   let before = Passes.Guard_injection.count_guards m in
-  ignore (Passes.Guard_hoist.run ~guard_symbol:"carat_guard" m);
+  ignore (Passes.Guard_hoist.run m);
   checki "nothing hoisted" before (Passes.Guard_injection.count_guards m)
 
 let test_dce_removes_islands () =
@@ -512,6 +497,34 @@ let test_pipeline_checked_catches_breakage () =
   | exception Kir.Verify.Invalid _ -> ()
   | _ -> Alcotest.fail "verifier did not catch pass breakage"
 
+(* Compiled output, pinned: the FNV-1a digest of the meta-free body and
+   of the certificate for the e1000e driver at scale 12, in the classic
+   shape and with 8 TX + 4 RX queues, at every optimization level. A
+   change that moves compiled output must update these and say why. *)
+let test_pipeline_golden_output () =
+  let digest s = Printf.sprintf "%016x" (Passes.Signing.fnv1a64 s) in
+  List.iter
+    (fun (tx_queues, rx_queues, opt, body, cert) ->
+      let m = Nic.Driver_gen.generate ~module_scale:12 ~tx_queues ~rx_queues () in
+      ignore (Passes.Pipeline.compile ~opt m);
+      let what part =
+        Printf.sprintf "%d TX + %d RX, %s: %s" tx_queues rx_queues
+          (Passes.Pipeline.opt_level_to_string opt) part
+      in
+      Alcotest.(check string) (what "body") body
+        (digest (Kir.Printer.to_string ~with_meta:false m));
+      Alcotest.(check string) (what "certificate") cert
+        (digest (Option.value ~default:"" (meta_find m Passes.Attest.meta_cert))))
+    Passes.Pipeline.
+      [
+        (1, 0, O_none, "27b4e3152f78cbaf", "35409908079e3513");
+        (1, 0, O_basic, "20815745b50c84c1", "0856c4746d4cde92");
+        (1, 0, O_aggressive, "3ce2da023375a017", "30d42f5c50821bf2");
+        (8, 4, O_none, "27dac2bec87efe02", "312ce299e6644bd5");
+        (8, 4, O_basic, "003d45152ac90e10", "0cc6ce19a0387807");
+        (8, 4, O_aggressive, "32cc20105a3fde6b", "3ed19d2c2e59d298");
+      ]
+
 let () =
   Alcotest.run "passes"
     [
@@ -530,7 +543,6 @@ let () =
           Alcotest.test_case "declares extern" `Quick test_injection_declares_extern;
           Alcotest.test_case "flags and sizes" `Quick test_injection_flags_and_sizes;
           Alcotest.test_case "double transform rejected" `Quick test_injection_idempotence_guard;
-          Alcotest.test_case "reads only mode" `Quick test_injection_reads_only;
           Alcotest.test_case "stack exemption" `Quick test_stack_exemption;
           Alcotest.test_case "stack taint" `Quick test_stack_exemption_taint;
           QCheck_alcotest.to_alcotest prop_injection_covers;
@@ -572,5 +584,6 @@ let () =
           Alcotest.test_case "default" `Quick test_pipeline_default;
           Alcotest.test_case "optimized fewer guards" `Quick test_pipeline_optimized_fewer_guards;
           Alcotest.test_case "checked catches breakage" `Quick test_pipeline_checked_catches_breakage;
+          Alcotest.test_case "golden compiled output" `Quick test_pipeline_golden_output;
         ] );
     ]

@@ -1102,6 +1102,27 @@ let test_domain_shadow_epoch_invalidation () =
   checki "stale slot did not serve" hits (Policy.Domain.dom_shadow_hits d);
   checki "no stale allows" 0 (Policy.Domain.stale_allows dm)
 
+(* The refill caches a page when one first-match span covers it: here
+   the rw region fully contains page 0x10 before the r region partially
+   overlaps it, so every in-page access resolves to the rw region and
+   the second write is answered by the shadow. *)
+let test_domain_shadow_first_match_page () =
+  let k = fresh () in
+  let dm = Policy.Domain.create k in
+  Policy.Domain.set_verify dm true;
+  let d = Policy.Domain.create_domain dm in
+  let id = Policy.Domain.dom_id d in
+  checki "install" 0
+    (Policy.Domain.install_regions dm ~domain:id
+       [ region 0x10000 0x10000; region ~prot:Policy.Region.prot_read 0x10800 0x20000 ]);
+  checkb "first write allowed" true
+    (Policy.Domain.check dm ~domain:id ~addr:0x10010 ~size:8 ~flags:2);
+  checki "first write misses" 0 (Policy.Domain.dom_shadow_hits d);
+  checkb "second write allowed" true
+    (Policy.Domain.check dm ~domain:id ~addr:0x10f00 ~size:8 ~flags:2);
+  checki "second write hits the shadow" 1 (Policy.Domain.dom_shadow_hits d);
+  checki "no stale allows" 0 (Policy.Domain.stale_allows dm)
+
 (* Whole-batch rollback at the domain layer, on both tiers: a batch
    exceeding the interval tier's ceiling installs nothing — no region, no
    epoch bump, no kernel byte written, no heap taken. *)
@@ -1486,6 +1507,8 @@ let () =
           Alcotest.test_case "isolation" `Quick test_domain_isolation;
           Alcotest.test_case "shadow epoch invalidation" `Quick
             test_domain_shadow_epoch_invalidation;
+          Alcotest.test_case "shadow caches a first-match page" `Quick
+            test_domain_shadow_first_match_page;
           Alcotest.test_case "install rollback" `Quick
             test_domain_install_rollback;
           Alcotest.test_case "destroy frees structure" `Quick

@@ -510,9 +510,7 @@ let prop_guards_preserve_semantics =
       in
       let plain = build () in
       let guarded = build () in
-      ignore
-        (Passes.Guard_injection.run Passes.Guard_injection.default_config
-           guarded);
+      ignore (Passes.Guard_injection.run guarded);
       run plain = run guarded)
 
 let () =
