@@ -117,7 +117,8 @@ let strict =
 
 let exempt_stack =
   Arg.(value & flag & info [ "exempt-stack" ]
-    ~doc:"Skip guards on provably frame-local (alloca-derived) accesses.")
+    ~doc:"Skip guards on accesses that provably stay inside the function's own \
+          stack frame: a constant offset into one of its allocas.")
 
 let key =
   Arg.(value & opt string Passes.Pipeline.default_key & info [ "key" ]

@@ -46,9 +46,13 @@ let validate_error_to_string = function
       (Option.value found ~default:"<none>")
       expected
 
-(** Digest of the canonical (meta-free) module body. *)
-let body_digest m =
-  Printf.sprintf "%016x" (Passes.Signing.fnv1a64 (Kir.Printer.to_string ~with_meta:false m))
+(** Digest of the canonical (meta-free) module body; [body] is that
+    text when the caller has already printed it. *)
+let body_digest ?body m =
+  let body =
+    match body with Some b -> b | None -> Kir.Printer.to_string ~with_meta:false m
+  in
+  Printf.sprintf "%016x" (Passes.Signing.fnv1a64 body)
 
 (** The extension guards (intrinsic and CFI): they cannot change the
     policy. *)
@@ -307,7 +311,7 @@ type ctx = {
   pure : (string, bool) Hashtbl.t;
   funcs : (string, func) Hashtbl.t;
   gtab : (string, guarantee array) Hashtbl.t;  (** declared guarantees *)
-  exempt : bool;  (** alloca-derived accesses are exempt *)
+  exempt : bool;  (** accesses inside the function's own frame are exempt *)
 }
 
 (** The (lo, hi, flags) origin [o] establishes on core [c], reading its
@@ -446,15 +450,24 @@ let check_witness cx fn ~impure b j w =
   flags <> 0
   &&
   match w with
-  | W_exempt (os, (V_reg r as c)) ->
-    let alloca o =
+  | W_exempt (os, (V_reg r as c)) -> (
+    (* every named alloca defines [r], and the access's bytes lie in
+       its frame *)
+    let alloca off o =
       let d = origin_id o in
       d >= 0
       && d < Array.length fn.at
-      && match instr fn d with Alloca { dst; _ } -> dst = r | _ -> false
+      &&
+      match instr fn d with
+      | Alloca { dst; size = frame } ->
+        dst = r && Passes.Guard_injection.in_frame ~frame ~off size
+      | _ -> false
     in
-    cx.exempt && List.mem_assoc c fs && List.for_all alloca os
-    && guarded ~policy:false ~at:(b, j) ~impure fn c os target
+    match List.assoc_opt c fs with
+    | Some off ->
+      cx.exempt && List.for_all (alloca off) os
+      && guarded ~policy:false ~at:(b, j) ~impure fn c os target
+    | None -> false)
   | W_exempt _ -> false
   | W_guard { origins; base; lo; hi; flags = fl; header } -> (
     let need =
@@ -495,8 +508,9 @@ let context_of (m : modul) =
 exception Reject of string
 
 (** Check certificate [cert] against [m]: [Ok (accesses, guards)], the
-    reachable loads/stores and guard sites it vouches for. *)
-let check (m : modul) cert : (int * int, validate_error) result =
+    reachable loads/stores and guard sites it vouches for. [body] as for
+    {!body_digest}. *)
+let check ?body (m : modul) cert : (int * int, validate_error) result =
   let cx = context_of m in
   let reject fmt = Printf.ksprintf (fun s -> raise (Reject s)) fmt in
   let check_func (accesses, guards) (f, gs, ws) =
@@ -532,8 +546,8 @@ let check (m : modul) cert : (int * int, validate_error) result =
   in
   match parse_header cert with
   | None -> Error (Cert_invalid "not a v2 certificate")
-  | Some (found, _, _, _, _) when found <> body_digest m ->
-    Error (Cert_stale { expected = body_digest m; found })
+  | Some (found, _, _, _, _) when found <> body_digest ?body m ->
+    Error (Cert_stale { expected = body_digest ?body m; found })
   | Some (_, g, x, _, _)
     when g <> Passes.Guard_injection.guard_symbol || x <> string_of_bool cx.exempt ->
     Error (Cert_invalid "certificate names another injection configuration")
@@ -559,12 +573,13 @@ let check (m : modul) cert : (int * int, validate_error) result =
     | Reject why -> Error (Cert_invalid why))
 
 (** Load-time validation: the stored certificate must exist, name
-    [expect_domain] when one is given, match the body digest, and check. *)
-let validate ?expect_domain (m : modul) : (unit, validate_error) result =
+    [expect_domain] when one is given, match the body digest, and check.
+    [body] as for {!body_digest}. *)
+let validate ?body ?expect_domain (m : modul) : (unit, validate_error) result =
   match meta_find m Passes.Attest.meta_cert with
   | None -> Error Cert_missing
   | Some cert -> (
     match (parse_header cert, expect_domain) with
     | Some (_, _, _, found, _), Some e when found <> Some e ->
       Error (Cert_wrong_domain { expected = e; found })
-    | _ -> Result.map ignore (check m cert))
+    | _ -> Result.map ignore (check ?body m cert))

@@ -22,8 +22,9 @@
     The guard contract is the kernel's, not the module's: only
     {!Passes.Guard_injection.guard_symbol} calls count, and every load
     and store needs one. The one recorded injection option,
-    [exempt_stack], lets an access go unguarded when it is provably
-    derived from the function's own allocas. *)
+    [exempt_stack], lets an access go unguarded when its bytes provably
+    lie inside one of the function's own allocas, at a constant offset
+    ({!Passes.Guard_injection.in_frame}). *)
 
 open Kir.Types
 module GC = Guard_cover
@@ -56,14 +57,15 @@ type proof =
   | P_covered of GC.fact * (int * reg) option
       (** covering fact; the counted loop (header, induction register)
           when its range licensed a widened guard *)
-  | P_exempt of int  (** alloca the address is derived from *)
+  | P_exempt of int
+      (** alloca whose frame holds the access, at a constant offset *)
   | P_uncovered
 
 type func_summary = {
   fs_name : string;
   fs_accesses : int;  (** reachable loads + stores *)
   fs_covered : int;  (** proven covered by a guard fact *)
-  fs_exempt : int;  (** alloca-derived under [exempt_stack] *)
+  fs_exempt : int;  (** inside the function's own frame under [exempt_stack] *)
   fs_guards : guard_site list;
   fs_uncovered : uncovered list;
   fs_unreachable : label list;
@@ -78,21 +80,29 @@ type summary = {
   s_summaries : Summaries.t option;  (** when interprocedural *)
 }
 
-let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ~exempt_stack (f : func) :
-    func_summary =
-  let cfg = Kir.Cfg.of_func f in
-  let n = Kir.Cfg.n_blocks cfg in
+(** Analyze [f] with [call_effect] for its direct calls. [solved] is
+    [f]'s coverage solve under that same [call_effect] when one is
+    already at hand ({!Summaries.solved}); without it [f] is solved
+    here. *)
+let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ?solved ~exempt_stack
+    (f : func) : func_summary =
+  let ctx = { GC.neutral = Summaries.default_neutral; call_effect } in
+  let solved = match solved with Some s -> s | None -> GC.solve ctx f in
+  let { GC.cfg; bodies; base = iid_base; sol } = solved in
   (* induction-variable ranges: lets one widened pre-header guard prove
      every iteration of a counted loop (see {!Range}) *)
   let ranges = Range.analyze_func cfg in
-  let ctx = { GC.neutral = Summaries.default_neutral; call_effect } in
-  let bodies, iid_base, sol = GC.solve ctx f cfg in
   (* function-wide instruction ids count off in block-array order *)
   let instr_at = Array.concat (Array.to_list bodies) in
-  let is_alloca_core = function
+  (* the alloca [k] when bytes [off, off + size) of it lie in its frame *)
+  let frame_slot (core, off) size =
+    match core with
     | GC.S_def k when k >= 0 && k < Array.length instr_at -> (
-      match instr_at.(k) with Alloca _ -> true | _ -> false)
-    | _ -> false
+      match instr_at.(k) with
+      | Alloca { size = frame; _ } when Passes.Guard_injection.in_frame ~frame ~off size ->
+        Some k
+      | _ -> None)
+    | _ -> None
   in
   let used : (int, unit) Hashtbl.t = Hashtbl.create 32 in
   let guards = ref [] in
@@ -129,11 +139,13 @@ let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ~exempt_stack (f : f
                 | Some cf -> P_covered (cf, None)
                 | None -> (
                   let ranged = GC.covering_fact ~bounds !t sv ~size ~flags in
-                  match (ranged, fst (GC.base_off sv)) with
-                  | Some cf, GC.S_gep (_, GC.S_merge (h, r), _) ->
+                  match (ranged, GC.base_off sv) with
+                  | Some cf, (GC.S_gep (_, GC.S_merge (h, r), _), _) ->
                     P_covered (cf, Some (h, r))
-                  | _, core when exempt_stack && is_alloca_core core -> (
-                    match core with GC.S_def k -> P_exempt k | _ -> P_uncovered)
+                  | _, slot when exempt_stack -> (
+                    match frame_slot slot size with
+                    | Some k -> P_exempt k
+                    | None -> P_uncovered)
                   | _ -> P_uncovered)
               in
               proofs := proof :: !proofs;
@@ -190,13 +202,7 @@ let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ~exempt_stack (f : f
     fs_unreachable = List.rev !unreachable;
     fs_sweeps = sol.Dataflow.sweeps;
     fs_proofs = List.rev !proofs;
-    fs_rets =
-      List.filter_map
-        (fun i ->
-          match ((Kir.Cfg.block cfg i).term, sol.Dataflow.block_out.(i)) with
-          | Ret _, Some t -> Some t
-          | _ -> None)
-        (List.init n Fun.id);
+    fs_rets = GC.rets solved;
   }
 
 (** Does the module's signed metadata declare aggressive optimization?
@@ -215,16 +221,14 @@ let analyze (m : modul) : summary =
     meta_find m Passes.Guard_injection.meta_exempt_stack = Some "true"
   in
   let summaries = if interprocedural m then Some (Summaries.compute m) else None in
-  let call_effect =
+  let analyze f =
     match summaries with
-    | Some s -> Summaries.effect_of s
-    | None -> fun _ -> Guard_cover.opaque_effect
+    | Some s ->
+      analyze_func ~call_effect:(Summaries.effect_of s) ?solved:(Summaries.solved s f)
+        ~exempt_stack f
+    | None -> analyze_func ~exempt_stack f
   in
-  {
-    s_exempt_stack = exempt_stack;
-    s_funcs = List.map (analyze_func ~call_effect ~exempt_stack) m.funcs;
-    s_summaries = summaries;
-  }
+  { s_exempt_stack = exempt_stack; s_funcs = List.map analyze m.funcs; s_summaries = summaries }
 
 (* -- certificate --------------------------------------------------- *)
 
@@ -463,7 +467,7 @@ type validate_error = CC.validate_error =
 let validate_error_to_string = CC.validate_error_to_string
 
 (** Load-time validation is the checker's: no re-derivation. *)
-let validate = CC.validate
+let validate ?expect_domain m = CC.validate ?expect_domain m
 
 (* -- pass ---------------------------------------------------------- *)
 

@@ -3,7 +3,8 @@
     A client supplies an abstract {!domain}: an entry value, equality,
     a join over predecessor out-facts, and a per-block transfer
     function. {!solve} runs a round-robin worklist in reverse postorder
-    until the per-block in/out facts stabilize.
+    until the per-block in/out facts stabilize, joining a block again
+    only after one of its predecessors' out-facts changed.
 
     The solver is *optimistic about reachability*: a block's in-fact
     joins only the predecessors that have produced an out-fact so far,
@@ -43,6 +44,40 @@ let solve (d : 'a domain) (cfg : Kir.Cfg.t) : 'a solution =
   let max_sweeps = 16 + (4 * n) in
   let sweeps = ref 0 in
   let changed = ref (n > 0) in
+  (* a block's in-fact is a function of its predecessors' out-facts, so
+     it is joined again only after one of them changed *)
+  let stale = Array.make (max n 1) true in
+  let visit b =
+    stale.(b) <- false;
+    let pred_outs =
+      List.filter_map (fun p -> block_out.(p)) cfg.Kir.Cfg.pred.(b)
+    in
+    let new_in =
+      if b = 0 then Some (d.join ~block:b (d.entry :: pred_outs))
+      else
+        match pred_outs with
+        | [] -> None
+        | ps -> Some (d.join ~block:b ps)
+    in
+    match new_in with
+    | None -> ()
+    | Some niv ->
+      let dirty =
+        match block_in.(b) with
+        | None -> true
+        | Some old -> not (d.equal old niv)
+      in
+      if dirty then begin
+        block_in.(b) <- Some niv;
+        let out = d.transfer ~block:b niv in
+        match block_out.(b) with
+        | Some old when d.equal old out -> ()
+        | _ ->
+          block_out.(b) <- Some out;
+          List.iter (fun s -> stale.(s) <- true) cfg.Kir.Cfg.succ.(b);
+          changed := true
+      end
+  in
   while !changed do
     incr sweeps;
     if !sweeps > max_sweeps then
@@ -51,35 +86,6 @@ let solve (d : 'a domain) (cfg : Kir.Cfg.t) : 'a solution =
            (Printf.sprintf "no fixpoint after %d sweeps over %d blocks"
               max_sweeps n));
     changed := false;
-    List.iter
-      (fun b ->
-        let pred_outs =
-          List.filter_map (fun p -> block_out.(p)) cfg.Kir.Cfg.pred.(b)
-        in
-        let new_in =
-          if b = 0 then Some (d.join ~block:b (d.entry :: pred_outs))
-          else
-            match pred_outs with
-            | [] -> None
-            | ps -> Some (d.join ~block:b ps)
-        in
-        match new_in with
-        | None -> ()
-        | Some niv ->
-          let dirty =
-            match block_in.(b) with
-            | None -> true
-            | Some old -> not (d.equal old niv)
-          in
-          if dirty then begin
-            block_in.(b) <- Some niv;
-            let out = d.transfer ~block:b niv in
-            match block_out.(b) with
-            | Some old when d.equal old out -> ()
-            | _ ->
-              block_out.(b) <- Some out;
-              changed := true
-          end)
-      rpo
+    List.iter (fun b -> if stale.(b) then visit b) rpo
   done;
   { block_in; block_out; sweeps = !sweeps }

@@ -103,7 +103,7 @@ let prune (l : fact list) : fact list =
   |> List.filter (fun f -> not (List.exists (strictly_below f) merged))
   |> List.sort_uniq compare
 
-let equal a b = Env.equal ( = ) a.env b.env && SvMap.equal ( = ) a.facts b.facts
+let equal a b = a == b || (Env.equal ( = ) a.env b.env && SvMap.equal ( = ) a.facts b.facts)
 
 let entry_of_params params =
   {
@@ -277,24 +277,24 @@ let inter_facts a b =
     environment plus the merge symbols that genuinely conflicted this
     time (coverage mentioning them is stale). *)
 let join_envs ~block (envs : sv Env.t list) : sv Env.t * (int * reg) list =
-  let keys = Hashtbl.create 32 in
-  List.iter (fun e -> Env.iter (fun r _ -> Hashtbl.replace keys r ()) e) envs;
   let killed = ref [] in
-  let env =
-    Hashtbl.fold
-      (fun r () acc ->
-        let self = S_merge (block, r) in
-        let vals = List.map (fun e -> Env.find_opt r e) envs in
-        let distinct = List.sort_uniq compare vals in
-        let foreign = List.filter (fun v -> v <> Some self) distinct in
-        match foreign with
-        | [ Some v ] -> Env.add r v acc
-        | [] -> Env.add r self acc
+  let joined r _ =
+    let self = S_merge (block, r) in
+    let rec scan first = function
+      | [] -> Option.value first ~default:self
+      | e :: rest -> (
+        match Env.find_opt r e with
+        | Some v when v = self -> scan first rest
+        | Some v when first = None || first = Some v -> scan (Some v) rest
         | _ ->
+          (* two incoming values differ, or a path leaves [r] undefined *)
           killed := (block, r) :: !killed;
-          Env.add r self acc)
-      keys Env.empty
+          self)
+    in
+    scan None envs
   in
+  let keys = List.fold_left (Env.union (fun _ v _ -> Some v)) Env.empty envs in
+  let env = Env.mapi joined keys in
   (env, !killed)
 
 let join ~block = function
@@ -314,11 +314,20 @@ let join ~block = function
     in
     { env; facts }
 
-(** The coverage solve over [f], whose CFG is [cfg]: the block bodies,
-    the function-wide id of each block's first instruction (ids count
-    instructions in block-array order), and the per-block facts. Raises
-    {!Dataflow.Diverged} only for a broken domain. *)
-let solve ctx (f : func) cfg =
+(** One function's coverage solve: its CFG, the block bodies, the
+    function-wide id of each block's first instruction (ids count
+    instructions in block-array order), and the per-block facts. *)
+type solved = {
+  cfg : Kir.Cfg.t;
+  bodies : instr array array;
+  base : int array;
+  sol : t Dataflow.solution;
+}
+
+(** Solve [f] under [ctx]. Raises {!Dataflow.Diverged} only for a
+    broken domain. *)
+let solve ctx (f : func) : solved =
+  let cfg = Kir.Cfg.of_func f in
   let bodies = Array.map (fun b -> Array.of_list b.body) cfg.Kir.Cfg.blocks in
   let base = Array.make (max (Array.length bodies) 1) 0 in
   let total = ref 0 in
@@ -335,7 +344,17 @@ let solve ctx (f : func) cfg =
          bodies.(block))
   in
   let domain = { Dataflow.entry = entry_of_params f.params; equal; join; transfer } in
-  (bodies, base, Dataflow.solve domain cfg)
+  { cfg; bodies; base; sol = Dataflow.solve domain cfg }
+
+(** The states at the end of each reachable return block, in block
+    order. *)
+let rets (s : solved) : t list =
+  List.filter_map
+    (fun i ->
+      match ((Kir.Cfg.block s.cfg i).term, s.sol.Dataflow.block_out.(i)) with
+      | Ret _, Some t -> Some t
+      | _ -> None)
+    (List.init (Kir.Cfg.n_blocks s.cfg) Fun.id)
 
 (* -- queries ------------------------------------------------------- *)
 

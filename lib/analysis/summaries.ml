@@ -35,6 +35,9 @@ type fsum = {
   sm_guarantees : (GC.sv * int * int * int) list;
       (** core (over formals/symbols), lo, hi, flags *)
   sm_params : reg list;
+  sm_solved : GC.solved option;
+      (** the function's coverage solve, kept when it ran against the
+          final summaries of everything it calls *)
 }
 
 type t = (string, fsum) Hashtbl.t
@@ -50,37 +53,35 @@ let rec exportable = function
   | GC.S_gep (b, i, _) -> exportable b && exportable i
   | GC.S_undef _ | GC.S_def _ | GC.S_merge _ -> false
 
-(* facts holding at the end of every reachable Ret block, exported *)
-let ret_facts ~ctx (f : func) : (GC.sv * int * int * int) list =
-  let cfg = Kir.Cfg.of_func f in
-  match GC.solve ctx f cfg with
-  | exception Dataflow.Diverged _ -> []
-  | _, _, sol ->
-    let rets = ref [] in
-    Array.iteri
-      (fun i out ->
-        match ((Kir.Cfg.block cfg i).term, out) with
-        | Ret _, Some t -> rets := t :: !rets
-        | _ -> ())
-      sol.Dataflow.block_out;
-    (match !rets with
-    | [] -> []
-    | t0 :: rest ->
-      let facts =
-        List.fold_left
-          (fun acc (t : GC.t) -> GC.inter_facts acc t.GC.facts)
-          t0.GC.facts rest
-      in
-      GC.SvMap.fold
-        (fun core fs acc ->
-          if exportable core then
-            List.fold_left
-              (fun acc (f : GC.fact) ->
-                (core, f.GC.lo, f.GC.hi, f.GC.flags) :: acc)
-              acc fs
-          else acc)
-        facts []
-      |> List.sort compare)
+(* the solve of [f] and the facts holding at the end of every
+   reachable Ret block, exported *)
+let solve_rets ~ctx (f : func) =
+  match GC.solve ctx f with
+  | exception Dataflow.Diverged _ -> (None, [])
+  | solved ->
+    let facts =
+      match List.rev (GC.rets solved) with
+      | [] -> []
+      | t0 :: rest ->
+        let facts =
+          List.fold_left
+            (fun acc (t : GC.t) -> GC.inter_facts acc t.GC.facts)
+            t0.GC.facts rest
+        in
+        GC.SvMap.fold
+          (fun core fs acc ->
+            if exportable core then
+              List.fold_left
+                (fun acc (f : GC.fact) ->
+                  (core, f.GC.lo, f.GC.hi, f.GC.flags) :: acc)
+                acc fs
+            else acc)
+          facts []
+        |> List.sort compare
+    in
+    (Some solved, facts)
+
+let ret_facts ~ctx f = snd (solve_rets ~ctx f)
 
 (** Strongly connected components of the module's call graph, callees
     first: Tarjan's algorithm emits a component only after every
@@ -149,7 +150,10 @@ let effect_of (t : t) (callee : string) : GC.call_effect =
 (** Compute the module's summaries component by component, callees
     first: a function outside any call cycle is analyzed exactly once,
     against final summaries of everything it calls, and only recursive
-    components iterate to fixpoint (each under the round cap). *)
+    components iterate to fixpoint (each under the round cap). Each
+    solve that ran against final summaries is kept for {!solved}: every
+    function outside a cycle, and every member of a component whose
+    last round changed nothing. *)
 let compute (m : modul) : t =
   let pure = Cert_check.purity m in
   let tbl = Hashtbl.create 16 in
@@ -160,14 +164,15 @@ let compute (m : modul) : t =
           sm_pure = (try Hashtbl.find pure f.f_name with Not_found -> false);
           sm_guarantees = [];
           sm_params = List.map fst f.params;
+          sm_solved = None;
         })
     m.funcs;
   let ctx = { GC.neutral = default_neutral; call_effect = effect_of tbl } in
   let update f =
     let s = Hashtbl.find tbl f.f_name in
-    let g = ret_facts ~ctx f in
-    if g = s.sm_guarantees then false
-    else (Hashtbl.replace tbl f.f_name { s with sm_guarantees = g }; true)
+    let solved, g = solve_rets ~ctx f in
+    Hashtbl.replace tbl f.f_name { s with sm_guarantees = g; sm_solved = solved };
+    g <> s.sm_guarantees
   in
   let calls_itself f =
     List.exists
@@ -186,9 +191,24 @@ let compute (m : modul) : t =
         while !changed && !rounds > 0 do
           decr rounds;
           changed := List.fold_left (fun c f -> update f || c) false scc
-        done)
+        done;
+        (* at the round cap the last solves saw summaries still moving *)
+        if !changed then
+          List.iter
+            (fun f ->
+              let s = Hashtbl.find tbl f.f_name in
+              Hashtbl.replace tbl f.f_name { s with sm_solved = None })
+            scc)
     (sccs m);
   tbl
+
+(** The kept coverage solve of [f], if {!compute} kept one for this very
+    function; it equals [Guard_cover.solve] under {!effect_of} the same
+    summaries, as long as [f] has not changed since. *)
+let solved (t : t) (f : func) =
+  match Hashtbl.find_opt t f.f_name with
+  | Some { sm_solved = Some s; _ } when s.GC.cfg.Kir.Cfg.func == f -> Some s
+  | _ -> None
 
 let is_pure (t : t) name =
   match Hashtbl.find_opt t name with

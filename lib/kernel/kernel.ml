@@ -687,9 +687,12 @@ let call_symbol t name (args : int array) : int =
 let insmod t (km : Kir.Types.modul) : (loaded_module, load_error) result =
   if t.panicked <> None then Error Kernel_is_panicked
   else begin
+    (* the signature and the certificate both cover the meta-free body:
+       print it once *)
+    let body = lazy (Kir.Printer.to_string ~with_meta:false km) in
     let verdict =
       if t.require_signature then
-        match Passes.Signing.verify ~key:t.signing_key km with
+        match Passes.Signing.verify ~body:(Lazy.force body) ~key:t.signing_key km with
         | Ok () -> Ok ()
         | Error e -> Error (Signature_rejected e)
       else Ok ()
@@ -708,7 +711,7 @@ let insmod t (km : Kir.Types.modul) : (loaded_module, load_error) result =
       | [] ->
         let cert_verdict =
           if t.require_certificate then
-            match Analysis.Cert_check.validate km with
+            match Analysis.Cert_check.validate ~body:(Lazy.force body) km with
             | Ok () -> Ok ()
             | Error e -> Error (Certificate_rejected e)
           else Ok ()

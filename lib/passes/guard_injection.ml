@@ -59,62 +59,40 @@ let parse_guard = function
   | Call { callee; args; dst = None } when callee = guard_symbol -> guard_args args
   | _ -> None
 
-(** Registers of [f] that only ever hold addresses derived from this
-    function's own allocas (via gep/mov chains). Flow-insensitive and
-    conservative: a register with any non-stack-derived definition is
-    excluded. *)
-let stack_pure_regs (f : func) : (reg, unit) Hashtbl.t =
-  let defs : (reg, instr list) Hashtbl.t = Hashtbl.create 64 in
+(** [exempt_stack]'s frame-bounds rule, shared with the certifier and
+    the checker: bytes [\[off, off + size)] lie inside an alloca of
+    [frame] declared bytes. Offsets wrap exactly as the VM's address
+    arithmetic does. *)
+let in_frame ~frame ~off size = 0 <= off && off <= frame - size
+
+(** The registers of [f] whose only definition is an alloca, with its
+    declared size. *)
+let allocas (f : func) : reg -> int option =
+  let defs = Hashtbl.create 64 in
   List.iter
     (fun b ->
       List.iter
         (fun i ->
-          match def_of_instr i with
-          | Some r ->
-            let prev = try Hashtbl.find defs r with Not_found -> [] in
-            Hashtbl.replace defs r (i :: prev)
-          | None -> ())
+          Option.iter
+            (fun r ->
+              Hashtbl.replace defs r (i :: Option.value ~default:[] (Hashtbl.find_opt defs r)))
+            (def_of_instr i))
         b.body)
     f.blocks;
-  (* parameters are never stack-pure: they come from outside the frame *)
-  let pure = Hashtbl.create 64 in
-  let value_pure = function
-    | Reg r -> Hashtbl.mem pure r
-    | Imm _ | Sym _ -> false
-  in
-  let def_pure = function
-    | Alloca _ -> true
-    | Gep { base; _ } -> value_pure base
-    | Mov { src = Reg r; _ } -> Hashtbl.mem pure r
-    | _ -> false
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Hashtbl.iter
-      (fun r dlist ->
-        if (not (Hashtbl.mem pure r)) && dlist <> [] && List.for_all def_pure dlist
-        then begin
-          Hashtbl.replace pure r ();
-          changed := true
-        end)
-      defs
-  done;
-  (* a register is only trustworthy if no definition is impure; the
-     fixed-point above only ever adds fully-pure registers, so we are
-     done *)
-  pure
+  fun r -> match Hashtbl.find_opt defs r with Some [ Alloca { size; _ } ] -> Some size | _ -> None
 
 (** Instrument one function; returns the number of guards inserted.
     [next_site] is the module-wide site-id counter: each inserted guard
     consumes one id, in deterministic (function, block, instruction)
-    order, so rebuilding the same module yields the same ids. *)
+    order, so rebuilding the same module yields the same ids.
+
+    Under [exempt_stack] an access goes unguarded when its bytes lie
+    inside the function's own frame ({!in_frame}) at a constant offset
+    from an alloca, in one of the two shapes the certificate checker
+    reads back: the register an alloca defines, or a constant-index gep
+    / 64-bit mov chain over one built earlier in the access's block. *)
 let instrument_func ~exempt_stack ~next_site (f : func) : int =
-  let pure = if exempt_stack then stack_pure_regs f else Hashtbl.create 1 in
-  let exempt = function
-    | Reg r -> exempt_stack && Hashtbl.mem pure r
-    | Imm _ | Sym _ -> false
-  in
+  let alloca = if exempt_stack then allocas f else fun _ -> None in
   let count = ref 0 in
   let guarded ty addr flags i =
     let site = !next_site in
@@ -124,13 +102,37 @@ let instrument_func ~exempt_stack ~next_site (f : func) : int =
   in
   List.iter
     (fun b ->
+      (* register -> (frame bytes, offset), for chains built in this block *)
+      let local = Hashtbl.create 8 in
+      let slot = function
+        | Reg r -> (
+          match Hashtbl.find_opt local r with
+          | Some s -> s
+          | None -> Option.map (fun frame -> (frame, 0)) (alloca r))
+        | Imm _ | Sym _ -> None
+      in
+      let own_frame ty addr =
+        match slot addr with
+        | Some (frame, off) -> in_frame ~frame ~off (size_of_ty ty)
+        | None -> false
+      in
       b.body <-
         List.concat_map
           (fun i ->
-            match i with
-            | Load { ty; addr; _ } when not (exempt addr) -> guarded ty addr flag_read i
-            | Store { ty; addr; _ } when not (exempt addr) -> guarded ty addr flag_write i
-            | i -> [ i ])
+            let out =
+              match i with
+              | (Load { ty; addr; _ } | Store { ty; addr; _ }) when own_frame ty addr -> [ i ]
+              | Load { ty; addr; _ } -> guarded ty addr flag_read i
+              | Store { ty; addr; _ } -> guarded ty addr flag_write i
+              | i -> [ i ]
+            in
+            (match i with
+            | Gep { dst; base; idx = Imm n; scale } ->
+              Hashtbl.replace local dst
+                (Option.map (fun (frame, off) -> (frame, off + (n * scale))) (slot base))
+            | Mov { dst; ty = I64 | Ptr; src } -> Hashtbl.replace local dst (slot src)
+            | i -> Option.iter (Hashtbl.remove local) (def_of_instr i));
+            out)
           b.body)
     f.blocks;
   !count

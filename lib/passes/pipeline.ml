@@ -69,13 +69,19 @@ let strict_recheck ~strict =
 (* the local CARAT-CAKE-style pair every optimizing level starts with *)
 let local_opt_passes () = [ Guard_elim.pass (); Guard_hoist.pass () ]
 
-(** The kop pipeline at a chosen optimization level. [exempt_stack] is
-    the injection's one option (see {!Guard_injection.run}). *)
+(** The passes that run before the certified optimizer: dead-code
+    elimination, attestation, injection and, from [O_basic] up, the
+    local pair. [exempt_stack] is the injection's one option (see
+    {!Guard_injection.run}). *)
+let front_passes ?exempt_stack ~opt () =
+  [ Dce.pass (); Attest.pass (); Guard_injection.pass ?exempt_stack () ]
+  @ match opt with O_none -> [] | O_basic | O_aggressive -> local_opt_passes ()
+
+(** The kop pipeline at a chosen optimization level. *)
 let kop ?(key = default_key) ?(signer = default_signer) ?exempt_stack
     ?(guard_intrinsics = false) ?(guard_cfi = false) ?(strict = false)
     ?(opt = O_none) () =
-  [ Dce.pass (); Attest.pass (); Guard_injection.pass ?exempt_stack () ]
-  @ (match opt with O_none -> [] | O_basic | O_aggressive -> local_opt_passes ())
+  front_passes ?exempt_stack ~opt ()
   @ (match opt with O_aggressive -> optimizer_passes () | _ -> [])
   @ extension_passes ~guard_intrinsics ~guard_cfi
   @ strict_recheck ~strict @ certify_passes ()

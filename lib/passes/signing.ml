@@ -62,8 +62,12 @@ let covered_meta_keys =
     Cfi_guard.meta_count;
   ]
 
-let signable_text (m : modul) : string =
-  let body = Kir.Printer.to_string ~with_meta:false m in
+(** The signed text: [m]'s meta-free body, then the covered metadata.
+    [body] is that body when the caller has already printed it. *)
+let signable_text ?body (m : modul) : string =
+  let body =
+    match body with Some b -> b | None -> Kir.Printer.to_string ~with_meta:false m
+  in
   let meta =
     List.map
       (fun k ->
@@ -93,12 +97,13 @@ let verify_error_to_string = function
   | Not_attested -> "module metadata does not assert inline-asm attestation"
 
 (** Full load-time validation: signature present and correct under [key],
-    and the signed metadata asserts both guarding and attestation. *)
-let verify ~key (m : modul) : (unit, verify_error) result =
+    and the signed metadata asserts both guarding and attestation.
+    [body] as for {!signable_text}. *)
+let verify ?body ~key (m : modul) : (unit, verify_error) result =
   match meta_find m meta_sig with
   | None -> Error Unsigned
   | Some found ->
-    let expected = keyed_tag ~key (signable_text m) in
+    let expected = keyed_tag ~key (signable_text ?body m) in
     if not (String.equal expected found) then
       Error (Bad_signature { expected; found })
     else if meta_find m Guard_injection.meta_guarded <> Some "true" then

@@ -948,6 +948,41 @@ let test_module_waived_loads () =
   checkb "certify refuses" true (Result.is_error (Analysis.Certify.certify m));
   expect_refused "an s witness" m "v2;digest=;guard=carat_guard;exempt=false;domain=;peek||s"
 
+(* @f stores 8 bytes at [off] into its 16-byte frame, compiled with
+   [exempt_stack] and then stripped of any guard, with a hand-made
+   certificate whose one witness exempts the store as frame-local *)
+let frame_store_module off =
+  let b = Kir.Builder.create "frame" in
+  ignore (Kir.Builder.start_func b "f" ~params:[] ~ret:None);
+  let a = Kir.Builder.alloca b 16 in
+  Kir.Builder.store b I64 (Imm 1) (Kir.Builder.gep b a (Imm off) ~scale:1);
+  Kir.Builder.ret b None;
+  let m = Kir.Builder.modul b in
+  ignore (Passes.Pipeline.compile ~exempt_stack:true m);
+  checkb "the compiled certificate checks" true (Analysis.Cert_check.validate m = Ok ());
+  ignore (delete_nth_guard m 0);
+  let body = List.concat_map (fun b -> b.body) (List.hd m.funcs).blocks in
+  let rec alloca k = function
+    | Alloca { dst; _ } :: _ -> (k, dst)
+    | _ :: rest -> alloca (k + 1) rest
+    | [] -> Alcotest.fail "no alloca"
+  in
+  let k, dst = alloca 0 body in
+  let cert =
+    CF.render ~digest:"" ~guard:guard_sym ~exempt:true ~domain:None
+      [ ("f", [], [ CF.W_exempt ([ CF.O_guard k ], CF.V_reg dst) ]) ]
+  in
+  (m, cert)
+
+let test_exemption_outside_frame () =
+  let m, cert = frame_store_module 8 in
+  stamp m cert;
+  checkb "an in-frame exemption checks" true (Analysis.Cert_check.validate m = Ok ());
+  let m, cert = frame_store_module 4096 in
+  expect_refused "an exemption 4096 bytes into a 16-byte frame" m cert;
+  let m, cert = frame_store_module (-64) in
+  expect_refused "an exemption 64 bytes below the frame" m cert
+
 (* a function named like a header field must not shadow the header:
    fields are read by position *)
 let test_cert_header_names () =
@@ -1123,6 +1158,108 @@ let test_summaries_reference_suite () =
       checkb (Printf.sprintf "module %d matches the reference" k) true (summaries_match m))
     (stages @ fixtures)
 
+(* ---------- kept solves ---------- *)
+
+(* [Certify.analyze] reads each function's proofs from the solve
+   [Summaries.compute] kept for it. Solving every function afresh under
+   the same summaries, the path with no kept solve, must give the same
+   analysis field for field. Per function: its name, whether the two
+   agree, and whether a solve was kept. *)
+let kept_vs_fresh m =
+  let s = Analysis.Summaries.compute m in
+  let exempt_stack =
+    meta_find m Passes.Guard_injection.meta_exempt_stack = Some "true"
+  in
+  let kept = Analysis.Certify.analyze m in
+  List.map2
+    (fun (f : func) (k : Analysis.Certify.func_summary) ->
+      let fresh =
+        Analysis.Certify.analyze_func ~call_effect:(Analysis.Summaries.effect_of s)
+          ~exempt_stack f
+      in
+      let strip fs = { fs with Analysis.Certify.fs_rets = [] } in
+      ( f.f_name,
+        strip k = strip fresh
+        && List.equal GC.equal k.Analysis.Certify.fs_rets fresh.Analysis.Certify.fs_rets,
+        Analysis.Summaries.solved s f <> None ))
+    m.funcs kept.Analysis.Certify.s_funcs
+
+(* asserts agreement; returns which functions had a kept solve *)
+let kept_solves_agree m =
+  List.map
+    (fun (name, same, kept) ->
+      checkb (Printf.sprintf "@%s: same analysis" name) true same;
+      kept)
+    (kept_vs_fresh m)
+
+(* @f guards 8 bytes of its argument and, through @g, [p + 8]: the
+   guarantee chain of the cycle grows by 8 bytes a round, so the cycle
+   stops at the round cap *)
+let capped_cycle_module () =
+  let b = Kir.Builder.create "capped" in
+  ignore (Kir.Builder.start_func b "f" ~params:[ ("%p", I64) ] ~ret:None);
+  Kir.Builder.emit b
+    (Call { dst = None; callee = guard_sym; args = [ Reg "%p"; Imm 8; Imm 1 ] });
+  ignore (Kir.Builder.load b I64 (Reg "%p"));
+  Kir.Builder.call_unit b "g" [ Kir.Builder.gep b (Reg "%p") (Imm 8) ~scale:1 ];
+  Kir.Builder.ret b None;
+  ignore (Kir.Builder.start_func b "g" ~params:[ ("%q", I64) ] ~ret:None);
+  Kir.Builder.call_unit b "f" [ Reg "%q" ];
+  Kir.Builder.ret b None;
+  let m = Kir.Builder.modul b in
+  m.externs <- m.externs @ [ (guard_sym, 3) ];
+  meta_set m Passes.Guard_injection.meta_opt_level "aggressive";
+  m
+
+(* @f and @g call each other on the same argument; the cycle's
+   guarantees settle in two rounds *)
+let converging_cycle_module () =
+  let b = Kir.Builder.create "converging" in
+  ignore (Kir.Builder.start_func b "f" ~params:[ ("%p", I64); ("%c", I64) ] ~ret:None);
+  Kir.Builder.emit b
+    (Call { dst = None; callee = guard_sym; args = [ Reg "%p"; Imm 8; Imm 1 ] });
+  Kir.Builder.if_then b (Reg "%c") ~then_:(fun () ->
+      Kir.Builder.call_unit b "g" [ Reg "%p"; Reg "%c" ]);
+  ignore (Kir.Builder.load b I64 (Reg "%p"));
+  Kir.Builder.ret b None;
+  ignore (Kir.Builder.start_func b "g" ~params:[ ("%p", I64); ("%c", I64) ] ~ret:None);
+  Kir.Builder.emit b
+    (Call { dst = None; callee = guard_sym; args = [ Reg "%p"; Imm 16; Imm 3 ] });
+  Kir.Builder.call_unit b "f" [ Reg "%p"; Reg "%c" ];
+  Kir.Builder.store b I64 (Imm 0) (Reg "%p");
+  Kir.Builder.ret b None;
+  let m = Kir.Builder.modul b in
+  m.externs <- m.externs @ [ (guard_sym, 3) ];
+  meta_set m Passes.Guard_injection.meta_opt_level "aggressive";
+  m
+
+let test_kept_solves_agree () =
+  List.iter
+    (fun (scale, tx_queues, with_rogue) ->
+      let m = Nic.Driver_gen.generate ~module_scale:scale ~tx_queues ~with_rogue () in
+      ignore (Passes.Pipeline.compile ~opt:Passes.Pipeline.O_aggressive m);
+      checkb
+        (Printf.sprintf "scale %d, %d TX queues, rogue %b: every solve kept" scale tx_queues
+           with_rogue)
+        true
+        (List.for_all Fun.id (kept_solves_agree m)))
+    (List.concat_map
+       (fun scale ->
+         List.concat_map
+           (fun q -> [ (scale, q, false); (scale, q, true) ])
+           [ 1; 8 ])
+       [ 4; 12; 48 ]);
+  let converging = converging_cycle_module () in
+  let _, _, converged = reference_summaries converging in
+  checkb "the converging cycle converges" true converged;
+  Alcotest.(check (list bool)) "a converged cycle keeps its solves" [ true; true ]
+    (kept_solves_agree converging);
+  let capped = capped_cycle_module () in
+  let _, _, converged = reference_summaries capped in
+  checkb "the capped cycle hits the round cap" false converged;
+  Alcotest.(check (list bool)) "a capped cycle keeps none" [ false; false ]
+    (kept_solves_agree capped)
+
 (* random call graphs with self- and mutual recursion: each function
    guards, loads through and calls others on its parameter or a shifted
    copy, or calls an impure extern *)
@@ -1168,6 +1305,15 @@ let prop_summaries_reference =
     ~name:"callee-first summaries equal the round-robin reference on recursive call graphs"
     ~count:200 (QCheck.make gen_call_graph)
     (fun bodies -> summaries_match (build_call_graph bodies))
+
+let prop_kept_solves =
+  QCheck.Test.make
+    ~name:"kept solves give the proofs a fresh solve gives on recursive call graphs"
+    ~count:100 (QCheck.make gen_call_graph)
+    (fun bodies ->
+      let m = build_call_graph bodies in
+      meta_set m Passes.Guard_injection.meta_opt_level "aggressive";
+      List.for_all (fun (_, same, _) -> same) (kept_vs_fresh m))
 
 (* ---------- per-domain certificates ---------- *)
 
@@ -1384,6 +1530,9 @@ let () =
           Alcotest.test_case "matches the reference on suite modules" `Quick
             test_summaries_reference_suite;
           QCheck_alcotest.to_alcotest prop_summaries_reference;
+          Alcotest.test_case "kept solves give the proofs a fresh solve gives" `Quick
+            test_kept_solves_agree;
+          QCheck_alcotest.to_alcotest prop_kept_solves;
         ] );
       ( "cert-check",
         [
@@ -1392,6 +1541,8 @@ let () =
             test_module_chosen_guard_symbol;
           Alcotest.test_case "module-waived loads refused" `Quick
             test_module_waived_loads;
+          Alcotest.test_case "exemption outside the frame refused" `Quick
+            test_exemption_outside_frame;
           Alcotest.test_case "header fields read by position" `Quick
             test_cert_header_names;
           QCheck_alcotest.to_alcotest prop_cert_robust;

@@ -189,6 +189,28 @@ let test_stack_exemption_taint () =
   checki "tainted register stays guarded" 1
     (Passes.Guard_injection.count_guards m)
 
+let test_stack_exemption_bounds () =
+  (* only a constant offset inside the alloca's declared bytes is the
+     frame: past its end, before its start, or at a variable index the
+     store stays guarded *)
+  let b = Kir.Builder.create "frame" in
+  ignore (Kir.Builder.start_func b "f" ~params:[ ("%i", I64) ] ~ret:None);
+  let local = Kir.Builder.alloca b 16 in
+  let at off = Kir.Builder.gep b local (Imm off) ~scale:1 in
+  Kir.Builder.store b I64 (Imm 1) (at 8);
+  Kir.Builder.store b I64 (Imm 2) (at 4096);
+  Kir.Builder.store b I64 (Imm 3) (at (-64));
+  Kir.Builder.store b I64 (Imm 4) (at 12);
+  Kir.Builder.store b I64 (Imm 5) (Kir.Builder.gep b local (Reg "%i") ~scale:8);
+  Kir.Builder.ret b None;
+  let m = Kir.Builder.modul b in
+  ignore (Passes.Guard_injection.run ~exempt_stack:true m);
+  checki "all but the in-frame store guarded" 4 (Passes.Guard_injection.count_guards m);
+  checkb "the +8 store is the unguarded one" true
+    (match (List.hd (List.hd m.funcs).blocks).body with
+    | Alloca _ :: Gep _ :: Store _ :: _ -> true
+    | _ -> false)
+
 (* qcheck: after injection, every load/store in any generated module is
    immediately preceded by a guard on the same address *)
 let gen_wellformed_module =
@@ -545,6 +567,8 @@ let () =
           Alcotest.test_case "double transform rejected" `Quick test_injection_idempotence_guard;
           Alcotest.test_case "stack exemption" `Quick test_stack_exemption;
           Alcotest.test_case "stack taint" `Quick test_stack_exemption_taint;
+          Alcotest.test_case "stack exemption keeps to the frame" `Quick
+            test_stack_exemption_bounds;
           QCheck_alcotest.to_alcotest prop_injection_covers;
         ] );
       ( "attest",
