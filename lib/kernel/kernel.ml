@@ -111,7 +111,8 @@ and t = {
           against this generation instead of re-hashing the name *)
   mutable last_mapping : mapping;
       (** one-entry translation cache in front of the [mappings] scan;
-          mappings are append-only, so a cached entry can never go stale *)
+          mappings are append-only, so a cached entry can never go stale.
+          It starts as [no_mapping], which holds nothing *)
   (* privileged machine state reachable only through intrinsics *)
   msrs : (int, int) Hashtbl.t;
   mutable irqs_enabled : bool;
@@ -203,37 +204,53 @@ let check_alive t = if t.panicked <> None then panic t "action on dead kernel"
 
 let kernel_image_phys_size = Layout.kernel_text_size + Layout.kernel_data_size
 
-let translate t addr size :
-    [ `Phys of int | `Mmio of mmio_region * int | `Fault ] =
-  if addr >= Layout.direct_map_base && addr + size <= Layout.direct_map_base + t.phys_size
-  then `Phys (addr - Layout.direct_map_base)
-  else if
-    addr >= Layout.kernel_text_base
-    && addr + size <= Layout.kernel_data_base + Layout.kernel_data_size
-  then `Phys (addr - Layout.kernel_text_base)
+(* [addr, addr + size) lies inside [lo, lo + len). For [lo >= 0] neither
+   difference can wrap once [addr >= lo] and [size >= 0], so a negative
+   size, or an access whose end lies past [max_int], is never inside;
+   nor is anything when [len < 0]. *)
+let[@inline] within ~lo ~len addr size =
+  addr >= lo && size >= 0 && addr - lo <= len - size
+
+(* A mapping of negative size: holds no access. *)
+let no_mapping = { map_virt = 0; map_size = -1; map_phys = 0 }
+
+(* A direct scan rather than [List.find_opt]: the one-entry cache misses
+   a few times per packet (each module global has its own mapping), and
+   a closure and an option per miss would allocate. *)
+let rec find_mapping addr size = function
+  | [] -> no_mapping
+  | m :: rest ->
+    if within ~lo:m.map_virt ~len:m.map_size addr size then m
+    else find_mapping addr size rest
+
+(** Physical offset of [addr, addr + size) when RAM backs all of it,
+    else -1 (MMIO, or a fault). The direct map and the kernel image are
+    decided by two range checks, a module or user mapping by one more
+    for the cached last hit or a scan of the mappings. Every CPU and DMA
+    access starts here, and it allocates nothing. *)
+let phys_of t addr size =
+  if within ~lo:Layout.direct_map_base ~len:t.phys_size addr size then
+    addr - Layout.direct_map_base
+  else if within ~lo:Layout.kernel_text_base ~len:kernel_image_phys_size addr size
+  then addr - Layout.kernel_text_base
   else begin
-    let lm = t.last_mapping in
-    if addr >= lm.map_virt && addr + size <= lm.map_virt + lm.map_size then
-      `Phys (lm.map_phys + (addr - lm.map_virt))
-    else
-    match
-      List.find_opt
-        (fun m -> addr >= m.map_virt && addr + size <= m.map_virt + m.map_size)
-        t.mappings
-    with
-    | Some m ->
+    let m =
+      let lm = t.last_mapping in
+      if within ~lo:lm.map_virt ~len:lm.map_size addr size then lm
+      else find_mapping addr size t.mappings
+    in
+    if m == no_mapping then -1
+    else begin
       t.last_mapping <- m;
-      `Phys (m.map_phys + (addr - m.map_virt))
-    | None -> (
-      match
-        List.find_opt
-          (fun r ->
-            addr >= r.mmio_virt && addr + size <= r.mmio_virt + r.mmio_size)
-          t.mmio
-      with
-      | Some r -> `Mmio (r, addr - r.mmio_virt)
-      | None -> `Fault)
+      m.map_phys + (addr - m.map_virt)
+    end
   end
+
+(** The device register window holding all of [addr, addr + size). *)
+let mmio_of t addr size =
+  List.find_opt
+    (fun r -> within ~lo:r.mmio_virt ~len:r.mmio_size addr size)
+    t.mmio
 
 (* --------------------------------------------------------------- *)
 (* heap sanitizer: report plumbing and the per-access shadow check *)
@@ -309,51 +326,61 @@ let san_access t ~addr ~size ~write =
     This is the path taken by all CPU-side accesses, guarded or not. *)
 let read t ~addr ~size =
   san_access t ~addr ~size ~write:false;
-  match translate t addr size with
-  | `Phys p ->
+  let p = phys_of t addr size in
+  if p >= 0 then begin
     Machine.Model.load t.machine addr size;
     Memory.read t.mem p ~size
-  | `Mmio (r, off) ->
-    Machine.Model.mmio t.machine;
-    r.mmio_read off size
-  | `Fault -> raise (Fault { addr; size; what = "read" })
+  end
+  else
+    match mmio_of t addr size with
+    | Some r ->
+      Machine.Model.mmio t.machine;
+      r.mmio_read (addr - r.mmio_virt) size
+    | None -> raise (Fault { addr; size; what = "read" })
 
 let write t ~addr ~size v =
   san_access t ~addr ~size ~write:true;
-  match translate t addr size with
-  | `Phys p ->
+  let p = phys_of t addr size in
+  if p >= 0 then begin
     Machine.Model.store t.machine addr size;
     Memory.write t.mem p ~size v
-  | `Mmio (r, off) ->
-    Machine.Model.mmio_write t.machine;
-    r.mmio_write off size v
-  | `Fault -> raise (Fault { addr; size; what = "write" })
+  end
+  else
+    match mmio_of t addr size with
+    | Some r ->
+      Machine.Model.mmio_write t.machine;
+      r.mmio_write (addr - r.mmio_virt) size v
+    | None -> raise (Fault { addr; size; what = "write" })
 
 (** Cost-free, translation-only access used by DMA engines: devices reach
     physical memory behind the CPU's back (and behind the guards — the
     paper's point about DMA not being checked). *)
 let dma_read t ~addr ~size =
-  match translate t addr size with
-  | `Phys p -> Memory.read t.mem p ~size
-  | `Mmio (r, off) -> r.mmio_read off size
-  | `Fault -> raise (Fault { addr; size; what = "dma_read" })
+  let p = phys_of t addr size in
+  if p >= 0 then Memory.read t.mem p ~size
+  else
+    match mmio_of t addr size with
+    | Some r -> r.mmio_read (addr - r.mmio_virt) size
+    | None -> raise (Fault { addr; size; what = "dma_read" })
 
 let dma_write t ~addr ~size v =
-  match translate t addr size with
-  | `Phys p -> Memory.write t.mem p ~size v
-  | `Mmio (r, off) -> r.mmio_write off size v
-  | `Fault -> raise (Fault { addr; size; what = "dma_write" })
+  let p = phys_of t addr size in
+  if p >= 0 then Memory.write t.mem p ~size v
+  else
+    match mmio_of t addr size with
+    | Some r -> r.mmio_write (addr - r.mmio_virt) size v
+    | None -> raise (Fault { addr; size; what = "dma_write" })
 
 let read_string t ~addr ~len =
-  match translate t addr len with
-  | `Phys p -> Memory.read_string t.mem ~src:p ~len
-  | _ -> raise (Fault { addr; size = len; what = "read_string" })
+  let p = phys_of t addr len in
+  if p >= 0 then Memory.read_string t.mem ~src:p ~len
+  else raise (Fault { addr; size = len; what = "read_string" })
 
 let write_string t ~addr s =
-  match translate t addr (String.length s) with
-  | `Phys p -> Memory.blit_string t.mem ~dst:p s
-  | _ ->
-    raise (Fault { addr; size = String.length s; what = "write_string" })
+  let len = String.length s in
+  let p = phys_of t addr len in
+  if p >= 0 then Memory.blit_string t.mem ~dst:p s
+  else raise (Fault { addr; size = len; what = "write_string" })
 
 (* ------------------------------------------------------------------ *)
 (* allocation *)
@@ -911,18 +938,19 @@ let install_core_natives t =
       match args with
       | [| dst; src; len |] ->
         Machine.Model.memcpy t.machine ~dst ~src len;
-        (match (translate t src len, translate t dst len) with
-        | `Phys ps, `Phys pd -> Memory.blit t.mem ~src:ps ~dst:pd ~len
-        | _ -> raise (Fault { addr = src; size = len; what = "memcpy" }));
+        let pd = phys_of t dst len in
+        let ps = phys_of t src len in
+        if ps >= 0 && pd >= 0 then Memory.blit t.mem ~src:ps ~dst:pd ~len
+        else raise (Fault { addr = src; size = len; what = "memcpy" });
         dst
       | _ -> panic t "memcpy: bad arguments");
   register_native t "memset" (fun t args ->
       match args with
       | [| dst; byte; len |] ->
         Machine.Model.memcpy t.machine ~dst ~src:dst len;
-        (match translate t dst len with
-        | `Phys pd -> Memory.fill t.mem ~dst:pd ~len (Char.chr (byte land 0xff))
-        | _ -> raise (Fault { addr = dst; size = len; what = "memset" }));
+        let pd = phys_of t dst len in
+        if pd >= 0 then Memory.fill t.mem ~dst:pd ~len (Char.chr (byte land 0xff))
+        else raise (Fault { addr = dst; size = len; what = "memset" });
         dst
       | _ -> panic t "memset: bad arguments");
   register_native t "kmalloc" (fun t args ->
@@ -993,7 +1021,7 @@ let create ?(phys_size = 64 * 1024 * 1024) ?(require_signature = true)
       addr_to_symbol = Hashtbl.create 64;
       overlapped_natives = Hashtbl.create 4;
       symbol_gen = 0;
-      last_mapping = { map_virt = -1; map_size = 0; map_phys = 0 };
+      last_mapping = no_mapping;
       msrs = Hashtbl.create 16;
       irqs_enabled = true;
       shadow = Sanitizer.Shadow.create ();

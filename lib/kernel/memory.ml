@@ -32,8 +32,10 @@ let create ~size =
 (** Host memory held by materialised pages, in bytes. *)
 let resident_bytes t = t.resident * page_size
 
+(* [addr > t.size - size], not [addr + size > t.size]: the sum wraps
+   negative for an access ending past [max_int], and would pass *)
 let check t addr size =
-  if addr < 0 || size < 0 || addr + size > t.size then
+  if addr < 0 || size < 0 || addr > t.size - size then
     raise (Bad_phys_access { addr; size })
 
 let page t addr = Array.unsafe_get t.pages (addr lsr page_bits)
@@ -103,7 +105,7 @@ let write t addr ~size v =
     done
 
 (* Length of the piece of [addr, addr + len) that stays in [addr]'s page. *)
-let piece addr len = min len (page_size - (addr land page_mask))
+let piece addr len = Int.min len (page_size - (addr land page_mask))
 
 let blit_string t ~dst s =
   let len = String.length s in
@@ -148,7 +150,7 @@ let blit t ~src ~dst ~len =
     while !e > 0 do
       (* the piece ending at [e]: back to the later of the two page starts *)
       let s = src + !e and d = dst + !e in
-      let n = min !e (min (((s - 1) land page_mask) + 1) (((d - 1) land page_mask) + 1)) in
+      let n = Int.min !e (Int.min (((s - 1) land page_mask) + 1) (((d - 1) land page_mask) + 1)) in
       copy_piece t ~src:(s - n) ~dst:(d - n) n;
       e := !e - n
     done
@@ -185,7 +187,7 @@ let fill t ~dst ~len c =
 (** Copy of the first [len] bytes (default: all) of physical memory, for
     before/after diffing by the fault-containment harness. *)
 let snapshot ?len t =
-  let len = match len with Some l -> min l t.size | None -> t.size in
+  let len = match len with Some l -> Int.min l t.size | None -> t.size in
   let b = Bytes.make len '\000' in
   blit_out t ~src:0 b ~pos:0 ~len;
   b
@@ -195,7 +197,7 @@ let snapshot ?len t =
     eight bytes at a time so diffing megabytes of unchanged DRAM between
     fault injections stays cheap. *)
 let diff_ranges t snap =
-  let n = min (Bytes.length snap) t.size in
+  let n = Int.min (Bytes.length snap) t.size in
   let ranges = ref [] in
   let run_start = ref (-1) in
   let flush upto =

@@ -45,7 +45,7 @@ let floor_pow2 n =
 
 let create ~name ~size_bytes ~assoc ~line_size =
   let lines = size_bytes / line_size in
-  let sets = floor_pow2 (max 1 (lines / assoc)) in
+  let sets = floor_pow2 (Int.max 1 (lines / assoc)) in
   let line_bits = line_bits_of line_size in
   let cold = Array.append (Array.make assoc (-1)) (Array.make assoc 0) in
   {
@@ -66,14 +66,17 @@ let tag_of t addr = addr lsr t.line_bits
 (* Way scans as top-level functions with explicit arguments: a local
    [let rec] would capture its environment and allocate a closure per
    probe, and the probe sits on the guard fast path, which must not
-   allocate. Integer-returning (-1 = miss), no option/ref intermediates. *)
-let rec find_way s assoc tag w =
+   allocate. Integer-returning (-1 = miss), no option/ref intermediates.
+   The set is typed [int array]: left to inference it is ['a array], and
+   every tag and stamp compare becomes a call into the runtime's
+   polymorphic comparison instead of one machine instruction. *)
+let rec find_way (s : int array) assoc (tag : int) w =
   if w = assoc then -1
   else if s.(w) = tag then w
   else find_way s assoc tag (w + 1)
 
 (* the least recent way; ties (never-filled ways, stamp 0) go to the lowest *)
-let rec worst_way s assoc w best =
+let rec worst_way (s : int array) assoc w best =
   if w = assoc then best
   else
     worst_way s assoc (w + 1)

@@ -122,7 +122,7 @@ let rec lines_cost_ticks t addr lines l acc =
 let load t addr size =
   t.loads <- t.loads + 1;
   t.instructions <- t.instructions + 1;
-  let lines = max 1 (Cache.lines_touched t.l1 addr size) in
+  let lines = Int.max 1 (Cache.lines_touched t.l1 addr size) in
   add_ticks t (lines_cost_ticks t addr lines 0 0)
 
 (** A data store. With a store buffer, stores retire quickly; cache fill
@@ -130,7 +130,7 @@ let load t addr size =
 let store t addr size =
   t.stores <- t.stores + 1;
   t.instructions <- t.instructions + 1;
-  let lines = max 1 (Cache.lines_touched t.l1 addr size) in
+  let lines = Int.max 1 (Cache.lines_touched t.l1 addr size) in
   add_ticks t (lines_cost_ticks t addr lines 0 0 / 2)
 
 (** Conditional branch at site [pc] with outcome [taken]. *)
@@ -162,8 +162,8 @@ let mmio_write t =
     cache. Charged at [size/word] loads+stores with streaming behaviour
     approximated by touching each line once. *)
 let memcpy t ~dst ~src size =
-  let lines_src = max 1 (Cache.lines_touched t.l1 src size) in
-  let lines_dst = max 1 (Cache.lines_touched t.l1 dst size) in
+  let lines_src = Int.max 1 (Cache.lines_touched t.l1 src size) in
+  let lines_dst = Int.max 1 (Cache.lines_touched t.l1 dst size) in
   let cost = ref 0 in
   for l = 0 to lines_src - 1 do
     cost := !cost + hierarchy_cost_ticks t (src + (l * t.p.line_size))

@@ -37,7 +37,7 @@ let branch t ~pc ~taken =
   let correct = prediction = taken in
   if correct then t.predicted <- t.predicted + 1
   else t.mispredicted <- t.mispredicted + 1;
-  let c' = if taken then min 3 (c + 1) else max 0 (c - 1) in
+  let c' = if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1) in
   Bytes.set t.counters i (Char.chr c');
   t.history <-
     ((t.history lsl 1) lor (if taken then 1 else 0))

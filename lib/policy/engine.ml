@@ -490,13 +490,13 @@ let first_match_span regions ~default_allow ~addr ~size =
         let rlim = Region.limit r in
         (* a limit that wrapped past [max_int] is negative: such a region
            contains no access, so it may sit below the span unclipped *)
-        if rlim <= addr then go (idx + 1) (max lo rlim) hi rest
-        else if e <= r.Region.base then go (idx + 1) lo (min hi r.Region.base) rest
+        if rlim <= addr then go (idx + 1) (Int.max lo rlim) hi rest
+        else if e <= r.Region.base then go (idx + 1) lo (Int.min hi r.Region.base) rest
         else if r.Region.base <= addr && e <= rlim then
           Some
             {
-              sp_lo = max lo r.Region.base;
-              sp_hi = min hi rlim;
+              sp_lo = Int.max lo r.Region.base;
+              sp_hi = Int.min hi rlim;
               sp_prot = r.Region.prot;
               sp_depth = idx + 1;
               sp_rbase = r.Region.base;
@@ -532,7 +532,7 @@ let fill_site sc t ~i ~addr ~size =
     let machine = Kernel.machine t.kernel in
     (* classification arithmetic + the tag store; the walk itself was
        already charged by the exact lookup, like a TLB miss's page walk *)
-    Machine.Model.retire machine (2 * max 1 (Linear_table.count t.table));
+    Machine.Model.retire machine (2 * Int.max 1 (Linear_table.count t.table));
     Machine.Model.store machine (sc.sc_vaddr + (i * slot_bytes)) 8
 
 (** Boolean fast-path check: allocation-free on an inline-cache hit, and

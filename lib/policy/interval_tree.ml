@@ -50,7 +50,7 @@ let maxlim_of = function None -> min_int | Some (n : node) -> n.maxlim
 
 let update_maxlim (n : node) =
   n.maxlim <-
-    max (Region.limit n.region) (max (maxlim_of n.left) (maxlim_of n.right))
+    Int.max (Region.limit n.region) (Int.max (maxlim_of n.left) (maxlim_of n.right))
 
 let write_node t (n : node) =
   Kernel.write t.kernel ~addr:(n.vaddr + 24) ~size:8
@@ -222,8 +222,8 @@ let validate t : (unit, string) result =
         Error "red node with red child"
       else if
         c.maxlim
-        <> max (Region.limit c.region)
-             (max (maxlim_of c.left) (maxlim_of c.right))
+        <> Int.max (Region.limit c.region)
+             (Int.max (maxlim_of c.left) (maxlim_of c.right))
       then Error "max-limit augmentation stale"
       else (
         match (go c.left, go c.right) with

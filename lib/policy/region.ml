@@ -14,8 +14,13 @@ let v ?(tag = "") ~base ~len ~prot () =
 
 let limit r = r.base + r.len
 
-(** Does [r] fully contain the byte range [addr, addr+size)? *)
-let contains r ~addr ~size = addr >= r.base && addr + size <= limit r
+(** Does [r] fully contain the byte range [addr, addr+size)? Never for a
+    negative [size], nor for a range or a region that ends past
+    [max_int]: such an end wraps negative, so it is refused before any
+    sum is formed. *)
+let contains r ~addr ~size =
+  let l = limit r in
+  size >= 0 && addr >= r.base && l >= 0 && addr <= l - size
 
 (** Does [r] permit an access with the given flag bitmap? *)
 let permits r ~flags = flags land r.prot = flags
@@ -50,7 +55,7 @@ let kernel_only =
 let padding n =
   List.init n (fun i ->
       v
-        ~tag:(Printf.sprintf "pad-%d" i)
+        ~tag:("pad-" ^ string_of_int i)
         ~base:(0x2000_0000 + (i * 0x10000))
         ~len:0x1000 ~prot:prot_rw ())
 

@@ -23,9 +23,13 @@ let test_memory_bounds () =
   (match Kernel.Memory.read m 60 ~size:8 with
   | exception Kernel.Memory.Bad_phys_access _ -> ()
   | _ -> Alcotest.fail "oob read");
-  match Kernel.Memory.write m (-1) ~size:1 0 with
+  (match Kernel.Memory.write m (-1) ~size:1 0 with
   | exception Kernel.Memory.Bad_phys_access _ -> ()
-  | _ -> Alcotest.fail "negative write"
+  | _ -> Alcotest.fail "negative write");
+  (* the end of this access wraps past max_int *)
+  match Kernel.Memory.read m (max_int - 3) ~size:8 with
+  | exception Kernel.Memory.Bad_phys_access _ -> ()
+  | _ -> Alcotest.fail "read ending past max_int"
 
 let test_memory_blit () =
   let m = Kernel.Memory.create ~size:128 in
@@ -287,6 +291,65 @@ let test_fault_on_unmapped () =
   match Kernel.read k ~addr:0x0DEA_D000_0000_0000 ~size:8 with
   | exception Kernel.Fault _ -> ()
   | _ -> Alcotest.fail "unmapped read succeeded"
+
+(* An access whose end lies past [max_int] wraps negative if summed;
+   every range check must refuse it, so it faults instead of reaching
+   physical memory. So does a negative size. *)
+let test_fault_past_max_int () =
+  let k = fresh () in
+  let faults what f =
+    match f () with
+    | exception Kernel.Fault _ -> ()
+    | _ -> Alcotest.failf "%s succeeded" what
+  in
+  let addr = max_int - 3 in
+  faults "read" (fun () -> Kernel.read k ~addr ~size:8);
+  faults "write" (fun () -> Kernel.write k ~addr ~size:8 1);
+  faults "dma_read" (fun () -> Kernel.dma_read k ~addr ~size:8);
+  faults "dma_write" (fun () -> Kernel.dma_write k ~addr ~size:8 1);
+  faults "read_string" (fun () -> Kernel.read_string k ~addr ~len:8);
+  faults "write_string" (fun () -> Kernel.write_string k ~addr "12345678");
+  let va = Kernel.kmalloc k ~size:64 in
+  faults "negative size" (fun () -> Kernel.read k ~addr:(va + 8) ~size:(-8));
+  let ua = Kernel.map_user k ~size:64 in
+  faults "negative size, mapped" (fun () -> Kernel.read k ~addr:(ua + 8) ~size:(-8));
+  faults "wrapping, mapped" (fun () -> Kernel.read k ~addr:ua ~size:max_int)
+
+(* Once its pages and cache sets are filled, a RAM access builds nothing
+   on the host heap: no translation result, no boxed value. *)
+let test_access_path_allocation_free () =
+  let k = fresh () in
+  let va = Kernel.kmalloc k ~size:4096 in
+  let ua = Kernel.map_user k ~size:64 and ub = Kernel.map_user k ~size:64 in
+  for i = 0 to 511 do
+    Kernel.write k ~addr:(va + (i * 8)) ~size:8 i;
+    ignore (Kernel.read k ~addr:(va + (i * 8)) ~size:8 : int)
+  done;
+  Kernel.write k ~addr:ua ~size:8 0;
+  Kernel.write k ~addr:ub ~size:8 0;
+  let w0 = Gc.minor_words () in
+  for i = 0 to 99_999 do
+    let a = va + ((i * 8) land 4095) in
+    Kernel.write k ~addr:a ~size:8 (Kernel.read k ~addr:a ~size:8 + 1)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words, 100k direct-map read+write pairs" 0.0 words;
+  let sum = ref 0 in
+  for i = 0 to 511 do
+    sum := !sum + Kernel.dma_read k ~addr:(va + (i * 8)) ~size:8
+  done;
+  checki "every increment landed" ((511 * 512 / 2) + 100_000) !sum;
+  (* two user mappings in turn: each switch misses the one-entry
+     mapping cache and scans the mapping list *)
+  let w0 = Gc.minor_words () in
+  for i = 0 to 49_999 do
+    let a = if i land 1 = 0 then ua else ub in
+    Kernel.write k ~addr:a ~size:8 (Kernel.read k ~addr:a ~size:8 + 1)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words, 50k mapped read+write pairs" 0.0 words;
+  checki "mapped increments landed" 50_000
+    (Kernel.read k ~addr:ua ~size:8 + Kernel.read k ~addr:ub ~size:8)
 
 let test_user_mapping () =
   let k = fresh () in
@@ -772,6 +835,9 @@ let () =
           Alcotest.test_case "direct map" `Quick test_direct_map_access;
           Alcotest.test_case "kernel image" `Quick test_kernel_image_access;
           Alcotest.test_case "fault unmapped" `Quick test_fault_on_unmapped;
+          Alcotest.test_case "fault past max_int" `Quick test_fault_past_max_int;
+          Alcotest.test_case "access path allocation-free" `Quick
+            test_access_path_allocation_free;
           Alcotest.test_case "user mapping" `Quick test_user_mapping;
           Alcotest.test_case "module allocs" `Quick test_module_alloc_distinct;
           Alcotest.test_case "kmalloc alignment" `Quick test_kmalloc_alignment;

@@ -309,6 +309,28 @@ let test_cache_allocation () =
   checki "every round access a conflict miss" 12_000 c.Machine.Cache.misses;
   Alcotest.(check (float 0.0)) "minor words" 0.0 allocated
 
+(* The whole memory path of the model — line split, three cache levels,
+   victim choice — allocates nothing once the sets it touches are
+   filled: 100k load/store pairs striding through a 1 MiB window (L1
+   misses and evictions; one access in sixteen straddles two lines). *)
+let test_model_access_allocation_free () =
+  let m = Machine.Model.create Machine.Presets.r350 in
+  let window = 1 lsl 20 in
+  let addr i = 0x1100_0000_0000_0000 + ((i * 68) land (window - 1)) in
+  (* fill every set the window and the line past it map to *)
+  for l = 0 to window / 64 do
+    Machine.Model.load m (0x1100_0000_0000_0000 + (l * 64)) 8
+  done;
+  Machine.Cache.reset_stats m.Machine.Model.l1;
+  let w0 = Gc.minor_words () in
+  for i = 0 to 99_999 do
+    Machine.Model.load m (addr i) 8;
+    Machine.Model.store m (addr (i + 5)) 8
+  done;
+  let allocated = Gc.minor_words () -. w0 in
+  checkb "the loop missed L1" true (m.Machine.Model.l1.Machine.Cache.misses > 1_000);
+  Alcotest.(check (float 0.0)) "minor words" 0.0 allocated
+
 (* ---------- predictor ---------- *)
 
 let test_predictor_learns_monotone () =
@@ -481,6 +503,8 @@ let () =
           Alcotest.test_case "fresh footprint" `Quick test_cache_fresh_footprint;
           Alcotest.test_case "flush footprint" `Quick test_cache_flush_footprint;
           Alcotest.test_case "allocation" `Quick test_cache_allocation;
+          Alcotest.test_case "model access allocation-free" `Quick
+            test_model_access_allocation_free;
         ]
         @ List.map
             (fun shape -> QCheck_alcotest.to_alcotest (prop_cache_matches_dense shape))

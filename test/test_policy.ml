@@ -20,7 +20,18 @@ let test_region_contains () =
   checkb "strict inside" true (Policy.Region.contains r ~addr:120 ~size:8);
   checkb "below" false (Policy.Region.contains r ~addr:99 ~size:2);
   checkb "spills over" false (Policy.Region.contains r ~addr:145 ~size:8);
-  checkb "just past" false (Policy.Region.contains r ~addr:150 ~size:1)
+  checkb "just past" false (Policy.Region.contains r ~addr:150 ~size:1);
+  checkb "negative size" false (Policy.Region.contains r ~addr:150 ~size:(-1));
+  (* a region ending exactly at max_int, probed by accesses whose end
+     reaches it, and by one whose end wraps past it *)
+  let top = region (max_int - 100) 100 in
+  checkb "ends at max_int" true (Policy.Region.contains top ~addr:(max_int - 8) ~size:8);
+  checkb "empty at max_int" true (Policy.Region.contains top ~addr:max_int ~size:0);
+  checkb "one past max_int" false
+    (Policy.Region.contains top ~addr:(max_int - 7) ~size:8);
+  checkb "ends past max_int" false
+    (Policy.Region.contains top ~addr:(max_int - 3) ~size:8);
+  checkb "size max_int" false (Policy.Region.contains top ~addr:(max_int - 3) ~size:max_int)
 
 let test_region_permits () =
   let ro = region ~prot:Policy.Region.prot_read 0 10 in
@@ -282,6 +293,44 @@ let test_engine_default_deny () =
   | _ -> Alcotest.fail "default deny");
   let st = Policy.Engine.stats e in
   checki "denied counted" 1 st.Policy.Engine.denied
+
+(* An 8-byte access at [max_int - 3] ends past [max_int]. Under the
+   paper's two-region policy the kernel high half ends exactly at
+   [max_int], so the access matches no region and the default denies it
+   on every tier: the linear walk, the span cache and a domain promoted
+   to the interval tree. *)
+let test_engine_denies_end_past_max_int () =
+  let k = fresh () in
+  let addr = max_int - 3 and w = Policy.Region.prot_write in
+  let e = Policy.Engine.create k in
+  Policy.Engine.set_policy e Policy.Region.kernel_only;
+  (match Policy.Engine.check e ~addr ~size:8 ~flags:w with
+  | Policy.Engine.Denied None -> ()
+  | _ -> Alcotest.fail "linear walk allowed an access ending past max_int");
+  let ic = Policy.Engine.create k in
+  Policy.Engine.set_policy ic Policy.Region.kernel_only;
+  Policy.Engine.enable_site_cache ic;
+  for _ = 1 to 2 do
+    checkb "span cache denies" false
+      (Policy.Engine.check_fast ic ~site:3 ~addr ~size:8 ~flags:w)
+  done;
+  (* the last conforming access fills the site with the high half's
+     span; the access past it must still miss and be denied *)
+  checkb "span cache allows up to max_int" true
+    (Policy.Engine.check_fast ic ~site:3 ~addr:(max_int - 8) ~size:8 ~flags:w);
+  checkb "and denies again past it" false
+    (Policy.Engine.check_fast ic ~site:3 ~addr ~size:8 ~flags:w);
+  let dm = Policy.Domain.create ~fast_capacity:4 k in
+  let d = Policy.Domain.create_domain dm in
+  let id = Policy.Domain.dom_id d in
+  checki "install" 0
+    (Policy.Domain.install_regions dm ~domain:id
+       (Policy.Region.kernel_only_padded 8));
+  Alcotest.(check string) "interval tier" "interval" (Policy.Domain.dom_structure d);
+  checkb "interval tier allows up to max_int" true
+    (Policy.Domain.check dm ~domain:id ~addr:(max_int - 8) ~size:8 ~flags:w);
+  checkb "interval tier denies" false
+    (Policy.Domain.check dm ~domain:id ~addr ~size:8 ~flags:w)
 
 let test_engine_default_allow () =
   let k = fresh () in
@@ -1444,6 +1493,8 @@ let () =
         [
           Alcotest.test_case "default deny" `Quick test_engine_default_deny;
           Alcotest.test_case "default allow" `Quick test_engine_default_allow;
+          Alcotest.test_case "end past max_int denied" `Quick
+            test_engine_denies_end_past_max_int;
           Alcotest.test_case "permission mismatch" `Quick test_engine_permission_mismatch;
           Alcotest.test_case "set policy" `Quick test_engine_set_policy;
           Alcotest.test_case "ablation shares the cost model" `Quick
