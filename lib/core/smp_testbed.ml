@@ -282,6 +282,8 @@ type duplex_cpu = {
   dc_rx_pps : float;
 }
 
+(** One {!run_traffic} call's outcome; every count covers that run only,
+    even on a testbed that has carried traffic before. *)
 type duplex_result = {
   d_per_cpu : duplex_cpu array;
   d_sent : int;
@@ -342,6 +344,29 @@ let run_traffic ?(count = 500) ?(size = 128) ?(churn = 0) ?(flows = 4096)
     Array.map (fun (c : Smp.Cpu.t) -> Smp.Cpu.cycles c) all_cpus
   in
   let rx_before = Array.init n (fun q -> Net.Rx.frames rx ~q) in
+  let samples_before = Net.Rx.sample_counts rx in
+  (* the device, NAPI and RCU counters run over the testbed's life; the
+     result reports each one's change over this run *)
+  let since f =
+    let v0 = f () in
+    fun () -> f () - v0
+  in
+  let rx_sum f () =
+    let s = ref 0 in
+    for q = 0 to n - 1 do
+      s := !s + f rx ~q
+    done;
+    !s
+  in
+  let rcu f () = f (Smp.Rcu.stats (Smp.System.rcu t.smp)) in
+  let dropped = since (fun () -> Nic.Device.rx_dropped t.device) in
+  let irqs = since (rx_sum Net.Rx.irqs) in
+  let polls = since (rx_sum Net.Rx.polls) in
+  let exhausted = since (rx_sum Net.Rx.budget_exhausted) in
+  let kicks = since (rx_sum Net.Rx.timer_kicks) in
+  let publications = since (rcu (fun rs -> rs.Smp.Rcu.publications)) in
+  let retired = since (rcu (fun rs -> rs.Smp.Rcu.retired)) in
+  let stale = since (fun () -> Policy.Engine.stale_allows engine) in
   let churn_policy = ref t.config.policy in
   let steps =
     Array.init n (fun cpu () ->
@@ -428,25 +453,23 @@ let run_traffic ?(count = 500) ?(size = 128) ?(churn = 0) ?(flows = 4096)
   let elapsed =
     Array.fold_left (fun a r -> max a r.dc_seconds) 0.0 per_cpu
   in
-  let rs = Smp.Rcu.stats (Smp.System.rcu t.smp) in
   Policy.Engine.set_verify engine false;
-  let sum f = Array.fold_left (fun a r -> a + f r.dc_cpu) 0 per_cpu in
   {
     d_per_cpu = per_cpu;
     d_sent = total_sent;
     d_injected = !injected;
     d_rx_frames = total_rx;
-    d_rx_dropped = Nic.Device.rx_dropped t.device;
+    d_rx_dropped = dropped ();
     d_elapsed_seconds = elapsed;
     d_tx_pps = float_of_int total_sent /. elapsed;
     d_rx_pps = float_of_int total_rx /. elapsed;
-    d_latencies = Net.Rx.all_latencies rx;
-    d_rx_irqs = sum (fun q -> Net.Rx.irqs rx ~q);
-    d_rx_polls = sum (fun q -> Net.Rx.polls rx ~q);
-    d_budget_exhausted = sum (fun q -> Net.Rx.budget_exhausted rx ~q);
-    d_timer_kicks = sum (fun q -> Net.Rx.timer_kicks rx ~q);
-    d_publications = rs.Smp.Rcu.publications;
-    d_retired = rs.Smp.Rcu.retired;
-    d_stale_allows = Policy.Engine.stale_allows engine;
+    d_latencies = Net.Rx.latencies_since rx samples_before;
+    d_rx_irqs = irqs ();
+    d_rx_polls = polls ();
+    d_budget_exhausted = exhausted ();
+    d_timer_kicks = kicks ();
+    d_publications = publications ();
+    d_retired = retired ();
+    d_stale_allows = stale ();
     d_send_errors = !errors;
   }

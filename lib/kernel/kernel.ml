@@ -391,10 +391,12 @@ let align_up v a = (v + a - 1) land lnot (a - 1)
     the physical address. This bump allocator never moves back: {!kfree}
     returns blocks to {!kmalloc}'s first-fit free list, not here, and
     module images and user mappings ({!module_alloc}, {!map_user}) are
-    never reclaimed. *)
+    never reclaimed. The bound is checked without summing, so no size
+    wraps past it. *)
 let kmalloc_phys t ~size =
+  if size < 0 then invalid_arg "Kernel.kmalloc_phys: negative size";
   let p = align_up t.kmalloc_next 64 in
-  if p + size > t.phys_size then panic t "out of physical memory (kmalloc)";
+  if size > t.phys_size - p then panic t "out of physical memory (kmalloc)";
   t.kmalloc_next <- p + size;
   p
 
@@ -405,8 +407,12 @@ let kmalloc_phys t ~size =
     first-fit — the historical bump-only workloads never call kfree, so
     their layout is untouched. With the sanitizer enabled the block
     grows a redzone on each side and the returned pointer stays 64-byte
-    aligned. *)
+    aligned. A negative [size] raises [Invalid_argument]; one larger
+    than all of physical memory panics like any other exhaustion. *)
 let kmalloc ?(tag = "") t ~size =
+  if size < 0 then invalid_arg "Kernel.kmalloc: negative size";
+  (* no free block is that large, and [extent] below must not wrap *)
+  if size > t.phys_size then panic t "out of physical memory (kmalloc)";
   let rz = if t.sanitize then Sanitizer.Shadow.redzone else 0 in
   (* the raw extent a reused block must cover; when bumping fresh memory
      without redzones we advance by [size] exactly, preserving the
@@ -955,7 +961,10 @@ let install_core_natives t =
       | _ -> panic t "memset: bad arguments");
   register_native t "kmalloc" (fun t args ->
       match args with
-      | [| size |] -> kmalloc t ~size
+      | [| size |] ->
+        (* NULL for a size no allocation can satisfy, as Linux's kmalloc
+           answers an impossible request *)
+        if size < 0 || size > t.phys_size then 0 else kmalloc t ~size
       | _ -> panic t "kmalloc: bad arguments");
   register_native t "kfree" (fun t args ->
       match args with

@@ -22,7 +22,46 @@
     frame's DMA-delivery cycle, and the poll loop pops one stamp per
     consumed frame ({!Nic.Device.rx_take_stamps}), yielding
     arrival-to-delivery latencies that include coalescing delay, softirq
-    batching, and guard overhead. *)
+    batching, and guard overhead. Each queue keeps its samples in a
+    {!Samples} store: one word per delivered frame. *)
+
+(** One queue's per-frame latencies (cycles), oldest first: an
+    append-only store of fixed-size [int array] chunks plus a count, so
+    a sample costs one word where a list cell would cost three. *)
+module Samples = struct
+  let chunk = 1024
+
+  type t = {
+    mutable chunks : int array array;
+        (** full chunks, the open one, then unused [[||]] slots *)
+    mutable count : int;
+  }
+
+  let create () = { chunks = [||]; count = 0 }
+  let length s = s.count
+  let get s i = s.chunks.(i / chunk).(i mod chunk)
+
+  let push s v =
+    let c = s.count / chunk and i = s.count mod chunk in
+    if i = 0 then begin
+      if c = Array.length s.chunks then begin
+        let spine = Array.make (Int.max 4 (2 * c)) [||] in
+        Array.blit s.chunks 0 spine 0 c;
+        s.chunks <- spine
+      end;
+      s.chunks.(c) <- Array.make chunk 0
+    end;
+    s.chunks.(c).(i) <- v;
+    s.count <- s.count + 1
+
+  (** Every sample, oldest first. *)
+  let to_list s =
+    let l = ref [] in
+    for i = s.count - 1 downto 0 do
+      l := get s i :: !l
+    done;
+    !l
+end
 
 type qstate = {
   q : int;
@@ -35,7 +74,7 @@ type qstate = {
   mutable timer_kicks : int;
   mutable idle_since_kick : int;
       (** idle polls since the last delivery; drives the timer model *)
-  mutable lats : int list;  (** per-frame latency (cycles), newest first *)
+  lats : Samples.t;  (** per-frame latency (cycles) *)
 }
 
 type t = {
@@ -72,7 +111,7 @@ let create ?(budget = 32) ?(coalesce = 1) ?(timer_passes = 4) ?trace kernel
             rearms = 0;
             timer_kicks = 0;
             idle_since_kick = 0;
-            lats = [];
+            lats = Samples.create ();
           });
     irq_cycles = 120;
   }
@@ -108,7 +147,7 @@ let claim_stamps t qs n =
   if n > 0 then begin
     let now = Machine.Model.cycles (Kernel.machine t.kernel) in
     let stamps = Nic.Device.rx_take_stamps t.device ~q:qs.q n in
-    Array.iter (fun s -> qs.lats <- (now - s) :: qs.lats) stamps
+    Array.iter (fun s -> Samples.push qs.lats (now - s)) stamps
   end
 
 (** Service queue [q]'s pending RX interrupt, if any: hard-irq half.
@@ -205,22 +244,32 @@ let total_frames t = Array.fold_left (fun a q -> a + q.frames) 0 t.qs
 
 (** Per-frame arrival-to-delivery latencies (cycles) of queue [q],
     oldest first. *)
-let latencies t ~q = List.rev t.qs.(q).lats
+let latencies t ~q = Samples.to_list t.qs.(q).lats
+
+(** Every queue's sample count: the marks {!latencies_since} reads
+    from. *)
+let sample_counts t = Array.map (fun qs -> Samples.length qs.lats) t.qs
+
+(** The samples each queue claimed after its mark in [marks] (from
+    {!sample_counts}), as one float array (for {!Stats.Cdf}): queue by
+    queue, oldest first. *)
+let latencies_since t marks =
+  let n =
+    Array.fold_left (fun a qs -> a + Samples.length qs.lats - marks.(qs.q)) 0 t.qs
+  in
+  let out = Array.make n 0.0 in
+  let pos = ref 0 in
+  Array.iter
+    (fun qs ->
+      for i = marks.(qs.q) to Samples.length qs.lats - 1 do
+        out.(!pos) <- float_of_int (Samples.get qs.lats i);
+        incr pos
+      done)
+    t.qs;
+  out
 
 (** All queues' latencies as one float array (for {!Stats.Cdf}). *)
-let all_latencies t =
-  let n = Array.fold_left (fun a q -> a + List.length q.lats) 0 t.qs in
-  let out = Array.make (max 1 n) 0.0 in
-  let i = ref 0 in
-  Array.iter
-    (fun q ->
-      List.iter
-        (fun l ->
-          out.(!i) <- float_of_int l;
-          incr i)
-        q.lats)
-    t.qs;
-  if n = 0 then [||] else out
+let all_latencies t = latencies_since t (Array.make (Array.length t.qs) 0)
 
 (** The /proc/carat/net rendering: one row per RX queue — driver-side
     delivery counters, device-side drop counters, and the NAPI loop's

@@ -18,6 +18,8 @@ type t = {
   capacity : int;
   mutable entries : Region.t array;  (** mirror of kernel memory, in order *)
   mutable n : int;
+  group_pc : int array;  (** branch id of each 8-entry group's branch *)
+  exit_pc : int;  (** branch id of the loop exit *)
 }
 
 let create kernel ~capacity =
@@ -28,6 +30,10 @@ let create kernel ~capacity =
     capacity;
     entries = Array.make capacity (Region.v ~base:0 ~len:1 ~prot:0 ());
     n = 0;
+    group_pc =
+      Array.init ((capacity + 7) / 8) (fun g ->
+          Hashtbl.hash ("lin", base_vaddr, g));
+    exit_pc = Hashtbl.hash ("lin-exit", base_vaddr);
   }
 
 let entry_addr t i = t.base_vaddr + (i * entry_size)
@@ -77,36 +83,33 @@ let clear t = t.n <- 0
 let count t = t.n
 let regions t = Array.to_list (Array.sub t.entries 0 t.n)
 
-let lookup t ~addr ~size : Structure.outcome =
-  (* The scan is modelled after an unrolled, cache-friendly compare loop:
-     one probe load and one compare per entry (pipelined), with a control
-     branch only once per 8-entry group — the "optimized for cache-
-     friendly search" structure §3.1 describes. *)
-  let machine = Kernel.machine t.kernel in
-  let rec scan i =
-    if i >= t.n then begin
-      (* loop exit branch *)
-      Machine.Model.branch machine ~pc:(Hashtbl.hash ("lin-exit", t.base_vaddr)) ~taken:false;
-      { Structure.matched = None; scanned = t.n }
-    end
-    else begin
-      (* one 8-byte probe of the entry; the mirror supplies the decoded
-         region (same value) without re-reading all three words *)
-      ignore (Kernel.read t.kernel ~addr:(entry_addr t i) ~size:8);
-      Machine.Model.retire machine 1;
-      let r = t.entries.(i) in
-      let hit = Region.contains r ~addr ~size in
-      (* group branch: highly predictable (taken only in the matching
-         group) *)
-      if i land 7 = 0 || hit then
-        Machine.Model.branch machine
-          ~pc:(Hashtbl.hash ("lin", t.base_vaddr, i lsr 3))
-          ~taken:hit;
-      if hit then { Structure.matched = Some r; scanned = i + 1 }
-      else scan (i + 1)
-    end
-  in
-  scan 0
+(* The scan is modelled after an unrolled, cache-friendly compare loop:
+   one probe load and one compare per entry (pipelined), with a control
+   branch only once per 8-entry group — the "optimized for cache-friendly
+   search" structure §3.1 describes. A top-level function with branch ids
+   fixed at [create], so a lookup allocates only its outcome. *)
+let rec scan t machine ~addr ~size i : Structure.outcome =
+  if i >= t.n then begin
+    (* loop exit branch *)
+    Machine.Model.branch machine ~pc:t.exit_pc ~taken:false;
+    { Structure.matched = None; scanned = t.n }
+  end
+  else begin
+    (* one 8-byte probe of the entry; the mirror supplies the decoded
+       region (same value) without re-reading all three words *)
+    ignore (Kernel.read t.kernel ~addr:(entry_addr t i) ~size:8);
+    Machine.Model.retire machine 1;
+    let r = t.entries.(i) in
+    let hit = Region.contains r ~addr ~size in
+    (* group branch: highly predictable (taken only in the matching
+       group) *)
+    if i land 7 = 0 || hit then
+      Machine.Model.branch machine ~pc:t.group_pc.(i lsr 3) ~taken:hit;
+    if hit then { Structure.matched = Some r; scanned = i + 1 }
+    else scan t machine ~addr ~size (i + 1)
+  end
+
+let lookup t ~addr ~size = scan t (Kernel.machine t.kernel) ~addr ~size 0
 
 (** [(vaddr, bytes)] of the table in kernel memory — the policy data an
     attacker would corrupt, and what the race detector watches. *)

@@ -383,6 +383,34 @@ let test_out_of_memory_panics () =
   | exception Kernel.Panic _ -> ()
   | _ -> Alcotest.fail "oom not detected"
 
+(* The kmalloc native answers NULL for a size no allocation can satisfy
+   and leaves the allocator as it was: a negative size would move the
+   bump pointer back, one near max_int would wrap the bound, and a
+   negative first-fit extent would match any free block. *)
+let test_kmalloc_impossible_sizes () =
+  let k = fresh () in
+  let kmalloc size = Kernel.call_symbol k "kmalloc" [| size |] in
+  let a = kmalloc 4096 in
+  let b = kmalloc 64 in
+  let refused what size =
+    let used = Kernel.phys_used k and free = k.Kernel.kfree_list in
+    checki (what ^ ": NULL") 0 (kmalloc size);
+    checki (what ^ ": phys_used unchanged") used (Kernel.phys_used k);
+    checkb (what ^ ": free list unchanged") true (k.Kernel.kfree_list = free)
+  in
+  refused "negative" (-4096);
+  refused "near max_int" (max_int - 100);
+  let c = kmalloc 64 in
+  checkb "next block above every earlier one" true (c > a && c >= b + 64);
+  checki "kfree" 0 (Kernel.call_symbol k "kfree" [| a |]);
+  checkb "freed block on the free list" true (k.Kernel.kfree_list <> []);
+  refused "negative, block free" (-64);
+  checki "freed block reused first-fit" a (kmalloc 64);
+  (match Kernel.kmalloc k ~size:(-1) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Kernel.kmalloc took a negative size");
+  checkb "kernel alive" true (Kernel.panic_state k = None)
+
 (* ---------- mmio ---------- *)
 
 let test_ioremap_dispatch () =
@@ -842,6 +870,8 @@ let () =
           Alcotest.test_case "module allocs" `Quick test_module_alloc_distinct;
           Alcotest.test_case "kmalloc alignment" `Quick test_kmalloc_alignment;
           Alcotest.test_case "out of memory" `Quick test_out_of_memory_panics;
+          Alcotest.test_case "kmalloc impossible sizes" `Quick
+            test_kmalloc_impossible_sizes;
         ] );
       ( "mmio",
         [

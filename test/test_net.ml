@@ -236,6 +236,61 @@ let prop_rx_dma_byte_identity =
       ignore (Net.Rx.flush rx ~q : int);
       ok && got = frame)
 
+(* The per-queue latency sample store against an [int list] reference:
+   batches of 0 to 3 chunks' worth of samples per queue, so appends cross
+   chunk boundaries. After each batch, every queue reads back oldest
+   first, [all_latencies] holds the same samples, and the slice since the
+   batch's marks is each queue's new suffix. *)
+let prop_rx_samples_match_list =
+  let queues = 3 and chunk = Net.Rx.Samples.chunk in
+  let k, dev, _ = setup_napi ~queues () in
+  QCheck.Test.make ~name:"RX sample store matches a list" ~count:25
+    QCheck.(
+      pair (int_bound 1_000_000)
+        (list_of_size Gen.(1 -- 4)
+           (array_of_size (Gen.return queues) (int_bound (3 * chunk)))))
+    (fun (seed, batches) ->
+      let rng = Random.State.make [| seed |] in
+      let rx = Net.Rx.create k dev ~queues in
+      let reference = Array.make queues [] in
+      List.for_all
+        (fun counts ->
+          let marks = Net.Rx.sample_counts rx in
+          let fresh =
+            Array.map
+              (fun n -> List.init n (fun _ -> Random.State.int rng 1_000_000))
+              counts
+          in
+          Array.iteri
+            (fun q l ->
+              List.iter (Net.Rx.Samples.push rx.Net.Rx.qs.(q).Net.Rx.lats) l;
+              reference.(q) <- reference.(q) @ l)
+            fresh;
+          let floats l = List.map float_of_int l in
+          let sorted a = List.sort compare (Array.to_list a) in
+          List.for_all
+            (fun q -> Net.Rx.latencies rx ~q = reference.(q))
+            (List.init queues Fun.id)
+          && sorted (Net.Rx.all_latencies rx)
+             = List.sort compare (floats (List.concat (Array.to_list reference)))
+          && Array.to_list (Net.Rx.latencies_since rx marks)
+             = floats (List.concat (Array.to_list fresh)))
+        batches)
+
+(* One word per sample: 100,000 samples on one queue cost their chunks,
+   at most one of them partly empty, and a short spine. *)
+let test_rx_samples_footprint () =
+  let s = Net.Rx.Samples.create () in
+  for i = 1 to 100_000 do
+    Net.Rx.Samples.push s i
+  done;
+  let words = Obj.reachable_words (Obj.repr s) in
+  checkb
+    (Printf.sprintf "%d words for 100,000 samples" words)
+    true
+    (words <= 101_000 + Net.Rx.Samples.chunk);
+  checki "last sample" 100_000 (Net.Rx.Samples.get s 99_999)
+
 let test_deny_policy_blocks_rx () =
   (* the other half of the DMA property: with write permission on the
      kernel half revoked, the guarded driver cannot walk its own RX ring
@@ -381,6 +436,9 @@ let () =
           Alcotest.test_case "coalescing timer kick" `Quick
             test_napi_coalescing_timer_kick;
           QCheck_alcotest.to_alcotest prop_rx_dma_byte_identity;
+          QCheck_alcotest.to_alcotest prop_rx_samples_match_list;
+          Alcotest.test_case "sample store footprint" `Quick
+            test_rx_samples_footprint;
           Alcotest.test_case "deny policy blocks rx" `Quick
             test_deny_policy_blocks_rx;
         ] );

@@ -417,6 +417,29 @@ let test_engine_set_policy () =
   Policy.Engine.set_policy e (Policy.Region.kernel_only_padded 16);
   checki "replaced" 16 (Policy.Engine.count e)
 
+(* The paper's exact walk builds nothing per 8-entry group: a warm
+   allowed check allocates its outcome record, the [Some] holding the
+   matched region and the [Allowed] verdict, whatever the table size. *)
+let test_exact_check_allocation_flat () =
+  let words n =
+    let k = fresh () in
+    let e = Policy.Engine.create k in
+    Policy.Engine.set_policy e (Policy.Region.kernel_only_padded n);
+    let addr = Kernel.Layout.direct_map_base + 64 in
+    for _ = 1 to 200 do
+      ignore (Policy.Engine.check e ~addr ~size:8 ~flags:1)
+    done;
+    let checks = 10_000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to checks do
+      ignore (Policy.Engine.check e ~addr ~size:8 ~flags:1)
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int checks
+  in
+  let w2 = words 2 and w64 = words 64 in
+  Alcotest.(check (float 0.01)) "same words on 2 and 64 regions" w2 w64;
+  checkb (Printf.sprintf "at most 7 words per check (%.2f)" w64) true (w64 <= 7.0)
+
 let test_engine_cost_grows_with_scan_depth () =
   let k = fresh () in
   let e = Policy.Engine.create k in
@@ -1500,6 +1523,8 @@ let () =
           Alcotest.test_case "ablation shares the cost model" `Quick
             test_ablation_engine_parity;
           Alcotest.test_case "scan depth cost" `Quick test_engine_cost_grows_with_scan_depth;
+          Alcotest.test_case "exact check allocation flat" `Quick
+            test_exact_check_allocation_flat;
         ] );
       ( "policy-file",
         [

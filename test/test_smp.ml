@@ -522,6 +522,58 @@ let test_smp_throughput_scales () =
   checkb "4-CPU efficiency at least 70%" true (p4 /. (4.0 *. p1) >= 0.70)
 
 
+(* ---------- full-duplex runs on a reused testbed ---------- *)
+
+(* Every duplex_result count covers its own run: a second run on the same
+   testbed still has one latency sample per delivered frame and delivered
+   + dropped = offered, and the two runs' counts add up to the testbed's
+   totals. The offered load (4 arrivals per step, as in the benchmark's
+   duplex workload) overruns 16-entry rings, so the first run drops
+   frames. *)
+let test_duplex_result_per_run () =
+  let cfg =
+    {
+      Smp_testbed.default_config with
+      cpus = 2;
+      rx_queues = 2;
+      ring_entries = 16;
+      seed = 5;
+    }
+  in
+  let tb = Smp_testbed.create ~config:cfg () in
+  let run () = Smp_testbed.run_traffic ~count:80 ~churn:13 ~rx_per_step:4 tb in
+  let r1 = run () in
+  let r2 = run () in
+  checkb "the first run drops frames" true (r1.Smp_testbed.d_rx_dropped > 0);
+  List.iter
+    (fun (what, (r : Smp_testbed.duplex_result)) ->
+      checki (what ^ ": one latency sample per delivered frame")
+        r.Smp_testbed.d_rx_frames
+        (Array.length r.Smp_testbed.d_latencies);
+      checki (what ^ ": delivered + dropped = offered") r.Smp_testbed.d_injected
+        (r.Smp_testbed.d_rx_frames + r.Smp_testbed.d_rx_dropped);
+      checki (what ^ ": every publication retired") r.Smp_testbed.d_publications
+        r.Smp_testbed.d_retired)
+    [ ("first run", r1); ("second run", r2) ];
+  let rx = Option.get (Smp_testbed.rx tb) in
+  let total f = f rx ~q:0 + f rx ~q:1 in
+  let rcu = Smp.Rcu.stats (Smp.System.rcu (Smp_testbed.smp tb)) in
+  let adds what f whole = checki (what ^ ": the runs add up") whole (f r1 + f r2) in
+  adds "frames" (fun r -> r.Smp_testbed.d_rx_frames) (total Net.Rx.frames);
+  adds "drops" (fun r -> r.Smp_testbed.d_rx_dropped)
+    (Nic.Device.rx_dropped (Smp_testbed.device tb));
+  adds "irqs" (fun r -> r.Smp_testbed.d_rx_irqs) (total Net.Rx.irqs);
+  adds "polls" (fun r -> r.Smp_testbed.d_rx_polls) (total Net.Rx.polls);
+  adds "exhausted passes" (fun r -> r.Smp_testbed.d_budget_exhausted)
+    (total Net.Rx.budget_exhausted);
+  adds "timer kicks" (fun r -> r.Smp_testbed.d_timer_kicks)
+    (total Net.Rx.timer_kicks);
+  adds "publications" (fun r -> r.Smp_testbed.d_publications)
+    rcu.Smp.Rcu.publications;
+  adds "retired" (fun r -> r.Smp_testbed.d_retired) rcu.Smp.Rcu.retired;
+  adds "stale allows" (fun r -> r.Smp_testbed.d_stale_allows)
+    (Policy.Engine.stale_allows (Smp_testbed.engine tb))
+
 (* ---------- batched install under SMP ---------- *)
 
 (* ioctl_install's whole batch is ONE scheduler operation and ONE
@@ -735,6 +787,11 @@ let () =
         [
           Alcotest.test_case "multi-domain churn, zero stale" `Quick
             test_multidomain_churn_no_stale;
+        ] );
+      ( "duplex",
+        [
+          Alcotest.test_case "every result covers its own run" `Quick
+            test_duplex_result_per_run;
         ] );
       ( "storm",
         [
