@@ -290,7 +290,7 @@ let bechamel_tests () =
     let m = Nic.Driver_gen.generate () in
     Test.make ~name:"pass/sign(e1000e)"
       (Staged.stage (fun () ->
-           ignore (Passes.Signing.keyed_tag ~key:"k" (Passes.Signing.signable_text m))))
+           ignore (Passes.Signing.keyed_tag_parts ~key:"k" (Passes.Signing.signable_parts m))))
   in
   Test.make_grouped ~name:"carat-kop"
     [

@@ -78,6 +78,7 @@ type summary = {
   s_exempt_stack : bool;
   s_funcs : func_summary list;
   s_summaries : Summaries.t option;  (** when interprocedural *)
+  s_solves : GC.solved list;  (** the solve each [s_funcs] entry walked *)
 }
 
 (** Analyze [f] with [call_effect] for its direct calls. [solved] is
@@ -88,10 +89,11 @@ let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ?solved ~exempt_stac
     (f : func) : func_summary =
   let ctx = { GC.neutral = Summaries.default_neutral; call_effect } in
   let solved = match solved with Some s -> s | None -> GC.solve ctx f in
-  let { GC.cfg; bodies; base = iid_base; sol } = solved in
+  let { GC.cfg; bodies; base = iid_base; sol; states; _ } = solved in
   (* induction-variable ranges: lets one widened pre-header guard prove
-     every iteration of a counted loop (see {!Range}) *)
-  let ranges = Range.analyze_func cfg in
+     every iteration of a counted loop (see {!Range}); asked for only when
+     no fact covers an access or guard directly *)
+  let ranges = lazy (Range.analyze_func cfg) in
   (* function-wide instruction ids count off in block-array order *)
   let instr_at = Array.concat (Array.to_list bodies) in
   (* the alloca [k] when bytes [off, off + size) of it lie in its frame *)
@@ -116,14 +118,15 @@ let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ?solved ~exempt_stac
     (fun b body ->
       match sol.Dataflow.block_in.(b) with
       | None -> unreachable := (Kir.Cfg.block cfg b).b_label :: !unreachable
-      | Some t0 ->
+      | Some _ ->
         let lbl = (Kir.Cfg.block cfg b).b_label in
-        let bounds = Range.bounds_at ranges ~block:b in
-        let t = ref t0 in
+        let bounds sv = Range.bounds_at (Lazy.force ranges) ~block:b sv in
         Array.iteri
           (fun k ins ->
             let iid = iid_base.(b) + k in
-            (match ins with
+            (* the state before [ins], as the solve left it *)
+            let t = states.(iid) in
+            match ins with
             | Load { ty; addr; _ } | Store { ty; addr; _ } ->
               let kind = match ins with Load _ -> A_load | _ -> A_store in
               let size = size_of_ty ty in
@@ -133,12 +136,12 @@ let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ?solved ~exempt_stac
                 | A_store -> Passes.Guard_injection.flag_write
               in
               incr accesses;
-              let sv = GC.sv_of !t.GC.env addr in
+              let sv = GC.sv_of t.GC.env addr in
               let proof =
-                match GC.covering_fact !t sv ~size ~flags with
+                match GC.covering_fact t sv ~size ~flags with
                 | Some cf -> P_covered (cf, None)
                 | None -> (
-                  let ranged = GC.covering_fact ~bounds !t sv ~size ~flags in
+                  let ranged = GC.covering_fact ~bounds t sv ~size ~flags in
                   match (ranged, GC.base_off sv) with
                   | Some cf, (GC.S_gep (_, GC.S_merge (h, r), _), _) ->
                     P_covered (cf, Some (h, r))
@@ -168,8 +171,8 @@ let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ?solved ~exempt_stac
             | Call _ -> (
               match Passes.Guard_injection.parse_guard ins with
               | Some (addr, size, flags, site) ->
-                let sv = GC.sv_of !t.GC.env addr in
-                let shadow = GC.covering_fact ~bounds !t sv ~size ~flags in
+                let sv = GC.sv_of t.GC.env addr in
+                let shadow = GC.covering_fact ~bounds t sv ~size ~flags in
                 guards :=
                   {
                     gs_func = f.f_name;
@@ -185,8 +188,7 @@ let analyze_func ?(call_effect = fun _ -> GC.opaque_effect) ?solved ~exempt_stac
                   }
                   :: !guards
               | None -> ())
-            | _ -> ());
-            t := GC.transfer_instr ctx ~iid !t ins)
+            | _ -> ())
           body)
     bodies;
   let guards =
@@ -215,20 +217,53 @@ let interprocedural m =
 
 (** Analyze every function of [m] under its recorded [exempt_stack]
     option. Raises {!Dataflow.Diverged} only for a broken domain —
-    callers treat that as a refusal, never as success. *)
-let analyze (m : modul) : summary =
+    callers treat that as a refusal, never as success.
+
+    [prev] is an earlier analysis of [m], before some of its functions
+    changed (the certified optimizer's previous derivation). Its
+    interprocedural summaries go to {!Summaries.compute}, which takes
+    over each function's solve that {!Guard_cover.reusable} allows; the
+    proof walk over a solve taken over is taken over too, under the same
+    [exempt_stack], since the walk reads nothing else. The result equals
+    an analysis without [prev]. *)
+let analyze ?prev (m : modul) : summary =
   let exempt_stack =
     meta_find m Passes.Guard_injection.meta_exempt_stack = Some "true"
   in
-  let summaries = if interprocedural m then Some (Summaries.compute m) else None in
-  let analyze f =
-    match summaries with
-    | Some s ->
-      analyze_func ~call_effect:(Summaries.effect_of s) ?solved:(Summaries.solved s f)
-        ~exempt_stack f
-    | None -> analyze_func ~exempt_stack f
+  let summaries =
+    if interprocedural m then
+      Some (Summaries.compute ?prev:(Option.bind prev (fun p -> p.s_summaries)) m)
+    else None
   in
-  { s_exempt_stack = exempt_stack; s_funcs = List.map analyze m.funcs; s_summaries = summaries }
+  let call_effect =
+    match summaries with Some s -> Summaries.effect_of s | None -> fun _ -> GC.opaque_effect
+  in
+  let ctx = { GC.neutral = Summaries.default_neutral; call_effect } in
+  let earlier = Hashtbl.create 32 in
+  Option.iter
+    (fun p ->
+      List.iter2
+        (fun fs solved -> Hashtbl.replace earlier fs.fs_name (solved, fs))
+        p.s_funcs p.s_solves)
+    prev;
+  let same_exempt = match prev with Some p -> p.s_exempt_stack = exempt_stack | None -> false in
+  let analyze f =
+    let solved =
+      match Option.bind summaries (fun s -> Summaries.solved s f) with
+      | Some solved -> solved
+      | None -> GC.solve ctx f
+    in
+    match Hashtbl.find_opt earlier f.f_name with
+    | Some (s, fs) when s == solved && same_exempt -> (fs, solved)
+    | _ -> (analyze_func ~call_effect ~solved ~exempt_stack f, solved)
+  in
+  let funcs = List.map analyze m.funcs in
+  {
+    s_exempt_stack = exempt_stack;
+    s_funcs = List.map fst funcs;
+    s_summaries = summaries;
+    s_solves = List.map snd funcs;
+  }
 
 (* -- certificate --------------------------------------------------- *)
 
@@ -420,9 +455,9 @@ let render ?domain (m : modul) (s : summary) =
     (List.map2 (section cx ~guarantees) m.funcs s.s_funcs)
 
 (** Prove guard completeness with [domain] taken verbatim ([None] = an
-    undomained certificate). *)
-let certify_as ~domain (m : modul) : (string * summary, string) result =
-  match analyze m with
+    undomained certificate). [prev] as for {!analyze}. *)
+let certify_as ?prev ~domain (m : modul) : (string * summary, string) result =
+  match analyze ?prev m with
   | exception Dataflow.Diverged why -> Error ("analysis diverged: " ^ why)
   | s -> (
     let uncov = List.concat_map (fun fs -> fs.fs_uncovered) s.s_funcs in
@@ -442,12 +477,13 @@ let certify_as ~domain (m : modul) : (string * summary, string) result =
 
 (** Prove guard completeness; [Ok (certificate, summary)] or a human-
     readable refusal naming the first unguarded access. The certificate
-    names [domain] when given (or the module's {!meta_domain} stamp). *)
-let certify ?domain (m : modul) : (string * summary, string) result =
+    names [domain] when given (or the module's {!meta_domain} stamp).
+    [prev] as for {!analyze}. *)
+let certify ?prev ?domain (m : modul) : (string * summary, string) result =
   let domain =
     match domain with Some _ -> domain | None -> meta_find m meta_domain
   in
-  certify_as ~domain m
+  certify_as ?prev ~domain m
 
 let certificate ?domain m = Result.map fst (certify ?domain m)
 

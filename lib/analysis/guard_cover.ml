@@ -63,12 +63,51 @@ let rec base_off = function
     (core, off + (n * scale))
   | sv -> (sv, 0)
 
+let sv_rank = function
+  | S_imm _ -> 0
+  | S_sym _ -> 1
+  | S_param _ -> 2
+  | S_undef _ -> 3
+  | S_def _ -> 4
+  | S_merge _ -> 5
+  | S_gep _ -> 6
+
+(** The order polymorphic [compare] gives symbolic values — constructor
+    first, in declaration order, then the arguments left to right — so
+    every map keyed on them iterates as it always did, without a call
+    into the runtime's generic comparison. *)
+let rec compare_sv a b =
+  match (a, b) with
+  | S_imm x, S_imm y | S_def x, S_def y -> Int.compare x y
+  | S_sym x, S_sym y | S_param x, S_param y | S_undef x, S_undef y -> String.compare x y
+  | S_merge (b1, r1), S_merge (b2, r2) ->
+    let c = Int.compare b1 b2 in
+    if c <> 0 then c else String.compare r1 r2
+  | S_gep (b1, i1, s1), S_gep (b2, i2, s2) ->
+    let c = compare_sv b1 b2 in
+    if c <> 0 then c
+    else
+      let c = compare_sv i1 i2 in
+      if c <> 0 then c else Int.compare s1 s2
+  | _ -> Int.compare (sv_rank a) (sv_rank b)
+
+let rec equal_sv a b =
+  a == b
+  ||
+  match (a, b) with
+  | S_imm x, S_imm y | S_def x, S_def y -> Int.equal x y
+  | S_sym x, S_sym y | S_param x, S_param y | S_undef x, S_undef y -> String.equal x y
+  | S_merge (b1, r1), S_merge (b2, r2) -> Int.equal b1 b2 && String.equal r1 r2
+  | S_gep (b1, i1, s1), S_gep (b2, i2, s2) ->
+    Int.equal s1 s2 && equal_sv b1 b2 && equal_sv i1 i2
+  | _ -> false
+
 module Env = Map.Make (String)
 
 module SvMap = Map.Make (struct
   type t = sv
 
-  let compare = compare
+  let compare = compare_sv
 end)
 
 (** One proven check: bytes [\[lo, hi)] relative to the core address,
@@ -82,28 +121,49 @@ type t = { env : sv Env.t; facts : fact list SvMap.t }
 let coverage_subsumes a b =
   a.lo <= b.lo && b.hi <= a.hi && b.flags land a.flags = b.flags
 
-(** Canonical fact list: equal-coverage facts merged (origins unioned),
-    strictly-subsumed facts dropped, sorted. *)
-let prune (l : fact list) : fact list =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun f ->
-      let k = (f.lo, f.hi, f.flags) in
-      let prev = try Hashtbl.find tbl k with Not_found -> [] in
-      Hashtbl.replace tbl k (f.origins @ prev))
-    l;
-  let merged =
-    Hashtbl.fold
-      (fun (lo, hi, flags) origins acc ->
-        { lo; hi; flags; origins = List.sort_uniq compare origins } :: acc)
-      tbl []
-  in
-  let strictly_below f g = coverage_subsumes g f && not (coverage_subsumes f g) in
-  merged
-  |> List.filter (fun f -> not (List.exists (strictly_below f) merged))
-  |> List.sort_uniq compare
+(* the coverage a fact proves: the key equal-coverage facts merge on *)
+let compare_coverage f g =
+  let c = Int.compare f.lo g.lo in
+  if c <> 0 then c
+  else
+    let c = Int.compare f.hi g.hi in
+    if c <> 0 then c else Int.compare f.flags g.flags
 
-let equal a b = a == b || (Env.equal ( = ) a.env b.env && SvMap.equal ( = ) a.facts b.facts)
+let rec sorted_unique (l : int list) =
+  match l with a :: (b :: _ as rest) -> a < b && sorted_unique rest | _ -> true
+
+(** Canonical fact list: equal-coverage facts merged (origins unioned),
+    strictly-subsumed facts dropped, sorted. Sorted by coverage, each
+    run of equal coverage merges into one fact; merged coverages are
+    distinct, so this is also the order [compare] gives whole facts. *)
+let prune (l : fact list) : fact list =
+  let rec merge acc = function
+    | [] -> List.rev acc
+    | f :: rest ->
+      let rec run origins = function
+        | g :: rest when compare_coverage f g = 0 ->
+          run (List.rev_append g.origins origins) rest
+        | rest -> (origins, rest)
+      in
+      let origins, rest = run f.origins rest in
+      let f =
+        if origins == f.origins && sorted_unique origins then f
+        else { f with origins = List.sort_uniq Int.compare origins }
+      in
+      merge (f :: acc) rest
+  in
+  let merged = merge [] (List.stable_sort compare_coverage l) in
+  let strictly_below f g = coverage_subsumes g f && not (coverage_subsumes f g) in
+  List.filter (fun f -> not (List.exists (strictly_below f) merged)) merged
+
+let equal_fact f g =
+  f == g
+  || Int.equal f.lo g.lo && Int.equal f.hi g.hi && Int.equal f.flags g.flags
+     && List.equal Int.equal f.origins g.origins
+
+let equal a b =
+  a == b
+  || Env.equal equal_sv a.env b.env && SvMap.equal (List.equal equal_fact) a.facts b.facts
 
 let entry_of_params params =
   {
@@ -115,7 +175,7 @@ let entry_of_params params =
 let sv_of env = function
   | Imm n -> S_imm n
   | Sym s -> S_sym s
-  | Reg r -> ( match Env.find_opt r env with Some v -> v | None -> S_undef r)
+  | Reg r -> ( try Env.find r env with Not_found -> S_undef r)
 
 let kill_mentioning p facts =
   SvMap.filter (fun core _ -> not (sv_exists p core)) facts
@@ -161,7 +221,7 @@ let rec subst_params ~params ~args sv =
   | S_param r -> (
     let rec pick ps vs =
       match (ps, vs) with
-      | p :: _, v :: _ when p = r -> Some v
+      | p :: _, v :: _ when String.equal p r -> Some v
       | _ :: ps, _ :: vs -> pick ps vs
       | _ -> None
     in
@@ -172,10 +232,22 @@ let rec subst_params ~params ~args sv =
     | _ -> None)
   | S_undef _ | S_def _ | S_merge _ -> None
 
-let add_fact core (f : fact) t =
+(** Add the fact the guard or call [origin] establishes on [core]. The
+    list on [core] is pruned and, unless it already subsumes the new
+    fact, holds none that does, so {!prune} of the two would only drop
+    what the new fact subsumes and put it in coverage order: that is
+    done here directly. *)
+let add_fact core ~lo ~hi ~flags ~origin t =
   let existing = try SvMap.find core t.facts with Not_found -> [] in
+  let f = { lo; hi; flags; origins = [ origin ] } in
   if List.exists (fun e -> coverage_subsumes e f) existing then t
-  else { t with facts = SvMap.add core (prune (f :: existing)) t.facts }
+  else
+    let rec insert = function
+      | e :: rest when coverage_subsumes f e -> insert rest
+      | e :: rest when compare_coverage e f < 0 -> e :: insert rest
+      | rest -> f :: List.filter (fun e -> not (coverage_subsumes f e)) rest
+    in
+    { t with facts = SvMap.add core (insert existing) t.facts }
 
 (** The instruction with id [iid] (re)defines [dst]: bind it to an
     opaque value and kill coverage keyed on this instruction's previous
@@ -186,7 +258,7 @@ let def_opaque ~iid dst t =
   | Some r ->
     {
       env = Env.add r (S_def iid) t.env;
-      facts = kill_mentioning (fun s -> s = S_def iid) t.facts;
+      facts = kill_mentioning (function S_def i -> i = iid | _ -> false) t.facts;
     }
 
 (* every instruction but a guard call *)
@@ -208,9 +280,7 @@ let transfer_other ctx ~iid (t : t) (i : instr) : t =
           match subst_params ~params:ce_params ~args:argvs core with
           | Some core ->
             let core, shift = base_off core in
-            add_fact core
-              { lo = lo + shift; hi = hi + shift; flags; origins = [ iid ] }
-              t
+            add_fact core ~lo:(lo + shift) ~hi:(hi + shift) ~flags ~origin:iid t
           | None -> t)
         t ce_adds)
   | Callind { dst; _ } -> def_opaque ~iid dst { t with facts = SvMap.empty }
@@ -237,7 +307,7 @@ let transfer_instr ctx ~iid (t : t) (i : instr) : t =
   match Passes.Guard_injection.parse_guard i with
   | Some (addr, size, flags, _site) ->
     let core, off = base_off (sv_of t.env addr) in
-    add_fact core { lo = off; hi = off + size; flags; origins = [ iid ] } t
+    add_fact core ~lo:off ~hi:(off + size) ~flags ~origin:iid t
   | None -> transfer_other ctx ~iid t i
 
 (* -- join ---------------------------------------------------------- *)
@@ -252,7 +322,7 @@ let inter_facts a b =
             (fun f1 ->
               List.filter_map
                 (fun f2 ->
-                  let lo = max f1.lo f2.lo and hi = min f1.hi f2.hi in
+                  let lo = Int.max f1.lo f2.lo and hi = Int.min f1.hi f2.hi in
                   let flags = f1.flags land f2.flags in
                   if lo < hi && flags <> 0 then
                     Some
@@ -260,7 +330,7 @@ let inter_facts a b =
                         lo;
                         hi;
                         flags;
-                        origins = List.sort_uniq compare (f1.origins @ f2.origins);
+                        origins = List.sort_uniq Int.compare (f1.origins @ f2.origins);
                       }
                   else None)
                 lb)
@@ -274,28 +344,47 @@ let inter_facts a b =
     partially-undefined) registers collapse to [S_merge (block, r)];
     incoming values already equal to that symbol are transparent, so a
     loop-invariant register keeps its pre-loop value. Returns the new
-    environment plus the merge symbols that genuinely conflicted this
-    time (coverage mentioning them is stale). *)
-let join_envs ~block (envs : sv Env.t list) : sv Env.t * (int * reg) list =
-  let killed = ref [] in
-  let joined r _ =
-    let self = S_merge (block, r) in
-    let rec scan first = function
-      | [] -> Option.value first ~default:self
-      | e :: rest -> (
-        match Env.find_opt r e with
-        | Some v when v = self -> scan first rest
-        | Some v when first = None || first = Some v -> scan (Some v) rest
-        | _ ->
-          (* two incoming values differ, or a path leaves [r] undefined *)
-          killed := (block, r) :: !killed;
-          self)
+    environment plus the registers whose merge symbols genuinely
+    conflicted this time (coverage mentioning them is stale). One
+    environment reaching the join on every edge is its own join. *)
+let join_envs ~block (envs : sv Env.t list) : sv Env.t * reg list =
+  let is_self r = function S_merge (b, r') -> b = block && String.equal r r' | _ -> false in
+  match envs with
+  | e :: rest when List.for_all (fun e' -> e' == e) rest -> (e, [])
+  | [ e1; e2 ] ->
+    (* the scan below, for two edges in one pass over both maps *)
+    let killed = ref [] in
+    let joined r a b =
+      match (a, b) with
+      | Some v, Some w when is_self r v -> Some w
+      | Some v, Some w when is_self r w || equal_sv v w -> Some v
+      | _ ->
+        killed := r :: !killed;
+        Some (S_merge (block, r))
     in
-    scan None envs
-  in
-  let keys = List.fold_left (Env.union (fun _ v _ -> Some v)) Env.empty envs in
-  let env = Env.mapi joined keys in
-  (env, !killed)
+    let env = Env.merge joined e1 e2 in
+    (env, !killed)
+  | _ ->
+    let killed = ref [] in
+    let joined r _ =
+      let self = S_merge (block, r) in
+      let rec scan first = function
+        | [] -> Option.value first ~default:self
+        | e :: rest -> (
+          match (Env.find_opt r e, first) with
+          | Some v, _ when equal_sv v self -> scan first rest
+          | Some v, None -> scan (Some v) rest
+          | Some v, Some w when equal_sv w v -> scan first rest
+          | _ ->
+            (* two incoming values differ, or a path leaves [r] undefined *)
+            killed := r :: !killed;
+            self)
+      in
+      scan None envs
+    in
+    let keys = List.fold_left (Env.union (fun _ v _ -> Some v)) Env.empty envs in
+    let env = Env.mapi joined keys in
+    (env, !killed)
 
 let join ~block = function
   | [] -> invalid_arg "Guard_cover.join: empty predecessor list"
@@ -306,45 +395,118 @@ let join ~block = function
       List.fold_left (fun acc t -> inter_facts acc t.facts) x.facts rest
     in
     let facts =
-      if killed = [] then facts
-      else
+      match killed with
+      | [] -> facts
+      | _ ->
         kill_mentioning
-          (function S_merge (b, r) -> List.mem (b, r) killed | _ -> false)
+          (function
+            | S_merge (b, r) -> b = block && List.exists (String.equal r) killed
+            | _ -> false)
           facts
     in
     { env; facts }
 
 (** One function's coverage solve: its CFG, the block bodies, the
     function-wide id of each block's first instruction (ids count
-    instructions in block-array order), and the per-block facts. *)
+    instructions in block-array order), the per-block facts and the
+    state before each instruction of a reachable block; then what the
+    solve read: the function's block list, each block's body and
+    terminator as they were, which callees it held neutral, and the
+    effect it assumed for each other direct callee. *)
 type solved = {
   cfg : Kir.Cfg.t;
   bodies : instr array array;
   base : int array;
   sol : t Dataflow.solution;
+  states : t array;
+  seen_blocks : block list;
+  seen_bodies : instr list array;
+  seen_terms : terminator array;
+  seen_neutral : string -> bool;
+  assumed : (string * call_effect) list;
 }
+
+(* the effect [ctx] gives each direct callee of [bodies] it does not
+   hold neutral, once per callee *)
+let assumed_effects ctx bodies =
+  Array.fold_left
+    (Array.fold_left (fun acc i ->
+         match i with
+         | Call { callee; _ }
+           when (not (ctx.neutral callee))
+                && not (List.exists (fun (c, _) -> String.equal c callee) acc) ->
+           (callee, ctx.call_effect callee) :: acc
+         | _ -> acc))
+    [] bodies
 
 (** Solve [f] under [ctx]. Raises {!Dataflow.Diverged} only for a
     broken domain. *)
 let solve ctx (f : func) : solved =
   let cfg = Kir.Cfg.of_func f in
-  let bodies = Array.map (fun b -> Array.of_list b.body) cfg.Kir.Cfg.blocks in
-  let base = Array.make (max (Array.length bodies) 1) 0 in
+  let blocks = cfg.Kir.Cfg.blocks in
+  let bodies = Array.map (fun b -> Array.of_list b.body) blocks in
+  let base = Array.make (Int.max (Array.length bodies) 1) 0 in
   let total = ref 0 in
   Array.iteri
     (fun i body ->
       base.(i) <- !total;
       total := !total + Array.length body)
     bodies;
+  (* the solver transfers a block right after each change of its
+     in-state, so the states the last transfer of each block records are
+     the ones its final in-state leads to *)
+  let states = Array.make !total { env = Env.empty; facts = SvMap.empty } in
   let transfer ~block t =
-    snd
-      (Array.fold_left
-         (fun (iid, t) ins -> (iid + 1, transfer_instr ctx ~iid t ins))
-         (base.(block), t)
-         bodies.(block))
+    let body = bodies.(block) and t = ref t in
+    for k = 0 to Array.length body - 1 do
+      let iid = base.(block) + k in
+      states.(iid) <- !t;
+      t := transfer_instr ctx ~iid !t body.(k)
+    done;
+    !t
   in
   let domain = { Dataflow.entry = entry_of_params f.params; equal; join; transfer } in
-  { cfg; bodies; base; sol = Dataflow.solve domain cfg }
+  {
+    cfg;
+    bodies;
+    base;
+    sol = Dataflow.solve domain cfg;
+    states;
+    seen_blocks = f.blocks;
+    seen_bodies = Array.map (fun b -> b.body) blocks;
+    seen_terms = Array.map (fun b -> b.term) blocks;
+    seen_neutral = ctx.neutral;
+    assumed = assumed_effects ctx bodies;
+  }
+
+let equal_effect a b =
+  a == b
+  || Bool.equal a.ce_kills b.ce_kills
+     && List.equal String.equal a.ce_params b.ce_params
+     && (a.ce_adds == b.ce_adds
+        || List.equal
+             (fun (c, lo, hi, fl) (c', lo', hi', fl') ->
+               Int.equal lo lo' && Int.equal hi hi' && Int.equal fl fl' && equal_sv c c')
+             a.ce_adds b.ce_adds)
+
+(** Is [s] what {!solve} would compute for [f] under [ctx] now? It is
+    when [f] is the function [s] solved, with the same block list and
+    every block's body and terminator physically the ones [s] read, and
+    [ctx] holds the same callees neutral and gives every other direct
+    callee the effect [s] assumed: the solve reads nothing else, and KIR
+    instructions and terminators are immutable, so it would repeat
+    itself fact for fact. *)
+let reusable ctx (f : func) (s : solved) =
+  s.cfg.Kir.Cfg.func == f
+  && ctx.neutral == s.seen_neutral
+  && f.blocks == s.seen_blocks
+  && (let same = ref true in
+      Array.iteri
+        (fun i b ->
+          if b.body != s.seen_bodies.(i) || b.term != s.seen_terms.(i) then same := false)
+        s.cfg.Kir.Cfg.blocks;
+      !same)
+  && List.for_all (fun (c, e) -> equal_effect (ctx.call_effect c) e) s.assumed
 
 (** The states at the end of each reachable return block, in block
     order. *)

@@ -79,9 +79,11 @@ let restore (snap : snapshot) (m : modul) : unit =
     subsumed facts), so surviving facts only ever originate from
     surviving guards (or calls); and accesses the deleted guards
     covered remain covered by the subsuming facts the certifier's
-    re-analysis rediscovers. *)
-let eliminate (m : modul) : int =
-  let s = Certify.analyze m in
+    re-analysis rediscovers. Returns the analysis it acted on, which
+    describes [m] as it was before the deletions, and the number of
+    guards deleted. [prev] as for {!Certify.analyze}. *)
+let eliminate ?prev (m : modul) : Certify.summary * int =
+  let s = Certify.analyze ?prev m in
   let deleted = ref 0 in
   List.iter2
     (fun (f : func) (fs : Certify.func_summary) ->
@@ -111,7 +113,7 @@ let eliminate (m : modul) : int =
           f.blocks
       end)
     m.funcs s.Certify.s_funcs;
-  !deleted
+  (s, !deleted)
 
 (* -- loop hoist-widening ------------------------------------------- *)
 
@@ -284,13 +286,16 @@ let run (m : modul) : Passes.Pass.result =
      every later re-validation of this module *)
   meta_set m Passes.Guard_injection.meta_opt_level
     (Passes.Pipeline.opt_level_to_string Passes.Pipeline.O_aggressive);
+  (* each derivation hands its solves to the next, which re-solves only
+     the functions a transform touched and their callers whose callee
+     summaries moved *)
   match
-    let interproc = eliminate m in
+    let a1, interproc = eliminate m in
     let merged = coalesce m in
     let widened = widen m in
-    let narrowed = if widened > 0 then eliminate m else 0 in
+    let a2, narrowed = if widened > 0 then eliminate ~prev:a1 m else (a1, 0) in
     let merged' = if widened + narrowed > 0 then coalesce m else 0 in
-    (interproc + narrowed, merged + merged', widened)
+    (a2, interproc + narrowed, merged + merged', widened)
   with
   | exception Dataflow.Diverged why ->
     restore snap m;
@@ -298,8 +303,8 @@ let run (m : modul) : Passes.Pass.result =
       Passes.Pass.changed = false;
       remarks = [ ("restored", "analysis diverged: " ^ why) ];
     }
-  | eliminated, merged, widened -> (
-    match Certify.certify m with
+  | prev, eliminated, merged, widened -> (
+    match Certify.certify ~prev m with
     | Error reason ->
       (* refuse the transform, not the module *)
       restore snap m;

@@ -153,8 +153,16 @@ let effect_of (t : t) (callee : string) : GC.call_effect =
     components iterate to fixpoint (each under the round cap). Each
     solve that ran against final summaries is kept for {!solved}: every
     function outside a cycle, and every member of a component whose
-    last round changed nothing. *)
-let compute (m : modul) : t =
+    last round changed nothing.
+
+    [prev] is an earlier computation for this module, before some of
+    its functions changed. A function's solve kept there, with the
+    guarantees read off it, is taken over instead of solving again
+    whenever {!Guard_cover.reusable} holds for it: its code is
+    physically what that solve read, and every callee's purity and
+    guarantees are what it assumed. A solve is a function of exactly
+    those, so the summaries equal a computation without [prev]. *)
+let compute ?prev (m : modul) : t =
   let pure = Cert_check.purity m in
   let tbl = Hashtbl.create 16 in
   List.iter
@@ -168,9 +176,15 @@ let compute (m : modul) : t =
         })
     m.funcs;
   let ctx = { GC.neutral = default_neutral; call_effect = effect_of tbl } in
+  let earlier f =
+    match Option.bind prev (fun p -> Hashtbl.find_opt p f.f_name) with
+    | Some { sm_solved = Some solved; sm_guarantees; _ } when GC.reusable ctx f solved ->
+      Some (Some solved, sm_guarantees)
+    | _ -> None
+  in
   let update f =
     let s = Hashtbl.find tbl f.f_name in
-    let solved, g = solve_rets ~ctx f in
+    let solved, g = match earlier f with Some kept -> kept | None -> solve_rets ~ctx f in
     Hashtbl.replace tbl f.f_name { s with sm_guarantees = g; sm_solved = solved };
     g <> s.sm_guarantees
   in

@@ -200,6 +200,11 @@ let run_pktgen ?(count = 1000) ?(size = 128) ?(storm = 0)
   let start_cycles =
     Array.map (fun (c : Smp.Cpu.t) -> Smp.Cpu.cycles c) (Smp.System.cpus t.smp)
   in
+  (* the RCU and engine counters run over the testbed's life; the result
+     reports each one's change over this run *)
+  let rs = Smp.Rcu.stats (Smp.System.rcu t.smp) in
+  let publications0 = rs.Smp.Rcu.publications and retired0 = rs.Smp.Rcu.retired in
+  let stale0 = Policy.Engine.stale_allows engine in
   let storm_policy = ref t.config.policy in
   let storm_count = ref 0 in
   let steps =
@@ -263,9 +268,9 @@ let run_pktgen ?(count = 1000) ?(size = 128) ?(storm = 0)
     pps = float_of_int total_sent /. elapsed;
     interleave;
     slices = sstats.Smp.Sched.slices;
-    publications = rs.Smp.Rcu.publications;
-    retired = rs.Smp.Rcu.retired;
-    stale_allows = Policy.Engine.stale_allows engine;
+    publications = rs.Smp.Rcu.publications - publications0;
+    retired = rs.Smp.Rcu.retired - retired0;
+    stale_allows = Policy.Engine.stale_allows engine - stale0;
     send_errors = !errors;
   }
 

@@ -15,13 +15,8 @@ let string_of_cond = function
   | Sgt -> "sgt" | Sge -> "sge" | Ult -> "ult" | Ule -> "ule"
   | Ugt -> "ugt" | Uge -> "uge"
 
-let string_of_value = function
-  | Reg r -> r
-  | Imm n -> string_of_int n
-  | Sym s -> "@" ^ s
-
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
+(* [s] with quotes, backslashes and non-printable bytes as [\hh] escapes *)
+let add_escaped buf s =
   String.iter
     (fun c ->
       match c with
@@ -29,7 +24,11 @@ let escape s =
       | '\\' -> Buffer.add_string buf "\\5c"
       | c when Char.code c >= 32 && Char.code c < 127 -> Buffer.add_char buf c
       | c -> Buffer.add_string buf (Printf.sprintf "\\%02x" (Char.code c)))
-    s;
+    s
+
+let escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  add_escaped buf s;
   Buffer.contents buf
 
 let unescape s =
@@ -58,106 +57,217 @@ let unescape s =
   go 0;
   Buffer.contents buf
 
-let args_to_string args = String.concat ", " (List.map string_of_value args)
+(* Each printer below writes straight into the caller's buffer: the
+   module body is printed for every signature and certificate check, so
+   it builds no string per instruction. *)
 
-let string_of_instr = function
+let add = Buffer.add_string
+let add_int buf n = add buf (string_of_int n)
+
+let add_value buf = function
+  | Reg r -> add buf r
+  | Imm n -> add_int buf n
+  | Sym s ->
+    Buffer.add_char buf '@';
+    add buf s
+
+(* [a, b] *)
+let add_pair buf a b =
+  add_value buf a;
+  add buf ", ";
+  add_value buf b
+
+let rec add_args buf = function
+  | [] -> ()
+  | [ v ] -> add_value buf v
+  | v :: rest ->
+    add_value buf v;
+    add buf ", ";
+    add_args buf rest
+
+(* [dst = op ] *)
+let add_def buf dst op =
+  add buf dst;
+  add buf " = ";
+  add buf op
+
+(* [[dst = ]op] *)
+let add_call_head buf dst op =
+  match dst with Some d -> add_def buf d op | None -> add buf op
+
+let add_call_args buf args =
+  Buffer.add_char buf '(';
+  add_args buf args;
+  Buffer.add_char buf ')'
+
+let add_instr buf = function
   | Binop { dst; op; ty; a; b } ->
-    Printf.sprintf "%s = %s %s %s, %s" dst (string_of_binop op)
-      (string_of_ty ty) (string_of_value a) (string_of_value b)
+    add_def buf dst (string_of_binop op);
+    Buffer.add_char buf ' ';
+    add buf (string_of_ty ty);
+    Buffer.add_char buf ' ';
+    add_pair buf a b
   | Icmp { dst; cond; ty; a; b } ->
-    Printf.sprintf "%s = icmp %s %s %s, %s" dst (string_of_cond cond)
-      (string_of_ty ty) (string_of_value a) (string_of_value b)
+    add_def buf dst "icmp ";
+    add buf (string_of_cond cond);
+    Buffer.add_char buf ' ';
+    add buf (string_of_ty ty);
+    Buffer.add_char buf ' ';
+    add_pair buf a b
   | Load { dst; ty; addr } ->
-    Printf.sprintf "%s = load %s, %s" dst (string_of_ty ty)
-      (string_of_value addr)
+    add_def buf dst "load ";
+    add buf (string_of_ty ty);
+    add buf ", ";
+    add_value buf addr
   | Store { ty; v; addr } ->
-    Printf.sprintf "store %s %s, %s" (string_of_ty ty) (string_of_value v)
-      (string_of_value addr)
-  | Alloca { dst; size } -> Printf.sprintf "%s = alloca %d" dst size
+    add buf "store ";
+    add buf (string_of_ty ty);
+    Buffer.add_char buf ' ';
+    add_pair buf v addr
+  | Alloca { dst; size } ->
+    add_def buf dst "alloca ";
+    add_int buf size
   | Gep { dst; base; idx; scale } ->
-    Printf.sprintf "%s = gep %s, %s, %d" dst (string_of_value base)
-      (string_of_value idx) scale
+    add_def buf dst "gep ";
+    add_pair buf base idx;
+    add buf ", ";
+    add_int buf scale
   | Mov { dst; ty; src } ->
-    Printf.sprintf "%s = mov %s %s" dst (string_of_ty ty)
-      (string_of_value src)
-  | Call { dst = Some d; callee; args } ->
-    Printf.sprintf "%s = call @%s(%s)" d callee (args_to_string args)
-  | Call { dst = None; callee; args } ->
-    Printf.sprintf "call @%s(%s)" callee (args_to_string args)
-  | Callind { dst = Some d; fn; args } ->
-    Printf.sprintf "%s = callind %s(%s)" d (string_of_value fn)
-      (args_to_string args)
-  | Callind { dst = None; fn; args } ->
-    Printf.sprintf "callind %s(%s)" (string_of_value fn) (args_to_string args)
+    add_def buf dst "mov ";
+    add buf (string_of_ty ty);
+    Buffer.add_char buf ' ';
+    add_value buf src
+  | Call { dst; callee; args } ->
+    add_call_head buf dst "call @";
+    add buf callee;
+    add_call_args buf args
+  | Callind { dst; fn; args } ->
+    add_call_head buf dst "callind ";
+    add_value buf fn;
+    add_call_args buf args
   | Select { dst; cond; if_true; if_false } ->
-    Printf.sprintf "%s = select %s, %s, %s" dst (string_of_value cond)
-      (string_of_value if_true) (string_of_value if_false)
-  | Inline_asm s -> Printf.sprintf "asm \"%s\"" (escape s)
-  | Intrinsic { dst = Some d; iname; args } ->
-    Printf.sprintf "%s = intrinsic %s(%s)" d iname (args_to_string args)
-  | Intrinsic { dst = None; iname; args } ->
-    Printf.sprintf "intrinsic %s(%s)" iname (args_to_string args)
+    add_def buf dst "select ";
+    add_value buf cond;
+    add buf ", ";
+    add_pair buf if_true if_false
+  | Inline_asm s ->
+    add buf "asm \"";
+    add_escaped buf s;
+    Buffer.add_char buf '"'
+  | Intrinsic { dst; iname; args } ->
+    add_call_head buf dst "intrinsic ";
+    add buf iname;
+    add_call_args buf args
 
-let string_of_term = function
-  | Ret None -> "ret"
-  | Ret (Some v) -> Printf.sprintf "ret %s" (string_of_value v)
-  | Br l -> Printf.sprintf "br %s" l
+let add_term buf = function
+  | Ret None -> add buf "ret"
+  | Ret (Some v) ->
+    add buf "ret ";
+    add_value buf v
+  | Br l ->
+    add buf "br ";
+    add buf l
   | Cond_br { cond; if_true; if_false } ->
-    Printf.sprintf "brc %s, %s, %s" (string_of_value cond) if_true if_false
+    add buf "brc ";
+    add_value buf cond;
+    add buf ", ";
+    add buf if_true;
+    add buf ", ";
+    add buf if_false
   | Switch { v; cases; default } ->
-    let cs =
-      String.concat ", "
-        (List.map (fun (k, l) -> Printf.sprintf "%d: %s" k l) cases)
-    in
-    Printf.sprintf "switch %s [%s] default %s" (string_of_value v) cs default
-  | Unreachable -> "unreachable"
+    add buf "switch ";
+    add_value buf v;
+    add buf " [";
+    List.iteri
+      (fun k (n, l) ->
+        if k > 0 then add buf ", ";
+        add_int buf n;
+        add buf ": ";
+        add buf l)
+      cases;
+    add buf "] default ";
+    add buf default
+  | Unreachable -> add buf "unreachable"
+
+let to_string_with print x =
+  let buf = Buffer.create 64 in
+  print buf x;
+  Buffer.contents buf
+
+let string_of_instr i = to_string_with add_instr i
+let string_of_term t = to_string_with add_term t
 
 let pp_block buf blk =
-  Buffer.add_string buf (blk.b_label ^ ":\n");
+  add buf blk.b_label;
+  add buf ":\n";
   List.iter
-    (fun i -> Buffer.add_string buf ("  " ^ string_of_instr i ^ "\n"))
+    (fun i ->
+      add buf "  ";
+      add_instr buf i;
+      Buffer.add_char buf '\n')
     blk.body;
-  Buffer.add_string buf ("  " ^ string_of_term blk.term ^ "\n")
+  add buf "  ";
+  add_term buf blk.term;
+  Buffer.add_char buf '\n'
 
 let pp_func buf f =
-  let params =
-    String.concat ", "
-      (List.map (fun (r, ty) -> r ^ ": " ^ string_of_ty ty) f.params)
-  in
-  let ret =
-    match f.ret_ty with None -> "void" | Some ty -> string_of_ty ty
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "func @%s(%s) : %s {\n" f.f_name params ret);
+  add buf "func @";
+  add buf f.f_name;
+  Buffer.add_char buf '(';
+  List.iteri
+    (fun k (r, ty) ->
+      if k > 0 then add buf ", ";
+      add buf r;
+      add buf ": ";
+      add buf (string_of_ty ty))
+    f.params;
+  add buf ") : ";
+  add buf (match f.ret_ty with None -> "void" | Some ty -> string_of_ty ty);
+  add buf " {\n";
   List.iter (pp_block buf) f.blocks;
-  Buffer.add_string buf "}\n"
+  add buf "}\n"
+
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  add_escaped buf s;
+  Buffer.add_char buf '"'
 
 let pp_global buf g =
-  let mode = if g.g_writable then "rw" else "ro" in
-  (match g.g_init with
-  | None ->
-    Buffer.add_string buf
-      (Printf.sprintf "global @%s %s %d\n" g.g_name mode g.g_size)
-  | Some init ->
-    Buffer.add_string buf
-      (Printf.sprintf "global @%s %s %d \"%s\"\n" g.g_name mode g.g_size
-         (escape init)))
+  add buf "global @";
+  add buf g.g_name;
+  add buf (if g.g_writable then " rw " else " ro ");
+  add_int buf g.g_size;
+  Option.iter
+    (fun init ->
+      Buffer.add_char buf ' ';
+      add_quoted buf init)
+    g.g_init;
+  Buffer.add_char buf '\n'
 
 (** Print the whole module. [with_meta:false] yields the signable body:
     everything except the metadata section (the signature cannot cover
     itself). *)
 let to_string ?(with_meta = true) m =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "module \"%s\"\n" (escape m.m_name));
+  add buf "module ";
+  add_quoted buf m.m_name;
+  Buffer.add_char buf '\n';
   if with_meta then
     List.iter
       (fun (k, v) ->
-        Buffer.add_string buf
-          (Printf.sprintf "meta \"%s\" = \"%s\"\n" (escape k) (escape v)))
+        add buf "meta ";
+        add_quoted buf k;
+        add buf " = ";
+        add_quoted buf v;
+        Buffer.add_char buf '\n')
       (List.sort compare m.meta);
   List.iter
     (fun (name, arity) ->
-      Buffer.add_string buf (Printf.sprintf "extern @%s/%d\n" name arity))
+      add buf "extern @";
+      add buf name;
+      Buffer.add_char buf '/';
+      add_int buf arity;
+      Buffer.add_char buf '\n')
     m.externs;
   List.iter (pp_global buf) m.globals;
   List.iter (pp_func buf) m.funcs;

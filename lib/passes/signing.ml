@@ -18,22 +18,33 @@ open Kir.Types
 let fnv_offset = 0x3bf29ce484222325
 let fnv_prime = 0x100000001b3
 
-let fnv1a64 (s : string) : int =
-  let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * fnv_prime)
-    s;
-  !h land max_int
+(* FNV-1a is a left fold over the bytes, so hashing a message piece by
+   piece equals hashing the pieces joined: nothing here copies the module
+   body to hash it. The state runs as an unboxed Int64, which spares the
+   tag arithmetic of every multiply; the low 63 bits of a 64-bit product
+   are those of the 63-bit one, so the result is the native-int fold's. *)
+let fnv_feed h (s : string) =
+  let h = ref (Int64.of_int h) and prime = Int64.of_int fnv_prime in
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) prime
+  done;
+  Int64.to_int !h
+
+let fnv1a64_parts (parts : string list) : int =
+  List.fold_left fnv_feed fnv_offset parts land max_int
+
+let fnv1a64 (s : string) : int = fnv_feed fnv_offset s land max_int
 
 (** HMAC-style keyed tag: H(key ^ opad || H(key ^ ipad || msg)), widened
-    to 128 bits by hashing with two different seeds. *)
-let keyed_tag ~key msg =
-  let inner = fnv1a64 (key ^ "\x36\x36\x36\x36" ^ msg) in
-  let outer = fnv1a64 (key ^ "\x5c\x5c\x5c\x5c" ^ Printf.sprintf "%016x" inner) in
-  let second = fnv1a64 (Printf.sprintf "%016x" outer ^ msg ^ key) in
+    to 128 bits by hashing with two different seeds; [msg] is the
+    concatenation of [parts]. *)
+let keyed_tag_parts ~key parts =
+  let inner = fnv1a64_parts (key :: "\x36\x36\x36\x36" :: parts) in
+  let outer = fnv1a64_parts [ key; "\x5c\x5c\x5c\x5c"; Printf.sprintf "%016x" inner ] in
+  let second = fnv1a64_parts ((Printf.sprintf "%016x" outer :: parts) @ [ key ]) in
   Printf.sprintf "%016x%016x" outer second
+
+let keyed_tag ~key msg = keyed_tag_parts ~key [ msg ]
 
 (* -- signing protocol ---------------------------------------------- *)
 
@@ -62,23 +73,20 @@ let covered_meta_keys =
     Cfi_guard.meta_count;
   ]
 
-(** The signed text: [m]'s meta-free body, then the covered metadata.
-    [body] is that body when the caller has already printed it. *)
-let signable_text ?body (m : modul) : string =
+(** The signed text in pieces, to be hashed in order: [m]'s meta-free
+    body, then one [key=value] line per covered metadata key. [body] is
+    that body when the caller has already printed it. *)
+let signable_parts ?body (m : modul) : string list =
   let body =
     match body with Some b -> b | None -> Kir.Printer.to_string ~with_meta:false m
   in
-  let meta =
-    List.map
-      (fun k ->
-        Printf.sprintf "%s=%s" k
-          (match meta_find m k with Some v -> v | None -> "<absent>"))
-      covered_meta_keys
-  in
-  body ^ "\n" ^ String.concat "\n" meta
+  body
+  :: List.concat_map
+       (fun k -> [ "\n"; k; "="; Option.value (meta_find m k) ~default:"<absent>" ])
+       covered_meta_keys
 
 let sign ~key ~signer (m : modul) : string =
-  let tag = keyed_tag ~key (signable_text m) in
+  let tag = keyed_tag_parts ~key (signable_parts m) in
   meta_set m meta_sig tag;
   meta_set m meta_signer signer;
   tag
@@ -103,7 +111,7 @@ let verify ?body ~key (m : modul) : (unit, verify_error) result =
   match meta_find m meta_sig with
   | None -> Error Unsigned
   | Some found ->
-    let expected = keyed_tag ~key (signable_text ?body m) in
+    let expected = keyed_tag_parts ~key (signable_parts ?body m) in
     if not (String.equal expected found) then
       Error (Bad_signature { expected; found })
     else if meta_find m Guard_injection.meta_guarded <> Some "true" then

@@ -1260,6 +1260,150 @@ let test_kept_solves_agree () =
   Alcotest.(check (list bool)) "a capped cycle keeps none" [ false; false ]
     (kept_solves_agree capped)
 
+(* ---------- reused derivations ---------- *)
+
+(* the driver guarded as an aggressive build is before its optimizer
+   runs, stamped so the analysis is interprocedural *)
+let aggressive_front ?(exempt_stack = false) m =
+  ignore
+    (Passes.Pass.run_pipeline_checked
+       (Passes.Pipeline.front_passes ~exempt_stack ~opt:Passes.Pipeline.O_aggressive ())
+       m);
+  meta_set m Passes.Guard_injection.meta_opt_level "aggressive";
+  m
+
+let render m s =
+  match Analysis.Certify.render m s with
+  | cert -> Ok cert
+  | exception Analysis.Certify.Unwitnessed why -> Error why
+
+(* [kept] (an analysis handed a previous one) says what a fresh analysis
+   of [m] says: every function summary, every callee summary, and the
+   certificate written from it *)
+let same_as_fresh m (kept : Analysis.Certify.summary) =
+  let fresh = Analysis.Certify.analyze m in
+  let strip fs = { fs with Analysis.Certify.fs_rets = [] } in
+  let sums (s : Analysis.Certify.summary) f =
+    Option.map
+      (fun t -> (Analysis.Summaries.is_pure t f.f_name, Analysis.Summaries.guarantees t f.f_name))
+      s.Analysis.Certify.s_summaries
+  in
+  List.for_all2
+    (fun (k : Analysis.Certify.func_summary) (x : Analysis.Certify.func_summary) ->
+      strip k = strip x
+      && List.equal GC.equal k.Analysis.Certify.fs_rets x.Analysis.Certify.fs_rets)
+    kept.Analysis.Certify.s_funcs fresh.Analysis.Certify.s_funcs
+  && List.for_all (fun f -> sums kept f = sums fresh f) m.funcs
+  && render m kept = render m fresh
+
+let nth_guard m k =
+  let sites =
+    List.concat_map
+      (fun f ->
+        List.concat_map
+          (fun b ->
+            List.filter_map
+              (fun i -> if Passes.Guard_injection.parse_guard i <> None then Some (b, i) else None)
+              b.body)
+          f.blocks)
+      m.funcs
+  in
+  match sites with [] -> None | _ -> Some (List.nth sites (k mod List.length sites))
+
+(* a write guard on a function's first formal (or the adapter), first in
+   its entry block: a fact that usually reaches every return, so the
+   function's guarantees and its callers' solves move *)
+let guard_entry (f : func) =
+  let addr = match f.params with (p, _) :: _ -> Reg p | [] -> Sym "adapter" in
+  let entry = List.hd f.blocks in
+  entry.body <-
+    Passes.Guard_injection.guard ~addr ~size:8 ~flags:Passes.Guard_injection.flag_write
+      ~site:9999
+    :: entry.body
+
+let module_callees m =
+  List.filter
+    (fun f ->
+      List.exists
+        (fun g ->
+          List.exists
+            (fun b ->
+              List.exists
+                (function Call { callee; _ } -> callee = f.f_name | _ -> false)
+                b.body)
+            g.blocks)
+        m.funcs)
+    m.funcs
+
+(* the optimizer's kinds of edit: delete a guard, coalesce, widen, and a
+   callee whose guarantees change *)
+let apply_edit m (kind, k) =
+  match kind with
+  | 0 ->
+    Option.iter
+      (fun (b, g) -> b.body <- List.filter (fun i -> i != g) b.body)
+      (nth_guard m k)
+  | 1 -> ignore (Passes.Guard_coalesce.run m)
+  | 2 -> ignore (Analysis.Optimize.widen m)
+  | _ -> (
+    match module_callees m with
+    | [] -> ()
+    | cs -> guard_entry (List.nth cs (k mod List.length cs)))
+
+let gen_reuse_case =
+  QCheck.Gen.(
+    let* scale = int_range 1 12 in
+    let* rogue = bool in
+    let* multiqueue = bool in
+    let* exempt_stack = bool in
+    let* edits = list_size (int_range 1 5) (pair (int_bound 3) (int_bound 1000)) in
+    return (scale, rogue, multiqueue, exempt_stack, edits))
+
+let print_reuse_case (scale, rogue, multiqueue, exempt_stack, edits) =
+  Printf.sprintf "scale %d, rogue %b, 4 TX + 4 RX %b, exempt_stack %b, edits [%s]" scale rogue
+    multiqueue exempt_stack
+    (String.concat "; " (List.map (fun (kind, k) -> Printf.sprintf "%d/%d" kind k) edits))
+
+let prop_reuse_exact =
+  QCheck.Test.make ~name:"an analysis handed the previous one equals a fresh analysis"
+    ~count:25 (QCheck.make ~print:print_reuse_case gen_reuse_case)
+    (fun (scale, with_rogue, multiqueue, exempt_stack, edits) ->
+      let tx_queues, rx_queues = if multiqueue then (4, 4) else (1, 0) in
+      let m =
+        aggressive_front ~exempt_stack
+          (Nic.Driver_gen.generate ~module_scale:scale ~with_rogue ~tx_queues ~rx_queues ())
+      in
+      let prev = ref (Analysis.Certify.analyze m) in
+      List.for_all
+        (fun edit ->
+          apply_edit m edit;
+          let kept = Analysis.Certify.analyze ~prev:!prev m in
+          prev := kept;
+          same_as_fresh m kept)
+        edits)
+
+(* The callee rule alone: an edit to e1000e_tx_avail that changes its
+   guarantees re-solves it and its one caller, e1000e_xmit_frame, and
+   every other function keeps its solve. *)
+let test_reuse_callee_rule () =
+  let m = aggressive_front (Nic.Driver_gen.generate ~module_scale:4 ()) in
+  let guarantees (s : Analysis.Certify.summary) =
+    Analysis.Summaries.guarantees (Option.get s.Analysis.Certify.s_summaries) "e1000e_tx_avail"
+  in
+  let a0 = Analysis.Certify.analyze m in
+  guard_entry (Option.get (find_func m "e1000e_tx_avail"));
+  let a1 = Analysis.Certify.analyze ~prev:a0 m in
+  checkb "e1000e_tx_avail's guarantees changed" true (guarantees a0 <> guarantees a1);
+  List.iter2
+    (fun f (s0, s1) ->
+      match f.f_name with
+      | "e1000e_tx_avail" | "e1000e_xmit_frame" ->
+        checkb (f.f_name ^ " solved again") true (s0 != s1)
+      | name -> checkb (name ^ " keeps its solve") true (s0 == s1))
+    m.funcs
+    (List.combine a0.Analysis.Certify.s_solves a1.Analysis.Certify.s_solves);
+  checkb "the same analysis as a fresh one" true (same_as_fresh m a1)
+
 (* random call graphs with self- and mutual recursion: each function
    guards, loads through and calls others on its parameter or a shifted
    copy, or calls an impure extern *)
@@ -1533,6 +1677,9 @@ let () =
           Alcotest.test_case "kept solves give the proofs a fresh solve gives" `Quick
             test_kept_solves_agree;
           QCheck_alcotest.to_alcotest prop_kept_solves;
+          Alcotest.test_case "a changed callee re-solves its callers only" `Quick
+            test_reuse_callee_rule;
+          QCheck_alcotest.to_alcotest prop_reuse_exact;
         ] );
       ( "cert-check",
         [

@@ -519,33 +519,102 @@ let test_pipeline_checked_catches_breakage () =
   | exception Kir.Verify.Invalid _ -> ()
   | _ -> Alcotest.fail "verifier did not catch pass breakage"
 
-(* Compiled output, pinned: the FNV-1a digest of the meta-free body and
-   of the certificate for the e1000e driver at scale 12, in the classic
-   shape and with 8 TX + 4 RX queues, at every optimization level. A
-   change that moves compiled output must update these and say why. *)
+(* Compiled output, pinned: the FNV-1a digest of the meta-free body, of
+   the certificate and of the signature for the e1000e driver at scale
+   12, in the classic shape and with 8 TX + 4 RX queues, at every
+   optimization level. A change that moves compiled output must update
+   these and say why. *)
+let digest s = Printf.sprintf "%016x" (Passes.Signing.fnv1a64 s)
+
+let compiled_digests m =
+  let meta k = Option.value ~default:"" (meta_find m k) in
+  ( digest (Kir.Printer.to_string ~with_meta:false m),
+    digest (meta Passes.Attest.meta_cert),
+    digest (meta Passes.Signing.meta_sig) )
+
 let test_pipeline_golden_output () =
-  let digest s = Printf.sprintf "%016x" (Passes.Signing.fnv1a64 s) in
   List.iter
-    (fun (tx_queues, rx_queues, opt, body, cert) ->
+    (fun (tx_queues, rx_queues, opt, body, cert, signature) ->
       let m = Nic.Driver_gen.generate ~module_scale:12 ~tx_queues ~rx_queues () in
       ignore (Passes.Pipeline.compile ~opt m);
       let what part =
         Printf.sprintf "%d TX + %d RX, %s: %s" tx_queues rx_queues
           (Passes.Pipeline.opt_level_to_string opt) part
       in
-      Alcotest.(check string) (what "body") body
-        (digest (Kir.Printer.to_string ~with_meta:false m));
-      Alcotest.(check string) (what "certificate") cert
-        (digest (Option.value ~default:"" (meta_find m Passes.Attest.meta_cert))))
+      let b, c, s = compiled_digests m in
+      Alcotest.(check string) (what "body") body b;
+      Alcotest.(check string) (what "certificate") cert c;
+      Alcotest.(check string) (what "signature") signature s)
     Passes.Pipeline.
       [
-        (1, 0, O_none, "27b4e3152f78cbaf", "35409908079e3513");
-        (1, 0, O_basic, "20815745b50c84c1", "0856c4746d4cde92");
-        (1, 0, O_aggressive, "3ce2da023375a017", "30d42f5c50821bf2");
-        (8, 4, O_none, "27dac2bec87efe02", "312ce299e6644bd5");
-        (8, 4, O_basic, "003d45152ac90e10", "0cc6ce19a0387807");
-        (8, 4, O_aggressive, "32cc20105a3fde6b", "3ed19d2c2e59d298");
+        (1, 0, O_none, "27b4e3152f78cbaf", "35409908079e3513", "3b1a0db3dfc7b3b6");
+        (1, 0, O_basic, "20815745b50c84c1", "0856c4746d4cde92", "056f4c0bbc711bc2");
+        (1, 0, O_aggressive, "3ce2da023375a017", "30d42f5c50821bf2", "111e5a48bd3d810d");
+        (8, 4, O_none, "27dac2bec87efe02", "312ce299e6644bd5", "05b8f22d12f2edd4");
+        (8, 4, O_basic, "003d45152ac90e10", "0cc6ce19a0387807", "391191269a0adf90");
+        (8, 4, O_aggressive, "32cc20105a3fde6b", "3ed19d2c2e59d298", "25d08e5a3f8c4e62");
       ]
+
+(* The whole build grid, pinned by one digest: FNV-1a over the body,
+   certificate and signature digests of 144 driver builds (scale 1, 4, 8
+   and 12; rogue backdoor off and on; 1 TX, 4 TX and 4 TX + 4 RX queues;
+   every optimization level; stack exemption off and on), in that nesting
+   order. A printer, hash or optimizer change that moves any one output
+   fails here. *)
+let test_build_grid_digest () =
+  let buf = Buffer.create 8192 in
+  List.iter
+    (fun module_scale ->
+      List.iter
+        (fun with_rogue ->
+          List.iter
+            (fun (tx_queues, rx_queues) ->
+              List.iter
+                (fun opt ->
+                  List.iter
+                    (fun exempt_stack ->
+                      let m =
+                        Nic.Driver_gen.generate ~module_scale ~with_rogue ~tx_queues
+                          ~rx_queues ()
+                      in
+                      ignore (Passes.Pipeline.compile ~opt ~exempt_stack m);
+                      let b, c, s = compiled_digests m in
+                      List.iter (Buffer.add_string buf) [ b; c; s ])
+                    [ false; true ])
+                Passes.Pipeline.all_opt_levels)
+            [ (1, 0); (4, 0); (4, 4) ])
+        [ false; true ])
+    [ 1; 4; 8; 12 ];
+  Alcotest.(check string) "144 builds" "2b10979335fd548c" (digest (Buffer.contents buf))
+
+(* What a certified build allocates: compiling the scale-12 driver and
+   inserting it into a kernel that requires a signature and a
+   certificate. The count is deterministic, so the budget catches a
+   change that brings back a copy per instruction or a derivation the
+   optimizer can keep. *)
+let test_certified_build_allocation () =
+  let words opt =
+    let k =
+      Kernel.create ~require_signature:true ~require_certificate:true
+        Machine.Presets.r415
+    in
+    ignore (Vm.Engine.install ~kind:Vm.Engine.Compiled k);
+    ignore (Policy.Policy_module.install k);
+    let m = Nic.Driver_gen.generate ~module_scale:12 () in
+    let w0 = Gc.minor_words () in
+    ignore (Passes.Pipeline.compile ~opt m);
+    let loaded = Kernel.insmod k m in
+    let w = Gc.minor_words () -. w0 in
+    checkb "insmod accepts the build" true (Result.is_ok loaded);
+    w
+  in
+  List.iter
+    (fun (opt, budget) ->
+      let w = words opt in
+      if w > budget then
+        Alcotest.failf "--opt %s: compile + insmod allocated %.0f minor words, budget %.0f"
+          (Passes.Pipeline.opt_level_to_string opt) w budget)
+    Passes.Pipeline.[ (O_aggressive, 1_100_000.); (O_none, 550_000.) ]
 
 let () =
   Alcotest.run "passes"
@@ -609,5 +678,8 @@ let () =
           Alcotest.test_case "optimized fewer guards" `Quick test_pipeline_optimized_fewer_guards;
           Alcotest.test_case "checked catches breakage" `Quick test_pipeline_checked_catches_breakage;
           Alcotest.test_case "golden compiled output" `Quick test_pipeline_golden_output;
+          Alcotest.test_case "build grid digest" `Quick test_build_grid_digest;
+          Alcotest.test_case "certified build allocation" `Quick
+            test_certified_build_allocation;
         ] );
     ]

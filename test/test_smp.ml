@@ -574,6 +574,19 @@ let test_duplex_result_per_run () =
   adds "stale allows" (fun r -> r.Smp_testbed.d_stale_allows)
     (Policy.Engine.stale_allows (Smp_testbed.engine tb))
 
+(* Each run_pktgen result covers its own run too: two update-storm runs
+   on one testbed each make and retire 5 publications. *)
+let test_pktgen_result_per_run () =
+  let cfg = { Smp_testbed.default_config with cpus = 2; seed = 7 } in
+  let tb = Smp_testbed.create ~config:cfg () in
+  List.iter
+    (fun what ->
+      let r = Smp_testbed.run_pktgen ~count:60 ~storm:12 tb in
+      checki (what ^ ": publications") 5 r.Smp_testbed.publications;
+      checki (what ^ ": retired") 5 r.Smp_testbed.retired;
+      checki (what ^ ": stale allows") 0 r.Smp_testbed.stale_allows)
+    [ "first run"; "second run" ]
+
 (* ---------- batched install under SMP ---------- *)
 
 (* ioctl_install's whole batch is ONE scheduler operation and ONE
@@ -792,6 +805,8 @@ let () =
         [
           Alcotest.test_case "every result covers its own run" `Quick
             test_duplex_result_per_run;
+          Alcotest.test_case "every pktgen result covers its own run" `Quick
+            test_pktgen_result_per_run;
         ] );
       ( "storm",
         [
