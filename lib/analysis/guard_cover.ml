@@ -232,22 +232,10 @@ let rec subst_params ~params ~args sv =
     | _ -> None)
   | S_undef _ | S_def _ | S_merge _ -> None
 
-(** Add the fact the guard or call [origin] establishes on [core]. The
-    list on [core] is pruned and, unless it already subsumes the new
-    fact, holds none that does, so {!prune} of the two would only drop
-    what the new fact subsumes and put it in coverage order: that is
-    done here directly. *)
-let add_fact core ~lo ~hi ~flags ~origin t =
+let add_fact core (f : fact) t =
   let existing = try SvMap.find core t.facts with Not_found -> [] in
-  let f = { lo; hi; flags; origins = [ origin ] } in
   if List.exists (fun e -> coverage_subsumes e f) existing then t
-  else
-    let rec insert = function
-      | e :: rest when coverage_subsumes f e -> insert rest
-      | e :: rest when compare_coverage e f < 0 -> e :: insert rest
-      | rest -> f :: List.filter (fun e -> not (coverage_subsumes f e)) rest
-    in
-    { t with facts = SvMap.add core (insert existing) t.facts }
+  else { t with facts = SvMap.add core (prune (f :: existing)) t.facts }
 
 (** The instruction with id [iid] (re)defines [dst]: bind it to an
     opaque value and kill coverage keyed on this instruction's previous
@@ -280,7 +268,9 @@ let transfer_other ctx ~iid (t : t) (i : instr) : t =
           match subst_params ~params:ce_params ~args:argvs core with
           | Some core ->
             let core, shift = base_off core in
-            add_fact core ~lo:(lo + shift) ~hi:(hi + shift) ~flags ~origin:iid t
+            add_fact core
+              { lo = lo + shift; hi = hi + shift; flags; origins = [ iid ] }
+              t
           | None -> t)
         t ce_adds)
   | Callind { dst; _ } -> def_opaque ~iid dst { t with facts = SvMap.empty }
@@ -307,7 +297,7 @@ let transfer_instr ctx ~iid (t : t) (i : instr) : t =
   match Passes.Guard_injection.parse_guard i with
   | Some (addr, size, flags, _site) ->
     let core, off = base_off (sv_of t.env addr) in
-    add_fact core ~lo:off ~hi:(off + size) ~flags ~origin:iid t
+    add_fact core { lo = off; hi = off + size; flags; origins = [ iid ] } t
   | None -> transfer_other ctx ~iid t i
 
 (* -- join ---------------------------------------------------------- *)
@@ -348,22 +338,8 @@ let inter_facts a b =
     conflicted this time (coverage mentioning them is stale). One
     environment reaching the join on every edge is its own join. *)
 let join_envs ~block (envs : sv Env.t list) : sv Env.t * reg list =
-  let is_self r = function S_merge (b, r') -> b = block && String.equal r r' | _ -> false in
   match envs with
   | e :: rest when List.for_all (fun e' -> e' == e) rest -> (e, [])
-  | [ e1; e2 ] ->
-    (* the scan below, for two edges in one pass over both maps *)
-    let killed = ref [] in
-    let joined r a b =
-      match (a, b) with
-      | Some v, Some w when is_self r v -> Some w
-      | Some v, Some w when is_self r w || equal_sv v w -> Some v
-      | _ ->
-        killed := r :: !killed;
-        Some (S_merge (block, r))
-    in
-    let env = Env.merge joined e1 e2 in
-    (env, !killed)
   | _ ->
     let killed = ref [] in
     let joined r _ =

@@ -140,8 +140,9 @@ let cluster core (occs : occ list) : group list =
            g_occs = List.sort (fun a b -> compare a.o_idx b.o_idx) g.g_occs;
          })
 
-(* the window scan behind {!block_groups} *)
-let scan_block (b : block) : group list =
+(** Scan one block: windows end at any call that is not the guard itself
+    (and at inline asm), exactly the envelope {!Guard_elim} assumes. *)
+let block_groups (b : block) : group list =
   let values : (reg, vnum) Hashtbl.t = Hashtbl.create 32 in
   let fresh = ref 0 in
   let next_opaque () =
@@ -201,18 +202,6 @@ let scan_block (b : block) : group list =
   close_all ();
   List.concat_map (fun (core, os) -> cluster core os) !windows
 
-(** Scan one block: windows end at any call that is not the guard itself
-    (and at inline asm), exactly the envelope {!Guard_elim} assumes. *)
-let block_groups (b : block) : group list =
-  (* a merge needs two guards: a block with fewer has nothing to scan *)
-  let rec two_guards n = function
-    | [] -> false
-    | i :: rest ->
-      let n = if Option.is_some (Guard_injection.parse_guard i) then n + 1 else n in
-      n >= 2 || two_guards n rest
-  in
-  if two_guards 0 b.body then scan_block b else []
-
 (** Merge groups the optimizer would collapse, without transforming —
     feeds the [W-coalescable-guard] lint. *)
 let candidates (m : modul) : candidate list =
@@ -253,15 +242,15 @@ let all_regs f =
 let run (m : modul) : Pass.result =
   let merged = ref 0 in
   let process_func f =
-    let taken = lazy (all_regs f) in
+    let taken = all_regs f in
     let fresh_ctr = ref 0 in
     let fresh_reg () =
       let rec go () =
         incr fresh_ctr;
         let r = Printf.sprintf "%%__co%d" !fresh_ctr in
-        if Hashtbl.mem (Lazy.force taken) r then go ()
+        if Hashtbl.mem taken r then go ()
         else begin
-          Hashtbl.replace (Lazy.force taken) r ();
+          Hashtbl.replace taken r ();
           r
         end
       in

@@ -44,8 +44,6 @@ let keyed_tag_parts ~key parts =
   let second = fnv1a64_parts ((Printf.sprintf "%016x" outer :: parts) @ [ key ]) in
   Printf.sprintf "%016x%016x" outer second
 
-let keyed_tag ~key msg = keyed_tag_parts ~key [ msg ]
-
 (* -- signing protocol ---------------------------------------------- *)
 
 let meta_sig = "carat.kop.sig"
@@ -106,7 +104,7 @@ let verify_error_to_string = function
 
 (** Full load-time validation: signature present and correct under [key],
     and the signed metadata asserts both guarding and attestation.
-    [body] as for {!signable_text}. *)
+    [body] as for {!signable_parts}. *)
 let verify ?body ~key (m : modul) : (unit, verify_error) result =
   match meta_find m meta_sig with
   | None -> Error Unsigned

@@ -385,10 +385,10 @@ let prop_sign_tamper =
       | _ -> false)
 
 let test_keyed_tag_properties () =
-  let t1 = Passes.Signing.keyed_tag ~key:"k" "msg" in
-  let t2 = Passes.Signing.keyed_tag ~key:"k" "msg" in
-  let t3 = Passes.Signing.keyed_tag ~key:"k2" "msg" in
-  let t4 = Passes.Signing.keyed_tag ~key:"k" "msg2" in
+  let t1 = Passes.Signing.keyed_tag_parts ~key:"k" [ "msg" ] in
+  let t2 = Passes.Signing.keyed_tag_parts ~key:"k" [ "msg" ] in
+  let t3 = Passes.Signing.keyed_tag_parts ~key:"k2" [ "msg" ] in
+  let t4 = Passes.Signing.keyed_tag_parts ~key:"k" [ "msg2" ] in
   Alcotest.(check string) "deterministic" t1 t2;
   checkb "key sensitive" false (t1 = t3);
   checkb "msg sensitive" false (t1 = t4);
