@@ -5,12 +5,22 @@
     virtual addresses; we index physically-tagged behaviour by the address
     itself, which is faithful enough for a direct-mapped kernel.
 
-    Sets are allocated on demand. Every set starts out aliasing one shared
-    cold set (all tags invalid, all stamps 0) that nothing ever writes; the
-    first miss into a set gives it a private copy. A core therefore pays
-    host memory only for the sets a run fills, and every access, victim
-    and {!perturb} draw is exactly what a dense [sets * assoc] layout
-    gives. *)
+    Sets hold only the ways they have filled. Every set starts out as one
+    shared empty set that holds no way; a miss into a set whose held ways
+    are all filled grows it, doubling the ways it holds (1, 2, 4, ... up
+    to the associativity), and fills the first new way. A core therefore
+    pays host memory only for the lines a run fills, and every access,
+    victim and {!perturb} draw is exactly what a dense [sets * assoc]
+    layout gives:
+
+    - a dense set fills its ways lowest index first (a never-filled way
+      has stamp 0, below every filled one, and ties go to the lowest
+      way), so its filled ways are always a prefix, and an invalidated
+      way keeps its stamp and so stays in it;
+    - a way past the held ones is a never-filled way of the dense set
+      (tag -1, stamp 0): no access hits it, and a miss picks the first
+      one exactly when every held way is filled, which is when the set
+      grows. *)
 
 type t = {
   name : string;
@@ -18,10 +28,10 @@ type t = {
   sets : int;
   assoc : int;
   lines : int array array;
-      (** one array per set: tags at [\[0, assoc)] (-1 = invalid), LRU
-          stamps at [\[assoc, 2 * assoc)] (higher = more recent); a set
-          never filled is [cold] *)
-  cold : int array;        (** the shared never-filled set; never written *)
+      (** one array per set, holding its first [cap] ways: tags at
+          [\[0, cap)] (-1 = invalid), LRU stamps at [\[cap, 2 * cap)]
+          (higher = more recent; 0 = never filled); a set never filled
+          is the shared empty array *)
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
@@ -47,14 +57,12 @@ let create ~name ~size_bytes ~assoc ~line_size =
   let lines = size_bytes / line_size in
   let sets = floor_pow2 (Int.max 1 (lines / assoc)) in
   let line_bits = line_bits_of line_size in
-  let cold = Array.append (Array.make assoc (-1)) (Array.make assoc 0) in
   {
     name;
     line_bits;
     sets;
     assoc;
-    lines = Array.make sets cold;
-    cold;
+    lines = Array.make sets [||];
     clock = 0;
     hits = 0;
     misses = 0;
@@ -70,17 +78,26 @@ let tag_of t addr = addr lsr t.line_bits
    The set is typed [int array]: left to inference it is ['a array], and
    every tag and stamp compare becomes a call into the runtime's
    polymorphic comparison instead of one machine instruction. *)
-let rec find_way (s : int array) assoc (tag : int) w =
-  if w = assoc then -1
+let rec find_way (s : int array) cap (tag : int) w =
+  if w = cap then -1
   else if s.(w) = tag then w
-  else find_way s assoc tag (w + 1)
+  else find_way s cap tag (w + 1)
 
-(* the least recent way; ties (never-filled ways, stamp 0) go to the lowest *)
-let rec worst_way (s : int array) assoc w best =
-  if w = assoc then best
+(* the least recent held way; ties (never-filled ways, stamp 0) go to
+   the lowest *)
+let rec worst_way (s : int array) cap w best =
+  if w = cap then best
   else
-    worst_way s assoc (w + 1)
-      (if s.(assoc + w) < s.(assoc + best) then w else best)
+    worst_way s cap (w + 1) (if s.(cap + w) < s.(cap + best) then w else best)
+
+(* [s] with room for [cap'] ways: its [cap] held ways keep their tags
+   and stamps, and the new ones are never filled *)
+let grow (s : int array) cap cap' =
+  let s' = Array.make (2 * cap') (-1) in
+  Array.blit s 0 s' 0 cap;
+  Array.blit s cap s' cap' cap;
+  Array.fill s' (cap' + cap) (cap' - cap) 0;
+  s'
 
 (** Probe and update; true = hit. On miss the line is filled (inclusive
     hierarchy: the caller fills lower levels too). *)
@@ -89,28 +106,31 @@ let access t addr =
   let set = set_index t addr in
   let tag = tag_of t addr in
   let s = t.lines.(set) in
-  let w = find_way s t.assoc tag 0 in
+  let cap = Array.length s / 2 in
+  let w = find_way s cap tag 0 in
   if w >= 0 then begin
-    (* never the cold set: its tags are all -1, and [tag_of] shifts right
-       by at least one bit, so no address has tag -1 *)
+    (* [tag_of] shifts right by at least one bit, so no address has the
+       invalid tag -1 *)
     t.hits <- t.hits + 1;
-    s.(t.assoc + w) <- t.clock;
+    s.(cap + w) <- t.clock;
     true
   end
   else begin
     t.misses <- t.misses + 1;
-    let s =
-      if s != t.cold then s
-      else begin
-        let fresh = Array.copy s in
-        t.lines.(set) <- fresh;
-        fresh
-      end
-    in
-    (* evict LRU way *)
-    let victim = worst_way s t.assoc 1 0 in
-    s.(victim) <- tag;
-    s.(t.assoc + victim) <- t.clock;
+    (* filled ways are a prefix: the last held way is filled iff all are *)
+    if cap < t.assoc && (cap = 0 || s.((2 * cap) - 1) <> 0) then begin
+      let cap' = if cap = 0 then 1 else Int.min (2 * cap) t.assoc in
+      let s = grow s cap cap' in
+      t.lines.(set) <- s;
+      s.(cap) <- tag;
+      s.(cap' + cap) <- t.clock
+    end
+    else begin
+      (* evict LRU way *)
+      let victim = worst_way s cap 1 0 in
+      s.(victim) <- tag;
+      s.(cap + victim) <- t.clock
+    end;
     false
   end
 
@@ -123,12 +143,12 @@ let lines_touched t addr size =
     last - first + 1
   end
 
-let flush t = Array.fill t.lines 0 t.sets t.cold
+let flush t = Array.fill t.lines 0 t.sets [||]
 
 (** Invalidate a random fraction of lines — models cache pollution from
     interrupts and other cores between trials. Draws range over all
-    [sets * assoc] ways, filled or not, so the generator advances the
-    same whichever sets a run has filled; a draw into a cold set has
+    [sets * assoc] ways, held or not, so the generator advances the same
+    whichever ways a run has filled; a draw past a set's held ways has
     nothing to invalidate. An invalidated way keeps its LRU stamp. *)
 let perturb t rng ~fraction =
   let n = t.sets * t.assoc in
@@ -136,7 +156,8 @@ let perturb t rng ~fraction =
   for _ = 1 to k do
     let i = Rng.int rng n in
     let s = t.lines.(i / t.assoc) in
-    if s != t.cold then s.(i mod t.assoc) <- -1
+    let w = i mod t.assoc in
+    if w < Array.length s / 2 then s.(w) <- -1
   done
 
 let hit_rate t =

@@ -969,7 +969,11 @@ let gen_rx_stats_mq b =
     clean/irq per queue) and their [adapter_mq] state; [rx_queues > 0]
     emits the RSS/NAPI RX entry points (per-queue setup/poll/coalesce/
     mask, RSS programming, RX stats) and their [adapter_rxq] state. The
-    default is byte-identical to the classic single-queue driver. *)
+    default is byte-identical to the classic single-queue driver.
+
+    The result is not verified here: [Pass.run_pipeline_checked] verifies
+    a module on entry and [Kernel.insmod] verifies it again, and the NIC
+    tests verify every generated configuration. *)
 let generate ?(module_scale = 12) ?(with_rogue = false) ?(tx_queues = 1)
     ?(rx_queues = 0) () : modul =
   let b = Builder.create "e1000e" in
@@ -1023,6 +1027,4 @@ let generate ?(module_scale = 12) ?(with_rogue = false) ?(tx_queues = 1)
   end;
   if with_rogue then gen_rogue_peek b;
   gen_cold_padding b ~scale:module_scale;
-  let m = Builder.modul b in
-  Kir.Verify.check_exn m;
-  m
+  Builder.modul b

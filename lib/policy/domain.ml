@@ -51,7 +51,15 @@ type slot = {
   mutable sl_epoch : int;  (** domain epoch at fill time *)
   mutable sl_prot : int;  (** the page's uniform protection bits *)
   mutable sl_depth : int;  (** exact-walk scan depth, tier-invariant *)
+  sl_pc : int;  (** the probe's branch id, fixed by the slot's place *)
 }
+
+(* Every slot starts out as this shared record, which nothing writes: no
+   domain has id -1, so it never hits, and [check_slow] gives a slot its
+   own record the first time it refills it. The shadow's host memory
+   thus grows with the slots a run fills, not with its 4,096 places. *)
+let cold =
+  { sl_dom = -1; sl_page = -1; sl_epoch = -1; sl_prot = 0; sl_depth = 0; sl_pc = 0 }
 
 (* a domain's live structure, typed by tier so a retired one can hand
    its kernel memory back *)
@@ -105,16 +113,7 @@ let create ?(fast_capacity = Linear_table.default_capacity)
     shard_vaddrs =
       Array.init shard_count (fun _ ->
           Kernel.kmalloc kernel ~size:(shard_slots * slot_bytes));
-    shards =
-      Array.init shard_count (fun _ ->
-          Array.init shard_slots (fun _ ->
-              {
-                sl_dom = -1;
-                sl_page = -1;
-                sl_epoch = -1;
-                sl_prot = 0;
-                sl_depth = 0;
-              }));
+    shards = Array.init shard_count (fun _ -> Array.make shard_slots cold);
     creates = 0;
     destroys = 0;
     publications = 0;
@@ -310,14 +309,15 @@ let reference_allows (d : dom) ~addr ~size ~flags =
   go d.d_regions
 
 (* slot placement: multiplicative hash of (domain, page), high bits pick
-   the shard, low bits the slot within it *)
-let slot_of ~domain ~page =
+   the shard, low bits the slot within it (see [check]) *)
+let slot_hash ~domain ~page =
   let h = (domain * 0x9E3779B1) lxor (page * 0x85EBCA6B) in
-  let h = h lxor (h lsr 15) in
-  ((h lsr 16) land (shard_count - 1), h land (shard_slots - 1))
+  h lxor (h lsr 15)
 
-(* exact walk + slot refill on behalf of [check] *)
-let check_slow t (d : dom) sl ~page ~single_page ~addr ~size ~flags =
+(* exact walk + slot refill on behalf of [check]; [sl] is the slot at
+   [idx] of [shard], and [pc] its branch id *)
+let check_slow t (d : dom) sl ~shard ~idx ~pc ~page ~single_page ~addr ~size
+    ~flags =
   let machine = Kernel.machine t.kernel in
   let out = lookup d.d_tier ~addr ~size in
   d.d_stats.Engine.checks <- d.d_stats.Engine.checks + 1;
@@ -345,6 +345,14 @@ let check_slow t (d : dom) sl ~page ~single_page ~addr ~size ~flags =
     with
     | None -> ()
     | Some sp ->
+      let sl =
+        if sl != cold then sl
+        else begin
+          let own = { cold with sl_pc = pc } in
+          t.shards.(shard).(idx) <- own;
+          own
+        end
+      in
       sl.sl_dom <- d.d_id;
       sl.sl_page <- page;
       sl.sl_epoch <- d.d_epoch;
@@ -357,11 +365,11 @@ let check_slow t (d : dom) sl ~page ~single_page ~addr ~size ~flags =
 (** The multi-domain guard check: sharded-shadow probe, then the
     domain's exact structure. Decision-identical to the first-match walk
     over the domain's policy (pinned by the paranoid verifier). Unknown
-    domains deny. *)
+    domains deny. A shadow hit allocates nothing. *)
 let check t ~domain ~addr ~size ~flags : bool =
-  match find t domain with
-  | None -> false
-  | Some d ->
+  match Hashtbl.find t.by_id domain with
+  | exception Not_found -> false
+  | d ->
     let machine = Kernel.machine t.kernel in
     (* prologue: domain resolution + argument marshalling *)
     Machine.Model.retire machine 4;
@@ -369,7 +377,9 @@ let check t ~domain ~addr ~size ~flags : bool =
     let single_page =
       size > 0 && (addr + size - 1) lsr Kernel.Memory.page_bits = page
     in
-    let shard, idx = slot_of ~domain ~page in
+    let h = slot_hash ~domain ~page in
+    let shard = (h lsr 16) land (shard_count - 1)
+    and idx = h land (shard_slots - 1) in
     let sl = t.shards.(shard).(idx) in
     (* one probe of the slot's tag word + validation *)
     Machine.Model.load machine (t.shard_vaddrs.(shard) + (idx * slot_bytes)) 8;
@@ -378,9 +388,10 @@ let check t ~domain ~addr ~size ~flags : bool =
       sl.sl_dom = domain && sl.sl_page = page && sl.sl_epoch = d.d_epoch
       && single_page && flags <> 0
     in
-    Machine.Model.branch machine
-      ~pc:(Hashtbl.hash ("dom-shadow", shard, idx))
-      ~taken:hit;
+    let pc =
+      if sl == cold then Hashtbl.hash ("dom-shadow", shard, idx) else sl.sl_pc
+    in
+    Machine.Model.branch machine ~pc ~taken:hit;
     if hit && flags land sl.sl_prot = flags then begin
       d.d_sh_hits <- d.d_sh_hits + 1;
       d.d_stats.Engine.checks <- d.d_stats.Engine.checks + 1;
@@ -393,7 +404,7 @@ let check t ~domain ~addr ~size ~flags : bool =
     end
     else begin
       d.d_sh_misses <- d.d_sh_misses + 1;
-      check_slow t d sl ~page ~single_page ~addr ~size ~flags
+      check_slow t d sl ~shard ~idx ~pc ~page ~single_page ~addr ~size ~flags
     end
 
 (* ------------------------------------------------------------------ *)

@@ -57,7 +57,10 @@ type free_error =
           inside allocation [a] (an interior-pointer free) *)
 
 type t = {
-  gran : (int, gstate) Hashtbl.t;  (** granule index -> state *)
+  gran : (int, gstate) Hashtbl.t;
+      (** granule index -> state; created small, since nothing writes it
+          until marking is on, and grown by [Hashtbl] as granules are
+          marked *)
   allocs : (int, alloc) Hashtbl.t;  (** id -> allocation record *)
   by_base : (int, int) Hashtbl.t;  (** payload base -> most recent id *)
   mutable next_id : int;
@@ -72,7 +75,7 @@ type t = {
 
 let create ?(quarantine_bytes = 256 * 1024) () =
   {
-    gran = Hashtbl.create 4096;
+    gran = Hashtbl.create 16;
     allocs = Hashtbl.create 256;
     by_base = Hashtbl.create 256;
     next_id = 1;

@@ -286,7 +286,12 @@ let test_cache_allocation () =
   let stride = 4096 / 2 in
   let w0 = Gc.minor_words () in
   ignore (Machine.Cache.access c 0);
-  Alcotest.(check (float 0.0)) "first fill copies the cold set" 5.0 (Gc.minor_words () -. w0);
+  Alcotest.(check (float 0.0)) "first fill allocates a 1-way set" 3.0
+    (Gc.minor_words () -. w0);
+  let w0 = Gc.minor_words () in
+  ignore (Machine.Cache.access c stride);
+  Alcotest.(check (float 0.0)) "second tag grows the set to 2 ways" 5.0
+    (Gc.minor_words () -. w0);
   (* three tags in each of four 2-way sets: a full round fills them all *)
   let round () =
     for k = 0 to 2 do
@@ -308,6 +313,21 @@ let test_cache_allocation () =
   checki "hits" 1_000 c.Machine.Cache.hits;
   checki "every round access a conflict miss" 12_000 c.Machine.Cache.misses;
   Alcotest.(check (float 0.0)) "minor words" 0.0 allocated
+
+(* One line in each of 1,000 sets of an R350-shaped L3 (16 ways): each
+   set holds the one way it filled, a 2-word array and its header, where
+   a set of all 16 ways would take 33 words. *)
+let test_cache_set_holds_filled_ways () =
+  let p = Machine.Presets.r350 in
+  let c =
+    Machine.Cache.create ~name:"L3" ~size_bytes:p.Machine.Model.l3_size
+      ~assoc:p.Machine.Model.l3_assoc ~line_size:p.Machine.Model.line_size
+  in
+  let fresh = words c in
+  for s = 0 to 999 do
+    ignore (Machine.Cache.access c (s * p.Machine.Model.line_size))
+  done;
+  checki "1,000 one-way sets" 3_000 (words c - fresh)
 
 (* The whole memory path of the model — line split, three cache levels,
    victim choice — allocates nothing once the sets it touches are
@@ -503,6 +523,8 @@ let () =
           Alcotest.test_case "fresh footprint" `Quick test_cache_fresh_footprint;
           Alcotest.test_case "flush footprint" `Quick test_cache_flush_footprint;
           Alcotest.test_case "allocation" `Quick test_cache_allocation;
+          Alcotest.test_case "a set holds only the ways it filled" `Quick
+            test_cache_set_holds_filled_ways;
           Alcotest.test_case "model access allocation-free" `Quick
             test_model_access_allocation_free;
         ]

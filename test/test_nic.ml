@@ -171,7 +171,24 @@ let test_stall_injection () =
 
 let test_driver_module_shape () =
   let m = Nic.Driver_gen.generate () in
-  checkb "verifies" true (Kir.Verify.is_valid m);
+  (* the generator does not verify its output (every pipeline and insmod
+     do), so check each configuration it can emit here *)
+  List.iter
+    (fun module_scale ->
+      List.iter
+        (fun with_rogue ->
+          List.iter
+            (fun (tx_queues, rx_queues) ->
+              checkb
+                (Printf.sprintf "verifies: scale %d, rogue %b, %d TX / %d RX"
+                   module_scale with_rogue tx_queues rx_queues)
+                true
+                (Kir.Verify.is_valid
+                   (Nic.Driver_gen.generate ~module_scale ~with_rogue ~tx_queues
+                      ~rx_queues ())))
+            [ (1, 0); (4, 0); (8, 4) ])
+        [ false; true ])
+    [ 1; 12; 40 ];
   checkb "no inline asm" true
     ((Passes.Attest.scan m).Passes.Attest.inline_asm = []);
   checkb "has xmit" true (Kir.Types.find_func m "e1000e_xmit_frame" <> None);

@@ -1195,6 +1195,53 @@ let test_domain_shadow_first_match_page () =
   checki "second write hits the shadow" 1 (Policy.Domain.dom_shadow_hits d);
   checki "no stale allows" 0 (Policy.Domain.stale_allows dm)
 
+(* A warm shadow hit keeps its branch id in its slot, resolves its
+   domain without an option and places its slot as two ints: 100k of
+   them allocate nothing. *)
+let test_domain_shadow_hit_allocation_free () =
+  let k = fresh () in
+  let dm = Policy.Domain.create k in
+  let d = Policy.Domain.create_domain dm in
+  let id = Policy.Domain.dom_id d in
+  checki "install" 0
+    (Policy.Domain.install_regions dm ~domain:id [ region 0x10000 0x2000 ]);
+  ignore (Policy.Domain.check dm ~domain:id ~addr:0x10100 ~size:8 ~flags:1);
+  let hits = Policy.Domain.dom_shadow_hits d in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    ignore (Policy.Domain.check dm ~domain:id ~addr:0x10100 ~size:8 ~flags:1)
+  done;
+  let allocated = Gc.minor_words () -. w0 in
+  checki "every check a shadow hit" (hits + 100_000)
+    (Policy.Domain.dom_shadow_hits d);
+  Alcotest.(check (float 0.0)) "minor words" 0.0 allocated
+
+(* Every shadow slot starts as the shared cold record; a refill gives
+   its slot a record of its own, and no other slot one. *)
+let test_domain_shadow_slots_exist_once_filled () =
+  let k = fresh () in
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let kernel_words = words k in
+  let dm = Policy.Domain.create k in
+  let own = words dm - kernel_words in
+  checkb (Printf.sprintf "fresh domain layer: %d words < 6000" own) true
+    (own < 6_000);
+  let filled () =
+    Array.fold_left
+      (Array.fold_left (fun n sl -> if sl != Policy.Domain.cold then n + 1 else n))
+      0 dm.Policy.Domain.shards
+  in
+  checki "no slot filled" 0 (filled ());
+  let id = Policy.Domain.dom_id (Policy.Domain.create_domain dm) in
+  checki "install" 0
+    (Policy.Domain.install_regions dm ~domain:id [ region 0x10000 0x2000 ]);
+  checkb "refilling check" true
+    (Policy.Domain.check dm ~domain:id ~addr:0x10100 ~size:8 ~flags:1);
+  checki "one slot filled" 1 (filled ());
+  checkb "shadow hit" true
+    (Policy.Domain.check dm ~domain:id ~addr:0x10200 ~size:8 ~flags:1);
+  checki "still one slot" 1 (filled ())
+
 (* Whole-batch rollback at the domain layer, on both tiers: a batch
    exceeding the interval tier's ceiling installs nothing — no region, no
    epoch bump, no kernel byte written, no heap taken. *)
@@ -1585,6 +1632,10 @@ let () =
             test_domain_shadow_epoch_invalidation;
           Alcotest.test_case "shadow caches a first-match page" `Quick
             test_domain_shadow_first_match_page;
+          Alcotest.test_case "shadow hit allocates nothing" `Quick
+            test_domain_shadow_hit_allocation_free;
+          Alcotest.test_case "shadow slots exist once filled" `Quick
+            test_domain_shadow_slots_exist_once_filled;
           Alcotest.test_case "install rollback" `Quick
             test_domain_install_rollback;
           Alcotest.test_case "destroy frees structure" `Quick

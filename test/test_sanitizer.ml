@@ -299,6 +299,12 @@ let test_procfs_san () =
   checkb "reports sanitizer on" true (contains body "sanitizer: on");
   checkb "shows the report" true (contains body "proc-buf")
 
+(* Nothing writes the granule table until marking is on, so a fresh
+   shadow starts it small. *)
+let test_fresh_shadow_footprint () =
+  let w = Obj.reachable_words (Obj.repr (Sanitizer.Shadow.create ())) in
+  checkb (Printf.sprintf "fresh shadow: %d words < 1000" w) true (w < 1_000)
+
 let () =
   Alcotest.run "sanitizer"
     [
@@ -308,6 +314,8 @@ let () =
           Alcotest.test_case "use after free" `Quick test_use_after_free;
           Alcotest.test_case "quarantine delays reuse" `Quick
             test_quarantine_delays_reuse;
+          Alcotest.test_case "fresh shadow footprint" `Quick
+            test_fresh_shadow_footprint;
         ] );
       ( "kfree",
         [
