@@ -1,61 +1,94 @@
 (** Simulated physical memory: DRAM behind the direct map, with
     little-endian integer accessors.
 
-    The host stores it demand-paged, as an array of 4 KiB [Bytes] pages.
-    Every slot starts out aliasing one shared page of zeros that is never
-    written; a slot gets its own copy on the first store into it. So a
-    64 MiB kernel costs the host only the pages the simulation writes,
-    and creating one zeroes nothing. The representation is invisible to
-    the simulation: every function reads and writes exactly the bytes the
-    flat-array model did, and charges no cycles (costs are the caller's,
-    in {!Machine.Model}). *)
+    The host stores it in 512-byte [Bytes] chunks reached through a
+    two-level directory: [leaves] holds one leaf per 256 chunks (128 KiB
+    of DRAM), and a leaf holds its chunks. Every leaf starts out as one
+    shared leaf whose every slot aliases one shared chunk of zeros;
+    neither is ever written. The first store into a chunk gives it, and
+    its leaf if that is still the shared one, a private copy. So a 64 MiB
+    kernel costs the host a 512-word directory plus the chunks the
+    simulation writes and the leaves they fall in, and creating one
+    zeroes nothing. The chunk is a host constant only: the simulated OS
+    page ({!page_size}) stays 4 KiB. The representation is invisible to
+    the simulation: every function reads and writes exactly the bytes
+    the flat-array model did, and charges no cycles (costs are the
+    caller's, in {!Machine.Model}). *)
 
 let page_bits = 12
 let page_size = 1 lsl page_bits
-let page_mask = page_size - 1
+
+(* The host chunk and leaf. A chunk smaller than the page pays off
+   because a run's stores are sparse within a page: a TX buffer page
+   holds two 128-byte frames, 2 KiB apart. *)
+let chunk_bits = 9
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
+let leaf_bits = 8
+let leaf_chunks = 1 lsl leaf_bits
+let leaf_mask = leaf_chunks - 1
 
 type t = {
-  pages : Bytes.t array;
-  size : int;  (** bytes addressable; bounds every access, not [pages] *)
-  mutable resident : int;  (** pages materialised so far *)
+  leaves : Bytes.t array array;
+  size : int;  (** bytes addressable; bounds every access, not [leaves] *)
+  mutable resident : int;  (** chunks materialised so far *)
 }
 
 exception Bad_phys_access of { addr : int; size : int }
 
-(* The page every untouched slot aliases. Nothing may write it: every
-   store goes through [own] first. *)
-let zero_page = Bytes.make page_size '\000'
+(* The chunk every untouched slot aliases, and the leaf every untouched
+   directory entry aliases (all of its slots [zero_chunk]). Nothing may
+   write either: every store goes through [own] first. *)
+let zero_chunk = Bytes.make chunk_size '\000'
+let zero_leaf = Array.make leaf_chunks zero_chunk
 
 let create ~size =
-  { pages = Array.make ((size + page_mask) lsr page_bits) zero_page; size; resident = 0 }
+  let chunks = (size + chunk_mask) lsr chunk_bits in
+  { leaves = Array.make ((chunks + leaf_mask) lsr leaf_bits) zero_leaf; size; resident = 0 }
 
-(** Host memory held by materialised pages, in bytes. *)
-let resident_bytes t = t.resident * page_size
+(** Host memory held by materialised chunks, in bytes. *)
+let resident_bytes t = t.resident * chunk_size
 
 (* [addr > t.size - size], not [addr + size > t.size]: the sum wraps
    negative for an access ending past [max_int], and would pass *)
-let check t addr size =
+let[@inline] check t addr size =
   if addr < 0 || size < 0 || addr > t.size - size then
     raise (Bad_phys_access { addr; size })
 
-let page t addr = Array.unsafe_get t.pages (addr lsr page_bits)
+(* The chunk holding [addr]: two loads, unchecked because every caller
+   has already bounds-checked [addr] against [t.size]. *)
+let[@inline] chunk t addr =
+  Array.unsafe_get
+    (Array.unsafe_get t.leaves (addr lsr (chunk_bits + leaf_bits)))
+    ((addr lsr chunk_bits) land leaf_mask)
 
-(* Page [i], made private first if it still aliases [zero_page]. *)
-let own t i =
-  let p = Array.unsafe_get t.pages i in
-  if p != zero_page then p
-  else begin
-    let p = Bytes.make page_size '\000' in
-    Array.unsafe_set t.pages i p;
-    t.resident <- t.resident + 1;
-    p
-  end
+(* Give the chunk holding [addr], which still aliases [zero_chunk], a
+   private copy, and its leaf first if that still aliases [zero_leaf]. *)
+let materialise t addr =
+  let l = addr lsr (chunk_bits + leaf_bits) in
+  let leaf = Array.unsafe_get t.leaves l in
+  let leaf =
+    if leaf != zero_leaf then leaf
+    else begin
+      let leaf = Array.make leaf_chunks zero_chunk in
+      Array.unsafe_set t.leaves l leaf;
+      leaf
+    end
+  in
+  let c = Bytes.make chunk_size '\000' in
+  Array.unsafe_set leaf ((addr lsr chunk_bits) land leaf_mask) c;
+  t.resident <- t.resident + 1;
+  c
 
-let get_byte t addr = Char.code (Bytes.unsafe_get (page t addr) (addr land page_mask))
+(* The chunk holding [addr], private to [t]: what a store writes into. *)
+let[@inline] own t addr =
+  let c = chunk t addr in
+  if c != zero_chunk then c else materialise t addr
+
+let get_byte t addr = Char.code (Bytes.unsafe_get (chunk t addr) (addr land chunk_mask))
 
 let set_byte t addr v =
-  Bytes.unsafe_set (own t (addr lsr page_bits)) (addr land page_mask)
-    (Char.unsafe_chr (v land 0xff))
+  Bytes.unsafe_set (own t addr) (addr land chunk_mask) (Char.unsafe_chr (v land 0xff))
 
 let read_u8 t addr =
   check t addr 1;
@@ -70,16 +103,16 @@ let write_u8 t addr v =
     simulator restriction). *)
 let read t addr ~size =
   check t addr size;
-  let off = addr land page_mask in
+  let off = addr land chunk_mask in
   match size with
   | 1 -> get_byte t addr
-  | 2 when off + 2 <= page_size -> Bytes.get_uint16_le (page t addr) off
-  | 4 when off + 4 <= page_size ->
-    Int32.to_int (Bytes.get_int32_le (page t addr) off) land 0xffff_ffff
-  | 8 when off + 8 <= page_size ->
-    Int64.to_int (Bytes.get_int64_le (page t addr) off) land max_int
+  | 2 when off + 2 <= chunk_size -> Bytes.get_uint16_le (chunk t addr) off
+  | 4 when off + 4 <= chunk_size ->
+    Int32.to_int (Bytes.get_int32_le (chunk t addr) off) land 0xffff_ffff
+  | 8 when off + 8 <= chunk_size ->
+    Int64.to_int (Bytes.get_int64_le (chunk t addr) off) land max_int
   | _ ->
-    (* straddles a page boundary (or an odd size) *)
+    (* straddles a chunk boundary (or an odd size) *)
     let acc = ref 0 in
     for i = size - 1 downto 0 do
       acc := (!acc lsl 8) lor get_byte t (addr + i)
@@ -88,24 +121,21 @@ let read t addr ~size =
 
 let write t addr ~size v =
   check t addr size;
-  let off = addr land page_mask in
+  let off = addr land chunk_mask in
   match size with
   | 1 -> set_byte t addr v
-  | 2 when off + 2 <= page_size ->
-    Bytes.set_uint16_le (own t (addr lsr page_bits)) off (v land 0xffff)
-  | 4 when off + 4 <= page_size ->
-    Bytes.set_int32_le (own t (addr lsr page_bits)) off (Int32.of_int v)
-  | 8 when off + 8 <= page_size ->
+  | 2 when off + 2 <= chunk_size -> Bytes.set_uint16_le (own t addr) off (v land 0xffff)
+  | 4 when off + 4 <= chunk_size -> Bytes.set_int32_le (own t addr) off (Int32.of_int v)
+  | 8 when off + 8 <= chunk_size ->
     (* [v lsr 56] never sets the top bit of the eighth byte *)
-    Bytes.set_int64_le (own t (addr lsr page_bits)) off
-      (Int64.logand (Int64.of_int v) Int64.max_int)
+    Bytes.set_int64_le (own t addr) off (Int64.logand (Int64.of_int v) Int64.max_int)
   | _ ->
     for i = 0 to size - 1 do
       set_byte t (addr + i) (v lsr (8 * i))
     done
 
-(* Length of the piece of [addr, addr + len) that stays in [addr]'s page. *)
-let piece addr len = Int.min len (page_size - (addr land page_mask))
+(* Length of the piece of [addr, addr + len) that stays in [addr]'s chunk. *)
+let piece addr len = Int.min len (chunk_size - (addr land chunk_mask))
 
 let blit_string t ~dst s =
   let len = String.length s in
@@ -114,25 +144,25 @@ let blit_string t ~dst s =
   while !i < len do
     let a = dst + !i in
     let n = piece a (len - !i) in
-    Bytes.blit_string s !i (own t (a lsr page_bits)) (a land page_mask) n;
+    Bytes.blit_string s !i (own t a) (a land chunk_mask) n;
     i := !i + n
   done
 
 (* Copy one piece that lies within a single source and a single
-   destination page. A zero piece onto a page that is still shared is
+   destination chunk. A zero piece onto a chunk that is still shared is
    already in place. *)
 let copy_piece t ~src ~dst n =
-  let sp = page t src in
-  if not (sp == zero_page && page t dst == zero_page) then begin
-    let dp = own t (dst lsr page_bits) in
-    (* re-read: [own] may just have replaced the source page *)
-    Bytes.blit (page t src) (src land page_mask) dp (dst land page_mask) n
+  let sc = chunk t src in
+  if not (sc == zero_chunk && chunk t dst == zero_chunk) then begin
+    let dc = own t dst in
+    (* re-read: [own] may just have replaced the source chunk *)
+    Bytes.blit (chunk t src) (src land chunk_mask) dc (dst land chunk_mask) n
   end
 
 (** [memmove]: overlapping ranges copy as if through a temporary. Pieces
     run front to back when [dst] is below [src] and back to front
     otherwise, so no piece reads bytes an earlier piece overwrote; within
-    one page [Bytes.blit] is itself a memmove. *)
+    one chunk [Bytes.blit] is itself a memmove. *)
 let blit t ~src ~dst ~len =
   check t src len;
   check t dst len;
@@ -148,9 +178,9 @@ let blit t ~src ~dst ~len =
   else begin
     let e = ref len in
     while !e > 0 do
-      (* the piece ending at [e]: back to the later of the two page starts *)
+      (* the piece ending at [e]: back to the later of the two chunk starts *)
       let s = src + !e and d = dst + !e in
-      let n = Int.min !e (Int.min (((s - 1) land page_mask) + 1) (((d - 1) land page_mask) + 1)) in
+      let n = Int.min !e (Int.min (((s - 1) land chunk_mask) + 1) (((d - 1) land chunk_mask) + 1)) in
       copy_piece t ~src:(s - n) ~dst:(d - n) n;
       e := !e - n
     done
@@ -162,8 +192,8 @@ let blit_out t ~src b ~pos ~len =
   while !i < len do
     let a = src + !i in
     let n = piece a (len - !i) in
-    let p = page t a in
-    if p != zero_page then Bytes.blit p (a land page_mask) b (pos + !i) n;
+    let c = chunk t a in
+    if c != zero_chunk then Bytes.blit c (a land chunk_mask) b (pos + !i) n;
     i := !i + n
   done
 
@@ -179,8 +209,8 @@ let fill t ~dst ~len c =
   while !i < len do
     let a = dst + !i in
     let n = piece a (len - !i) in
-    if not (c = '\000' && page t a == zero_page) then
-      Bytes.fill (own t (a lsr page_bits)) (a land page_mask) n c;
+    if not (c = '\000' && chunk t a == zero_chunk) then
+      Bytes.fill (own t a) (a land chunk_mask) n c;
     i := !i + n
   done
 
@@ -208,10 +238,10 @@ let diff_ranges t snap =
   in
   let i = ref 0 in
   while !i < n do
-    let off = !i land page_mask in
+    let off = !i land chunk_mask in
     if
-      !run_start < 0 && !i + 8 <= n && off + 8 <= page_size
-      && Bytes.get_int64_ne (page t !i) off = Bytes.get_int64_ne snap !i
+      !run_start < 0 && !i + 8 <= n && off + 8 <= chunk_size
+      && Bytes.get_int64_ne (chunk t !i) off = Bytes.get_int64_ne snap !i
     then i := !i + 8
     else begin
       if get_byte t !i <> Char.code (Bytes.get snap !i) then begin

@@ -20,22 +20,38 @@
     - a way past the held ones is a never-filled way of the dense set
       (tag -1, stamp 0): no access hits it, and a miss picks the first
       one exactly when every held way is filled, which is when the set
-      grows. *)
+      grows.
+
+    Sets are reached through a directory of leaves of 64 sets each.
+    Every directory entry starts out as one shared leaf of empty sets,
+    which is never written: the first fill into a set gives its leaf a
+    private copy, and {!flush} puts every entry back to the shared leaf.
+    A fresh R350 L3 (16,384 sets) is then a 256-entry directory rather
+    than 16,384 set pointers. *)
 
 type t = {
   name : string;
   line_bits : int;
   sets : int;
   assoc : int;
-  lines : int array array;
-      (** one array per set, holding its first [cap] ways: tags at
-          [\[0, cap)] (-1 = invalid), LRU stamps at [\[cap, 2 * cap)]
-          (higher = more recent; 0 = never filled); a set never filled
-          is the shared empty array *)
+  lines : int array array array;
+      (** the directory: set [s] is [lines.(s / 64).(s mod 64)], an
+          array holding its first [cap] ways: tags at [\[0, cap)] (-1 =
+          invalid), LRU stamps at [\[cap, 2 * cap)] (higher = more
+          recent; 0 = never filled); a set never filled is the shared
+          empty array, and a leaf never filled is [empty_leaf] *)
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
 }
+
+let leaf_bits = 6
+let leaf_sets = 1 lsl leaf_bits
+let leaf_mask = leaf_sets - 1
+
+(* The leaf every untouched directory entry aliases. Nothing may write
+   it: a fill goes through [own_leaf] first. *)
+let empty_leaf : int array array = Array.make leaf_sets [||]
 
 (* At least 2 bytes: with 1-byte lines [tag_of] would be the identity, so
    address -1 would carry the invalid tag (see [access]). *)
@@ -62,7 +78,7 @@ let create ~name ~size_bytes ~assoc ~line_size =
     line_bits;
     sets;
     assoc;
-    lines = Array.make sets [||];
+    lines = Array.make ((sets + leaf_mask) lsr leaf_bits) empty_leaf;
     clock = 0;
     hits = 0;
     misses = 0;
@@ -99,13 +115,30 @@ let grow (s : int array) cap cap' =
   Array.fill s' (cap' + cap) (cap' - cap) 0;
   s'
 
+(* Set [set]: two loads, unchecked because [set_index] masks every set
+   number below [t.sets]. *)
+let set_of t set =
+  Array.unsafe_get (Array.unsafe_get t.lines (set lsr leaf_bits)) (set land leaf_mask)
+
+(* The leaf holding [set], made private first if it is still
+   [empty_leaf]. *)
+let own_leaf t set =
+  let l = set lsr leaf_bits in
+  let leaf = Array.unsafe_get t.lines l in
+  if leaf != empty_leaf then leaf
+  else begin
+    let leaf = Array.make leaf_sets [||] in
+    Array.unsafe_set t.lines l leaf;
+    leaf
+  end
+
 (** Probe and update; true = hit. On miss the line is filled (inclusive
     hierarchy: the caller fills lower levels too). *)
 let access t addr =
   t.clock <- t.clock + 1;
   let set = set_index t addr in
   let tag = tag_of t addr in
-  let s = t.lines.(set) in
+  let s = set_of t set in
   let cap = Array.length s / 2 in
   let w = find_way s cap tag 0 in
   if w >= 0 then begin
@@ -121,7 +154,7 @@ let access t addr =
     if cap < t.assoc && (cap = 0 || s.((2 * cap) - 1) <> 0) then begin
       let cap' = if cap = 0 then 1 else Int.min (2 * cap) t.assoc in
       let s = grow s cap cap' in
-      t.lines.(set) <- s;
+      Array.unsafe_set (own_leaf t set) (set land leaf_mask) s;
       s.(cap) <- tag;
       s.(cap' + cap) <- t.clock
     end
@@ -143,7 +176,7 @@ let lines_touched t addr size =
     last - first + 1
   end
 
-let flush t = Array.fill t.lines 0 t.sets [||]
+let flush t = Array.fill t.lines 0 (Array.length t.lines) empty_leaf
 
 (** Invalidate a random fraction of lines — models cache pollution from
     interrupts and other cores between trials. Draws range over all
@@ -155,7 +188,7 @@ let perturb t rng ~fraction =
   let k = int_of_float (float_of_int n *. fraction) in
   for _ = 1 to k do
     let i = Rng.int rng n in
-    let s = t.lines.(i / t.assoc) in
+    let s = set_of t (i / t.assoc) in
     let w = i mod t.assoc in
     if w < Array.length s / 2 then s.(w) <- -1
   done

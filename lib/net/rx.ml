@@ -23,35 +23,52 @@
     consumed frame ({!Nic.Device.rx_take_stamps}), yielding
     arrival-to-delivery latencies that include coalescing delay, softirq
     batching, and guard overhead. Each queue keeps its samples in a
-    {!Samples} store: one word per delivered frame. *)
+    {!Samples} store: four bytes per delivered frame. *)
 
 (** One queue's per-frame latencies (cycles), oldest first: an
-    append-only store of fixed-size [int array] chunks plus a count, so
-    a sample costs one word where a list cell would cost three. *)
+    append-only store of 4 KiB chunks of little-endian int32 plus a
+    count, so a sample costs half a word where an [int array] slot
+    costs one and a list cell three. A sample the int32 cannot hold
+    exactly is stored as [escape], with its value in [wide] under its
+    index; [escape] itself is such a sample, so every stored [escape]
+    is one. *)
 module Samples = struct
   let chunk = 1024
+  let escape = Int32.min_int
 
   type t = {
-    mutable chunks : int array array;
-        (** full chunks, the open one, then unused [[||]] slots *)
+    mutable chunks : Bytes.t array;
+        (** full chunks, the open one, then unused empty slots *)
     mutable count : int;
+    wide : (int, int) Hashtbl.t;  (** index -> sample, for escaped ones *)
   }
 
-  let create () = { chunks = [||]; count = 0 }
+  let create () = { chunks = [||]; count = 0; wide = Hashtbl.create 1 }
   let length s = s.count
-  let get s i = s.chunks.(i / chunk).(i mod chunk)
+
+  let get s i =
+    let v = Bytes.get_int32_le s.chunks.(i / chunk) (4 * (i mod chunk)) in
+    if Int32.equal v escape then Hashtbl.find s.wide i else Int32.to_int v
 
   let push s v =
     let c = s.count / chunk and i = s.count mod chunk in
     if i = 0 then begin
       if c = Array.length s.chunks then begin
-        let spine = Array.make (Int.max 4 (2 * c)) [||] in
+        let spine = Array.make (Int.max 4 (2 * c)) Bytes.empty in
         Array.blit s.chunks 0 spine 0 c;
         s.chunks <- spine
       end;
-      s.chunks.(c) <- Array.make chunk 0
+      s.chunks.(c) <- Bytes.make (4 * chunk) '\000'
     end;
-    s.chunks.(c).(i) <- v;
+    let n = Int32.of_int v in
+    let n =
+      if Int32.to_int n = v && not (Int32.equal n escape) then n
+      else begin
+        Hashtbl.replace s.wide s.count v;
+        escape
+      end
+    in
+    Bytes.set_int32_le s.chunks.(c) (4 * i) n;
     s.count <- s.count + 1
 
   (** Every sample, oldest first. *)

@@ -46,6 +46,8 @@ let test_memory_blit () =
 (* ---------- demand paging ---------- *)
 
 let page = Kernel.Memory.page_size
+let chunk = Kernel.Memory.chunk_size
+let leaf = Kernel.Memory.(chunk_size * leaf_chunks)
 
 (* The reference model: one flat, eagerly zeroed buffer, accessed byte by
    byte — the representation [Memory] had before it was paged. *)
@@ -127,15 +129,18 @@ type outcome =
 
 let gen_mem_case =
   let open QCheck.Gen in
-  (* page multiples, and sizes that end mid-page *)
-  let* size = oneofl [ page; 3 * page; (3 * page) + 100; (2 * page) - 1; 100; 5000 ] in
-  (* addresses cluster on page boundaries, and stray past both ends *)
+  (* page multiples, sizes that end mid-page or mid-chunk, and one that
+     spans three directory leaves *)
+  let* size =
+    oneofl
+      [ page; 3 * page; (3 * page) + 100; (2 * page) - 1; 100; 5000; (2 * leaf) + 700 ]
+  in
+  (* addresses cluster on page, chunk and leaf boundaries, and stray past
+     both ends *)
+  let near unit = map2 (fun k d -> (k * unit) + d) (int_bound ((size / unit) + 1)) (int_range (-9) 9) in
   let addr =
     frequency
-      [
-        (3, int_range (-9) (size + 9));
-        (4, map2 (fun k d -> (k * page) + d) (int_bound ((size / page) + 1)) (int_range (-9) 9));
-      ]
+      [ (3, int_range (-9) (size + 9)); (3, near page); (3, near chunk); (1, near leaf) ]
   in
   let len =
     frequency
@@ -199,7 +204,7 @@ let prop_paged_matches_flat =
       in
       List.for_all (fun op -> let p, f = run op in p = f) ops
       && Kernel.Memory.read_string m ~src:0 ~len:size = Bytes.to_string b
-      && Kernel.Memory.resident_bytes m <= ((size + page - 1) / page) * page)
+      && Kernel.Memory.resident_bytes m <= ((size + chunk - 1) / chunk) * chunk)
 
 let test_fresh_kernel_resident () =
   checki "fresh kernel materialises no page" 0
@@ -216,8 +221,23 @@ let test_zero_memset_stays_shared () =
   Alcotest.(check string) "still reads zero" (String.make len '\000')
     (Kernel.read_string k ~addr:va ~len);
   ignore (Kernel.call_symbol k "memset" [| va + page - 2; 7; 4 |]);
-  checki "non-zero memset materialises the two pages it spans" (before + (2 * page))
+  checki "non-zero memset materialises the two chunks it spans" (before + (2 * chunk))
     (Kernel.Memory.resident_bytes (Kernel.memory k))
+
+(* A fresh 64 MiB memory is its directory plus the shared zero leaf and
+   zero chunk; a first store adds one private leaf (its slots and a
+   header) and one private chunk (its bytes, a padding word and a
+   header). *)
+let test_fresh_memory_footprint () =
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let m = Kernel.Memory.create ~size:(64 lsl 20) in
+  let fresh = words m in
+  checkb (Printf.sprintf "fresh 64 MiB memory: %d words <= 1,000" fresh) true (fresh <= 1_000);
+  Kernel.Memory.write m 0x123_4560 ~size:8 42;
+  checki "one store adds one leaf and one chunk"
+    (Kernel.Memory.leaf_chunks + 1 + (chunk / 8) + 2)
+    (words m - fresh);
+  checki "reads back" 42 (Kernel.Memory.read m 0x123_4560 ~size:8)
 
 let test_testbed_resident_bounded () =
   (* the fig7 set-up: R350, guarded driver, 0.0004 stall, 128 B packets *)
@@ -241,7 +261,7 @@ let test_testbed_resident_bounded () =
 
 let test_memory_hot_path_allocation_free () =
   let m = Kernel.Memory.create ~size:(4 * page) in
-  (* a page's first store allocates it; materialise them all up front *)
+  (* a chunk's first store allocates it; materialise them all up front *)
   Kernel.Memory.fill m ~dst:0 ~len:(4 * page) 'a';
   let w0 = Gc.minor_words () in
   for i = 0 to 9_999 do
@@ -851,6 +871,7 @@ let () =
           Alcotest.test_case "fresh kernel resident" `Quick test_fresh_kernel_resident;
           Alcotest.test_case "zero memset stays shared" `Quick
             test_zero_memset_stays_shared;
+          Alcotest.test_case "fresh memory footprint" `Quick test_fresh_memory_footprint;
           Alcotest.test_case "testbed resident bounded" `Quick
             test_testbed_resident_bounded;
           Alcotest.test_case "hot path allocation-free" `Quick

@@ -269,7 +269,7 @@ let test_cache_fresh_footprint () =
       let w = words (Machine.Model.create p) in
       checkb (Printf.sprintf "fresh %s model: %d words <= %d" p.name w bound) true
         (w <= bound))
-    [ (Machine.Presets.r350, 32_000); (Machine.Presets.r415, 8_000) ]
+    [ (Machine.Presets.r350, 4_000); (Machine.Presets.r415, 1_000) ]
 
 let test_cache_flush_footprint () =
   let m = Machine.Model.create Machine.Presets.r350 in
@@ -286,7 +286,10 @@ let test_cache_allocation () =
   let stride = 4096 / 2 in
   let w0 = Gc.minor_words () in
   ignore (Machine.Cache.access c 0);
-  Alcotest.(check (float 0.0)) "first fill allocates a 1-way set" 3.0
+  (* a 1-way set (2 words and a header) and the leaf of 64 sets it lands
+     in (64 words and a header) *)
+  Alcotest.(check (float 0.0)) "first fill allocates a 1-way set and its leaf"
+    (float_of_int (3 + Machine.Cache.leaf_sets + 1))
     (Gc.minor_words () -. w0);
   let w0 = Gc.minor_words () in
   ignore (Machine.Cache.access c stride);
@@ -316,7 +319,8 @@ let test_cache_allocation () =
 
 (* One line in each of 1,000 sets of an R350-shaped L3 (16 ways): each
    set holds the one way it filled, a 2-word array and its header, where
-   a set of all 16 ways would take 33 words. *)
+   a set of all 16 ways would take 33 words; the sets fill the first 16
+   leaves of 64 sets, each 64 words and a header. *)
 let test_cache_set_holds_filled_ways () =
   let p = Machine.Presets.r350 in
   let c =
@@ -327,7 +331,9 @@ let test_cache_set_holds_filled_ways () =
   for s = 0 to 999 do
     ignore (Machine.Cache.access c (s * p.Machine.Model.line_size))
   done;
-  checki "1,000 one-way sets" 3_000 (words c - fresh)
+  checki "1,000 one-way sets and their leaves"
+    (3_000 + (16 * (Machine.Cache.leaf_sets + 1)))
+    (words c - fresh)
 
 (* The whole memory path of the model — line split, three cache levels,
    victim choice — allocates nothing once the sets it touches are

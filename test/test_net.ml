@@ -238,11 +238,14 @@ let prop_rx_dma_byte_identity =
 
 (* The per-queue latency sample store against an [int list] reference:
    batches of 0 to 3 chunks' worth of samples per queue, so appends cross
-   chunk boundaries. After each batch, every queue reads back oldest
-   first, [all_latencies] holds the same samples, and the slice since the
+   chunk boundaries, and one sample in eight at or beyond the int32 range
+   a chunk holds. After each batch, every queue reads back oldest first,
+   [all_latencies] holds the same samples, and the slice since the
    batch's marks is each queue's new suffix. *)
 let prop_rx_samples_match_list =
   let queues = 3 and chunk = Net.Rx.Samples.chunk in
+  let i31 = 1 lsl 31 in
+  let wide = [| i31 - 1; i31; i31 + 1; -i31; -i31 + 1; -i31 - 1; max_int; min_int; -5 |] in
   let k, dev, _ = setup_napi ~queues () in
   QCheck.Test.make ~name:"RX sample store matches a list" ~count:25
     QCheck.(
@@ -256,11 +259,11 @@ let prop_rx_samples_match_list =
       List.for_all
         (fun counts ->
           let marks = Net.Rx.sample_counts rx in
-          let fresh =
-            Array.map
-              (fun n -> List.init n (fun _ -> Random.State.int rng 1_000_000))
-              counts
+          let sample () =
+            if Random.State.int rng 8 > 0 then Random.State.int rng 1_000_000
+            else wide.(Random.State.int rng (Array.length wide))
           in
+          let fresh = Array.map (fun n -> List.init n (fun _ -> sample ())) counts in
           Array.iteri
             (fun q l ->
               List.iter (Net.Rx.Samples.push rx.Net.Rx.qs.(q).Net.Rx.lats) l;
@@ -277,19 +280,23 @@ let prop_rx_samples_match_list =
              = floats (List.concat (Array.to_list fresh)))
         batches)
 
-(* One word per sample: 100,000 samples on one queue cost their chunks,
-   at most one of them partly empty, and a short spine. *)
+(* Four bytes per sample: 100,000 samples on one queue cost their
+   chunks, at most one of them partly empty, and a short spine; a sample
+   outside the int32 range still reads back exactly. *)
 let test_rx_samples_footprint () =
   let s = Net.Rx.Samples.create () in
   for i = 1 to 100_000 do
     Net.Rx.Samples.push s i
   done;
   let words = Obj.reachable_words (Obj.repr s) in
-  checkb
-    (Printf.sprintf "%d words for 100,000 samples" words)
-    true
-    (words <= 101_000 + Net.Rx.Samples.chunk);
-  checki "last sample" 100_000 (Net.Rx.Samples.get s 99_999)
+  checkb (Printf.sprintf "%d words for 100,000 samples" words) true (words <= 52_000);
+  checki "last sample" 100_000 (Net.Rx.Samples.get s 99_999);
+  let i31 = 1 lsl 31 in
+  List.iteri
+    (fun k v ->
+      Net.Rx.Samples.push s v;
+      checki (Printf.sprintf "wide sample %d" v) v (Net.Rx.Samples.get s (100_000 + k)))
+    [ max_int; min_int; i31; -i31; -5 ]
 
 let test_deny_policy_blocks_rx () =
   (* the other half of the DMA property: with write permission on the
