@@ -812,7 +812,7 @@ let run_guardopt () =
       }
     in
     let tb = Smp_testbed.create ~config:cfg () in
-    let r = Smp_testbed.run_pktgen ~count:(if !quick then 200 else 600) tb in
+    let r = Smp_testbed.run_traffic ~count:(if !quick then 200 else 600) tb in
     let st =
       Policy.Engine.merged_stats
         (Policy.Policy_module.engine (Smp_testbed.policy_module tb))
@@ -824,13 +824,13 @@ let run_guardopt () =
   Printf.printf
     "\n  smp 4-cpu (R350): checks %d -> %d, pps %.0f -> %.0f, denies %d/%d\n"
     smp_none_st.Policy.Engine.checks smp_aggr_st.Policy.Engine.checks
-    smp_none.Smp_testbed.pps smp_aggr.Smp_testbed.pps
+    smp_none.Smp_testbed.d_tx_pps smp_aggr.Smp_testbed.d_tx_pps
     smp_none_st.Policy.Engine.denied smp_aggr_st.Policy.Engine.denied;
   if smp_none_st.Policy.Engine.denied + smp_aggr_st.Policy.Engine.denied <> 0
   then Report.fail rep "smp rows denied on a benign workload";
   if smp_aggr_st.Policy.Engine.checks >= smp_none_st.Policy.Engine.checks then
     Report.fail rep "smp 4-cpu: aggressive did not reduce dynamic checks";
-  if smp_none.Smp_testbed.total_sent <> smp_aggr.Smp_testbed.total_sent then
+  if smp_none.Smp_testbed.d_sent <> smp_aggr.Smp_testbed.d_sent then
     Report.fail rep "smp 4-cpu: sent counts differ between tiers";
   print_newline ();
   let row g =
@@ -861,8 +861,8 @@ let run_guardopt () =
           [
             int "checks_none" smp_none_st.Policy.Engine.checks;
             int "checks_aggressive" smp_aggr_st.Policy.Engine.checks;
-            num "pps_none" smp_none.Smp_testbed.pps;
-            num "pps_aggressive" smp_aggr.Smp_testbed.pps;
+            num "pps_none" smp_none.Smp_testbed.d_tx_pps;
+            num "pps_aggressive" smp_aggr.Smp_testbed.d_tx_pps;
           ];
       ])
 
@@ -878,7 +878,7 @@ type smp_row = {
   sr_technique : string;
   sr_cpus : int;
   sr_storm : int;
-  sr_result : Smp_testbed.result;
+  sr_result : Smp_testbed.duplex_result;
 }
 
 let run_smpscale () =
@@ -904,7 +904,7 @@ let run_smpscale () =
       sr_technique = Testbed.technique_to_string tech;
       sr_cpus = cpus;
       sr_storm = storm;
-      sr_result = Smp_testbed.run_pktgen ~count ~storm tb;
+      sr_result = Smp_testbed.run_traffic ~count ~churn:storm tb;
     }
   in
   let rows =
@@ -933,26 +933,26 @@ let run_smpscale () =
     (List.find
        (fun s -> s.sr_machine = mname && s.sr_technique = tech && s.sr_cpus = cpus)
        rows)
-      .sr_result.Smp_testbed.pps
+      .sr_result.Smp_testbed.d_tx_pps
   in
   List.iter
     (fun s ->
       let r = s.sr_result in
       Printf.printf "  %-6s %-9s %5d %6d %12.0f %8.2fx %6d %6d\n"
-        s.sr_machine s.sr_technique s.sr_cpus s.sr_storm r.Smp_testbed.pps
-        (r.Smp_testbed.pps /. pps_of s.sr_machine s.sr_technique 1)
-        r.Smp_testbed.publications r.Smp_testbed.stale_allows)
+        s.sr_machine s.sr_technique s.sr_cpus s.sr_storm r.Smp_testbed.d_tx_pps
+        (r.Smp_testbed.d_tx_pps /. pps_of s.sr_machine s.sr_technique 1)
+        r.Smp_testbed.d_publications r.Smp_testbed.d_stale_allows)
     all;
   (* gates *)
   List.iter
     (fun s ->
-      if s.sr_result.Smp_testbed.stale_allows <> 0 then
+      if s.sr_result.Smp_testbed.d_stale_allows <> 0 then
         Report.fail rep "%s/%s/%d: %d stale allows (policy coherence broken)"
           s.sr_machine s.sr_technique s.sr_cpus
-          s.sr_result.Smp_testbed.stale_allows;
-      if s.sr_result.Smp_testbed.send_errors <> 0 then
+          s.sr_result.Smp_testbed.d_stale_allows;
+      if s.sr_result.Smp_testbed.d_send_errors <> 0 then
         Report.fail rep "%s/%s/%d: %d send errors" s.sr_machine s.sr_technique
-          s.sr_cpus s.sr_result.Smp_testbed.send_errors)
+          s.sr_cpus s.sr_result.Smp_testbed.d_send_errors)
     all;
   List.iter
     (fun (mname, _) ->
@@ -976,12 +976,12 @@ let run_smpscale () =
   List.iter
     (fun s ->
       let r = s.sr_result in
-      if r.Smp_testbed.publications = 0 then
+      if r.Smp_testbed.d_publications = 0 then
         Report.fail rep "%s storm row made no publications" s.sr_machine;
-      if r.Smp_testbed.retired <> r.Smp_testbed.publications then
+      if r.Smp_testbed.d_retired <> r.Smp_testbed.d_publications then
         Report.fail rep "%s storm row: %d of %d publications never retired"
-          s.sr_machine (r.Smp_testbed.publications - r.Smp_testbed.retired)
-          r.Smp_testbed.publications)
+          s.sr_machine (r.Smp_testbed.d_publications - r.Smp_testbed.d_retired)
+          r.Smp_testbed.d_publications)
     storm_rows;
   let row s =
     let r = s.sr_result in
@@ -990,11 +990,11 @@ let run_smpscale () =
         [
           str "machine" s.sr_machine; str "technique" s.sr_technique;
           int "cpus" s.sr_cpus; int "storm" s.sr_storm;
-          int "sent" r.total_sent; num "pps" r.pps;
+          int "sent" r.d_sent; num "pps" r.d_tx_pps;
           nums "per_cpu_pps"
-            (Array.to_list (Array.map (fun c -> c.cr_pps) r.per_cpu));
-          int "publications" r.publications; int "retired" r.retired;
-          int "stale_allows" r.stale_allows; int "send_errors" r.send_errors;
+            (Array.to_list (Array.map (fun c -> c.dc_tx_pps) r.d_per_cpu));
+          int "publications" r.d_publications; int "retired" r.d_retired;
+          int "stale_allows" r.d_stale_allows; int "send_errors" r.d_send_errors;
         ])
   in
   Report.(

@@ -40,7 +40,7 @@ let clean_rcu_storm () =
   let config = { Smp_testbed.default_config with cpus = 2; seed = 11 } in
   let t = Smp_testbed.create ~config () in
   let det = Smp.System.enable_race_detector (Smp_testbed.smp t) in
-  let r = Smp_testbed.run_pktgen ~count:60 ~storm:7 t in
+  let r = Smp_testbed.run_traffic ~count:60 ~churn:7 t in
   let reports = Sanitizer.Race.report_count det in
   {
     v_name = "clean-rcu-storm";
@@ -49,13 +49,13 @@ let clean_rcu_storm () =
     v_accesses = Sanitizer.Race.accesses det;
     v_pass =
       reports = 0
-      && r.Smp_testbed.publications > 0
-      && r.Smp_testbed.retired > 0
-      && r.Smp_testbed.stale_allows = 0;
+      && r.Smp_testbed.d_publications > 0
+      && r.Smp_testbed.d_retired > 0
+      && r.Smp_testbed.d_stale_allows = 0;
     v_detail =
       Printf.sprintf "%d publications, %d retired, %d sent"
-        r.Smp_testbed.publications r.Smp_testbed.retired
-        r.Smp_testbed.total_sent;
+        r.Smp_testbed.d_publications r.Smp_testbed.d_retired
+        r.Smp_testbed.d_sent;
   }
 
 let clean_napi_churn () =
@@ -200,7 +200,7 @@ let corruption_vs_publication () =
   let config = { Smp_testbed.default_config with cpus = 2; seed = 23 } in
   let t = Smp_testbed.create ~config () in
   let det = Smp.System.enable_race_detector (Smp_testbed.smp t) in
-  ignore (Smp_testbed.run_pktgen ~count:30 t);
+  ignore (Smp_testbed.run_traffic ~count:30 t);
   let eng = Smp_testbed.engine t in
   (* flip the user-half deny rule's prot in the *live* table — an
      escalation that changes no kernel-address decision, so the workload
@@ -211,7 +211,7 @@ let corruption_vs_publication () =
   (let base, len = Policy.Engine.table_region eng in
    Sanitizer.Race.async_write det ~lo:base ~hi:(base + len)
      ~site:"instance-corruption");
-  ignore (Smp_testbed.run_pktgen ~count:30 t);
+  ignore (Smp_testbed.run_traffic ~count:30 t);
   let reports = Sanitizer.Race.report_count det in
   let unsynced =
     List.exists

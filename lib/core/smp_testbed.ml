@@ -126,156 +126,13 @@ let rx t = t.rx
 let engine t = Smp.System.engine t.smp
 
 (* ------------------------------------------------------------------ *)
-(* the per-CPU pktgen workload *)
-
-type cpu_result = {
-  cr_cpu : int;
-  cr_sent : int;
-  cr_cycles : int;  (** cycles this CPU's clock advanced over the run *)
-  cr_seconds : float;
-  cr_pps : float;  (** this CPU's private launch rate *)
-}
-
-type result = {
-  per_cpu : cpu_result array;
-  total_sent : int;
-  elapsed_seconds : float;  (** slowest CPU — the run's wall time *)
-  pps : float;  (** aggregate: total packets over the run's wall time *)
-  interleave : int list;  (** CPU id per scheduler operation, in order *)
-  slices : int;
-  publications : int;
-  retired : int;
-  stale_allows : int;
-      (** paranoid cross-check failures: inline-cache allows that the
-          live policy would deny (must be 0) *)
-  send_errors : int;
-}
-
-(** One pktgen-style packet on [stack]: mirrors {!Net.Pktgen.run}'s
-    per-packet body (tool-side frame build + fixed ns slice outside the
-    timed window, then the sendmsg). Charged to whichever machine is
-    current — the scheduler guarantees that is CPU [cpu]'s. *)
-let send_one t stack rng user_buf ~seq ~size ~tool_ns ~tool_instructions =
-  let k = t.kernel in
-  let machine = Kernel.machine k in
-  Net.Netstack.poll_interrupts stack;
-  let frame = Net.Frame.build ~seq ~size () in
-  Kernel.write_string k ~addr:user_buf frame;
-  Machine.Model.memcpy machine ~dst:user_buf ~src:(user_buf + 4096) size;
-  Machine.Model.retire machine tool_instructions;
-  let jitter = 0.97 +. (0.06 *. Machine.Rng.float rng) in
-  Machine.Model.add_cycles machine
-    (int_of_float (tool_ns *. jitter *. machine.Machine.Model.p.freq_ghz));
-  match Net.Netstack.try_sendmsg stack ~user_buf ~len:size with
-  | Ok _ -> true
-  | Error _ -> false
+(* the traffic workload *)
 
 (** Rotate a policy: same set of regions, different table order. Both
     orders make identical decisions for disjoint regions, so alternating
     between them is pure update churn — any behavioural difference a CPU
     observes is a publication bug. *)
 let rotate = function [] -> [] | r :: rest -> rest @ [ r ]
-
-(** Run [count] packets of [size] bytes on every CPU, interleaved by the
-    seeded scheduler. [storm] > 0 makes CPU 0 replace the whole policy
-    (rotated) every [storm]-th operation — the concurrent-ioctl update
-    storm — while the other CPUs keep sending. Paranoid verification is
-    on for the whole run: every inline-cache allow is cross-checked
-    against the live policy and mismatches are counted in
-    [stale_allows]. *)
-let run_pktgen ?(count = 1000) ?(size = 128) ?(storm = 0)
-    ?(tool_ns = 6800.0) ?(tool_instructions = 2600) t : result =
-  let n = Array.length t.stacks in
-  let engine = Smp.System.engine t.smp in
-  Policy.Engine.set_verify engine true;
-  let rngs =
-    Array.init n (fun i -> Machine.Rng.create (t.config.seed + (i * 7919)))
-  in
-  let user_bufs =
-    Array.init n (fun _ -> Kernel.map_user t.kernel ~size:2048)
-  in
-  let sent = Array.make n 0 in
-  let seqs = Array.make n 0 in
-  let errors = ref 0 in
-  let start_cycles =
-    Array.map (fun (c : Smp.Cpu.t) -> Smp.Cpu.cycles c) (Smp.System.cpus t.smp)
-  in
-  (* the RCU and engine counters run over the testbed's life; the result
-     reports each one's change over this run *)
-  let rs = Smp.Rcu.stats (Smp.System.rcu t.smp) in
-  let publications0 = rs.Smp.Rcu.publications and retired0 = rs.Smp.Rcu.retired in
-  let stale0 = Policy.Engine.stale_allows engine in
-  let storm_policy = ref t.config.policy in
-  let storm_count = ref 0 in
-  let steps =
-    Array.init n (fun cpu () ->
-        let storming =
-          storm > 0 && cpu = 0
-          && t.config.technique = Testbed.Carat
-          && seqs.(cpu) mod storm = storm - 1
-        in
-        if storming then begin
-          (* whole-policy replace through the mutation router: one
-             publication under load *)
-          storm_policy := rotate !storm_policy;
-          let rc =
-            Policy.Policy_module.replace_policy t.policy_module
-              ~default_allow:(Policy.Engine.default_allow engine)
-              !storm_policy
-          in
-          if rc <> 0 then incr errors;
-          incr storm_count;
-          seqs.(cpu) <- seqs.(cpu) + 1;
-          sent.(cpu) < count
-        end
-        else begin
-          let ok =
-            send_one t t.stacks.(cpu) rngs.(cpu) user_bufs.(cpu)
-              ~seq:seqs.(cpu) ~size ~tool_ns ~tool_instructions
-          in
-          seqs.(cpu) <- seqs.(cpu) + 1;
-          if ok then sent.(cpu) <- sent.(cpu) + 1 else incr errors;
-          sent.(cpu) < count && seqs.(cpu) < count * 4
-        end)
-  in
-  let interleave, sstats = Smp.System.run t.smp steps in
-  let cpus = Smp.System.cpus t.smp in
-  let freq = t.config.machine.Machine.Model.freq_ghz in
-  let per_cpu =
-    Array.mapi
-      (fun i (c : Smp.Cpu.t) ->
-        let cyc = Smp.Cpu.cycles c - start_cycles.(i) in
-        let secs = float_of_int (max 1 cyc) /. (freq *. 1e9) in
-        {
-          cr_cpu = i;
-          cr_sent = sent.(i);
-          cr_cycles = cyc;
-          cr_seconds = secs;
-          cr_pps = float_of_int sent.(i) /. secs;
-        })
-      cpus
-  in
-  let total_sent = Array.fold_left ( + ) 0 sent in
-  let elapsed =
-    Array.fold_left (fun a r -> max a r.cr_seconds) 0.0 per_cpu
-  in
-  let rs = Smp.Rcu.stats (Smp.System.rcu t.smp) in
-  Policy.Engine.set_verify engine false;
-  {
-    per_cpu;
-    total_sent;
-    elapsed_seconds = elapsed;
-    pps = float_of_int total_sent /. elapsed;
-    interleave;
-    slices = sstats.Smp.Sched.slices;
-    publications = rs.Smp.Rcu.publications - publications0;
-    retired = rs.Smp.Rcu.retired - retired0;
-    stale_allows = Policy.Engine.stale_allows engine - stale0;
-    send_errors = !errors;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* the full-duplex traffic workload *)
 
 type duplex_cpu = {
   dc_cpu : int;
@@ -288,7 +145,8 @@ type duplex_cpu = {
 }
 
 (** One {!run_traffic} call's outcome; every count covers that run only,
-    even on a testbed that has carried traffic before. *)
+    even on a testbed that has carried traffic before. A TX-only run
+    reports no RX work: its RX counts are 0 and [d_latencies] is empty. *)
 type duplex_result = {
   d_per_cpu : duplex_cpu array;
   d_sent : int;
@@ -307,33 +165,33 @@ type duplex_result = {
   d_publications : int;
   d_retired : int;
   d_stale_allows : int;
+      (** paranoid cross-check failures: inline-cache allows that the
+          live policy would deny (must be 0) *)
   d_send_errors : int;
 }
 
-(** Full-duplex run: every CPU alternates generator arrivals (frames
-    injected into the device, RSS-steered onto RX rings by flow hash),
-    NAPI service of its *own* RX queue, and pktgen-style TX sends —
-    interleaved by the seeded scheduler. [churn] > 0 makes CPU 0 replace
-    the whole policy (rotated) every [churn]-th operation, the update
-    storm running concurrently with guarded RX. [rx_per_step] arrivals
-    are offered per scheduler step; injection's simulated-memory cost is
-    charged to the injecting CPU (the model's stand-in for the wire).
-    Requires [config.rx_queues >= cpus]. Paranoid verification is on for
-    the whole run. *)
-let run_traffic ?(count = 500) ?(size = 128) ?(churn = 0) ?(flows = 4096)
-    ?(rx_per_step = 2) ?(tool_ns = 6800.0) ?(tool_instructions = 2600) t :
-    duplex_result =
+(** The one SMP run: every CPU runs {!Net.Pktgen.send}, the tool's
+    per-packet body, with {!Net.Pktgen.default_config}'s frames and tool
+    costs, interleaved by the seeded scheduler. On a duplex
+    testbed each CPU first offers [rx_per_step] generator arrivals to the
+    device (RSS-steered onto RX rings by flow hash; injection's
+    simulated-memory cost is charged to the injecting CPU, the model's
+    stand-in for the wire) and gives NAPI service to its *own* RX queue;
+    a testbed built with [rx_queues = 0] runs TX only. [churn] > 0 makes
+    CPU 0 replace the whole policy (rotated) every [churn]-th operation,
+    the update storm running concurrently with guarded traffic.
+    Paranoid verification is on for the whole run: every inline-cache
+    allow is cross-checked against the live policy and mismatches are
+    counted in [d_stale_allows]. *)
+let run_traffic ?(count = 500) ?(churn = 0) ?(flows = 4096) ?(rx_per_step = 2)
+    t : duplex_result =
   let n = Array.length t.stacks in
-  let rx =
-    match t.rx with
-    | Some rx -> rx
-    | None -> invalid_arg "run_traffic: testbed built without rx_queues"
-  in
-  if Net.Rx.queues rx < n then
-    invalid_arg "run_traffic: fewer RX queues than CPUs";
+  (match t.rx with
+  | Some rx when Net.Rx.queues rx < n ->
+    invalid_arg "run_traffic: fewer RX queues than CPUs"
+  | _ -> ());
   let engine = Smp.System.engine t.smp in
   Policy.Engine.set_verify engine true;
-  let fg = Net.Flowgen.create ~flows ~seed:(t.config.seed + 977) () in
   let rngs =
     Array.init n (fun i -> Machine.Rng.create (t.config.seed + (i * 7919)))
   in
@@ -348,8 +206,16 @@ let run_traffic ?(count = 500) ?(size = 128) ?(churn = 0) ?(flows = 4096)
   let start_cycles =
     Array.map (fun (c : Smp.Cpu.t) -> Smp.Cpu.cycles c) all_cpus
   in
-  let rx_before = Array.init n (fun q -> Net.Rx.frames rx ~q) in
-  let samples_before = Net.Rx.sample_counts rx in
+  (* a per-queue RX counter; 0 on a TX-only testbed *)
+  let rx_count f q = match t.rx with Some rx -> f rx ~q | None -> 0 in
+  let rx_before = Array.init n (rx_count Net.Rx.frames) in
+  let latencies =
+    match t.rx with
+    | Some rx ->
+      let marks = Net.Rx.sample_counts rx in
+      fun () -> Net.Rx.latencies_since rx marks
+    | None -> fun () -> [||]
+  in
   (* the device, NAPI and RCU counters run over the testbed's life; the
      result reports each one's change over this run *)
   let since f =
@@ -359,7 +225,7 @@ let run_traffic ?(count = 500) ?(size = 128) ?(churn = 0) ?(flows = 4096)
   let rx_sum f () =
     let s = ref 0 in
     for q = 0 to n - 1 do
-      s := !s + f rx ~q
+      s := !s + rx_count f q
     done;
     !s
   in
@@ -372,6 +238,33 @@ let run_traffic ?(count = 500) ?(size = 128) ?(churn = 0) ?(flows = 4096)
   let publications = since (rcu (fun rs -> rs.Smp.Rcu.publications)) in
   let retired = since (rcu (fun rs -> rs.Smp.Rcu.retired)) in
   let stale = since (fun () -> Policy.Engine.stale_allows engine) in
+  (* the RX half of a step: arrivals onto the wire, then softirq service
+     of this CPU's own RX queue *)
+  let rx_step =
+    match t.rx with
+    | None -> fun _ -> ()
+    | Some rx ->
+      let fg = Net.Flowgen.create ~flows ~seed:(t.config.seed + 977) () in
+      fun cpu ->
+        for _ = 1 to rx_per_step do
+          let arr = Net.Flowgen.next fg in
+          let payload = Net.Flowgen.payload arr ~seq:!injected in
+          incr injected;
+          (* every CPU's clock is a private domain; arrival-to-delivery
+             latency is only meaningful on one clock, so stamp with the
+             cycle counter of the CPU whose NAPI loop owns the target
+             queue — the same clock that will claim the stamp *)
+          let qi =
+            Nic.Device.rx_queue_for t.device ~hash:arr.Net.Flowgen.hash
+          in
+          let stamp = Smp.Cpu.cycles all_cpus.(qi) in
+          ignore
+            (Nic.Device.rx_inject ~hash:arr.Net.Flowgen.hash ~stamp t.device
+               payload
+              : bool)
+        done;
+        ignore (Net.Rx.service rx ~q:cpu : int)
+  in
   let churn_policy = ref t.config.policy in
   let steps =
     Array.init n (fun cpu () ->
@@ -381,6 +274,8 @@ let run_traffic ?(count = 500) ?(size = 128) ?(churn = 0) ?(flows = 4096)
           && seqs.(cpu) mod churn = churn - 1
         in
         if churning then begin
+          (* whole-policy replace through the mutation router: one
+             publication under load *)
           churn_policy := rotate !churn_policy;
           let rc =
             Policy.Policy_module.replace_policy t.policy_module
@@ -392,54 +287,38 @@ let run_traffic ?(count = 500) ?(size = 128) ?(churn = 0) ?(flows = 4096)
           sent.(cpu) < count
         end
         else begin
-          (* offered load: draw arrivals and put them on the wire; RSS
-             hashes each flow onto its ring *)
-          for _ = 1 to rx_per_step do
-            let arr = Net.Flowgen.next fg in
-            let payload = Net.Flowgen.payload arr ~seq:!injected in
-            incr injected;
-            (* every CPU's clock is a private domain; arrival-to-delivery
-               latency is only meaningful on one clock, so stamp with the
-               cycle counter of the CPU whose NAPI loop owns the target
-               queue — the same clock that will claim the stamp *)
-            let qi =
-              Nic.Device.rx_queue_for t.device ~hash:arr.Net.Flowgen.hash
-            in
-            let stamp = Smp.Cpu.cycles all_cpus.(qi) in
-            ignore
-              (Nic.Device.rx_inject ~hash:arr.Net.Flowgen.hash ~stamp
-                 t.device payload
-                : bool)
-          done;
-          (* softirq half: service this CPU's own RX queue *)
-          ignore (Net.Rx.service rx ~q:cpu : int);
-          (* TX half: one pktgen-style send *)
-          let ok =
-            send_one t t.stacks.(cpu) rngs.(cpu) user_bufs.(cpu)
-              ~seq:seqs.(cpu) ~size ~tool_ns ~tool_instructions
-          in
+          rx_step cpu;
+          (* TX half: one packet of the tool, charged to the running CPU *)
+          (match
+             Net.Pktgen.send t.stacks.(cpu) rngs.(cpu)
+               ~user_buf:user_bufs.(cpu) ~seq:seqs.(cpu)
+               Net.Pktgen.default_config
+           with
+          | (_ : int) -> sent.(cpu) <- sent.(cpu) + 1
+          | exception Net.Netstack.Send_failed _ -> incr errors);
           seqs.(cpu) <- seqs.(cpu) + 1;
-          if ok then sent.(cpu) <- sent.(cpu) + 1 else incr errors;
           sent.(cpu) < count && seqs.(cpu) < count * 4
         end)
   in
-  let _interleave, _sstats = Smp.System.run t.smp steps in
+  ignore (Smp.System.run t.smp steps : int list * Smp.Sched.stats);
   (* drain the coalesced tails so every delivered frame is counted; each
      queue drains with its owner CPU current, keeping tail latencies in
      that CPU's clock domain *)
-  Array.iteri
-    (fun i c ->
-      Smp.Cpu.make_current c t.kernel engine;
-      ignore (Net.Rx.flush rx ~q:i : int))
-    all_cpus;
-  let cpus = Smp.System.cpus t.smp in
+  Option.iter
+    (fun rx ->
+      Array.iteri
+        (fun i c ->
+          Smp.Cpu.make_current c t.kernel engine;
+          ignore (Net.Rx.flush rx ~q:i : int))
+        all_cpus)
+    t.rx;
   let freq = t.config.machine.Machine.Model.freq_ghz in
   let per_cpu =
     Array.mapi
       (fun i (c : Smp.Cpu.t) ->
         let cyc = Smp.Cpu.cycles c - start_cycles.(i) in
         let secs = float_of_int (max 1 cyc) /. (freq *. 1e9) in
-        let rxf = Net.Rx.frames rx ~q:i - rx_before.(i) in
+        let rxf = rx_count Net.Rx.frames i - rx_before.(i) in
         {
           dc_cpu = i;
           dc_sent = sent.(i);
@@ -449,7 +328,7 @@ let run_traffic ?(count = 500) ?(size = 128) ?(churn = 0) ?(flows = 4096)
           dc_tx_pps = float_of_int sent.(i) /. secs;
           dc_rx_pps = float_of_int rxf /. secs;
         })
-      cpus
+      all_cpus
   in
   let total_sent = Array.fold_left ( + ) 0 sent in
   let total_rx =
@@ -468,7 +347,7 @@ let run_traffic ?(count = 500) ?(size = 128) ?(churn = 0) ?(flows = 4096)
     d_elapsed_seconds = elapsed;
     d_tx_pps = float_of_int total_sent /. elapsed;
     d_rx_pps = float_of_int total_rx /. elapsed;
-    d_latencies = Net.Rx.latencies_since rx samples_before;
+    d_latencies = latencies ();
     d_rx_irqs = irqs ();
     d_rx_polls = polls ();
     d_budget_exhausted = exhausted ();

@@ -1062,7 +1062,6 @@ let memory t = t.mem
 let phys_used t = t.kmalloc_next
 let current_module t = t.current_module
 let panic_state t = t.panicked
-let loaded_modules t = t.modules
 
 (* --------------------------------------------------------------- *)
 (* sanitizer surface *)

@@ -39,6 +39,34 @@ type result = {
           wedged driver degrades the trial instead of crashing it *)
 }
 
+(** One packet of the tool's loop, charged to the kernel's current
+    machine — under SMP, the CPU that runs it. Interrupts are serviced
+    and the frame is built outside the timed window; returns the
+    sendmsg's own cycles. A failed send raises {!Netstack.Send_failed}. *)
+let send stack rng ~user_buf ~seq (cfg : config) =
+  let k = stack.Netstack.kernel in
+  let machine = Kernel.machine k in
+  (* interrupts are serviced between sends — completion processing
+     happens outside the timed sendmsg window, as with real MSI *)
+  Netstack.poll_interrupts stack;
+  (* build the frame in user space: the write into the user buffer is
+     real (so the DMA'd bytes check out), the bulk of the tool's
+     per-packet cost is charged explicitly *)
+  let frame = Frame.build ~seq ~size:cfg.size () in
+  Kernel.write_string k ~addr:user_buf frame;
+  Machine.Model.memcpy machine ~dst:user_buf ~src:(user_buf + 4096) cfg.size;
+  Machine.Model.retire machine cfg.tool_instructions;
+  (* core-speed-independent slice (timers, device time, DRAM): same
+     nanoseconds on both machines, different cycle counts *)
+  let jitter = 0.97 +. (0.06 *. Machine.Rng.float rng) in
+  Machine.Model.add_cycles machine
+    (int_of_float (cfg.tool_ns *. jitter *. machine.Machine.Model.p.freq_ghz));
+  (* the timed window: the sendmsg call itself *)
+  let t0 = Machine.Model.cycles machine in
+  let sent = Netstack.sendmsg stack ~user_buf ~len:cfg.size in
+  assert (sent = cfg.size);
+  Machine.Model.cycles machine - t0
+
 (** Run one trial: [count] packets of [size] bytes through [stack]. A
     send error ends the trial gracefully: the result covers the packets
     that did go out and records the error. *)
@@ -55,36 +83,10 @@ let run (stack : Netstack.t) (cfg : config) : result =
   let error = ref None in
   (try
      for i = 0 to cfg.count - 1 do
-       (* interrupts are serviced between sends — completion processing
-          happens outside the timed sendmsg window, as with real MSI *)
-       Netstack.poll_interrupts stack;
-       (* build the frame in user space: the write into the user buffer is
-          real (so the DMA'd bytes check out), the bulk of the tool's
-          per-packet cost is charged explicitly *)
-       let frame = Frame.build ~seq:i ~size:cfg.size () in
-       Kernel.write_string k ~addr:user_buf frame;
-       Machine.Model.memcpy machine ~dst:user_buf ~src:(user_buf + 4096)
-         cfg.size;
-       Machine.Model.retire machine cfg.tool_instructions;
-       (* core-speed-independent slice (timers, device time, DRAM): same
-          nanoseconds on both machines, different cycle counts *)
-       let jitter = 0.97 +. (0.06 *. Machine.Rng.float rng) in
-       Machine.Model.add_cycles machine
-         (int_of_float
-            (cfg.tool_ns *. jitter *. machine.Machine.Model.p.freq_ghz));
-       (* the timed window: the sendmsg call itself *)
-       let t0 = Machine.Model.cycles machine in
-       match Netstack.try_sendmsg stack ~user_buf ~len:cfg.size with
-       | Ok sent ->
-         let t1 = Machine.Model.cycles machine in
-         assert (sent = cfg.size);
-         latencies.(i) <- t1 - t0;
-         incr sent_n
-       | Error e ->
-         error := Some e;
-         raise Exit
+       latencies.(i) <- send stack rng ~user_buf ~seq:i cfg;
+       incr sent_n
      done
-   with Exit -> ());
+   with Netstack.Send_failed e -> error := Some e);
   let t_end = Machine.Model.cycles machine in
   let cycles = max 1 (t_end - t_start) in
   let seconds =

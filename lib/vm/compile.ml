@@ -16,12 +16,15 @@
     construction — the golden-run equivalence test in the suite holds the
     two engines to that.
 
-    Compilation happens at module load time (a {!Kernel.add_load_hook}
-    registered by {!install}); the cache is keyed by (module, function)
-    and revalidated by physical equality on the function value, so a
-    reloaded module recompiles. When a tracer is installed the runner
-    falls back to the interpreter — tracing is cost-free tooling, so
-    equivalence is unaffected. *)
+    Every charge goes to the kernel's current machine, read at the
+    charge: under SMP the scheduler swaps it per CPU, so each CPU pays
+    for the code it runs.
+
+    A function is compiled on its first call; the cache is keyed by
+    (module, function) and revalidated by physical equality on the
+    function value, so a reloaded module recompiles. When a tracer is
+    installed the runner falls back to the interpreter — tracing is
+    cost-free tooling, so equivalence is unaffected. *)
 
 open Kir.Types
 
@@ -41,7 +44,6 @@ type t = {
 
 let compile_func (st : Interp.state) (lm : Kernel.loaded_module) (f : func) :
     int array -> int =
-  let machine = Kernel.machine st.Interp.kernel in
   let kernel = st.Interp.kernel in
   let nparams = List.length f.params in
   (* register -> frame slot *)
@@ -105,7 +107,7 @@ let compile_func (st : Interp.state) (lm : Kernel.loaded_module) (f : func) :
       let ga = value a and gb = value b and setd = setter dst in
       let bop = Arith.binop ty op in
       fun fr ->
-        Machine.Model.retire machine 1;
+        Machine.Model.retire (Kernel.machine kernel) 1;
         (* operand order mirrors the interpreter's right-to-left
            application evaluation: b before a *)
         let vb = gb fr in
@@ -119,7 +121,7 @@ let compile_func (st : Interp.state) (lm : Kernel.loaded_module) (f : func) :
     | Icmp { dst; cond; ty; a; b } ->
       let ga = value a and gb = value b and setd = setter dst in
       fun fr ->
-        Machine.Model.retire machine 1;
+        Machine.Model.retire (Kernel.machine kernel) 1;
         let vb = gb fr in
         let va = ga fr in
         setd fr (if Arith.compare_values ty cond va vb then 1 else 0)
@@ -140,7 +142,7 @@ let compile_func (st : Interp.state) (lm : Kernel.loaded_module) (f : func) :
       let setd = setter dst in
       let aligned = (size + 15) land lnot 15 in
       fun fr ->
-        Machine.Model.retire machine 1;
+        Machine.Model.retire (Kernel.machine kernel) 1;
         if st.Interp.sp + aligned > st.Interp.stack_base + st.Interp.stack_size
         then
           Kernel.panic kernel
@@ -150,14 +152,14 @@ let compile_func (st : Interp.state) (lm : Kernel.loaded_module) (f : func) :
     | Gep { dst; base; idx; scale } ->
       let gb = value base and gi = value idx and setd = setter dst in
       fun fr ->
-        Machine.Model.retire machine 1;
+        Machine.Model.retire (Kernel.machine kernel) 1;
         let vi = gi fr * scale in
         let vb = gb fr in
         setd fr (vb + vi)
     | Mov { dst; ty; src } ->
       let gs = value src and setd = setter dst in
       fun fr ->
-        Machine.Model.retire machine 1;
+        Machine.Model.retire (Kernel.machine kernel) 1;
         setd fr (Arith.truncate ty (gs fr))
     | Call { dst; callee; args } ->
       let gargs = Array.of_list (List.map value args) in
@@ -182,7 +184,7 @@ let compile_func (st : Interp.state) (lm : Kernel.loaded_module) (f : func) :
           scratch.(k) <- gargs.(k) fr
         done;
         let argv = if n = 0 then [||] else scratch in
-        Machine.Model.retire machine n;
+        Machine.Model.retire (Kernel.machine kernel) n;
         let gen = Kernel.symbol_generation kernel in
         let r =
           if !site_gen <> gen then begin
@@ -211,7 +213,7 @@ let compile_func (st : Interp.state) (lm : Kernel.loaded_module) (f : func) :
             (Printf.sprintf "indirect call to non-text address 0x%x" target)
         | Some name ->
           let argv = margs fr in
-          Machine.Model.retire machine (1 + n);
+          Machine.Model.retire (Kernel.machine kernel) (1 + n);
           let r = Kernel.call_symbol kernel name argv in
           setd fr r)
     | Select { dst; cond; if_true; if_false } ->
@@ -220,7 +222,7 @@ let compile_func (st : Interp.state) (lm : Kernel.loaded_module) (f : func) :
       and gf = value if_false
       and setd = setter dst in
       fun fr ->
-        Machine.Model.retire machine 1;
+        Machine.Model.retire (Kernel.machine kernel) 1;
         setd fr (if gc fr <> 0 then gt fr else gf fr)
     | Intrinsic { dst; iname; args } ->
       let margs = arg_array args in
@@ -265,7 +267,7 @@ let compile_func (st : Interp.state) (lm : Kernel.loaded_module) (f : func) :
       let jt = jump_to if_true and jf = jump_to if_false in
       fun fr ->
         let taken = gc fr <> 0 in
-        Machine.Model.branch machine ~pc ~taken;
+        Machine.Model.branch (Kernel.machine kernel) ~pc ~taken;
         if taken then jt fr else jf fr
     | Switch { v = sv; cases; default } ->
       let gs = value sv in
@@ -274,7 +276,8 @@ let compile_func (st : Interp.state) (lm : Kernel.loaded_module) (f : func) :
       let jd = jump_to default in
       fun fr ->
         let x = gs fr in
-        Machine.Model.branch machine ~pc ~taken:(List.mem_assoc x cases);
+        Machine.Model.branch (Kernel.machine kernel) ~pc
+          ~taken:(List.mem_assoc x cases);
         (match List.assoc_opt x jcases with Some j -> j fr | None -> jd fr)
     | Unreachable ->
       fun _ ->
@@ -325,23 +328,14 @@ let compile_func (st : Interp.state) (lm : Kernel.loaded_module) (f : func) :
 
 let cache_key (lm : Kernel.loaded_module) fname = lm.Kernel.lm_name ^ "." ^ fname
 
-let compile_module t (lm : Kernel.loaded_module) =
-  List.iter
-    (fun (f : func) ->
-      Hashtbl.replace t.cache (cache_key lm f.f_name)
-        { cf_src = f; cf_run = compile_func t.st lm f })
-    lm.Kernel.lm_kir.Kir.Types.funcs
-
 (** Install the compiled engine: creates the interpreter state (stack,
     budget — identical allocation order, so both engines see the same
-    memory layout), closure-compiles every loaded module plus all future
-    loads, and installs a runner that dispatches to compiled code — or to
-    the interpreter when a tracer is active. *)
+    memory layout) and installs a runner that dispatches to compiled
+    code, compiling each function on its first call — or to the
+    interpreter when a tracer is active. *)
 let install ?stack_size ?max_steps kernel : t =
   let st = Interp.install ?stack_size ?max_steps kernel in
   let t = { st; cache = Hashtbl.create 64 } in
-  List.iter (compile_module t) (Kernel.loaded_modules kernel);
-  Kernel.add_load_hook kernel (fun _k lm -> compile_module t lm);
   Kernel.set_runner kernel (fun _k lm f args ->
       if st.Interp.tracer <> None then Interp.exec_func st lm f args
       else begin
@@ -349,7 +343,7 @@ let install ?stack_size ?max_steps kernel : t =
         match Hashtbl.find_opt t.cache key with
         | Some cf when cf.cf_src == f -> cf.cf_run args
         | _ ->
-          (* unseen or replaced function (module reload): recompile *)
+          (* first call, or a replaced function (module reload) *)
           let cf = { cf_src = f; cf_run = compile_func st lm f } in
           Hashtbl.replace t.cache key cf;
           cf.cf_run args
@@ -357,4 +351,3 @@ let install ?stack_size ?max_steps kernel : t =
   t
 
 let state t = t.st
-let compiled_functions t = Hashtbl.length t.cache

@@ -63,7 +63,11 @@ let test_sched_quantum_interleaves () =
   checkb "interleaved, not serial" true (switches > 5)
 
 (* full-system determinism: same seed + workload => identical
-   interleaving, per-CPU cycle counts, and trace event streams *)
+   interleaving, per-CPU cycle counts, and trace event streams. Sched.run
+   orders the CPUs by its seed and by how many operations each CPU runs;
+   with no failed send or policy replace, each CPU's count is fixed by
+   its sends and the churn period, so equal per-CPU sends and no errors
+   on both runs pin the interleaving. *)
 let smp_run ~seed =
   let cfg =
     {
@@ -75,7 +79,7 @@ let smp_run ~seed =
   in
   let tb = Smp_testbed.create ~config:cfg () in
   let traces = Smp.System.enable_tracing ~capacity:256 (Smp_testbed.smp tb) in
-  let r = Smp_testbed.run_pktgen ~count:60 ~storm:15 tb in
+  let r = Smp_testbed.run_traffic ~count:60 ~churn:15 tb in
   let stream =
     List.map
       (fun (cpu, e) -> Printf.sprintf "cpu%d %s" cpu (Trace.format_event e))
@@ -86,18 +90,62 @@ let smp_run ~seed =
 let test_system_deterministic () =
   let r1, s1 = smp_run ~seed:42 in
   let r2, s2 = smp_run ~seed:42 in
-  checkb "identical interleaving" true
-    (r1.Smp_testbed.interleave = r2.Smp_testbed.interleave);
+  checki "no failed operation, first run" 0 r1.Smp_testbed.d_send_errors;
+  checki "no failed operation, second run" 0 r2.Smp_testbed.d_send_errors;
+  checkb "identical per-CPU sent counts" true
+    (Array.for_all2
+       (fun (a : Smp_testbed.duplex_cpu) b ->
+         a.Smp_testbed.dc_sent = b.Smp_testbed.dc_sent)
+       r1.Smp_testbed.d_per_cpu r2.Smp_testbed.d_per_cpu);
   checkb "identical per-CPU cycle counts" true
     (Array.for_all2
-       (fun (a : Smp_testbed.cpu_result) b ->
-         a.Smp_testbed.cr_cycles = b.Smp_testbed.cr_cycles)
-       r1.Smp_testbed.per_cpu r2.Smp_testbed.per_cpu);
-  checkb "identical throughput" true (r1.Smp_testbed.pps = r2.Smp_testbed.pps);
-  checki "identical publication count" r1.Smp_testbed.publications
-    r2.Smp_testbed.publications;
+       (fun (a : Smp_testbed.duplex_cpu) b ->
+         a.Smp_testbed.dc_cycles = b.Smp_testbed.dc_cycles)
+       r1.Smp_testbed.d_per_cpu r2.Smp_testbed.d_per_cpu);
+  checkb "identical throughput" true
+    (r1.Smp_testbed.d_tx_pps = r2.Smp_testbed.d_tx_pps);
+  checki "identical publication count" r1.Smp_testbed.d_publications
+    r2.Smp_testbed.d_publications;
   checkb "trace streams non-empty" true (s1 <> []);
   checkb "identical merged trace event streams" true (s1 = s2)
+
+(* Each engine charges a KIR function's work to the CPU that runs it:
+   two CPUs calling it with different trip counts read the same per-CPU
+   cycles under the interpreter and the compiled engine. *)
+let per_cpu_kir_cycles kind =
+  let open Kir.Types in
+  let kernel = Kernel.create ~require_signature:false ~seed:7 r350 in
+  ignore (Vm.Engine.install ~kind kernel);
+  let pm = Policy.Policy_module.install ~site_cache:true kernel in
+  let b = Kir.Builder.create "busy_mod" in
+  ignore
+    (Kir.Builder.start_func b "busy" ~params:[ ("%n", I64) ] ~ret:(Some I64));
+  Kir.Builder.mov_to b "%acc" I64 (Imm 0);
+  Kir.Builder.for_loop b ~init:(Imm 0) ~limit:(Reg "%n") ~step:(Imm 1)
+    (fun i ->
+      let s = Kir.Builder.add b I64 (Reg "%acc") i in
+      Kir.Builder.mov_to b "%acc" I64 s);
+  Kir.Builder.ret b (Some (Reg "%acc"));
+  (match Kernel.insmod kernel (Kir.Builder.modul b) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "insmod: %s" (Kernel.load_error_to_string e));
+  let smp = Smp.System.create ~seed:7 ~params:r350 ~cpus:2 kernel pm in
+  let calls = Array.make 2 0 in
+  let steps =
+    Array.init 2 (fun cpu () ->
+        ignore (Kernel.call_symbol kernel "busy" [| 40 + (cpu * 25) |] : int);
+        calls.(cpu) <- calls.(cpu) + 1;
+        calls.(cpu) < 6)
+  in
+  ignore (Smp.System.run smp steps : int list * Smp.Sched.stats);
+  Array.map Smp.Cpu.cycles (Smp.System.cpus smp)
+
+let test_engines_charge_running_cpu () =
+  let interp = per_cpu_kir_cycles Vm.Engine.Interp in
+  checkb "both CPUs ran the function" true (Array.for_all (fun c -> c > 0) interp);
+  Alcotest.(check (array int))
+    "same per-CPU cycles under both engines" interp
+    (per_cpu_kir_cycles Vm.Engine.Compiled)
 
 let rcu_stats smp = Smp.Rcu.stats (Smp.System.rcu smp)
 
@@ -486,7 +534,7 @@ let test_corruption_races_publication () =
 (* ---------- update-storm property ---------- *)
 
 (* concurrent policy updates never yield a stale allow: paranoid
-   verification is on inside run_pktgen, and every publication must
+   verification is on inside run_traffic, and every publication must
    retire *)
 let prop_no_stale_allow_under_storm =
   QCheck.Test.make ~count:6
@@ -502,11 +550,11 @@ let prop_no_stale_allow_under_storm =
         }
       in
       let tb = Smp_testbed.create ~config:cfg () in
-      let r = Smp_testbed.run_pktgen ~count:60 ~storm:12 tb in
-      r.Smp_testbed.stale_allows = 0
-      && r.Smp_testbed.publications > 0
-      && r.Smp_testbed.retired = r.Smp_testbed.publications
-      && r.Smp_testbed.send_errors = 0)
+      let r = Smp_testbed.run_traffic ~count:60 ~churn:12 tb in
+      r.Smp_testbed.d_stale_allows = 0
+      && r.Smp_testbed.d_publications > 0
+      && r.Smp_testbed.d_retired = r.Smp_testbed.d_publications
+      && r.Smp_testbed.d_send_errors = 0)
 
 (* ---------- multi-queue scaling sanity ---------- *)
 
@@ -514,7 +562,7 @@ let test_smp_throughput_scales () =
   let run cpus =
     let cfg = { Smp_testbed.default_config with cpus; seed = 9 } in
     let tb = Smp_testbed.create ~config:cfg () in
-    (Smp_testbed.run_pktgen ~count:150 tb).Smp_testbed.pps
+    (Smp_testbed.run_traffic ~count:150 tb).Smp_testbed.d_tx_pps
   in
   let p1 = run 1 and p2 = run 2 and p4 = run 4 in
   checkb "2 CPUs beat 1" true (p2 > p1);
@@ -574,18 +622,36 @@ let test_duplex_result_per_run () =
   adds "stale allows" (fun r -> r.Smp_testbed.d_stale_allows)
     (Policy.Engine.stale_allows (Smp_testbed.engine tb))
 
-(* Each run_pktgen result covers its own run too: two update-storm runs
-   on one testbed each make and retire 5 publications. *)
+(* A TX-only result covers its own run too: two update-storm runs on one
+   testbed without RX queues each make and retire 5 publications. *)
 let test_pktgen_result_per_run () =
   let cfg = { Smp_testbed.default_config with cpus = 2; seed = 7 } in
   let tb = Smp_testbed.create ~config:cfg () in
   List.iter
     (fun what ->
-      let r = Smp_testbed.run_pktgen ~count:60 ~storm:12 tb in
-      checki (what ^ ": publications") 5 r.Smp_testbed.publications;
-      checki (what ^ ": retired") 5 r.Smp_testbed.retired;
-      checki (what ^ ": stale allows") 0 r.Smp_testbed.stale_allows)
+      let r = Smp_testbed.run_traffic ~count:60 ~churn:12 tb in
+      checki (what ^ ": publications") 5 r.Smp_testbed.d_publications;
+      checki (what ^ ": retired") 5 r.Smp_testbed.d_retired;
+      checki (what ^ ": stale allows") 0 r.Smp_testbed.d_stale_allows)
     [ "first run"; "second run" ]
+
+(* A testbed built without RX queues runs the TX-only pktgen workload:
+   no arrivals, no NAPI service, and the same sends, cycles and
+   publications as the pktgen run this loop replaced (values pinned from
+   that run on this testbed and seed). *)
+let test_tx_only_pinned () =
+  let cfg = { Smp_testbed.default_config with cpus = 3; seed = 5 } in
+  let tb = Smp_testbed.create ~config:cfg () in
+  let r = Smp_testbed.run_traffic ~count:40 ~churn:9 tb in
+  checki "sent" 120 r.Smp_testbed.d_sent;
+  Alcotest.(check (array int))
+    "per-CPU cycles" [| 832382; 833284; 833197 |]
+    (Array.map (fun c -> c.Smp_testbed.dc_cycles) r.Smp_testbed.d_per_cpu);
+  checki "publications" 4 r.Smp_testbed.d_publications;
+  checki "retired" 4 r.Smp_testbed.d_retired;
+  checki "no arrivals" 0 r.Smp_testbed.d_injected;
+  checki "no frames received" 0 r.Smp_testbed.d_rx_frames;
+  checki "no send errors" 0 r.Smp_testbed.d_send_errors
 
 (* ---------- batched install under SMP ---------- *)
 
@@ -759,6 +825,8 @@ let () =
             test_sched_quantum_interleaves;
           Alcotest.test_case "full system run is reproducible" `Slow
             test_system_deterministic;
+          Alcotest.test_case "both engines charge the running CPU" `Quick
+            test_engines_charge_running_cpu;
         ] );
       ( "rcu",
         [
@@ -807,6 +875,8 @@ let () =
             test_duplex_result_per_run;
           Alcotest.test_case "every pktgen result covers its own run" `Quick
             test_pktgen_result_per_run;
+          Alcotest.test_case "TX-only run matches the pktgen run" `Quick
+            test_tx_only_pinned;
         ] );
       ( "storm",
         [
