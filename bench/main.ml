@@ -403,6 +403,13 @@ let golden_cells engine =
   let median = Stats.Summary.median (Array.map float_of_int f7.latencies) in
   ((f3.cycles, f3.checks), (f7.cycles, f7.checks, median))
 
+(* One gate failure per standing invariant [broken] lists, tagged with
+   the run it came from. *)
+let fail_broken rep what broken =
+  List.iter
+    (fun b -> Report.fail rep "%s: %s" what (Invariants.to_string b))
+    broken
+
 (* Check [cells] against the goldens, one failure per cell that drifted
    ([off] names what is switched off); returns the two report fields. *)
 let check_goldens rep ~off (f3, f7) =
@@ -751,19 +758,17 @@ let run_guardopt () =
   let cell preset level =
     List.find (fun g -> g.go_preset = preset && g.go_level = level) all_rows
   in
-  (* decision-stream gates: nothing denied, every packet sent, every
-     check on a benign workload an allow *)
+  (* decision-stream gates: every packet sent, and the policy module's
+     invariants hold (on a benign workload nothing is denied) *)
   List.iter
     (fun g ->
       let c = g.go_cell in
-      if c.denied <> 0 then
-        Report.fail rep "%s/%s: %d denies on a benign workload" g.go_preset
-          g.go_level c.denied;
       if c.sent <> packets then
         Report.fail rep "%s/%s: sent %d of %d packets" g.go_preset g.go_level
           c.sent packets;
-      if c.checks <> c.allowed then
-        Report.fail rep "%s/%s: checks <> allows" g.go_preset g.go_level)
+      fail_broken rep
+        (g.go_preset ^ "/" ^ g.go_level)
+        (Invariants.policy_module c.tb.Testbed.policy_module))
     (all_rows @ [ parity_interp ]);
   (let c = (cell "fig3/compiled+linear+ic" "aggressive").go_cell in
    let p = parity_interp.go_cell in
@@ -813,11 +818,11 @@ let run_guardopt () =
     in
     let tb = Smp_testbed.create ~config:cfg () in
     let r = Smp_testbed.run_traffic ~count:(if !quick then 200 else 600) tb in
-    let st =
-      Policy.Engine.merged_stats
-        (Policy.Policy_module.engine (Smp_testbed.policy_module tb))
-    in
-    (r, st)
+    let pm = Smp_testbed.policy_module tb in
+    fail_broken rep
+      ("smp 4-cpu/" ^ Passes.Pipeline.opt_level_to_string opt)
+      (Invariants.duplex r @ Invariants.policy_module pm);
+    (r, Policy.Engine.merged_stats (Policy.Policy_module.engine pm))
   in
   let smp_none, smp_none_st = smp_cell Passes.Pipeline.O_none in
   let smp_aggr, smp_aggr_st = smp_cell Passes.Pipeline.O_aggressive in
@@ -826,8 +831,6 @@ let run_guardopt () =
     smp_none_st.Policy.Engine.checks smp_aggr_st.Policy.Engine.checks
     smp_none.Smp_testbed.d_tx_pps smp_aggr.Smp_testbed.d_tx_pps
     smp_none_st.Policy.Engine.denied smp_aggr_st.Policy.Engine.denied;
-  if smp_none_st.Policy.Engine.denied + smp_aggr_st.Policy.Engine.denied <> 0
-  then Report.fail rep "smp rows denied on a benign workload";
   if smp_aggr_st.Policy.Engine.checks >= smp_none_st.Policy.Engine.checks then
     Report.fail rep "smp 4-cpu: aggressive did not reduce dynamic checks";
   if smp_none.Smp_testbed.d_sent <> smp_aggr.Smp_testbed.d_sent then
@@ -946,13 +949,9 @@ let run_smpscale () =
   (* gates *)
   List.iter
     (fun s ->
-      if s.sr_result.Smp_testbed.d_stale_allows <> 0 then
-        Report.fail rep "%s/%s/%d: %d stale allows (policy coherence broken)"
-          s.sr_machine s.sr_technique s.sr_cpus
-          s.sr_result.Smp_testbed.d_stale_allows;
-      if s.sr_result.Smp_testbed.d_send_errors <> 0 then
-        Report.fail rep "%s/%s/%d: %d send errors" s.sr_machine s.sr_technique
-          s.sr_cpus s.sr_result.Smp_testbed.d_send_errors)
+      fail_broken rep
+        (Printf.sprintf "%s/%s/%d" s.sr_machine s.sr_technique s.sr_cpus)
+        (Invariants.duplex s.sr_result))
     all;
   List.iter
     (fun (mname, _) ->
@@ -975,13 +974,8 @@ let run_smpscale () =
       efficiency;
   List.iter
     (fun s ->
-      let r = s.sr_result in
-      if r.Smp_testbed.d_publications = 0 then
-        Report.fail rep "%s storm row made no publications" s.sr_machine;
-      if r.Smp_testbed.d_retired <> r.Smp_testbed.d_publications then
-        Report.fail rep "%s storm row: %d of %d publications never retired"
-          s.sr_machine (r.Smp_testbed.d_publications - r.Smp_testbed.d_retired)
-          r.Smp_testbed.d_publications)
+      if s.sr_result.Smp_testbed.d_publications = 0 then
+        Report.fail rep "%s storm row made no publications" s.sr_machine)
     storm_rows;
   let row s =
     let r = s.sr_result in
@@ -993,7 +987,7 @@ let run_smpscale () =
           int "sent" r.d_sent; num "pps" r.d_tx_pps;
           nums "per_cpu_pps"
             (Array.to_list (Array.map (fun c -> c.dc_tx_pps) r.d_per_cpu));
-          int "publications" r.d_publications; int "retired" r.d_retired;
+          int "publications" r.d_publications;
           int "stale_allows" r.d_stale_allows; int "send_errors" r.d_send_errors;
         ])
   in
@@ -1069,6 +1063,7 @@ let selfheal_episode rep ~cls ~corrupt () =
     ignore (Kernel.Watchdog.advance wd ~cycles:period)
   done;
   let healed = selfheal_cpc engine machine in
+  fail_broken rep cls (Invariants.policy_module pm);
   {
     se_class = cls;
     se_detect_cycles = detect;
@@ -1166,9 +1161,7 @@ let run_selfheal () =
         Report.fail rep "%s: detection took %d cycles (period %d)" r.se_class
           r.se_detect_cycles Fault.Harness.selfheal_period;
       if not r.se_recovered then
-        Report.fail rep "%s: never recovered" r.se_class;
-      if r.se_stale <> 0 then
-        Report.fail rep "%s: %d stale allows" r.se_class r.se_stale)
+        Report.fail rep "%s: never recovered" r.se_class)
     rows;
   let ic = List.find (fun r -> r.se_class = "icache-corrupt") rows in
   (* degraded-mode cost must reproduce guardpath's tier ordering *)
@@ -1325,7 +1318,8 @@ let run_certify () =
       tables, no cross-tenant interference);
    2. a 1k-region batched install through ioctl_install's SMP route is
       atomic under SMP: readers observe the old or the new table, never
-      a partial batch, with zero stale allows and full retirement;
+      a partial batch, in one publication, and the policy module's
+      invariants hold;
    3. with domains unused, the guard dispatch is bit-identical to the
       fig3/fig7 tracegate goldens — multi-tenancy costs nothing when
       off. *)
@@ -1377,10 +1371,12 @@ let run_polscale () =
     let c0 = Machine.Model.cycles machine in
     for i = 0 to probes - 1 do check i done;
     let c1 = Machine.Model.cycles machine in
-    if !denied + Policy.Domain.stale_allows dm <> 0 then
-      Report.fail rep
-        "%d domains x %d regions: %d in-policy probes denied, %d stale allows"
-        domains regions !denied (Policy.Domain.stale_allows dm);
+    if !denied <> 0 then
+      Report.fail rep "%d domains x %d regions: %d in-policy probes denied"
+        domains regions !denied;
+    fail_broken rep
+      (Printf.sprintf "%d domains x %d regions" domains regions)
+      (Invariants.domains dm);
     let d0 = Option.get (Policy.Domain.find dm ids.(0)) in
     {
       pr_domains = domains;
@@ -1471,25 +1467,21 @@ let run_polscale () =
   let rstats = Smp.Rcu.stats (Smp.System.rcu smp) in
   Printf.printf
     "\n  SMP batched install: %d regions, %d reader observations, %d partial, \
-     %d stale, %d/%d retired\n"
+     %d stale, %d publication(s)\n"
     batch_n !observed !partial
     (Policy.Engine.stale_allows engine)
-    rstats.Smp.Rcu.retired rstats.Smp.Rcu.publications;
+    rstats.Smp.Rcu.publications;
   if not !installed then Report.fail rep "SMP batched install never ran";
   if !partial <> 0 then
     Report.fail rep "%d reader(s) observed a partially-installed batch"
       !partial;
   if Policy.Engine.count engine <> batch_n + 2 then
     Report.fail rep "batch not fully live after the run";
-  if Policy.Engine.stale_allows engine <> 0 then
-    Report.fail rep "%d stale allows during the batched install"
-      (Policy.Engine.stale_allows engine);
+  fail_broken rep "batched install" (Invariants.policy_module pm);
   if rstats.Smp.Rcu.publications <> 1 then
     Report.fail rep
       "batch took %d publications (must be exactly 1)"
       rstats.Smp.Rcu.publications;
-  if rstats.Smp.Rcu.retired <> rstats.Smp.Rcu.publications then
-    Report.fail rep "batch publication never retired";
   (* ---- gate 3: domains off => bit-identical to the tracegate goldens ---- *)
   let _, golden = off_goldens rep ~off:"domains-off" in
   let row r =
@@ -1511,7 +1503,6 @@ let run_polscale () =
              int "regions" batch_n; int "partial_observations" !partial;
              int "stale_allows" (Policy.Engine.stale_allows engine);
              int "publications" rstats.Smp.Rcu.publications;
-             int "retired" rstats.Smp.Rcu.retired;
            ];
        ]
       @ golden))
@@ -1522,9 +1513,9 @@ let run_polscale () =
    offered load (heavy-tailed flow generator, RSS-steered onto its own
    RX ring), NAPI service, and pktgen TX concurrently; churn rows add
    CPU 0 replacing the whole policy through the SMP write route mid-run.
-   Gates: frame conservation, zero stale allows, RX throughput scaling,
-   guarded-vs-baseline ceilings on throughput and tail latency, and the
-   rx_queues=0 goldens staying bit-identical. *)
+   Gates: each run's standing invariants ({!Invariants.duplex}), RX
+   throughput scaling, guarded-vs-baseline ceilings on throughput and
+   tail latency, and the rx_queues=0 goldens staying bit-identical. *)
 
 type traffic_row = {
   tf_technique : string;
@@ -1608,28 +1599,9 @@ let run_traffic () =
   (* gates *)
   List.iter
     (fun s ->
-      let r = s.tf_result in
-      let tag =
-        Printf.sprintf "%s/%dcpu/churn=%d" s.tf_technique s.tf_cpus s.tf_churn
-      in
-      if r.Smp_testbed.d_stale_allows <> 0 then
-        Report.fail rep "%s: %d stale allows (policy coherence broken under RX)"
-          tag r.Smp_testbed.d_stale_allows;
-      if r.Smp_testbed.d_send_errors <> 0 then
-        Report.fail rep "%s: %d send errors" tag r.Smp_testbed.d_send_errors;
-      if
-        r.Smp_testbed.d_rx_frames + r.Smp_testbed.d_rx_dropped
-        <> r.Smp_testbed.d_injected
-      then
-        Report.fail rep
-          "%s: frame conservation broken (%d delivered + %d dropped <> %d offered)"
-          tag r.Smp_testbed.d_rx_frames r.Smp_testbed.d_rx_dropped
-          r.Smp_testbed.d_injected;
-      if Array.length r.Smp_testbed.d_latencies <> r.Smp_testbed.d_rx_frames
-      then
-        Report.fail rep "%s: %d latency samples for %d delivered frames" tag
-          (Array.length r.Smp_testbed.d_latencies)
-          r.Smp_testbed.d_rx_frames)
+      fail_broken rep
+        (Printf.sprintf "%s/%dcpu/churn=%d" s.tf_technique s.tf_cpus s.tf_churn)
+        (Invariants.duplex s.tf_result))
     all;
   (* gate: aggregate RX throughput must scale with the queue count *)
   List.iter
@@ -1672,17 +1644,12 @@ let run_traffic () =
           s.tf_technique s.tf_cpus s.tf_churn s.tf_p999
           (s.tf_p999 /. s.tf_p99) s.tf_p99)
     all;
-  (* gate: churn rows actually churned, every publication retired, and
-     frames still flowed *)
+  (* gate: churn rows actually churned, and frames still flowed *)
   List.iter
     (fun s ->
       let r = s.tf_result in
       if r.Smp_testbed.d_publications = 0 then
         Report.fail rep "%d-CPU churn row made no publications" s.tf_cpus;
-      if r.Smp_testbed.d_retired <> r.Smp_testbed.d_publications then
-        Report.fail rep "%d-CPU churn row: %d of %d publications never retired"
-          s.tf_cpus (r.Smp_testbed.d_publications - r.Smp_testbed.d_retired)
-          r.Smp_testbed.d_publications;
       if r.Smp_testbed.d_rx_frames = 0 then
         Report.fail rep "%d-CPU churn row delivered no frames" s.tf_cpus)
     churn_rows;
@@ -1704,7 +1671,7 @@ let run_traffic () =
           int "rx_irqs" r.d_rx_irqs; int "rx_polls" r.d_rx_polls;
           int "budget_exhausted" r.d_budget_exhausted;
           int "timer_kicks" r.d_timer_kicks;
-          int "publications" r.d_publications; int "retired" r.d_retired;
+          int "publications" r.d_publications;
           int "stale_allows" r.d_stale_allows;
           int "send_errors" r.d_send_errors;
         ])
@@ -1778,8 +1745,8 @@ let run_san () =
     on.cycles (100.0 *. overhead) on.checks on.denied s_reports;
   if on.checks <> k7 then
     Report.fail rep "sanitizer on changed the guard-check count";
-  if on.denied <> 0 then
-    Report.fail rep "sanitizer on changed guard decisions (denies)";
+  fail_broken rep "sanitizer-on fig7 cell"
+    (Invariants.policy_module on.tb.Testbed.policy_module);
   if s_reports <> 0 then
     Report.fail rep "clean fig7 run produced sanitizer reports";
   if on.cycles <= c7 then

@@ -55,12 +55,7 @@ let run_duplex ~machine ~cpus ~no_enforce ~stats =
       "  napi: %d irqs, %d polls, %d budget-exhausted, %d timer kicks\n"
       r.Smp_testbed.d_rx_irqs r.Smp_testbed.d_rx_polls
       r.Smp_testbed.d_budget_exhausted r.Smp_testbed.d_timer_kicks;
-  if r.Smp_testbed.d_stale_allows <> 0 then begin
-    Printf.eprintf "kop_run: %d stale allows during the duplex run\n"
-      r.Smp_testbed.d_stale_allows;
-    1
-  end
-  else 0
+  Invariants.exit_code ~prog:"kop_run" (Invariants.duplex r)
 
 let run module_path policy_path call args machine_name engine_name opt_str
     mode_str no_enforce show_log stats trace guard_trace cpus duplex sanitize =

@@ -481,7 +481,7 @@ let cmd_netstats cpus =
     r.Smp_testbed.d_tx_pps r.Smp_testbed.d_rx_pps r.Smp_testbed.d_rx_frames
     r.Smp_testbed.d_rx_dropped r.Smp_testbed.d_publications
     r.Smp_testbed.d_stale_allows;
-  if r.Smp_testbed.d_stale_allows <> 0 then 1 else 0
+  Invariants.exit_code ~prog:"policy_manager" (Invariants.duplex r)
 
 let cmd_trace file =
   let t = load_root file in
@@ -594,32 +594,29 @@ let cmd_storm file cpus updates =
       let log, sstats = Smp.System.run smp steps in
       let st = Policy.Engine.merged_stats engine in
       let rs = Smp.Rcu.stats (Smp.System.rcu smp) in
-      let stale = Policy.Engine.stale_allows engine in
       let ops = Smp.System.ops_by_cpu smp log in
       Printf.printf "update storm: %d CPUs, %d remove/re-add pairs, %d slices\n"
         cpus updates sstats.Smp.Sched.slices;
       Printf.printf "  ops by cpu:  %s\n"
         (String.concat " "
            (Array.to_list (Array.mapi (Printf.sprintf "cpu%d=%d") ops)));
-      Printf.printf
-        "  writes:      %d publications, %d retired, epoch %d\n"
-        rs.Smp.Rcu.publications rs.Smp.Rcu.retired
+      Printf.printf "  writes:      %d publications, epoch %d\n"
+        rs.Smp.Rcu.publications
         (Policy.Engine.epoch engine);
       Printf.printf "  guards:      %d checks (%d allowed, %d denied)\n"
         st.Policy.Engine.checks st.Policy.Engine.allowed
         st.Policy.Engine.denied;
-      Printf.printf "  stale allows after publish: %d\n" stale;
-      if stale = 0 && !bad_rc = 0 && rs.Smp.Rcu.retired = rs.Smp.Rcu.publications
-      then begin
+      Printf.printf "  stale allows after publish: %d\n"
+        (Policy.Engine.stale_allows engine);
+      (* the probes of the removed region are denied on purpose: the
+         storm holds the module to its stale allows only *)
+      let broken =
+        (if !bad_rc = 0 then [] else [ Invariants.Send_errors !bad_rc ])
+        @ Invariants.stale_allows pm
+      in
+      if broken = [] then
         print_endline "OK: updates atomic under fire; no stale allow observed";
-        0
-      end
-      else begin
-        Printf.eprintf
-          "policy_manager: storm FAILED (stale=%d bad_rc=%d retired=%d/%d)\n"
-          stale !bad_rc rs.Smp.Rcu.retired rs.Smp.Rcu.publications;
-        1
-      end
+      Invariants.exit_code ~prog:"policy_manager: storm" broken
 
 (* Self-healing demonstration on a live simulated kernel: load the
    policy with the full guard tiers up (linear table + site inline
@@ -720,7 +717,7 @@ let cmd_audit file =
       && Policy.Integrity.tier_level ig = 2
       && Policy.Integrity.detections ig >= 2
       && Policy.Integrity.rebuilds ig >= 2
-      && Policy.Engine.stale_allows engine = 0
+      && Invariants.stale_allows pm = []
     in
     if healed then begin
       Printf.printf

@@ -21,6 +21,8 @@
     - {!Fault}: seeded fault-injection campaigns and containment checking
     - {!Stats}: summaries, CDFs, histograms
     - {!Testbed}: one-call assembly of the full evaluation stack
+    - {!Invariants}: the standing invariants every run must keep, checked
+      in one place
     - {!Experiments}: runners reproducing every figure in the paper
 
     Quickstart (see [examples/quickstart.ml]):
@@ -53,6 +55,7 @@ module Sanitizer = Sanitizer
 module Stats = Stats
 module Testbed = Testbed
 module Smp_testbed = Smp_testbed
+module Invariants = Invariants
 module Race_suites = Race_suites
 module Experiments = Experiments
 

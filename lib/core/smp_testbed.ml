@@ -163,7 +163,6 @@ type duplex_result = {
   d_budget_exhausted : int;
   d_timer_kicks : int;
   d_publications : int;
-  d_retired : int;
   d_stale_allows : int;
       (** paranoid cross-check failures: inline-cache allows that the
           live policy would deny (must be 0) *)
@@ -236,7 +235,6 @@ let run_traffic ?(count = 500) ?(churn = 0) ?(flows = 4096) ?(rx_per_step = 2)
   let exhausted = since (rx_sum Net.Rx.budget_exhausted) in
   let kicks = since (rx_sum Net.Rx.timer_kicks) in
   let publications = since (rcu (fun rs -> rs.Smp.Rcu.publications)) in
-  let retired = since (rcu (fun rs -> rs.Smp.Rcu.retired)) in
   let stale = since (fun () -> Policy.Engine.stale_allows engine) in
   (* the RX half of a step: arrivals onto the wire, then softirq service
      of this CPU's own RX queue *)
@@ -353,7 +351,6 @@ let run_traffic ?(count = 500) ?(churn = 0) ?(flows = 4096) ?(rx_per_step = 2)
     d_budget_exhausted = exhausted ();
     d_timer_kicks = kicks ();
     d_publications = publications ();
-    d_retired = retired ();
     d_stale_allows = stale ();
     d_send_errors = !errors;
   }

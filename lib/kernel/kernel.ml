@@ -89,11 +89,11 @@ and t = {
       (** run at containment time; kernel services register these to
           cancel the module's pending callbacks (timers, queues, ...) *)
   mutable load_hooks : (t -> loaded_module -> unit) list;
-      (** run after a module is published but before its [init_module]:
-          the VM's compiled engine registers one to closure-compile the
-          module's functions at load time *)
-  mutable require_signature : bool;
-  mutable require_certificate : bool;
+      (** run after a module is published but before its [init_module];
+          the policy module registers one to record the [Module_load]
+          trace event *)
+  require_signature : bool;
+  require_certificate : bool;
       (** also demand a valid guard-completeness certificate
           ({!Analysis.Cert_check}) at insmod; off by default so baseline
           (uncertified) modules still load in permissive setups *)
@@ -519,14 +519,6 @@ let ioremap t ~name ~size ~read:mmio_read ~write:mmio_write =
 let bump_symbol_gen t = t.symbol_gen <- t.symbol_gen + 1
 
 let symbol_generation t = t.symbol_gen
-
-let register_symbol t name sym =
-  if Hashtbl.mem t.symbols name then Error (Symbol_collision name)
-  else begin
-    Hashtbl.replace t.symbols name sym;
-    bump_symbol_gen t;
-    Ok ()
-  end
 
 let register_native ?(overlapped = false) t name fn =
   Hashtbl.replace t.symbols name (Native fn);
@@ -1056,8 +1048,6 @@ let machine t = t.machine
 let set_machine t m = t.machine <- m
 let log t = t.log
 let signing_key t = t.signing_key
-let set_require_signature t b = t.require_signature <- b
-let set_require_certificate t b = t.require_certificate <- b
 let memory t = t.mem
 let phys_used t = t.kmalloc_next
 let current_module t = t.current_module

@@ -4,25 +4,15 @@
 
 type level = Debug | Info | Warn | Err | Crit
 
-let level_to_string = function
-  | Debug -> "debug"
-  | Info -> "info"
-  | Warn -> "warn"
-  | Err -> "err"
-  | Crit -> "crit"
-
 type entry = { level : level; message : string; seq : int }
 
 type t = {
   capacity : int;
   mutable entries : entry list;  (** newest first *)
   mutable next_seq : int;
-  mutable echo : bool;  (** also print to stderr (like a serial console) *)
 }
 
-let create ?(capacity = 1024) () = { capacity; entries = []; next_seq = 0; echo = false }
-
-let set_echo t b = t.echo <- b
+let create ?(capacity = 1024) () = { capacity; entries = []; next_seq = 0 }
 
 let log t level fmt =
   Printf.ksprintf
@@ -34,9 +24,7 @@ let log t level fmt =
         ::
         (if List.length t.entries >= t.capacity then
            List.filteri (fun i _ -> i < t.capacity - 1) t.entries
-         else t.entries);
-      if t.echo then
-        Printf.eprintf "[kernel %s] %s\n%!" (level_to_string level) message)
+         else t.entries))
     fmt
 
 let printk t fmt = log t Info fmt

@@ -272,8 +272,3 @@ let to_string ?(with_meta = true) m =
   List.iter (pp_global buf) m.globals;
   List.iter (pp_func buf) m.funcs;
   Buffer.contents buf
-
-let func_to_string f =
-  let buf = Buffer.create 512 in
-  pp_func buf f;
-  Buffer.contents buf

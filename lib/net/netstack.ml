@@ -30,9 +30,9 @@ type t = {
   skb_size : int;
   mutable next_skb : int;
   noise : Machine.Rng.t;
-  mutable interrupt_prob : float;
-  mutable interrupt_mean_cycles : int;
-  mutable deschedule_mean_cycles : int;
+  interrupt_prob : float;
+  interrupt_mean_cycles : int;
+  deschedule_mean_cycles : int;
       (** typical wakeup latency after blocking on a full ring *)
   mutable major_deschedule_prob : float;
       (** chance the scheduler runs something else for milliseconds —
@@ -100,11 +100,6 @@ let bring_up_queue t ~ring_entries =
       [| t.queue; ring_entries |]
   in
   if rc <> 0 then failwith "bring_up_queue: setup failed"
-
-let set_noise t ~interrupt_prob ~interrupt_mean ~deschedule_mean =
-  t.interrupt_prob <- interrupt_prob;
-  t.interrupt_mean_cycles <- interrupt_mean;
-  t.deschedule_mean_cycles <- deschedule_mean
 
 (** Interrupt servicing: when the device has a cause latched, run the
     driver's handler (which cleans the TX ring). This happens on its own

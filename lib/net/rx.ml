@@ -246,9 +246,6 @@ let flush t ~q =
   done;
   !total
 
-let flush_all t =
-  Array.fold_left (fun acc qs -> acc + flush t ~q:qs.q) 0 t.qs
-
 (* --- statistics ----------------------------------------------------- *)
 
 let frames t ~q = t.qs.(q).frames
@@ -257,7 +254,6 @@ let polls t ~q = t.qs.(q).polls
 let budget_exhausted t ~q = t.qs.(q).budget_exhausted
 let rearms t ~q = t.qs.(q).rearms
 let timer_kicks t ~q = t.qs.(q).timer_kicks
-let total_frames t = Array.fold_left (fun a q -> a + q.frames) 0 t.qs
 
 (** Per-frame arrival-to-delivery latencies (cycles) of queue [q],
     oldest first. *)

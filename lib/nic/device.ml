@@ -72,10 +72,6 @@ type rxq = {
     the harness can assert on it. *)
 type rdt_error = { rdt_queue : int; rdt_value : int; rdt_entries : int }
 
-let rdt_error_to_string e =
-  Printf.sprintf "RDT write %d out of range on queue %d (ring has %d slots)"
-    e.rdt_value e.rdt_queue e.rdt_entries
-
 type t = {
   kernel : Kernel.t;
   name : string;
@@ -93,8 +89,8 @@ type t = {
   mutable last_rdt_error : rdt_error option;
   mutable rdt_rejects : int;
   (* stall (flow-control pause) process *)
-  mutable stall_prob : float;  (** per-frame probability of a pause *)
-  mutable stall_cycles : int;
+  stall_prob : float;  (** per-frame probability of a pause *)
+  stall_cycles : int;
   rng : Machine.Rng.t;
   (* sink *)
   mutable tx_frames : int;
@@ -467,9 +463,6 @@ let recent_frames t =
   let cap = Array.length t.recent in
   List.init t.recent_count (fun i ->
       t.recent.((t.recent_next - 1 - i + (2 * cap)) mod cap))
-let set_stall t ~prob ~cycles =
-  t.stall_prob <- prob;
-  t.stall_cycles <- cycles
 let set_link t up = t.link_up <- up
 
 (* ------------------------------------------------------------------ *)

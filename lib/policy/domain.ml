@@ -298,15 +298,10 @@ let set_default_allow t ~domain b : int =
 (* ------------------------------------------------------------------ *)
 (* checks *)
 
-(* host-side reference: exact first-match over the authoritative mirror *)
+(* the paranoid cross-check, over the authoritative mirror *)
 let reference_allows (d : dom) ~addr ~size ~flags =
-  let rec go = function
-    | [] -> d.d_default_allow
-    | (r : Region.t) :: rest ->
-      if Region.contains r ~addr ~size then Region.permits r ~flags
-      else go rest
-  in
-  go d.d_regions
+  Region.first_match_allows d.d_regions ~default_allow:d.d_default_allow
+    ~addr ~size ~flags
 
 (* slot placement: multiplicative hash of (domain, page), high bits pick
    the shard, low bits the slot within it (see [check]) *)

@@ -343,18 +343,11 @@ let set_policy t rs =
 (* ------------------------------------------------------------------ *)
 (* checks *)
 
-(** Host-side reference verdict: the exact first-match walk over the
-    live policy, with no simulated cost. Used by paranoid mode and the
-    SMP stale-allow assertions to cross-check fast-tier answers against
-    the policy as currently written. *)
+(* paranoid mode's cross-check of a fast-tier allow against the policy
+   as currently written *)
 let reference_allows t ~addr ~size ~flags =
-  let rec go = function
-    | [] -> t.default_allow
-    | (r : Region.t) :: rest ->
-      if Region.contains r ~addr ~size then Region.permits r ~flags
-      else go rest
-  in
-  go (Linear_table.regions t.table)
+  Region.first_match_allows (Linear_table.regions t.table)
+    ~default_allow:t.default_allow ~addr ~size ~flags
 
 (** Enable/disable paranoid cross-checking of inline-cache allows (a
     host-side comparison — zero simulated cycles, so cycle goldens are

@@ -282,12 +282,20 @@ let region_tag t base =
       else None)
     (Engine.regions t.engine)
 
-(* ioctl argument block: base(8) len(8) prot(8) at a user address *)
-let read_region_arg t ~arg =
+(* Decode the ioctl region block base(8) len(8) prot(8) at a user
+   address, for ioctl_add and each record of ioctl_install: -EINVAL for
+   a negative base, a non-positive length or prot bits outside rw;
+   -ERANGE when [base, base+len) is not representable (a two's-complement
+   negative length read back from user memory shows up as an absurdly
+   large positive one). *)
+let read_region_arg t ~arg : (Region.t, int) result =
   let base = Kernel.read t.kernel ~addr:arg ~size:8 in
   let len = Kernel.read t.kernel ~addr:(arg + 8) ~size:8 in
   let prot = Kernel.read t.kernel ~addr:(arg + 16) ~size:8 in
-  (base, len, prot)
+  if base < 0 || len <= 0 then Error Kernel.einval
+  else if len > max_int - base then Error Kernel.erange
+  else if prot land lnot Region.prot_rw <> 0 then Error Kernel.einval
+  else Ok (Region.v ~tag:"ioctl" ~base ~len ~prot ())
 
 (** Apply a mutation to the live table: validate it whole, edit the
     table in place, bump the epoch. The one write path for every CPU
@@ -410,12 +418,6 @@ let bind_module_domain t ~module_name ~domain =
   ignore (enable_domains t);
   Hashtbl.replace t.module_domains module_name domain
 
-let unbind_module_domain t ~module_name =
-  Hashtbl.remove t.module_domains module_name
-
-let module_domain t ~module_name =
-  Hashtbl.find_opt t.module_domains module_name
-
 (* Argument validation: malformed ioctl arguments are rejected with the
    typed kernel error codes (-EINVAL / -ERANGE / -ENOTTY) rather than
    silently clamped or folded into the generic -1 — a policy tool that
@@ -424,17 +426,10 @@ let module_domain t ~module_name =
 let handle_ioctl t _kernel ~cmd ~arg =
   if cmd = ioctl_add then begin
     if arg < 0 then Kernel.einval
-    else begin
-      let base, len, prot = read_region_arg t ~arg in
-      if base < 0 || len <= 0 then Kernel.einval
-      else if len > max_int - base then
-        (* [base, base+len) must stay representable: a two's-complement
-           negative length read back from user memory shows up here as an
-           absurdly large positive one *)
-        Kernel.erange
-      else if prot land lnot Region.prot_rw <> 0 then Kernel.einval
-      else apply t (M_add (Region.v ~tag:"ioctl" ~base ~len ~prot ()))
-    end
+    else
+      match read_region_arg t ~arg with
+      | Ok r -> apply t (M_add r)
+      | Error e -> e
   end
   else if cmd = ioctl_remove then begin
     if arg < 0 then Kernel.einval
@@ -551,13 +546,10 @@ let handle_ioctl t _kernel ~cmd ~arg =
            a malformed record rejects the batch with nothing installed *)
         let rec decode i acc =
           if i >= n then Ok (List.rev acc)
-          else begin
-            let base, len, prot = read_region_arg t ~arg:(arg + 16 + (i * 24)) in
-            if base < 0 || len <= 0 then Error Kernel.einval
-            else if len > max_int - base then Error Kernel.erange
-            else if prot land lnot Region.prot_rw <> 0 then Error Kernel.einval
-            else decode (i + 1) (Region.v ~tag:"ioctl" ~base ~len ~prot () :: acc)
-          end
+          else
+            match read_region_arg t ~arg:(arg + 16 + (i * 24)) with
+            | Ok r -> decode (i + 1) (r :: acc)
+            | Error e -> Error e
         in
         match decode 0 [] with
         | Error e -> e
@@ -705,8 +697,6 @@ let allow_intrinsics t names =
       | Some id -> t.intrinsic_allowed <- t.intrinsic_allowed lor (1 lsl id)
       | None -> ())
     names
-
-let forbid_all_intrinsics t = t.intrinsic_allowed <- 0
 
 (** Switch CFI to allow-list mode with the given permitted symbols. *)
 let set_cfi_allowlist t symbols =

@@ -27,6 +27,17 @@ let permits r ~flags = flags land r.prot = flags
 
 let overlaps a b = a.base < limit b && b.base < limit a
 
+(** The reference verdict on a policy in table order: the first region
+    that contains the access decides, [default_allow] when none does.
+    Every fast tier must agree with it; the paranoid verifier counts an
+    allow it would deny as a stale allow. Host-side, no simulated cost. *)
+let rec first_match_allows rs ~default_allow ~addr ~size ~flags =
+  match rs with
+  | [] -> default_allow
+  | r :: rest ->
+    if contains r ~addr ~size then permits r ~flags
+    else first_match_allows rest ~default_allow ~addr ~size ~flags
+
 let prot_to_string prot =
   let r = if prot land prot_read <> 0 then "r" else "-" in
   let w = if prot land prot_write <> 0 then "w" else "-" in

@@ -195,8 +195,6 @@ let free t ~addr ~site : (alloc * (int * int) list, free_error) result =
       t.allocs;
     Error (Invalid_free !interior))
 
-let find_alloc t id = Hashtbl.find_opt t.allocs id
-
 (** Shadow check for an access [addr, addr+size). Only marked granules
     answer; addresses outside tracked heap return [None] (not ours to
     police — the policy guard owns those). *)

@@ -110,10 +110,8 @@ type event = {
   info : int;
 }
 
-(** Per-word field count of one ring slot; slots are padded to 64 bytes
-    in the simulated backing store. *)
-let event_words = 8
-
+(* one ring slot's size in the simulated backing store: the event's
+   eight words, padded *)
 let slot_bytes = 64
 
 (* per-site counter slab: site [s] lives at index [s + 1], slot 0 holds
@@ -464,13 +462,6 @@ let render_stats ?(region_tag = fun _ -> None) t =
 let merged_recorded ts = List.fold_left (fun a t -> a + t.total) 0 ts
 
 let merged_dropped ts = List.fold_left (fun a t -> a + dropped t) 0 ts
-
-let merged_totals ts =
-  List.fold_left
-    (fun (c, a, d, s, h, m) t ->
-      let c', a', d', s', h', m' = totals t in
-      (c + c', a + a', d + d', s + s', h + h', m + m'))
-    (0, 0, 0, 0, 0, 0) ts
 
 (** All buffered events across the rings as [(cpu, event)], ordered by
     simulated cycle stamp (ties broken by cpu then seq) — the merged

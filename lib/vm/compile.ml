@@ -20,11 +20,12 @@
     charge: under SMP the scheduler swaps it per CPU, so each CPU pays
     for the code it runs.
 
-    A function is compiled on its first call; the cache is keyed by
-    (module, function) and revalidated by physical equality on the
-    function value, so a reloaded module recompiles. When a tracer is
-    installed the runner falls back to the interpreter — tracing is
-    cost-free tooling, so equivalence is unaffected. *)
+    A function is compiled on its first call; the cache holds one table
+    per module name, keyed by function name, and revalidates an entry by
+    physical equality on the function value, so a reloaded module
+    recompiles. A cached call allocates no key and no option. When a
+    tracer is installed the runner falls back to the interpreter —
+    tracing is cost-free tooling, so equivalence is unaffected. *)
 
 open Kir.Types
 
@@ -39,7 +40,8 @@ type cfunc = {
 
 type t = {
   st : Interp.state;  (** shared stack/steps/tracer state *)
-  cache : (string, cfunc) Hashtbl.t;  (** "module.function" -> compiled *)
+  cache : (string, (string, cfunc) Hashtbl.t) Hashtbl.t;
+      (** module name -> function name -> compiled *)
 }
 
 let compile_func (st : Interp.state) (lm : Kernel.loaded_module) (f : func) :
@@ -326,7 +328,14 @@ let compile_func (st : Interp.state) (lm : Kernel.loaded_module) (f : func) :
     st.Interp.sp <- saved_sp;
     result
 
-let cache_key (lm : Kernel.loaded_module) fname = lm.Kernel.lm_name ^ "." ^ fname
+(* [lm]'s function table, created on its first compiled call *)
+let module_cache t (lm : Kernel.loaded_module) =
+  match Hashtbl.find t.cache lm.Kernel.lm_name with
+  | funcs -> funcs
+  | exception Not_found ->
+    let funcs = Hashtbl.create 16 in
+    Hashtbl.add t.cache lm.Kernel.lm_name funcs;
+    funcs
 
 (** Install the compiled engine: creates the interpreter state (stack,
     budget — identical allocation order, so both engines see the same
@@ -339,13 +348,13 @@ let install ?stack_size ?max_steps kernel : t =
   Kernel.set_runner kernel (fun _k lm f args ->
       if st.Interp.tracer <> None then Interp.exec_func st lm f args
       else begin
-        let key = cache_key lm f.f_name in
-        match Hashtbl.find_opt t.cache key with
-        | Some cf when cf.cf_src == f -> cf.cf_run args
-        | _ ->
+        let funcs = module_cache t lm in
+        match Hashtbl.find funcs f.f_name with
+        | cf when cf.cf_src == f -> cf.cf_run args
+        | _ | (exception Not_found) ->
           (* first call, or a replaced function (module reload) *)
           let cf = { cf_src = f; cf_run = compile_func st lm f } in
-          Hashtbl.replace t.cache key cf;
+          Hashtbl.replace funcs f.f_name cf;
           cf.cf_run args
       end);
   t

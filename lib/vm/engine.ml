@@ -12,7 +12,6 @@
 
 type kind = Interp | Compiled
 
-let all_kinds = [ Interp; Compiled ]
 let kind_to_string = function Interp -> "interp" | Compiled -> "compiled"
 
 let kind_of_string = function

@@ -190,6 +190,131 @@ let test_opt_ablation_runs () =
       <= opt.Experiments.checks_per_packet +. 0.01)
   | _ -> Alcotest.fail "unexpected shape")
 
+(* ---------- standing invariants ---------- *)
+
+let broken =
+  Alcotest.(list (testable (Fmt.of_to_string Invariants.to_string) ( = )))
+
+let audit_pm () =
+  let kernel = Kernel.create ~require_signature:false Machine.Presets.r350 in
+  let pm =
+    Policy.Policy_module.install ~site_cache:true
+      ~on_deny:Policy.Policy_module.Audit kernel
+  in
+  Policy.Policy_module.set_policy pm Policy.Region.kernel_only;
+  Policy.Engine.set_verify (Policy.Policy_module.engine pm) true;
+  pm
+
+let small_duplex () =
+  let config =
+    { Smp_testbed.default_config with cpus = 2; rx_queues = 2; seed = 3 }
+  in
+  let tb = Smp_testbed.create ~config () in
+  (tb, Smp_testbed.run_traffic ~count:40 ~churn:7 tb)
+
+let test_correct_runs_keep_invariants () =
+  let tb, r = small_duplex () in
+  checkb "frames delivered" true (r.Smp_testbed.d_rx_frames > 0);
+  Alcotest.check broken "duplex run" [] (Invariants.duplex r);
+  Alcotest.check broken "its policy module" []
+    (Invariants.policy_module (Smp_testbed.policy_module tb))
+
+(* A forged inline-cache span serves an allow the live policy denies:
+   the paranoid verifier counts it, and the module reports it. *)
+let test_stale_site_cache_slot () =
+  let pm = audit_pm () in
+  let eng = Policy.Policy_module.engine pm in
+  let addr = 0x4000 and site = 3 and w = Policy.Region.prot_write in
+  checkb "user store denied" false
+    (Policy.Engine.check_fast eng ~site ~addr ~size:8 ~flags:w);
+  Alcotest.check broken "clean before the forgery" []
+    (Invariants.policy_module pm);
+  checkb "slot forged" true
+    (Policy.Engine.corrupt_site_cache eng
+       (Policy.Engine.default_view eng)
+       ~site ~lo:addr ~hi:(addr + Kernel.Memory.page_size)
+       ~prot:Policy.Region.prot_rw ~smash_canary:false);
+  checkb "forged span allows" true
+    (Policy.Engine.check_fast eng ~site ~addr ~size:8 ~flags:w);
+  Alcotest.check broken "engine stale allow"
+    [ Invariants.Stale_allows { layer = Invariants.Engine; count = 1 } ]
+    (Invariants.policy_module pm)
+
+(* A domain-shadow slot widened to read-write answers a write the
+   domain's read-only region denies. *)
+let test_stale_domain_shadow_slot () =
+  let pm = audit_pm () in
+  let dm = Policy.Policy_module.enable_domains pm in
+  Policy.Domain.set_verify dm true;
+  let id = Policy.Domain.dom_id (Policy.Domain.create_domain dm) in
+  let ro =
+    Policy.Region.v ~base:0x10000 ~len:0x1000 ~prot:Policy.Region.prot_read ()
+  in
+  checki "install" 0 (Policy.Domain.install_regions dm ~domain:id [ ro ]);
+  checkb "read fills the shadow" true
+    (Policy.Domain.check dm ~domain:id ~addr:0x10010 ~size:8 ~flags:1);
+  Alcotest.check broken "clean before the forgery" []
+    (Invariants.policy_module pm);
+  let filled =
+    Array.to_list dm.Policy.Domain.shards
+    |> List.concat_map Array.to_list
+    |> List.filter (fun sl -> sl.Policy.Domain.sl_dom = id)
+  in
+  checki "one filled slot" 1 (List.length filled);
+  List.iter
+    (fun sl -> sl.Policy.Domain.sl_prot <- Policy.Region.prot_rw)
+    filled;
+  checkb "forged slot allows the write" true
+    (Policy.Domain.check dm ~domain:id ~addr:0x10020 ~size:8 ~flags:2);
+  let expected =
+    [ Invariants.Stale_allows { layer = Invariants.Domains; count = 1 } ]
+  in
+  Alcotest.check broken "bare domain layer" expected (Invariants.domains dm);
+  Alcotest.check broken "through the policy module" expected
+    (Invariants.policy_module pm)
+
+(* In Audit mode a denied guard is recorded and the run goes on: the
+   module reports the denials, the first one's access included. *)
+let test_guard_denial_reported () =
+  let pm = audit_pm () in
+  let w = Policy.Region.prot_write in
+  Policy.Policy_module.guard pm ~site:0 ~addr:0x4000 ~size:8 ~flags:w;
+  Policy.Policy_module.guard pm ~site:1 ~addr:0x5000 ~size:4 ~flags:1;
+  Alcotest.check broken "two denials, the first reported"
+    [
+      Invariants.Guard_denied { count = 2; addr = 0x4000; size = 8; flags = w };
+    ]
+    (Invariants.policy_module pm);
+  Alcotest.check broken "no stale allow" [] (Invariants.stale_allows pm)
+
+(* Each hand-altered count of a correct duplex result is reported as the
+   invariant it breaks. *)
+let test_altered_duplex_counts () =
+  let _, r = small_duplex () in
+  let delivered = r.Smp_testbed.d_rx_frames
+  and dropped = r.Smp_testbed.d_rx_dropped
+  and offered = r.Smp_testbed.d_injected in
+  List.iter
+    (fun (what, r', expected) ->
+      Alcotest.check broken what expected (Invariants.duplex r'))
+    [
+      ( "stale allows",
+        { r with d_stale_allows = 2 },
+        [ Invariants.Stale_allows { layer = Invariants.Engine; count = 2 } ] );
+      ( "failed sends",
+        { r with d_send_errors = 1 },
+        [ Invariants.Send_errors 1 ] );
+      ( "a frame lost",
+        { r with d_injected = offered + 1 },
+        [
+          Invariants.Frames_unaccounted
+            { delivered; dropped; offered = offered + 1 };
+        ] );
+      ( "a latency sample missing",
+        { r with d_latencies = Array.sub r.d_latencies 1 (delivered - 1) },
+        [ Invariants.Latency_samples { samples = delivered - 1; delivered } ] );
+    ]
+
 let () =
   Alcotest.run "core"
     [
@@ -212,5 +337,18 @@ let () =
           Alcotest.test_case "policy bench" `Quick test_policy_bench_runs;
           Alcotest.test_case "opt ablation" `Slow test_opt_ablation_runs;
           Alcotest.test_case "mechanism sensitivity" `Slow test_mechanism_sensitivity_runs;
+        ] );
+      ( "invariants",
+        [
+          Alcotest.test_case "correct runs break none" `Quick
+            test_correct_runs_keep_invariants;
+          Alcotest.test_case "stale site-cache slot" `Quick
+            test_stale_site_cache_slot;
+          Alcotest.test_case "stale domain-shadow slot" `Quick
+            test_stale_domain_shadow_slot;
+          Alcotest.test_case "guard denial in audit mode" `Quick
+            test_guard_denial_reported;
+          Alcotest.test_case "altered duplex counts" `Quick
+            test_altered_duplex_counts;
         ] );
     ]

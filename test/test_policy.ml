@@ -1093,6 +1093,38 @@ let test_ioctl_install_validation () =
   write_install_batch k ~arg ~domain:7 [ region 0xA000 0x100 ];
   checki "unknown domain" Kernel.einval (io ioctl_install arg)
 
+(* ioctl_add and each record of ioctl_install decode the same
+   base/len/prot block with one decoder: every malformed block gets the
+   same typed errno from both, and neither installs anything. *)
+let test_ioctl_region_block_errnos () =
+  let k, _pm = setup_pm () in
+  let io cmd arg = Kernel.ioctl k ~dev:"carat" ~cmd ~arg in
+  let add_arg = Kernel.map_user k ~size:32 in
+  let batch_arg = Kernel.map_user k ~size:48 in
+  let write_block at (base, len, prot) =
+    Kernel.write k ~addr:at ~size:8 base;
+    Kernel.write k ~addr:(at + 8) ~size:8 len;
+    Kernel.write k ~addr:(at + 16) ~size:8 prot
+  in
+  Kernel.write k ~addr:batch_arg ~size:8 0 (* the root policy *);
+  Kernel.write k ~addr:(batch_arg + 8) ~size:8 1;
+  let rw = Policy.Region.prot_rw in
+  List.iter
+    (fun (what, errno, block) ->
+      write_block add_arg block;
+      write_block (batch_arg + 16) block;
+      checki (what ^ ", ioctl_add") errno
+        (io Policy.Policy_module.ioctl_add add_arg);
+      checki (what ^ ", ioctl_install") errno
+        (io Policy.Policy_module.ioctl_install batch_arg))
+    [
+      ("zero length", Kernel.einval, (0xA000, 0, rw));
+      ("negative length", Kernel.erange, (0xA000, -8, rw));
+      ("base+len overflow", Kernel.erange, (max_int, 0x100, rw));
+      ("prot bits outside rw", Kernel.einval, (0xA000, 0x100, 0xF0));
+    ];
+  checki "nothing installed" 0 (io Policy.Policy_module.ioctl_count 0)
+
 (* ---------- policy domains ---------- *)
 
 let test_domain_create_destroy_churn () =
@@ -1620,6 +1652,8 @@ let () =
             test_ioctl_install_rollback;
           Alcotest.test_case "install validation" `Quick
             test_ioctl_install_validation;
+          Alcotest.test_case "region block errnos, add and install" `Quick
+            test_ioctl_region_block_errnos;
         ] );
       ( "domains",
         [

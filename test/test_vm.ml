@@ -322,6 +322,33 @@ let test_cycles_accumulate () =
   let c3 = Machine.Model.cycles (Kernel.machine kernel) in
   checkb "scales with iterations" true (c3 - c2 > 3 * (c1 - c0))
 
+(* The compiled engine's runner finds a cached function without building
+   a key or an option: a warm call of a one-block function allocates only
+   its frame, the compiled body's own arrays and the kernel's call
+   bracket — 17 minor words, pinned. *)
+let test_compiled_call_words () =
+  let kernel = Kernel.create ~require_signature:false Machine.Presets.r350 in
+  ignore (Vm.Engine.install ~kind:Vm.Engine.Compiled kernel);
+  let m =
+    simple_fn "inc" (fun b ->
+        ignore
+          (Kir.Builder.start_func b "inc" ~params:[ ("%x", I64) ]
+             ~ret:(Some I64));
+        let r = Kir.Builder.add b I64 (Reg "%x") (Imm 1) in
+        Kir.Builder.ret b (Some r))
+  in
+  ignore (load_module kernel m);
+  let r = Option.get (Kernel.resolve kernel "inc") in
+  let args = [| 41 |] in
+  checki "compiled result" 42 (Kernel.call_resolved kernel r args);
+  let calls = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Kernel.call_resolved kernel r args : int)
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int calls in
+  Alcotest.(check (float 0.0)) "minor words per compiled call" 17.0 words
+
 (* ---------- tracer ---------- *)
 
 let test_tracer_captures () =
@@ -536,6 +563,8 @@ let () =
           Alcotest.test_case "alloca frames" `Quick test_alloca_frames;
           Alcotest.test_case "indirect call" `Quick test_indirect_call;
           Alcotest.test_case "cycles accumulate" `Quick test_cycles_accumulate;
+          Alcotest.test_case "compiled call allocation" `Quick
+            test_compiled_call_words;
         ] );
       ( "tracer",
         [
